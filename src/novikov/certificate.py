@@ -31,7 +31,7 @@ from .extensions import (
     two_gen_lift,
     two_step_solvable_from,
 )
-from .linalg import NotRegularNilpotent, Q, is_zero_vec, solve_sparse
+from .linalg import NotRegularNilpotent, Q, is_zero_vec, solve_sparse, vunit
 from .products import (
     AlgebraProduct,
     half_bracket_product,
@@ -46,6 +46,10 @@ DEFAULT_EFFORT = 64
 EXISTS = "exists"
 NOT_EXISTS = "not-exists"
 UNDETERMINED = "undetermined"
+
+
+class WitnessCheckFailed(RuntimeError):
+    """A nonexistence witness found by decide_novikov failed re-verification."""
 
 
 def algebra_hash(g):
@@ -100,6 +104,15 @@ def _poly_add(p, m, c):
             p[m] = nv
         else:
             p.pop(m, None)
+
+
+def _combine(witness, polys):
+    """The sparse sum of c * polys[i] over the witness items (i, c)."""
+    acc = {}
+    for i, c in witness.items():
+        for m, x in polys[i].items():
+            _poly_add(acc, m, c * x)
+    return acc
 
 
 def build_system(g):
@@ -392,9 +405,8 @@ def _constructor_candidates(g):
         except (NotRegularNilpotent, GammaExpansionFailed, HypothesisFailed, LiftCheckFailed):
             pass
     for e_index in range(ext.dim_b):
-        e = tuple(Q(1) if p == e_index else Q(0) for p in range(ext.dim_b))
         try:
-            yield "invertible-action", transported(iso_lift(ext, e))
+            yield "invertible-action", transported(iso_lift(ext, vunit(ext.dim_b, e_index)))
             break
         except (NotInvertible, HypothesisFailed, LiftCheckFailed):
             pass
@@ -427,11 +439,8 @@ def decide_novikov(g, effort=DEFAULT_EFFORT):
         constant = sum(
             (c * system.linear_rhs[i] for i, c in witness.items()), Q(0)
         )
-        acc = {}
-        for i, c in witness.items():
-            for v, x in system.linear_rows[i].items():
-                _poly_add(acc, v, c * x)
-        assert not acc and constant != 0, "linear witness failed re-verification"
+        if _combine(witness, system.linear_rows) or constant == 0:
+            raise WitnessCheckFailed("linear witness failed re-verification")
         return Certificate(
             NOT_EXISTS, h, witness_kind="linear", witness=witness, constant=constant
         )
@@ -457,11 +466,8 @@ def decide_novikov(g, effort=DEFAULT_EFFORT):
     if found is not None:
         combo, constant = found
         witness = {qi: c for qi, c in sorted(combo.items())}
-        acc = {}
-        for qi, c in witness.items():
-            for m, x in residuals[qi].items():
-                _poly_add(acc, m, c * x)
-        assert acc == {(): constant} and constant != 0, "elimination witness failed re-verification"
+        if _combine(witness, residuals) != {(): constant} or constant == 0:
+            raise WitnessCheckFailed("elimination witness failed re-verification")
         return Certificate(
             NOT_EXISTS, h, witness_kind="quadratic", witness=witness, constant=constant
         )
@@ -493,24 +499,13 @@ def verify_certificate(g, cert):
         return False
     system = build_system(g)
     if cert.witness_kind == "linear":
-        acc = {}
-        total = Q(0)
-        for i, c in cert.witness.items():
-            if not (0 <= i < len(system.linear_rows)):
-                return False
-            for v, x in system.linear_rows[i].items():
-                _poly_add(acc, v, c * x)
-            total += c * system.linear_rhs[i]
-        return not acc and total == cert.constant
+        if not all(0 <= i < len(system.linear_rows) for i in cert.witness):
+            return False
+        total = sum((c * system.linear_rhs[i] for i, c in cert.witness.items()), Q(0))
+        return not _combine(cert.witness, system.linear_rows) and total == cert.constant
     if cert.witness_kind == "quadratic":
         _, residuals = residual_polynomials(system)
-        if residuals is None:
+        if residuals is None or not all(qi in residuals for qi in cert.witness):
             return False
-        acc = {}
-        for qi, c in cert.witness.items():
-            if qi not in residuals:
-                return False
-            for m, x in residuals[qi].items():
-                _poly_add(acc, m, c * x)
-        return acc == {(): cert.constant}
+        return _combine(cert.witness, residuals) == {(): cert.constant}
     return False

@@ -31,7 +31,7 @@ from .extensions import (
 )
 from .fixtures import UnknownFixture, fixture, product_fixture
 from .lie import NotAnIdeal, ValidationError, quotient
-from .linalg import DimensionMismatch, NotRegularNilpotent, Q, Subspace
+from .linalg import DimensionMismatch, NotRegularNilpotent, Q, Subspace, vunit
 from .products import (
     AlgebraProduct,
     is_complete,
@@ -144,6 +144,8 @@ def _cmd_fixture(args):
 
 
 def _cmd_rmatrix(args):
+    if args.induce and not args.output:
+        raise ValueError("rmatrix --induce requires -o")
     g = _load(args.lie, "LAF")
     t = _load(args.t, "LAF-M")
     r = RMatrix(g, t)
@@ -203,9 +205,8 @@ def _cmd_lift(args):
             lift = None
             last = None
             for p in range(ext.dim_b):
-                e = tuple(Q(1) if i == p else Q(0) for i in range(ext.dim_b))
                 try:
-                    lift = iso_lift(ext, e)
+                    lift = iso_lift(ext, vunit(ext.dim_b, p))
                     break
                 except CONSTRUCTION_ERRORS as exc:
                     last = exc
@@ -351,8 +352,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "rmatrix" and args.induce and not args.output:
-        parser.error("rmatrix --induce requires -o")
     try:
         return args.handler(args)
     except CONSTRUCTION_ERRORS as exc:

@@ -1,7 +1,7 @@
 """Named Lie algebras and products used as fixtures across the toolkit."""
 
 from .lie import StructureTensor, validate_lie
-from .linalg import Q
+from .linalg import Q, vunit
 from .products import AlgebraProduct
 
 
@@ -9,40 +9,36 @@ class UnknownFixture(KeyError):
     pass
 
 
-def _unit(n, i, scale=1):
-    return tuple(Q(scale) if j == i else Q(0) for j in range(n))
-
-
 def abelian(n):
     return validate_lie(StructureTensor(n, {}), tuple("e%d" % (i + 1) for i in range(n)))
 
 
 def n3():
-    t = StructureTensor.antisymmetric_from_brackets(3, {(0, 1): _unit(3, 2)})
+    t = StructureTensor.antisymmetric_from_brackets(3, {(0, 1): vunit(3, 2)})
     return validate_lie(t)
 
 
 def r2():
-    t = StructureTensor.antisymmetric_from_brackets(2, {(0, 1): _unit(2, 1)})
+    t = StructureTensor.antisymmetric_from_brackets(2, {(0, 1): vunit(2, 1)})
     return validate_lie(t, ("x1", "x2"))
 
 
 def r3():
-    brackets = {(0, 1): _unit(3, 1), (0, 2): (Q(0), Q(1), Q(1))}
+    brackets = {(0, 1): vunit(3, 1), (0, 2): (Q(0), Q(1), Q(1))}
     return validate_lie(StructureTensor.antisymmetric_from_brackets(3, brackets))
 
 
 def r3_lambda(lam):
     lam = Q(lam)
-    brackets = {(0, 1): _unit(3, 1), (0, 2): (Q(0), Q(0), lam)}
+    brackets = {(0, 1): vunit(3, 1), (0, 2): (Q(0), Q(0), lam)}
     return validate_lie(StructureTensor.antisymmetric_from_brackets(3, brackets))
 
 
 def sl2():
     brackets = {
-        (0, 1): _unit(3, 2),
-        (0, 2): _unit(3, 0, -2),
-        (1, 2): _unit(3, 1, 2),
+        (0, 1): vunit(3, 2),
+        (0, 2): vunit(3, 0, -2),
+        (1, 2): vunit(3, 1, 2),
     }
     return validate_lie(StructureTensor.antisymmetric_from_brackets(3, brackets))
 
@@ -53,9 +49,9 @@ def ex35():
     Basis (A, B, C, X, Y) with [X,Y] = A, [X,A] = B, [Y,A] = C.
     """
     brackets = {
-        (0, 3): _unit(5, 1, -1),  # [A,X] = -B
-        (0, 4): _unit(5, 2, -1),  # [A,Y] = -C
-        (3, 4): _unit(5, 0),      # [X,Y] = A
+        (0, 3): vunit(5, 1, -1),  # [A,X] = -B
+        (0, 4): vunit(5, 2, -1),  # [A,Y] = -C
+        (3, 4): vunit(5, 0),      # [X,Y] = A
     }
     t = StructureTensor.antisymmetric_from_brackets(5, brackets)
     return validate_lie(t, ("A", "B", "C", "X", "Y"))
@@ -64,13 +60,13 @@ def ex35():
 def free_n2_c4():
     """Free 4-step nilpotent Lie algebra on two generators, dimension 8."""
     brackets = {
-        (0, 1): _unit(8, 2),  # x3 = [x1,x2]
-        (0, 2): _unit(8, 3),  # x4 = [x1,x3]
-        (1, 2): _unit(8, 4),  # x5 = [x2,x3]
-        (0, 3): _unit(8, 5),  # x6 = [x1,x4]
-        (1, 3): _unit(8, 6),  # x7 = [x2,x4]
-        (0, 4): _unit(8, 6),  # x7 = [x1,x5]
-        (1, 4): _unit(8, 7),  # x8 = [x2,x5]
+        (0, 1): vunit(8, 2),  # x3 = [x1,x2]
+        (0, 2): vunit(8, 3),  # x4 = [x1,x3]
+        (1, 2): vunit(8, 4),  # x5 = [x2,x3]
+        (0, 3): vunit(8, 5),  # x6 = [x1,x4]
+        (1, 3): vunit(8, 6),  # x7 = [x2,x4]
+        (0, 4): vunit(8, 6),  # x7 = [x1,x5]
+        (1, 4): vunit(8, 7),  # x8 = [x2,x5]
     }
     t = StructureTensor.antisymmetric_from_brackets(8, brackets)
     return validate_lie(t, tuple("x%d" % (i + 1) for i in range(8)))
@@ -80,17 +76,17 @@ def free_n3_c3():
     """Free 3-step nilpotent Lie algebra on three generators, dimension 14."""
     n = 14
     brackets = {
-        (0, 1): _unit(n, 3),   # x4
-        (0, 2): _unit(n, 4),   # x5
-        (1, 2): _unit(n, 5),   # x6
-        (0, 3): _unit(n, 6),   # x7
-        (1, 3): _unit(n, 7),   # x8
-        (2, 3): _unit(n, 8),   # x9
-        (0, 4): _unit(n, 9),   # x10
-        (1, 4): _unit(n, 10),  # x11
-        (2, 4): _unit(n, 11),  # x12
-        (1, 5): _unit(n, 12),  # x13
-        (2, 5): _unit(n, 13),  # x14
+        (0, 1): vunit(n, 3),   # x4
+        (0, 2): vunit(n, 4),   # x5
+        (1, 2): vunit(n, 5),   # x6
+        (0, 3): vunit(n, 6),   # x7
+        (1, 3): vunit(n, 7),   # x8
+        (2, 3): vunit(n, 8),   # x9
+        (0, 4): vunit(n, 9),   # x10
+        (1, 4): vunit(n, 10),  # x11
+        (2, 4): vunit(n, 11),  # x12
+        (1, 5): vunit(n, 12),  # x13
+        (2, 5): vunit(n, 13),  # x14
     }
     v = [Q(0)] * n
     v[10], v[8] = Q(1), Q(-1)
@@ -106,7 +102,7 @@ def filiform(n):
     """
     if n < 3:
         raise ValueError("filiform fixtures need dimension at least 3")
-    brackets = {(0, i): _unit(n, i + 1) for i in range(1, n - 1)}
+    brackets = {(0, i): vunit(n, i + 1) for i in range(1, n - 1)}
     return validate_lie(StructureTensor.antisymmetric_from_brackets(n, brackets))
 
 
@@ -114,17 +110,17 @@ def in_lie(n):
     """The Lie algebra [e1, ej] = ej of the simple left-symmetric algebra I_n."""
     if n < 2:
         raise ValueError("I_n needs n >= 2")
-    brackets = {(0, j): _unit(n, j) for j in range(1, n)}
+    brackets = {(0, j): vunit(n, j) for j in range(1, n)}
     return validate_lie(StructureTensor.antisymmetric_from_brackets(n, brackets))
 
 
 def ex35_product():
     """Novikov product on ex35: A*X = -B/2, X*A = B/2, Y*A = C, Y*X = -A."""
     products = {
-        (0, 3): _unit(5, 1, Q(-1, 2)),
-        (3, 0): _unit(5, 1, Q(1, 2)),
-        (4, 0): _unit(5, 2),
-        (4, 3): _unit(5, 0, -1),
+        (0, 3): vunit(5, 1, Q(-1, 2)),
+        (3, 0): vunit(5, 1, Q(1, 2)),
+        (4, 0): vunit(5, 2),
+        (4, 3): vunit(5, 0, -1),
     }
     return AlgebraProduct.from_products(5, products)
 
@@ -134,22 +130,22 @@ def free_n3_c3_product():
     n = 14
     h = Q(1, 2)
     products = {
-        (0, 2): _unit(n, 4),        # x1*x3 = x5
-        (0, 3): _unit(n, 6, h),     # x1*x4 = x7/2
-        (0, 4): _unit(n, 9),        # x1*x5 = x10
-        (1, 0): _unit(n, 3, -1),    # x2*x1 = -x4
-        (1, 2): _unit(n, 5),        # x2*x3 = x6
-        (1, 3): _unit(n, 7),        # x2*x4 = x8
-        (1, 4): _unit(n, 10),       # x2*x5 = x11
-        (1, 5): _unit(n, 12),       # x2*x6 = x13
-        (2, 3): _unit(n, 8, h),     # x3*x4 = x9/2
-        (2, 4): _unit(n, 11, h),    # x3*x5 = x12/2
-        (2, 5): _unit(n, 13, h),    # x3*x6 = x14/2
-        (3, 0): _unit(n, 6, -h),    # x4*x1 = -x7/2
-        (3, 2): _unit(n, 8, -h),    # x4*x3 = -x9/2
-        (4, 2): _unit(n, 11, -h),   # x5*x3 = -x12/2
-        (5, 0): _unit(n, 8, h),     # x6*x1 = x9/2
-        (5, 2): _unit(n, 13, -h),   # x6*x3 = -x14/2
+        (0, 2): vunit(n, 4),        # x1*x3 = x5
+        (0, 3): vunit(n, 6, h),     # x1*x4 = x7/2
+        (0, 4): vunit(n, 9),        # x1*x5 = x10
+        (1, 0): vunit(n, 3, -1),    # x2*x1 = -x4
+        (1, 2): vunit(n, 5),        # x2*x3 = x6
+        (1, 3): vunit(n, 7),        # x2*x4 = x8
+        (1, 4): vunit(n, 10),       # x2*x5 = x11
+        (1, 5): vunit(n, 12),       # x2*x6 = x13
+        (2, 3): vunit(n, 8, h),     # x3*x4 = x9/2
+        (2, 4): vunit(n, 11, h),    # x3*x5 = x12/2
+        (2, 5): vunit(n, 13, h),    # x3*x6 = x14/2
+        (3, 0): vunit(n, 6, -h),    # x4*x1 = -x7/2
+        (3, 2): vunit(n, 8, -h),    # x4*x3 = -x9/2
+        (4, 2): vunit(n, 11, -h),   # x5*x3 = -x12/2
+        (5, 0): vunit(n, 8, h),     # x6*x1 = x9/2
+        (5, 2): vunit(n, 13, -h),   # x6*x3 = -x14/2
     }
     v = [Q(0)] * n
     v[10], v[8] = Q(1), Q(-1, 2)
@@ -161,10 +157,10 @@ def in_product(n):
     """The simple left-symmetric algebra I_n (left-symmetric, not Novikov)."""
     if n < 2:
         raise ValueError("I_n needs n >= 2")
-    products = {(0, 0): _unit(n, 0, 2)}
+    products = {(0, 0): vunit(n, 0, 2)}
     for j in range(1, n):
-        products[(0, j)] = _unit(n, j)
-        products[(j, j)] = _unit(n, 0)
+        products[(0, j)] = vunit(n, j)
+        products[(j, j)] = vunit(n, 0)
     return AlgebraProduct.from_products(n, products)
 
 
@@ -172,7 +168,7 @@ def in_novikov_product(n):
     """The Novikov alternative on I_n's Lie algebra: e1*ej = ej, rest zero."""
     if n < 2:
         raise ValueError("I_n needs n >= 2")
-    products = {(0, j): _unit(n, j) for j in range(1, n)}
+    products = {(0, j): vunit(n, j) for j in range(1, n)}
     return AlgebraProduct.from_products(n, products)
 
 

@@ -10,8 +10,11 @@ from .linalg import (
     Q,
     Subspace,
     is_zero_vec,
+    nullspace_of_rows,
+    scaled_sum,
     vadd,
     vscale,
+    vunit,
 )
 
 
@@ -118,18 +121,12 @@ class StructureTensor:
         return Matrix(m, cols=self.dim)
 
     def left_matrix_of(self, x):
-        m = Matrix.zeros(self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c:
-                m = m + self.left_matrix(i).scale(c)
-        return m
+        terms = ((c, self.left_matrix(i)) for i, c in enumerate(x) if c)
+        return scaled_sum(terms, self.dim, self.dim)
 
     def right_matrix_of(self, x):
-        m = Matrix.zeros(self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c:
-                m = m + self.right_matrix(i).scale(c)
-        return m
+        terms = ((c, self.right_matrix(i)) for i, c in enumerate(x) if c)
+        return scaled_sum(terms, self.dim, self.dim)
 
     def is_zero(self):
         return not self.entries
@@ -191,7 +188,7 @@ class LieAlgebra:
         return self.bracket.left_matrix_of(x)
 
     def basis_vector(self, i):
-        return tuple(Q(1) if j == i else Q(0) for j in range(self.dim))
+        return vunit(self.dim, i)
 
     def bracket_space(self, u_space, v_space):
         """Span of [u, v] over basis vectors of the two subspaces."""
@@ -247,8 +244,6 @@ class LieAlgebra:
         return all(self.ad(i).trace() == 0 for i in range(self.dim))
 
     def center(self):
-        from .linalg import nullspace_of_rows
-
         rows = []
         for i in range(self.dim):
             rows.extend(self.ad(i).data)
@@ -299,18 +294,14 @@ def validate_lie(bracket, labels=None):
             for k in range(j + 1, n):
                 total = vadd(
                     vadd(
-                        bracket.apply(products[(i, j)], _unit(n, k)),
-                        bracket.apply(products[(j, k)], _unit(n, i)),
+                        bracket.apply(products[(i, j)], vunit(n, k)),
+                        bracket.apply(products[(j, k)], vunit(n, i)),
                     ),
-                    bracket.apply(products[(k, i)], _unit(n, j)),
+                    bracket.apply(products[(k, i)], vunit(n, j)),
                 )
                 if not is_zero_vec(total):
                     raise JacobiViolation(i, j, k)
     return LieAlgebra(bracket, labels)
-
-
-def _unit(n, i):
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
 
 
 def derived_series(g):
@@ -332,7 +323,7 @@ def complement_basis(subspace):
     for j in range(n):
         if span.dim == n:
             break
-        ej = _unit(n, j)
+        ej = vunit(n, j)
         if not span.contains(ej):
             chosen.append(j)
             span = span + Subspace(n, [ej])
@@ -343,7 +334,7 @@ def quotient_coordinates(subspace, complement):
     """Return a function mapping a vector to its coordinates on the complement
     basis modulo the subspace, or None if the basis does not span."""
     n = subspace.ambient_dim
-    columns = [list(v) for v in subspace.basis] + [list(_unit(n, j)) for j in complement]
+    columns = [list(v) for v in subspace.basis] + [list(vunit(n, j)) for j in complement]
     if len(columns) != n:
         raise DimensionMismatch("subspace plus complement does not span")
     m = Matrix.from_columns(columns)
@@ -375,7 +366,7 @@ def quotient(g, ideal):
     brackets = {}
     for a in range(q):
         for b in range(a + 1, q):
-            w = g.bracket_vec(_unit(g.dim, comp[a]), _unit(g.dim, comp[b]))
+            w = g.bracket_vec(vunit(g.dim, comp[a]), vunit(g.dim, comp[b]))
             c = coords(w)
             if not is_zero_vec(c):
                 brackets[(a, b)] = c

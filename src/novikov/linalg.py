@@ -1,7 +1,9 @@
 """Exact rational linear algebra: matrices, linear systems, subspaces.
 
 Everything is over Q via fractions.Fraction, so every comparison in the
-package is an exact equality; there are no tolerances anywhere.
+package is an exact equality; there are no tolerances anywhere. There is one
+elimination engine, solve_sparse: subspace bases, nullspaces, ranks and
+inverses all take their reduced echelon form from it.
 """
 
 from fractions import Fraction
@@ -23,6 +25,11 @@ def vec(entries):
 
 def vzero(n):
     return (Q(0),) * n
+
+
+def vunit(n, i, value=1):
+    """The i-th standard basis vector of Q^n, scaled by value."""
+    return tuple(Q(value) if j == i else Q(0) for j in range(n))
 
 
 def vadd(u, v):
@@ -73,7 +80,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)])
+        return cls([vunit(n, i) for i in range(n)], cols=n)
 
     @classmethod
     def from_columns(cls, columns):
@@ -168,16 +175,15 @@ class Matrix:
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of non-square matrix")
         n = self.rows
-        work = [list(self.data[i]) + [Q(1) if j == i else Q(0) for j in range(n)]
-                for i in range(n)]
-        reduced, pivots = rref(work)
-        if len(pivots) != n or pivots != list(range(n)):
+        # [A | I] reduces to [I | A^-1] exactly when A is invertible
+        rows = _sparse(row + vunit(n, i) for i, row in enumerate(self.data))
+        echelon = solve_sparse(rows, None, 2 * n).pivot_rows
+        if sorted(echelon) != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in reduced], cols=n)
+        return Matrix([[echelon[i].get(n + j, Q(0)) for j in range(n)] for i in range(n)], cols=n)
 
     def rank(self):
-        _, pivots = rref([list(r) for r in self.data])
-        return len(pivots)
+        return solve_sparse(_sparse(self.data), None, self.cols).rank
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -188,36 +194,21 @@ def commutator(a, b):
     return a * b - b * a
 
 
-def rref(rows):
-    """Reduced row echelon form of a list of row lists, in place.
+def scaled_sum(terms, rows, cols):
+    """The rows x cols matrix sum of c * M over the (c, M) pairs in terms."""
+    acc = [[Q(0)] * cols for _ in range(rows)]
+    for c, m in terms:
+        if c:
+            for out, row in zip(acc, m.data):
+                for j, x in enumerate(row):
+                    if x:
+                        out[j] += c * x
+    return Matrix(acc, cols=cols)
 
-    Returns (rows, pivot_columns). Zero rows sink to the bottom.
-    """
-    if not rows:
-        return rows, []
-    nrows, ncols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+
+def _sparse(rows):
+    """Dense rows as {column: entry} dicts over Q (so pivots divide exactly)."""
+    return [{j: Q(x) for j, x in enumerate(row) if x} for row in rows]
 
 
 class Subspace:
@@ -229,12 +220,15 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim, vectors=()):
-        work = [list(Q(x) for x in v) for v in vectors]
-        for v in work:
+        vectors = [tuple(v) for v in vectors]
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector does not match ambient dimension")
-        reduced, pivots = rref(work)
-        basis = tuple(tuple(row) for row in reduced[: len(pivots)])
+        echelon = solve_sparse(_sparse(vectors), None, ambient_dim).pivot_rows
+        pivots = sorted(echelon)
+        basis = tuple(
+            tuple(echelon[p].get(j, Q(0)) for j in range(ambient_dim)) for p in pivots
+        )
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", tuple(pivots))
@@ -328,17 +322,7 @@ class Subspace:
 
 def nullspace_of_rows(rows, ncols):
     """Canonical nullspace of the linear map given by stacked row vectors."""
-    work = [list(r) for r in rows]
-    reduced, pivots = rref(work)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return Subspace(ncols, basis)
+    return solve_sparse(_sparse(rows), None, ncols).nullspace()
 
 
 def nullspace(a):
@@ -369,8 +353,7 @@ def solve_linear(a, b):
     """Solve a x = b exactly. See LinearSolution."""
     if a.rows != len(b):
         raise DimensionMismatch("rhs length does not match row count")
-    rows = [{j: x for j, x in enumerate(r) if x != 0} for r in a.data]
-    sol = solve_sparse(rows, [Q(x) for x in b], a.cols, want_witness=True)
+    sol = solve_sparse(_sparse(a.data), [Q(x) for x in b], a.cols, want_witness=True)
     if not sol.consistent:
         witness = [Q(0)] * a.rows
         for i, c in sol.witness.items():
@@ -412,8 +395,7 @@ class SparseSolution:
     def nullspace(self):
         basis = []
         for f in self.free_columns():
-            v = [Q(0)] * self.ncols
-            v[f] = Q(1)
+            v = list(vunit(self.ncols, f))
             for p, row in self.pivot_rows.items():
                 c = row.get(f)
                 if c is not None:
@@ -539,7 +521,7 @@ def nilpotent_regular_basis(n_matrix):
     seed = None
     for j in range(n):
         if not is_zero_vec(top.column(j)):
-            seed = tuple(Q(1) if i == j else Q(0) for i in range(n))
+            seed = vunit(n, j)
             break
     if seed is None:
         raise NotRegularNilpotent("nilpotency index is smaller than the dimension")

@@ -10,7 +10,7 @@ Convention: L(x)y = x*y and R(x)y = y*x throughout.
 import random
 
 from .lie import StructureTensor, validate_lie
-from .linalg import Q, commutator, is_zero_vec, vsub
+from .linalg import Q, commutator, is_zero_vec, vsub, vunit
 
 
 class NotLeftSymmetric(ValueError):
@@ -103,14 +103,10 @@ class Verdict:
         return "Verdict(fail, label=%r, witness=%r)" % (self.label, self.witness)
 
 
-def _units(n):
-    return [tuple(Q(1) if j == i else Q(0) for j in range(n)) for i in range(n)]
-
-
 def is_left_symmetric(p):
     """x*(y*z) - (x*y)*z = y*(x*z) - (y*x)*z on all basis triples."""
     n = p.dim
-    e = _units(n)
+    e = [vunit(n, i) for i in range(n)]
     prod = {(i, j): p.basis_product(i, j) for i in range(n) for j in range(n)}
     for i in range(n):
         for j in range(n):
@@ -135,28 +131,21 @@ def _right_commute(p):
 def is_novikov(p):
     """Left-symmetry plus (x*y)*z = (x*z)*y on all basis triples.
 
-    When the triple scan passes, the equivalent operator formulation
+    Decided by the triple scan alone. The equivalent operator formulation
     (L a representation of the commutator algebra, commuting right
-    multiplications) is verified as well; a disagreement would be a bug.
+    multiplications) is a differential test in the test suite.
     """
     lsa = is_left_symmetric(p)
     if not lsa:
         return lsa
     n = p.dim
-    e = _units(n)
+    e = [vunit(n, i) for i in range(n)]
     prod = {(i, j): p.basis_product(i, j) for i in range(n) for j in range(n)}
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 if p.apply(prod[(i, j)], e[k]) != p.apply(prod[(i, k)], e[j]):
                     return Verdict(False, (i, j, k), "eq-2")
-    assert _right_commute(p).ok, "triple scan and operator route disagree"
-    lefts = [p.left(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            com = vsub(prod[(i, j)], prod[(j, i)])
-            if commutator(lefts[i], lefts[j]) != p.left_of(com):
-                raise AssertionError("triple scan and operator route disagree")
     return Verdict(True)
 
 
@@ -239,7 +228,7 @@ def is_complete(p):
     deterministic pseudo-random rational combinations are sampled.
     """
     n = p.dim
-    e = _units(n)
+    e = [vunit(n, i) for i in range(n)]
     for i in range(n):
         if not p.right(i).is_nilpotent():
             return Completeness(INCOMPLETE, e[i])
@@ -260,7 +249,7 @@ def derived_identities_hold(p):
     where [u,v] = u*v - v*u.
     """
     n = p.dim
-    e = _units(n)
+    e = [vunit(n, i) for i in range(n)]
     com = {
         (i, j): vsub(p.basis_product(i, j), p.basis_product(j, i))
         for i in range(n)

@@ -1,12 +1,16 @@
 import os
 from fractions import Fraction as Q
 
+import pytest
+
+from novikov import certificate
 from novikov import fixtures as fx
 from novikov.certificate import (
     Certificate,
     EXISTS,
     NOT_EXISTS,
     UNDETERMINED,
+    WitnessCheckFailed,
     algebra_hash,
     build_system,
     decide_novikov,
@@ -129,6 +133,17 @@ def test_decide_not_exists_sl2_linear():
     cert = decide_novikov(g)
     assert cert.verdict == NOT_EXISTS and cert.witness_kind == "linear"
     assert verify_certificate(g, cert)
+
+
+def test_wrong_elimination_witness_is_rejected(monkeypatch):
+    # the re-verification inside decide_novikov is an explicit check, so it
+    # also runs under python -O
+    def wrong(residuals, effort):
+        return {min(residuals): Q(1)}, Q(1)
+
+    monkeypatch.setattr(certificate, "_eliminate_residuals", wrong)
+    with pytest.raises(WitnessCheckFailed):
+        decide_novikov(fx.free_n2_c4())
 
 
 def test_decide_deterministic():

@@ -67,6 +67,17 @@ def test_rmatrix_check_and_induce(tmp_path, capsys):
     assert bool(check_cybe(r)) and bool(check_novbed(r))
 
 
+def test_rmatrix_induce_without_output(tmp_path, capsys):
+    lie = str(tmp_path / "sl2.laf")
+    tmat = str(tmp_path / "t.lafm")
+    emit_file(fx.sl2(), lie)
+    emit_file(Matrix.unit(3, 0, 1), tmat)
+    code, report = run(capsys, "rmatrix", "--lie", lie, "--t", tmat, "--induce")
+    assert code == 2
+    assert report["ok"] is False and report["command"] == "rmatrix"
+    assert "-o" in report["detail"]
+
+
 def test_rmatrix_check_failure(tmp_path, capsys):
     lie = str(tmp_path / "sl2.laf")
     tmat = str(tmp_path / "t.lafm")

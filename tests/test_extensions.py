@@ -7,6 +7,7 @@ from novikov.extensions import (
     ExtensionData,
     HypothesisFailed,
     InvariantViolation,
+    LiftCheckFailed,
     LiftData,
     NotInvertible,
     NotProductIdeal,
@@ -22,9 +23,11 @@ from novikov.extensions import (
     semidirect_lift,
     two_gen_lift,
     two_step_solvable_from,
+    _check_lift_novikov_trivial,
+    _check_novikov_extra,
 )
 from novikov.lie import quotient
-from novikov.linalg import Matrix, NotRegularNilpotent, Subspace, jordan_block
+from novikov.linalg import Matrix, NotRegularNilpotent, Subspace, commutator, jordan_block
 from novikov.products import (
     AlgebraProduct,
     half_bracket_product,
@@ -220,6 +223,13 @@ def test_jordan_lift_single_generator():
     assert check_lift_novikov(ext, lift)
 
 
+def test_jordan_lift_one_dimensional_a():
+    # dim a = 1: the zero action is the regular block and has no linear term
+    ext = ExtensionData(1, 3, [Matrix.zeros(1, 1)] * 3, {(0, 1): (Q(1),), (1, 2): (Q(2),)})
+    for x_index in range(3):
+        assert check_lift_novikov(ext, jordan_lift(ext, x_index))
+
+
 def test_jordan_lift_filiform():
     for n in range(4, 9):
         g = fx.filiform(n)
@@ -362,34 +372,40 @@ def random_small_extension(rng):
             continue
 
 
+def random_lift(rng, ext):
+    """A perturbation of a lift: random phi1, phi2 = phi1 + phi (sometimes
+    broken), omega near the cocycle."""
+    n, m = ext.dim_a, ext.dim_b
+    x_op = [
+        Matrix([[rational(rng) if rng.random() < 0.4 else Q(0) for _ in range(n)]
+                for _ in range(n)])
+        for _ in range(m)
+    ]
+    y_op = [x + a for x, a in zip(x_op, ext.phi)]
+    if rng.random() < 0.2 and m:
+        y_op[0] = y_op[0] + Matrix.unit(n, 0, 0) if n else y_op[0]
+    x_values = {}
+    for p in range(m):
+        for q in range(m):
+            if rng.random() < 0.6:
+                base = ext.omega_pair(p, q)
+                noise = tuple(
+                    rational(rng) if rng.random() < 0.3 else Q(0) for _ in range(n)
+                )
+                if p < q:
+                    x_values[(p, q)] = tuple(a + b for a, b in zip(base, noise))
+                else:
+                    x_values[(p, q)] = noise
+    return LiftData(n, m, x_op, y_op, x_values)
+
+
 def test_checker_equivalence_with_direct_product_checks():
     # Prop phi12 / Prop novikov: the condition systems hold exactly when the
     # lifted product passes the direct axiom checks and is compatible
     rng = rng_for("ext-equiv")
     for _ in range(30):
         ext = random_small_extension(rng)
-        n, m = ext.dim_a, ext.dim_b
-        x_op = [
-            Matrix([[rational(rng) if rng.random() < 0.4 else Q(0) for _ in range(n)]
-                    for _ in range(n)])
-            for _ in range(m)
-        ]
-        y_op = [x + a for x, a in zip(x_op, ext.phi)]
-        if rng.random() < 0.2 and m:
-            y_op[0] = y_op[0] + Matrix.unit(n, 0, 0) if n else y_op[0]
-        x_values = {}
-        for p in range(m):
-            for q in range(m):
-                if rng.random() < 0.6:
-                    base = ext.omega_pair(p, q)
-                    noise = tuple(
-                        rational(rng) if rng.random() < 0.3 else Q(0) for _ in range(n)
-                    )
-                    if p < q:
-                        x_values[(p, q)] = tuple(a + b for a, b in zip(base, noise))
-                    else:
-                        x_values[(p, q)] = noise
-        lift = LiftData(n, m, x_op, y_op, x_values)
+        lift = random_lift(rng, ext)
         g = assemble(ext)
         product = lift_product(ext, lift)
         lsa_checker = bool(check_lift_lsa(ext, lift))
@@ -435,3 +451,110 @@ def test_a_is_two_sided_ideal_of_lifted_products():
         for (i, j, k), value in p.tensor.entries.items():
             if (i < n or j < n) and value != 0:
                 assert k < n
+
+
+def constructed_lifts(ext):
+    """The closed-form Novikov lifts that apply to ext."""
+    lifts = []
+    for p in range(ext.dim_b):
+        for construct in (lambda: iso_lift(ext, unit(ext.dim_b, p)), lambda: jordan_lift(ext, p)):
+            try:
+                lifts.append(construct())
+            except (NotInvertible, NotRegularNilpotent, HypothesisFailed, LiftCheckFailed):
+                pass
+    return lifts
+
+
+def split_lifts(rng, ext):
+    """The split extension of ext (Omega = 0) with lifts omega = 0 and
+    phi1 = multiples of one sparse matrix; these reach (28)-(31)."""
+    n, m = ext.dim_a, ext.dim_b
+    split = ExtensionData(n, m, ext.phi, {})
+    lifts = []
+    for _ in range(4):
+        base = Matrix([[rational(rng) if rng.random() < 0.3 else Q(0) for _ in range(n)]
+                       for _ in range(n)])
+        x_op = [base.scale(rational(rng)) if rng.random() < 0.7 else Matrix.zeros(n, n)
+                for _ in range(m)]
+        lifts.append(LiftData(n, m, x_op, [x + a for x, a in zip(x_op, ext.phi)], {}))
+    return split, lifts
+
+
+def single_failure_lifts():
+    """Trivial-products lifts that fail exactly one of (27), (28), (29)."""
+    zero = Matrix.zeros(2, 2)
+    cases = []
+    ext = ExtensionData(2, 2, [Matrix([[1, -1], [1, 0]]), zero], {(0, 1): (0, 1)})
+    values = {(0, 1): (1, 2), (1, 0): (1, 1)}
+    cases.append(("eq-27", ext, LiftData(2, 2, [zero] * 2, ext.phi, values)))
+    ext = ExtensionData(2, 2, [Matrix([[0, 0], [0, 1]]), zero], {})
+    x_op = [Matrix([[0, 0], [-1, 0]]), zero]
+    cases.append(("eq-28", ext, LiftData(2, 2, x_op, [x_op[0] + ext.phi[0], zero], {})))
+    ext = ExtensionData(2, 2, [Matrix([[0, -1], [0, 0]]), zero], {})
+    x_op = [Matrix([[0, 1], [0, 0]]), zero]
+    values = {(0, 0): (1, 1), (0, 1): (1, 1), (1, 0): (1, 1), (1, 1): (1, -1)}
+    cases.append(("eq-29", ext, LiftData(2, 2, x_op, [zero, zero], values)))
+    return cases
+
+
+def test_general_and_trivial_novikov_routes_agree():
+    # check_lift_novikov decides trivial-products, abelian-b lifts by (25)-(31)
+    # alone; the general system (8)-(14) then (15)-(20) must agree, and every
+    # passing lift satisfies the derived identity [Y_p, Y_q] = 0
+    rng = rng_for("ext-routes")
+    cases = []
+    for _ in range(30):
+        ext = random_small_extension(rng)
+        lifts = constructed_lifts(ext) + [random_lift(rng, ext) for _ in range(3)]
+        cases += [(ext, lift) for lift in lifts]
+        split, lifts = split_lifts(rng, ext)
+        cases += [(split, lift) for lift in lifts]
+    for label, ext, lift in single_failure_lifts():
+        assert _check_lift_novikov_trivial(ext, lift).label == label
+        cases.append((ext, lift))
+    passing = failing = 0
+    for ext, lift in cases:
+        general = check_lift_lsa(ext, lift)
+        if general:
+            general = _check_novikov_extra(ext, lift)
+        trivial = _check_lift_novikov_trivial(ext, lift)
+        assert bool(general) == bool(trivial)
+        if not trivial:
+            failing += 1
+            continue
+        passing += 1
+        y = lift.y_op
+        for p in range(ext.dim_b):
+            for q in range(p + 1, ext.dim_b):
+                assert commutator(y[p], y[q]).is_zero()
+    assert passing >= 10 and failing >= 10
+
+
+def test_eq11_witness_is_first_in_scan_order():
+    # X_0 = E_01, X_1 = E_00: eq-11 fails for (q, r) = (1, 0) at i = 1 and for
+    # (1, 1) at i = 0; the scan runs over (i, q, r), so (0, 1, 1) comes first
+    ext = ExtensionData(2, 2, [Matrix.zeros(2, 2)] * 2, {})
+    x_op = [Matrix.unit(2, 0, 1), Matrix.unit(2, 0, 0)]
+    verdict = check_lift_lsa(ext, LiftData(2, 2, x_op, x_op, {}))
+    assert verdict.label == "eq-11" and verdict.witness == (0, 1, 1)
+
+
+def test_jordan_normal_form_identities():
+    # identities (33) and (34) behind the closed-form table of jordan_lift:
+    # for B_0 = J and B_i polynomials in J without constant or linear term,
+    # J J^t B = B and B_i J^t B_j = B_j J^t B_i
+    rng = rng_for("ext-jordan-identities")
+    for n in range(1, 6):
+        j = jordan_block(n)
+        jt = j.transpose()
+        mats = [j]
+        for _ in range(3):
+            mat, power = Matrix.zeros(n, n), j * j
+            for _ in range(2, n):
+                mat = mat + power.scale(rational(rng))
+                power = power * j
+            mats.append(mat)
+        for b in mats:
+            assert j * jt * b == b
+            for c in mats:
+                assert b * jt * c == c * jt * b

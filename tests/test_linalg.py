@@ -7,13 +7,16 @@ from novikov.linalg import (
     NotRegularNilpotent,
     Q,
     Subspace,
+    is_zero_vec,
     jordan_block,
     nilpotent_regular_basis,
     nullspace,
+    scaled_sum,
     solve_linear,
     vadd,
     vdot,
     vscale,
+    vunit,
     word_image_space,
 )
 
@@ -162,3 +165,54 @@ def test_word_image_space_examples():
     assert word_image_space([Matrix.zeros(2, 2)], full2, 1).is_zero()
     full3 = Subspace.full(3)
     assert word_image_space([jordan_block(3)], full3, 2) == Subspace(3, [(1, 0, 0)])
+
+
+def dense_rref(rows):
+    """Textbook Gauss-Jordan on lists of Fractions: (nonzero rows, pivots)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return [tuple(r) for r in rows[: len(pivots)]], pivots
+
+
+def test_echelon_forms_match_dense_gauss_jordan():
+    # every echelon form comes from the sparse engine; the reduced echelon
+    # form is unique, so it must match a dense reference elimination
+    rng = random.Random(11)
+    for _ in range(40):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 5)
+        data = [[Q(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.6 else Q(0)
+                 for _ in range(cols)] for _ in range(rows)]
+        basis, pivots = dense_rref(data)
+        space = Subspace(cols, data)
+        assert space.basis == tuple(basis) and space.pivots == tuple(pivots)
+        if rows:
+            m = Matrix(data)
+            assert m.rank() == len(pivots)
+            assert all(is_zero_vec(m.apply(v)) for v in nullspace(m).basis)
+            assert nullspace(m).dim == cols - len(pivots)
+            if rows == cols:
+                if len(pivots) == rows:
+                    assert m * m.inverse() == Matrix.identity(rows)
+                else:
+                    with pytest.raises(ValueError):
+                        m.inverse()
+
+
+def test_scaled_sum_and_unit_vectors():
+    a, b = Matrix([[1, 2], [3, 4]]), Matrix([[0, 1], [1, 0]])
+    assert scaled_sum([(2, a), (0, b), (Q(-1, 2), b)], 2, 2) == a.scale(2) - b.scale(Q(1, 2))
+    assert scaled_sum([], 2, 3) == Matrix.zeros(2, 3)
+    assert vunit(3, 1) == (0, 1, 0)
+    assert Matrix.identity(3).column(2) == vunit(3, 2)

@@ -21,6 +21,9 @@ from novikov.rmatrix import (
 from randalg import basis_rmatrix_pool, random_basis_rmatrix_case, rng_for
 
 
+SL2_PARAMETERS = [(1, 2), (0, 1), (Q(1, 2), Q(-1, 3)), (-1, 1), (-4, 2), (Q(-1, 4), Q(1, 2))]
+
+
 def sl2_family(alpha, beta):
     a, b = Q(alpha), Q(beta)
     t = Matrix([[a, 1, 2 * b], [a * a, a, 2 * a * b], [a * b, b, 2 * b * b]])
@@ -134,7 +137,7 @@ def test_basis_rmatrix_case_table():
 def test_sl2_family_profiles():
     nilpotent_profile = fx.n3().invariant_profile()
     solvable_profile = fx.r3_lambda(Q(-1)).invariant_profile()
-    for alpha, beta in [(1, 2), (0, 1), (Q(1, 2), Q(-1, 3)), (-1, 1), (-4, 2), (Q(-1, 4), Q(1, 2))]:
+    for alpha, beta in SL2_PARAMETERS:
         r = sl2_family(alpha, beta)
         assert check_cybe(r) and check_novbed(r)
         profile = deformed_algebra(r).invariant_profile()
@@ -143,6 +146,27 @@ def test_sl2_family_profiles():
         else:
             assert profile == solvable_profile
         assert is_novikov(induced_product(r))
+
+
+def test_induced_product_consequences():
+    # induced_product decides by cybe and novbed alone; the consequences are
+    # checked here: the product is Novikov and compatible with g_T, and T is a
+    # homomorphism g_T -> g
+    rng = rng_for("rmatrix-induced")
+    pool = basis_rmatrix_pool()
+    cases = [basis_rmatrix(*random_basis_rmatrix_case(rng, pool)) for _ in range(10)]
+    for r in cases:
+        assert check_cybe(r) and check_novbed(r)
+    cases += [sl2_family(alpha, beta) for alpha, beta in SL2_PARAMETERS]
+    for r in cases:
+        p = induced_product(r)
+        gt = deformed_algebra(r)
+        assert is_novikov(p) and is_compatible(p, gt)
+        g, t = r.g, r.t
+        for i in range(g.dim):
+            for j in range(i + 1, g.dim):
+                image = t.apply(gt.bracket.basis_product(i, j))
+                assert image == g.bracket_vec(t.column(i), t.column(j))
 
 
 def test_class_bounds_random():
