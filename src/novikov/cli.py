@@ -2,7 +2,8 @@
 
 Exit codes: 0 the property holds / the construction succeeded; 1 the
 property is false, the construction is inapplicable, or the verdict is
-NotExists/Undetermined (the report distinguishes these); 2 malformed input.
+NotExists/Undetermined (the report distinguishes these); 2 malformed input,
+a bad command line included.
 Every command prints a single JSON report to stdout; failed conditions are
 named by their equation label (e.g. "eq-2", "eq-27").
 """
@@ -30,8 +31,8 @@ from .extensions import (
     two_gen_lift,
 )
 from .fixtures import UnknownFixture, fixture, product_fixture
-from .lie import NotAnIdeal, ValidationError, quotient
-from .linalg import DimensionMismatch, NotRegularNilpotent, Q, Subspace, vunit
+from .lie import NotAnIdeal, quotient
+from .linalg import NotRegularNilpotent, Q, Subspace, vunit
 from .products import (
     AlgebraProduct,
     is_complete,
@@ -39,18 +40,10 @@ from .products import (
     is_left_symmetric,
     is_novikov,
 )
-from .reduction import InconsistentCoboundary, induced_nilpotent_extension
+from .reduction import induced_nilpotent_extension
 from .rmatrix import PreconditionFailed, RMatrix, check_cybe, check_novbed, induced_product
 
-INPUT_ERRORS = (
-    laf.LAFError,
-    OSError,
-    DimensionMismatch,
-    UnknownFixture,
-    ValidationError,
-    InconsistentCoboundary,
-    ValueError,
-)
+INPUT_ERRORS = (OSError, UnknownFixture, ValueError)
 
 CONSTRUCTION_ERRORS = (
     HypothesisFailed,
@@ -177,6 +170,17 @@ def _parse_vector(text, dim):
     return tuple(Q(p) for p in parts)
 
 
+def _first_lift(construct, dim_b):
+    """construct(p) for the first b index p where it applies; else its last error."""
+    last = HypothesisFailed("b is empty")
+    for p in range(dim_b):
+        try:
+            return construct(p)
+        except CONSTRUCTION_ERRORS as exc:
+            last = exc
+    raise last
+
+
 def _cmd_lift(args):
     ext = _load(args.ext, "LAF-E")
     method = args.method
@@ -188,30 +192,12 @@ def _cmd_lift(args):
         if args.index is not None:
             lift = jordan_lift(ext, args.index - 1)
         else:
-            lift = None
-            last = None
-            for x_index in range(ext.dim_b):
-                try:
-                    lift = jordan_lift(ext, x_index)
-                    break
-                except CONSTRUCTION_ERRORS as exc:
-                    last = exc
-            if lift is None:
-                raise last if last is not None else HypothesisFailed("b is empty")
+            lift = _first_lift(lambda p: jordan_lift(ext, p), ext.dim_b)
     elif method == "iso":
         if args.e is not None:
             lift = iso_lift(ext, _parse_vector(args.e, ext.dim_b))
         else:
-            lift = None
-            last = None
-            for p in range(ext.dim_b):
-                try:
-                    lift = iso_lift(ext, vunit(ext.dim_b, p))
-                    break
-                except CONSTRUCTION_ERRORS as exc:
-                    last = exc
-            if lift is None:
-                raise last if last is not None else HypothesisFailed("b is empty")
+            lift = _first_lift(lambda p: iso_lift(ext, vunit(ext.dim_b, p)), ext.dim_b)
     else:
         lift = semidirect_lift(ext)
     laf.emit_file(lift, args.output)
@@ -277,8 +263,20 @@ def _cmd_quotient(args):
     return 0
 
 
+class UsageError(ValueError):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit; the
+    subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise UsageError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="novikov",
         description="Exact tools for Novikov and left-symmetric structures on Lie algebras",
     )
@@ -350,8 +348,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        _report(command=None, ok=False, error="UsageError", detail=str(exc))
+        raise SystemExit(2)  # as argparse does, so in-process callers see the same exit
     try:
         return args.handler(args)
     except CONSTRUCTION_ERRORS as exc:

@@ -1,9 +1,15 @@
 """The LAF text format family.
 
-Line-based documents; '#' starts a comment, blank lines are ignored. Every
-rational is serialized in canonical lowest terms ("p" or "p/q" with q > 1),
-indices are 1-based, Lie brackets are stored only for i < j (antisymmetry is
-implied), products are stored fully. emit produces the canonical form;
+Line-based documents; '#' starts a comment, blank lines are ignored. A
+document is a header '<TAG> 1', its count lines ('dim', 'rows'/'cols' or
+'dim-a'/'dim-b', in that order) and then its entry lines. Every entry line
+reads '<name> i1 ... ik value' and obeys the same rules in all six formats:
+the field count is fixed per name; indices are 1-based and within the
+counts; i < j wherever antisymmetry is implied (Lie brackets, LAF-E omega and
+b-bracket); values are canonical nonzero rationals ("p" or "p/q" in lowest
+terms, q > 1), except the name in 'label i name'; and no entry or key line
+appears twice. Products and matrices are stored in full. emit writes the
+entries of each name in sorted index order, so its output is canonical and
 parse(emit(x)) round-trips exactly. The formal grammar ships as
 laf_grammar.ebnf next to this module.
 """
@@ -18,8 +24,6 @@ from .linalg import Matrix, Q
 from .products import AlgebraProduct
 
 FORMAT_VERSION = 1
-
-TAGS = ("LAF", "LAF-P", "LAF-M", "LAF-E", "LAF-L", "LAF-C")
 
 
 class LAFError(ValueError):
@@ -89,6 +93,17 @@ def _expect_len(fields, n, line):
         raise LAFError("expected %d fields, found %d" % (n, len(fields)), line)
 
 
+def _nonzero(text, line):
+    value = parse_rational(text, line)
+    if value == 0:
+        raise LAFError("zero entries are not stored", line)
+    return value
+
+
+def _token(text, line):
+    return text
+
+
 def parse(text):
     """Parse a LAF-family document from text. Returns an LAFDocument."""
     rows = list(_lines(text))
@@ -100,16 +115,7 @@ def parse(text):
     if header[1] != str(FORMAT_VERSION):
         raise LAFError("unsupported version %r" % header[1], line)
     tag = header[0]
-    body = rows[1:]
-    parser = {
-        "LAF": _parse_lie,
-        "LAF-P": _parse_product,
-        "LAF-M": _parse_matrix,
-        "LAF-E": _parse_extension,
-        "LAF-L": _parse_lift,
-        "LAF-C": _parse_certificate,
-    }[tag]
-    return LAFDocument(tag, FORMAT_VERSION, parser(body))
+    return LAFDocument(tag, FORMAT_VERSION, _FORMATS[tag][1](rows[1:]))
 
 
 def parse_file(path):
@@ -121,18 +127,9 @@ def emit(payload):
     """Serialize a supported object to its canonical LAF text."""
     if isinstance(payload, LAFDocument):
         payload = payload.payload
-    if isinstance(payload, LieAlgebra):
-        return _emit_lie(payload)
-    if isinstance(payload, AlgebraProduct):
-        return _emit_product(payload)
-    if isinstance(payload, Matrix):
-        return _emit_matrix(payload)
-    if isinstance(payload, ExtensionData):
-        return _emit_extension(payload)
-    if isinstance(payload, LiftData):
-        return _emit_lift(payload)
-    if isinstance(payload, Certificate):
-        return _emit_certificate(payload)
+    for tag, (kind, _, emitter) in _FORMATS.items():
+        if isinstance(payload, kind):
+            return "\n".join(["%s %d" % (tag, FORMAT_VERSION)] + emitter(payload)) + "\n"
     raise LAFError("cannot serialize %r" % type(payload).__name__)
 
 
@@ -141,389 +138,286 @@ def emit_file(payload, path):
         fh.write(emit(payload))
 
 
-def _parse_dim(fields, line, key="dim"):
-    _expect_len(fields, 2, line)
-    if fields[0] != key:
-        raise LAFError("expected '%s'" % key, line)
-    return _int(fields, 1, line, minimum=0)
+def _counts(body, keys):
+    """Read the leading '<key> count' lines, in the order of keys.
+
+    Returns the counts and the lines after them.
+    """
+    if len(body) < len(keys):
+        raise LAFError("missing %s" % "/".join("'%s'" % key for key in keys))
+    counts = []
+    for (line, fields), key in zip(body, keys):
+        _expect_len(fields, 2, line)
+        if fields[0] != key:
+            raise LAFError("expected '%s'" % key, line)
+        counts.append(_int(fields, 1, line, minimum=0))
+    return counts, body[len(keys):]
+
+
+def _entries(body, directives):
+    """Read '<name> i1 ... ik value' lines into {name: {0-based key: value}}.
+
+    directives maps each name to (bounds, ordered, value): the upper bound of
+    each index (None for unbounded), whether i < j is required of the first
+    two indices, and the parser of the value field. Any other name is an
+    error.
+    """
+    found = {name: {} for name in directives}
+    for line, fields in body:
+        name = fields[0]
+        if name not in directives:
+            raise LAFError("unknown directive %r" % name, line)
+        bounds, ordered, value = directives[name]
+        _expect_len(fields, len(bounds) + 2, line)
+        key = tuple(_int(fields, pos, line) - 1 for pos in range(1, len(bounds) + 1))
+        if any(bound is not None and i >= bound for i, bound in zip(key, bounds)):
+            raise LAFError("%s index out of range" % name, line)
+        if ordered and key[0] >= key[1]:
+            raise LAFError("%s requires i < j (antisymmetry is implied)" % name, line)
+        if key in found[name]:
+            raise LAFError("duplicate %s entry" % name, line)
+        found[name][key] = value(fields[-1], line)
+    return found
+
+
+def _lines_of(name, entries, fmt=format_rational):
+    """The lines '<name> i1 ... ik value' of entries, in sorted key order."""
+    return [
+        "%s %s %s" % (name, " ".join(str(i + 1) for i in key), fmt(entries[key]))
+        for key in sorted(entries)
+    ]
+
+
+def _tensor(n, ordered=False):
+    """The directive of an n x n x n tensor entry."""
+    return (n, n, n), ordered, _nonzero
+
+
+def _upper(entries):
+    """The entries with i < j of an antisymmetric tensor."""
+    return {key: v for key, v in entries.items() if key[0] < key[1]}
+
+
+def _antisymmetric(upper):
+    entries = dict(upper)
+    entries.update({(j, i, k): -v for (i, j, k), v in upper.items()})
+    return entries
+
+
+def _cells(m, prefix=()):
+    return {
+        prefix + (r, c): m[r, c] for r in range(m.rows) for c in range(m.cols) if m[r, c] != 0
+    }
+
+
+def _grid(entries, rows, cols, prefix=()):
+    return Matrix(
+        [[entries.get(prefix + (r, c), Q(0)) for c in range(cols)] for r in range(rows)],
+        cols=cols,
+    )
+
+
+def _stack_cells(mats):
+    return {key: v for p, m in enumerate(mats) for key, v in _cells(m, (p,)).items()}
+
+
+def _stack(entries, count, n):
+    return [_grid(entries, n, n, (p,)) for p in range(count)]
+
+
+def _table_cells(table):
+    """{(p, q, k): v} from a table {(p, q): vector}."""
+    return {(p, q, k): v for (p, q), vec in table.items() for k, v in enumerate(vec) if v != 0}
+
+
+def _table(entries, n):
+    table = {}
+    for (p, q, k), v in entries.items():
+        table.setdefault((p, q), [Q(0)] * n)[k] = v
+    return table
 
 
 def _parse_lie(body):
-    if not body:
-        raise LAFError("missing 'dim'")
-    line, fields = body[0]
-    dim = _parse_dim(fields, line)
-    labels = {}
-    entries = {}
-    for line, fields in body[1:]:
-        if fields[0] == "label":
-            _expect_len(fields, 3, line)
-            i = _int(fields, 1, line)
-            if i > dim:
-                raise LAFError("label index %d out of range" % i, line)
-            labels[i - 1] = fields[2]
-        elif fields[0] == "bracket":
-            _expect_len(fields, 5, line)
-            i, j, k = (_int(fields, p, line) for p in (1, 2, 3))
-            if i == j:
-                raise LAFError("bracket requires i < j; found i = j = %d" % i, line)
-            if i > j:
-                raise LAFError("bracket requires i < j (antisymmetry is implied)", line)
-            if max(i, j, k) > dim:
-                raise LAFError("bracket index out of range", line)
-            value = parse_rational(fields[4], line)
-            if value == 0:
-                raise LAFError("zero entries are not stored", line)
-            if (i - 1, j - 1, k - 1) in entries:
-                raise LAFError("duplicate bracket entry", line)
-            entries[(i - 1, j - 1, k - 1)] = value
-            entries[(j - 1, i - 1, k - 1)] = -value
-        else:
-            raise LAFError("unknown directive %r" % fields[0], line)
-    tensor = StructureTensor(dim, entries)
-    label_tuple = tuple(labels.get(i, "e%d" % (i + 1)) for i in range(dim))
-    return validate_lie(tensor, label_tuple)
+    (dim,), body = _counts(body, ("dim",))
+    found = _entries(body, {"label": ((dim,), False, _token), "bracket": _tensor(dim, True)})
+    labels = tuple(found["label"].get((i,), "e%d" % (i + 1)) for i in range(dim))
+    return validate_lie(StructureTensor(dim, _antisymmetric(found["bracket"])), labels)
 
 
 def _emit_lie(g):
-    out = ["LAF %d" % FORMAT_VERSION, "dim %d" % g.dim]
-    for i, label in enumerate(g.labels):
-        out.append("label %d %s" % (i + 1, label))
-    for (i, j, k) in sorted(g.bracket.entries):
-        if i < j:
-            out.append(
-                "bracket %d %d %d %s"
-                % (i + 1, j + 1, k + 1, format_rational(g.bracket.entries[(i, j, k)]))
-            )
-    return "\n".join(out) + "\n"
+    labels = {(i,): label for i, label in enumerate(g.labels)}
+    return (
+        ["dim %d" % g.dim]
+        + _lines_of("label", labels, str)
+        + _lines_of("bracket", _upper(g.bracket.entries))
+    )
 
 
 def _parse_product(body):
-    if not body:
-        raise LAFError("missing 'dim'")
-    line, fields = body[0]
-    dim = _parse_dim(fields, line)
-    entries = {}
-    for line, fields in body[1:]:
-        if fields[0] != "product":
-            raise LAFError("unknown directive %r" % fields[0], line)
-        _expect_len(fields, 5, line)
-        i, j, k = (_int(fields, p, line) for p in (1, 2, 3))
-        if max(i, j, k) > dim:
-            raise LAFError("product index out of range", line)
-        value = parse_rational(fields[4], line)
-        if value == 0:
-            raise LAFError("zero entries are not stored", line)
-        if (i - 1, j - 1, k - 1) in entries:
-            raise LAFError("duplicate product entry", line)
-        entries[(i - 1, j - 1, k - 1)] = value
+    (dim,), body = _counts(body, ("dim",))
+    entries = _entries(body, {"product": _tensor(dim)})["product"]
     return AlgebraProduct(StructureTensor(dim, entries))
 
 
 def _emit_product(p):
-    out = ["LAF-P %d" % FORMAT_VERSION, "dim %d" % p.dim]
-    for (i, j, k) in sorted(p.tensor.entries):
-        out.append(
-            "product %d %d %d %s"
-            % (i + 1, j + 1, k + 1, format_rational(p.tensor.entries[(i, j, k)]))
-        )
-    return "\n".join(out) + "\n"
+    return ["dim %d" % p.dim] + _lines_of("product", p.tensor.entries)
 
 
 def _parse_matrix(body):
-    if len(body) < 2:
-        raise LAFError("missing 'rows'/'cols'")
-    line, fields = body[0]
-    rows = _parse_dim(fields, line, "rows")
-    line, fields = body[1]
-    cols = _parse_dim(fields, line, "cols")
-    data = [[Q(0)] * cols for _ in range(rows)]
-    seen = set()
-    for line, fields in body[2:]:
-        if fields[0] != "entry":
-            raise LAFError("unknown directive %r" % fields[0], line)
-        _expect_len(fields, 4, line)
-        r, c = _int(fields, 1, line), _int(fields, 2, line)
-        if r > rows or c > cols:
-            raise LAFError("entry index out of range", line)
-        if (r, c) in seen:
-            raise LAFError("duplicate matrix entry", line)
-        seen.add((r, c))
-        value = parse_rational(fields[3], line)
-        if value == 0:
-            raise LAFError("zero entries are not stored", line)
-        data[r - 1][c - 1] = value
-    return Matrix(data, cols=cols)
+    (rows, cols), body = _counts(body, ("rows", "cols"))
+    found = _entries(body, {"entry": ((rows, cols), False, _nonzero)})
+    return _grid(found["entry"], rows, cols)
 
 
 def _emit_matrix(m):
-    out = ["LAF-M %d" % FORMAT_VERSION, "rows %d" % m.rows, "cols %d" % m.cols]
-    for r in range(m.rows):
-        for c in range(m.cols):
-            if m[r, c] != 0:
-                out.append("entry %d %d %s" % (r + 1, c + 1, format_rational(m[r, c])))
-    return "\n".join(out) + "\n"
+    return ["rows %d" % m.rows, "cols %d" % m.cols] + _lines_of("entry", _cells(m))
 
 
 def _parse_extension(body):
-    if len(body) < 2:
-        raise LAFError("missing 'dim-a'/'dim-b'")
-    line, fields = body[0]
-    dim_a = _parse_dim(fields, line, "dim-a")
-    line, fields = body[1]
-    dim_b = _parse_dim(fields, line, "dim-b")
-    phi = [[[Q(0)] * dim_a for _ in range(dim_a)] for _ in range(dim_b)]
-    omega = {}
-    b_brackets = {}
-    b_products = {}
-    a_products = {}
-    seen = set()
-
-    def check_dup(key, line):
-        if key in seen:
-            raise LAFError("duplicate %s entry" % key[0], line)
-        seen.add(key)
-
-    for line, fields in body[2:]:
-        kind = fields[0]
-        if kind == "phi":
-            _expect_len(fields, 5, line)
-            p, r, c = (_int(fields, pos, line) for pos in (1, 2, 3))
-            if p > dim_b or r > dim_a or c > dim_a:
-                raise LAFError("phi index out of range", line)
-            check_dup(("phi", p, r, c), line)
-            phi[p - 1][r - 1][c - 1] = parse_rational(fields[4], line)
-        elif kind == "omega":
-            _expect_len(fields, 5, line)
-            p, q, k = (_int(fields, pos, line) for pos in (1, 2, 3))
-            if p >= q:
-                raise LAFError("omega requires p < q (antisymmetry is implied)", line)
-            if q > dim_b or k > dim_a:
-                raise LAFError("omega index out of range", line)
-            check_dup(("omega", p, q, k), line)
-            v = list(omega.get((p - 1, q - 1), [Q(0)] * dim_a))
-            v[k - 1] = parse_rational(fields[4], line)
-            omega[(p - 1, q - 1)] = tuple(v)
-        elif kind == "b-bracket":
-            _expect_len(fields, 5, line)
-            i, j, k = (_int(fields, pos, line) for pos in (1, 2, 3))
-            if i >= j:
-                raise LAFError("b-bracket requires i < j", line)
-            if max(j, k) > dim_b:
-                raise LAFError("b-bracket index out of range", line)
-            check_dup(("b-bracket", i, j, k), line)
-            value = parse_rational(fields[4], line)
-            b_brackets[(i - 1, j - 1, k - 1)] = value
-            b_brackets[(j - 1, i - 1, k - 1)] = -value
-        elif kind == "b-product":
-            _expect_len(fields, 5, line)
-            i, j, k = (_int(fields, pos, line) for pos in (1, 2, 3))
-            if max(i, j, k) > dim_b:
-                raise LAFError("b-product index out of range", line)
-            check_dup(("b-product", i, j, k), line)
-            b_products[(i - 1, j - 1, k - 1)] = parse_rational(fields[4], line)
-        elif kind == "a-product":
-            _expect_len(fields, 5, line)
-            i, j, k = (_int(fields, pos, line) for pos in (1, 2, 3))
-            if max(i, j, k) > dim_a:
-                raise LAFError("a-product index out of range", line)
-            check_dup(("a-product", i, j, k), line)
-            a_products[(i - 1, j - 1, k - 1)] = parse_rational(fields[4], line)
-        else:
-            raise LAFError("unknown directive %r" % kind, line)
+    (n, m), body = _counts(body, ("dim-a", "dim-b"))
+    found = _entries(body, {
+        "phi": ((m, n, n), False, _nonzero),
+        "omega": ((m, m, n), True, _nonzero),
+        "b-bracket": _tensor(m, True),
+        "b-product": _tensor(m),
+        "a-product": _tensor(n),
+    })
     ext = ExtensionData(
-        dim_a,
-        dim_b,
-        [Matrix(rows, cols=dim_a) for rows in phi],
-        omega,
-        b_bracket=StructureTensor(dim_b, b_brackets),
-        b_product=AlgebraProduct(StructureTensor(dim_b, b_products)),
-        a_product=AlgebraProduct(StructureTensor(dim_a, a_products)),
+        n,
+        m,
+        _stack(found["phi"], m, n),
+        _table(found["omega"], n),
+        b_bracket=StructureTensor(m, _antisymmetric(found["b-bracket"])),
+        b_product=AlgebraProduct(StructureTensor(m, found["b-product"])),
+        a_product=AlgebraProduct(StructureTensor(n, found["a-product"])),
     )
     ext.validate()
     return ext
 
 
 def _emit_extension(ext):
-    out = ["LAF-E %d" % FORMAT_VERSION, "dim-a %d" % ext.dim_a, "dim-b %d" % ext.dim_b]
-    for p, mat in enumerate(ext.phi):
-        for r in range(ext.dim_a):
-            for c in range(ext.dim_a):
-                if mat[r, c] != 0:
-                    out.append(
-                        "phi %d %d %d %s" % (p + 1, r + 1, c + 1, format_rational(mat[r, c]))
-                    )
-    for (p, q) in sorted(ext.omega):
-        for k, value in enumerate(ext.omega[(p, q)]):
-            if value != 0:
-                out.append(
-                    "omega %d %d %d %s" % (p + 1, q + 1, k + 1, format_rational(value))
-                )
-    for (i, j, k) in sorted(ext.b_bracket.entries):
-        if i < j:
-            out.append(
-                "b-bracket %d %d %d %s"
-                % (i + 1, j + 1, k + 1, format_rational(ext.b_bracket.entries[(i, j, k)]))
-            )
-    for (i, j, k) in sorted(ext.b_product.tensor.entries):
-        out.append(
-            "b-product %d %d %d %s"
-            % (i + 1, j + 1, k + 1, format_rational(ext.b_product.tensor.entries[(i, j, k)]))
-        )
-    for (i, j, k) in sorted(ext.a_product.tensor.entries):
-        out.append(
-            "a-product %d %d %d %s"
-            % (i + 1, j + 1, k + 1, format_rational(ext.a_product.tensor.entries[(i, j, k)]))
-        )
-    return "\n".join(out) + "\n"
+    return (
+        ["dim-a %d" % ext.dim_a, "dim-b %d" % ext.dim_b]
+        + _lines_of("phi", _stack_cells(ext.phi))
+        + _lines_of("omega", _table_cells(ext.omega))
+        + _lines_of("b-bracket", _upper(ext.b_bracket.entries))
+        + _lines_of("b-product", ext.b_product.tensor.entries)
+        + _lines_of("a-product", ext.a_product.tensor.entries)
+    )
 
 
 def _parse_lift(body):
-    if len(body) < 2:
-        raise LAFError("missing 'dim-a'/'dim-b'")
-    line, fields = body[0]
-    dim_a = _parse_dim(fields, line, "dim-a")
-    line, fields = body[1]
-    dim_b = _parse_dim(fields, line, "dim-b")
-    x_ops = [[[Q(0)] * dim_a for _ in range(dim_a)] for _ in range(dim_b)]
-    y_ops = [[[Q(0)] * dim_a for _ in range(dim_a)] for _ in range(dim_b)]
-    values = {}
-    seen = set()
-    for line, fields in body[2:]:
-        kind = fields[0]
-        if kind in ("x", "y"):
-            _expect_len(fields, 5, line)
-            p, r, c = (_int(fields, pos, line) for pos in (1, 2, 3))
-            if p > dim_b or r > dim_a or c > dim_a:
-                raise LAFError("%s index out of range" % kind, line)
-            if (kind, p, r, c) in seen:
-                raise LAFError("duplicate %s entry" % kind, line)
-            seen.add((kind, p, r, c))
-            target = x_ops if kind == "x" else y_ops
-            target[p - 1][r - 1][c - 1] = parse_rational(fields[4], line)
-        elif kind == "omega":
-            _expect_len(fields, 5, line)
-            p, q, k = (_int(fields, pos, line) for pos in (1, 2, 3))
-            if p > dim_b or q > dim_b or k > dim_a:
-                raise LAFError("omega index out of range", line)
-            if ("omega", p, q, k) in seen:
-                raise LAFError("duplicate omega entry", line)
-            seen.add(("omega", p, q, k))
-            v = list(values.get((p - 1, q - 1), [Q(0)] * dim_a))
-            v[k - 1] = parse_rational(fields[4], line)
-            values[(p - 1, q - 1)] = tuple(v)
-        else:
-            raise LAFError("unknown directive %r" % kind, line)
+    (n, m), body = _counts(body, ("dim-a", "dim-b"))
+    cell = ((m, n, n), False, _nonzero)
+    found = _entries(body, {"x": cell, "y": cell, "omega": ((m, m, n), False, _nonzero)})
     return LiftData(
-        dim_a,
-        dim_b,
-        [Matrix(rows, cols=dim_a) for rows in x_ops],
-        [Matrix(rows, cols=dim_a) for rows in y_ops],
-        values,
+        n, m, _stack(found["x"], m, n), _stack(found["y"], m, n), _table(found["omega"], n)
     )
 
 
 def _emit_lift(lift):
-    out = ["LAF-L %d" % FORMAT_VERSION, "dim-a %d" % lift.dim_a, "dim-b %d" % lift.dim_b]
-    for key, ops in (("x", lift.x_op), ("y", lift.y_op)):
-        for p, mat in enumerate(ops):
-            for r in range(lift.dim_a):
-                for c in range(lift.dim_a):
-                    if mat[r, c] != 0:
-                        out.append(
-                            "%s %d %d %d %s"
-                            % (key, p + 1, r + 1, c + 1, format_rational(mat[r, c]))
-                        )
-    for (p, q) in sorted(lift.x_values):
-        for k, value in enumerate(lift.x_values[(p, q)]):
-            if value != 0:
-                out.append(
-                    "omega %d %d %d %s" % (p + 1, q + 1, k + 1, format_rational(value))
-                )
-    return "\n".join(out) + "\n"
+    return (
+        ["dim-a %d" % lift.dim_a, "dim-b %d" % lift.dim_b]
+        + _lines_of("x", _stack_cells(lift.x_op))
+        + _lines_of("y", _stack_cells(lift.y_op))
+        + _lines_of("omega", _table_cells(lift.x_values))
+    )
 
 
-_VERDICTS = {EXISTS, NOT_EXISTS, UNDETERMINED}
+# The key lines of LAF-C and their number of value fields.
+_CERT_KEYS = {
+    "algebra-sha256": 1,
+    "verdict": 1,
+    "method": 1,
+    "witness-kind": 1,
+    "constant": 1,
+    "dim": 1,
+    "residuals": 2,
+}
+
+
+def _keys(body, arity):
+    """Split off the key lines named in arity, each at most once.
+
+    Returns {key: (values, line)} and the remaining lines.
+    """
+    keys, rest = {}, []
+    for line, fields in body:
+        if fields[0] not in arity:
+            rest.append((line, fields))
+            continue
+        _expect_len(fields, arity[fields[0]] + 1, line)
+        if fields[0] in keys:
+            raise LAFError("duplicate %r line" % fields[0], line)
+        keys[fields[0]] = (fields[1:], line)
+    return keys, rest
 
 
 def _parse_certificate(body):
-    fields_by_key = {}
-    product_entries = {}
-    coeffs = {}
-    dim = None
-    for line, fields in body:
-        kind = fields[0]
-        if kind == "product":
-            _expect_len(fields, 5, line)
-            i, j, k = (_int(fields, pos, line) for pos in (1, 2, 3))
-            product_entries[(i - 1, j - 1, k - 1)] = parse_rational(fields[4], line)
-        elif kind == "coeff":
-            _expect_len(fields, 3, line)
-            idx = _int(fields, 1, line)
-            coeffs[idx - 1] = parse_rational(fields[2], line)
-        elif kind == "dim":
-            dim = _parse_dim(fields, line)
-        elif kind in ("algebra-sha256", "verdict", "method", "witness-kind", "constant"):
-            _expect_len(fields, 2, line)
-            fields_by_key[kind] = (fields[1], line)
-        elif kind == "residuals":
-            _expect_len(fields, 3, line)
-            fields_by_key[kind] = ((fields[1], fields[2]), line)
-        else:
-            raise LAFError("unknown directive %r" % kind, line)
-    if "algebra-sha256" not in fields_by_key or "verdict" not in fields_by_key:
+    keys, body = _keys(body, _CERT_KEYS)
+
+    def first(key):
+        return keys[key][0][0] if key in keys else None
+
+    verdict, h = first("verdict"), first("algebra-sha256")
+    if verdict is None or h is None:
         raise LAFError("certificate requires algebra-sha256 and verdict")
-    verdict, vline = fields_by_key["verdict"]
-    if verdict not in _VERDICTS:
-        raise LAFError("unknown verdict %r" % verdict, vline)
-    h = fields_by_key["algebra-sha256"][0]
     if verdict == EXISTS:
-        if dim is None:
+        if "dim" not in keys:
             raise LAFError("exists certificate requires 'dim'")
-        product = AlgebraProduct(StructureTensor(dim, product_entries))
-        method = fields_by_key.get("method", (None, None))[0]
-        return Certificate(EXISTS, h, product=product, method=method)
+        values, line = keys["dim"]
+        dim = _int(values, 0, line, minimum=0)
+        entries = _entries(body, {"product": _tensor(dim)})["product"]
+        product = AlgebraProduct(StructureTensor(dim, entries))
+        return Certificate(EXISTS, h, product=product, method=first("method"))
     if verdict == NOT_EXISTS:
-        kind = fields_by_key.get("witness-kind", (None, None))[0]
+        kind = first("witness-kind")
         if kind not in ("linear", "quadratic"):
             raise LAFError("not-exists certificate requires a witness-kind")
-        if "constant" not in fields_by_key:
+        if "constant" not in keys:
             raise LAFError("not-exists certificate requires the recorded constant")
-        constant = parse_rational(*fields_by_key["constant"])
+        constant = parse_rational(first("constant"), keys["constant"][1])
+        coeffs = _entries(body, {"coeff": ((None,), False, _nonzero)})["coeff"]
         if not coeffs:
             raise LAFError("not-exists certificate requires coeff lines")
+        witness = {i: c for (i,), c in coeffs.items()}
         return Certificate(
-            NOT_EXISTS, h, witness_kind=kind, witness=coeffs, constant=constant
+            NOT_EXISTS, h, witness_kind=kind, witness=witness, constant=constant
         )
+    if verdict != UNDETERMINED:
+        raise LAFError("unknown verdict %r" % verdict, keys["verdict"][1])
+    _entries(body, {})  # an undetermined certificate has no entry lines
     summary = None
-    if "residuals" in fields_by_key:
-        (a, b), line = fields_by_key["residuals"]
-        try:
-            summary = (int(a), int(b))
-        except ValueError:
-            raise LAFError("malformed residual counts", line)
+    if "residuals" in keys:
+        values, line = keys["residuals"]
+        summary = (_int(values, 0, line, minimum=0), _int(values, 1, line, minimum=0))
     return Certificate(UNDETERMINED, h, residual_summary=summary)
 
 
 def _emit_certificate(cert):
-    out = ["LAF-C %d" % FORMAT_VERSION]
-    out.append("algebra-sha256 %s" % cert.algebra_hash)
-    out.append("verdict %s" % cert.verdict)
+    out = ["algebra-sha256 %s" % cert.algebra_hash, "verdict %s" % cert.verdict]
     if cert.verdict == EXISTS:
         if cert.method:
             out.append("method %s" % cert.method)
         out.append("dim %d" % cert.product.dim)
-        for (i, j, k) in sorted(cert.product.tensor.entries):
-            out.append(
-                "product %d %d %d %s"
-                % (i + 1, j + 1, k + 1, format_rational(cert.product.tensor.entries[(i, j, k)]))
-            )
+        out += _lines_of("product", cert.product.tensor.entries)
     elif cert.verdict == NOT_EXISTS:
         out.append("witness-kind %s" % cert.witness_kind)
-        for idx in sorted(cert.witness):
-            out.append("coeff %d %s" % (idx + 1, format_rational(cert.witness[idx])))
+        out += _lines_of("coeff", {(i,): c for i, c in cert.witness.items()})
         out.append("constant %s" % format_rational(cert.constant))
-    else:
-        if cert.residual_summary is not None:
-            out.append("residuals %d %d" % cert.residual_summary)
-    return "\n".join(out) + "\n"
+    elif cert.residual_summary is not None:
+        out.append("residuals %d %d" % cert.residual_summary)
+    return out
+
+
+# tag -> (payload type, parser, emitter); emit picks the first matching type.
+_FORMATS = {
+    "LAF": (LieAlgebra, _parse_lie, _emit_lie),
+    "LAF-P": (AlgebraProduct, _parse_product, _emit_product),
+    "LAF-M": (Matrix, _parse_matrix, _emit_matrix),
+    "LAF-E": (ExtensionData, _parse_extension, _emit_extension),
+    "LAF-L": (LiftData, _parse_lift, _emit_lift),
+    "LAF-C": (Certificate, _parse_certificate, _emit_certificate),
+}
+
+TAGS = tuple(_FORMATS)

@@ -222,3 +222,20 @@ def test_input_error_exit_code(tmp_path, capsys):
     bad.write_text("LAF 1\ndim 2\nbracket 1 2 2 2/4\n")
     code, report = run(capsys, "series", "--lie", str(bad))
     assert code == 2
+
+
+def test_usage_errors_give_json_report(tmp_path, capsys):
+    import pytest
+
+    lie = str(tmp_path / "n3.laf")
+    emit_file(fx.n3(), lie)
+    for argv in (["decide"], ["decide", "--lie", lie, "--effort", "abc"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert report["ok"] is False and report["error"] == "UsageError"
+        assert "novikov decide" in report["detail"]
+    with pytest.raises(SystemExit) as err:
+        main(["decide", "--help"])
+    assert err.value.code == 0

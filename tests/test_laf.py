@@ -1,12 +1,57 @@
+import json
+import os
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from novikov import fixtures as fx
 from novikov.certificate import decide_novikov, verify_certificate
-from novikov.extensions import two_gen_lift, two_step_solvable_from
+from novikov.cli import main
+from novikov.extensions import ExtensionData, two_gen_lift, two_step_solvable_from
 from novikov.laf import LAFError, emit, parse, parse_rational
+from novikov.lie import StructureTensor
 from novikov.linalg import Matrix
+from novikov.products import AlgebraProduct
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _ex35_extension():
+    return two_step_solvable_from(fx.ex35())[0]
+
+
+def _split_extension():
+    return ExtensionData(
+        1,
+        2,
+        [Matrix([[1]]), Matrix.zeros(1, 1)],
+        {},
+        b_bracket=fx.r2().bracket,
+        b_product=fx.in_novikov_product(2),
+        a_product=AlgebraProduct(StructureTensor(1, {(0, 0, 0): Q(1, 2)})),
+    )
+
+
+# Canonical documents pinned byte for byte: every line kind of the six formats.
+GOLDEN = {
+    "ex35.laf": fx.ex35,
+    "free-n2-c4.laf": fx.free_n2_c4,
+    "ex35_product.lafp": fx.ex35_product,
+    "matrix.lafm": lambda: Matrix([[Q(1, 2), 0, -3], [0, Q(7), Q(-2, 5)]]),
+    "ex35.lafe": _ex35_extension,
+    "split.lafe": _split_extension,
+    "ex35.lafl": lambda: two_gen_lift(_ex35_extension()),
+    "n3.lafc": lambda: decide_novikov(fx.n3()),
+    "free-n2-c4.lafc": lambda: decide_novikov(fx.free_n2_c4()),
+    "free-n2-c4-undetermined.lafc": lambda: decide_novikov(fx.free_n2_c4(), effort=0),
+}
+
+
+def golden_text(name):
+    with open(os.path.join(DATA, name), "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def round_trip(obj):
@@ -55,6 +100,50 @@ def test_round_trip_certificates():
     assert verify_certificate(fx.n3(), back)
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_documents(name):
+    text = golden_text(name)
+    assert emit(GOLDEN[name]()) == text
+    assert emit(parse(text)) == text
+
+
+_CERT = "LAF-C 1\nalgebra-sha256 ab\n"
+_EXISTS = _CERT + "verdict exists\ndim 2\n"
+_NOT_EXISTS = _CERT + "verdict not-exists\nwitness-kind linear\n"
+_UNDETERMINED = _CERT + "verdict undetermined\n"
+_EXT = "LAF-E 1\ndim-a 1\ndim-b 1\n"
+
+# Documents the grammar forbids: (name, text, the line that must be reported).
+REJECTED = [
+    ("laf-e-zero-phi", _EXT + "phi 1 1 1 0\n", 4),
+    ("laf-e-zero-b-product", _EXT + "b-product 1 1 1 0\n", 4),
+    ("laf-l-zero-x", "LAF-L 1\ndim-a 1\ndim-b 1\nx 1 1 1 0\n", 4),
+    ("laf-c-zero-coeff", _NOT_EXISTS + "coeff 1 0\nconstant 1\n", 5),
+    ("laf-c-duplicate-coeff", _NOT_EXISTS + "coeff 1 1\ncoeff 1 2\nconstant 1\n", 6),
+    ("laf-c-duplicate-product", _EXISTS + "product 1 1 1 1\nproduct 1 1 1 2\n", 6),
+    ("laf-c-product-out-of-range", _EXISTS + "product 1 3 1 1\n", 5),
+    ("laf-c-repeated-verdict", _CERT + "verdict not-exists\nverdict exists\ndim 2\n", 4),
+    ("laf-c-repeated-hash", _CERT + "algebra-sha256 cd\nverdict undetermined\n", 3),
+    (
+        "laf-c-repeated-witness-kind",
+        _NOT_EXISTS + "witness-kind quadratic\ncoeff 1 1\nconstant 1\n",
+        5,
+    ),
+    ("laf-c-repeated-constant", _NOT_EXISTS + "coeff 1 1\nconstant 1\nconstant 2\n", 7),
+    ("laf-c-repeated-dim", _EXISTS + "dim 3\n", 5),
+    ("laf-c-repeated-method", _CERT + "verdict exists\nmethod a\nmethod b\ndim 1\n", 5),
+    ("laf-c-repeated-residuals", _UNDETERMINED + "residuals 1 2\nresiduals 3 4\n", 5),
+    ("laf-repeated-label", "LAF 1\ndim 2\nlabel 1 a\nlabel 1 b\n", 4),
+]
+
+
+@pytest.mark.parametrize("text,line", [r[1:] for r in REJECTED], ids=[r[0] for r in REJECTED])
+def test_forbidden_input_rejected_with_line(text, line):
+    with pytest.raises(LAFError) as err:
+        parse(text)
+    assert err.value.line == line
+
+
 def test_rational_canonicality():
     assert parse_rational("1/2") == Q(1, 2)
     assert parse_rational("-7") == Q(-7)
@@ -88,3 +177,77 @@ def test_comments_and_blank_lines():
     text = "# header comment\nLAF 1\n\ndim 2  # with trailing comment\nbracket 1 2 1 1\n"
     g = parse(text).payload
     assert g.dim == 2
+
+
+# Replacement fields: zero, non-canonical and malformed values, and indices out
+# of range. No count exceeds 9, since validate_lie is cubic in dim.
+TOKENS = ("0", "-0", "2/4", "x", "9", "-1", "1/0", "")
+
+
+@st.composite
+def mutated_documents(draw, names=tuple(sorted(GOLDEN))):
+    """A golden document with one to three lines deleted, duplicated,
+    truncated, or with one field replaced by a token from TOKENS."""
+    name = draw(st.sampled_from(names))
+    lines = golden_text(name).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "duplicate", "truncate", "replace")))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            fields = lines[i].split()
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TOKENS))
+            lines[i] = " ".join(fields)
+    return name, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_raise_only_value_errors(case):
+    # Anything but a ValueError subclass (IndexError, KeyError, TypeError, ...)
+    # propagates and fails the test.
+    try:
+        parse(case[1])
+    except ValueError:
+        pass
+
+
+# The command that reads each mutated golden document, and the algebra it
+# is checked against.
+_CLI_READERS = {
+    ".laf": lambda doc: ["check-cert", "--lie", doc, "--cert", os.path.join(DATA, "n3.lafc")],
+    ".lafp": lambda doc: [
+        "verify", "--lie", os.path.join(DATA, "ex35.laf"), "--product", doc, "--novikov"
+    ],
+    ".lafc": lambda doc: ["check-cert", "--lie", os.path.join(DATA, "ex35.laf"), "--cert", doc],
+}
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutated_documents(tuple(n for n in sorted(GOLDEN) if n.endswith(tuple(_CLI_READERS)))))
+def test_cli_reports_malformed_documents(tmp_path, capsys, case):
+    name, text = case
+    suffix = os.path.splitext(name)[1]
+    try:
+        parse(text)
+        return
+    except ValueError:
+        pass
+    doc = str(tmp_path / ("mutated" + suffix))
+    with open(doc, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert main(_CLI_READERS[suffix](doc)) == 2
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["ok"] is False and report["detail"]
