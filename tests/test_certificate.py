@@ -96,6 +96,19 @@ def test_known_products_satisfy_their_systems():
             assert total == 0
 
 
+def test_product_from_solution_round_trip():
+    # the linear-system constructor reads its product off the L(e_i) entries
+    for p in [fx.ex35_product(), fx.free_n3_c3_product(), fx.in_novikov_product(3)]:
+        system = certificate.PolySystem(p.dim, [], [], [], [])
+        values = [Q(0)] * system.nvars
+        for i in range(p.dim):
+            left = p.left(i)
+            for r in range(p.dim):
+                for c in range(p.dim):
+                    values[system.var_index(i, r, c)] = left[r, c]
+        assert certificate._product_from_solution(system, values) == p
+
+
 def test_decide_existence_cases():
     cases = [
         (fx.abelian(4), "zero-product"),

@@ -9,11 +9,20 @@ from hypothesis import strategies as st
 from novikov import fixtures as fx
 from novikov.certificate import decide_novikov, verify_certificate
 from novikov.cli import main
-from novikov.extensions import ExtensionData, two_gen_lift, two_step_solvable_from
+from novikov.extensions import (
+    ExtensionData,
+    LiftData,
+    assemble,
+    lift_product,
+    novikov_ideal_quotient,
+    two_gen_lift,
+    two_step_solvable_from,
+)
 from novikov.laf import LAFError, emit, parse, parse_rational
-from novikov.lie import StructureTensor
-from novikov.linalg import Matrix
-from novikov.products import AlgebraProduct
+from novikov.lie import StructureTensor, quotient, validate_lie
+from novikov.linalg import Matrix, Subspace
+from novikov.products import AlgebraProduct, commutator_lie, half_bracket_product
+from novikov.rmatrix import RMatrix, deformed_algebra, induced_product
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -34,7 +43,71 @@ def _split_extension():
     )
 
 
-# Canonical documents pinned byte for byte: every line kind of the six formats.
+def _sheared(g):
+    """g in the basis f_i = e_i + e_(i+1 mod n)/2."""
+    n = g.dim
+    cols = [[Q(int(r == c)) + (Q(1, 2) if r == (c + 1) % n else 0) for r in range(n)] for c in range(n)]
+    return validate_lie(g.bracket.change_basis(cols))
+
+
+def _vector(n, coords):
+    return tuple(Q(coords.get(k, 0)) for k in range(n))
+
+
+def _n3c3_quotient():
+    """free-n3-c3 modulo three central vectors that are not coordinate vectors."""
+    ideal = Subspace(14, [
+        _vector(14, {6: 1, 7: 2}),
+        _vector(14, {8: Q(1, 2), 12: -1}),
+        _vector(14, {9: 1, 10: 1, 11: -3}),
+    ])
+    return quotient(fx.free_n3_c3(), ideal)
+
+
+def _product_quotient():
+    ideal = Subspace(14, [
+        _vector(14, {9: -2, 10: 2, 12: -2}),
+        _vector(14, {11: 2}),
+        _vector(14, {7: -2, 8: 1, 12: 2}),
+    ])
+    return novikov_ideal_quotient(fx.free_n3_c3_product(), ideal)
+
+
+def _rmatrix():
+    """T(x1) = x1, T(x8) = -x1 on free-n2-c4."""
+    t = Matrix.unit(8, 0, 0) + Matrix.unit(8, 0, 7, -1)
+    return RMatrix(fx.free_n2_c4(), t)
+
+
+def _r2_extension():
+    """b = r2 acting on Q^2 by A_1 = diag(1, 2), A_2 = E_21, with Omega != 0."""
+    return ExtensionData(
+        2,
+        2,
+        [Matrix([[1, 0], [0, 2]]), Matrix([[0, 0], [1, 0]])],
+        {(0, 1): (Q(1), Q(-1, 2))},
+        b_bracket=fx.r2().bracket,
+    )
+
+
+def _lifted_split_product():
+    lift = LiftData(
+        1,
+        2,
+        [Matrix([[2]]), Matrix([[Q(-1, 3)]])],
+        [Matrix([[1]]), Matrix([[Q(1, 2)]])],
+        {(0, 1): (Q(5),), (1, 1): (Q(-1, 4),)},
+    )
+    return lift_product(_split_extension(), lift)
+
+
+def _transported_product():
+    ext, split = two_step_solvable_from(_sheared(fx.ex35()))
+    return split.transport_product(lift_product(ext, two_gen_lift(ext)))
+
+
+# Canonical documents pinned byte for byte: every line kind of the six formats,
+# and the output of every table builder on one fixed input.
 GOLDEN = {
     "ex35.laf": fx.ex35,
     "free-n2-c4.laf": fx.free_n2_c4,
@@ -46,6 +119,17 @@ GOLDEN = {
     "n3.lafc": lambda: decide_novikov(fx.n3()),
     "free-n2-c4.lafc": lambda: decide_novikov(fx.free_n2_c4()),
     "free-n2-c4-undetermined.lafc": lambda: decide_novikov(fx.free_n2_c4(), effort=0),
+    "change-basis-ex35.laf": lambda: _sheared(fx.ex35()),
+    "commutator-in4.laf": lambda: commutator_lie(fx.in_product(4)),
+    "half-bracket-free-n2-c4.lafp": lambda: half_bracket_product(fx.free_n2_c4()),
+    "deformed-free-n2-c4.laf": lambda: deformed_algebra(_rmatrix()),
+    "induced-free-n2-c4.lafp": lambda: induced_product(_rmatrix()),
+    "assemble-r2.laf": lambda: assemble(_r2_extension()),
+    "lift-product-split.lafp": _lifted_split_product,
+    "transport-ex35.lafp": _transported_product,
+    "quotient-free-n3-c3.laf": _n3c3_quotient,
+    "quotient-product-free-n3-c3.lafp": _product_quotient,
+    "two-step-quotient.lafe": lambda: two_step_solvable_from(_sheared(_n3c3_quotient()))[0],
 }
 
 
