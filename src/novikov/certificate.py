@@ -31,7 +31,8 @@ from .extensions import (
     two_gen_lift,
     two_step_solvable_from,
 )
-from .linalg import NotRegularNilpotent, Q, is_zero_vec, solve_sparse, vunit
+from .lie import StructureTensor
+from .linalg import NotRegularNilpotent, Q, solve_sparse, vunit
 from .products import (
     AlgebraProduct,
     half_bracket_product,
@@ -362,13 +363,11 @@ def _eliminate_residuals(residuals, effort):
 
 def _product_from_solution(system, values):
     n = system.n
-    products = {}
-    for i in range(n):
-        for j in range(n):
-            col = tuple(values[system.var_index(i, k, j)] for k in range(n))
-            if not is_zero_vec(col):
-                products[(i, j)] = col
-    return AlgebraProduct.from_products(n, products)
+    return AlgebraProduct(
+        StructureTensor.tabulate(
+            n, lambda i, j: [values[system.var_index(i, k, j)] for k in range(n)]
+        )
+    )
 
 
 def _verified(g, product, method):

@@ -10,7 +10,6 @@ named by their equation label (e.g. "eq-2", "eq-27").
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -222,10 +221,7 @@ def _cmd_reduce(args):
 
 def _cmd_decide(args):
     g = _load(args.lie, "LAF")
-    effort = args.effort
-    if effort is None:
-        effort = int(os.environ.get("NOVIKOV_EFFORT", cert_mod.DEFAULT_EFFORT))
-    cert = cert_mod.decide_novikov(g, effort=effort)
+    cert = cert_mod.decide_novikov(g, effort=args.effort)
     if args.output:
         laf.emit_file(cert, args.output)
     fields = {"command": "decide", "verdict": cert.verdict}
@@ -328,7 +324,7 @@ def build_parser():
 
     p = sub.add_parser("decide", help="decide existence of a Novikov structure")
     p.add_argument("--lie", required=True)
-    p.add_argument("--effort", type=int)
+    p.add_argument("--effort", type=int, default=cert_mod.DEFAULT_EFFORT)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_decide)
 

@@ -13,12 +13,7 @@ Each lift is decided by one of the two systems; that they agree where both
 apply is a differential test in the test suite.
 """
 
-from .lie import (
-    StructureTensor,
-    complement_basis,
-    quotient_coordinates,
-    validate_lie,
-)
+from .lie import StructureTensor, complement_basis, quotient_tensor, validate_lie
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -143,8 +138,11 @@ class ExtensionData:
 
         Raises InvariantViolation naming the governing equation: (5) for the
         representation identity ((23) when b is abelian), (6) for the cocycle
-        identity ((24) when b is abelian).
+        identity ((24) when b is abelian). A b-bracket that is not a Lie
+        bracket raises the AntisymmetryViolation or JacobiViolation of
+        validate_lie first.
         """
+        self.b_algebra()
         abelian = self.b_is_abelian()
         rep_eq = "eq-23" if abelian else "eq-5"
         cocycle_eq = "eq-24" if abelian else "eq-6"
@@ -240,24 +238,17 @@ def assemble(ext):
     """The Lie algebra on a x b defined by the extension data."""
     ext.validate()
     n, m = ext.dim_a, ext.dim_b
-    dim = n + m
-    brackets = {}
+    zb = vzero(m)
 
-    def pad(a_part, b_part):
-        return tuple(a_part) + tuple(b_part)
+    def bracket(i, j):
+        p, q = i - n, j - n
+        if i < n:
+            return (vzero(n) if j < n else vscale(-1, ext.phi[q].column(i))) + zb
+        if j < n:
+            return ext.phi[p].column(j) + zb
+        return ext.omega_pair(p, q) + ext.b_bracket.basis_product(p, q)
 
-    for i in range(n):
-        for p in range(m):
-            w = vscale(-1, ext.phi[p].column(i))
-            if not is_zero_vec(w):
-                brackets[(i, n + p)] = pad(w, vzero(m))
-    for p in range(m):
-        for q in range(p + 1, m):
-            a_part = ext.omega_pair(p, q)
-            b_part = ext.b_bracket.basis_product(p, q)
-            if not (is_zero_vec(a_part) and is_zero_vec(b_part)):
-                brackets[(n + p, n + q)] = pad(a_part, b_part)
-    tensor = StructureTensor.antisymmetric_from_brackets(dim, brackets)
+    tensor = StructureTensor.tabulate(n + m, bracket)
     labels = tuple("a%d" % (i + 1) for i in range(n)) + tuple("b%d" % (p + 1) for p in range(m))
     return validate_lie(tensor, labels)
 
@@ -289,14 +280,7 @@ class SplitData:
     def transport_product(self, p):
         """Rewrite a product on split coordinates into original coordinates."""
         n = self.basis.rows
-        products = {}
-        for i in range(n):
-            for j in range(n):
-                w = p.apply(self.to_split(vunit(n, i)), self.to_split(vunit(n, j)))
-                w = self.from_split(w)
-                if not is_zero_vec(w):
-                    products[(i, j)] = w
-        return AlgebraProduct.from_products(n, products)
+        return p.change_basis([self.basis_inv.column(i) for i in range(n)])
 
 
 def two_step_solvable_from(g):
@@ -311,64 +295,35 @@ def two_step_solvable_from(g):
         raise NotTwoStepSolvable("derived length is %s" % dl)
     series = g.derived_series()
     derived = series[1] if len(series) > 1 else series[-1]
-    a_basis = derived.basis
-    n = len(a_basis)
+    n = derived.dim
     section = complement_basis(derived)
     m = len(section)
-    split = SplitData(a_basis, section, g.dim)
-    phi = []
-    for p in section:
-        cols = []
-        for v in a_basis:
-            w = g.bracket_vec(g.basis_vector(p), v)
-            coords = derived.coordinates(w)
-            assert coords is not None, "[g, [g,g]] escaped [g,g]"
-            cols.append(coords)
-        phi.append(Matrix.from_columns(cols) if n else Matrix.zeros(0, 0))
-    omega = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = g.bracket_vec(g.basis_vector(section[a]), g.basis_vector(section[b]))
-            coords = derived.coordinates(w)
-            assert coords is not None, "[g, g] escaped the derived subalgebra"
-            if not is_zero_vec(coords):
-                omega[(a, b)] = coords
-    ext = ExtensionData(n, m, phi, omega)
-    return ext, split
+    split = SplitData(derived.basis, section, g.dim)
+    # in the split basis a = [g, g] comes first, so phi_p is the a x a block of
+    # ad(b_p) and Omega(p, q) the a-part of [b_p, b_q]
+    t = g.bracket.change_basis([split.basis.column(c) for c in range(g.dim)])
+    assert all(k < n for _, _, k in t.entries), "[g, g] escaped the derived subalgebra"
+    phi = [Matrix([row[:n] for row in t.left_matrix(n + p).data[:n]], cols=n) for p in range(m)]
+    omega = {
+        (p, q): t.basis_product(n + p, n + q)[:n] for p in range(m) for q in range(p + 1, m)
+    }
+    return ExtensionData(n, m, phi, omega), split
 
 
 def lift_product(ext, lift):
     """The bilinear product on a x b defined by the lift; validity not implied."""
     n, m = ext.dim_a, ext.dim_b
-    dim = n + m
-    products = {}
-
-    def pad(a_part, b_part):
-        return tuple(a_part) + tuple(b_part)
-
     zb = vzero(m)
-    for i in range(n):
-        for j in range(n):
-            w = ext.a_product.basis_product(i, j)
-            if not is_zero_vec(w):
-                products[(i, j)] = pad(w, zb)
-    for i in range(n):
-        for q in range(m):
-            w = lift.x_op[q].column(i)
-            if not is_zero_vec(w):
-                products[(i, n + q)] = pad(w, zb)
-    for p in range(m):
-        for j in range(n):
-            w = lift.y_op[p].column(j)
-            if not is_zero_vec(w):
-                products[(n + p, j)] = pad(w, zb)
-    for p in range(m):
-        for q in range(m):
-            a_part = lift.omega_value(p, q)
-            b_part = ext.b_product.basis_product(p, q)
-            if not (is_zero_vec(a_part) and is_zero_vec(b_part)):
-                products[(n + p, n + q)] = pad(a_part, b_part)
-    return AlgebraProduct.from_products(dim, products)
+
+    def product(i, j):
+        p, q = i - n, j - n
+        if i < n:
+            return (ext.a_product.basis_product(i, j) if j < n else lift.x_op[q].column(i)) + zb
+        if j < n:
+            return lift.y_op[p].column(j) + zb
+        return lift.omega_value(p, q) + ext.b_product.basis_product(p, q)
+
+    return AlgebraProduct(StructureTensor.tabulate(n + m, product))
 
 
 def check_lift_lsa(ext, lift):
@@ -772,14 +727,4 @@ def novikov_ideal_quotient(p, ideal):
                 raise NotProductIdeal(("right", j, v))
             if not ideal.contains(p.apply(ej, v)):
                 raise NotProductIdeal(("left", j, v))
-    comp = complement_basis(ideal)
-    coords = quotient_coordinates(ideal, comp)
-    q = len(comp)
-    products = {}
-    for a in range(q):
-        for b in range(q):
-            w = p.apply(vunit(n, comp[a]), vunit(n, comp[b]))
-            c = coords(w)
-            if not is_zero_vec(c):
-                products[(a, b)] = c
-    return AlgebraProduct.from_products(q, products)
+    return AlgebraProduct(quotient_tensor(p.tensor, ideal)[1])

@@ -78,14 +78,17 @@ def _lines(text):
             yield no, body.split()
 
 
-def _int(fields, pos, line, minimum=1):
-    try:
-        value = int(fields[pos])
-    except (IndexError, ValueError):
-        raise LAFError("expected an integer in field %d" % (pos + 1), line)
-    if value < minimum:
-        raise LAFError("index %d out of range" % value, line)
-    return value
+# The grammar's index and count, in ASCII digits only.
+_INDEX = re.compile(r"[1-9][0-9]*")
+_COUNT = re.compile(r"[0-9]+")
+
+
+def _int(fields, pos, line, count=False):
+    """The 1-based index (or, with count set, the count) in fields[pos]."""
+    if not (_COUNT if count else _INDEX).fullmatch(fields[pos]):
+        kind = "a count" if count else "an index"
+        raise LAFError("expected %s in field %d, found %r" % (kind, pos + 1, fields[pos]), line)
+    return int(fields[pos])
 
 
 def _expect_len(fields, n, line):
@@ -150,7 +153,7 @@ def _counts(body, keys):
         _expect_len(fields, 2, line)
         if fields[0] != key:
             raise LAFError("expected '%s'" % key, line)
-        counts.append(_int(fields, 1, line, minimum=0))
+        counts.append(_int(fields, 1, line, count=True))
     return counts, body[len(keys):]
 
 
@@ -324,6 +327,13 @@ def _emit_lift(lift):
     )
 
 
+# The key lines each verdict allows besides algebra-sha256 and verdict.
+_VERDICT_KEYS = {
+    EXISTS: ("method", "dim"),
+    NOT_EXISTS: ("witness-kind", "constant"),
+    UNDETERMINED: ("residuals",),
+}
+
 # The key lines of LAF-C and their number of value fields.
 _CERT_KEYS = {
     "algebra-sha256": 1,
@@ -362,11 +372,16 @@ def _parse_certificate(body):
     verdict, h = first("verdict"), first("algebra-sha256")
     if verdict is None or h is None:
         raise LAFError("certificate requires algebra-sha256 and verdict")
+    if verdict not in _VERDICT_KEYS:
+        raise LAFError("unknown verdict %r" % verdict, keys["verdict"][1])
+    for key, (_, line) in keys.items():
+        if key not in ("algebra-sha256", "verdict") + _VERDICT_KEYS[verdict]:
+            raise LAFError("%r does not belong to a %s certificate" % (key, verdict), line)
     if verdict == EXISTS:
         if "dim" not in keys:
             raise LAFError("exists certificate requires 'dim'")
         values, line = keys["dim"]
-        dim = _int(values, 0, line, minimum=0)
+        dim = _int(values, 0, line, count=True)
         entries = _entries(body, {"product": _tensor(dim)})["product"]
         product = AlgebraProduct(StructureTensor(dim, entries))
         return Certificate(EXISTS, h, product=product, method=first("method"))
@@ -384,13 +399,11 @@ def _parse_certificate(body):
         return Certificate(
             NOT_EXISTS, h, witness_kind=kind, witness=witness, constant=constant
         )
-    if verdict != UNDETERMINED:
-        raise LAFError("unknown verdict %r" % verdict, keys["verdict"][1])
     _entries(body, {})  # an undetermined certificate has no entry lines
     summary = None
     if "residuals" in keys:
         values, line = keys["residuals"]
-        summary = (_int(values, 0, line, minimum=0), _int(values, 1, line, minimum=0))
+        summary = (_int(values, 0, line, count=True), _int(values, 1, line, count=True))
     return Certificate(UNDETERMINED, h, residual_summary=summary)
 
 

@@ -43,7 +43,9 @@ class NotAnIdeal(ValidationError):
 class StructureTensor:
     """Sparse structure constants c[i][j][k] of a bilinear product on Q^n.
 
-    e_i * e_j = sum_k c[i][j][k] e_k; only nonzero entries are stored.
+    e_i * e_j = sum_k c[i][j][k] e_k; only nonzero entries are stored. Every
+    table a construction builds from a bilinear map on basis vectors goes
+    through tabulate.
     """
 
     __slots__ = ("dim", "entries")
@@ -73,6 +75,11 @@ class StructureTensor:
         return cls(dim, entries)
 
     @classmethod
+    def tabulate(cls, dim, f):
+        """The tensor with e_i * e_j = f(i, j) for every basis pair."""
+        return cls.from_products(dim, {(i, j): f(i, j) for i in range(dim) for j in range(dim)})
+
+    @classmethod
     def antisymmetric_from_brackets(cls, dim, brackets):
         """Build from {(i, j): vector} for i < j, filling in c[j][i] = -c[i][j]."""
         entries = {}
@@ -84,9 +91,6 @@ class StructureTensor:
                     entries[(i, j, k)] = Q(v)
                     entries[(j, i, k)] = -Q(v)
         return cls(dim, entries)
-
-    def entry(self, i, j, k):
-        return self.entries.get((i, j, k), Q(0))
 
     def basis_product(self, i, j):
         """The vector e_i * e_j."""
@@ -143,18 +147,15 @@ class StructureTensor:
 
     def change_basis(self, basis_vectors):
         """Constants in a new basis given as vectors in the old coordinates."""
-        n = self.dim
-        if len(basis_vectors) != n:
+        if len(basis_vectors) != self.dim:
             raise DimensionMismatch("need exactly dim basis vectors")
-        m = Matrix.from_columns(basis_vectors)
-        minv = m.inverse()
-        products = {}
-        for a in range(n):
-            for b in range(n):
-                w = self.apply(basis_vectors[a], basis_vectors[b])
-                if not is_zero_vec(w):
-                    products[(a, b)] = minv.apply(w)
-        return StructureTensor.from_products(n, products)
+        minv = Matrix.from_columns(basis_vectors).inverse()
+
+        def entry(a, b):
+            w = self.apply(basis_vectors[a], basis_vectors[b])
+            return minv.apply(w) if any(w) else w
+
+        return StructureTensor.tabulate(self.dim, entry)
 
     def __repr__(self):
         return "StructureTensor(dim=%d, nnz=%d)" % (self.dim, len(self.entries))
@@ -262,13 +263,6 @@ class LieAlgebra:
             self.is_unimodular(),
         )
 
-    def is_ideal(self, subspace):
-        for i in range(self.dim):
-            for v in subspace.basis:
-                if not subspace.contains(self.bracket_vec(self.basis_vector(i), v)):
-                    return False
-        return True
-
     def __repr__(self):
         return "LieAlgebra(dim=%d)" % self.dim
 
@@ -330,46 +324,34 @@ def complement_basis(subspace):
     return chosen
 
 
-def quotient_coordinates(subspace, complement):
-    """Return a function mapping a vector to its coordinates on the complement
-    basis modulo the subspace, or None if the basis does not span."""
+def quotient_tensor(tensor, subspace):
+    """The product a tensor induces on Q^n modulo a two-sided ideal.
+
+    The quotient basis is the lexicographically earliest set of standard basis
+    vectors completing the ideal's echelon basis, which makes the structure
+    constants deterministic. Returns the chosen indices and the tensor; the
+    caller checks that the subspace is an ideal.
+    """
     n = subspace.ambient_dim
-    columns = [list(v) for v in subspace.basis] + [list(vunit(n, j)) for j in complement]
-    if len(columns) != n:
-        raise DimensionMismatch("subspace plus complement does not span")
-    m = Matrix.from_columns(columns)
-    minv = m.inverse()
+    comp = complement_basis(subspace)
+    minv = Matrix.from_columns(
+        [list(v) for v in subspace.basis] + [list(vunit(n, j)) for j in comp]
+    ).inverse()
     k = subspace.dim
 
-    def coords(v):
-        full = minv.apply(v)
-        return tuple(full[k:])
+    def entry(a, b):
+        w = tensor.basis_product(comp[a], comp[b])
+        return (minv.apply(w) if any(w) else w)[k:]
 
-    return coords
+    return comp, StructureTensor.tabulate(len(comp), entry)
 
 
 def quotient(g, ideal):
-    """Quotient Lie algebra by an ideal, on the canonical complement basis.
-
-    The complement is the lexicographically earliest subset of standard basis
-    vectors completing the ideal's echelon basis, which makes the structure
-    constants deterministic.
-    """
+    """Quotient Lie algebra by an ideal, on the canonical complement basis."""
     for i in range(g.dim):
         for v in ideal.basis:
             w = g.bracket_vec(g.basis_vector(i), v)
             if not ideal.contains(w):
                 raise NotAnIdeal(i, v)
-    comp = complement_basis(ideal)
-    coords = quotient_coordinates(ideal, comp)
-    q = len(comp)
-    brackets = {}
-    for a in range(q):
-        for b in range(a + 1, q):
-            w = g.bracket_vec(vunit(g.dim, comp[a]), vunit(g.dim, comp[b]))
-            c = coords(w)
-            if not is_zero_vec(c):
-                brackets[(a, b)] = c
-    tensor = StructureTensor.antisymmetric_from_brackets(q, brackets)
-    labels = tuple(g.labels[j] for j in comp)
-    return validate_lie(tensor, labels)
+    comp, tensor = quotient_tensor(g.bracket, ideal)
+    return validate_lie(tensor, tuple(g.labels[j] for j in comp))

@@ -97,9 +97,6 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i):
-        return self.data[i]
-
     def column(self, j):
         return tuple(row[j] for row in self.data)
 
@@ -304,10 +301,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("intersection in different ambient spaces")
         return (self.annihilator() + other.annihilator()).annihilator()
-
-    def image(self, m):
-        """Image of this subspace under the matrix m."""
-        return Subspace(m.rows, [m.apply(v) for v in self.basis])
 
     def preimage(self, m):
         """{v : m v in self}."""

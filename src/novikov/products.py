@@ -10,7 +10,7 @@ Convention: L(x)y = x*y and R(x)y = y*x throughout.
 import random
 
 from .lie import StructureTensor, validate_lie
-from .linalg import Q, commutator, is_zero_vec, vsub, vunit
+from .linalg import Q, commutator, is_zero_vec, vscale, vsub, vunit
 
 
 class NotLeftSymmetric(ValueError):
@@ -59,14 +59,9 @@ class AlgebraProduct:
 
     def commutator_tensor(self):
         """Structure constants of x*y - y*x."""
-        n = self.dim
-        products = {}
-        for i in range(n):
-            for j in range(n):
-                w = vsub(self.basis_product(i, j), self.basis_product(j, i))
-                if not is_zero_vec(w):
-                    products[(i, j)] = w
-        return StructureTensor.from_products(n, products)
+        return StructureTensor.tabulate(
+            self.dim, lambda i, j: vsub(self.basis_product(i, j), self.basis_product(j, i))
+        )
 
     def change_basis(self, basis_vectors):
         return AlgebraProduct(self.tensor.change_basis(basis_vectors))
@@ -171,14 +166,10 @@ def commutator_lie(p):
 
 def half_bracket_product(g):
     """The product x*y = [x,y]/2 on the space of g."""
-    n = g.dim
-    products = {}
-    for i in range(n):
-        for j in range(n):
-            w = g.bracket.basis_product(i, j)
-            if not is_zero_vec(w):
-                products[(i, j)] = tuple(x / 2 for x in w)
-    return AlgebraProduct.from_products(n, products)
+    half = Q(1, 2)
+    return AlgebraProduct(
+        StructureTensor.tabulate(g.dim, lambda i, j: vscale(half, g.bracket.basis_product(i, j)))
+    )
 
 
 COMPLETE = "complete"

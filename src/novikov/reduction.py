@@ -211,15 +211,19 @@ class InducedExtension:
     ext_n: the extension of b by a_n = a/a_0.
     lam: one a_0-coordinate vector per b basis element; shifting the section
          by lam replaces the cocycle by one with values in a_n only.
+    phi_0: the actions of b on a_0, one matrix per b basis element.
     decomposition: the Fitting splitting of a as a b-module.
     basis / basis_inv: the a-coordinate change (columns = V_n then V_0 basis).
     """
 
-    __slots__ = ("ext_n", "lam", "decomposition", "basis", "basis_inv", "dim_n", "dim_0")
+    __slots__ = (
+        "ext_n", "lam", "phi_0", "decomposition", "basis", "basis_inv", "dim_n", "dim_0"
+    )
 
-    def __init__(self, ext_n, lam, decomposition, basis, basis_inv):
+    def __init__(self, ext_n, lam, phi_0, decomposition, basis, basis_inv):
         self.ext_n = ext_n
         self.lam = lam
+        self.phi_0 = phi_0
         self.decomposition = decomposition
         self.basis = basis
         self.basis_inv = basis_inv
@@ -245,7 +249,8 @@ def induced_nilpotent_extension(ext):
             ext.dim_a, m, ext.phi, dict(ext.omega),
             b_bracket=ext.b_bracket, b_product=ext.b_product,
         )
-        return InducedExtension(ext_n, [vzero(0)] * m, dec, basis, basis)
+        no_action = [Matrix.zeros(0, 0)] * m
+        return InducedExtension(ext_n, [vzero(0)] * m, no_action, dec, basis, basis)
     basis = dec.basis_matrix()
     basis_inv = basis.inverse()
     phi_split = [basis_inv * a * basis for a in ext.phi]
@@ -306,7 +311,7 @@ def induced_nilpotent_extension(ext):
     ext_n = ExtensionData(
         n1, m, phi_n, omega_n, b_bracket=ext.b_bracket, b_product=ext.b_product
     )
-    return InducedExtension(ext_n, lam, dec, basis, basis_inv)
+    return InducedExtension(ext_n, lam, phi_0, dec, basis, basis_inv)
 
 
 def reduction_lift(ext, lift_n):
@@ -338,16 +343,9 @@ def reduction_lift(ext, lift_n):
                 rows[n1 + r][n1 + c] = corner[r, c]
         return Matrix(rows, cols=n)
 
-    basis_inv = ind.basis_inv
-    phi_0 = [
-        Matrix([row[n1:] for row in (basis_inv * a * ind.basis).data[n1:]], cols=n2)
-        if n2
-        else Matrix.zeros(0, 0)
-        for a in ext.phi
-    ]
     zero_corner = Matrix.zeros(n2, n2)
     x_split = [block(lift_n.x_op[p], zero_corner) for p in range(m)]
-    y_split = [block(lift_n.y_op[p], phi_0[p]) for p in range(m)]
+    y_split = [block(lift_n.y_op[p], ind.phi_0[p]) for p in range(m)]
 
     def lam_vec(p):
         return vzero(n1) + tuple(ind.lam[p])
@@ -369,7 +367,7 @@ def reduction_lift(ext, lift_n):
             if not is_zero_vec(w):
                 x_values[(p, q)] = w
     # back to the original a-coordinates
-    basis = ind.basis
+    basis, basis_inv = ind.basis, ind.basis_inv
     x_orig = [basis * xm * basis_inv for xm in x_split]
     y_orig = [basis * ym * basis_inv for ym in y_split]
     values_orig = {k: basis.apply(v) for k, v in x_values.items()}

@@ -9,7 +9,7 @@ on the deformed algebra with bracket [x,y]_T = [Tx, y] + [x, Ty].
 
 from .extensions import HypothesisFailed
 from .lie import StructureTensor, validate_lie
-from .linalg import DimensionMismatch, Matrix, is_zero_vec, vadd
+from .linalg import DimensionMismatch, Matrix, vadd
 from .products import AlgebraProduct, Verdict
 
 
@@ -38,19 +38,13 @@ class RMatrix:
 def deformed_bracket(r):
     """Structure tensor of [x,y]_T = [Tx, y] + [x, Ty]; Jacobi not implied."""
     g, t = r.g, r.t
-    n = g.dim
-    brackets = {}
-    for i in range(n):
-        ti = t.column(i)
-        for j in range(i + 1, n):
-            tj = t.column(j)
-            w = vadd(
-                g.bracket_vec(ti, g.basis_vector(j)),
-                g.bracket_vec(g.basis_vector(i), tj),
-            )
-            if not is_zero_vec(w):
-                brackets[(i, j)] = w
-    return StructureTensor.antisymmetric_from_brackets(n, brackets)
+    return StructureTensor.tabulate(
+        g.dim,
+        lambda i, j: vadd(
+            g.bracket_vec(t.column(i), g.basis_vector(j)),
+            g.bracket_vec(g.basis_vector(i), t.column(j)),
+        ),
+    )
 
 
 def deformed_algebra(r):
@@ -105,15 +99,9 @@ def induced_product(r):
     if not novbed:
         raise PreconditionFailed("novbed", novbed.witness)
     g, t = r.g, r.t
-    n = g.dim
-    products = {}
-    for i in range(n):
-        ti = t.column(i)
-        for j in range(n):
-            w = g.bracket_vec(ti, g.basis_vector(j))
-            if not is_zero_vec(w):
-                products[(i, j)] = w
-    return AlgebraProduct.from_products(n, products)
+    return AlgebraProduct(
+        StructureTensor.tabulate(g.dim, lambda i, j: g.bracket_vec(t.column(i), g.basis_vector(j)))
+    )
 
 
 def basis_rmatrix(g, ell, m):

@@ -134,13 +134,11 @@ def test_lift_semidirect(tmp_path, capsys):
     assert lift.x_values == {}
 
 
-def test_decide_effort_env_override(tmp_path, capsys, monkeypatch):
+def test_decide_effort_env_override(tmp_path, capsys):
     lie = str(tmp_path / "g8.laf")
     emit_file(fx.free_n2_c4(), lie)
-    monkeypatch.setenv("NOVIKOV_EFFORT", "0")
-    code, report = run(capsys, "decide", "--lie", lie)
+    code, report = run(capsys, "decide", "--lie", lie, "--effort", "0")
     assert code == 1 and report["verdict"] == "undetermined"
-    monkeypatch.delenv("NOVIKOV_EFFORT")
     code, report = run(capsys, "decide", "--lie", lie, "--effort", "64")
     assert code == 1 and report["verdict"] == "not-exists"
 
@@ -222,6 +220,15 @@ def test_input_error_exit_code(tmp_path, capsys):
     bad.write_text("LAF 1\ndim 2\nbracket 1 2 2 2/4\n")
     code, report = run(capsys, "series", "--lie", str(bad))
     assert code == 2
+
+
+def test_lift_on_non_lie_b_is_input_error(tmp_path, capsys):
+    ext = tmp_path / "bad.lafe"
+    ext.write_text("LAF-E 1\ndim-a 1\ndim-b 3\nb-bracket 1 2 3 1\nb-bracket 1 3 1 1\n")
+    for method in ("iso", "scheuneman"):
+        out = str(tmp_path / "lift.lafl")
+        code, report = run(capsys, "lift", "--ext", str(ext), "--method", method, "-o", out)
+        assert code == 2 and report["error"] == "JacobiViolation"
 
 
 def test_usage_errors_give_json_report(tmp_path, capsys):

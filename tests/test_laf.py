@@ -19,7 +19,7 @@ from novikov.extensions import (
     two_step_solvable_from,
 )
 from novikov.laf import LAFError, emit, parse, parse_rational
-from novikov.lie import StructureTensor, quotient, validate_lie
+from novikov.lie import JacobiViolation, StructureTensor, quotient, validate_lie
 from novikov.linalg import Matrix, Subspace
 from novikov.products import AlgebraProduct, commutator_lie, half_bracket_product
 from novikov.rmatrix import RMatrix, deformed_algebra, induced_product
@@ -218,6 +218,18 @@ REJECTED = [
     ("laf-c-repeated-method", _CERT + "verdict exists\nmethod a\nmethod b\ndim 1\n", 5),
     ("laf-c-repeated-residuals", _UNDETERMINED + "residuals 1 2\nresiduals 3 4\n", 5),
     ("laf-repeated-label", "LAF 1\ndim 2\nlabel 1 a\nlabel 1 b\n", 4),
+    ("laf-signed-count", "LAF 1\ndim +2\n", 2),
+    ("laf-non-ascii-count", "LAF 1\ndim \u0662\n", 2),
+    ("laf-leading-zero-index", "LAF 1\ndim 2\nbracket 01 2 2 1\n", 3),
+    ("laf-signed-index", "LAF 1\ndim 2\nbracket +1 2 2 1\n", 3),
+    ("laf-underscore-index", "LAF 1\ndim 12\nbracket 1_0 11 1 1\n", 3),
+    ("laf-non-ascii-index", "LAF 1\ndim 2\nbracket \u0661 2 2 1\n", 3),
+    ("laf-c-signed-residuals", _UNDETERMINED + "residuals +1 2\n", 4),
+    ("laf-c-exists-constant", _EXISTS + "constant 5\n", 5),
+    ("laf-c-exists-witness-kind", _CERT + "verdict exists\nwitness-kind linear\ndim 2\n", 4),
+    ("laf-c-not-exists-dim", _NOT_EXISTS + "coeff 1 1\nconstant 1\ndim 2\n", 7),
+    ("laf-c-not-exists-method", _NOT_EXISTS + "method x\ncoeff 1 1\nconstant 1\n", 5),
+    ("laf-c-undetermined-constant", _UNDETERMINED + "constant 1\n", 4),
 ]
 
 
@@ -255,6 +267,15 @@ def test_invalid_algebra_rejected_by_validators():
     text = "LAF 1\ndim 3\nbracket 1 2 3 1\nbracket 1 3 1 1\n"
     with pytest.raises(Exception):
         parse(text)
+
+
+# b-bracket [b1, b2] = b3, [b1, b3] = b1 fails the Jacobi identity.
+NON_LIE_B = "LAF-E 1\ndim-a 1\ndim-b 3\nb-bracket 1 2 3 1\nb-bracket 1 3 1 1\n"
+
+
+def test_extension_with_non_lie_b_rejected():
+    with pytest.raises(JacobiViolation):
+        parse(NON_LIE_B)
 
 
 def test_comments_and_blank_lines():
