@@ -32,7 +32,7 @@ from .extensions import (
     two_step_solvable_from,
 )
 from .lie import StructureTensor
-from .linalg import NotRegularNilpotent, Q, solve_sparse, vunit
+from .linalg import NotRegularNilpotent, Q, _add_scaled, _add_term, _row_step, solve_sparse, vunit
 from .products import (
     AlgebraProduct,
     half_bracket_product,
@@ -41,7 +41,7 @@ from .products import (
 )
 
 # Elimination budget that comfortably covers the 8-dimensional free nilpotent
-# fixture (its contradiction appears within 28 pivots); found empirically.
+# fixture (its contradiction appears at 13 pivots); found empirically.
 DEFAULT_EFFORT = 64
 
 EXISTS = "exists"
@@ -84,12 +84,6 @@ class PolySystem:
     def var_index(self, i, r, c):
         return (i * self.n + r) * self.n + c
 
-    def var_name(self, v):
-        n = self.n
-        i, rc = divmod(v, n * n)
-        r, c = divmod(rc, n)
-        return "L[%d][%d][%d]" % (i + 1, r + 1, c + 1)
-
     def __repr__(self):
         return "PolySystem(n=%d, linear=%d, quadratic=%d)" % (
             self.n,
@@ -98,21 +92,11 @@ class PolySystem:
         )
 
 
-def _poly_add(p, m, c):
-    if c:
-        nv = p.get(m, Q(0)) + c
-        if nv:
-            p[m] = nv
-        else:
-            p.pop(m, None)
-
-
 def _combine(witness, polys):
     """The sparse sum of c * polys[i] over the witness items (i, c)."""
     acc = {}
     for i, c in witness.items():
-        for m, x in polys[i].items():
-            _poly_add(acc, m, c * x)
+        _add_scaled(acc, polys[i], c)
     return acc
 
 
@@ -136,15 +120,8 @@ def build_system(g):
         for j in range(i + 1, n):
             w = brackets[(i, j)]
             for k in range(n):
-                row = {var(i, k, j): Q(1)}
-                prev = row.get(var(j, k, i), Q(0)) - 1
-                if prev:
-                    row[var(j, k, i)] = prev
-                else:
-                    row.pop(var(j, k, i), None)
-                if row or w[k]:
-                    linear_rows.append(row)
-                    linear_rhs.append(Q(w[k]))
+                linear_rows.append({var(i, k, j): Q(1), var(j, k, i): Q(-1)})
+                linear_rhs.append(Q(w[k]))
     for i in range(n):
         for j in range(i + 1, n):
             w = brackets[(i, j)]
@@ -153,21 +130,12 @@ def build_system(g):
             for r in range(n):
                 for s in range(n):
                     row = {}
-
-                    def add(v, c):
-                        if c:
-                            nv = row.get(v, Q(0)) + c
-                            if nv:
-                                row[v] = nv
-                            else:
-                                row.pop(v, None)
-
                     for k in range(n):
-                        add(var(k, r, s), Q(w[k]))
-                        add(var(j, k, s), -adi[r, k])
-                        add(var(j, r, k), adi[k, s])
-                        add(var(i, r, k), -adj[k, s])
-                        add(var(i, k, s), adj[r, k])
+                        _add_term(row, var(k, r, s), Q(w[k]))
+                        _add_term(row, var(j, k, s), -adi[r, k])
+                        _add_term(row, var(j, r, k), adi[k, s])
+                        _add_term(row, var(i, r, k), -adj[k, s])
+                        _add_term(row, var(i, k, s), adj[r, k])
                     rhs = -adw[r, s]
                     if row or rhs:
                         linear_rows.append(row)
@@ -183,12 +151,12 @@ def build_system(g):
                     poly = {}
                     for k in range(n):
                         m1 = _sorted_pair(var(i, r, k), var(j, k, s))
-                        _poly_add(poly, m1, Q(1))
+                        _add_term(poly, m1, Q(1))
                         m2 = _sorted_pair(var(j, r, k), var(i, k, s))
-                        _poly_add(poly, m2, Q(-1))
+                        _add_term(poly, m2, Q(-1))
                     for k in range(n):
                         if w[k]:
-                            _poly_add(poly, (var(k, r, s),), -Q(w[k]))
+                            _add_term(poly, (var(k, r, s),), -Q(w[k]))
                     if poly:
                         quadratics.append((("rep", i, j, r, s), poly))
                     poly = {}
@@ -217,13 +185,13 @@ def _sorted_pair(a, b):
 
 def _mul_shifted(poly, va, ca, vb, cb, sign):
     """Add sign * (x_va - ca) * (x_vb - cb) to the polynomial."""
-    _poly_add(poly, _sorted_pair(va, vb), sign)
+    _add_term(poly, _sorted_pair(va, vb), sign)
     if cb:
-        _poly_add(poly, (va,), -sign * cb)
+        _add_term(poly, (va,), -sign * cb)
     if ca:
-        _poly_add(poly, (vb,), -sign * ca)
+        _add_term(poly, (vb,), -sign * ca)
     if ca and cb:
-        _poly_add(poly, (), sign * ca * cb)
+        _add_term(poly, (), sign * ca * cb)
 
 
 class Certificate:
@@ -263,40 +231,31 @@ class Certificate:
         return "Certificate(%s%s)" % (self.verdict, ", %s" % extra if extra else "")
 
 
-def _affine_forms_with_offsets(system):
-    sol = solve_sparse(
-        system.linear_rows, system.linear_rhs, system.nvars, want_witness=True
-    )
-    if not sol.consistent:
-        return sol, None
-    return sol, sol.affine_forms()
-
-
 def _substitute(poly, forms):
     """Substitute affine forms (const, {param: coeff}) into a quadratic."""
     out = {}
     for mono, coeff in poly.items():
         if mono == ():
-            _poly_add(out, (), coeff)
+            _add_term(out, (), coeff)
         elif len(mono) == 1:
             c0, terms = forms[mono[0]]
-            _poly_add(out, (), coeff * c0)
+            _add_term(out, (), coeff * c0)
             for p, a in terms.items():
-                _poly_add(out, (p,), coeff * a)
+                _add_term(out, (p,), coeff * a)
         else:
             c1, t1 = forms[mono[0]]
             c2, t2 = forms[mono[1]]
             if c1 and c2:
-                _poly_add(out, (), coeff * c1 * c2)
+                _add_term(out, (), coeff * c1 * c2)
             if c2:
                 for p, a in t1.items():
-                    _poly_add(out, (p,), coeff * a * c2)
+                    _add_term(out, (p,), coeff * a * c2)
             if c1:
                 for p, a in t2.items():
-                    _poly_add(out, (p,), coeff * c1 * a)
+                    _add_term(out, (p,), coeff * c1 * a)
             for p, a in t1.items():
                 for q, b in t2.items():
-                    _poly_add(out, _sorted_pair(p, q), coeff * a * b)
+                    _add_term(out, _sorted_pair(p, q), coeff * a * b)
     return out
 
 
@@ -304,9 +263,10 @@ def residual_polynomials(system):
     """Substitute the canonical solution of the linear block into the
     quadratics. Returns (sparse solution, {quadratic index: residual poly})
     or (solution, None) if the linear block is inconsistent."""
-    sol, forms = _affine_forms_with_offsets(system)
-    if forms is None:
+    sol = solve_sparse(system.linear_rows, system.linear_rhs, system.nvars)
+    if not sol.consistent:
         return sol, None
+    forms = sol.affine_forms()
     residuals = {}
     for qi, poly in enumerate(system.quadratics):
         sub = _substitute(poly, forms)
@@ -319,45 +279,31 @@ def _eliminate_residuals(residuals, effort):
     """Gaussian elimination over the residual polynomials, treating each
     nonconstant monomial as a column. Returns ({quadratic index: coefficient},
     constant) for the first combination equal to a nonzero constant, or None.
-    The budget bounds the number of elimination pivots."""
-    pivot_rows = {}
+    The budget bounds the number of elimination pivots created.
+
+    Each residual goes through linalg._row_step alone: a new pivot is not
+    cleared from the earlier pivot rows, so the row step is not exact here
+    and a later pivot can overwrite an earlier one (see ROADMAP item 3).
+    """
+    pivot_rows, pivot_consts, pivot_combos = {}, {}, {}
     pivots_used = 0
     for qi in sorted(residuals):
         poly = residuals[qi]
-        work = {m: c for m, c in poly.items() if m != ()}
-        const = poly.get((), Q(0))
-        combo = {qi: Q(1)}
-        for m in sorted(set(work) & set(pivot_rows)):
-            f = work.get(m)
-            if not f:
-                continue
-            prow, pconst, pcombo = pivot_rows[m]
-            for mm, x in prow.items():
-                nx = work.get(mm, Q(0)) - f * x
-                if nx:
-                    work[mm] = nx
-                else:
-                    work.pop(mm, None)
-            const -= f * pconst
-            for ii, x in pcombo.items():
-                nx = combo.get(ii, Q(0)) - f * x
-                if nx:
-                    combo[ii] = nx
-                else:
-                    combo.pop(ii, None)
-        if not work:
+        m, work, const, combo = _row_step(
+            {mono: c for mono, c in poly.items() if mono != ()},
+            poly.get((), Q(0)),
+            {qi: Q(1)},
+            pivot_rows,
+            pivot_consts,
+            pivot_combos,
+        )
+        if m is None:
             if const != 0:
                 return combo, const
             continue
-        if pivots_used >= effort:
-            continue
-        m = min(work)
-        inv = 1 / work[m]
-        work = {mm: x * inv for mm, x in work.items()}
-        const *= inv
-        combo = {ii: x * inv for ii, x in combo.items()}
-        pivot_rows[m] = (work, const, combo)
-        pivots_used += 1
+        if pivots_used < effort:
+            pivot_rows[m], pivot_consts[m], pivot_combos[m] = work, const, combo
+            pivots_used += 1
     return None
 
 

@@ -39,7 +39,7 @@ from .products import (
     is_left_symmetric,
     is_novikov,
 )
-from .reduction import induced_nilpotent_extension
+from .reduction import NotNilpotentAlgebra, induced_nilpotent_extension
 from .rmatrix import PreconditionFailed, RMatrix, check_cybe, check_novbed, induced_product
 
 INPUT_ERRORS = (OSError, UnknownFixture, ValueError)
@@ -53,6 +53,7 @@ CONSTRUCTION_ERRORS = (
     NotTwoStepSolvable,
     NotAnIdeal,
     NotProductIdeal,
+    NotNilpotentAlgebra,
     PreconditionFailed,
 )
 

@@ -271,12 +271,6 @@ class SplitData:
         self.basis = Matrix.from_columns(columns)
         self.basis_inv = self.basis.inverse()
 
-    def to_split(self, v):
-        return self.basis_inv.apply(v)
-
-    def from_split(self, v):
-        return self.basis.apply(v)
-
     def transport_product(self, p):
         """Rewrite a product on split coordinates into original coordinates."""
         n = self.basis.rows

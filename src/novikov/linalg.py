@@ -2,13 +2,19 @@
 
 Everything is over Q via fractions.Fraction, so every comparison in the
 package is an exact equality; there are no tolerances anywhere. There is one
-elimination engine, solve_sparse: subspace bases, nullspaces, ranks and
-inverses all take their reduced echelon form from it.
+sparse elimination kernel: _add_term and _add_scaled accumulate into sparse
+dicts (dropping entries that cancel), and _row_step reduces and normalizes
+one row. solve_sparse is the row step plus clearing each new pivot from the
+earlier pivot rows; subspace bases, nullspaces, ranks and inverses all take
+their reduced echelon form from it. The certificate's residual elimination
+and every sparse row or polynomial build in the package use the same kernel.
 """
 
 from fractions import Fraction
 
 Q = Fraction
+
+_ZERO = Q(0)
 
 
 class DimensionMismatch(ValueError):
@@ -346,7 +352,7 @@ def solve_linear(a, b):
     """Solve a x = b exactly. See LinearSolution."""
     if a.rows != len(b):
         raise DimensionMismatch("rhs length does not match row count")
-    sol = solve_sparse(_sparse(a.data), [Q(x) for x in b], a.cols, want_witness=True)
+    sol = solve_sparse(_sparse(a.data), [Q(x) for x in b], a.cols)
     if not sol.consistent:
         witness = [Q(0)] * a.rows
         for i, c in sol.witness.items():
@@ -414,80 +420,96 @@ class SparseSolution:
         return forms
 
 
-def solve_sparse(rows, rhs, ncols, want_witness=False):
+def _add_term(acc, key, c):
+    """acc[key] += c, dropping the entry when it cancels."""
+    if c:
+        total = acc.get(key, _ZERO) + c
+        if total:
+            acc[key] = total
+        else:
+            acc.pop(key, None)
+
+
+def _add_scaled(acc, row, c):
+    """acc += c * row, entry by entry, for sparse dicts."""
+    for key, x in row.items():
+        _add_term(acc, key, c * x)
+
+
+def _row_step(row, val, combo, pivot_rows, pivot_vals, pivot_combos):
+    """Reduce one sparse row, then normalize it at its smallest column.
+
+    The row, its value and its provenance combination (None when untracked)
+    are reduced by the pivots the row holds on entry, in increasing order;
+    each stored pivot row has entry 1 at its pivot column. The result is
+    exact, with no pivot column left in the row, when the pivot rows are
+    reduced against each other: no pivot row has an entry at another pivot
+    column. The row and combination dicts are reduced in place. Returns
+    (pivot column, row, value, combination), with pivot column None and the
+    row empty when the row reduces to zero.
+    """
+    for p in sorted(set(row) & set(pivot_rows)):
+        f = row.get(p)
+        if not f:
+            continue
+        _add_scaled(row, pivot_rows[p], -f)
+        val -= f * pivot_vals[p]
+        if combo is not None:
+            _add_scaled(combo, pivot_combos[p], -f)
+    if not row:
+        return None, row, val, combo
+    p = min(row)
+    inv = 1 / row[p]
+    row = {j: x * inv for j, x in row.items()}
+    if combo is not None:
+        combo = {i: x * inv for i, x in combo.items()}
+    return p, row, val * inv, combo
+
+
+def solve_sparse(rows, rhs, ncols):
     """Echelonize a sparse system given as dicts {column: coefficient}.
 
-    rhs may be None for a homogeneous system. Returns a SparseSolution whose
-    pivot rows form a reduced echelon basis (pivot entry 1, pivot columns
-    cleared from all other rows); the pivot chosen for each new row is its
-    smallest remaining column, which makes the result canonical for a fixed
-    row order. If want_witness and the system is inconsistent, witness is a
-    sparse combination {original row index: coefficient} with
-    sum_i witness_i row_i = 0 and sum_i witness_i rhs_i != 0.
+    rhs may be None for a homogeneous system. Each row goes through the row
+    step (_row_step), and its new pivot column is then cleared from the
+    earlier pivot rows, so the pivot rows stay reduced against each other
+    and every row step is exact. The result is a SparseSolution whose pivot
+    rows form a reduced echelon basis (pivot entry 1, pivot columns cleared
+    from all other rows); the pivot chosen for each new row is its smallest
+    remaining column, which makes the result canonical for a fixed row
+    order. When rhs is given, each row's provenance is tracked, and if the
+    system is inconsistent the witness is a sparse combination
+    {original row index: coefficient} with sum_i witness_i row_i = 0 and
+    sum_i witness_i rhs_i != 0.
     """
     pivot_rows = {}
     pivot_rhs = {}
     pivot_combo = {}
     witness = None
     for idx, row in enumerate(rows):
-        work = dict(row)
-        val = rhs[idx] if rhs is not None else Q(0)
-        combo = {idx: Q(1)} if want_witness else None
-        # reduce by existing pivots
-        for p in sorted(set(work) & set(pivot_rows)):
-            f = work.get(p)
-            if not f:
-                continue
-            prow = pivot_rows[p]
-            for j, x in prow.items():
-                nx = work.get(j, Q(0)) - f * x
-                if nx:
-                    work[j] = nx
-                else:
-                    work.pop(j, None)
-            val -= f * pivot_rhs[p]
-            if want_witness:
-                pc = pivot_combo[p]
-                for i, x in pc.items():
-                    nx = combo.get(i, Q(0)) - f * x
-                    if nx:
-                        combo[i] = nx
-                    else:
-                        combo.pop(i, None)
-        if not work:
+        p, work, val, combo = _row_step(
+            dict(row),
+            _ZERO if rhs is None else rhs[idx],
+            None if rhs is None else {idx: Q(1)},
+            pivot_rows,
+            pivot_rhs,
+            pivot_combo,
+        )
+        if p is None:
             if val != 0 and witness is None:
-                witness = combo if want_witness else {}
+                witness = combo
             continue
-        p = min(work)
-        inv = 1 / work[p]
-        work = {j: x * inv for j, x in work.items()}
-        val *= inv
-        if want_witness:
-            combo = {i: x * inv for i, x in combo.items()}
-        # clear the new pivot column from previous pivot rows
+        # clear the new pivot column from the earlier pivot rows
         for q, qrow in pivot_rows.items():
             f = qrow.get(p)
             if f is None:
                 continue
-            for j, x in work.items():
-                nx = qrow.get(j, Q(0)) - f * x
-                if nx:
-                    qrow[j] = nx
-                else:
-                    qrow.pop(j, None)
+            _add_scaled(qrow, work, -f)
             pivot_rhs[q] -= f * val
-            if want_witness:
-                qc = pivot_combo[q]
-                for i, x in combo.items():
-                    nx = qc.get(i, Q(0)) - f * x
-                    if nx:
-                        qc[i] = nx
-                    else:
-                        qc.pop(i, None)
+            if combo is not None:
+                _add_scaled(pivot_combo[q], combo, -f)
         pivot_rows[p] = work
         pivot_rhs[p] = val
-        if want_witness:
-            pivot_combo[p] = combo
+        pivot_combo[p] = combo
     return SparseSolution(ncols, pivot_rows, pivot_rhs, witness)
 
 

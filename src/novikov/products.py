@@ -113,26 +113,8 @@ def is_left_symmetric(p):
     return Verdict(True)
 
 
-def _right_commute(p):
-    n = p.dim
-    rights = [p.right(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not commutator(rights[i], rights[j]).is_zero():
-                return Verdict(False, (i, j), "right-multiplications-commute")
-    return Verdict(True)
-
-
-def is_novikov(p):
-    """Left-symmetry plus (x*y)*z = (x*z)*y on all basis triples.
-
-    Decided by the triple scan alone. The equivalent operator formulation
-    (L a representation of the commutator algebra, commuting right
-    multiplications) is a differential test in the test suite.
-    """
-    lsa = is_left_symmetric(p)
-    if not lsa:
-        return lsa
+def _eq2(p):
+    """(x*y)*z = (x*z)*y on all basis triples, i.e. the R(e_i) commute."""
     n = p.dim
     e = [vunit(n, i) for i in range(n)]
     prod = {(i, j): p.basis_product(i, j) for i in range(n) for j in range(n)}
@@ -142,6 +124,19 @@ def is_novikov(p):
                 if p.apply(prod[(i, j)], e[k]) != p.apply(prod[(i, k)], e[j]):
                     return Verdict(False, (i, j, k), "eq-2")
     return Verdict(True)
+
+
+def is_novikov(p):
+    """Left-symmetry plus (x*y)*z = (x*z)*y on all basis triples.
+
+    Decided by the triple scans alone. The equivalent operator formulation
+    (L a representation of the commutator algebra, commuting right
+    multiplications) is a differential test in the test suite.
+    """
+    lsa = is_left_symmetric(p)
+    if not lsa:
+        return lsa
+    return _eq2(p)
 
 
 def is_compatible(p, g):
@@ -213,17 +208,19 @@ class Completeness:
 def is_complete(p):
     """Are all right multiplications R(x) nilpotent?
 
-    For a Novikov product the answer is exact: the R(e_i) commute, so the
-    whole family is simultaneously nilpotent iff each basis R(e_i) is.
-    For a merely left-symmetric product the basis elements plus 32
-    deterministic pseudo-random rational combinations are sampled.
+    Whether the R(e_i) commute is decided by the eq-2 triple scan that
+    is_novikov also runs ((x*y)*z = (x*z)*y on basis triples). If they
+    commute, as for every Novikov product, the answer is exact: the whole
+    family is simultaneously nilpotent iff each basis R(e_i) is. Otherwise
+    the basis elements plus 32 deterministic pseudo-random rational
+    combinations are sampled.
     """
     n = p.dim
     e = [vunit(n, i) for i in range(n)]
     for i in range(n):
         if not p.right(i).is_nilpotent():
             return Completeness(INCOMPLETE, e[i])
-    if _right_commute(p).ok:
+    if _eq2(p):
         return Completeness(COMPLETE)
     rng = random.Random(_HEURISTIC_SEED)
     for _ in range(_HEURISTIC_SAMPLES):

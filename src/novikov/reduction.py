@@ -23,6 +23,8 @@ from .linalg import (
     Matrix,
     Q,
     Subspace,
+    _add_term,
+    _sparse,
     is_zero_vec,
     nullspace_of_rows,
     scaled_sum,
@@ -74,9 +76,6 @@ class ModuleAction:
         self.b = b
         self.dim_v = dim_v
         self.action = action
-
-    def act_of(self, x):
-        return scaled_sum(zip(x, self.action), self.dim_v, self.dim_v)
 
     def row_module(self):
         """The dual action on row vectors, v -> -v phi(X)."""
@@ -193,11 +192,9 @@ def solve_coboundary_1(combo, b_matrices):
     rows = []
     rhs_entries = []
     for p in range(algebra.dim):
-        target = _vec_matrix(b_matrices[p])
-        for r, row in enumerate(combo.action[p].data):
-            rows.append({j: x for j, x in enumerate(row) if x != 0})
-            rhs_entries.append(target[r])
-    sol = solve_sparse(rows, rhs_entries, combo.dim_v, want_witness=True)
+        rows.extend(_sparse(combo.action[p].data))
+        rhs_entries.extend(_vec_matrix(b_matrices[p]))
+    sol = solve_sparse(rows, rhs_entries, combo.dim_v)
     if not sol.consistent:
         raise InconsistentCoboundary(
             "coboundary equation has no solution", witness=sol.witness
@@ -288,19 +285,13 @@ def induced_nilpotent_extension(ext):
             for r in range(n2):
                 row = {}
                 for c in range(n2):
-                    x = phi_0[p][r, c]
-                    if x:
-                        row[q * n2 + c] = row.get(q * n2 + c, Q(0)) + x
-                    y = phi_0[q][r, c]
-                    if y:
-                        row[p * n2 + c] = row.get(p * n2 + c, Q(0)) - y
+                    _add_term(row, q * n2 + c, phi_0[p][r, c])
+                    _add_term(row, p * n2 + c, -phi_0[q][r, c])
                 for k, c in enumerate(bracket):
-                    if c:
-                        row[k * n2 + r] = row.get(k * n2 + r, Q(0)) - c
-                row = {j: x for j, x in row.items() if x != 0}
+                    _add_term(row, k * n2 + r, -c)
                 rows.append(row)
                 rhs_entries.append(target[r])
-    sol = solve_sparse(rows, rhs_entries, m * n2, want_witness=True)
+    sol = solve_sparse(rows, rhs_entries, m * n2)
     if not sol.consistent:
         raise InconsistentCoboundary(
             "cocycle has no coboundary in the H^0-free part; input violates invariants",

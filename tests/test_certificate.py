@@ -166,11 +166,21 @@ def test_decide_deterministic():
     assert a.witness == b.witness and a.constant == b.constant
 
 
-def test_effort_zero_gives_undetermined():
+@pytest.mark.parametrize("effort", [0, 12])
+def test_effort_zero_gives_undetermined(effort):
+    # 13 pivots are needed on free-n2-c4; one fewer must not find the witness
     g = fx.free_n2_c4()
-    cert = decide_novikov(g, effort=0)
+    cert = decide_novikov(g, effort=effort)
     assert cert.verdict == UNDETERMINED
     assert not verify_certificate(g, cert)
+
+
+def test_effort_threshold_gives_frozen_certificate():
+    from novikov.laf import emit
+
+    with open(os.path.join(DATA, "free-n2-c4.lafc"), "r", encoding="utf-8") as fh:
+        frozen = fh.read()
+    assert emit(decide_novikov(fx.free_n2_c4(), effort=13)) == frozen
 
 
 def test_frozen_certificate_fixture():

@@ -157,6 +157,13 @@ def test_reduce_command(tmp_path, capsys):
     assert report["dim_a_nilpotent"] == 1 and report["dim_a_free"] == 1
     reduced = parse_file(out).payload
     assert reduced.dim_a == 1
+    # well-formed input whose acting algebra (r2) is not nilpotent: the
+    # reduction does not apply, which is exit 1, not malformed input
+    r2_path = str(tmp_path / "r2.lafe")
+    with open(r2_path, "w", encoding="utf-8") as fh:
+        fh.write("LAF-E 1\ndim-a 1\ndim-b 2\nphi 1 1 1 1\nb-bracket 1 2 2 1\n")
+    code, report = run(capsys, "reduce", "--ext", r2_path, "-o", str(tmp_path / "r.lafe"))
+    assert code == 1 and report["error"] == "NotNilpotentAlgebra"
 
 
 def test_decide_and_check_cert(tmp_path, capsys):

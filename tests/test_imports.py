@@ -1,4 +1,4 @@
-"""A guard against orphaned imports in the package modules."""
+"""Guards against orphaned imports and private functions in the package modules."""
 
 import ast
 import os
@@ -21,3 +21,17 @@ def test_every_imported_name_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, "imported but never used: %s" % unused
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_definition_is_used(module):
+    with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in private.items() if name not in used)
+    assert not unused, "private but never referenced in its module: %s" % unused

@@ -90,6 +90,15 @@ def test_heuristic_unknown_reachable():
     res = is_complete(p)
     assert res.kind == "heuristic-unknown"
     assert res.passes_nilpotency_checks
+    # the eq-2 scan shared by is_novikov and is_complete against the dense
+    # right multiplications (the Novikov corpus side is checked below)
+    for q in (p, fx.in_product(3)):
+        assert is_left_symmetric(q) and not is_novikov(q)
+        assert not all(
+            commutator(q.right(i), q.right(j)).is_zero()
+            for i in range(q.dim)
+            for j in range(q.dim)
+        )
 
 
 def test_derived_identities():
