@@ -48,6 +48,8 @@ EXISTS = "exists"
 NOT_EXISTS = "not-exists"
 UNDETERMINED = "undetermined"
 
+_ZERO, _ONE, _MINUS_ONE = Q(0), Q(1), Q(-1)
+
 
 class WitnessCheckFailed(RuntimeError):
     """A nonexistence witness found by decide_novikov failed re-verification."""
@@ -71,15 +73,14 @@ class PolySystem:
     constant), (v,) and (v1, v2) with v1 <= v2, each equated to zero.
     """
 
-    __slots__ = ("n", "nvars", "linear_rows", "linear_rhs", "quadratics", "labels")
+    __slots__ = ("n", "nvars", "linear_rows", "linear_rhs", "quadratics")
 
-    def __init__(self, n, linear_rows, linear_rhs, quadratics, labels):
+    def __init__(self, n, linear_rows, linear_rhs, quadratics):
         self.n = n
         self.nvars = n ** 3
         self.linear_rows = linear_rows
         self.linear_rhs = linear_rhs
         self.quadratics = quadratics
-        self.labels = labels
 
     def var_index(self, i, r, c):
         return (i * self.n + r) * self.n + c
@@ -103,95 +104,93 @@ def _combine(witness, polys):
 def build_system(g):
     """Instantiate the linear and quadratic blocks on all basis pairs.
 
-    Identically-zero equations are dropped, so every stored row is nonzero
-    (or is an outright contradiction 0 = c, kept on purpose).
+    The linear block is the n compatibility rows of each pair i < j, then the
+    operator rows (i, j, r, s); the quadratic block is the rep and then the
+    rr polynomial of each (i, j, r, s). Identically-zero operator rows are
+    dropped, so every stored row is nonzero (or is an outright contradiction
+    0 = c, kept on purpose). No rep or rr polynomial vanishes for n >= 2.
+
+    The bracket entries c(i, a, k) are read once and indexed three ways: by
+    pair (i, a), by ad(i) row ({k: c(i, k, r)} for row r) and by ad(i)
+    column ({k: c(i, s, k)} for column s). Each operator row, each right-hand
+    side and each linear or constant part of a quadratic is generated from
+    those nonzeros alone, in O(n^4 + nnz * n^2) over the whole system, so no
+    zero term is built and then dropped. The commutator part
+    sum_k x(i,r,k) x(j,k,s) - x(j,r,k) x(i,k,s), with coefficients +-1, takes
+    n terms per (i, j, r, s), O(n^5) in all. It is built once per
+    (i, j, r, s) and shared: rep adds -L([e_i, e_j])[r][s], and
+    rr = [L(e_i) - ad(e_i), L(e_j) - ad(e_j)][r][s] adds the ad terms of the
+    operator row and the constant [ad(e_i), ad(e_j)][r][s], which is
+    ad([e_i, e_j])[r][s] by the Jacobi identity.
     """
     n = g.dim
-    ads = [g.ad(i) for i in range(n)]
-    brackets = {
-        (i, j): g.bracket.basis_product(i, j) for i in range(n) for j in range(n)
-    }
-
-    def var(i, r, c):
-        return (i * n + r) * n + c
+    nn = n * n  # x(i, r, c) is variable i*nn + r*n + c
+    bracket = {}
+    ad_rows = [[{} for _ in range(n)] for _ in range(n)]
+    ad_cols = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, a, k), c in g.bracket.entries.items():
+        bracket.setdefault((i, a), {})[k] = c
+        ad_rows[i][k][a] = c
+        ad_cols[i][a][k] = c
 
     linear_rows, linear_rhs = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = brackets[(i, j)]
-            for k in range(n):
-                linear_rows.append({var(i, k, j): Q(1), var(j, k, i): Q(-1)})
-                linear_rhs.append(Q(w[k]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = brackets[(i, j)]
-            adw = g.ad_of(w)
-            adi, adj = ads[i], ads[j]
-            for r in range(n):
-                for s in range(n):
-                    row = {}
-                    for k in range(n):
-                        _add_term(row, var(k, r, s), Q(w[k]))
-                        _add_term(row, var(j, k, s), -adi[r, k])
-                        _add_term(row, var(j, r, k), adi[k, s])
-                        _add_term(row, var(i, r, k), -adj[k, s])
-                        _add_term(row, var(i, k, s), adj[r, k])
-                    rhs = -adw[r, s]
-                    if row or rhs:
-                        linear_rows.append(row)
-                        linear_rhs.append(rhs)
-
+    operator_rows, operator_rhs = [], []
     quadratics = []
     for i in range(n):
         for j in range(i + 1, n):
-            w = brackets[(i, j)]
-            adi, adj = ads[i], ads[j]
+            w = bracket.get((i, j), {})
+            for k in range(n):
+                linear_rows.append({(i * n + k) * n + j: _ONE, (j * n + k) * n + i: _MINUS_ONE})
+                linear_rhs.append(w.get(k, _ZERO))
+            adw = {}
+            for k, ck in w.items():
+                for s, col in enumerate(ad_cols[k]):
+                    for r, c in col.items():
+                        _add_term(adw, (r, s), ck * c)
             for r in range(n):
+                ir, jr = (i * n + r) * n, (j * n + r) * n
                 for s in range(n):
-                    poly = {}
+                    ad_terms = {}
+                    for k, c in ad_rows[i][r].items():
+                        _add_term(ad_terms, j * nn + k * n + s, -c)
+                    for k, c in ad_cols[i][s].items():
+                        _add_term(ad_terms, jr + k, c)
+                    for k, c in ad_cols[j][s].items():
+                        _add_term(ad_terms, ir + k, -c)
+                    for k, c in ad_rows[j][r].items():
+                        _add_term(ad_terms, i * nn + k * n + s, c)
+                    row = dict(ad_terms)
+                    for k, c in w.items():
+                        _add_term(row, k * nn + r * n + s, c)
+                    rhs = -adw.get((r, s), _ZERO)
+                    if row or rhs:
+                        operator_rows.append(row)
+                        operator_rhs.append(rhs)
+
+                    # i < j, so every variable of L(e_i) precedes every
+                    # variable of L(e_j) and each pair below is sorted; for
+                    # r == s the two k == r monomials coincide and cancel
+                    commutator = {}
                     for k in range(n):
-                        m1 = _sorted_pair(var(i, r, k), var(j, k, s))
-                        _add_term(poly, m1, Q(1))
-                        m2 = _sorted_pair(var(j, r, k), var(i, k, s))
-                        _add_term(poly, m2, Q(-1))
-                    for k in range(n):
-                        if w[k]:
-                            _add_term(poly, (var(k, r, s),), -Q(w[k]))
-                    if poly:
-                        quadratics.append((("rep", i, j, r, s), poly))
-                    poly = {}
-                    for k in range(n):
-                        _mul_shifted(
-                            poly,
-                            var(i, r, k), adi[r, k],
-                            var(j, k, s), adj[k, s],
-                            Q(1),
-                        )
-                        _mul_shifted(
-                            poly,
-                            var(j, r, k), adj[r, k],
-                            var(i, k, s), adi[k, s],
-                            Q(-1),
-                        )
-                    if poly:
-                        quadratics.append((("rr", i, j, r, s), poly))
-    labels = [lab for lab, _ in quadratics]
-    return PolySystem(n, linear_rows, linear_rhs, [p for _, p in quadratics], labels)
+                        if r == s == k:
+                            continue
+                        commutator[(ir + k, j * nn + k * n + s)] = _ONE
+                        commutator[(i * nn + k * n + s, jr + k)] = _MINUS_ONE
+                    rep = dict(commutator)
+                    for k, c in w.items():
+                        rep[(k * nn + r * n + s,)] = -c
+                    rr = commutator
+                    for v, c in ad_terms.items():
+                        rr[(v,)] = c
+                    if (r, s) in adw:
+                        rr[()] = adw[(r, s)]
+                    quadratics.append(rep)
+                    quadratics.append(rr)
+    return PolySystem(n, linear_rows + operator_rows, linear_rhs + operator_rhs, quadratics)
 
 
 def _sorted_pair(a, b):
     return (a, b) if a <= b else (b, a)
-
-
-def _mul_shifted(poly, va, ca, vb, cb, sign):
-    """Add sign * (x_va - ca) * (x_vb - cb) to the polynomial."""
-    _add_term(poly, _sorted_pair(va, vb), sign)
-    if cb:
-        _add_term(poly, (va,), -sign * cb)
-    if ca:
-        _add_term(poly, (vb,), -sign * ca)
-    if ca and cb:
-        _add_term(poly, (), sign * ca * cb)
 
 
 class Certificate:

@@ -80,7 +80,7 @@ def _lines(text):
 
 # The grammar's index and count, in ASCII digits only.
 _INDEX = re.compile(r"[1-9][0-9]*")
-_COUNT = re.compile(r"[0-9]+")
+_COUNT = re.compile(r"0|[1-9][0-9]*")
 
 
 def _int(fields, pos, line, count=False):

@@ -52,7 +52,7 @@ def vscale(c, u):
 
 
 def vdot(u, v):
-    return sum((a * b for a, b in zip(u, v)), Q(0))
+    return sum((a * b for a, b in zip(u, v) if a and b), _ZERO)
 
 
 def is_zero_vec(u):

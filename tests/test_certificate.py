@@ -1,3 +1,4 @@
+import hashlib
 import os
 from fractions import Fraction as Q
 
@@ -17,10 +18,17 @@ from novikov.certificate import (
     residual_polynomials,
     verify_certificate,
 )
+from novikov.extensions import assemble
 from novikov.laf import parse_file
+from novikov.linalg import _add_term
 from novikov.products import is_compatible, is_novikov
 
-from randalg import random_two_step_nilpotent, rng_for
+from randalg import (
+    random_mixed_extension,
+    random_regular_jordan_extension,
+    random_two_step_nilpotent,
+    rng_for,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -71,6 +79,112 @@ def test_build_system_free_n2_c4_counts():
     assert len(residuals) == 40
 
 
+def dense_build_system(g):
+    """Reference builder: every equation instantiated from the dense ad
+    matrices, one term per k, zeros included."""
+    n = g.dim
+    ads = [g.ad(i) for i in range(n)]
+
+    def var(i, r, c):
+        return (i * n + r) * n + c
+
+    def pair(a, b):
+        return (a, b) if a <= b else (b, a)
+
+    def shifted(poly, va, ca, vb, cb, sign):
+        # sign * (x_va - ca) * (x_vb - cb)
+        _add_term(poly, pair(va, vb), sign)
+        _add_term(poly, (va,), -sign * cb)
+        _add_term(poly, (vb,), -sign * ca)
+        _add_term(poly, (), sign * ca * cb)
+
+    rows, rhs, quadratics = [], [], []
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in pairs:
+        w = g.bracket.basis_product(i, j)
+        for k in range(n):
+            rows.append({var(i, k, j): Q(1), var(j, k, i): Q(-1)})
+            rhs.append(Q(w[k]))
+    for i, j in pairs:
+        w = g.bracket.basis_product(i, j)
+        adw, adi, adj = g.ad_of(w), ads[i], ads[j]
+        for r in range(n):
+            for s in range(n):
+                row = {}
+                for k in range(n):
+                    _add_term(row, var(k, r, s), Q(w[k]))
+                    _add_term(row, var(j, k, s), -adi[r, k])
+                    _add_term(row, var(j, r, k), adi[k, s])
+                    _add_term(row, var(i, r, k), -adj[k, s])
+                    _add_term(row, var(i, k, s), adj[r, k])
+                if row or adw[r, s]:
+                    rows.append(row)
+                    rhs.append(-adw[r, s])
+                rep, rr = {}, {}
+                for k in range(n):
+                    _add_term(rep, pair(var(i, r, k), var(j, k, s)), Q(1))
+                    _add_term(rep, pair(var(j, r, k), var(i, k, s)), Q(-1))
+                    _add_term(rep, (var(k, r, s),), -Q(w[k]))
+                    shifted(rr, var(i, r, k), adi[r, k], var(j, k, s), adj[k, s], Q(1))
+                    shifted(rr, var(j, r, k), adj[r, k], var(i, k, s), adi[k, s], Q(-1))
+                quadratics.extend(p for p in (rep, rr) if p)
+    return rows, rhs, quadratics
+
+
+def _system_digest(system):
+    h = hashlib.sha256()
+    for row, rhs in zip(system.linear_rows, system.linear_rhs):
+        terms = " ".join("%d:%s" % t for t in sorted(row.items()))
+        h.update(("L %s = %s\n" % (terms, rhs)).encode())
+    for poly in system.quadratics:
+        terms = " ".join("%s:%s" % (",".join(map(str, m)), c) for m, c in sorted(poly.items()))
+        h.update(("Q %s\n" % terms).encode())
+    return h.hexdigest()
+
+
+def _differential_corpus():
+    names = ["n3", "r2", "r3", "sl2", "ex35", "free-n2-c4", "abelian:3",
+             "r3-lambda:-1", "r3-lambda:-1/2", "r3-lambda:2"]
+    names += ["filiform:3", "filiform:5", "filiform:8", "In:2", "In:4", "In:8"]
+    for name in names:
+        yield name, fx.fixture(name)
+    for index in range(4):
+        yield "two-step-%d" % index, random_two_step_nilpotent(rng_for("build-system", index))
+    for index in range(3):
+        rng = rng_for("build-system-jordan", index)
+        yield "jordan-%d" % index, assemble(random_regular_jordan_extension(rng, index))
+    for index in range(3):
+        rng = rng_for("build-system-mixed", index)
+        yield "mixed-%d" % index, assemble(random_mixed_extension(rng))
+
+
+def test_build_system_matches_dense_reference():
+    # the sparse builder must produce exactly the dense reference's rows,
+    # right-hand sides and quadratics, in the same order, all as Fractions:
+    # an int coefficient would compare equal but turn 1 / row[p] into a float
+    for name, g in _differential_corpus():
+        assert g.dim <= 8, name
+        system = build_system(g)
+        rows, rhs, quadratics = dense_build_system(g)
+        assert system.linear_rows == rows, name
+        assert system.linear_rhs == rhs, name
+        assert system.quadratics == quadratics, name
+        coefficients = list(system.linear_rhs)
+        coefficients += [c for row in system.linear_rows for c in row.values()]
+        coefficients += [c for poly in system.quadratics for c in poly.values()]
+        assert all(type(c) is Q for c in coefficients), name
+
+
+def test_build_system_free_n3_c3_digest():
+    # recorded from the dense builder; guards every row, right-hand side and
+    # quadratic of the largest system, in order
+    system = build_system(fx.free_n3_c3())
+    assert (len(system.linear_rows), len(system.quadratics)) == (8670, 35672)
+    assert _system_digest(system) == (
+        "0caa704fb832688328dcdf040779f2eafa9c7a7263c1594dc9f10222ab50197a"
+    )
+
+
 def test_known_products_satisfy_their_systems():
     cases = [
         (fx.free_n3_c3(), fx.free_n3_c3_product()),
@@ -99,7 +213,7 @@ def test_known_products_satisfy_their_systems():
 def test_product_from_solution_round_trip():
     # the linear-system constructor reads its product off the L(e_i) entries
     for p in [fx.ex35_product(), fx.free_n3_c3_product(), fx.in_novikov_product(3)]:
-        system = certificate.PolySystem(p.dim, [], [], [], [])
+        system = certificate.PolySystem(p.dim, [], [], [])
         values = [Q(0)] * system.nvars
         for i in range(p.dim):
             left = p.left(i)

@@ -225,6 +225,8 @@ REJECTED = [
     ("laf-underscore-index", "LAF 1\ndim 12\nbracket 1_0 11 1 1\n", 3),
     ("laf-non-ascii-index", "LAF 1\ndim 2\nbracket \u0661 2 2 1\n", 3),
     ("laf-c-signed-residuals", _UNDETERMINED + "residuals +1 2\n", 4),
+    ("laf-leading-zero-count", "LAF 1\ndim 02\nbracket 1 2 2 1\n", 2),
+    ("laf-c-leading-zero-residuals", _UNDETERMINED + "residuals 007 1\n", 4),
     ("laf-c-exists-constant", _EXISTS + "constant 5\n", 5),
     ("laf-c-exists-witness-kind", _CERT + "verdict exists\nwitness-kind linear\ndim 2\n", 4),
     ("laf-c-not-exists-dim", _NOT_EXISTS + "coeff 1 1\nconstant 1\ndim 2\n", 7),
