@@ -261,13 +261,20 @@ def _substitute(poly, forms):
 def residual_polynomials(system):
     """Substitute the canonical solution of the linear block into the
     quadratics. Returns (sparse solution, {quadratic index: residual poly})
-    or (solution, None) if the linear block is inconsistent."""
+    or (solution, None) if the linear block is inconsistent.
+
+    A variable is live when its affine form is not (0, {}). A quadratic none
+    of whose monomials has all its variables live (the constant monomial
+    () always does) substitutes to zero, so it is skipped unexpanded."""
     sol = solve_sparse(system.linear_rows, system.linear_rhs, system.nvars)
     if not sol.consistent:
         return sol, None
     forms = sol.affine_forms()
+    live = {v for v, (c, terms) in enumerate(forms) if c or terms}
     residuals = {}
     for qi, poly in enumerate(system.quadratics):
+        if not any(map(live.issuperset, poly)):
+            continue
         sub = _substitute(poly, forms)
         if sub:
             residuals[qi] = sub
@@ -282,7 +289,8 @@ def _eliminate_residuals(residuals, effort):
 
     Each residual goes through linalg._row_step alone: a new pivot is not
     cleared from the earlier pivot rows, so the row step is not exact here
-    and a later pivot can overwrite an earlier one (see ROADMAP item 3).
+    and a later pivot can overwrite an earlier one (see ROADMAP item 1,
+    step 2).
     """
     pivot_rows, pivot_consts, pivot_combos = {}, {}, {}
     pivots_used = 0

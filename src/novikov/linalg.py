@@ -5,8 +5,10 @@ package is an exact equality; there are no tolerances anywhere. There is one
 sparse elimination kernel: _add_term and _add_scaled accumulate into sparse
 dicts (dropping entries that cancel), and _row_step reduces and normalizes
 one row. solve_sparse is the row step plus clearing each new pivot from the
-earlier pivot rows; subspace bases, nullspaces, ranks and inverses all take
-their reduced echelon form from it. The certificate's residual elimination
+earlier pivot rows that hold it, found through a column index; it tracks
+row provenance only in a second pass, run when the system is inconsistent,
+to build the witness. Subspace bases, nullspaces, ranks and inverses all
+take their reduced echelon form from it. The certificate's residual elimination
 and every sparse row or polynomial build in the package use the same kernel.
 """
 
@@ -132,10 +134,17 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch("matrix product shape mismatch")
-            bt = other.transpose().data
-            return Matrix(
-                [[vdot(r, c) for c in bt] for r in self.data], cols=other.cols
-            )
+            # row i of the product sums a * (row k of other) over a = self[i, k] != 0
+            nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+            product = []
+            for row in self.data:
+                acc = [_ZERO] * other.cols
+                for a, terms in zip(row, nonzeros):
+                    if a:
+                        for j, b in terms:
+                            acc[j] += a * b
+                product.append(acc)
+            return Matrix(product, cols=other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -161,7 +170,7 @@ class Matrix:
         return tuple(vdot(r, v) for r in self.data)
 
     def transpose(self):
-        return Matrix(list(zip(*self.data)) if self.data else [], cols=self.rows)
+        return Matrix(list(zip(*self.data)) if self.data else [()] * self.cols, cols=self.rows)
 
     def trace(self):
         return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), Q(0))
@@ -448,7 +457,7 @@ def _row_step(row, val, combo, pivot_rows, pivot_vals, pivot_combos):
     (pivot column, row, value, combination), with pivot column None and the
     row empty when the row reduces to zero.
     """
-    for p in sorted(set(row) & set(pivot_rows)):
+    for p in sorted([c for c in row if c in pivot_rows]):
         f = row.get(p)
         if not f:
             continue
@@ -466,50 +475,58 @@ def _row_step(row, val, combo, pivot_rows, pivot_vals, pivot_combos):
     return p, row, val * inv, combo
 
 
+def _echelon(rows, rhs, track):
+    """Run solve_sparse's elimination, carrying row combinations only when
+    track is true. Returns (pivot rows, pivot values, index of the first row
+    that reduces to 0 = c != 0 or None, that row's combination)."""
+    pivot_rows, pivot_rhs, pivot_combo = {}, {}, {}
+    holders = {}  # column -> the pivot columns whose rows have an entry there
+    bad = witness = None
+    for idx, row in enumerate(rows):
+        val = _ZERO if rhs is None else rhs[idx]
+        combo = {idx: Q(1)} if track else None
+        p, work, val, combo = _row_step(dict(row), val, combo, pivot_rows, pivot_rhs, pivot_combo)
+        if p is None:
+            if val != 0 and bad is None:
+                bad, witness = idx, combo
+            continue
+        for q in holders.pop(p, ()):
+            qrow = pivot_rows[q]
+            f = qrow[p]
+            _add_scaled(qrow, work, -f)
+            pivot_rhs[q] -= f * val
+            if track:
+                _add_scaled(pivot_combo[q], combo, -f)
+            for c in work:
+                if c in qrow:
+                    holders.setdefault(c, set()).add(q)
+                elif c in holders:
+                    holders[c].discard(q)
+        for c in work:
+            if c != p:
+                holders.setdefault(c, set()).add(p)
+        pivot_rows[p], pivot_rhs[p], pivot_combo[p] = work, val, combo
+    return pivot_rows, pivot_rhs, bad, witness
+
+
 def solve_sparse(rows, rhs, ncols):
-    """Echelonize a sparse system given as dicts {column: coefficient}.
+    """Echelonize a sparse system given as a list of dicts {column: coefficient}.
 
     rhs may be None for a homogeneous system. Each row goes through the row
     step (_row_step), and its new pivot column is then cleared from the
-    earlier pivot rows, so the pivot rows stay reduced against each other
-    and every row step is exact. The result is a SparseSolution whose pivot
-    rows form a reduced echelon basis (pivot entry 1, pivot columns cleared
-    from all other rows); the pivot chosen for each new row is its smallest
-    remaining column, which makes the result canonical for a fixed row
-    order. When rhs is given, each row's provenance is tracked, and if the
-    system is inconsistent the witness is a sparse combination
-    {original row index: coefficient} with sum_i witness_i row_i = 0 and
-    sum_i witness_i rhs_i != 0.
+    earlier pivot rows that hold it, found through a column index, so the
+    pivot rows stay reduced against each other and every row step is exact.
+    The result is a SparseSolution whose pivot rows form a reduced echelon
+    basis (pivot entry 1, pivot columns cleared from all other rows); the
+    pivot chosen for each new row is its smallest remaining column, which
+    makes the result canonical for a fixed row order. Provenance is tracked
+    only if some row reduces to 0 = c != 0: the rows up to the first such
+    row are then eliminated again with it, and the witness is that row's
+    sparse combination {original row index: coefficient}, with
+    sum_i witness_i row_i = 0 and sum_i witness_i rhs_i != 0.
     """
-    pivot_rows = {}
-    pivot_rhs = {}
-    pivot_combo = {}
-    witness = None
-    for idx, row in enumerate(rows):
-        p, work, val, combo = _row_step(
-            dict(row),
-            _ZERO if rhs is None else rhs[idx],
-            None if rhs is None else {idx: Q(1)},
-            pivot_rows,
-            pivot_rhs,
-            pivot_combo,
-        )
-        if p is None:
-            if val != 0 and witness is None:
-                witness = combo
-            continue
-        # clear the new pivot column from the earlier pivot rows
-        for q, qrow in pivot_rows.items():
-            f = qrow.get(p)
-            if f is None:
-                continue
-            _add_scaled(qrow, work, -f)
-            pivot_rhs[q] -= f * val
-            if combo is not None:
-                _add_scaled(pivot_combo[q], combo, -f)
-        pivot_rows[p] = work
-        pivot_rhs[p] = val
-        pivot_combo[p] = combo
+    pivot_rows, pivot_rhs, bad, _ = _echelon(rows, rhs, False)
+    witness = None if bad is None else _echelon(rows[: bad + 1], rhs, True)[3]
     return SparseSolution(ncols, pivot_rows, pivot_rhs, witness)
 
 

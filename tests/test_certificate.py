@@ -142,19 +142,21 @@ def _system_digest(system):
     return h.hexdigest()
 
 
-def _differential_corpus():
+def _differential_corpus(tag="build-system"):
+    """The fixtures of dimension <= 8 with representatives of the parametric
+    families, then ten random algebras drawn under tag."""
     names = ["n3", "r2", "r3", "sl2", "ex35", "free-n2-c4", "abelian:3",
              "r3-lambda:-1", "r3-lambda:-1/2", "r3-lambda:2"]
     names += ["filiform:3", "filiform:5", "filiform:8", "In:2", "In:4", "In:8"]
     for name in names:
         yield name, fx.fixture(name)
     for index in range(4):
-        yield "two-step-%d" % index, random_two_step_nilpotent(rng_for("build-system", index))
+        yield "two-step-%d" % index, random_two_step_nilpotent(rng_for(tag, index))
     for index in range(3):
-        rng = rng_for("build-system-jordan", index)
+        rng = rng_for(tag + "-jordan", index)
         yield "jordan-%d" % index, assemble(random_regular_jordan_extension(rng, index))
     for index in range(3):
-        rng = rng_for("build-system-mixed", index)
+        rng = rng_for(tag + "-mixed", index)
         yield "mixed-%d" % index, assemble(random_mixed_extension(rng))
 
 
@@ -182,6 +184,63 @@ def test_build_system_free_n3_c3_digest():
     assert (len(system.linear_rows), len(system.quadratics)) == (8670, 35672)
     assert _system_digest(system) == (
         "0caa704fb832688328dcdf040779f2eafa9c7a7263c1594dc9f10222ab50197a"
+    )
+
+
+def reference_residuals(system, sol):
+    """Reference substitution of the solution sol of system's linear block:
+    every quadratic expanded, none skipped."""
+    forms = sol.affine_forms()
+    residuals = {}
+    for qi, poly in enumerate(system.quadratics):
+        sub = certificate._substitute(poly, forms)
+        if sub:
+            residuals[qi] = sub
+    return residuals
+
+
+def _residual_digest(residuals):
+    h = hashlib.sha256()
+    for qi in sorted(residuals):
+        terms = " ".join(
+            "%s:%s" % (",".join(map(str, m)), c) for m, c in sorted(residuals[qi].items())
+        )
+        h.update(("R %d %s\n" % (qi, terms)).encode())
+    return h.hexdigest()
+
+
+def test_residuals_match_unfiltered_substitution():
+    # skipping the quadratics with no live monomial must not change a residual,
+    # its terms or their order; the random algebras are drawn apart from the
+    # builder's, one of which takes 20 s per substitution pass
+    inconsistent = 0
+    for name, g in _differential_corpus("residuals"):
+        assert g.dim <= 8, name
+        system = build_system(g)
+        sol, residuals = residual_polynomials(system)
+        if not sol.consistent:
+            inconsistent += 1
+            assert residuals is None, name
+            continue
+        expected = reference_residuals(system, sol)
+        assert [(qi, list(r.items())) for qi, r in residuals.items()] == [
+            (qi, list(r.items())) for qi, r in expected.items()
+        ], name
+    assert inconsistent >= 1
+    # x0 = 0 kills every monomial of x0, but a constant term always survives
+    system = certificate.PolySystem(1, [{0: Q(1)}], [Q(0)], [
+        {(): Q(1), (0,): Q(2)}, {(0, 0): Q(1)}, {(0,): Q(3)},
+    ])
+    sol, residuals = residual_polynomials(system)
+    assert residuals == reference_residuals(system, sol) == {0: {(): Q(1)}}
+
+
+def test_residuals_free_n3_c3_digest():
+    # recorded from the unfiltered substitution
+    _, residuals = residual_polynomials(build_system(fx.free_n3_c3()))
+    assert len(residuals) == 144
+    assert _residual_digest(residuals) == (
+        "fa026cd31b520e1de277f08ea98faa2d60fca44ba59e645b3cfaa97137ecb36a"
     )
 
 

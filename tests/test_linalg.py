@@ -2,17 +2,21 @@ import random
 
 import pytest
 
+from novikov import fixtures as fx
+from novikov.certificate import build_system
 from novikov.linalg import (
     Matrix,
     NotRegularNilpotent,
     Q,
     Subspace,
+    _add_scaled,
     is_zero_vec,
     jordan_block,
     nilpotent_regular_basis,
     nullspace,
     scaled_sum,
     solve_linear,
+    solve_sparse,
     vadd,
     vdot,
     vscale,
@@ -216,3 +220,129 @@ def test_scaled_sum_and_unit_vectors():
     assert scaled_sum([], 2, 3) == Matrix.zeros(2, 3)
     assert vunit(3, 1) == (0, 1, 0)
     assert Matrix.identity(3).column(2) == vunit(3, 2)
+
+
+def reference_solve_sparse(rows, rhs):
+    """Eager-provenance Gauss-Jordan: every row carries its combination, and
+    each new pivot is cleared by scanning every earlier pivot row.
+    Returns (pivot rows, pivot values, witness)."""
+    pivot_rows, pivot_rhs, pivot_combo = {}, {}, {}
+    witness = None
+    for idx, row in enumerate(rows):
+        work = dict(row)
+        val = Q(0) if rhs is None else rhs[idx]
+        combo = None if rhs is None else {idx: Q(1)}
+        for p in sorted(set(work) & set(pivot_rows)):
+            f = work.get(p)
+            if not f:
+                continue
+            _add_scaled(work, pivot_rows[p], -f)
+            val -= f * pivot_rhs[p]
+            if combo is not None:
+                _add_scaled(combo, pivot_combo[p], -f)
+        if not work:
+            if val != 0 and witness is None:
+                witness = combo
+            continue
+        p = min(work)
+        inv = 1 / work[p]
+        work = {j: x * inv for j, x in work.items()}
+        val *= inv
+        if combo is not None:
+            combo = {i: x * inv for i, x in combo.items()}
+        for q, qrow in pivot_rows.items():
+            f = qrow.get(p)
+            if f is None:
+                continue
+            _add_scaled(qrow, work, -f)
+            pivot_rhs[q] -= f * val
+            if combo is not None:
+                _add_scaled(pivot_combo[q], combo, -f)
+        pivot_rows[p] = work
+        pivot_rhs[p] = val
+        pivot_combo[p] = combo
+    return pivot_rows, pivot_rhs, witness
+
+
+def _random_sparse_system(rng):
+    """Sparse rows over a few columns; some systems repeat a combination of
+    earlier rows with its right-hand side shifted, which makes them
+    inconsistent."""
+    ncols = rng.randint(1, 8)
+    rows, rhs = [], []
+    for _ in range(rng.randint(1, 10)):
+        row = {j: Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+               for j in range(ncols) if rng.random() < 0.3}
+        rows.append(row)
+        rhs.append(Q(rng.randint(-3, 3)))
+    if rng.random() < 0.4:
+        combo, shift = {}, Q(rng.choice((-1, 1, 2)))
+        value = shift
+        for i in rng.sample(range(len(rows)), min(len(rows), 2)):
+            c = Q(rng.randint(1, 3))
+            _add_scaled(combo, rows[i], c)
+            value += c * rhs[i]
+        at = rng.randint(0, len(rows))
+        rows.insert(at, combo)
+        rhs.insert(at, value)
+    return rows, rhs, ncols
+
+
+def _assert_matches_reference(rows, rhs, ncols, label):
+    sol = solve_sparse(rows, rhs, ncols)
+    pivot_rows, pivot_rhs, witness = reference_solve_sparse(rows, rhs)
+    assert list(sol.pivot_rows.items()) == list(pivot_rows.items()), label
+    assert sol.pivot_rows == pivot_rows and sol.pivot_rhs == pivot_rhs, label
+    assert sol.witness == witness, label
+    return witness is not None
+
+
+def test_solve_sparse_matches_eager_reference():
+    # the column index and the witness pass must give the reference's pivot
+    # rows, values and witness exactly
+    for name in ["sl2", "ex35", "free-n2-c4"]:
+        system = build_system(fx.fixture(name))
+        inconsistent = _assert_matches_reference(
+            system.linear_rows, system.linear_rhs, system.nvars, name
+        )
+        assert inconsistent == (name == "sl2"), name
+    rng = random.Random(29)
+    inconsistent = 0
+    for index in range(60):
+        rows, rhs, ncols = _random_sparse_system(rng)
+        inconsistent += _assert_matches_reference(rows, rhs, ncols, index)
+        _assert_matches_reference(rows, None, ncols, index)
+    assert inconsistent >= 10
+
+
+def _random_sparse_matrix(rng, rows, cols):
+    data = [[Q(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.3 else Q(0)
+             for _ in range(cols)] for _ in range(rows)]
+    return Matrix(data, cols=cols)
+
+
+def test_matmul_matches_vdot_reference():
+    # each entry of the product is the row-by-column dot product
+    rng = random.Random(17)
+    for _ in range(40):
+        rows, inner, cols = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = _random_sparse_matrix(rng, rows, inner)
+        b = _random_sparse_matrix(rng, inner, cols)
+        product = a * b
+        assert (product.rows, product.cols) == (rows, cols)
+        assert product.data == tuple(
+            tuple(vdot(a.data[i], b.column(j)) for j in range(cols)) for i in range(rows)
+        )
+        assert all(type(x) is Q for row in product.data for x in row)
+
+
+def test_shapes_with_a_zero_dimension():
+    empty_rows = Matrix([], cols=3)
+    assert (empty_rows.rows, empty_rows.cols) == (0, 3)
+    t = empty_rows.transpose()
+    assert (t.rows, t.cols) == (3, 0)
+    t = Matrix([[], []]).transpose()
+    assert (t.rows, t.cols) == (0, 2)
+    assert Matrix([[], []]) * empty_rows == Matrix.zeros(2, 3)
+    product = empty_rows * Matrix.zeros(3, 2)
+    assert (product.rows, product.cols) == (0, 2)
