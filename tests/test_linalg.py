@@ -276,8 +276,7 @@ def _random_sparse_system(rng):
         rows.append(row)
         rhs.append(Q(rng.randint(-3, 3)))
     if rng.random() < 0.4:
-        combo, shift = {}, Q(rng.choice((-1, 1, 2)))
-        value = shift
+        combo, value = {}, Q(rng.choice((-1, 1, 2)))
         for i in rng.sample(range(len(rows)), min(len(rows), 2)):
             c = Q(rng.randint(1, 3))
             _add_scaled(combo, rows[i], c)
@@ -292,8 +291,7 @@ def _assert_matches_reference(rows, rhs, ncols, label):
     sol = solve_sparse(rows, rhs, ncols)
     pivot_rows, pivot_rhs, witness = reference_solve_sparse(rows, rhs)
     assert list(sol.pivot_rows.items()) == list(pivot_rows.items()), label
-    assert sol.pivot_rows == pivot_rows and sol.pivot_rhs == pivot_rhs, label
-    assert sol.witness == witness, label
+    assert sol.pivot_rhs == pivot_rhs and sol.witness == witness, label
     return witness is not None
 
 
