@@ -13,7 +13,7 @@ Each lift is decided by one of the two systems; that they agree where both
 apply is a differential test in the test suite.
 """
 
-from .lie import StructureTensor, complement_basis, quotient_tensor, validate_lie
+from .lie import StructureTensor, quotient_tensor, validate_lie
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -28,7 +28,7 @@ from .linalg import (
     vunit,
     vzero,
 )
-from .products import AlgebraProduct, Verdict, is_compatible, is_left_symmetric
+from .products import AlgebraProduct, Verdict, _eq2, is_compatible, is_left_symmetric
 
 
 class InvariantViolation(ValueError):
@@ -290,7 +290,7 @@ def two_step_solvable_from(g):
     series = g.derived_series()
     derived = series[1] if len(series) > 1 else series[-1]
     n = derived.dim
-    section = complement_basis(derived)
+    section = derived.complement()
     m = len(section)
     split = SplitData(derived.basis, section, g.dim)
     # in the split basis a = [g, g] comes first, so phi_p is the a x a block of
@@ -494,13 +494,10 @@ def _check_novikov_extra(ext, lift):
                     x_op[r].apply(ea[i]), ea[j]
                 ):
                     return Verdict(False, (r, i, j), "eq-19")
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                lhs = bprod.apply(bprod.basis_product(p, q), eb[r])
-                rhs = bprod.apply(bprod.basis_product(p, r), eb[q])
-                if lhs != rhs:
-                    return Verdict(False, (p, q, r), "eq-20")
+    # eq-20 is the eq-2 scan of the b-product
+    eq20 = _eq2(bprod)
+    if not eq20:
+        return Verdict(False, eq20.witness, "eq-20")
     return Verdict(True)
 
 

@@ -306,24 +306,6 @@ def lower_central_series(g):
     return g.lower_central_series()
 
 
-def complement_basis(subspace):
-    """Lexicographically earliest standard basis vectors completing the subspace.
-
-    Returns the list of chosen coordinate indices.
-    """
-    n = subspace.ambient_dim
-    chosen = []
-    span = subspace
-    for j in range(n):
-        if span.dim == n:
-            break
-        ej = vunit(n, j)
-        if not span.contains(ej):
-            chosen.append(j)
-            span = span + Subspace(n, [ej])
-    return chosen
-
-
 def quotient_tensor(tensor, subspace):
     """The product a tensor induces on Q^n modulo a two-sided ideal.
 
@@ -333,7 +315,7 @@ def quotient_tensor(tensor, subspace):
     caller checks that the subspace is an ideal.
     """
     n = subspace.ambient_dim
-    comp = complement_basis(subspace)
+    comp = subspace.complement()
     minv = Matrix.from_columns(
         [list(v) for v in subspace.basis] + [list(vunit(n, j)) for j in comp]
     ).inverse()

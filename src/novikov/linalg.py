@@ -8,8 +8,11 @@ one row. solve_sparse is the row step plus clearing each new pivot from the
 earlier pivot rows that hold it, found through a column index; it tracks
 row provenance only in a second pass, run when the system is inconsistent,
 to build the witness. Subspace bases, nullspaces, ranks and inverses all
-take their reduced echelon form from it. The certificate's residual elimination
-and every sparse row or polynomial build in the package use the same kernel.
+take their reduced echelon form from it. Subspace membership and coordinates
+are the row step against a subspace's echelon rows, and its complement is
+one echelon pass over the basis with the columns reversed. The certificate's
+residual elimination and every sparse row or polynomial build in the package
+use the same kernel.
 """
 
 from fractions import Fraction
@@ -229,21 +232,22 @@ class Subspace:
     Equality of subspaces is a syntactic comparison of the stored bases.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_echelon")
 
     def __init__(self, ambient_dim, vectors=()):
         vectors = [tuple(v) for v in vectors]
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector does not match ambient dimension")
-        echelon = solve_sparse(_sparse(vectors), None, ambient_dim).pivot_rows
-        pivots = sorted(echelon)
+        echelon = solve_sparse(_sparse(vectors), None, ambient_dim)
+        pivots = sorted(echelon.pivot_rows)
         basis = tuple(
-            tuple(echelon[p].get(j, Q(0)) for j in range(ambient_dim)) for p in pivots
+            tuple(echelon.pivot_rows[p].get(j, Q(0)) for j in range(ambient_dim)) for p in pivots
         )
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_echelon", echelon)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -266,29 +270,36 @@ class Subspace:
     def is_full(self):
         return self.dim == self.ambient_dim
 
-    def reduce(self, v):
-        """Remainder of v after eliminating this subspace's pivot coordinates."""
-        v = list(Q(x) for x in v)
-        for row, p in zip(self.basis, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                for j in range(self.ambient_dim):
-                    v[j] -= f * row[j]
-        return tuple(v)
-
     def contains(self, v):
-        return is_zero_vec(self.reduce(v))
+        """Whether v reduces to zero by the row step against the echelon rows."""
+        e = self._echelon
+        row = _sparse([v])[0]
+        return _row_step(row, _ZERO, None, e.pivot_rows, e.pivot_rhs, None)[0] is None
 
     def __contains__(self, v):
         return self.contains(v)
 
     def coordinates(self, v):
-        """Coefficients of v in the canonical basis; None if v is outside."""
-        coeffs = [Q(v[p]) for p in self.pivots]
-        rem = self.reduce(v)
-        if not is_zero_vec(rem):
+        """Coefficients of v in the canonical basis; None if v is outside.
+
+        The basis is reduced at the pivot columns, so they are v's entries there.
+        """
+        if not self.contains(v):
             return None
-        return tuple(coeffs)
+        return tuple(Q(v[p]) for p in self.pivots)
+
+    def complement(self):
+        """The lexicographically earliest coordinate indices, in increasing
+        order, whose unit vectors complete the subspace.
+
+        Index j is skipped exactly when some vector of the subspace has its
+        last nonzero coordinate at j, that is, when n - 1 - j is a pivot of
+        the basis with its columns reversed.
+        """
+        n = self.ambient_dim
+        reversed_rows = [{n - 1 - j: x for j, x in enumerate(v) if x} for v in self.basis]
+        last = solve_sparse(reversed_rows, None, n).pivot_rows
+        return [j for j in range(n) if n - 1 - j not in last]
 
     def __eq__(self, other):
         return (
@@ -316,13 +327,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("intersection in different ambient spaces")
         return (self.annihilator() + other.annihilator()).annihilator()
-
-    def preimage(self, m):
-        """{v : m v in self}."""
-        ann = self.annihilator()
-        # rows of (D m) where D has the annihilator vectors as rows
-        rows = [tuple(vdot(d, col) for col in zip(*m.data)) for d in ann.basis]
-        return nullspace_of_rows(rows, m.cols)
 
     def __repr__(self):
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient_dim)

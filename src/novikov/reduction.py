@@ -139,22 +139,20 @@ class Decomposition:
 def fitting_decompose(module):
     """Split V into the maximal nilpotent submodule V_n and the image part V_0.
 
-    V_n is the space killed by every word of length dim V in the action
-    matrices; V_0 is the span of images of all such words. Requires the
-    acting algebra to be nilpotent. That V = V_n + V_0 is a direct sum of
-    invariant subspaces is Fitting's lemma; it is not re-checked here but
-    tested in the test suite.
+    V_n is the space killed by every word of length d = dim V in the action
+    matrices. The rows of those words span the image of the transposed
+    actions' words of length d, so V_n is the annihilator of that dual word
+    image. V_0 is the span of images of all such words. Requires the acting
+    algebra to be nilpotent. That V = V_n + V_0 is a direct sum of invariant
+    subspaces is Fitting's lemma; it is not re-checked here but tested in the
+    test suite.
     """
     if not module.b.is_nilpotent():
         raise NotNilpotentAlgebra("acting algebra is not nilpotent")
     d = module.dim_v
-    kernel = Subspace.zero(d)
-    for _ in range(d):
-        nxt = Subspace.full(d)
-        for m in module.action:
-            nxt = nxt.intersect(kernel.preimage(m))
-        kernel = nxt
-    return Decomposition(kernel, word_image_space(module.action, Subspace.full(d), d))
+    full = Subspace.full(d)
+    rows = word_image_space([m.transpose() for m in module.action], full, d)
+    return Decomposition(rows.annihilator(), word_image_space(module.action, full, d))
 
 
 def _vec_matrix(m):
@@ -240,14 +238,6 @@ def induced_nilpotent_extension(ext):
     dec = fitting_decompose(module)
     n1, n2 = dec.v_n.dim, dec.v_0.dim
     m = ext.dim_b
-    if n2 == 0:
-        basis = Matrix.identity(ext.dim_a) if ext.dim_a else Matrix.zeros(0, 0)
-        ext_n = ExtensionData(
-            ext.dim_a, m, ext.phi, dict(ext.omega),
-            b_bracket=ext.b_bracket, b_product=ext.b_product,
-        )
-        no_action = [Matrix.zeros(0, 0)] * m
-        return InducedExtension(ext_n, [vzero(0)] * m, no_action, dec, basis, basis)
     basis = dec.basis_matrix()
     basis_inv = basis.inverse()
     phi_split = [basis_inv * a * basis for a in ext.phi]
@@ -255,33 +245,23 @@ def induced_nilpotent_extension(ext):
     for mat in phi_split:
         top = [row[:n1] for row in mat.data[:n1]]
         bottom = [row[n1:] for row in mat.data[n1:]]
-        phi_n.append(Matrix(top, cols=n1) if n1 else Matrix.zeros(0, 0))
+        phi_n.append(Matrix(top, cols=n1))
         phi_0.append(Matrix(bottom, cols=n2))
     omega_n = {}
     omega_0 = {}
     for (p, q), v in ext.omega.items():
         w = basis_inv.apply(v)
-        head, tail = w[:n1], w[n1:]
-        if not is_zero_vec(head):
-            omega_n[(p, q)] = head
-        if not is_zero_vec(tail):
-            omega_0[(p, q)] = tail
-    # solve d(mu) = Omega'' for mu: b -> a_0, then lam = -mu kills Omega''
+        omega_n[(p, q)] = w[:n1]
+        omega_0[(p, q)] = w[n1:]
+    # the extension of b by a_0; solve d(mu) = Omega'' for mu: b -> a_0,
+    # then lam = -mu kills Omega''
+    ext_0 = ExtensionData(n2, m, phi_0, omega_0)
     rows = []
     rhs_entries = []
-
-    def omega0_pair(p, q):
-        if p == q:
-            return vzero(n2)
-        if p < q:
-            return omega_0.get((p, q), vzero(n2))
-        return vscale(-1, omega_0.get((q, p), vzero(n2)))
-
-    b_alg = ext.b_algebra()
     for p in range(m):
         for q in range(p + 1, m):
-            bracket = b_alg.bracket.basis_product(p, q)
-            target = omega0_pair(p, q)
+            bracket = module.b.bracket.basis_product(p, q)
+            target = ext_0.omega_pair(p, q)
             for r in range(n2):
                 row = {}
                 for c in range(n2):

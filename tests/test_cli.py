@@ -166,6 +166,40 @@ def test_reduce_command(tmp_path, capsys):
     assert code == 1 and report["error"] == "NotNilpotentAlgebra"
 
 
+def _read(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_reduce_and_quotient_outputs_pinned(tmp_path, capsys):
+    # a_0 = 0: the two-step presentation of a nilpotent quotient reduces to
+    # itself, byte for byte
+    given = os.path.join(DATA, "two-step-quotient.lafe")
+    out = str(tmp_path / "reduced.lafe")
+    code, report = run(capsys, "reduce", "--ext", given, "-o", out)
+    assert code == 0 and report["dim_a_free"] == 0
+    assert report["section_correction"] == [[], [], []]
+    assert _read(out) == _read(given)
+    # a_0 != 0: the a_0-part of Omega is removed by the section correction
+    from novikov.extensions import ExtensionData
+
+    mixed = str(tmp_path / "mixed.lafe")
+    ext = ExtensionData(2, 2, [Matrix([[0, 0], [0, 1]]), Matrix.zeros(2, 2)], {(0, 1): (1, 1)})
+    emit_file(ext, mixed)
+    code, report = run(capsys, "reduce", "--ext", mixed, "-o", out)
+    assert code == 0 and report["section_correction"] == [["0"], ["-1"]]
+    assert _read(out) == "LAF-E 1\ndim-a 1\ndim-b 2\nomega 1 2 1 1\n"
+    # the quotient basis is the complement [0, 2, 3] of an ideal whose
+    # basis vectors are not coordinate vectors
+    lie = os.path.join(DATA, "change-basis-ex35.laf")
+    ideal = str(tmp_path / "ideal.lafm")
+    lcs = parse_file(lie).payload.lower_central_series()
+    emit_file(Matrix([list(v) for v in lcs[2].basis]), ideal)
+    code, report = run(capsys, "quotient", "--lie", lie, "--ideal", ideal, "-o", out)
+    assert code == 0 and report["dim"] == 3
+    assert _read(out) == "LAF 1\ndim 3\nlabel 1 e1\nlabel 2 e3\nlabel 3 e4\nbracket 2 3 1 1/4\n"
+
+
 def test_decide_and_check_cert(tmp_path, capsys):
     lie = str(tmp_path / "g8.laf")
     cert = str(tmp_path / "cert.lafc")

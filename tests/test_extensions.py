@@ -30,6 +30,7 @@ from novikov.lie import quotient
 from novikov.linalg import Matrix, NotRegularNilpotent, Subspace, commutator, jordan_block
 from novikov.products import (
     AlgebraProduct,
+    _eq2,
     half_bracket_product,
     is_compatible,
     is_left_symmetric,
@@ -302,6 +303,20 @@ def test_semidirect_lift_novikov_fails_at_eq16():
     assert check_lift_lsa(ext, lift)
     verdict = check_lift_novikov(ext, lift)
     assert not verdict and verdict.label == "eq-16"
+
+
+def test_semidirect_lift_novikov_fails_at_eq20_alone():
+    # b = r2 with the left-symmetric, non-Novikov product of I_2 and phi = 0:
+    # (8)-(19) hold, and (20) is the eq-2 scan of the b-product
+    b_product = fx.in_product(2)
+    ext = ExtensionData(
+        1, 2, [Matrix.zeros(1, 1)] * 2, {}, b_bracket=fx.in_lie(2).bracket, b_product=b_product
+    )
+    lift = semidirect_lift(ext)
+    assert check_lift_lsa(ext, lift)
+    verdict = check_lift_novikov(ext, lift)
+    assert not verdict and verdict.label == "eq-20"
+    assert verdict.witness == (0, 0, 1) == _eq2(b_product).witness
 
 
 def test_novikov_ideal_quotient_identity():

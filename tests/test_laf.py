@@ -18,7 +18,7 @@ from novikov.extensions import (
     two_gen_lift,
     two_step_solvable_from,
 )
-from novikov.laf import LAFError, emit, parse, parse_rational
+from novikov.laf import LAFError, emit, emit_file, parse, parse_rational
 from novikov.lie import JacobiViolation, StructureTensor, quotient, validate_lie
 from novikov.linalg import Matrix, Subspace
 from novikov.products import AlgebraProduct, commutator_lie, half_bracket_product
@@ -308,7 +308,7 @@ def mutated_documents(draw, names=tuple(sorted(GOLDEN))):
             lines.insert(i, lines[i])
         elif op == "truncate":
             lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
-        else:
+        elif lines[i].split():  # a truncated line may have no field left
             fields = lines[i].split()
             fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TOKENS))
             lines[i] = " ".join(fields)
@@ -358,3 +358,70 @@ def test_cli_reports_malformed_documents(tmp_path, capsys, case):
     assert main(_CLI_READERS[suffix](doc)) == 2
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["ok"] is False and report["detail"]
+
+
+def _companions(tmp_path, doc, method):
+    """The names in _COMMAND_READERS' command lines, resolved: DOC the mutated
+    document, METHOD a lift method, and well-formed companions, the
+    5-dimensional ex35 with an ideal and an operator of its size and n3 for
+    documents of matrix.lafm's 3 columns."""
+    g = fx.ex35()
+    paths = {
+        "DOC": doc,
+        "METHOD": method,
+        "ideal5": str(tmp_path / "ideal5.lafm"),
+        "t5": str(tmp_path / "t5.lafm"),
+        "n3": str(tmp_path / "n3.laf"),
+        "out": str(tmp_path / "out"),
+    }
+    emit_file(Matrix([list(v) for v in g.lower_central_series()[2].basis]), paths["ideal5"])
+    emit_file(Matrix.unit(5, 0, 1), paths["t5"])
+    emit_file(fx.n3(), paths["n3"])
+    return paths
+
+
+# The readers of reduce, lift, quotient and rmatrix: the suffix of the
+# mutated document and the command line that reads it as DOC.
+_COMMAND_READERS = [
+    (".lafe", ("reduce", "--ext", "DOC", "-o", "out")),
+    (".lafe", ("lift", "--ext", "DOC", "--method", "METHOD", "-o", "out")),
+    (".laf", ("quotient", "--lie", "DOC", "--ideal", "ideal5", "-o", "out")),
+    (".lafp", ("quotient", "--product", "DOC", "--ideal", "ideal5", "-o", "out")),
+    (".lafm", ("quotient", "--lie", "n3", "--ideal", "DOC", "-o", "out")),
+    (".laf", ("rmatrix", "--lie", "DOC", "--t", "t5", "--check")),
+    (".lafm", ("rmatrix", "--lie", "n3", "--t", "DOC", "--check")),
+]
+
+
+@st.composite
+def mutated_command_inputs(draw):
+    suffix, command = draw(st.sampled_from(_COMMAND_READERS))
+    _, text = draw(mutated_documents(tuple(n for n in sorted(GOLDEN) if n.endswith(suffix))))
+    method = draw(st.sampled_from(("scheuneman", "twogen", "jordan", "iso", "semidirect")))
+    return suffix, command, method, text
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutated_command_inputs())
+def test_cli_reports_malformed_command_inputs(tmp_path, capsys, case):
+    # a document the grammar rejects exits 2 with the JSON report; one that
+    # parses runs to a report as well, never to a traceback
+    suffix, command, method, text = case
+    doc = str(tmp_path / ("mutated" + suffix))
+    with open(doc, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    names = _companions(tmp_path, doc, method)
+    code = main([names.get(arg, arg) for arg in command])
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["command"] == command[0]
+    try:
+        parse(text)
+    except ValueError:
+        assert code == 2 and report["ok"] is False and report["detail"]
+        return
+    assert code in (0, 1, 2)

@@ -344,3 +344,83 @@ def test_shapes_with_a_zero_dimension():
     assert Matrix([[], []]) * empty_rows == Matrix.zeros(2, 3)
     product = empty_rows * Matrix.zeros(3, 2)
     assert (product.rows, product.cols) == (0, 2)
+
+
+def dense_reduce(space, v):
+    """Reference membership: the remainder of v after eliminating each pivot
+    coordinate of the canonical basis, dense, one basis row at a time."""
+    v = [Q(x) for x in v]
+    for row, p in zip(space.basis, space.pivots):
+        f = v[p]
+        if f:
+            v = [x - f * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def greedy_complement(space):
+    """Reference complement: e_j for j = 0, 1, ... joins whenever it lies
+    outside the span of the subspace and the unit vectors chosen so far."""
+    n = space.ambient_dim
+    chosen, span = [], space
+    for j in range(n):
+        if span.dim == n:
+            break
+        ej = vunit(n, j)
+        if not is_zero_vec(dense_reduce(span, ej)):
+            chosen.append(j)
+            span = span + Subspace(n, [ej])
+    return chosen
+
+
+def assert_subspace_queries_match_references(space, probes):
+    assert space.complement() == greedy_complement(space)
+    for v in probes:
+        inside = is_zero_vec(dense_reduce(space, v))
+        assert space.contains(v) == inside
+        assert space.coordinates(v) == (tuple(Q(v[p]) for p in space.pivots) if inside else None)
+
+
+def _random_vector(rng, n, density):
+    return tuple(Q(rng.randint(-3, 3), rng.choice((1, 2))) if rng.random() < density else Q(0)
+                 for _ in range(n))
+
+
+def _probes(rng, space):
+    """Unit vectors, members (combinations of the basis) and random vectors."""
+    n = space.ambient_dim
+    members = []
+    for _ in range(3):
+        v = (Q(0),) * n
+        for b in space.basis:
+            v = vadd(v, vscale(Q(rng.randint(-2, 2)), b))
+        members.append(v)
+    return [vunit(n, j) for j in range(n)] + members + [
+        _random_vector(rng, n, 0.4) for _ in range(3)
+    ]
+
+
+def test_subspace_queries_match_dense_references_in_every_dimension():
+    # membership, coordinates and the complement read the echelon engine;
+    # a dense reduction and a greedy complement are the references
+    rng = random.Random(41)
+    for n in range(8):
+        for k in range(n + 1):
+            for density in (0.3, 0.8):
+                space = Subspace(n)
+                while space.dim < k:
+                    space = space + Subspace(n, [_random_vector(rng, n, density)])
+                assert space.dim == k
+                assert_subspace_queries_match_references(space, _probes(rng, space))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["n3", "r2", "r3", "sl2", "ex35", "free-n2-c4", "free-n3-c3", "filiform:6", "In:4",
+     "abelian:3"],
+)
+def test_subspace_queries_match_dense_references_on_fixture_series(name):
+    g = fx.fixture(name)
+    rng = random.Random(name)
+    probes = [g.bracket.basis_product(i, j) for i in range(g.dim) for j in range(g.dim)]
+    for space in g.derived_series() + g.lower_central_series():
+        assert_subspace_queries_match_references(space, probes + _probes(rng, space))

@@ -15,10 +15,20 @@ from novikov.extensions import (
     two_gen_lift,
     two_step_solvable_from,
 )
-from novikov.linalg import Matrix, Subspace, jordan_block, word_image_space
+from novikov.laf import emit
+from novikov.linalg import (
+    Matrix,
+    Subspace,
+    jordan_block,
+    nullspace_of_rows,
+    vdot,
+    vzero,
+    word_image_space,
+)
 from novikov.products import is_compatible, is_complete, is_left_symmetric, is_novikov
 from novikov.reduction import (
     InconsistentCoboundary,
+    InducedExtension,
     ModuleAction,
     NotACocycle,
     NotNilpotentAlgebra,
@@ -31,7 +41,14 @@ from novikov.reduction import (
     solve_coboundary_1,
 )
 
-from randalg import random_mixed_extension, random_nilpotent_module, random_prop57_instance, rng_for
+from randalg import (
+    random_mixed_extension,
+    random_nilpotent_module,
+    random_prop57_instance,
+    random_regular_jordan_extension,
+    random_three_step_extension,
+    rng_for,
+)
 
 
 def vecm(m):
@@ -276,3 +293,81 @@ def test_prop57_random():
 def test_prop57_rejects_free_n2_c4():
     with pytest.raises(HypothesisFailed):
         prop57_construct(fx.free_n2_c4())
+
+
+def reference_preimage(space, m):
+    """{v : m v in space}: the kernel of D m, D having the annihilator of
+    the space as rows."""
+    ann = space.annihilator()
+    rows = [tuple(vdot(d, col) for col in zip(*m.data)) for d in ann.basis]
+    return nullspace_of_rows(rows, m.cols)
+
+
+def reference_fitting_kernel(module):
+    """V_n by d rounds of kernel <- the intersection over the actions m of
+    {v : m v in kernel}, starting from zero."""
+    d = module.dim_v
+    kernel = Subspace.zero(d)
+    for _ in range(d):
+        nxt = Subspace.full(d)
+        for m in module.action:
+            nxt = nxt.intersect(reference_preimage(kernel, m))
+        kernel = nxt
+    return kernel
+
+
+def reference_induced_without_a0(ext, dec):
+    """The induced extension when a_0 = 0: ext itself, on the identity basis."""
+    m = ext.dim_b
+    basis = Matrix.identity(ext.dim_a) if ext.dim_a else Matrix.zeros(0, 0)
+    ext_n = ExtensionData(
+        ext.dim_a, m, ext.phi, dict(ext.omega),
+        b_bracket=ext.b_bracket, b_product=ext.b_product,
+    )
+    return InducedExtension(ext_n, [vzero(0)] * m, [Matrix.zeros(0, 0)] * m, dec, basis, basis)
+
+
+def _corpus_extensions():
+    """The randalg extension corpora, plus extensions with dim a = 0 and
+    with dim b = 0."""
+    rng = rng_for("reduction-references")
+    exts = [random_three_step_extension(rng, i) for i in range(4)]
+    exts += [random_regular_jordan_extension(rng, i) for i in range(6)]
+    exts += [random_mixed_extension(rng) for _ in range(6)]
+    exts += [two_step_solvable_from(fx.fixture(name))[0] for name in ("ex35", "filiform:6", "n3")]
+    exts += [
+        ExtensionData(0, 2, [Matrix.zeros(0, 0)] * 2, {}),
+        ExtensionData(0, 3, [Matrix.zeros(0, 0)] * 3, {}, b_bracket=fx.n3().bracket),
+        ExtensionData(3, 0, [], {}),
+        ExtensionData(0, 0, [], {}),
+    ]
+    return exts
+
+
+def test_fitting_matches_kernel_chain_reference():
+    # V_n as the annihilator of the dual word image equals the kernel of the
+    # words of length d found round by round
+    rng = rng_for("reduction-fitting-reference")
+    modules = [random_nilpotent_module(rng, index) for index in range(12)]
+    modules += [ModuleAction(ext.b_algebra(), ext.dim_a, ext.phi) for ext in _corpus_extensions()]
+    assert {mod.dim_v for mod in modules} >= {0, 3} and {mod.b.dim for mod in modules} >= {0, 2}
+    for module in modules:
+        assert fitting_decompose(module).v_n == reference_fitting_kernel(module)
+
+
+def test_induced_extension_without_a0_matches_reference():
+    # with a_0 = 0 the general path gives the same values as returning the
+    # extension itself on the identity basis
+    without_a0 = 0
+    for ext in _corpus_extensions():
+        ind = induced_nilpotent_extension(ext)
+        if ind.dim_0:
+            continue
+        without_a0 += 1
+        ref = reference_induced_without_a0(ext, ind.decomposition)
+        assert emit(ind.ext_n) == emit(ref.ext_n)
+        assert ind.ext_n.phi == ref.ext_n.phi and ind.ext_n.omega == ref.ext_n.omega
+        assert ind.lam == ref.lam and ind.phi_0 == ref.phi_0
+        assert (ind.basis, ind.basis_inv) == (ref.basis, ref.basis_inv)
+        assert (ind.dim_n, ind.dim_0) == (ref.dim_n, ref.dim_0)
+    assert without_a0 >= 10
