@@ -8,14 +8,18 @@ the operator relation
     L([x,y]) + ad([x,y]) - [ad(x), L(y)] - [L(x), ad(y)] = 0,
 
 the quadratic block the representation condition [L(x), L(y)] = L([x,y]) and
-the commutation [R(x), R(y)] = 0. A NotExists verdict carries a rational
-combination of equations that evaluates to a nonzero constant on the whole
-affine solution set of the linear block; the witness re-verifies with nothing
-but rational arithmetic. No Groebner bases anywhere: linear algebra plus
-bounded cancellation of leading monomials.
+the commutation [R(x), R(y)] = 0. The quadratic block is never listed: a
+QuadraticBlock builds a polynomial when it is accessed, and the residual step
+builds only those that can hold a monomial none of whose variables the linear
+block forces to zero (144 of 35,672 on free-n3-c3). A NotExists verdict
+carries a rational combination of equations that evaluates to a nonzero
+constant on the whole affine solution set of the linear block; the witness
+re-verifies with nothing but rational arithmetic. No Groebner bases anywhere:
+linear algebra plus bounded cancellation of leading monomials.
 """
 
 import hashlib
+from collections.abc import Sequence
 
 from .extensions import (
     GammaExpansionFailed,
@@ -69,8 +73,10 @@ class PolySystem:
 
     Variables are indexed (i*n + r)*n + c for the entry L(e_i)[r][c].
     linear_rows/linear_rhs hold sparse equations row . x = rhs; quadratics
-    are sparse polynomials {monomial: coefficient} with monomials () (the
-    constant), (v,) and (v1, v2) with v1 <= v2, each equated to zero.
+    is a sequence of sparse polynomials {monomial: coefficient} with
+    monomials () (the constant), (v,) and (v1, v2) with v1 <= v2, each
+    equated to zero. build_system gives a QuadraticBlock, which builds each
+    polynomial when it is accessed.
     """
 
     __slots__ = ("n", "nvars", "linear_rows", "linear_rhs", "quadratics")
@@ -101,92 +107,181 @@ def _combine(witness, polys):
     return acc
 
 
+class QuadraticBlock(Sequence):
+    """The rep and rr polynomials of g, built on access.
+
+    Entry 2q is the rep and entry 2q + 1 the rr polynomial of the q-th
+    (i, j, r, s): basis pairs i < j in order, then r, then s, so there are
+    n^3 (n - 1) entries. No entry vanishes for n >= 2.
+
+    The bracket entries c(i, a, k) are indexed three ways: by pair (i, a)
+    ({k: c}), by ad(i) row ({a: c(i, a, r)} for row r) and by ad(i) column
+    ({k: c(i, a, k)} for column a); ad_brackets holds, per pair i < j, the
+    nonzero entries of ad([e_i, e_j]). The commutator part
+    sum_k x(i,r,k) x(j,k,s) - x(j,r,k) x(i,k,s), with coefficients +-1, has
+    2n terms (2n - 2 when r == s); rep adds -L([e_i, e_j])[r][s], and
+    rr = [L(e_i) - ad(e_i), L(e_j) - ad(e_j)][r][s] adds the ad terms of the
+    operator row (i, j, r, s) and the constant [ad(e_i), ad(e_j)][r][s],
+    which is ad([e_i, e_j])[r][s] by the Jacobi identity. An entry costs
+    O(n + nnz of the rows and columns it reads).
+    """
+
+    __slots__ = ("n", "pairs", "bracket", "ad_rows", "ad_cols", "ad_brackets")
+
+    def __init__(self, g):
+        n = g.dim
+        self.n = n
+        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self.bracket = {}
+        self.ad_rows = [[{} for _ in range(n)] for _ in range(n)]
+        self.ad_cols = [[{} for _ in range(n)] for _ in range(n)]
+        for (i, a, k), c in g.bracket.entries.items():
+            self.bracket.setdefault((i, a), {})[k] = c
+            self.ad_rows[i][k][a] = c
+            self.ad_cols[i][a][k] = c
+        self.ad_brackets = []
+        for pair in self.pairs:
+            adw = {}
+            for k, ck in self.bracket.get(pair, {}).items():
+                for s, col in enumerate(self.ad_cols[k]):
+                    for r, c in col.items():
+                        _add_term(adw, (r, s), ck * c)
+            self.ad_brackets.append(adw)
+
+    def __len__(self):
+        return self.n ** 3 * (self.n - 1)
+
+    def ad_terms(self, i, j, r, s):
+        """The ad part of the operator row (i, j, r, s), {variable: coefficient}:
+        the entry (r, s) of -[ad(e_i), L(e_j)] - [L(e_i), ad(e_j)]."""
+        n = self.n
+        nn = n * n
+        ir, jr = (i * n + r) * n, (j * n + r) * n
+        terms = {}
+        for k, c in self.ad_rows[i][r].items():
+            _add_term(terms, j * nn + k * n + s, -c)
+        for k, c in self.ad_cols[i][s].items():
+            _add_term(terms, jr + k, c)
+        for k, c in self.ad_cols[j][s].items():
+            _add_term(terms, ir + k, -c)
+        for k, c in self.ad_rows[j][r].items():
+            _add_term(terms, i * nn + k * n + s, c)
+        return terms
+
+    def __getitem__(self, qi):
+        if not 0 <= qi < len(self):
+            raise IndexError("quadratic index %r out of range" % (qi,))
+        n = self.n
+        nn = n * n
+        q, kind = divmod(qi, 2)
+        p, rs = divmod(q, nn)
+        r, s = divmod(rs, n)
+        i, j = self.pairs[p]
+        ir, jr = (i * n + r) * n, (j * n + r) * n
+        # i < j, so every variable of L(e_i) precedes every variable of
+        # L(e_j) and each pair below is sorted; for r == s the two k == r
+        # monomials coincide and cancel
+        poly = {}
+        for k in range(n):
+            if r == s == k:
+                continue
+            poly[(ir + k, j * nn + k * n + s)] = _ONE
+            poly[(i * nn + k * n + s, jr + k)] = _MINUS_ONE
+        if kind == 0:
+            for k, c in self.bracket.get((i, j), {}).items():
+                poly[(k * nn + r * n + s,)] = -c
+            return poly
+        for v, c in self.ad_terms(i, j, r, s).items():
+            poly[(v,)] = c
+        constant = self.ad_brackets[p].get((r, s))
+        if constant is not None:
+            poly[()] = constant
+        return poly
+
+    def candidates(self, live):
+        """Ascending indices of the entries that can hold a monomial whose
+        variables are all in the set live.
+
+        A live commutator monomial x(i,r,k) x(j,k,s) or x(j,r,k) x(i,k,s)
+        marks both entries of its (i, j, r, s), a live linear monomial of rep
+        or rr its own entry, and a nonzero ad([e_i, e_j])[r][s] the rr entry.
+        No entry is built: the rules read the live variables against the
+        bracket indexes, visiting each live variable once per basis pair it
+        takes part in, and terms that cancel are not looked for, so the
+        result is a superset of the exact set.
+        """
+        n = self.n
+        nn = n * n
+        # by_op[i]: the live (r, c) of L(e_i); by_row[i][k]: the live c of its row k
+        by_op = [[] for _ in range(n)]
+        by_row = [[[] for _ in range(n)] for _ in range(n)]
+        for v in live:
+            i, rc = divmod(v, nn)
+            r, c = divmod(rc, n)
+            by_op[i].append((r, c))
+            by_row[i][r].append(c)
+        found = set()
+        for p, (i, j) in enumerate(self.pairs):
+            rep = 2 * p * nn  # entry rep + 2 * (r*n + s), and rr one after it
+            rr = rep + 1
+            for a, b in ((i, j), (j, i)):
+                for r, k in by_op[a]:
+                    for s in by_row[b][k]:
+                        found.add(rep + 2 * (r * n + s))
+                        found.add(rr + 2 * (r * n + s))
+            for k in self.bracket.get((i, j), ()):
+                for r, s in by_op[k]:
+                    found.add(rep + 2 * (r * n + s))
+            # the four ad terms of ad_terms, read from the live variable:
+            # x(j,a,s) and x(i,a,s) meet rows r of ad column a, x(j,r,k)
+            # and x(i,r,k) meet columns s of ad row k
+            for a, b in ((i, j), (j, i)):
+                for r0, c0 in by_op[b]:
+                    for r in self.ad_cols[a][r0]:
+                        found.add(rr + 2 * (r * n + c0))
+                    for s in self.ad_rows[a][c0]:
+                        found.add(rr + 2 * (r0 * n + s))
+            for r, s in self.ad_brackets[p]:
+                found.add(rr + 2 * (r * n + s))
+        return sorted(found)
+
+
 def build_system(g):
-    """Instantiate the linear and quadratic blocks on all basis pairs.
+    """Instantiate the linear block on all basis pairs, with the quadratic
+    block as a QuadraticBlock over the same bracket indexes.
 
     The linear block is the n compatibility rows of each pair i < j, then the
     operator rows (i, j, r, s); the quadratic block is the rep and then the
     rr polynomial of each (i, j, r, s). Identically-zero operator rows are
     dropped, so every stored row is nonzero (or is an outright contradiction
-    0 = c, kept on purpose). No rep or rr polynomial vanishes for n >= 2.
+    0 = c, kept on purpose).
 
-    The bracket entries c(i, a, k) are read once and indexed three ways: by
-    pair (i, a), by ad(i) row ({k: c(i, k, r)} for row r) and by ad(i)
-    column ({k: c(i, s, k)} for column s). Each operator row, each right-hand
-    side and each linear or constant part of a quadratic is generated from
-    those nonzeros alone, in O(n^4 + nnz * n^2) over the whole system, so no
-    zero term is built and then dropped. The commutator part
-    sum_k x(i,r,k) x(j,k,s) - x(j,r,k) x(i,k,s), with coefficients +-1, takes
-    n terms per (i, j, r, s), O(n^5) in all. It is built once per
-    (i, j, r, s) and shared: rep adds -L([e_i, e_j])[r][s], and
-    rr = [L(e_i) - ad(e_i), L(e_j) - ad(e_j)][r][s] adds the ad terms of the
-    operator row and the constant [ad(e_i), ad(e_j)][r][s], which is
-    ad([e_i, e_j])[r][s] by the Jacobi identity.
+    Each operator row and right-hand side is generated from the nonzeros of
+    the bracket indexes alone, in O(n^4 + nnz * n^2) over the whole linear
+    block, so no zero term is built and then dropped. No quadratic is built
+    here: the block builds an entry, in O(n) plus its nonzeros, when it is
+    accessed.
     """
-    n = g.dim
+    block = QuadraticBlock(g)
+    n = block.n
     nn = n * n  # x(i, r, c) is variable i*nn + r*n + c
-    bracket = {}
-    ad_rows = [[{} for _ in range(n)] for _ in range(n)]
-    ad_cols = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, a, k), c in g.bracket.entries.items():
-        bracket.setdefault((i, a), {})[k] = c
-        ad_rows[i][k][a] = c
-        ad_cols[i][a][k] = c
-
     linear_rows, linear_rhs = [], []
     operator_rows, operator_rhs = [], []
-    quadratics = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = bracket.get((i, j), {})
-            for k in range(n):
-                linear_rows.append({(i * n + k) * n + j: _ONE, (j * n + k) * n + i: _MINUS_ONE})
-                linear_rhs.append(w.get(k, _ZERO))
-            adw = {}
-            for k, ck in w.items():
-                for s, col in enumerate(ad_cols[k]):
-                    for r, c in col.items():
-                        _add_term(adw, (r, s), ck * c)
-            for r in range(n):
-                ir, jr = (i * n + r) * n, (j * n + r) * n
-                for s in range(n):
-                    ad_terms = {}
-                    for k, c in ad_rows[i][r].items():
-                        _add_term(ad_terms, j * nn + k * n + s, -c)
-                    for k, c in ad_cols[i][s].items():
-                        _add_term(ad_terms, jr + k, c)
-                    for k, c in ad_cols[j][s].items():
-                        _add_term(ad_terms, ir + k, -c)
-                    for k, c in ad_rows[j][r].items():
-                        _add_term(ad_terms, i * nn + k * n + s, c)
-                    row = dict(ad_terms)
-                    for k, c in w.items():
-                        _add_term(row, k * nn + r * n + s, c)
-                    rhs = -adw.get((r, s), _ZERO)
-                    if row or rhs:
-                        operator_rows.append(row)
-                        operator_rhs.append(rhs)
-
-                    # i < j, so every variable of L(e_i) precedes every
-                    # variable of L(e_j) and each pair below is sorted; for
-                    # r == s the two k == r monomials coincide and cancel
-                    commutator = {}
-                    for k in range(n):
-                        if r == s == k:
-                            continue
-                        commutator[(ir + k, j * nn + k * n + s)] = _ONE
-                        commutator[(i * nn + k * n + s, jr + k)] = _MINUS_ONE
-                    rep = dict(commutator)
-                    for k, c in w.items():
-                        rep[(k * nn + r * n + s,)] = -c
-                    rr = commutator
-                    for v, c in ad_terms.items():
-                        rr[(v,)] = c
-                    if (r, s) in adw:
-                        rr[()] = adw[(r, s)]
-                    quadratics.append(rep)
-                    quadratics.append(rr)
-    return PolySystem(n, linear_rows + operator_rows, linear_rhs + operator_rhs, quadratics)
+    for (i, j), adw in zip(block.pairs, block.ad_brackets):
+        w = block.bracket.get((i, j), {})
+        for k in range(n):
+            linear_rows.append({(i * n + k) * n + j: _ONE, (j * n + k) * n + i: _MINUS_ONE})
+            linear_rhs.append(w.get(k, _ZERO))
+        for r in range(n):
+            for s in range(n):
+                row = block.ad_terms(i, j, r, s)
+                for k, c in w.items():
+                    _add_term(row, k * nn + r * n + s, c)
+                rhs = -adw.get((r, s), _ZERO)
+                if row or rhs:
+                    operator_rows.append(row)
+                    operator_rhs.append(rhs)
+    return PolySystem(n, linear_rows + operator_rows, linear_rhs + operator_rhs, block)
 
 
 def _sorted_pair(a, b):
@@ -265,14 +360,17 @@ def residual_polynomials(system):
 
     A variable is live when its affine form is not (0, {}). A quadratic none
     of whose monomials has all its variables live (the constant monomial
-    () always does) substitutes to zero, so it is skipped unexpanded."""
+    () always does) substitutes to zero. Only the quadratics that
+    system.quadratics.candidates(live) names are built; of those, the ones
+    without such a monomial are skipped unexpanded."""
     sol = solve_sparse(system.linear_rows, system.linear_rhs, system.nvars)
     if not sol.consistent:
         return sol, None
     forms = sol.affine_forms()
     live = {v for v, (c, terms) in enumerate(forms) if c or terms}
     residuals = {}
-    for qi, poly in enumerate(system.quadratics):
+    for qi in system.quadratics.candidates(live):
+        poly = system.quadratics[qi]
         if not any(map(live.issuperset, poly)):
             continue
         sub = _substitute(poly, forms)

@@ -167,10 +167,12 @@ class Matrix:
         return result
 
     def apply(self, v):
-        """Matrix times column vector (given and returned as a tuple)."""
+        """Matrix times column vector (given and returned as a tuple); each
+        entry sums row[j] * v[j] over the nonzero v[j] only."""
         if len(v) != self.cols:
             raise DimensionMismatch("matrix-vector shape mismatch")
-        return tuple(vdot(r, v) for r in self.data)
+        nonzeros = [(j, b) for j, b in enumerate(v) if b]
+        return tuple(sum((row[j] * b for j, b in nonzeros if row[j]), _ZERO) for row in self.data)
 
     def transpose(self):
         return Matrix(list(zip(*self.data)) if self.data else [()] * self.cols, cols=self.rows)

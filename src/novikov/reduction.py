@@ -295,7 +295,11 @@ def reduction_lift(ext, lift_n):
     """
     if not ext.a_product.is_zero():
         raise HypothesisFailed("reduction_lift requires a trivial a-product")
-    ind = induced_nilpotent_extension(ext)
+    return _lift_through(ext, induced_nilpotent_extension(ext), lift_n)
+
+
+def _lift_through(ext, ind, lift_n):
+    """reduction_lift with the induced nilpotent extension ind of ext given."""
     verdict = check_lift_lsa(ind.ext_n, lift_n)
     if not verdict:
         raise LiftCheckFailed(verdict)
@@ -356,7 +360,7 @@ def prop57_construct(g):
     Pipeline: present g as an extension of abelian algebras, pass to the
     induced nilpotent extension (nilpotent of class at most 3), apply the
     closed-form lift there, pull the lift back, and assemble the product.
-    The pulled-back lift passes check_lift_lsa inside reduction_lift; that
+    The pulled-back lift passes check_lift_lsa as in reduction_lift; that
     the product is left-symmetric, compatible and complete is tested in the
     test suite.
     """
@@ -378,5 +382,5 @@ def prop57_construct(g):
         raise HypothesisFailed(
             "induced nilpotent extension has class %s > 3" % cls
         )
-    lift = reduction_lift(ext, scheuneman_lift(ind.ext_n))
+    lift = _lift_through(ext, ind, scheuneman_lift(ind.ext_n))
     return split.transport_product(lift_product(ext, lift))

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -170,7 +171,7 @@ def test_build_system_matches_dense_reference():
         rows, rhs, quadratics = dense_build_system(g)
         assert system.linear_rows == rows, name
         assert system.linear_rhs == rhs, name
-        assert system.quadratics == quadratics, name
+        assert list(system.quadratics) == quadratics, name
         coefficients = list(system.linear_rhs)
         coefficients += [c for row in system.linear_rows for c in row.values()]
         coefficients += [c for poly in system.quadratics for c in poly.values()]
@@ -184,6 +185,19 @@ def test_build_system_free_n3_c3_digest():
     assert (len(system.linear_rows), len(system.quadratics)) == (8670, 35672)
     assert _system_digest(system) == (
         "0caa704fb832688328dcdf040779f2eafa9c7a7263c1594dc9f10222ab50197a"
+    )
+
+
+def test_quadratic_term_order_free_n2_c4_digest():
+    # recorded from the builder that listed every quadratic; the order of
+    # the terms fixes the order of the residual terms, and the dense
+    # reference builds them in another order
+    h = hashlib.sha256()
+    for poly in build_system(fx.free_n2_c4()).quadratics:
+        terms = " ".join("%s:%s" % (",".join(map(str, m)), c) for m, c in poly.items())
+        h.update((terms + "\n").encode())
+    assert h.hexdigest() == (
+        "9d9f05ab15aef03550b15e75e9a1b97d400487cb0c58ffb2cd407fab3774741d"
     )
 
 
@@ -227,12 +241,53 @@ def test_residuals_match_unfiltered_substitution():
             (qi, list(r.items())) for qi, r in expected.items()
         ], name
     assert inconsistent >= 1
-    # x0 = 0 kills every monomial of x0, but a constant term always survives
-    system = certificate.PolySystem(1, [{0: Q(1)}], [Q(0)], [
-        {(): Q(1), (0,): Q(2)}, {(0, 0): Q(1)}, {(0,): Q(3)},
-    ])
-    sol, residuals = residual_polynomials(system)
-    assert residuals == reference_residuals(system, sol) == {0: {(): Q(1)}}
+
+
+def test_block_length_and_bounds():
+    for g in [fx.abelian(0), fx.abelian(1), fx.r2(), fx.free_n3_c3()]:
+        n = g.dim
+        block = build_system(g).quadratics
+        assert len(block) == n ** 3 * (n - 1)
+        for qi in (-1, len(block), len(block) + 7):
+            with pytest.raises(IndexError):
+                block[qi]
+        if len(block):
+            assert block[0] == next(iter(block))
+            assert block[len(block) - 1]
+
+
+def test_candidates_cover_every_live_quadratic():
+    # every quadratic holding a monomial whose variables are all live must
+    # be a candidate, whatever the live set; extra candidates are allowed
+    rng = random.Random(29)
+    checked = 0
+    for name, g in _differential_corpus():
+        block = build_system(g).quadratics
+        polys = list(block)
+        nvars = g.dim ** 3
+        for density in (0, 0.01, 0.05, 0.2, 1):
+            for _ in range(1 if density in (0, 1) else 3):
+                live = {v for v in range(nvars) if rng.random() < density}
+                candidates = block.candidates(live)
+                assert candidates == sorted(set(candidates)), name
+                assert all(0 <= qi < len(block) for qi in candidates), name
+                chosen = set(candidates)
+                missed = [qi for qi, poly in enumerate(polys)
+                          if any(map(live.issuperset, poly)) and qi not in chosen]
+                assert not missed, (name, density, missed[:5])
+                checked += 1
+    assert checked == 11 * 26
+
+
+def test_candidates_of_no_live_variable_hold_every_constant():
+    # with no live variable only the constant monomial survives substitution
+    total = 0
+    for name, g in _differential_corpus():
+        block = build_system(g).quadratics
+        constants = [qi for qi, poly in enumerate(block) if () in poly]
+        assert set(constants) <= set(block.candidates(set())), name
+        total += len(constants)
+    assert total > 0
 
 
 def test_residuals_free_n3_c3_digest():

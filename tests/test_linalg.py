@@ -5,6 +5,7 @@ import pytest
 from novikov import fixtures as fx
 from novikov.certificate import build_system
 from novikov.linalg import (
+    DimensionMismatch,
     Matrix,
     NotRegularNilpotent,
     Q,
@@ -332,6 +333,24 @@ def test_matmul_matches_vdot_reference():
             tuple(vdot(a.data[i], b.column(j)) for j in range(cols)) for i in range(rows)
         )
         assert all(type(x) is Q for row in product.data for x in row)
+
+
+def test_apply_matches_vdot_reference():
+    # each entry of m.apply(v) is the dot product of a row with v, zero
+    # vectors and zero dimensions included
+    rng = random.Random(23)
+    for index in range(60):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        m = _random_sparse_matrix(rng, rows, cols)
+        if index % 4 == 0:
+            v = (Q(0),) * cols
+        else:
+            v = _random_sparse_matrix(rng, 1, cols).data[0]
+        image = m.apply(v)
+        assert image == tuple(vdot(row, v) for row in m.data)
+        assert all(type(x) is Q for x in image)
+    with pytest.raises(DimensionMismatch):
+        Matrix.zeros(2, 3).apply((1, 2))
 
 
 def test_shapes_with_a_zero_dimension():

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from novikov import fixtures as fx
+from novikov import reduction
 from novikov.extensions import (
     ExtensionData,
     HypothesisFailed,
@@ -12,6 +13,7 @@ from novikov.extensions import (
     check_lift_lsa,
     check_lift_novikov,
     lift_product,
+    scheuneman_lift,
     two_gen_lift,
     two_step_solvable_from,
 )
@@ -288,6 +290,32 @@ def test_prop57_random():
         p = prop57_construct(g)
         assert is_left_symmetric(p) and is_compatible(p, g)
         assert is_complete(p).passes_nilpotency_checks
+
+
+def reference_prop57(g):
+    """prop57_construct's pipeline through the public reduction_lift, which
+    computes the induced nilpotent extension a second time."""
+    ext, split = two_step_solvable_from(g)
+    lift = reduction_lift(ext, scheuneman_lift(induced_nilpotent_extension(ext).ext_n))
+    return split.transport_product(lift_product(ext, lift))
+
+
+def test_prop57_builds_the_induced_extension_once(monkeypatch):
+    calls = []
+
+    def counted(ext):
+        calls.append(ext)
+        return induced_nilpotent_extension(ext)
+
+    rng = rng_for("prop57-once")
+    for g in [fx.ex35()] + [random_prop57_instance(rng) for _ in range(4)]:
+        expected = reference_prop57(g)
+        monkeypatch.setattr(reduction, "induced_nilpotent_extension", counted)
+        calls.clear()
+        p = prop57_construct(g)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert p == expected
 
 
 def test_prop57_rejects_free_n2_c4():
