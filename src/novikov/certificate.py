@@ -348,8 +348,9 @@ def _substitute(poly, forms):
                 for p, a in t2.items():
                     _add_term(out, (p,), coeff * c1 * a)
             for p, a in t1.items():
+                ca = coeff * a
                 for q, b in t2.items():
-                    _add_term(out, _sorted_pair(p, q), coeff * a * b)
+                    _add_term(out, _sorted_pair(p, q), ca * b)
     return out
 
 

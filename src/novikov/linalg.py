@@ -7,12 +7,14 @@ dicts (dropping entries that cancel), and _row_step reduces and normalizes
 one row. solve_sparse is the row step plus clearing each new pivot from the
 earlier pivot rows that hold it, found through a column index; it tracks
 row provenance only in a second pass, run when the system is inconsistent,
-to build the witness. Subspace bases, nullspaces, ranks and inverses all
-take their reduced echelon form from it. Subspace membership and coordinates
-are the row step against a subspace's echelon rows, and its complement is
-one echelon pass over the basis with the columns reversed. The certificate's
-residual elimination and every sparse row or polynomial build in the package
-use the same kernel.
+to build the witness. Inside that elimination every integral value is a
+Python int, which is exact and much cheaper than a Fraction; the pivot rows,
+values and witness come back as Fractions. Subspace bases, nullspaces, ranks
+and inverses all take their reduced echelon form from it. Subspace
+membership and coordinates are the row step against a subspace's echelon
+rows, and its complement is one echelon pass over the basis with the columns
+reversed. The certificate's residual elimination and every sparse row or
+polynomial build in the package use the same kernel.
 """
 
 from fractions import Fraction
@@ -436,9 +438,13 @@ class SparseSolution:
 
 
 def _add_term(acc, key, c):
-    """acc[key] += c, dropping the entry when it cancels."""
+    """acc[key] += c, dropping the entry when it cancels.
+
+    A new key starts from the int 0, so the sum keeps the type of c: a
+    Fraction term gives a Fraction, and an int term stays an int.
+    """
     if c:
-        total = acc.get(key, _ZERO) + c
+        total = acc.get(key, 0) + c
         if total:
             acc[key] = total
         else:
@@ -462,6 +468,11 @@ def _row_step(row, val, combo, pivot_rows, pivot_vals, pivot_combos):
     column. The row and combination dicts are reduced in place. Returns
     (pivot column, row, value, combination), with pivot column None and the
     row empty when the row reduces to zero.
+
+    Entries may be ints or Fractions. A row whose leading entry is already 1
+    comes back as it is; any other row is scaled by the Fraction 1 / lead,
+    which never divides as a float. So Fractions in give Fractions out, and
+    only _echelon, which demotes integral values to ints, sees ints here.
     """
     for p in sorted([c for c in row if c in pivot_rows]):
         f = row.get(p)
@@ -474,28 +485,50 @@ def _row_step(row, val, combo, pivot_rows, pivot_vals, pivot_combos):
     if not row:
         return None, row, val, combo
     p = min(row)
-    inv = 1 / row[p]
+    lead = row[p]
+    if lead == 1:
+        return p, row, val, combo
+    inv = Q(1) / lead
     row = {j: x * inv for j, x in row.items()}
     if combo is not None:
         combo = {i: x * inv for i, x in combo.items()}
     return p, row, val * inv, combo
 
 
+def _as_int(x):
+    """x as an int when it is integral (an int or a Fraction), else x."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _echelon(rows, rhs, track):
     """Run solve_sparse's elimination, carrying row combinations only when
     track is true. Returns (pivot rows, pivot values, index of the first row
-    that reduces to 0 = c != 0 or None, that row's combination)."""
+    that reduces to 0 = c != 0 or None, that row's combination).
+
+    Inside the loop every integral value is an int: each input entry, right
+    side and combination seed, and each new pivot row, value and combination
+    when it is stored (a pivot that is not 1 divides). Int arithmetic is
+    exact and much cheaper than Fraction arithmetic, and the linear blocks
+    of the condition systems are almost all integral. The returned rows,
+    values and combination are converted back to Fractions in place, which
+    keeps their dict order and allocates no second copy.
+    """
     pivot_rows, pivot_rhs, pivot_combo = {}, {}, {}
     holders = {}  # column -> the pivot columns whose rows have an entry there
     bad = witness = None
     for idx, row in enumerate(rows):
-        val = _ZERO if rhs is None else rhs[idx]
-        combo = {idx: Q(1)} if track else None
-        p, work, val, combo = _row_step(dict(row), val, combo, pivot_rows, pivot_rhs, pivot_combo)
+        val = 0 if rhs is None else _as_int(rhs[idx])
+        combo = {idx: 1} if track else None
+        work = {j: _as_int(x) for j, x in row.items()}
+        p, work, val, combo = _row_step(work, val, combo, pivot_rows, pivot_rhs, pivot_combo)
         if p is None:
             if val != 0 and bad is None:
                 bad, witness = idx, combo
             continue
+        work = {j: _as_int(x) for j, x in work.items()}
+        val = _as_int(val)
+        if track:
+            combo = {i: _as_int(x) for i, x in combo.items()}
         for q in holders.pop(p, ()):
             qrow = pivot_rows[q]
             f = qrow[p]
@@ -512,6 +545,9 @@ def _echelon(rows, rhs, track):
             if c != p:
                 holders.setdefault(c, set()).add(p)
         pivot_rows[p], pivot_rhs[p], pivot_combo[p] = work, val, combo
+    for d in [*pivot_rows.values(), pivot_rhs, witness or {}]:
+        for key, x in d.items():
+            d[key] = Q(x)
     return pivot_rows, pivot_rhs, bad, witness
 
 
@@ -530,6 +566,10 @@ def solve_sparse(rows, rhs, ncols):
     row are then eliminated again with it, and the witness is that row's
     sparse combination {original row index: coefficient}, with
     sum_i witness_i row_i = 0 and sum_i witness_i rhs_i != 0.
+
+    Integral entries run as ints inside the elimination (see _echelon); every
+    pivot row entry, pivot value and witness coefficient of the result is a
+    Fraction.
     """
     pivot_rows, pivot_rhs, bad, _ = _echelon(rows, rhs, False)
     witness = None if bad is None else _echelon(rows[: bad + 1], rhs, True)[3]

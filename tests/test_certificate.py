@@ -164,7 +164,8 @@ def _differential_corpus(tag="build-system"):
 def test_build_system_matches_dense_reference():
     # the sparse builder must produce exactly the dense reference's rows,
     # right-hand sides and quadratics, in the same order, all as Fractions:
-    # an int coefficient would compare equal but turn 1 / row[p] into a float
+    # an int coefficient would compare equal, but cli._jsonable formats only
+    # Fractions, so it would reach a JSON report as a number, not a string
     for name, g in _differential_corpus():
         assert g.dim <= 8, name
         system = build_system(g)
@@ -374,6 +375,23 @@ def test_decide_not_exists_sl2_linear():
     cert = decide_novikov(g)
     assert cert.verdict == NOT_EXISTS and cert.witness_kind == "linear"
     assert verify_certificate(g, cert)
+
+
+@pytest.mark.parametrize("name, kind", [("free-n2-c4", "quadratic"), ("sl2", "linear")])
+def test_decide_returns_only_fractions(name, kind):
+    # solve_sparse eliminates on ints where the entries are integral; every
+    # value it hands on must be a Fraction again, since cli._jsonable formats
+    # only Fractions
+    g = fx.fixture(name)
+    cert = decide_novikov(g)
+    assert cert.verdict == NOT_EXISTS and cert.witness_kind == kind
+    values = [cert.constant] + list(cert.witness.values())
+    sol, residuals = residual_polynomials(build_system(g))
+    assert (residuals is None) == (kind == "linear")
+    values += [c for poly in (residuals or {}).values() for c in poly.values()]
+    for const, terms in sol.affine_forms():
+        values += [const] + list(terms.values())
+    assert all(type(c) is Q for c in values)
 
 
 def test_wrong_elimination_witness_is_rejected(monkeypatch):

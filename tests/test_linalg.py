@@ -11,6 +11,7 @@ from novikov.linalg import (
     Q,
     Subspace,
     _add_scaled,
+    _row_step,
     is_zero_vec,
     jordan_block,
     nilpotent_regular_basis,
@@ -265,14 +266,14 @@ def reference_solve_sparse(rows, rhs):
     return pivot_rows, pivot_rhs, witness
 
 
-def _random_sparse_system(rng):
+def _random_sparse_system(rng, denominators=(1, 1, 2, 3)):
     """Sparse rows over a few columns; some systems repeat a combination of
     earlier rows with its right-hand side shifted, which makes them
-    inconsistent."""
+    inconsistent. With denominators=(1,) every entry is an integer."""
     ncols = rng.randint(1, 8)
     rows, rhs = [], []
     for _ in range(rng.randint(1, 10)):
-        row = {j: Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+        row = {j: Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice(denominators))
                for j in range(ncols) if rng.random() < 0.3}
         rows.append(row)
         rhs.append(Q(rng.randint(-3, 3)))
@@ -293,6 +294,10 @@ def _assert_matches_reference(rows, rhs, ncols, label):
     pivot_rows, pivot_rhs, witness = reference_solve_sparse(rows, rhs)
     assert list(sol.pivot_rows.items()) == list(pivot_rows.items()), label
     assert sol.pivot_rhs == pivot_rhs and sol.witness == witness, label
+    # the elimination runs on ints where it can, but hands back Fractions only
+    values = [x for row in sol.pivot_rows.values() for x in row.values()]
+    values += list(sol.pivot_rhs.values()) + list((sol.witness or {}).values())
+    assert all(type(x) is Q for x in values), label
     return witness is not None
 
 
@@ -312,6 +317,36 @@ def test_solve_sparse_matches_eager_reference():
         inconsistent += _assert_matches_reference(rows, rhs, ncols, index)
         _assert_matches_reference(rows, None, ncols, index)
     assert inconsistent >= 10
+    # integer systems with entries up to 3: a pivot that is not 1 divides,
+    # so values turn non-integral inside the elimination and must come back
+    # exact; every other system takes its right-hand side from an integer
+    # point, which makes it consistent
+    rng = random.Random(31)
+    inconsistent = consistent = 0
+    for index in range(60):
+        rows, rhs, ncols = _random_sparse_system(rng, denominators=(1,))
+        if index % 2:
+            point = [rng.randint(-2, 2) for _ in range(ncols)]
+            rhs = [sum((x * point[j] for j, x in row.items()), Q(0)) for row in rows]
+        found = _assert_matches_reference(rows, rhs, ncols, index)
+        inconsistent += found
+        consistent += not found
+        _assert_matches_reference(rows, None, ncols, index)
+    assert inconsistent >= 10 and consistent >= 10
+
+
+@pytest.mark.parametrize("lead", [Q(1), Q(-1), Q(2), Q(1, 3)])
+def test_row_step_keeps_fractions(lead):
+    # the row step divides by its leading entry as a Fraction, so Fractions
+    # in give Fractions out, never a float
+    pivot_rows = {1: {1: Q(1), 3: Q(1, 2)}}
+    row = {0: lead, 1: Q(2), 2: Q(-3), 3: Q(5)}
+    p, work, val, combo = _row_step(row, Q(7), {0: Q(1)}, pivot_rows, {1: Q(3)}, {1: {1: Q(1)}})
+    assert p == 0 and work[0] == 1 and 1 not in work
+    assert work == {0: Q(1), 2: Q(-3) / lead, 3: Q(4) / lead}
+    assert val == Q(1) / lead and combo == {0: Q(1) / lead, 1: Q(-2) / lead}
+    values = list(work.values()) + [val] + list(combo.values())
+    assert all(type(x) is Q for x in values)
 
 
 def _random_sparse_matrix(rng, rows, cols):
