@@ -55,7 +55,6 @@ from .linalg import (
 from .products import (
     AlgebraProduct,
     commutator_lie,
-    derived_identities_hold,
     half_bracket_product,
     is_compatible,
     is_complete,

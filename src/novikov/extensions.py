@@ -508,26 +508,30 @@ def _require_trivial_abelian(ext, who):
         raise HypothesisFailed("%s requires trivial products on a and b" % who)
 
 
-def _require_aa_zero(ext, who):
+def _require_three_step(ext, who):
+    """The closed forms' hypotheses: abelian b, trivial products, A_p A_q = 0
+    and an assembled algebra that is nilpotent of class at most 3."""
+    _require_trivial_abelian(ext, who)
     for p in range(ext.dim_b):
         for q in range(ext.dim_b):
             if not (ext.phi[p] * ext.phi[q]).is_zero():
                 raise HypothesisFailed(
                     "%s requires A_p A_q = 0; fails at (%d, %d)" % (who, p, q)
                 )
-
-
-def scheuneman_lift(ext):
-    """The closed-form LSA lift x_pq = v_pq/2, X_p = -A_p/3, Y_p = 2A_p/3.
-
-    Valid for extensions assembling to a 3-step nilpotent algebra with
-    A_p A_q = 0 (automatic when a = [g, g]).
-    """
-    _require_trivial_abelian(ext, "scheuneman_lift")
-    _require_aa_zero(ext, "scheuneman_lift")
     cls = assemble(ext).nilpotency_class()
     if cls is None or cls > 3:
-        raise HypothesisFailed("scheuneman_lift requires a 3-step nilpotent extension")
+        raise HypothesisFailed("%s requires a 3-step nilpotent extension" % who)
+
+
+def _checked(lift, verdict):
+    """The lift, or LiftCheckFailed carrying the verdict that failed."""
+    if not verdict:
+        raise LiftCheckFailed(verdict)
+    return lift
+
+
+def _scheuneman_form(ext):
+    """The closed form x_pq = v_pq/2, X_p = -A_p/3, Y_p = 2A_p/3, unchecked."""
     third = Q(1, 3)
     x_op = [a.scale(-third) for a in ext.phi]
     y_op = [a.scale(2 * third) for a in ext.phi]
@@ -537,11 +541,29 @@ def scheuneman_lift(ext):
             v = ext.omega_pair(p, q)
             if not is_zero_vec(v):
                 x_values[(p, q)] = vscale(Q(1, 2), v)
-    lift = LiftData(ext.dim_a, ext.dim_b, x_op, y_op, x_values)
-    verdict = check_lift_lsa(ext, lift)
-    if not verdict:
-        raise LiftCheckFailed(verdict)
-    return lift
+    return LiftData(ext.dim_a, ext.dim_b, x_op, y_op, x_values)
+
+
+def scheuneman_lift(ext):
+    """The closed-form LSA lift x_pq = v_pq/2, X_p = -A_p/3, Y_p = 2A_p/3.
+
+    Valid for extensions assembling to a 3-step nilpotent algebra with
+    A_p A_q = 0 (automatic when a = [g, g]).
+    """
+    _require_three_step(ext, "scheuneman_lift")
+    lift = _scheuneman_form(ext)
+    return _checked(lift, check_lift_lsa(ext, lift))
+
+
+def _two_gen_form(ext):
+    """The closed form X_1 = -A_1/2, X_2 = 0, x_21 = -v_12 for dim b = 2, unchecked."""
+    x_op = [ext.phi[0].scale(Q(-1, 2)), Matrix.zeros(ext.dim_a, ext.dim_a)]
+    y_op = [x + a for x, a in zip(x_op, ext.phi)]
+    v12 = ext.omega_pair(0, 1)
+    x_values = {}
+    if not is_zero_vec(v12):
+        x_values[(1, 0)] = vscale(-1, v12)
+    return LiftData(ext.dim_a, ext.dim_b, x_op, y_op, x_values)
 
 
 def two_gen_lift(ext):
@@ -549,22 +571,9 @@ def two_gen_lift(ext):
     X_1 = -A_1/2, X_2 = 0, x_21 = -v_12."""
     if ext.dim_b != 2:
         raise HypothesisFailed("two_gen_lift requires dim b = 2")
-    _require_trivial_abelian(ext, "two_gen_lift")
-    _require_aa_zero(ext, "two_gen_lift")
-    cls = assemble(ext).nilpotency_class()
-    if cls is None or cls > 3:
-        raise HypothesisFailed("two_gen_lift requires a 3-step nilpotent extension")
-    x_op = [ext.phi[0].scale(Q(-1, 2)), Matrix.zeros(ext.dim_a, ext.dim_a)]
-    y_op = [x + a for x, a in zip(x_op, ext.phi)]
-    v12 = ext.omega_pair(0, 1)
-    x_values = {}
-    if not is_zero_vec(v12):
-        x_values[(1, 0)] = vscale(-1, v12)
-    lift = LiftData(ext.dim_a, ext.dim_b, x_op, y_op, x_values)
-    verdict = check_lift_novikov(ext, lift)
-    if not verdict:
-        raise LiftCheckFailed(verdict)
-    return lift
+    _require_three_step(ext, "two_gen_lift")
+    lift = _two_gen_form(ext)
+    return _checked(lift, check_lift_novikov(ext, lift))
 
 
 def iso_lift(ext, e):
@@ -590,10 +599,7 @@ def iso_lift(ext, e):
         list(ext.phi),
         x_values,
     )
-    verdict = check_lift_novikov(ext, lift)
-    if not verdict:
-        raise LiftCheckFailed(verdict)
-    return lift
+    return _checked(lift, check_lift_novikov(ext, lift))
 
 
 def semidirect_lift(ext):
@@ -618,10 +624,7 @@ def semidirect_lift(ext):
         list(ext.phi),
         {},
     )
-    verdict = check_lift_lsa(ext, lift)
-    if not verdict:
-        raise LiftCheckFailed(verdict)
-    return lift
+    return _checked(lift, check_lift_lsa(ext, lift))
 
 
 def jordan_lift(ext, x_index):
@@ -701,10 +704,7 @@ def jordan_lift(ext, x_index):
         list(ext.phi),
         x_values,
     )
-    verdict = check_lift_novikov(ext, lift)
-    if not verdict:
-        raise LiftCheckFailed(verdict)
-    return lift
+    return _checked(lift, check_lift_novikov(ext, lift))
 
 
 def novikov_ideal_quotient(p, ideal):

@@ -1,7 +1,9 @@
 """Lie algebras as structure-constant tensors over Q.
 
 Indices are 0-based throughout the Python API; the LAF file formats are
-1-based and convert at the boundary.
+1-based and convert at the boundary. A StructureTensor keeps its nonzero
+constants indexed by basis pair, and the products and the axiom scans sum
+over those nonzeros rather than over every entry or every coordinate.
 """
 
 from .linalg import (
@@ -9,11 +11,8 @@ from .linalg import (
     Matrix,
     Q,
     Subspace,
-    is_zero_vec,
     nullspace_of_rows,
     scaled_sum,
-    vadd,
-    vscale,
     vunit,
 )
 
@@ -46,20 +45,28 @@ class StructureTensor:
     e_i * e_j = sum_k c[i][j][k] e_k; only nonzero entries are stored. Every
     table a construction builds from a bilinear map on basis vectors goes
     through tabulate.
+
+    pairs indexes the same entries by basis pair, {(i, j): {k: c}}, with no
+    empty or zero value. It is built once with the tensor and never changes;
+    equality and hashing read entries alone. The products read it, so they
+    cost the nonzeros they touch, not a scan of every entry.
     """
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "pairs")
 
     def __init__(self, dim, entries=None):
         table = {}
+        pairs = {}
         for (i, j, k), v in (entries or {}).items():
             v = Q(v)
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise DimensionMismatch("tensor index out of range: %s" % ((i, j, k),))
             if v != 0:
                 table[(i, j, k)] = v
+                pairs.setdefault((i, j), {})[k] = v
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", table)
+        object.__setattr__(self, "pairs", pairs)
 
     def __setattr__(self, name, value):
         raise AttributeError("StructureTensor is immutable")
@@ -95,32 +102,38 @@ class StructureTensor:
     def basis_product(self, i, j):
         """The vector e_i * e_j."""
         v = [Q(0)] * self.dim
-        for (a, b, k), c in self.entries.items():
-            if a == i and b == j:
-                v[k] = c
+        for k, c in self.pairs.get((i, j), {}).items():
+            v[k] = c
         return tuple(v)
 
     def apply(self, u, v):
-        """Bilinear product of two coordinate vectors."""
+        """Bilinear product of two coordinate vectors, summed over the basis
+        pairs where both coordinates are nonzero."""
         out = [Q(0)] * self.dim
-        for (i, j, k), c in self.entries.items():
-            if u[i] and v[j]:
-                out[k] += c * u[i] * v[j]
+        vs = [(j, b) for j, b in enumerate(v) if b]
+        for i, a in enumerate(u):
+            if a:
+                for j, b in vs:
+                    row = self.pairs.get((i, j))
+                    if row:
+                        ab = a * b
+                        for k, c in row.items():
+                            out[k] += c * ab
         return tuple(out)
 
     def left_matrix(self, i):
         """Matrix of x -> e_i * x."""
         m = [[Q(0)] * self.dim for _ in range(self.dim)]
-        for (a, j, k), c in self.entries.items():
-            if a == i:
+        for j in range(self.dim):
+            for k, c in self.pairs.get((i, j), {}).items():
                 m[k][j] = c
         return Matrix(m, cols=self.dim)
 
     def right_matrix(self, i):
         """Matrix of x -> x * e_i."""
         m = [[Q(0)] * self.dim for _ in range(self.dim)]
-        for (j, b, k), c in self.entries.items():
-            if b == i:
+        for j in range(self.dim):
+            for k, c in self.pairs.get((j, i), {}).items():
                 m[k][j] = c
         return Matrix(m, cols=self.dim)
 
@@ -267,33 +280,52 @@ class LieAlgebra:
         return "LieAlgebra(dim=%d)" % self.dim
 
 
+def _product_sum(pairs, terms):
+    """The nonzero coordinates {k: c} of the sum of sign * u*v over the terms
+    (sign, u, v), for a product with pair index pairs.
+
+    u and v are sparse vectors {index: coefficient}, so the sum visits only
+    the basis pairs where both are nonzero. The axiom scans write each basis
+    triple identity as such a sum: e_x*(e_y*e_z) is (1, {x: 1}, pairs[y, z])
+    and (e_x*e_y)*e_z is (1, pairs[x, y], {z: 1}).
+    """
+    acc = {}
+    for sign, u, v in terms:
+        for a, cu in u.items():
+            for b, cv in v.items():
+                row = pairs.get((a, b))
+                if row:
+                    s = sign * cu * cv
+                    for k, c in row.items():
+                        acc[k] = acc.get(k, 0) + s * c
+    return {k: c for k, c in acc.items() if c}
+
+
 def validate_lie(bracket, labels=None):
     """Check antisymmetry and the Jacobi identity on all basis triples.
 
     Returns the LieAlgebra on success; raises AntisymmetryViolation or
-    JacobiViolation naming the first failing triple otherwise.
+    JacobiViolation naming the first failing triple otherwise. Both scans sum
+    over the nonzero structure constants only.
     """
     n = bracket.dim
-    products = {(i, j): bracket.basis_product(i, j) for i in range(n) for j in range(n)}
+    pairs = bracket.pairs
+    e = [{i: 1} for i in range(n)]
     for i in range(n):
         for j in range(i, n):
-            lhs = products[(i, j)]
-            rhs = vscale(-1, products[(j, i)])
-            if lhs != rhs:
-                for k in range(n):
-                    if lhs[k] != rhs[k]:
-                        raise AntisymmetryViolation(i, j, k)
+            bad = _product_sum(pairs, ((1, e[i], e[j]), (1, e[j], e[i])))
+            if bad:
+                raise AntisymmetryViolation(i, j, min(bad))
     for i in range(n):
         for j in range(i + 1, n):
+            ij = pairs.get((i, j), {})
             for k in range(j + 1, n):
-                total = vadd(
-                    vadd(
-                        bracket.apply(products[(i, j)], vunit(n, k)),
-                        bracket.apply(products[(j, k)], vunit(n, i)),
-                    ),
-                    bracket.apply(products[(k, i)], vunit(n, j)),
+                jacobi = (
+                    (1, ij, e[k]),
+                    (1, pairs.get((j, k), {}), e[i]),
+                    (1, pairs.get((k, i), {}), e[j]),
                 )
-                if not is_zero_vec(total):
+                if _product_sum(pairs, jacobi):
                     raise JacobiViolation(i, j, k)
     return LieAlgebra(bracket, labels)
 

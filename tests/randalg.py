@@ -1,11 +1,15 @@
 """Deterministic random generators for the test corpora."""
 
+import functools
 import random
+
+from hypothesis import strategies as st
 
 from novikov import fixtures as fx
 from novikov.extensions import ExtensionData, assemble, two_step_solvable_from
-from novikov.lie import StructureTensor, quotient, validate_lie
+from novikov.lie import LieAlgebra, StructureTensor, quotient, validate_lie
 from novikov.linalg import Matrix, Q, Subspace, jordan_block
+from novikov.products import AlgebraProduct, half_bracket_product
 from novikov.reduction import ModuleAction
 
 
@@ -246,3 +250,78 @@ def random_basis_rmatrix_case(rng, pool):
         m = rng.randrange(g.dim)
         if all(g.bracket.basis_product(i, m)[ell] == 0 for i in range(g.dim)):
             return g, ell, m
+
+
+# Hypothesis strategies for the differential tests of the axiom scans.
+
+FRACTIONS = st.builds(Q, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def sparse_tensors(draw, max_dim=7, antisymmetric=False):
+    """Random sparse tensors of dimension 1 to max_dim with entries like -3/2."""
+    n = draw(st.integers(1, max_dim))
+    index = st.integers(0, n - 1)
+    entries = draw(st.dictionaries(st.tuples(index, index, index), FRACTIONS, max_size=2 * n * n))
+    if antisymmetric:
+        entries = {(i, j, k): c for (i, j, k), c in entries.items() if i < j}
+        entries.update({(j, i, k): -c for (i, j, k), c in entries.items()})
+    return StructureTensor(n, entries)
+
+
+@st.composite
+def perturbed(draw, tensor, antisymmetric=False):
+    """The tensor with one constant replaced (possibly by zero); with
+    antisymmetric, c[j][i][k] follows c[i][j][k]."""
+    index = st.integers(0, tensor.dim - 1)
+    i, j, k = draw(st.tuples(index, index, index))
+    c = draw(FRACTIONS)
+    entries = dict(tensor.entries)
+    entries[(i, j, k)] = c
+    if antisymmetric:
+        entries[(j, i, k)] = -c if i != j else 0
+    return StructureTensor(tensor.dim, entries)
+
+
+@functools.lru_cache(maxsize=None)
+def _novikov_tables():
+    """Fixture products of dimension at most 7 with their Lie algebras."""
+    return [
+        (fx.ex35_product(), fx.ex35()),
+        (fx.in_novikov_product(3), fx.in_lie(3)),
+        (fx.in_novikov_product(4), fx.in_lie(4)),
+        (fx.in_product(3), fx.in_lie(3)),
+        (half_bracket_product(fx.n3()), fx.n3()),
+        (half_bracket_product(fx.filiform(5)), fx.filiform(5)),
+    ]
+
+
+@st.composite
+def product_cases(draw):
+    """(product, Lie algebra) pairs: a fixture table with one constant
+    changed, its bracket kept, or a random table against its own commutator,
+    itself sometimes changed; the Lie algebra is not validated."""
+    if draw(st.booleans()):
+        p, g = draw(st.sampled_from(_novikov_tables()))
+        return AlgebraProduct(draw(perturbed(p.tensor))), g
+    p = AlgebraProduct(draw(sparse_tensors()))
+    bracket = p.commutator_tensor()
+    if draw(st.booleans()):
+        bracket = draw(perturbed(bracket))
+    return p, LieAlgebra(bracket)
+
+
+@functools.lru_cache(maxsize=None)
+def _lie_fixtures():
+    return (fx.ex35(), fx.sl2(), fx.r3(), fx.filiform(5), fx.in_lie(4), fx.filiform(7))
+
+
+@st.composite
+def bracket_cases(draw):
+    """Random tables, random antisymmetric tables, and fixture brackets with
+    one constant changed: failures of antisymmetry and of Jacobi alike."""
+    kind = draw(st.sampled_from(("random", "antisymmetric", "fixture")))
+    if kind == "fixture":
+        g = draw(st.sampled_from(_lie_fixtures()))
+        return draw(perturbed(g.bracket, antisymmetric=draw(st.booleans())))
+    return draw(sparse_tensors(antisymmetric=kind == "antisymmetric"))

@@ -30,13 +30,11 @@ from novikov.lie import quotient, validate_lie
 from novikov.linalg import Matrix, NotRegularNilpotent, Subspace, commutator, word_image_space
 from novikov.products import (
     commutator_lie,
-    derived_identities_hold,
     half_bracket_product,
     is_compatible,
     is_complete,
     is_left_symmetric,
     is_novikov,
-    novikov_operator_identity_holds,
 )
 from novikov.reduction import (
     ModuleAction,
@@ -56,6 +54,7 @@ from novikov.rmatrix import (
     induced_product,
 )
 
+from dense_scans import derived_identities_hold, novikov_operator_identity_holds
 from randalg import (
     basis_rmatrix_pool,
     random_basis_rmatrix_case,

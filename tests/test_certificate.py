@@ -19,14 +19,30 @@ from novikov.certificate import (
     residual_polynomials,
     verify_certificate,
 )
-from novikov.extensions import assemble
+from novikov import extensions
+from novikov.extensions import (
+    GammaExpansionFailed,
+    HypothesisFailed,
+    LiftCheckFailed,
+    NotInvertible,
+    NotTwoStepSolvable,
+    assemble,
+    check_lift_novikov,
+    iso_lift,
+    jordan_lift,
+    lift_product,
+    scheuneman_lift,
+    two_gen_lift,
+    two_step_solvable_from,
+)
 from novikov.laf import parse_file
-from novikov.linalg import _add_term
-from novikov.products import is_compatible, is_novikov
+from novikov.linalg import NotRegularNilpotent, _add_term, vunit
+from novikov.products import AlgebraProduct, half_bracket_product, is_compatible, is_novikov
 
 from randalg import (
     random_mixed_extension,
     random_regular_jordan_extension,
+    random_three_step_extension,
     random_two_step_nilpotent,
     rng_for,
 )
@@ -351,6 +367,77 @@ def test_decide_existence_cases():
         assert cert.verdict == EXISTS and cert.method == method
         assert is_novikov(cert.product) and is_compatible(cert.product, g)
         assert verify_certificate(g, cert)
+
+
+def reference_constructor_candidates(g):
+    """decide's constructor order through the public lifts, each with its
+    own hypothesis checks (assemble) and, for Scheuneman, the LSA pass."""
+    if g.is_abelian():
+        yield "zero-product", AlgebraProduct.zero(g.dim)
+        return
+    cls = g.nilpotency_class()
+    if cls is not None and cls <= 2:
+        yield "half-bracket", half_bracket_product(g)
+    try:
+        ext, split = two_step_solvable_from(g)
+    except NotTwoStepSolvable:
+        return
+
+    def transported(lift):
+        return split.transport_product(lift_product(ext, lift))
+
+    if ext.dim_b == 2:
+        try:
+            yield "two-generator", transported(two_gen_lift(ext))
+        except (HypothesisFailed, LiftCheckFailed):
+            pass
+    for x_index in range(ext.dim_b):
+        try:
+            yield "jordan-block", transported(jordan_lift(ext, x_index))
+            break
+        except (NotRegularNilpotent, GammaExpansionFailed, HypothesisFailed, LiftCheckFailed):
+            pass
+    for e_index in range(ext.dim_b):
+        try:
+            yield "invertible-action", transported(iso_lift(ext, vunit(ext.dim_b, e_index)))
+            break
+        except (NotInvertible, HypothesisFailed, LiftCheckFailed):
+            pass
+    try:
+        lift = scheuneman_lift(ext)
+        if check_lift_novikov(ext, lift):
+            yield "scheuneman", transported(lift)
+    except (HypothesisFailed, LiftCheckFailed):
+        pass
+
+
+def test_constructor_candidates_match_public_lifts():
+    corpus = [fx.ex35(), fx.n3(), fx.r2(), fx.r3(), fx.sl2(), fx.filiform(5), fx.filiform(6),
+              fx.free_n2_c4(), fx.free_n3_c3(), fx.abelian(2)]
+    rng = rng_for("candidates-3step")
+    corpus += [assemble(random_three_step_extension(rng, i)) for i in range(4)]
+    rng = rng_for("candidates-2step")
+    corpus += [random_two_step_nilpotent(rng, max_dim=6) for _ in range(2)]
+    methods = set()
+    for g in corpus:
+        got = list(certificate._constructor_candidates(g))
+        assert got == list(reference_constructor_candidates(g))
+        methods.update(method for method, _ in got)
+    assert {"two-generator", "jordan-block", "invertible-action"} <= methods
+
+
+def test_decide_assembles_no_extension(monkeypatch):
+    # the constructors read the class of g itself; neither the closed forms
+    # nor the LSA pass of scheuneman_lift run inside decide
+    calls = []
+    for name in ("assemble", "check_lift_lsa"):
+        original = getattr(extensions, name)
+        monkeypatch.setattr(extensions, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    assert decide_novikov(fx.free_n2_c4()).verdict == NOT_EXISTS
+    assert decide_novikov(fx.ex35()).method == "two-generator"
+    assert calls == []
+    extensions.scheuneman_lift(two_step_solvable_from(fx.ex35())[0])
+    assert calls == ["assemble", "check_lift_lsa"]
 
 
 def test_decide_random_two_step_nilpotent():

@@ -1,20 +1,24 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
 
 from novikov import fixtures as fx
 from novikov.lie import (
     AntisymmetryViolation,
     JacobiViolation,
+    LieAlgebra,
     NotAnIdeal,
     StructureTensor,
     quotient,
+    quotient_tensor,
     validate_lie,
 )
 from novikov.fixtures import UnknownFixture, fixture
 from novikov.linalg import Subspace
 
-from randalg import random_two_step_nilpotent, rng_for
+import dense_scans as dense
+from randalg import bracket_cases, random_two_step_nilpotent, rational, rng_for
 
 
 def unit(n, k, c=1):
@@ -159,3 +163,75 @@ def test_free_n2_c4_is_free_nilpotent_profile():
     g = fx.free_n2_c4()
     assert g.nilpotency_class() == 4
     assert g.derived_length() == 2
+
+
+def _assert_pair_index(t):
+    regrouped = {}
+    for (i, j, k), c in t.entries.items():
+        regrouped.setdefault((i, j), {})[k] = c
+    assert t.pairs == regrouped
+    assert all(row and all(row.values()) for row in t.pairs.values())
+
+
+def _random_vector(rng, n):
+    return tuple(rational(rng, dens=(1, 2, 3)) if rng.random() < 0.6 else Q(0) for _ in range(n))
+
+
+def test_pair_index_on_every_construction_path():
+    g = fx.free_n3_c3()
+    ideal = Subspace(g.dim, g.lower_central_series()[2].basis)
+    tensors = [
+        StructureTensor(3, {(0, 1, 2): Q(1, 2), (0, 1, 0): 0, (2, 2, 1): Q(-3)}),
+        StructureTensor.from_products(3, {(0, 1): (Q(0), Q(1, 3), Q(2)), (1, 1): (0, 0, 0)}),
+        StructureTensor.tabulate(3, lambda i, j: tuple(Q(i - j, k + 1) for k in range(3))),
+        StructureTensor.antisymmetric_from_brackets(3, {(0, 1): (Q(0), Q(0), Q(5, 2))}),
+        fx.ex35().bracket.change_basis([
+            tuple(Q(1) if b == a else Q(1, 2) if b == a + 1 else Q(0) for b in range(5))
+            for a in range(5)
+        ]),
+        quotient_tensor(g.bracket, ideal)[1],
+    ]
+    for t in tensors:
+        _assert_pair_index(t)
+        assert t.pairs
+        # equality and hashing read the entries alone, in any order
+        twin = StructureTensor(t.dim, dict(reversed(list(t.entries.items()))))
+        assert twin == t and hash(twin) == hash(t) == hash((t.dim, tuple(sorted(t.entries.items()))))
+        assert twin != StructureTensor(t.dim, {})
+        for name in ("pairs", "entries", "dim"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, {})
+
+
+def test_products_match_entry_scans():
+    rng = rng_for("entry-scans")
+    tensors = [fx.free_n3_c3().bracket, fx.free_n3_c3_product().tensor, fx.sl2().bracket,
+               StructureTensor(2, {})]
+    tensors += [random_two_step_nilpotent(rng).bracket for _ in range(3)]
+    for t in tensors:
+        n = t.dim
+        for i in range(n):
+            assert t.left_matrix(i) == dense.left_matrix(t, i)
+            assert t.right_matrix(i) == dense.right_matrix(t, i)
+            for j in range(n):
+                assert t.basis_product(i, j) == dense.basis_product(t, i, j)
+        for _ in range(10):
+            u, v = _random_vector(rng, n), _random_vector(rng, n)
+            out = t.apply(u, v)
+            assert out == dense.apply(t, u, v)
+            assert all(type(x) is Q for x in out)
+
+
+def _lie_outcome(check, t):
+    try:
+        g = check(t)
+    except (AntisymmetryViolation, JacobiViolation) as err:
+        return type(err), err.triple
+    assert type(g) is LieAlgebra and g.bracket is t
+    return None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(bracket_cases())
+def test_validate_lie_matches_dense_reference(t):
+    assert _lie_outcome(validate_lie, t) == _lie_outcome(dense.validate_lie, t)

@@ -1,23 +1,26 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
 
 from novikov import fixtures as fx
+from novikov.lie import StructureTensor, validate_lie
 from novikov.linalg import commutator
 from novikov.products import (
     AlgebraProduct,
     NotLeftSymmetric,
+    _eq2,
     commutator_lie,
-    derived_identities_hold,
     half_bracket_product,
     is_compatible,
     is_complete,
     is_left_symmetric,
     is_novikov,
-    novikov_operator_identity_holds,
 )
 
-from randalg import random_two_step_nilpotent, rng_for
+import dense_scans as dense
+from dense_scans import derived_identities_hold, novikov_operator_identity_holds
+from randalg import product_cases, random_two_step_nilpotent, rng_for
 
 
 def test_left_symmetric_zero():
@@ -144,3 +147,33 @@ def test_novikov_invariants_across_corpus():
 def test_novikov_implies_left_symmetric():
     for p, _ in novikov_product_corpus():
         assert is_left_symmetric(p)
+
+
+def _verdict(v):
+    return v.ok, v.witness, v.label
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(product_cases())
+def test_scans_match_dense_references(case):
+    p, g = case
+    assert _verdict(is_left_symmetric(p)) == _verdict(dense.is_left_symmetric(p))
+    assert _verdict(_eq2(p)) == _verdict(dense.eq2(p))
+    assert _verdict(is_compatible(p, g)) == _verdict(dense.is_compatible(p, g))
+
+
+def test_scans_make_no_apply_calls(monkeypatch):
+    p, g = fx.free_n3_c3_product(), fx.free_n3_c3()
+    calls = []
+    dense_apply = StructureTensor.apply
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return dense_apply(self, u, v)
+
+    monkeypatch.setattr(StructureTensor, "apply", counted)
+    assert is_novikov(p) and is_compatible(p, g)
+    assert validate_lie(g.bracket).bracket == g.bracket
+    assert calls == []
+    p.apply(p.basis_product(0, 1), p.basis_product(1, 0))
+    assert len(calls) == 1
