@@ -284,10 +284,10 @@ def two_step_solvable_from(g):
     set of standard basis vectors complementing a, so the output is
     deterministic. Returns (ExtensionData, SplitData).
     """
-    dl = g.derived_length()
+    series = g.derived_series()
+    dl = len(series) - 1 if series[-1].is_zero() else None
     if dl is None or dl > 2:
         raise NotTwoStepSolvable("derived length is %s" % dl)
-    series = g.derived_series()
     derived = series[1] if len(series) > 1 else series[-1]
     n = derived.dim
     section = derived.complement()
@@ -651,13 +651,11 @@ def jordan_lift(ext, x_index):
         return p_mat.apply(ext.omega_pair(order[p], order[q]))
 
     j_n = jordan_block(n)
-    powers = [Matrix.identity(n)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * j_n)
     gammas = []
     for idx, mat in enumerate(a_conj):
+        # sum_k gamma_k J^k has gamma_(c-r) at (r, c) for c >= r, 0 below
         gamma = [mat[0, k] for k in range(n)]
-        if scaled_sum(zip(gamma, powers), n, n) != mat:
+        if any(mat[r, c] != (gamma[c - r] if c >= r else 0) for r in range(n) for c in range(n)):
             raise GammaExpansionFailed(
                 "A_%d is not a polynomial in the regular block" % order[idx]
             )

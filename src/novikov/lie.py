@@ -141,10 +141,6 @@ class StructureTensor:
         terms = ((c, self.left_matrix(i)) for i, c in enumerate(x) if c)
         return scaled_sum(terms, self.dim, self.dim)
 
-    def right_matrix_of(self, x):
-        terms = ((c, self.right_matrix(i)) for i, c in enumerate(x) if c)
-        return scaled_sum(terms, self.dim, self.dim)
-
     def is_zero(self):
         return not self.entries
 

@@ -14,7 +14,9 @@ and inverses all take their reduced echelon form from it. Subspace
 membership and coordinates are the row step against a subspace's echelon
 rows, and its complement is one echelon pass over the basis with the columns
 reversed. The certificate's residual elimination and every sparse row or
-polynomial build in the package use the same kernel.
+polynomial build in the package use the same kernel. Nilpotency reads one
+more, _krylov_chain: the nonzero images of a sparse vector under an operator
+given by its sparse columns, so no matrix power is ever formed.
 """
 
 from fractions import Fraction
@@ -72,7 +74,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        data = tuple(tuple(Q(x) for x in row) for row in data)
+        data = tuple(tuple(x if type(x) is Q else Q(x) for x in row) for row in data)
         rows = len(data)
         if rows:
             cols = len(data[0])
@@ -155,19 +157,6 @@ class Matrix:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def __pow__(self, k):
-        if self.rows != self.cols:
-            raise DimensionMismatch("power of non-square matrix")
-        result = Matrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def apply(self, v):
         """Matrix times column vector (given and returned as a tuple); each
         entry sums row[j] * v[j] over the nonzero v[j] only."""
@@ -184,11 +173,6 @@ class Matrix:
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
-
-    def is_nilpotent(self):
-        if self.rows != self.cols:
-            raise DimensionMismatch("nilpotency of non-square matrix")
-        return (self ** self.rows).is_zero()
 
     def inverse(self):
         if self.rows != self.cols:
@@ -584,31 +568,49 @@ def jordan_block(n):
     return Matrix(m, cols=n)
 
 
+def _krylov_chain(columns, v, limit):
+    """The nonzero vectors v, N v, N^2 v, ... of an operator N, as sparse dicts.
+
+    columns maps j to column j of N, N e_j = {k: c} (a missing column is
+    zero), and v is a sparse vector {k: c}. The chain stops before the first
+    zero image, or after limit steps, so it has at most limit + 1 terms and
+    N^limit v = 0 exactly when it has at most limit. Each step visits only
+    the nonzeros of the vector and of the columns it meets.
+    """
+    chain = []
+    while v:
+        chain.append(v)
+        if len(chain) > limit:
+            break
+        image = {}
+        for j, c in v.items():
+            for k, x in columns.get(j, {}).items():
+                image[k] = image.get(k, 0) + c * x
+        v = {k: x for k, x in image.items() if x}
+    return chain
+
+
 def nilpotent_regular_basis(n_matrix):
     """Change of basis P with P N P^-1 = jordan_block(n) for a regular nilpotent N.
 
     Regular means nilpotent of index exactly n, i.e. N^(n-1) != 0 and N^n = 0.
-    Built from the Krylov chain of a vector v with N^(n-1) v != 0.
+    A Krylov chain of some e_j with n + 1 terms shows N^n != 0; the first one
+    with n terms is a basis killed by N^n, and P is built from it.
     """
     n = n_matrix.rows
     if n_matrix.cols != n:
         raise DimensionMismatch("square matrix required")
-    if not (n_matrix ** n).is_zero():
-        raise NotRegularNilpotent("matrix is not nilpotent")
-    top = n_matrix ** (n - 1) if n > 1 else Matrix.identity(n)
-    seed = None
+    columns = dict(enumerate(_sparse(zip(*n_matrix.data))))
     for j in range(n):
-        if not is_zero_vec(top.column(j)):
-            seed = vunit(n, j)
+        chain = _krylov_chain(columns, {j: 1}, n)
+        if len(chain) > n:
+            raise NotRegularNilpotent("matrix is not nilpotent")
+        if len(chain) == n:
             break
-    if seed is None:
+    else:
         raise NotRegularNilpotent("nilpotency index is smaller than the dimension")
-    chain = [seed]
-    for _ in range(n - 1):
-        chain.append(n_matrix.apply(chain[-1]))
-    chain.reverse()  # chain[k] = N^(n-1-k) seed, so N chain[k+1] = chain[k]
-    q = Matrix.from_columns(chain)
-    return q.inverse()
+    chain.reverse()  # chain[k] = N^(n-1-k) e_j, so N chain[k+1] = chain[k]
+    return Matrix.from_columns([[v.get(k, 0) for k in range(n)] for v in chain]).inverse()
 
 
 def word_image_space(ops, v_subspace, length):

@@ -5,14 +5,17 @@ and completeness (nilpotency of right multiplications). The axiom checks
 scan basis triples; each triple's identity is summed over the nonzero
 structure constants through the tensor's pair index (lie.StructureTensor),
 so a sparse product costs its nonzeros, not n coordinates per term.
+Completeness reads each R(x) column by column from the same index and decides
+R^n = 0 from the sparse Krylov chains of the unit vectors, building no matrix.
 
 Convention: L(x)y = x*y and R(x)y = y*x throughout.
 """
 
 import random
+from math import lcm
 
 from .lie import StructureTensor, _product_sum, validate_lie
-from .linalg import Q, vscale, vsub, vunit
+from .linalg import Q, _krylov_chain, vscale, vsub, vunit
 
 
 class NotLeftSymmetric(ValueError):
@@ -55,9 +58,6 @@ class AlgebraProduct:
 
     def left_of(self, x):
         return self.tensor.left_matrix_of(x)
-
-    def right_of(self, x):
-        return self.tensor.right_matrix_of(x)
 
     def commutator_tensor(self):
         """Structure constants of x*y - y*x."""
@@ -225,9 +225,16 @@ class Completeness:
         return "Completeness(%s, witness=%r)" % (self.kind, self.witness)
 
 
+def _nilpotent(columns, n):
+    """R^n e_j = 0 for every j, where R on Q^n has sparse columns R e_j."""
+    return all(len(_krylov_chain(columns, {j: 1}, n)) <= n for j in range(n))
+
+
 def is_complete(p):
     """Are all right multiplications R(x) nilpotent?
 
+    Column j of R(x) is e_j * x, read from the pair index, and R(x)^n = 0 is
+    read from the sparse Krylov chains of the unit vectors (_nilpotent).
     Whether the R(e_i) commute is decided by the eq-2 triple scan that
     is_novikov also runs ((x*y)*z = (x*z)*y on basis triples). If they
     commute, as for every Novikov product, the answer is exact: the whole
@@ -236,15 +243,19 @@ def is_complete(p):
     combinations are sampled.
     """
     n = p.dim
-    e = [vunit(n, i) for i in range(n)]
+    # in ints: d R(m x), with d and m clearing denominators, is nilpotent iff R(x) is
+    d = lcm(*(c.denominator for c in p.tensor.entries.values()))
+    pairs = {ij: {k: int(c * d) for k, c in row.items()} for ij, row in p.tensor.pairs.items()}
     for i in range(n):
-        if not p.right(i).is_nilpotent():
-            return Completeness(INCOMPLETE, e[i])
+        if not _nilpotent({j: pairs[j, i] for j in range(n) if (j, i) in pairs}, n):
+            return Completeness(INCOMPLETE, vunit(n, i))
     if _eq2(p):
         return Completeness(COMPLETE)
     rng = random.Random(_HEURISTIC_SEED)
     for _ in range(_HEURISTIC_SAMPLES):
         x = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
-        if not p.right_of(x).is_nilpotent():
+        m = lcm(*(c.denominator for c in x))
+        xs = {i: int(c * m) for i, c in enumerate(x) if c}
+        if not _nilpotent({j: _product_sum(pairs, ((1, {j: 1}, xs),)) for j in range(n)}, n):
             return Completeness(INCOMPLETE, x)
     return Completeness(HEURISTIC_UNKNOWN)

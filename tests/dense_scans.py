@@ -5,11 +5,36 @@ identity over nonzero structure constants. These are the entry-scan and
 dense-vector forms the differential tests hold it to: same vectors and
 matrices, same Verdict (ok, witness, label), same exception and triple.
 The derived Novikov identities, which no library path needs, live here too.
+So do the dense matrix powers that completeness and the regular nilpotent
+normal form were decided by, before both read sparse Krylov chains.
 """
 
+import random
+
+
 from novikov.lie import AntisymmetryViolation, JacobiViolation, LieAlgebra
-from novikov.linalg import Matrix, Q, commutator, is_zero_vec, vadd, vscale, vsub, vunit
-from novikov.products import Verdict
+from novikov.linalg import (
+    DimensionMismatch,
+    Matrix,
+    NotRegularNilpotent,
+    Q,
+    commutator,
+    is_zero_vec,
+    scaled_sum,
+    vadd,
+    vscale,
+    vsub,
+    vunit,
+)
+from novikov.products import (
+    COMPLETE,
+    HEURISTIC_UNKNOWN,
+    INCOMPLETE,
+    Completeness,
+    Verdict,
+    _HEURISTIC_SAMPLES,
+    _HEURISTIC_SEED,
+)
 
 
 def basis_product(t, i, j):
@@ -169,3 +194,67 @@ def novikov_operator_identity_holds(p, g):
             if not total.is_zero():
                 return False
     return True
+
+
+def matrix_power(m, k):
+    """m^k by repeated squaring."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("power of non-square matrix")
+    result = Matrix.identity(m.rows)
+    base = m
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def is_nilpotent(m):
+    """m^n = 0 for the n x n matrix m."""
+    return matrix_power(m, m.rows).is_zero()
+
+
+def right_matrix_of(t, x):
+    return scaled_sum(((c, right_matrix(t, i)) for i, c in enumerate(x) if c), t.dim, t.dim)
+
+
+def is_complete(p):
+    """Each dense R(e_i) raised to the n-th power; if the dense eq-2 scan
+    fails, the same 32 seeded samples R(x)."""
+    t, n = p.tensor, p.dim
+    for i in range(n):
+        if not is_nilpotent(right_matrix(t, i)):
+            return Completeness(INCOMPLETE, vunit(n, i))
+    if eq2(p):
+        return Completeness(COMPLETE)
+    rng = random.Random(_HEURISTIC_SEED)
+    for _ in range(_HEURISTIC_SAMPLES):
+        x = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+        if not is_nilpotent(right_matrix_of(t, x)):
+            return Completeness(INCOMPLETE, x)
+    return Completeness(HEURISTIC_UNKNOWN)
+
+
+def nilpotent_regular_basis(n_matrix):
+    """N^n = 0 and the seed column of N^(n-1) from dense powers, then the
+    chain by dense matrix-vector products."""
+    n = n_matrix.rows
+    if n_matrix.cols != n:
+        raise DimensionMismatch("square matrix required")
+    if not matrix_power(n_matrix, n).is_zero():
+        raise NotRegularNilpotent("matrix is not nilpotent")
+    top = matrix_power(n_matrix, n - 1) if n > 1 else Matrix.identity(n)
+    seed = None
+    for j in range(n):
+        if not is_zero_vec(top.column(j)):
+            seed = vunit(n, j)
+            break
+    if seed is None:
+        raise NotRegularNilpotent("nilpotency index is smaller than the dimension")
+    chain = [seed]
+    for _ in range(n - 1):
+        chain.append(n_matrix.apply(chain[-1]))
+    chain.reverse()
+    return Matrix.from_columns(chain).inverse()

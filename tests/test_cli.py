@@ -28,6 +28,25 @@ def test_fixture_and_verify(tmp_path, capsys):
     assert code == 0 and report["status"] == "complete"
 
 
+def test_verify_complete_reports_pinned(tmp_path, capsys):
+    # R(e1) of In-product:3 is not nilpotent; free-n3-c3-product is Novikov
+    # with every R(e_i) nilpotent
+    cases = (
+        ("In:3", "In-product:3", 1,
+         '{"command": "verify", "property": "complete", "holds": false, '
+         '"status": "incomplete", "witness": ["1", "0", "0"]}'),
+        ("free-n3-c3", "free-n3-c3-product", 0,
+         '{"command": "verify", "property": "complete", "holds": true, "status": "complete"}'),
+    )
+    lie = str(tmp_path / "g.laf")
+    prod = str(tmp_path / "p.lafp")
+    for lie_name, product_name, exit_code, line in cases:
+        assert run(capsys, "fixture", "--name", lie_name, "-o", lie)[0] == 0
+        assert run(capsys, "fixture", "--name", product_name, "-o", prod)[0] == 0
+        assert main(["verify", "--lie", lie, "--product", prod, "--complete"]) == exit_code
+        assert capsys.readouterr().out == line + "\n"
+
+
 def test_verify_failure_names_equation(tmp_path, capsys):
     lie = str(tmp_path / "g8.laf")
     prod = str(tmp_path / "half.lafp")

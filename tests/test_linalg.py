@@ -26,6 +26,8 @@ from novikov.linalg import (
     word_image_space,
 )
 
+import dense_scans as dense
+
 
 def test_solve_identity():
     sol = solve_linear(Matrix.identity(3), (1, 2, 3))
@@ -163,6 +165,54 @@ def test_nilpotent_regular_basis_rejects():
         nilpotent_regular_basis(Matrix.zeros(2, 2))
     with pytest.raises(NotRegularNilpotent):
         nilpotent_regular_basis(Matrix.identity(2))
+
+
+def _regular_basis_outcome(f, m):
+    try:
+        return f(m)
+    except (DimensionMismatch, NotRegularNilpotent) as exc:
+        return type(exc), str(exc)
+
+
+def test_nilpotent_regular_basis_matches_dense_reference():
+    rng = random.Random(12)
+    cases = [
+        Matrix.zeros(0, 0),
+        Matrix.zeros(1, 1),
+        Matrix([[3]]),
+        Matrix.zeros(2, 3),
+        Matrix.zeros(3, 3),
+        Matrix.identity(2),
+    ]
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        block = [list(row) for row in jordan_block(k).data]
+        kind = rng.choice(("regular", "split", "not-nilpotent"))
+        if kind == "split" and k > 1:
+            # two Jordan blocks: nilpotent of index < k
+            i = rng.randrange(k - 1)
+            block[i][i + 1] = Q(0)
+        elif kind == "not-nilpotent":
+            i = rng.randrange(k)
+            block[i][i] = Q(rng.choice((-2, -1, 1, 2)))
+        # a dense invertible change of basis: unit lower times unit upper
+        lower = Matrix([[Q(1) if i == j else Q(rng.randint(-2, 2)) if i > j else Q(0)
+                         for j in range(k)] for i in range(k)])
+        upper = Matrix([[Q(1) if i == j else Q(rng.randint(-2, 2)) if i < j else Q(0)
+                         for j in range(k)] for i in range(k)])
+        s = lower * upper
+        cases.append(s * Matrix(block) * s.inverse())
+    kinds = set()
+    for m in cases:
+        got = _regular_basis_outcome(nilpotent_regular_basis, m)
+        assert got == _regular_basis_outcome(dense.nilpotent_regular_basis, m)
+        kinds.add(got[1] if isinstance(got, tuple) else "matrix")
+    assert kinds == {
+        "matrix",
+        "square matrix required",
+        "matrix is not nilpotent",
+        "nilpotency index is smaller than the dimension",
+    }
 
 
 def test_word_image_space_examples():

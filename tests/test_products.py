@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novikov import fixtures as fx
 from novikov.lie import StructureTensor, validate_lie
@@ -20,7 +21,7 @@ from novikov.products import (
 
 import dense_scans as dense
 from dense_scans import derived_identities_hold, novikov_operator_identity_holds
-from randalg import product_cases, random_two_step_nilpotent, rng_for
+from randalg import product_cases, random_two_step_nilpotent, rng_for, sparse_tensors
 
 
 def test_left_symmetric_zero():
@@ -84,12 +85,16 @@ def test_complete_examples():
     assert is_complete(fx.in_novikov_product(3)).kind == "complete"
 
 
-def test_heuristic_unknown_reachable():
-    # scheuneman products are left-symmetric with non-commuting rights in general
+def _scheuneman_ex35():
     from novikov.extensions import lift_product, scheuneman_lift, two_step_solvable_from
 
     ext, _ = two_step_solvable_from(fx.ex35())
-    p = lift_product(ext, scheuneman_lift(ext))
+    return lift_product(ext, scheuneman_lift(ext))
+
+
+def test_heuristic_unknown_reachable():
+    # scheuneman products are left-symmetric with non-commuting rights in general
+    p = _scheuneman_ex35()
     res = is_complete(p)
     assert res.kind == "heuristic-unknown"
     assert res.passes_nilpotency_checks
@@ -177,3 +182,40 @@ def test_scans_make_no_apply_calls(monkeypatch):
     assert calls == []
     p.apply(p.basis_product(0, 1), p.basis_product(1, 0))
     assert len(calls) == 1
+
+
+def _completeness(c):
+    return c.kind, c.witness
+
+
+def test_is_complete_matches_dense_reference_on_tables():
+    # e1*e0 = e0 and e0*e1 = e1: R(e0) and R(e1) are nilpotent, R(e0 + e1)
+    # is not, and the first sample x finds it
+    swap = AlgebraProduct(StructureTensor(2, {(1, 0, 0): 1, (0, 1, 1): 1}))
+    cases = [
+        (AlgebraProduct.zero(0), "complete"),
+        (AlgebraProduct.zero(1), "complete"),
+        (fx.in_product(3), "incomplete"),
+        (fx.in_product(5), "incomplete"),
+        (swap, "incomplete"),
+        (_scheuneman_ex35(), "heuristic-unknown"),
+        (fx.ex35_product(), "complete"),
+        (fx.free_n3_c3_product(), "complete"),
+        (fx.in_novikov_product(4), "complete"),
+        (half_bracket_product(fx.n3()), "complete"),
+        # class 5: not left-symmetric, every R(x) strictly triangular
+        (half_bracket_product(fx.filiform(6)), "heuristic-unknown"),
+    ]
+    for p, kind in cases:
+        got = is_complete(p)
+        assert got.kind == kind
+        assert _completeness(got) == _completeness(dense.is_complete(p))
+    # the swap witness is a sample, not a basis vector
+    assert sum(1 for c in is_complete(swap).witness if c) == 2
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(sparse_tensors(), product_cases().map(lambda case: case[0].tensor)))
+def test_is_complete_matches_dense_reference(t):
+    p = AlgebraProduct(t)
+    assert _completeness(is_complete(p)) == _completeness(dense.is_complete(p))
