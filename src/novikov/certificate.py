@@ -36,7 +36,17 @@ from .extensions import (
     two_step_solvable_from,
 )
 from .lie import StructureTensor
-from .linalg import NotRegularNilpotent, Q, _add_scaled, _add_term, _row_step, solve_sparse, vunit
+from .linalg import (
+    NotRegularNilpotent,
+    Q,
+    _add_scaled,
+    _add_term,
+    _as_int,
+    _row_step,
+    _to_fractions,
+    solve_sparse,
+    vunit,
+)
 from .products import (
     AlgebraProduct,
     half_bracket_product,
@@ -123,7 +133,9 @@ class QuadraticBlock(Sequence):
     rr = [L(e_i) - ad(e_i), L(e_j) - ad(e_j)][r][s] adds the ad terms of the
     operator row (i, j, r, s) and the constant [ad(e_i), ad(e_j)][r][s],
     which is ad([e_i, e_j])[r][s] by the Jacobi identity. An entry costs
-    O(n + nnz of the rows and columns it reads).
+    O(n + nnz of the rows and columns it reads). ad_terms serves only the rr
+    entries: build_system scatters the operator rows from the same indexes
+    without calling it.
     """
 
     __slots__ = ("n", "pairs", "bracket", "ad_rows", "ad_cols", "ad_brackets")
@@ -256,15 +268,23 @@ def build_system(g):
     dropped, so every stored row is nonzero (or is an outright contradiction
     0 = c, kept on purpose).
 
-    Each operator row and right-hand side is generated from the nonzeros of
-    the bracket indexes alone, in O(n^4 + nnz * n^2) over the whole linear
-    block, so no zero term is built and then dropped. No quadratic is built
-    here: the block builds an entry, in O(n) plus its nonzeros, when it is
-    accessed.
+    The operator rows of a pair are scattered from the nonzeros of the
+    bracket indexes: each nonzero of ad(e_i), ad(e_j) and [e_i, e_j] puts its
+    coefficient, negated once per nonzero and not once per row, into the n
+    or n^2 rows it reaches, in the order of the four ad_terms phases and
+    then the [e_i, e_j] phase, so every row holds its variables in the order
+    that summing the phases row by row gives. That is O(n^4 + nnz * n^2)
+    over the whole linear block, with no zero term built and then dropped.
+    No quadratic is built here: the block builds an entry, in O(n) plus its
+    nonzeros, when it is accessed.
     """
     block = QuadraticBlock(g)
     n = block.n
     nn = n * n  # x(i, r, c) is variable i*nn + r*n + c
+    ad_rows, ad_cols = block.ad_rows, block.ad_cols
+    every_cell = range(nn)
+    row_cells = [range(r * n, r * n + n) for r in range(n)]
+    col_cells = [range(s, nn, n) for s in range(n)]
     linear_rows, linear_rhs = [], []
     operator_rows, operator_rhs = [], []
     for (i, j), adw in zip(block.pairs, block.ad_brackets):
@@ -272,16 +292,36 @@ def build_system(g):
         for k in range(n):
             linear_rows.append({(i * n + k) * n + j: _ONE, (j * n + k) * n + i: _MINUS_ONE})
             linear_rhs.append(w.get(k, _ZERO))
+        # operator row (r, s) is rows[r*n + s]; in every phase a nonzero puts
+        # its coefficient at variable t + offset of each cell t it reaches
+        rows = [{} for _ in every_cell]
         for r in range(n):
-            for s in range(n):
-                row = block.ad_terms(i, j, r, s)
-                for k, c in w.items():
-                    _add_term(row, k * nn + r * n + s, c)
-                rhs = -adw.get((r, s), _ZERO)
-                if row or rhs:
-                    operator_rows.append(row)
-                    operator_rhs.append(rhs)
+            for k, c in ad_rows[i][r].items():
+                _scatter(rows, row_cells[r], j * nn + (k - r) * n, -c)
+        for s in range(n):
+            for k, c in ad_cols[i][s].items():
+                _scatter(rows, col_cells[s], j * nn + k - s, c)
+        for s in range(n):
+            for k, c in ad_cols[j][s].items():
+                _scatter(rows, col_cells[s], i * nn + k - s, -c)
+        for r in range(n):
+            for k, c in ad_rows[j][r].items():
+                _scatter(rows, row_cells[r], i * nn + (k - r) * n, c)
+        for k, c in w.items():
+            _scatter(rows, every_cell, k * nn, c)
+        negated = {r * n + s: -c for (r, s), c in adw.items()}
+        for t, row in enumerate(rows):
+            if row or t in negated:
+                operator_rows.append(row)
+                operator_rhs.append(negated.get(t, _ZERO))
     return PolySystem(n, linear_rows + operator_rows, linear_rhs + operator_rhs, block)
+
+
+def _scatter(rows, cells, offset, c):
+    """rows[t][t + offset] += c for each cell t. A new key stores c itself
+    (_add_term), so one coefficient object serves every row it starts."""
+    for t in cells:
+        _add_term(rows[t], t + offset, c)
 
 
 def _sorted_pair(a, b):
@@ -326,7 +366,9 @@ class Certificate:
 
 
 def _substitute(poly, forms):
-    """Substitute affine forms (const, {param: coeff}) into a quadratic."""
+    """Substitute affine forms (const, {param: coeff}) into a quadratic.
+
+    Coefficients may be ints or Fractions; the result is exact either way."""
     out = {}
     for mono, coeff in poly.items():
         if mono == ():
@@ -363,20 +405,26 @@ def residual_polynomials(system):
     of whose monomials has all its variables live (the constant monomial
     () always does) substitutes to zero. Only the quadratics that
     system.quadratics.candidates(live) names are built; of those, the ones
-    without such a monomial are skipped unexpanded."""
+    without such a monomial are skipped unexpanded.
+
+    As in solve_sparse, the substitution runs on ints where the values are
+    integral (the affine forms and the quadratic's coefficients are demoted
+    first), and the residual coefficients come back as Fractions."""
     sol = solve_sparse(system.linear_rows, system.linear_rhs, system.nvars)
     if not sol.consistent:
         return sol, None
     forms = sol.affine_forms()
     live = {v for v, (c, terms) in enumerate(forms) if c or terms}
+    forms = [(_as_int(c), {p: _as_int(a) for p, a in t.items()}) for c, t in forms]
     residuals = {}
     for qi in system.quadratics.candidates(live):
         poly = system.quadratics[qi]
         if not any(map(live.issuperset, poly)):
             continue
-        sub = _substitute(poly, forms)
+        sub = _substitute({m: _as_int(c) for m, c in poly.items()}, forms)
         if sub:
             residuals[qi] = sub
+    _to_fractions(residuals.values())
     return sol, residuals
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 Q = Fraction
 
-_ZERO = Q(0)
+_ZERO, _ONE = Q(0), Q(1)
 
 
 class DimensionMismatch(ValueError):
@@ -413,7 +413,7 @@ class SparseSolution:
         for c in range(self.ncols):
             row = self.pivot_rows.get(c)
             if row is None:
-                forms.append((Q(0), {c: Q(1)}))
+                forms.append((_ZERO, {c: _ONE}))
             else:
                 forms.append(
                     (self.pivot_rhs[c], {f: -x for f, x in row.items() if f != c})
@@ -424,15 +424,20 @@ class SparseSolution:
 def _add_term(acc, key, c):
     """acc[key] += c, dropping the entry when it cancels.
 
-    A new key starts from the int 0, so the sum keeps the type of c: a
-    Fraction term gives a Fraction, and an int term stays an int.
+    A new key stores c itself, of its own type, and no sum is formed: 0 + c
+    would allocate a new Fraction through Fraction.__radd__. Only a key
+    already present pays for an addition.
     """
     if c:
-        total = acc.get(key, 0) + c
-        if total:
-            acc[key] = total
+        old = acc.get(key)
+        if old is None:
+            acc[key] = c
         else:
-            acc.pop(key, None)
+            total = old + c
+            if total:
+                acc[key] = total
+            else:
+                del acc[key]
 
 
 def _add_scaled(acc, row, c):
@@ -454,9 +459,11 @@ def _row_step(row, val, combo, pivot_rows, pivot_vals, pivot_combos):
     row empty when the row reduces to zero.
 
     Entries may be ints or Fractions. A row whose leading entry is already 1
-    comes back as it is; any other row is scaled by the Fraction 1 / lead,
-    which never divides as a float. So Fractions in give Fractions out, and
-    only _echelon, which demotes integral values to ints, sees ints here.
+    comes back as it is, and one whose leading entry is -1 is negated, which
+    keeps each entry's type; any other row is scaled by the Fraction
+    1 / lead, which never divides as a float. So Fractions in give Fractions
+    out, and ints stay ints only when the lead is +-1; _echelon, which
+    demotes integral values to ints, is the only caller that passes ints.
     """
     for p in sorted([c for c in row if c in pivot_rows]):
         f = row.get(p)
@@ -472,6 +479,11 @@ def _row_step(row, val, combo, pivot_rows, pivot_vals, pivot_combos):
     lead = row[p]
     if lead == 1:
         return p, row, val, combo
+    if lead == -1:
+        row = {j: -x for j, x in row.items()}
+        if combo is not None:
+            combo = {i: -x for i, x in combo.items()}
+        return p, row, -val, combo
     inv = Q(1) / lead
     row = {j: x * inv for j, x in row.items()}
     if combo is not None:
@@ -491,11 +503,11 @@ def _echelon(rows, rhs, track):
 
     Inside the loop every integral value is an int: each input entry, right
     side and combination seed, and each new pivot row, value and combination
-    when it is stored (a pivot that is not 1 divides). Int arithmetic is
+    when it is stored (a lead other than +-1 divides). Int arithmetic is
     exact and much cheaper than Fraction arithmetic, and the linear blocks
     of the condition systems are almost all integral. The returned rows,
     values and combination are converted back to Fractions in place, which
-    keeps their dict order and allocates no second copy.
+    keeps their dict order and allocates no second copy (_to_fractions).
     """
     pivot_rows, pivot_rhs, pivot_combo = {}, {}, {}
     holders = {}  # column -> the pivot columns whose rows have an entry there
@@ -529,10 +541,22 @@ def _echelon(rows, rhs, track):
             if c != p:
                 holders.setdefault(c, set()).add(p)
         pivot_rows[p], pivot_rhs[p], pivot_combo[p] = work, val, combo
-    for d in [*pivot_rows.values(), pivot_rhs, witness or {}]:
-        for key, x in d.items():
-            d[key] = Q(x)
+    _to_fractions([*pivot_rows.values(), pivot_rhs, witness or {}])
     return pivot_rows, pivot_rhs, bad, witness
+
+
+def _to_fractions(dicts):
+    """Replace every int value of the dicts by a Fraction, in place, which
+    keeps each dict's order. A Fraction is immutable, so one object serves
+    every entry with the same int value and only distinct values allocate."""
+    shared = {}
+    for d in dicts:
+        for key, x in d.items():
+            if type(x) is int:
+                f = shared.get(x)
+                if f is None:
+                    f = shared[x] = Q(x)
+                d[key] = f
 
 
 def solve_sparse(rows, rhs, ncols):

@@ -12,7 +12,7 @@ from .extensions import (
     HypothesisFailed,
     LiftCheckFailed,
     LiftData,
-    assemble,
+    NotTwoStepSolvable,
     check_lift_lsa,
     lift_product,
     scheuneman_lift,
@@ -362,11 +362,14 @@ def prop57_construct(g):
     closed-form lift there, pull the lift back, and assemble the product.
     The pulled-back lift passes check_lift_lsa as in reduction_lift; that
     the product is left-symmetric, compatible and complete is tested in the
-    test suite.
+    test suite. The derived series of g is built once, by
+    two_step_solvable_from; the class of the induced algebra is checked once,
+    by scheuneman_lift.
     """
-    dl = g.derived_length()
-    if dl is None or dl > 2:
-        raise HypothesisFailed("prop57_construct requires a 2-step solvable algebra")
+    try:
+        ext, split = two_step_solvable_from(g)
+    except NotTwoStepSolvable:
+        raise HypothesisFailed("prop57_construct requires a 2-step solvable algebra") from None
     lcs = g.lower_central_series()
 
     def term(k):
@@ -374,13 +377,6 @@ def prop57_construct(g):
 
     if term(5) != term(4):
         raise HypothesisFailed("lower central series does not stabilize at step 4")
-    ext, split = two_step_solvable_from(g)
     ind = induced_nilpotent_extension(ext)
-    g_n = assemble(ind.ext_n)
-    cls = g_n.nilpotency_class()
-    if cls is None or cls > 3:
-        raise HypothesisFailed(
-            "induced nilpotent extension has class %s > 3" % cls
-        )
     lift = _lift_through(ext, ind, scheuneman_lift(ind.ext_n))
     return split.transport_product(lift_product(ext, lift))

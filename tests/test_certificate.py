@@ -218,6 +218,49 @@ def test_quadratic_term_order_free_n2_c4_digest():
     )
 
 
+def _row_order_digest(system):
+    """_system_digest over the linear block alone, with each row's terms in
+    insertion order rather than sorted."""
+    h = hashlib.sha256()
+    for row, rhs in zip(system.linear_rows, system.linear_rhs):
+        terms = " ".join("%d:%s" % t for t in row.items())
+        h.update(("L %s = %s\n" % (terms, rhs)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("free-n2-c4", "fd9a553fc644b9abd4771a4232bf840f194608ee49cdea48413cbc2274f67498"),
+        ("free-n3-c3", "fc7e1888036cf5d13119692bd5bf70983ae40677ed0171a649297faffa747df1"),
+    ],
+)
+def test_linear_row_key_order_digest(name, digest):
+    # recorded when build_system still summed each operator row through
+    # QuadraticBlock.ad_terms; the order of a row's keys fixes the dict order
+    # of the echelon form, and through it the order of the residual terms
+    assert _row_order_digest(build_system(fx.fixture(name))) == digest
+
+
+def test_build_system_makes_no_ad_terms_calls(monkeypatch):
+    # the operator rows are scattered from the bracket indexes; ad_terms is
+    # left to the rr quadratics, one call per entry built
+    calls = []
+    ad_terms = certificate.QuadraticBlock.ad_terms
+
+    def counted(self, *args):
+        calls.append(args)
+        return ad_terms(self, *args)
+
+    monkeypatch.setattr(certificate.QuadraticBlock, "ad_terms", counted)
+    block = build_system(fx.free_n3_c3()).quadratics
+    assert calls == []
+    block[0]  # a rep entry
+    assert calls == []
+    block[1]  # the rr entry of the same (i, j, r, s)
+    assert calls == [(0, 1, 0, 0)]
+
+
 def reference_residuals(system, sol):
     """Reference substitution of the solution sol of system's linear block:
     every quadratic expanded, none skipped."""
@@ -490,6 +533,34 @@ def test_wrong_elimination_witness_is_rejected(monkeypatch):
     monkeypatch.setattr(certificate, "_eliminate_residuals", wrong)
     with pytest.raises(WitnessCheckFailed):
         decide_novikov(fx.free_n2_c4())
+
+
+def _random_residuals(rng):
+    monomials = [(), (0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 0), (3, 3)]
+    values = [Q(1), Q(-1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(-3, 2)]
+    residuals = {}
+    for qi in rng.sample(range(40), rng.randint(1, 12)):
+        residuals[qi] = {m: rng.choice(values) for m in rng.sample(monomials, rng.randint(1, 4))}
+    return residuals
+
+
+def test_eliminate_residuals_outcomes_digest():
+    # recorded before the row step negated its -1 leads instead of dividing
+    # by them; pins each outcome, the witness in its dict order, over random
+    # residual sets whose leads are +-1 and other values, under two budgets
+    rng = random.Random(43)
+    h = hashlib.sha256()
+    found = 0
+    for index in range(300):
+        out = certificate._eliminate_residuals(_random_residuals(rng), rng.choice((2, 64)))
+        if out is not None:
+            found += 1
+            out = (list(out[0].items()), out[1])
+        h.update(("%d %s\n" % (index, out)).encode())
+    assert found == 43
+    assert h.hexdigest() == (
+        "ac38d48f24df67884a18ecf928c645ed163ecde73a5d855a383dab52b963b96a"
+    )
 
 
 def test_decide_deterministic():

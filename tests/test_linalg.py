@@ -11,6 +11,7 @@ from novikov.linalg import (
     Q,
     Subspace,
     _add_scaled,
+    _add_term,
     _row_step,
     is_zero_vec,
     jordan_block,
@@ -397,6 +398,40 @@ def test_row_step_keeps_fractions(lead):
     assert val == Q(1) / lead and combo == {0: Q(1) / lead, 1: Q(-2) / lead}
     values = list(work.values()) + [val] + list(combo.values())
     assert all(type(x) is Q for x in values)
+
+
+@pytest.mark.parametrize("c", [3, -1, Q(1), Q(-5, 2)])
+def test_add_term_stores_a_new_key_as_given(c):
+    # a new key takes c itself, so no 0 + c allocates a Fraction and an int
+    # stays an int; a present key sums, and a sum of zero drops the key
+    acc = {0: Q(1, 3)}
+    _add_term(acc, 1, c)
+    assert acc[1] == c and type(acc[1]) is type(c) and acc[1] is c
+    _add_term(acc, 0, c)
+    assert acc == {0: Q(1, 3) + c, 1: c}
+    _add_term(acc, 1, -c)
+    _add_term(acc, 2, 0)
+    assert list(acc) == [0]
+
+
+@pytest.mark.parametrize("tracked", [False, True])
+@pytest.mark.parametrize("kind", [int, Q])
+def test_row_step_negates_a_minus_one_lead(kind, tracked):
+    # a lead of -1 negates the row, which gives what dividing by the lead
+    # gives and keeps each value's type: int rows stay ints
+    pivot_rows = {1: {1: kind(1), 3: kind(2)}}
+    pivot_combos = {1: {1: kind(1)}} if tracked else None
+    row = {0: kind(-1), 1: kind(2), 2: kind(-3), 3: kind(5)}
+    combo = {0: kind(1)} if tracked else None
+    p, work, val, combo = _row_step(row, kind(7), combo, pivot_rows, {1: kind(3)}, pivot_combos)
+    # reduced by pivot row 1: {0: -1, 2: -3, 3: 1} = 1, combination {0: 1, 1: -2}
+    lead = Q(-1)
+    assert p == 0
+    assert list(work.items()) == [(0, Q(-1) / lead), (2, Q(-3) / lead), (3, Q(1) / lead)]
+    assert val == Q(1) / lead
+    assert combo == ({0: Q(1) / lead, 1: Q(-2) / lead} if tracked else None)
+    values = list(work.values()) + [val] + list((combo or {}).values())
+    assert all(type(x) is kind for x in values)
 
 
 def _random_sparse_matrix(rng, rows, cols):

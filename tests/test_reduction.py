@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -18,6 +19,7 @@ from novikov.extensions import (
     two_step_solvable_from,
 )
 from novikov.laf import emit
+from novikov.lie import LieAlgebra
 from novikov.linalg import (
     Matrix,
     Subspace,
@@ -318,9 +320,38 @@ def test_prop57_builds_the_induced_extension_once(monkeypatch):
         assert p == expected
 
 
+def test_prop57_builds_each_series_once(monkeypatch):
+    # the derived series of g is built once, by two_step_solvable_from, and
+    # the nilpotency class of the induced algebra is read once, by the
+    # Scheuneman lift's hypothesis check; calls are counted per bracket,
+    # since assembling one extension twice gives two objects, one bracket
+    rng = rng_for("prop57-series")
+    algebras = [fx.ex35()] + [random_prop57_instance(rng) for _ in range(2)]
+    counts = Counter()
+    for name in ("derived_series", "nilpotency_class"):
+        def counted(self, _name=name, _method=getattr(LieAlgebra, name)):
+            counts[_name, self.bracket] += 1
+            return _method(self)
+
+        monkeypatch.setattr(LieAlgebra, name, counted)
+    for g in algebras:
+        counts.clear()
+        prop57_construct(g)
+        assert counts[("derived_series", g.bracket)] == 1
+        assert sum(name == "nilpotency_class" for name, _ in counts) >= 1
+        assert max(counts.values()) == 1
+
+
 def test_prop57_rejects_free_n2_c4():
     with pytest.raises(HypothesisFailed):
         prop57_construct(fx.free_n2_c4())
+
+
+def test_prop57_rejects_sl2():
+    # the derived series is read once, by two_step_solvable_from, and its
+    # NotTwoStepSolvable becomes prop57_construct's HypothesisFailed
+    with pytest.raises(HypothesisFailed, match="requires a 2-step solvable algebra"):
+        prop57_construct(fx.sl2())
 
 
 def reference_preimage(space, m):
