@@ -41,7 +41,6 @@ from .linalg import (
     Q,
     _add_scaled,
     _add_term,
-    _as_int,
     _row_step,
     _to_fractions,
     solve_sparse,
@@ -396,6 +395,11 @@ def _substitute(poly, forms):
     return out
 
 
+def _as_int(x):
+    """x as an int when it is integral (an int or a Fraction), else x."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def residual_polynomials(system):
     """Substitute the canonical solution of the linear block into the
     quadratics. Returns (sparse solution, {quadratic index: residual poly})
@@ -481,11 +485,15 @@ def _constructor_candidates(g):
     if g.is_abelian():
         yield "zero-product", AlgebraProduct.zero(g.dim)
         return
-    cls = g.nilpotency_class()
+    # the lower central and the derived series both start with [g, g] (g
+    # itself when the lower central series stops at once): build it once
+    lcs = g.lower_central_series()
+    derived = lcs[min(1, len(lcs) - 1)]
+    cls = len(lcs) - 1 if lcs[-1].is_zero() else None
     if cls is not None and cls <= 2:
         yield "half-bracket", half_bracket_product(g)
     try:
-        ext, split = two_step_solvable_from(g)
+        ext, split = two_step_solvable_from(g, g.derived_series(derived))
     except NotTwoStepSolvable:
         return
 
@@ -523,9 +531,12 @@ def decide_novikov(g, effort=DEFAULT_EFFORT):
 
     Pipeline: known constructors; then the linear block (inconsistency gives
     a type-a witness); then the quadratic residuals on the affine solution
-    space (an identically nonzero residual, or a bounded linear elimination
-    finding a constant combination, gives a type-b witness). Every Exists
-    product is verified before return; Undetermined is the safe fallback.
+    space. An identically nonzero residual gives a type-b witness. When no
+    residual has a constant term, every residual vanishes at the particular
+    point (all parameters 0), which is tried as method linear-system. Then a
+    bounded linear elimination finding a constant combination gives a type-b
+    witness. Every Exists product is verified before return; Undetermined is
+    the safe fallback.
     """
     h = algebra_hash(g)
     for method, product in _constructor_candidates(g):
@@ -554,14 +565,12 @@ def decide_novikov(g, effort=DEFAULT_EFFORT):
                 witness={qi: Q(1)},
                 constant=poly[()],
             )
-    if not residuals:
+    if not any(() in poly for poly in residuals.values()):
+        # every residual vanishes at the particular point (all parameters 0)
         product = _product_from_solution(system, sol.particular())
         cert = _verified(g, product, "linear-system")
         if cert is not None:
             return cert
-        return Certificate(
-            UNDETERMINED, h, residual_summary=(0, 0)
-        )
     found = _eliminate_residuals(residuals, effort)
     if found is not None:
         combo, constant = found

@@ -4,22 +4,25 @@ Everything is over Q via fractions.Fraction, so every comparison in the
 package is an exact equality; there are no tolerances anywhere. There is one
 sparse elimination kernel: _add_term and _add_scaled accumulate into sparse
 dicts (dropping entries that cancel), and _row_step reduces and normalizes
-one row. solve_sparse is the row step plus clearing each new pivot from the
-earlier pivot rows that hold it, found through a column index; it tracks
-row provenance only in a second pass, run when the system is inconsistent,
-to build the witness. Inside that elimination every integral value is a
-Python int, which is exact and much cheaper than a Fraction; the pivot rows,
-values and witness come back as Fractions. Subspace bases, nullspaces, ranks
-and inverses all take their reduced echelon form from it. Subspace
-membership and coordinates are the row step against a subspace's echelon
-rows, and its complement is one echelon pass over the basis with the columns
-reversed. The certificate's residual elimination and every sparse row or
-polynomial build in the package use the same kernel. Nilpotency reads one
-more, _krylov_chain: the nonzero images of a sparse vector under an operator
-given by its sparse columns, so no matrix power is ever formed.
+one row. solve_sparse (_echelon) runs the same steps fraction-free: each
+row is scaled to Python ints, a row is reduced by cross-multiplying with a
+pivot row instead of dividing by its lead, and each new pivot is cleared
+from the earlier pivot rows that hold it, found through a column index. It
+divides only once, at the end, so the pivot rows, values and witness come
+back as Fractions, exactly those of the elimination over Fractions. It
+tracks row provenance only in a second pass, run when the system is
+inconsistent, to build the witness. Subspace bases, nullspaces, ranks and
+inverses all take their reduced echelon form from it. Subspace membership
+and coordinates are the row step against a subspace's echelon rows, and its
+complement is one echelon pass over the basis with the columns reversed.
+The certificate's residual elimination and every sparse row or polynomial
+build in the package use the same kernel. Nilpotency reads one more,
+_krylov_chain: the nonzero images of a sparse vector under an operator given
+by its sparse columns, so no matrix power is ever formed.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Q = Fraction
 
@@ -458,12 +461,13 @@ def _row_step(row, val, combo, pivot_rows, pivot_vals, pivot_combos):
     (pivot column, row, value, combination), with pivot column None and the
     row empty when the row reduces to zero.
 
-    Entries may be ints or Fractions. A row whose leading entry is already 1
-    comes back as it is, and one whose leading entry is -1 is negated, which
-    keeps each entry's type; any other row is scaled by the Fraction
-    1 / lead, which never divides as a float. So Fractions in give Fractions
-    out, and ints stay ints only when the lead is +-1; _echelon, which
-    demotes integral values to ints, is the only caller that passes ints.
+    A row whose leading entry is already 1 comes back as it is, and one
+    whose leading entry is -1 is negated, which keeps each entry's type; any
+    other row is scaled by the Fraction 1 / lead, which never divides as a
+    float. So Fractions in give Fractions out, and ints would stay ints only
+    when the lead is +-1. Its callers, Subspace.contains and
+    certificate._eliminate_residuals, pass Fractions; _echelon does not call
+    it, and reduces without dividing.
     """
     for p in sorted([c for c in row if c in pivot_rows]):
         f = row.get(p)
@@ -491,58 +495,156 @@ def _row_step(row, val, combo, pivot_rows, pivot_vals, pivot_combos):
     return p, row, val * inv, combo
 
 
-def _as_int(x):
-    """x as an int when it is integral (an int or a Fraction), else x."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def _echelon(rows, rhs, track):
     """Run solve_sparse's elimination, carrying row combinations only when
     track is true. Returns (pivot rows, pivot values, index of the first row
     that reduces to 0 = c != 0 or None, that row's combination).
 
-    Inside the loop every integral value is an int: each input entry, right
-    side and combination seed, and each new pivot row, value and combination
-    when it is stored (a lead other than +-1 divides). Int arithmetic is
-    exact and much cheaper than Fraction arithmetic, and the linear blocks
-    of the condition systems are almost all integral. The returned rows,
-    values and combination are converted back to Fractions in place, which
-    keeps their dict order and allocates no second copy (_to_fractions).
+    The elimination runs on Python ints and divides once, at the end:
+    - each input row is scaled, with its right-hand side, by the lcm of
+      their denominators, and its combination starts as {index: scale};
+    - a pivot row is an int row with a positive lead, kept primitive: when
+      its lead is not 1, the content of the row, its value and its
+      combination is divided out (_divide_content);
+    - a row with entry f at pivot p, whose pivot row has lead l, becomes
+      a * row - b * (pivot row) with g = gcd(f, l), a = l / g and b = f / g;
+      clearing a new pivot from the rows in holders is the same step. Rows
+      are scaled in place, so every dict keeps its order.
+    Every reduced row is a nonzero multiple of the row that an elimination
+    over Fractions holds at the same point, so the pivot columns and entry
+    order are the same. The final pass divides each pivot row and value by
+    its lead, and the witness by its coefficient at the bad row, and
+    _to_fractions shares one Fraction per integral value. A reduced echelon
+    basis with fixed pivot columns is unique, and so is the relation among
+    independent pivot rows with coefficient 1 at the bad row, so the result
+    is exactly what dividing at every step gives.
     """
     pivot_rows, pivot_rhs, pivot_combo = {}, {}, {}
     holders = {}  # column -> the pivot columns whose rows have an entry there
     bad = witness = None
     for idx, row in enumerate(rows):
-        val = 0 if rhs is None else _as_int(rhs[idx])
-        combo = {idx: 1} if track else None
-        work = {j: _as_int(x) for j, x in row.items()}
-        p, work, val, combo = _row_step(work, val, combo, pivot_rows, pivot_rhs, pivot_combo)
-        if p is None:
-            if val != 0 and bad is None:
+        val = 0 if rhs is None else rhs[idx]
+        scale = val.denominator
+        for x in row.values():
+            d = x.denominator
+            if d != 1 and scale % d:
+                scale = lcm(scale, d)
+        if scale == 1:
+            work = {j: x.numerator for j, x in row.items()}
+            val = val.numerator
+        else:
+            work = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+            val = val.numerator * (scale // val.denominator)
+        combo = {idx: scale} if track else None
+        for p in sorted([c for c in work if c in pivot_rows]):
+            prow, b = pivot_rows[p], work[p]
+            lead = prow[p]
+            if lead != 1:
+                g = gcd(b, lead)
+                a, b = lead // g, b // g
+                if a != 1:
+                    _scale(work, a)
+                    val *= a
+                    if track:
+                        _scale(combo, a)
+            for k, x in prow.items():
+                old = work.get(k)
+                if old is None:
+                    work[k] = -b * x
+                else:
+                    old -= b * x
+                    if old:
+                        work[k] = old
+                    else:
+                        del work[k]
+            val -= b * pivot_rhs[p]
+            if track:
+                _add_scaled(combo, pivot_combo[p], -b)
+        if not work:
+            if val and bad is None:
                 bad, witness = idx, combo
             continue
-        work = {j: _as_int(x) for j, x in work.items()}
-        val = _as_int(val)
-        if track:
-            combo = {i: _as_int(x) for i, x in combo.items()}
+        p = min(work)
+        val = _divide_content(work, val, combo, work[p])
+        lead = work[p]
         for q in holders.pop(p, ()):
             qrow = pivot_rows[q]
-            f = qrow[p]
-            _add_scaled(qrow, work, -f)
-            pivot_rhs[q] -= f * val
+            b = qrow[p]
+            g = gcd(b, lead)
+            a, b = lead // g, b // g
+            qval, qcombo = pivot_rhs[q], pivot_combo[q]
+            if a != 1:
+                _scale(qrow, a)
+                qval *= a
+                if track:
+                    _scale(qcombo, a)
+            for k, x in work.items():
+                old = qrow.get(k)
+                if old is None:
+                    qrow[k] = -b * x
+                    holders.setdefault(k, set()).add(q)
+                else:
+                    old -= b * x
+                    if old:
+                        qrow[k] = old
+                    else:
+                        del qrow[k]
+                        if k != p:
+                            holders[k].discard(q)
+            qval -= b * val
             if track:
-                _add_scaled(pivot_combo[q], combo, -f)
-            for c in work:
-                if c in qrow:
-                    holders.setdefault(c, set()).add(q)
-                elif c in holders:
-                    holders[c].discard(q)
+                _add_scaled(qcombo, combo, -b)
+            pivot_rhs[q] = _divide_content(qrow, qval, qcombo, qrow[q])
         for c in work:
             if c != p:
                 holders.setdefault(c, set()).add(p)
         pivot_rows[p], pivot_rhs[p], pivot_combo[p] = work, val, combo
+    for p, row in pivot_rows.items():
+        lead = row[p]
+        if lead != 1:
+            _divide(row, lead)
+            pivot_rhs[p] = _quotient(pivot_rhs[p], lead)
+    if witness is not None:
+        _divide(witness, witness[bad])
     _to_fractions([*pivot_rows.values(), pivot_rhs, witness or {}])
     return pivot_rows, pivot_rhs, bad, witness
+
+
+def _scale(d, a):
+    """Multiply every value of the int dict d by a, in place."""
+    for k in d:
+        d[k] *= a
+
+
+def _divide_content(row, val, combo, lead):
+    """Divide the int row, its value and its combination (None when
+    untracked) in place by their content, signed like lead so the lead
+    turns positive. Returns the new value. Nothing is divided when lead is
+    1, which makes the content 1."""
+    if lead == 1:
+        return val
+    content = 1 if lead == -1 else gcd(*row.values(), val, *(combo or {}).values())
+    if lead < 0:
+        content = -content
+    if content != 1:
+        for k in row:
+            row[k] //= content
+        if combo is not None:
+            for k in combo:
+                combo[k] //= content
+        val //= content
+    return val
+
+
+def _quotient(x, d):
+    """x / d for ints: an int when d divides x, else a Fraction."""
+    return x // d if x % d == 0 else Q(x, d)
+
+
+def _divide(d, divisor):
+    """Divide every value of the int dict d by divisor, in place (_quotient)."""
+    for k, x in d.items():
+        d[k] = _quotient(x, divisor)
 
 
 def _to_fractions(dicts):
@@ -562,11 +664,11 @@ def _to_fractions(dicts):
 def solve_sparse(rows, rhs, ncols):
     """Echelonize a sparse system given as a list of dicts {column: coefficient}.
 
-    rhs may be None for a homogeneous system. Each row goes through the row
-    step (_row_step), and its new pivot column is then cleared from the
-    earlier pivot rows that hold it, found through a column index, so the
-    pivot rows stay reduced against each other and every row step is exact.
-    The result is a SparseSolution whose pivot rows form a reduced echelon
+    rhs may be None for a homogeneous system. Each row is reduced by the
+    pivots it holds, in increasing order, and its new pivot column is then
+    cleared from the earlier pivot rows that hold it, found through a column
+    index, so the pivot rows stay reduced against each other and every
+    reduction is exact. The result is a SparseSolution whose pivot rows form a reduced echelon
     basis (pivot entry 1, pivot columns cleared from all other rows); the
     pivot chosen for each new row is its smallest remaining column, which
     makes the result canonical for a fixed row order. Provenance is tracked
@@ -575,9 +677,9 @@ def solve_sparse(rows, rhs, ncols):
     sparse combination {original row index: coefficient}, with
     sum_i witness_i row_i = 0 and sum_i witness_i rhs_i != 0.
 
-    Integral entries run as ints inside the elimination (see _echelon); every
-    pivot row entry, pivot value and witness coefficient of the result is a
-    Fraction.
+    The elimination runs on ints and divides once, at the end (see
+    _echelon); every pivot row entry, pivot value and witness coefficient of
+    the result is a Fraction.
     """
     pivot_rows, pivot_rhs, bad, _ = _echelon(rows, rhs, False)
     witness = None if bad is None else _echelon(rows[: bad + 1], rhs, True)[3]

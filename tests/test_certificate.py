@@ -36,6 +36,7 @@ from novikov.extensions import (
     two_step_solvable_from,
 )
 from novikov.laf import parse_file
+from novikov.lie import LieAlgebra
 from novikov.linalg import NotRegularNilpotent, _add_term, vunit
 from novikov.products import AlgebraProduct, half_bracket_product, is_compatible, is_novikov
 
@@ -481,6 +482,36 @@ def test_decide_assembles_no_extension(monkeypatch):
     assert calls == []
     extensions.scheuneman_lift(two_step_solvable_from(fx.ex35())[0])
     assert calls == ["assemble", "check_lift_lsa"]
+
+
+def test_constructors_build_the_derived_algebra_once(monkeypatch):
+    # the lower central and the derived series both start with [g, g]; the
+    # constructors build it once and hand it from the first to the second
+    calls = []
+    original = LieAlgebra.bracket_space
+
+    def counted(self, u_space, v_space):
+        calls.append((self, u_space.is_full() and v_space.is_full()))
+        return original(self, u_space, v_space)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_space", counted)
+    for g in [fx.free_n3_c3(), fx.ex35(), fx.r2(), fx.sl2()]:
+        calls.clear()
+        list(certificate._constructor_candidates(g))
+        assert [full for h, full in calls if h is g].count(True) == 1
+
+
+def test_decide_free_n3_c3_at_the_particular_point():
+    # no residual of free-n3-c3 has a constant term, so every residual
+    # vanishes at the particular point of the linear block (all 66
+    # parameters 0): a Novikov structure, found before any elimination
+    g = fx.free_n3_c3()
+    sol, residuals = residual_polynomials(build_system(g))
+    assert sol.ncols - sol.rank == 66 and len(residuals) == 144
+    assert not any(() in poly for poly in residuals.values())
+    cert = decide_novikov(g)
+    assert cert.verdict == EXISTS and cert.method == "linear-system"
+    assert verify_certificate(g, cert)
 
 
 def test_decide_random_two_step_nilpotent():

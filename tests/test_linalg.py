@@ -4,6 +4,7 @@ import pytest
 
 from novikov import fixtures as fx
 from novikov.certificate import build_system
+from novikov.extensions import assemble
 from novikov.linalg import (
     DimensionMismatch,
     Matrix,
@@ -12,7 +13,9 @@ from novikov.linalg import (
     Subspace,
     _add_scaled,
     _add_term,
+    _echelon,
     _row_step,
+    _to_fractions,
     is_zero_vec,
     jordan_block,
     nilpotent_regular_basis,
@@ -28,6 +31,7 @@ from novikov.linalg import (
 )
 
 import dense_scans as dense
+from randalg import random_mixed_extension, random_regular_jordan_extension, rng_for
 
 
 def test_solve_identity():
@@ -384,6 +388,126 @@ def test_solve_sparse_matches_eager_reference():
         consistent += not found
         _assert_matches_reference(rows, None, ncols, index)
     assert inconsistent >= 10 and consistent >= 10
+
+
+def _as_int(x):
+    return x.numerator if x.denominator == 1 else x
+
+
+def reference_echelon(rows, rhs, track):
+    """linalg._echelon as it ran before it went fraction-free: the row step
+    (_row_step) on ints where the values are integral, a division by every
+    pivot lead other than +-1, then the new pivot cleared from the earlier
+    pivot rows found through the column index. Returns what _echelon does."""
+    pivot_rows, pivot_rhs, pivot_combo = {}, {}, {}
+    holders = {}
+    bad = witness = None
+    for idx, row in enumerate(rows):
+        val = 0 if rhs is None else _as_int(rhs[idx])
+        combo = {idx: 1} if track else None
+        work = {j: _as_int(x) for j, x in row.items()}
+        p, work, val, combo = _row_step(work, val, combo, pivot_rows, pivot_rhs, pivot_combo)
+        if p is None:
+            if val != 0 and bad is None:
+                bad, witness = idx, combo
+            continue
+        work = {j: _as_int(x) for j, x in work.items()}
+        val = _as_int(val)
+        if track:
+            combo = {i: _as_int(x) for i, x in combo.items()}
+        for q in holders.pop(p, ()):
+            qrow = pivot_rows[q]
+            f = qrow[p]
+            _add_scaled(qrow, work, -f)
+            pivot_rhs[q] -= f * val
+            if track:
+                _add_scaled(pivot_combo[q], combo, -f)
+            for c in work:
+                if c in qrow:
+                    holders.setdefault(c, set()).add(q)
+                elif c in holders:
+                    holders[c].discard(q)
+        for c in work:
+            if c != p:
+                holders.setdefault(c, set()).add(p)
+        pivot_rows[p], pivot_rhs[p], pivot_combo[p] = work, val, combo
+    _to_fractions([*pivot_rows.values(), pivot_rhs, witness or {}])
+    return pivot_rows, pivot_rhs, bad, witness
+
+
+def _assert_echelon_matches_reference(rows, rhs, track, label):
+    """The same pivot rows, values, bad row and witness as the reference,
+    each dict in the same order, every value a Fraction. Returns whether
+    the system is inconsistent."""
+    pivot_rows, pivot_rhs, bad, witness = _echelon(rows, rhs, track)
+    ref_rows, ref_rhs, ref_bad, ref_witness = reference_echelon(rows, rhs, track)
+    assert [(p, list(r.items())) for p, r in pivot_rows.items()] == [
+        (p, list(r.items())) for p, r in ref_rows.items()
+    ], label
+    assert list(pivot_rhs.items()) == list(ref_rhs.items()), label
+    assert bad == ref_bad, label
+    assert (witness is None) == (ref_witness is None), label
+    assert list((witness or {}).items()) == list((ref_witness or {}).items()), label
+    values = [x for r in pivot_rows.values() for x in r.values()]
+    values += list(pivot_rhs.values()) + list((witness or {}).values())
+    assert all(type(x) is Q for x in values), label
+    return bad is not None
+
+
+def test_echelon_matches_fraction_reference_on_random_systems():
+    # entries with large denominators, and integral rows with a right-hand
+    # side that is not integral (every other one taken at a point that is
+    # not integral, so consistent), each tracked and untracked
+    rng = random.Random(37)
+    inconsistent = consistent = 0
+    for index in range(200):
+        if index % 2:
+            rows, rhs, ncols = _random_sparse_system(rng, denominators=(1, 6, 35, 89, 97))
+            rhs = [Q(rng.randint(-9, 9), rng.choice((1, 13, 97))) for _ in rows]
+        else:
+            rows, rhs, ncols = _random_sparse_system(rng, denominators=(1,))
+            if index % 4:
+                rhs = [Q(rng.randint(-9, 9), rng.choice((2, 3, 97))) for _ in rows]
+            else:
+                point = [Q(rng.randint(-5, 5), rng.choice((1, 2, 97))) for _ in range(ncols)]
+                rhs = [sum((x * point[j] for j, x in row.items()), Q(0)) for row in rows]
+        for track in (False, True):
+            found = _assert_echelon_matches_reference(rows, rhs, track, index)
+            _assert_echelon_matches_reference(rows, None, track, index)
+        inconsistent += found
+        consistent += not found
+    assert inconsistent >= 40 and consistent >= 40
+
+
+def _dense_linear_blocks():
+    """The linear blocks of the random Jordan and mixed extensions that
+    test_residuals_match_unfiltered_substitution draws: up to 1,829 rows
+    of up to 8 dimensions, with many entries that are not integral."""
+    for index in range(3):
+        rng = rng_for("residuals-jordan", index)
+        g = assemble(random_regular_jordan_extension(rng, index))
+        yield "jordan-%d" % index, build_system(g)
+    for index in range(2):
+        g = assemble(random_mixed_extension(rng_for("residuals-mixed", index)))
+        yield "mixed-%d" % index, build_system(g)
+
+
+def test_echelon_matches_fraction_reference_on_dense_blocks():
+    # each whole block untracked; tracked, the first 300 rows and the sum of
+    # three of them with its right-hand side shifted, which is inconsistent
+    # (tracking a whole block, which solve_sparse never does, takes the
+    # reference minutes)
+    for label, system in _dense_linear_blocks():
+        rows, rhs = system.linear_rows, system.linear_rhs
+        assert not _assert_echelon_matches_reference(rows, rhs, False, label)
+        k = min(300, len(rows))
+        extra, shifted = {}, Q(1, 3)
+        for i in (0, k // 2, k - 1):
+            _add_scaled(extra, rows[i], 1)
+            shifted += rhs[i]
+        rows, rhs = rows[:k] + [extra], rhs[:k] + [shifted]
+        for track in (False, True):
+            assert _assert_echelon_matches_reference(rows, rhs, track, label)
 
 
 @pytest.mark.parametrize("lead", [Q(1), Q(-1), Q(2), Q(1, 3)])
