@@ -485,15 +485,11 @@ def _constructor_candidates(g):
     if g.is_abelian():
         yield "zero-product", AlgebraProduct.zero(g.dim)
         return
-    # the lower central and the derived series both start with [g, g] (g
-    # itself when the lower central series stops at once): build it once
-    lcs = g.lower_central_series()
-    derived = lcs[min(1, len(lcs) - 1)]
-    cls = len(lcs) - 1 if lcs[-1].is_zero() else None
+    cls = g.nilpotency_class()
     if cls is not None and cls <= 2:
         yield "half-bracket", half_bracket_product(g)
     try:
-        ext, split = two_step_solvable_from(g, g.derived_series(derived))
+        ext, split = two_step_solvable_from(g)
     except NotTwoStepSolvable:
         return
 

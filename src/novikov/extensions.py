@@ -277,16 +277,14 @@ class SplitData:
         return p.change_basis([self.basis_inv.column(i) for i in range(n)])
 
 
-def two_step_solvable_from(g, series=None):
+def two_step_solvable_from(g):
     """Present a 2-step solvable algebra as an extension of abelian algebras.
 
     a = [g, g], b = g/[g, g]; the section is the lexicographically earliest
     set of standard basis vectors complementing a, so the output is
-    deterministic. series is g's derived series, built here when the caller
-    has not. Returns (ExtensionData, SplitData).
+    deterministic. Returns (ExtensionData, SplitData).
     """
-    if series is None:
-        series = g.derived_series()
+    series = g.derived_series()
     dl = len(series) - 1 if series[-1].is_zero() else None
     if dl is None or dl > 2:
         raise NotTwoStepSolvable("derived length is %s" % dl)

@@ -208,14 +208,14 @@ class LieAlgebra:
                 vectors.append(self.bracket_vec(u, v))
         return Subspace(self.dim, vectors)
 
-    def derived_series(self, derived=None):
-        """g, [g, g], ... up to the first term that repeats. derived, when
-        given, is [g, g], and is then not built again."""
-        series = [Subspace.full(self.dim)]
-        nxt = self.bracket_space(series[0], series[0]) if derived is None else derived
-        while nxt != series[-1]:
+    def derived_series(self):
+        full = Subspace.full(self.dim)
+        series = [full]
+        while True:
+            nxt = self.bracket_space(series[-1], series[-1])
+            if nxt == series[-1]:
+                break
             series.append(nxt)
-            nxt = self.bracket_space(nxt, nxt)
         return series
 
     def lower_central_series(self):

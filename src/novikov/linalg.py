@@ -507,9 +507,11 @@ def _echelon(rows, rhs, track):
       its lead is not 1, the content of the row, its value and its
       combination is divided out (_divide_content);
     - a row with entry f at pivot p, whose pivot row has lead l, becomes
-      a * row - b * (pivot row) with g = gcd(f, l), a = l / g and b = f / g;
-      clearing a new pivot from the rows in holders is the same step. Rows
-      are scaled in place, so every dict keeps its order.
+      a * row - b * (pivot row) with g = gcd(f, l), a = l / g and b = f / g
+      (_cross_reduce); clearing a new pivot from the rows in holders is the
+      same step, written out so that holders is kept up to date in the same
+      pass over the new pivot row. Rows are scaled in place, so every dict
+      keeps its order.
     Every reduced row is a nonzero multiple of the row that an elimination
     over Fractions holds at the same point, so the pivot columns and entry
     order are the same. The final pass divides each pivot row and value by
@@ -537,29 +539,7 @@ def _echelon(rows, rhs, track):
             val = val.numerator * (scale // val.denominator)
         combo = {idx: scale} if track else None
         for p in sorted([c for c in work if c in pivot_rows]):
-            prow, b = pivot_rows[p], work[p]
-            lead = prow[p]
-            if lead != 1:
-                g = gcd(b, lead)
-                a, b = lead // g, b // g
-                if a != 1:
-                    _scale(work, a)
-                    val *= a
-                    if track:
-                        _scale(combo, a)
-            for k, x in prow.items():
-                old = work.get(k)
-                if old is None:
-                    work[k] = -b * x
-                else:
-                    old -= b * x
-                    if old:
-                        work[k] = old
-                    else:
-                        del work[k]
-            val -= b * pivot_rhs[p]
-            if track:
-                _add_scaled(combo, pivot_combo[p], -b)
+            val = _cross_reduce(work, val, combo, pivot_rows[p], pivot_rhs[p], pivot_combo[p], p)
         if not work:
             if val and bad is None:
                 bad, witness = idx, combo
@@ -608,6 +588,36 @@ def _echelon(rows, rhs, track):
         _divide(witness, witness[bad])
     _to_fractions([*pivot_rows.values(), pivot_rhs, witness or {}])
     return pivot_rows, pivot_rhs, bad, witness
+
+
+def _cross_reduce(row, val, combo, prow, pval, pcombo, p):
+    """Clear column p of the int row by the int pivot row prow, in place.
+    With f = row[p], l = prow[p] and g = gcd(f, l), the row becomes
+    (l / g) * row - (f / g) * prow; its value and its combination (None when
+    untracked) follow, with the pivot row's pval and pcombo. Returns the new
+    value."""
+    b, lead = row[p], prow[p]
+    if lead != 1:
+        g = gcd(b, lead)
+        a, b = lead // g, b // g
+        if a != 1:
+            _scale(row, a)
+            val *= a
+            if combo is not None:
+                _scale(combo, a)
+    for k, x in prow.items():
+        old = row.get(k)
+        if old is None:
+            row[k] = -b * x
+        else:
+            old -= b * x
+            if old:
+                row[k] = old
+            else:
+                del row[k]
+    if combo is not None:
+        _add_scaled(combo, pcombo, -b)
+    return val - b * pval
 
 
 def _scale(d, a):

@@ -36,7 +36,6 @@ from novikov.extensions import (
     two_step_solvable_from,
 )
 from novikov.laf import parse_file
-from novikov.lie import LieAlgebra
 from novikov.linalg import NotRegularNilpotent, _add_term, vunit
 from novikov.products import AlgebraProduct, half_bracket_product, is_compatible, is_novikov
 
@@ -482,23 +481,6 @@ def test_decide_assembles_no_extension(monkeypatch):
     assert calls == []
     extensions.scheuneman_lift(two_step_solvable_from(fx.ex35())[0])
     assert calls == ["assemble", "check_lift_lsa"]
-
-
-def test_constructors_build_the_derived_algebra_once(monkeypatch):
-    # the lower central and the derived series both start with [g, g]; the
-    # constructors build it once and hand it from the first to the second
-    calls = []
-    original = LieAlgebra.bracket_space
-
-    def counted(self, u_space, v_space):
-        calls.append((self, u_space.is_full() and v_space.is_full()))
-        return original(self, u_space, v_space)
-
-    monkeypatch.setattr(LieAlgebra, "bracket_space", counted)
-    for g in [fx.free_n3_c3(), fx.ex35(), fx.r2(), fx.sl2()]:
-        calls.clear()
-        list(certificate._constructor_candidates(g))
-        assert [full for h, full in calls if h is g].count(True) == 1
 
 
 def test_decide_free_n3_c3_at_the_particular_point():
