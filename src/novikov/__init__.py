@@ -37,8 +37,6 @@ from .fixtures import fixture, product_fixture
 from .lie import (
     LieAlgebra,
     StructureTensor,
-    derived_series,
-    lower_central_series,
     quotient,
     validate_lie,
 )
@@ -48,13 +46,10 @@ from .linalg import (
     Subspace,
     jordan_block,
     nilpotent_regular_basis,
-    nullspace,
-    solve_linear,
     word_image_space,
 )
 from .products import (
     AlgebraProduct,
-    commutator_lie,
     half_bracket_product,
     is_compatible,
     is_complete,

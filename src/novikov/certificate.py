@@ -436,12 +436,15 @@ def _eliminate_residuals(residuals, effort):
     """Gaussian elimination over the residual polynomials, treating each
     nonconstant monomial as a column. Returns ({quadratic index: coefficient},
     constant) for the first combination equal to a nonzero constant, or None.
-    The budget bounds the number of elimination pivots created.
+    The budget bounds the number of elimination pivots stored, overwrites
+    included.
 
-    Each residual goes through linalg._row_step alone: a new pivot is not
-    cleared from the earlier pivot rows, so the row step is not exact here
-    and a later pivot can overwrite an earlier one (see ROADMAP item 1,
-    step 2).
+    Each residual goes through linalg._row_step alone, on ints: a new pivot
+    is not cleared from the earlier pivot rows, so the row step is not exact
+    here and a later pivot overwrites an earlier one (see ROADMAP item 1,
+    step 2). The witness is the combination of the residual that reduces to
+    a nonzero constant, divided by its coefficient at that residual, as
+    Fractions.
     """
     pivot_rows, pivot_consts, pivot_combos = {}, {}, {}
     pivots_used = 0
@@ -449,15 +452,16 @@ def _eliminate_residuals(residuals, effort):
         poly = residuals[qi]
         m, work, const, combo = _row_step(
             {mono: c for mono, c in poly.items() if mono != ()},
-            poly.get((), Q(0)),
-            {qi: Q(1)},
+            poly.get((), 0),
+            qi,
             pivot_rows,
             pivot_consts,
             pivot_combos,
         )
         if m is None:
             if const != 0:
-                return combo, const
+                c = combo[qi]
+                return {i: Q(x, c) for i, x in combo.items()}, Q(const, c)
             continue
         if pivots_used < effort:
             pivot_rows[m], pivot_consts[m], pivot_combos[m] = work, const, combo

@@ -250,27 +250,11 @@ class LieAlgebra:
     def is_abelian(self):
         return self.bracket.is_zero()
 
-    def is_unimodular(self):
-        return all(self.ad(i).trace() == 0 for i in range(self.dim))
-
     def center(self):
         rows = []
         for i in range(self.dim):
             rows.extend(self.ad(i).data)
         return nullspace_of_rows(rows, self.dim)
-
-    def invariant_profile(self):
-        """Cheap isomorphism invariants: dimensions, classes, series dims, unimodularity."""
-        lcs = self.lower_central_series()
-        ds = self.derived_series()
-        return (
-            self.dim,
-            self.nilpotency_class(),
-            self.derived_length(),
-            tuple(s.dim for s in lcs),
-            tuple(s.dim for s in ds),
-            self.is_unimodular(),
-        )
 
     def __repr__(self):
         return "LieAlgebra(dim=%d)" % self.dim
@@ -324,14 +308,6 @@ def validate_lie(bracket, labels=None):
                 if _product_sum(pairs, jacobi):
                     raise JacobiViolation(i, j, k)
     return LieAlgebra(bracket, labels)
-
-
-def derived_series(g):
-    return g.derived_series()
-
-
-def lower_central_series(g):
-    return g.lower_central_series()
 
 
 def quotient_tensor(tensor, subspace):

@@ -3,20 +3,21 @@
 Everything is over Q via fractions.Fraction, so every comparison in the
 package is an exact equality; there are no tolerances anywhere. There is one
 sparse elimination kernel: _add_term and _add_scaled accumulate into sparse
-dicts (dropping entries that cancel), and _row_step reduces and normalizes
-one row. solve_sparse (_echelon) runs the same steps fraction-free: each
-row is scaled to Python ints, a row is reduced by cross-multiplying with a
-pivot row instead of dividing by its lead, and each new pivot is cleared
-from the earlier pivot rows that hold it, found through a column index. It
-divides only once, at the end, so the pivot rows, values and witness come
-back as Fractions, exactly those of the elimination over Fractions. It
-tracks row provenance only in a second pass, run when the system is
-inconsistent, to build the witness. Subspace bases, nullspaces, ranks and
-inverses all take their reduced echelon form from it. Subspace membership
-and coordinates are the row step against a subspace's echelon rows, and its
-complement is one echelon pass over the basis with the columns reversed.
-The certificate's residual elimination and every sparse row or polynomial
-build in the package use the same kernel. Nilpotency reads one more,
+dicts (dropping entries that cancel), and _row_step takes one row
+fraction-free: it scales the row to Python ints, reduces it by
+cross-multiplying with int pivot rows instead of dividing by their leads,
+and makes it primitive with a positive lead. solve_sparse (_echelon) runs
+the row step on every row and clears each new pivot from the earlier pivot
+rows that hold it, found through a column index. It divides only once, at
+the end, so the pivot rows, values and witness come back as Fractions,
+exactly those of the elimination over Fractions. It tracks row provenance
+only in a second pass, run when the system is inconsistent, to build the
+witness. Subspace bases, nullspaces and inverses all take their reduced
+echelon form from it. Subspace membership and coordinates read a subspace's
+reduced echelon rows directly, and its complement is one echelon pass over
+the basis with the columns reversed. The certificate's residual elimination
+runs the same row step, and every sparse row or polynomial build in the
+package accumulates with the same helpers. Nilpotency reads one more,
 _krylov_chain: the nonzero images of a sparse vector under an operator given
 by its sparse columns, so no matrix power is ever formed.
 """
@@ -61,10 +62,6 @@ def vsub(u, v):
 def vscale(c, u):
     c = Q(c)
     return tuple(c * a for a in u)
-
-
-def vdot(u, v):
-    return sum((a * b for a, b in zip(u, v) if a and b), _ZERO)
 
 
 def is_zero_vec(u):
@@ -188,9 +185,6 @@ class Matrix:
             raise ValueError("matrix is singular")
         return Matrix([[echelon[i].get(n + j, Q(0)) for j in range(n)] for i in range(n)], cols=n)
 
-    def rank(self):
-        return solve_sparse(_sparse(self.data), None, self.cols).rank
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return "Matrix[%s]" % body
@@ -262,10 +256,14 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def contains(self, v):
-        """Whether v reduces to zero by the row step against the echelon rows."""
-        e = self._echelon
-        row = _sparse([v])[0]
-        return _row_step(row, _ZERO, None, e.pivot_rows, e.pivot_rhs, None)[0] is None
+        """Whether v lies in the subspace. The basis is reduced at the pivot
+        columns, so v is in it exactly when v = sum of v[p] * (basis row of
+        pivot p), compared as sparse dicts."""
+        span = {}
+        for p, row in self._echelon.pivot_rows.items():
+            if v[p]:
+                _add_scaled(span, row, v[p])
+        return span == {j: x for j, x in enumerate(v) if x}
 
     def __contains__(self, v):
         return self.contains(v)
@@ -314,11 +312,6 @@ class Subspace:
         """Vectors orthogonal (dot product) to every element of the subspace."""
         return nullspace_of_rows(self.basis, self.ambient_dim)
 
-    def intersect(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("intersection in different ambient spaces")
-        return (self.annihilator() + other.annihilator()).annihilator()
-
     def __repr__(self):
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient_dim)
 
@@ -326,43 +319,6 @@ class Subspace:
 def nullspace_of_rows(rows, ncols):
     """Canonical nullspace of the linear map given by stacked row vectors."""
     return solve_sparse(_sparse(rows), None, ncols).nullspace()
-
-
-def nullspace(a):
-    """Canonical echelon basis of ker(a) as a Subspace."""
-    return nullspace_of_rows(a.data, a.cols)
-
-
-class LinearSolution:
-    """Result of solve_linear: a particular solution and the kernel.
-
-    For inconsistent systems `particular` is None and `witness` is a row
-    combination y with y^T A = 0 and y^T b != 0.
-    """
-
-    __slots__ = ("particular", "nullspace", "witness")
-
-    def __init__(self, particular, nullspace_, witness=None):
-        self.particular = particular
-        self.nullspace = nullspace_
-        self.witness = witness
-
-    @property
-    def consistent(self):
-        return self.particular is not None
-
-
-def solve_linear(a, b):
-    """Solve a x = b exactly. See LinearSolution."""
-    if a.rows != len(b):
-        raise DimensionMismatch("rhs length does not match row count")
-    sol = solve_sparse(_sparse(a.data), [Q(x) for x in b], a.cols)
-    if not sol.consistent:
-        witness = [Q(0)] * a.rows
-        for i, c in sol.witness.items():
-            witness[i] = c
-        return LinearSolution(None, sol.nullspace(), tuple(witness))
-    return LinearSolution(sol.particular(), sol.nullspace())
 
 
 class SparseSolution:
@@ -449,50 +405,48 @@ def _add_scaled(acc, row, c):
         _add_term(acc, key, c * x)
 
 
-def _row_step(row, val, combo, pivot_rows, pivot_vals, pivot_combos):
-    """Reduce one sparse row, then normalize it at its smallest column.
+def _row_step(row, val, key, pivot_rows, pivot_vals, pivot_combos):
+    """Reduce one sparse row over Q by int pivot rows, then make it primitive.
 
-    The row, its value and its provenance combination (None when untracked)
-    are reduced by the pivots the row holds on entry, in increasing order;
-    each stored pivot row has entry 1 at its pivot column. The result is
-    exact, with no pivot column left in the row, when the pivot rows are
+    The row {column: entry} and its value (ints or Fractions) are scaled to
+    ints by the lcm of their denominators, and the provenance combination
+    starts as {key: scale}; key None leaves it untracked (None). The row is
+    then reduced by the pivots it holds on entry, in increasing order,
+    skipping a pivot that an earlier reduction cancelled (_cross_reduce),
+    each pivot row being a primitive int row with a positive lead. The row
+    is exact, with no pivot column left in it, when the pivot rows are
     reduced against each other: no pivot row has an entry at another pivot
-    column. The row and combination dicts are reduced in place. Returns
-    (pivot column, row, value, combination), with pivot column None and the
-    row empty when the row reduces to zero.
+    column. Last, the content of the row, its value and its combination is
+    divided out, signed so that the lead at the smallest column turns
+    positive (_divide_content). Returns (pivot column, row, value,
+    combination), the row a new dict of ints, with pivot column None and the
+    row empty when the row reduces to zero (then nothing is divided).
 
-    A row whose leading entry is already 1 comes back as it is, and one
-    whose leading entry is -1 is negated, which keeps each entry's type; any
-    other row is scaled by the Fraction 1 / lead, which never divides as a
-    float. So Fractions in give Fractions out, and ints would stay ints only
-    when the lead is +-1. Its callers, Subspace.contains and
-    certificate._eliminate_residuals, pass Fractions; _echelon does not call
-    it, and reduces without dividing.
+    Every step scales by a nonzero int, so the row stays a nonzero multiple
+    of the row that dividing by each pivot's lead gives, with the same
+    support in the same dict order. Nothing here divides by a Fraction.
+    Callers: _echelon, for every incoming row, and
+    certificate._eliminate_residuals.
     """
-    for p in sorted([c for c in row if c in pivot_rows]):
-        f = row.get(p)
-        if not f:
-            continue
-        _add_scaled(row, pivot_rows[p], -f)
-        val -= f * pivot_vals[p]
-        if combo is not None:
-            _add_scaled(combo, pivot_combos[p], -f)
-    if not row:
-        return None, row, val, combo
-    p = min(row)
-    lead = row[p]
-    if lead == 1:
-        return p, row, val, combo
-    if lead == -1:
-        row = {j: -x for j, x in row.items()}
-        if combo is not None:
-            combo = {i: -x for i, x in combo.items()}
-        return p, row, -val, combo
-    inv = Q(1) / lead
-    row = {j: x * inv for j, x in row.items()}
-    if combo is not None:
-        combo = {i: x * inv for i, x in combo.items()}
-    return p, row, val * inv, combo
+    scale = val.denominator
+    for x in row.values():
+        d = x.denominator
+        if d != 1 and scale % d:
+            scale = lcm(scale, d)
+    if scale == 1:
+        work = {j: x.numerator for j, x in row.items()}
+        val = val.numerator
+    else:
+        work = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+        val = val.numerator * (scale // val.denominator)
+    combo = None if key is None else {key: scale}
+    for p in sorted([c for c in work if c in pivot_rows]):
+        if p in work:
+            val = _cross_reduce(work, val, combo, pivot_rows[p], pivot_vals[p], pivot_combos[p], p)
+    if not work:
+        return None, work, val, combo
+    p = min(work)
+    return p, work, _divide_content(work, val, combo, work[p]), combo
 
 
 def _echelon(rows, rhs, track):
@@ -501,17 +455,16 @@ def _echelon(rows, rhs, track):
     that reduces to 0 = c != 0 or None, that row's combination).
 
     The elimination runs on Python ints and divides once, at the end:
-    - each input row is scaled, with its right-hand side, by the lcm of
-      their denominators, and its combination starts as {index: scale};
-    - a pivot row is an int row with a positive lead, kept primitive: when
-      its lead is not 1, the content of the row, its value and its
-      combination is divided out (_divide_content);
+    - each input row goes through the row step (_row_step): it is scaled to
+      ints, reduced by the pivot rows it holds, and made primitive with a
+      positive lead; its combination starts as {index: scale};
     - a row with entry f at pivot p, whose pivot row has lead l, becomes
       a * row - b * (pivot row) with g = gcd(f, l), a = l / g and b = f / g
       (_cross_reduce); clearing a new pivot from the rows in holders is the
       same step, written out so that holders is kept up to date in the same
-      pass over the new pivot row. Rows are scaled in place, so every dict
-      keeps its order.
+      pass over the new pivot row, and the cleared row is made primitive
+      again (_divide_content). Rows are scaled in place, so every dict keeps
+      its order.
     Every reduced row is a nonzero multiple of the row that an elimination
     over Fractions holds at the same point, so the pivot columns and entry
     order are the same. The final pass divides each pivot row and value by
@@ -525,27 +478,14 @@ def _echelon(rows, rhs, track):
     holders = {}  # column -> the pivot columns whose rows have an entry there
     bad = witness = None
     for idx, row in enumerate(rows):
-        val = 0 if rhs is None else rhs[idx]
-        scale = val.denominator
-        for x in row.values():
-            d = x.denominator
-            if d != 1 and scale % d:
-                scale = lcm(scale, d)
-        if scale == 1:
-            work = {j: x.numerator for j, x in row.items()}
-            val = val.numerator
-        else:
-            work = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
-            val = val.numerator * (scale // val.denominator)
-        combo = {idx: scale} if track else None
-        for p in sorted([c for c in work if c in pivot_rows]):
-            val = _cross_reduce(work, val, combo, pivot_rows[p], pivot_rhs[p], pivot_combo[p], p)
-        if not work:
+        p, work, val, combo = _row_step(
+            row, 0 if rhs is None else rhs[idx], idx if track else None,
+            pivot_rows, pivot_rhs, pivot_combo,
+        )
+        if p is None:
             if val and bad is None:
                 bad, witness = idx, combo
             continue
-        p = min(work)
-        val = _divide_content(work, val, combo, work[p])
         lead = work[p]
         for q in holders.pop(p, ()):
             qrow = pivot_rows[q]

@@ -14,14 +14,8 @@ Convention: L(x)y = x*y and R(x)y = y*x throughout.
 import random
 from math import lcm
 
-from .lie import StructureTensor, _product_sum, validate_lie
+from .lie import StructureTensor, _product_sum
 from .linalg import Q, _krylov_chain, vscale, vsub, vunit
-
-
-class NotLeftSymmetric(ValueError):
-    def __init__(self, witness):
-        super().__init__("product is not left-symmetric, witness triple %s" % (witness,))
-        self.witness = witness
 
 
 class AlgebraProduct:
@@ -171,14 +165,6 @@ def is_compatible(p, g):
     return Verdict(True)
 
 
-def commutator_lie(p):
-    """The Lie algebra with bracket x*y - y*x of a left-symmetric product."""
-    lsa = is_left_symmetric(p)
-    if not lsa:
-        raise NotLeftSymmetric(lsa.witness)
-    return validate_lie(p.commutator_tensor())
-
-
 def half_bracket_product(g):
     """The product x*y = [x,y]/2 on the space of g."""
     half = Q(1, 2)
@@ -199,8 +185,9 @@ class Completeness:
     """Outcome of the completeness check.
 
     kind is "complete" or "incomplete" (exact; always the case for Novikov
-    products) or "heuristic-unknown" (all sampled right multiplications are
-    nilpotent but the product is not Novikov, so no exact conclusion).
+    and left-symmetric products) or "heuristic-unknown" (all sampled right
+    multiplications are nilpotent but the product is neither, so no exact
+    conclusion).
     For "incomplete", witness is a vector x with R(x) not nilpotent.
     """
 
@@ -235,12 +222,16 @@ def is_complete(p):
 
     Column j of R(x) is e_j * x, read from the pair index, and R(x)^n = 0 is
     read from the sparse Krylov chains of the unit vectors (_nilpotent).
-    Whether the R(e_i) commute is decided by the eq-2 triple scan that
-    is_novikov also runs ((x*y)*z = (x*z)*y on basis triples). If they
-    commute, as for every Novikov product, the answer is exact: the whole
-    family is simultaneously nilpotent iff each basis R(e_i) is. Otherwise
-    the basis elements plus 32 deterministic pseudo-random rational
-    combinations are sampled.
+    Once every R(e_i) is nilpotent, the answer is exact in two cases:
+    - the R(e_i) commute, as for every Novikov product (the eq-2 triple scan
+      that is_novikov also runs, (x*y)*z = (x*z)*y on basis triples): the
+      whole family is then simultaneously nilpotent iff each R(e_i) is;
+    - the product is left-symmetric: in characteristic 0 a left-symmetric
+      algebra is complete iff tr R(x) = 0 for all x (Helmstetter, Ann. Inst.
+      Fourier 29, 1979; Segal, Math. Ann. 293, 1992), and tr R is linear
+      and vanishes on the nilpotent R(e_i).
+    Otherwise the basis elements plus 32 deterministic pseudo-random
+    rational combinations are sampled.
     """
     n = p.dim
     # in ints: d R(m x), with d and m clearing denominators, is nilpotent iff R(x) is
@@ -249,7 +240,7 @@ def is_complete(p):
     for i in range(n):
         if not _nilpotent({j: pairs[j, i] for j in range(n) if (j, i) in pairs}, n):
             return Completeness(INCOMPLETE, vunit(n, i))
-    if _eq2(p):
+    if _eq2(p) or is_left_symmetric(p):
         return Completeness(COMPLETE)
     rng = random.Random(_HEURISTIC_SEED)
     for _ in range(_HEURISTIC_SAMPLES):

@@ -6,7 +6,9 @@ dense-vector forms the differential tests hold it to: same vectors and
 matrices, same Verdict (ok, witness, label), same exception and triple.
 The derived Novikov identities, which no library path needs, live here too.
 So do the dense matrix powers that completeness and the regular nilpotent
-normal form were decided by, before both read sparse Krylov chains.
+normal form were decided by, before both read sparse Krylov chains, and the
+dense dot product, the subspace intersection and the Lie algebra invariant
+profile that only tests use.
 """
 
 import random
@@ -35,6 +37,32 @@ from novikov.products import (
     _HEURISTIC_SAMPLES,
     _HEURISTIC_SEED,
 )
+
+
+def vdot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Q(0))
+
+
+def is_unimodular(g):
+    return all(g.ad(i).trace() == 0 for i in range(g.dim))
+
+
+def invariant_profile(g):
+    """Cheap isomorphism invariants of a Lie algebra: dimension, nilpotency
+    class, derived length, the dimensions along both series, unimodularity."""
+    return (
+        g.dim,
+        g.nilpotency_class(),
+        g.derived_length(),
+        tuple(s.dim for s in g.lower_central_series()),
+        tuple(s.dim for s in g.derived_series()),
+        is_unimodular(g),
+    )
+
+
+def intersect(u, w):
+    """U meet W, as the annihilator of ann(U) + ann(W)."""
+    return (u.annihilator() + w.annihilator()).annihilator()
 
 
 def basis_product(t, i, j):
@@ -221,14 +249,22 @@ def right_matrix_of(t, x):
 
 
 def is_complete(p):
-    """Each dense R(e_i) raised to the n-th power; if the dense eq-2 scan
-    fails, the same 32 seeded samples R(x)."""
+    """Each dense R(e_i) raised to the n-th power; if both the dense eq-2
+    scan and the dense left-symmetry scan fail, the same 32 seeded samples
+    R(x)."""
     t, n = p.tensor, p.dim
     for i in range(n):
         if not is_nilpotent(right_matrix(t, i)):
             return Completeness(INCOMPLETE, vunit(n, i))
-    if eq2(p):
+    if eq2(p) or is_left_symmetric(p):
         return Completeness(COMPLETE)
+    return sample_rights(p)
+
+
+def sample_rights(p):
+    """The 32 seeded samples R(x), dense: the first one that is not
+    nilpotent as an incomplete witness, else heuristic-unknown."""
+    t, n = p.tensor, p.dim
     rng = random.Random(_HEURISTIC_SEED)
     for _ in range(_HEURISTIC_SAMPLES):
         x = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))

@@ -29,7 +29,6 @@ from novikov.laf import parse_file
 from novikov.lie import quotient, validate_lie
 from novikov.linalg import Matrix, NotRegularNilpotent, Subspace, commutator, word_image_space
 from novikov.products import (
-    commutator_lie,
     half_bracket_product,
     is_compatible,
     is_complete,
@@ -54,7 +53,7 @@ from novikov.rmatrix import (
     induced_product,
 )
 
-from dense_scans import derived_identities_hold, novikov_operator_identity_holds
+from dense_scans import derived_identities_hold, invariant_profile, novikov_operator_identity_holds
 from randalg import (
     basis_rmatrix_pool,
     random_basis_rmatrix_case,
@@ -130,9 +129,9 @@ def test_criterion_3_half_bracket(criterion):
 def test_criterion_4_rmatrix_suite(criterion):
     with criterion(4, "r-matrix checks, profiles and class bounds"):
         sl2 = fx.sl2()
-        abelian_profile = fx.abelian(3).invariant_profile()
-        n3_profile = fx.n3().invariant_profile()
-        r3m1_profile = fx.r3_lambda(Q(-1)).invariant_profile()
+        abelian_profile = invariant_profile(fx.abelian(3))
+        n3_profile = invariant_profile(fx.n3())
+        r3m1_profile = invariant_profile(fx.r3_lambda(Q(-1)))
 
         def family(a, b):
             a, b = Q(a), Q(b)
@@ -149,15 +148,15 @@ def test_criterion_4_rmatrix_suite(criterion):
             assert check_novbed(r)
             p = induced_product(r)
             assert is_novikov(p)
-            profile = deformed_algebra(r).invariant_profile()
+            profile = invariant_profile(deformed_algebra(r))
             assert profile in (abelian_profile, n3_profile, r3m1_profile)
         # the three named outcomes
-        assert deformed_algebra(RMatrix(sl2, cases[0])).invariant_profile() == abelian_profile
-        assert deformed_algebra(RMatrix(sl2, cases[1])).invariant_profile() == n3_profile
-        assert deformed_algebra(RMatrix(sl2, cases[2])).invariant_profile() == r3m1_profile
+        assert invariant_profile(deformed_algebra(RMatrix(sl2, cases[0]))) == abelian_profile
+        assert invariant_profile(deformed_algebra(RMatrix(sl2, cases[1]))) == n3_profile
+        assert invariant_profile(deformed_algebra(RMatrix(sl2, cases[2]))) == r3m1_profile
         for (a, b), t in zip(samples, cases[3:]):
             expected = n3_profile if Q(a) + Q(b) ** 2 == 0 else r3m1_profile
-            assert deformed_algebra(RMatrix(sl2, t)).invariant_profile() == expected
+            assert invariant_profile(deformed_algebra(RMatrix(sl2, t))) == expected
         # class bounds on random basis r-matrices
         rng = rng_for("acceptance-rmatrix")
         pool = basis_rmatrix_pool()
@@ -239,13 +238,14 @@ def test_criterion_8_reduction(criterion):
             assert module.dim_v <= 8
             dec = fitting_decompose(module)
             d = module.dim_v
-            assert dec.v_n.intersect(dec.v_0).is_zero()
-            assert dec.v_n.dim + dec.v_0.dim == d
+            # V_n meets V_0 in 0 and together they span V
+            assert (dec.v_n + dec.v_0).dim == dec.v_n.dim + dec.v_0.dim == d
             for mat in module.action:
                 assert all(dec.v_n.contains(mat.apply(v)) for v in dec.v_n.basis)
                 assert all(dec.v_0.contains(mat.apply(v)) for v in dec.v_0.basis)
             assert word_image_space(module.action, dec.v_n, d).is_zero()
-            assert h0(module).intersect(dec.v_0).is_zero()
+            invariants = h0(module)
+            assert (invariants + dec.v_0).dim == invariants.dim + dec.v_0.dim
             restricted_rows = ModuleAction(
                 module.b,
                 dec.v_0.dim,
@@ -330,7 +330,8 @@ def test_criterion_10_global_cross_checks(criterion):
         for p, g in novikov_corpus():
             assert is_novikov(p)
             assert is_compatible(p, g)
-            com = commutator_lie(p)
+            assert is_left_symmetric(p)
+            com = validate_lie(p.commutator_tensor())
             assert com.derived_length() is not None
             assert novikov_operator_identity_holds(p, g)
             assert derived_identities_hold(p)

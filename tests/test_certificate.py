@@ -46,6 +46,7 @@ from randalg import (
     random_two_step_nilpotent,
     rng_for,
 )
+from test_linalg import fraction_row_step
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -574,6 +575,73 @@ def test_eliminate_residuals_outcomes_digest():
     assert h.hexdigest() == (
         "ac38d48f24df67884a18ecf928c645ed163ecde73a5d855a383dab52b963b96a"
     )
+
+
+def reference_eliminate_residuals(residuals, effort):
+    """_eliminate_residuals as it ran before its row step went on ints: each
+    residual through the row step over Fractions alone, a later pivot
+    overwriting an earlier one. Returns (the outcome, the overwrites)."""
+    pivot_rows, pivot_consts, pivot_combos = {}, {}, {}
+    pivots_used = overwrites = 0
+    for qi in sorted(residuals):
+        poly = residuals[qi]
+        m, work, const, combo = fraction_row_step(
+            {mono: c for mono, c in poly.items() if mono != ()},
+            poly.get((), Q(0)),
+            {qi: Q(1)},
+            pivot_rows,
+            pivot_consts,
+            pivot_combos,
+        )
+        if m is None:
+            if const != 0:
+                return (combo, const), overwrites
+            continue
+        if pivots_used < effort:
+            overwrites += m in pivot_rows
+            pivot_rows[m], pivot_consts[m], pivot_combos[m] = work, const, combo
+            pivots_used += 1
+    return None, overwrites
+
+
+def _assert_elimination_matches_reference(residuals, effort):
+    """The same outcome as the reference, the witness in the same dict
+    order, every coefficient and the constant a Fraction. Returns
+    (whether a witness was found, the reference's overwrites)."""
+    got = certificate._eliminate_residuals(residuals, effort)
+    want, overwrites = reference_eliminate_residuals(residuals, effort)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1]
+        assert all(type(x) is Q for x in [*got[0].values(), got[1]])
+    return got is not None, overwrites
+
+
+def test_eliminate_residuals_matches_fraction_reference():
+    # on the fixtures a later pivot overwrites an earlier one (free-n2-c4
+    # finds its witness after two overwrites)
+    for name, found in (("free-n2-c4", True), ("free-n3-c3", False)):
+        _, residuals = residual_polynomials(build_system(fx.fixture(name)))
+        for effort in (12, 13, 64):
+            outcome = _assert_elimination_matches_reference(residuals, effort)
+            assert outcome[0] == (found and effort > 12), (name, effort)
+            if effort == 64:
+                assert outcome[1] > 0, name
+    # seeded residual sets with coefficients of denominators up to 7
+    rng = random.Random(47)
+    monomials = [(), (0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 0), (3, 3)]
+    found = overwritten = 0
+    for _ in range(300):
+        residuals = {}
+        for qi in rng.sample(range(40), rng.randint(1, 14)):
+            residuals[qi] = {
+                m: Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 7))
+                for m in rng.sample(monomials, rng.randint(1, 5))
+            }
+        outcome = _assert_elimination_matches_reference(residuals, rng.choice((2, 5, 64)))
+        found += outcome[0]
+        overwritten += outcome[1] > 0
+    assert found >= 50 and overwritten >= 50
 
 
 def test_decide_deterministic():

@@ -1,6 +1,5 @@
 from fractions import Fraction as Q
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,9 +8,7 @@ from novikov.lie import StructureTensor, validate_lie
 from novikov.linalg import commutator
 from novikov.products import (
     AlgebraProduct,
-    NotLeftSymmetric,
     _eq2,
-    commutator_lie,
     half_bracket_product,
     is_compatible,
     is_complete,
@@ -21,7 +18,13 @@ from novikov.products import (
 
 import dense_scans as dense
 from dense_scans import derived_identities_hold, novikov_operator_identity_holds
-from randalg import product_cases, random_two_step_nilpotent, rng_for, sparse_tensors
+from randalg import (
+    product_cases,
+    random_prop57_instance,
+    random_two_step_nilpotent,
+    rng_for,
+    sparse_tensors,
+)
 
 
 def test_left_symmetric_zero():
@@ -65,13 +68,13 @@ def test_compatibility_examples():
 
 
 def test_commutator_lie():
-    assert commutator_lie(AlgebraProduct.zero(2)).is_abelian()
-    g = commutator_lie(fx.ex35_product())
+    # the commutator x*y - y*x of a left-symmetric product is a Lie bracket
+    assert validate_lie(AlgebraProduct.zero(2).commutator_tensor()).is_abelian()
+    g = validate_lie(fx.ex35_product().commutator_tensor())
     assert g.bracket == fx.ex35().bracket
-    gi = commutator_lie(fx.in_product(4))
+    gi = validate_lie(fx.in_product(4).commutator_tensor())
     assert gi.bracket == fx.in_lie(4).bracket
-    with pytest.raises(NotLeftSymmetric):
-        commutator_lie(half_bracket_product(fx.free_n2_c4()))
+    assert not is_left_symmetric(half_bracket_product(fx.free_n2_c4()))
 
 
 def test_complete_examples():
@@ -93,20 +96,46 @@ def _scheuneman_ex35():
 
 
 def test_heuristic_unknown_reachable():
-    # scheuneman products are left-symmetric with non-commuting rights in general
-    p = _scheuneman_ex35()
+    # half the bracket of a class-5 algebra is not left-symmetric, its rights
+    # do not commute, and every R(x) is strictly triangular
+    p = half_bracket_product(fx.filiform(6))
+    assert not is_left_symmetric(p) and not _eq2(p)
     res = is_complete(p)
     assert res.kind == "heuristic-unknown"
     assert res.passes_nilpotency_checks
+    # Scheuneman products are left-symmetric with non-commuting rights in
+    # general; the answer on them is exact
+    q = _scheuneman_ex35()
+    assert is_complete(q).kind == "complete"
     # the eq-2 scan shared by is_novikov and is_complete against the dense
     # right multiplications (the Novikov corpus side is checked below)
-    for q in (p, fx.in_product(3)):
+    for q in (q, fx.in_product(3)):
         assert is_left_symmetric(q) and not is_novikov(q)
         assert not all(
             commutator(q.right(i), q.right(j)).is_zero()
             for i in range(q.dim)
             for j in range(q.dim)
         )
+
+
+def test_sampler_finds_nothing_on_complete_left_symmetric_products():
+    # a left-symmetric product whose R(e_i) are nilpotent is complete
+    # (Helmstetter; Segal), so is_complete no longer samples it even when
+    # its rights do not commute; the 32 seeded samples it ran there find no
+    # R(x) that is not nilpotent
+    from novikov.reduction import prop57_construct
+
+    rng = rng_for("products-prop57")
+    products = [_scheuneman_ex35()]
+    products += [prop57_construct(random_prop57_instance(rng)) for _ in range(3)]
+    moved = 0
+    for p in products:
+        assert is_left_symmetric(p)
+        assert is_complete(p).kind == "complete"
+        if not _eq2(p):
+            moved += 1
+            assert dense.sample_rights(p).kind == "heuristic-unknown"
+    assert moved >= 2
 
 
 def test_derived_identities():
@@ -134,7 +163,7 @@ def test_novikov_invariants_across_corpus():
         assert is_novikov(p)
         assert is_compatible(p, g)
         # solvability of the commutator algebra
-        assert commutator_lie(p).derived_length() is not None
+        assert validate_lie(p.commutator_tensor()).derived_length() is not None
         # commuting right multiplications and L as a representation
         for i in range(p.dim):
             for j in range(p.dim):
@@ -198,7 +227,7 @@ def test_is_complete_matches_dense_reference_on_tables():
         (fx.in_product(3), "incomplete"),
         (fx.in_product(5), "incomplete"),
         (swap, "incomplete"),
-        (_scheuneman_ex35(), "heuristic-unknown"),
+        (_scheuneman_ex35(), "complete"),
         (fx.ex35_product(), "complete"),
         (fx.free_n3_c3_product(), "complete"),
         (fx.in_novikov_product(4), "complete"),

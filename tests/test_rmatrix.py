@@ -18,6 +18,7 @@ from novikov.rmatrix import (
     induced_product,
 )
 
+from dense_scans import invariant_profile, is_unimodular
 from randalg import basis_rmatrix_pool, random_basis_rmatrix_case, rng_for
 
 
@@ -38,12 +39,12 @@ def test_deformed_bracket_examples():
     rd = RMatrix(r2, Matrix([[1, 0], [0, 0]]))
     t = deformed_bracket(rd)
     assert t.basis_product(0, 1) == (Q(0), Q(1))  # [x1,x2]_T = x2
-    assert deformed_algebra(rd).invariant_profile() == r2.invariant_profile()
+    assert invariant_profile(deformed_algebra(rd)) == invariant_profile(r2)
 
     r33 = RMatrix(fx.sl2(), Matrix.unit(3, 2, 2))
     gt = deformed_algebra(r33)
-    assert gt.invariant_profile() == fx.r3_lambda(Q(-1)).invariant_profile()
-    assert gt.is_unimodular() and not gt.is_nilpotent()
+    assert invariant_profile(gt) == invariant_profile(fx.r3_lambda(Q(-1)))
+    assert is_unimodular(gt) and not gt.is_nilpotent()
 
 
 def test_cybe_examples():
@@ -104,7 +105,7 @@ def test_induced_product_precondition():
 
 def test_basis_rmatrix_examples():
     rb = basis_rmatrix(fx.r2(), 0, 0)
-    assert deformed_algebra(rb).invariant_profile() == fx.r2().invariant_profile()
+    assert invariant_profile(deformed_algebra(rb)) == invariant_profile(fx.r2())
 
     n3 = fx.n3()
     rb2 = basis_rmatrix(n3, 0, 2)
@@ -135,12 +136,12 @@ def test_basis_rmatrix_case_table():
 
 
 def test_sl2_family_profiles():
-    nilpotent_profile = fx.n3().invariant_profile()
-    solvable_profile = fx.r3_lambda(Q(-1)).invariant_profile()
+    nilpotent_profile = invariant_profile(fx.n3())
+    solvable_profile = invariant_profile(fx.r3_lambda(Q(-1)))
     for alpha, beta in SL2_PARAMETERS:
         r = sl2_family(alpha, beta)
         assert check_cybe(r) and check_novbed(r)
-        profile = deformed_algebra(r).invariant_profile()
+        profile = invariant_profile(deformed_algebra(r))
         if Q(alpha) + Q(beta) ** 2 == 0:
             assert profile == nilpotent_profile
         else:
