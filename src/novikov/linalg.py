@@ -441,8 +441,7 @@ def _row_step(row, val, key, pivot_rows, pivot_vals, pivot_combos):
         val = val.numerator * (scale // val.denominator)
     combo = None if key is None else {key: scale}
     for p in sorted([c for c in work if c in pivot_rows]):
-        if p in work:
-            val = _cross_reduce(work, val, combo, pivot_rows[p], pivot_vals[p], pivot_combos[p], p)
+        val = _cross_reduce(work, val, combo, pivot_rows[p], pivot_vals[p], pivot_combos[p], p)
     if not work:
         return None, work, val, combo
     p = min(work)
@@ -534,9 +533,12 @@ def _cross_reduce(row, val, combo, prow, pval, pcombo, p):
     """Clear column p of the int row by the int pivot row prow, in place.
     With f = row[p], l = prow[p] and g = gcd(f, l), the row becomes
     (l / g) * row - (f / g) * prow; its value and its combination (None when
-    untracked) follow, with the pivot row's pval and pcombo. Returns the new
-    value."""
-    b, lead = row[p], prow[p]
+    untracked) follow, with the pivot row's pval and pcombo. A row with no
+    entry at p is left as it is. Returns the new value."""
+    b = row.get(p)
+    if b is None:
+        return val
+    lead = prow[p]
     if lead != 1:
         g = gcd(b, lead)
         a, b = lead // g, b // g
