@@ -31,7 +31,7 @@ from .extensions import (
 )
 from .fixtures import UnknownFixture, fixture, product_fixture
 from .lie import NotAnIdeal, quotient
-from .linalg import NotRegularNilpotent, Q, Subspace, vunit
+from .linalg import NotRegularNilpotent, Subspace, vunit
 from .products import (
     AlgebraProduct,
     is_complete,
@@ -167,7 +167,7 @@ def _parse_vector(text, dim):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != dim:
         raise laf.LAFError("expected %d comma-separated coordinates" % dim)
-    return tuple(Q(p) for p in parts)
+    return tuple(laf.parse_rational(p) for p in parts)
 
 
 def _first_lift(construct, dim_b):

@@ -11,8 +11,6 @@ from .linalg import (
     Matrix,
     Q,
     Subspace,
-    nullspace_of_rows,
-    scaled_sum,
     vunit,
 )
 
@@ -129,18 +127,6 @@ class StructureTensor:
                 m[k][j] = c
         return Matrix(m, cols=self.dim)
 
-    def right_matrix(self, i):
-        """Matrix of x -> x * e_i."""
-        m = [[Q(0)] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for k, c in self.pairs.get((j, i), {}).items():
-                m[k][j] = c
-        return Matrix(m, cols=self.dim)
-
-    def left_matrix_of(self, x):
-        terms = ((c, self.left_matrix(i)) for i, c in enumerate(x) if c)
-        return scaled_sum(terms, self.dim, self.dim)
-
     def is_zero(self):
         return not self.entries
 
@@ -190,13 +176,6 @@ class LieAlgebra:
     def bracket_vec(self, u, v):
         return self.bracket.apply(u, v)
 
-    def ad(self, i):
-        """Adjoint matrix of the basis element e_i."""
-        return self.bracket.left_matrix(i)
-
-    def ad_of(self, x):
-        return self.bracket.left_matrix_of(x)
-
     def basis_vector(self, i):
         return vunit(self.dim, i)
 
@@ -208,56 +187,45 @@ class LieAlgebra:
                 vectors.append(self.bracket_vec(u, v))
         return Subspace(self.dim, vectors)
 
-    def derived_series(self):
+    def _series(self, derived):
+        """g, then [S, S] (derived) or [g, S] (lower central) of the last term
+        S, until a term repeats."""
         full = Subspace.full(self.dim)
         series = [full]
         while True:
-            nxt = self.bracket_space(series[-1], series[-1])
-            if nxt == series[-1]:
-                break
+            last = series[-1]
+            nxt = self.bracket_space(last if derived else full, last)
+            if nxt == last:
+                return series
             series.append(nxt)
-        return series
+
+    def derived_series(self):
+        return self._series(True)
 
     def lower_central_series(self):
-        full = Subspace.full(self.dim)
-        series = [full]
-        while True:
-            nxt = self.bracket_space(full, series[-1])
-            if nxt == series[-1]:
-                break
-            series.append(nxt)
-        return series
+        return self._series(False)
 
     def nilpotency_class(self):
         """p with g^(p+1) = 0, or None if the algebra is not nilpotent."""
-        series = self.lower_central_series()
-        if series[-1].is_zero():
-            return len(series) - 1
-        return None
+        return _steps_to_zero(self.lower_central_series())
 
     def derived_length(self):
-        series = self.derived_series()
-        if series[-1].is_zero():
-            return len(series) - 1
-        return None
+        return _steps_to_zero(self.derived_series())
 
     def is_nilpotent(self):
         return self.nilpotency_class() is not None
 
-    def is_solvable(self):
-        return self.derived_length() is not None
-
     def is_abelian(self):
         return self.bracket.is_zero()
 
-    def center(self):
-        rows = []
-        for i in range(self.dim):
-            rows.extend(self.ad(i).data)
-        return nullspace_of_rows(rows, self.dim)
-
     def __repr__(self):
         return "LieAlgebra(dim=%d)" % self.dim
+
+
+def _steps_to_zero(series):
+    """The number of steps a series takes to reach 0, or None if it stops
+    at a nonzero term."""
+    return len(series) - 1 if series[-1].is_zero() else None
 
 
 def _product_sum(pairs, terms):

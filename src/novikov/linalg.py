@@ -13,8 +13,8 @@ the end, so the pivot rows, values and witness come back as Fractions,
 exactly those of the elimination over Fractions. It tracks row provenance
 only in a second pass, run when the system is inconsistent, to build the
 witness. Subspace bases, nullspaces and inverses all take their reduced
-echelon form from it. Subspace membership and coordinates read a subspace's
-reduced echelon rows directly, and its complement is one echelon pass over
+echelon form from it. Subspace membership reads a subspace's reduced
+echelon rows directly, and its complement is one echelon pass over
 the basis with the columns reversed. The certificate's residual elimination
 runs the same row step, and every sparse row or polynomial build in the
 package accumulates with the same helpers. Nilpotency reads one more,
@@ -36,10 +36,6 @@ class DimensionMismatch(ValueError):
 
 class NotRegularNilpotent(ValueError):
     """Matrix is not nilpotent of maximal index (one Jordan block)."""
-
-
-def vec(entries):
-    return tuple(Q(x) for x in entries)
 
 
 def vzero(n):
@@ -131,9 +127,6 @@ class Matrix:
             raise DimensionMismatch("matrix subtraction shape mismatch")
         return Matrix([vsub(a, b) for a, b in zip(self.data, other.data)], cols=self.cols)
 
-    def __neg__(self):
-        return Matrix([vscale(-1, r) for r in self.data], cols=self.cols)
-
     def scale(self, c):
         return Matrix([vscale(c, r) for r in self.data], cols=self.cols)
 
@@ -154,9 +147,6 @@ class Matrix:
             return Matrix(product, cols=other.cols)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def apply(self, v):
         """Matrix times column vector (given and returned as a tuple); each
         entry sums row[j] * v[j] over the nonzero v[j] only."""
@@ -167,9 +157,6 @@ class Matrix:
 
     def transpose(self):
         return Matrix(list(zip(*self.data)) if self.data else [()] * self.cols, cols=self.rows)
-
-    def trace(self):
-        return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), Q(0))
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
@@ -188,10 +175,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return "Matrix[%s]" % body
-
-
-def commutator(a, b):
-    return a * b - b * a
 
 
 def scaled_sum(terms, rows, cols):
@@ -238,10 +221,6 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
     def full(cls, n):
         return cls(n, Matrix.identity(n).data)
 
@@ -252,9 +231,6 @@ class Subspace:
     def is_zero(self):
         return not self.basis
 
-    def is_full(self):
-        return self.dim == self.ambient_dim
-
     def contains(self, v):
         """Whether v lies in the subspace. The basis is reduced at the pivot
         columns, so v is in it exactly when v = sum of v[p] * (basis row of
@@ -264,18 +240,6 @@ class Subspace:
             if v[p]:
                 _add_scaled(span, row, v[p])
         return span == {j: x for j, x in enumerate(v) if x}
-
-    def __contains__(self, v):
-        return self.contains(v)
-
-    def coordinates(self, v):
-        """Coefficients of v in the canonical basis; None if v is outside.
-
-        The basis is reduced at the pivot columns, so they are v's entries there.
-        """
-        if not self.contains(v):
-            return None
-        return tuple(Q(v[p]) for p in self.pivots)
 
     def complement(self):
         """The lexicographically earliest coordinate indices, in increasing
@@ -299,14 +263,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
-
-    def __le__(self, other):
-        return all(other.contains(v) for v in self.basis)
-
-    def __add__(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("subspace sum in different ambient spaces")
-        return Subspace(self.ambient_dim, self.basis + other.basis)
 
     def annihilator(self):
         """Vectors orthogonal (dot product) to every element of the subspace."""

@@ -1,21 +1,22 @@
 """Bilinear products on the underlying space of a Lie algebra.
 
 Checks the left-symmetric and Novikov axioms, compatibility with a bracket,
-and completeness (nilpotency of right multiplications). The axiom checks
-scan basis triples; each triple's identity is summed over the nonzero
-structure constants through the tensor's pair index (lie.StructureTensor),
-so a sparse product costs its nonzeros, not n coordinates per term.
-Completeness reads each R(x) column by column from the same index and decides
-R^n = 0 from the sparse Krylov chains of the unit vectors, building no matrix.
+and completeness of left-symmetric products (nilpotency of every right
+multiplication). The axiom checks scan basis triples; each triple's
+identity is summed over the nonzero structure constants through the
+tensor's pair index (lie.StructureTensor), so a sparse product costs its
+nonzeros, not n coordinates per term.
+Completeness reads each R(e_i) column by column from the same index and
+decides R^n = 0 from the sparse Krylov chains of the unit vectors, building
+no matrix.
 
 Convention: L(x)y = x*y and R(x)y = y*x throughout.
 """
 
-import random
 from math import lcm
 
 from .lie import StructureTensor, _product_sum
-from .linalg import Q, _krylov_chain, vscale, vsub, vunit
+from .linalg import Q, _krylov_chain, vscale, vunit
 
 
 class AlgebraProduct:
@@ -43,21 +44,6 @@ class AlgebraProduct:
 
     def basis_product(self, i, j):
         return self.tensor.basis_product(i, j)
-
-    def left(self, i):
-        return self.tensor.left_matrix(i)
-
-    def right(self, i):
-        return self.tensor.right_matrix(i)
-
-    def left_of(self, x):
-        return self.tensor.left_matrix_of(x)
-
-    def commutator_tensor(self):
-        """Structure constants of x*y - y*x."""
-        return StructureTensor.tabulate(
-            self.dim, lambda i, j: vsub(self.basis_product(i, j), self.basis_product(j, i))
-        )
 
     def change_basis(self, basis_vectors):
         return AlgebraProduct(self.tensor.change_basis(basis_vectors))
@@ -175,20 +161,17 @@ def half_bracket_product(g):
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
-HEURISTIC_UNKNOWN = "heuristic-unknown"
-
-_HEURISTIC_SAMPLES = 32
-_HEURISTIC_SEED = 0x4E6F76
+NOT_LEFT_SYMMETRIC = "not-left-symmetric"
 
 
 class Completeness:
     """Outcome of the completeness check.
 
-    kind is "complete" or "incomplete" (exact; always the case for Novikov
-    and left-symmetric products) or "heuristic-unknown" (all sampled right
-    multiplications are nilpotent but the product is neither, so no exact
-    conclusion).
-    For "incomplete", witness is a vector x with R(x) not nilpotent.
+    kind is "complete" or "incomplete", both exact, or "not-left-symmetric":
+    every R(e_i) is nilpotent, but the product neither satisfies eq-2 nor is
+    left-symmetric, and completeness is decided for left-symmetric products
+    only. For "incomplete", witness is a basis vector e_i with R(e_i) not
+    nilpotent; the other kinds carry no witness.
     """
 
     __slots__ = ("kind", "witness")
@@ -220,9 +203,10 @@ def _nilpotent(columns, n):
 def is_complete(p):
     """Are all right multiplications R(x) nilpotent?
 
-    Column j of R(x) is e_j * x, read from the pair index, and R(x)^n = 0 is
-    read from the sparse Krylov chains of the unit vectors (_nilpotent).
-    Once every R(e_i) is nilpotent, the answer is exact in two cases:
+    Column j of R(e_i) is e_j * e_i, read from the pair index, and
+    R(e_i)^n = 0 is read from the sparse Krylov chains of the unit vectors
+    (_nilpotent). A non-nilpotent R(e_i) makes the product incomplete. Once
+    every R(e_i) is nilpotent, the answer is exact in two cases:
     - the R(e_i) commute, as for every Novikov product (the eq-2 triple scan
       that is_novikov also runs, (x*y)*z = (x*z)*y on basis triples): the
       whole family is then simultaneously nilpotent iff each R(e_i) is;
@@ -230,11 +214,10 @@ def is_complete(p):
       algebra is complete iff tr R(x) = 0 for all x (Helmstetter, Ann. Inst.
       Fourier 29, 1979; Segal, Math. Ann. 293, 1992), and tr R is linear
       and vanishes on the nilpotent R(e_i).
-    Otherwise the basis elements plus 32 deterministic pseudo-random
-    rational combinations are sampled.
+    Any other product is "not-left-symmetric", with no witness.
     """
     n = p.dim
-    # in ints: d R(m x), with d and m clearing denominators, is nilpotent iff R(x) is
+    # in ints: d R(e_i), with d clearing denominators, is nilpotent iff R(e_i) is
     d = lcm(*(c.denominator for c in p.tensor.entries.values()))
     pairs = {ij: {k: int(c * d) for k, c in row.items()} for ij, row in p.tensor.pairs.items()}
     for i in range(n):
@@ -242,11 +225,4 @@ def is_complete(p):
             return Completeness(INCOMPLETE, vunit(n, i))
     if _eq2(p) or is_left_symmetric(p):
         return Completeness(COMPLETE)
-    rng = random.Random(_HEURISTIC_SEED)
-    for _ in range(_HEURISTIC_SAMPLES):
-        x = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
-        m = lcm(*(c.denominator for c in x))
-        xs = {i: int(c * m) for i, c in enumerate(x) if c}
-        if not _nilpotent({j: _product_sum(pairs, ((1, {j: 1}, xs),)) for j in range(n)}, n):
-            return Completeness(INCOMPLETE, x)
-    return Completeness(HEURISTIC_UNKNOWN)
+    return Completeness(NOT_LEFT_SYMMETRIC)

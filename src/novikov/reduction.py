@@ -77,12 +77,6 @@ class ModuleAction:
         self.dim_v = dim_v
         self.action = action
 
-    def row_module(self):
-        """The dual action on row vectors, v -> -v phi(X)."""
-        return ModuleAction(
-            self.b, self.dim_v, [m.transpose().scale(-1) for m in self.action]
-        )
-
     def __repr__(self):
         return "ModuleAction(b dim=%d, V dim=%d)" % (self.b.dim, self.dim_v)
 

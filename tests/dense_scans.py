@@ -7,20 +7,23 @@ matrices, same Verdict (ok, witness, label), same exception and triple.
 The derived Novikov identities, which no library path needs, live here too.
 So do the dense matrix powers that completeness and the regular nilpotent
 normal form were decided by, before both read sparse Krylov chains, and the
-dense dot product, the subspace intersection and the Lie algebra invariant
-profile that only tests use.
+dense dot product, the matrix commutator, the commutator algebra of a
+product, subspace sums, inclusion, intersection and coordinates, the dual
+module and the Lie algebra invariant profile that only tests use, and a
+seeded sampler of right multiplications R(x), which searches for an R(x)
+that is not nilpotent.
 """
 
 import random
 
 
-from novikov.lie import AntisymmetryViolation, JacobiViolation, LieAlgebra
+from novikov.lie import AntisymmetryViolation, JacobiViolation, LieAlgebra, StructureTensor
 from novikov.linalg import (
     DimensionMismatch,
     Matrix,
     NotRegularNilpotent,
     Q,
-    commutator,
+    Subspace,
     is_zero_vec,
     scaled_sum,
     vadd,
@@ -30,21 +33,60 @@ from novikov.linalg import (
 )
 from novikov.products import (
     COMPLETE,
-    HEURISTIC_UNKNOWN,
     INCOMPLETE,
+    NOT_LEFT_SYMMETRIC,
     Completeness,
     Verdict,
-    _HEURISTIC_SAMPLES,
-    _HEURISTIC_SEED,
 )
+from novikov.reduction import ModuleAction
+
+SAMPLES = 32
+SEED = 0x4E6F76
 
 
 def vdot(u, v):
     return sum((a * b for a, b in zip(u, v)), Q(0))
 
 
+def commutator(a, b):
+    return a * b - b * a
+
+
+def commutator_tensor(p):
+    """Structure constants of x*y - y*x."""
+    return StructureTensor.tabulate(
+        p.dim, lambda i, j: vsub(p.basis_product(i, j), p.basis_product(j, i))
+    )
+
+
+def subspace_sum(u, w):
+    return Subspace(u.ambient_dim, u.basis + w.basis)
+
+
+def included(u, w):
+    """U is a subspace of W."""
+    return all(w.contains(v) for v in u.basis)
+
+
+def coordinates(space, v):
+    """Coefficients of v in the canonical basis of the subspace; None if v is
+    outside. The basis is reduced at the pivot columns, so they are v's
+    entries there."""
+    if not space.contains(v):
+        return None
+    return tuple(Q(v[p]) for p in space.pivots)
+
+
+def row_module(module):
+    """The dual action on row vectors, v -> -v phi(X)."""
+    return ModuleAction(module.b, module.dim_v, [m.transpose().scale(-1) for m in module.action])
+
+
 def is_unimodular(g):
-    return all(g.ad(i).trace() == 0 for i in range(g.dim))
+    return all(
+        sum((g.bracket.left_matrix(i)[k, k] for k in range(g.dim)), Q(0)) == 0
+        for i in range(g.dim)
+    )
 
 
 def invariant_profile(g):
@@ -62,7 +104,7 @@ def invariant_profile(g):
 
 def intersect(u, w):
     """U meet W, as the annihilator of ann(U) + ann(W)."""
-    return (u.annihilator() + w.annihilator()).annihilator()
+    return subspace_sum(u.annihilator(), w.annihilator()).annihilator()
 
 
 def basis_product(t, i, j):
@@ -211,13 +253,13 @@ def novikov_operator_identity_holds(p, g):
     nonexistence certifier.
     """
     n = p.dim
-    lefts = [p.left(i) for i in range(n)]
-    ads = [g.ad(i) for i in range(n)]
+    lefts = [p.tensor.left_matrix(i) for i in range(n)]
+    ads = [g.bracket.left_matrix(i) for i in range(n)]
     for i in range(n):
         for j in range(n):
             bracket = g.bracket.basis_product(i, j)
-            l_br = p.left_of(bracket)
-            ad_br = g.ad_of(bracket)
+            l_br = left_matrix_of(p.tensor, bracket)
+            ad_br = left_matrix_of(g.bracket, bracket)
             total = l_br + ad_br - commutator(ads[i], lefts[j]) - commutator(lefts[i], ads[j])
             if not total.is_zero():
                 return False
@@ -244,33 +286,37 @@ def is_nilpotent(m):
     return matrix_power(m, m.rows).is_zero()
 
 
+def left_matrix_of(t, x):
+    return scaled_sum(((c, t.left_matrix(i)) for i, c in enumerate(x) if c), t.dim, t.dim)
+
+
 def right_matrix_of(t, x):
     return scaled_sum(((c, right_matrix(t, i)) for i, c in enumerate(x) if c), t.dim, t.dim)
 
 
 def is_complete(p):
-    """Each dense R(e_i) raised to the n-th power; if both the dense eq-2
-    scan and the dense left-symmetry scan fail, the same 32 seeded samples
-    R(x)."""
+    """Each dense R(e_i) raised to the n-th power, then the dense eq-2 scan
+    and the dense left-symmetry scan; a product that passes neither is not
+    left-symmetric."""
     t, n = p.tensor, p.dim
     for i in range(n):
         if not is_nilpotent(right_matrix(t, i)):
             return Completeness(INCOMPLETE, vunit(n, i))
     if eq2(p) or is_left_symmetric(p):
         return Completeness(COMPLETE)
-    return sample_rights(p)
+    return Completeness(NOT_LEFT_SYMMETRIC)
 
 
 def sample_rights(p):
-    """The 32 seeded samples R(x), dense: the first one that is not
-    nilpotent as an incomplete witness, else heuristic-unknown."""
+    """The first of SAMPLES seeded rational vectors x with the dense R(x)
+    not nilpotent, or None if every sampled R(x) is nilpotent."""
     t, n = p.tensor, p.dim
-    rng = random.Random(_HEURISTIC_SEED)
-    for _ in range(_HEURISTIC_SAMPLES):
+    rng = random.Random(SEED)
+    for _ in range(SAMPLES):
         x = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
         if not is_nilpotent(right_matrix_of(t, x)):
-            return Completeness(INCOMPLETE, x)
-    return Completeness(HEURISTIC_UNKNOWN)
+            return x
+    return None
 
 
 def nilpotent_regular_basis(n_matrix):

@@ -12,6 +12,8 @@ from novikov.linalg import Matrix, Q, Subspace, jordan_block
 from novikov.products import AlgebraProduct, half_bracket_product
 from novikov.reduction import ModuleAction
 
+from dense_scans import commutator_tensor
+
 
 def rng_for(tag, index=0):
     return random.Random("novikov-%s-%d" % (tag, index))
@@ -305,7 +307,7 @@ def product_cases(draw):
         p, g = draw(st.sampled_from(_novikov_tables()))
         return AlgebraProduct(draw(perturbed(p.tensor))), g
     p = AlgebraProduct(draw(sparse_tensors()))
-    bracket = p.commutator_tensor()
+    bracket = commutator_tensor(p)
     if draw(st.booleans()):
         bracket = draw(perturbed(bracket))
     return p, LieAlgebra(bracket)

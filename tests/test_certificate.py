@@ -39,6 +39,7 @@ from novikov.laf import parse_file
 from novikov.linalg import NotRegularNilpotent, _add_term, vunit
 from novikov.products import AlgebraProduct, half_bracket_product, is_compatible, is_novikov
 
+from dense_scans import left_matrix_of
 from randalg import (
     random_mixed_extension,
     random_regular_jordan_extension,
@@ -101,7 +102,7 @@ def dense_build_system(g):
     """Reference builder: every equation instantiated from the dense ad
     matrices, one term per k, zeros included."""
     n = g.dim
-    ads = [g.ad(i) for i in range(n)]
+    ads = [g.bracket.left_matrix(i) for i in range(n)]
 
     def var(i, r, c):
         return (i * n + r) * n + c
@@ -125,7 +126,7 @@ def dense_build_system(g):
             rhs.append(Q(w[k]))
     for i, j in pairs:
         w = g.bracket.basis_product(i, j)
-        adw, adi, adj = g.ad_of(w), ads[i], ads[j]
+        adw, adi, adj = left_matrix_of(g.bracket, w), ads[i], ads[j]
         for r in range(n):
             for s in range(n):
                 row = {}
@@ -391,7 +392,7 @@ def test_product_from_solution_round_trip():
         system = certificate.PolySystem(p.dim, [], [], [])
         values = [Q(0)] * system.nvars
         for i in range(p.dim):
-            left = p.left(i)
+            left = p.tensor.left_matrix(i)
             for r in range(p.dim):
                 for c in range(p.dim):
                     values[system.var_index(i, r, c)] = left[r, c]

@@ -30,13 +30,17 @@ def test_fixture_and_verify(tmp_path, capsys):
 
 def test_verify_complete_reports_pinned(tmp_path, capsys):
     # R(e1) of In-product:3 is not nilpotent; free-n3-c3-product is Novikov
-    # with every R(e_i) nilpotent
+    # with every R(e_i) nilpotent; half the bracket of filiform:6 has every
+    # R(e_i) nilpotent but is neither left-symmetric nor eq-2
     cases = (
         ("In:3", "In-product:3", 1,
          '{"command": "verify", "property": "complete", "holds": false, '
          '"status": "incomplete", "witness": ["1", "0", "0"]}'),
         ("free-n3-c3", "free-n3-c3-product", 0,
          '{"command": "verify", "property": "complete", "holds": true, "status": "complete"}'),
+        ("filiform:6", "half-bracket:filiform:6", 1,
+         '{"command": "verify", "property": "complete", "holds": false, '
+         '"status": "not-left-symmetric", "witness": null}'),
     )
     lie = str(tmp_path / "g.laf")
     prod = str(tmp_path / "p.lafp")
@@ -131,6 +135,32 @@ def test_lift_methods(tmp_path, capsys):
     # iso is inapplicable here: every basis action is singular
     code, report = run(capsys, "lift", "--ext", ext_path, "--method", "iso", "-o", out)
     assert code == 1 and report["error"] == "NotInvertible"
+
+
+def test_lift_iso_at_given_e(tmp_path, capsys):
+    from novikov.extensions import ExtensionData
+
+    # abelian b acting on a by 1 and 2: phi(e) = e_1 + 2 e_2 is invertible
+    # at (1/2, 3) and singular at (2, -1)
+    ext = ExtensionData(1, 2, [Matrix([[1]]), Matrix([[2]])], {})
+    ext_path = str(tmp_path / "ab.lafe")
+    emit_file(ext, ext_path)
+    out = str(tmp_path / "iso.lafl")
+    code, report = run(capsys, "lift", "--ext", ext_path, "--method", "iso", "--e", "1/2,3", "-o", out)
+    assert code == 0 and report["ok"]
+    assert list(parse_file(out).payload.y_op) == [Matrix([[1]]), Matrix([[2]])]
+    code, report = run(capsys, "lift", "--ext", ext_path, "--method", "iso", "--e", "2,-1", "-o", out)
+    assert code == 1 and report["error"] == "NotInvertible"
+
+
+def test_lift_e_with_zero_denominator_is_input_error(tmp_path, capsys):
+    out = str(tmp_path / "iso.lafl")
+    code, report = run(
+        capsys, "lift", "--ext", os.path.join(DATA, "ex35.lafe"), "--method", "iso",
+        "--e", "1/0,1", "-o", out,
+    )
+    assert code == 2 and report["ok"] is False and report["error"] == "LAFError"
+    assert not os.path.exists(out)
 
 
 def test_lift_semidirect(tmp_path, capsys):

@@ -35,3 +35,47 @@ def test_every_private_definition_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in private.items() if name not in used)
     assert not unused, "private but never referenced in its module: %s" % unused
+
+
+def _names_used(paths):
+    """Every identifier read as a name, an attribute or an import alias."""
+    used = set()
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    return used
+
+
+def test_every_public_definition_is_called_by_the_library():
+    """A public function, class or method that nothing in the package or the
+    benchmark names is test-only code; it belongs in the test helpers."""
+    bench = os.path.join(SRC, os.pardir, os.pardir, "perfbench")
+    paths = [os.path.join(SRC, f) for f in os.listdir(SRC) if f.endswith(".py")]
+    paths += [os.path.join(bench, f) for f in os.listdir(bench) if f.endswith(".py")]
+    used = _names_used(paths)
+    defined = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (module, "%s.%s" % (node.name, item.name))
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                )
+    unused = [
+        (module, name)
+        for module, name in defined
+        if not name.split(".")[-1].startswith("_") and name.split(".")[-1] not in used
+    ]
+    assert not unused, "defined but never named in src/ or perfbench/: %s" % unused

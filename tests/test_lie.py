@@ -81,12 +81,12 @@ def test_series_monotone_and_stabilize():
         for series in (g.derived_series(), g.lower_central_series()):
             assert len(series) <= g.dim + 1
             for prev, nxt in zip(series, series[1:]):
-                assert nxt <= prev and nxt.dim < prev.dim
+                assert dense.included(nxt, prev) and nxt.dim < prev.dim
 
 
 def test_quotient_by_zero():
     g = fx.free_n2_c4()
-    q = quotient(g, Subspace.zero(8))
+    q = quotient(g, Subspace(8))
     assert q.bracket == g.bracket
 
 
@@ -212,7 +212,6 @@ def test_products_match_entry_scans():
         n = t.dim
         for i in range(n):
             assert t.left_matrix(i) == dense.left_matrix(t, i)
-            assert t.right_matrix(i) == dense.right_matrix(t, i)
             for j in range(n):
                 assert t.basis_product(i, j) == dense.basis_product(t, i, j)
         for _ in range(10):

@@ -112,7 +112,8 @@ def test_random_inconsistent_witnesses():
 
 
 def test_nullspace_examples():
-    assert nullspace_of_rows(Matrix.zeros(2, 2).data, 2).is_full()
+    full = nullspace_of_rows(Matrix.zeros(2, 2).data, 2)
+    assert full.dim == full.ambient_dim
     assert nullspace_of_rows(Matrix.identity(2).data, 2).is_zero()
     a = Matrix([[1, 2], [2, 4]])
     ker = nullspace_of_rows(a.data, 2)
@@ -144,10 +145,10 @@ def test_subspace_sum_intersect():
     # U meets W in 0 exactly when dim(U + W) = dim U + dim W
     u = Subspace(3, [(1, 0, 0)])
     v = Subspace(3, [(0, 1, 0), (1, 1, 0)])
-    assert (u + v).dim == 2
-    assert u <= v and u + v == v and not v <= u
+    assert dense.subspace_sum(u, v).dim == 2
+    assert dense.included(u, v) and dense.subspace_sum(u, v) == v and not dense.included(v, u)
     w = Subspace(3, [(0, 0, 1)])
-    assert (u + w).dim == u.dim + w.dim
+    assert dense.subspace_sum(u, w).dim == u.dim + w.dim
 
 
 def test_nilpotent_regular_basis_identity():
@@ -645,7 +646,7 @@ def greedy_complement(space):
         ej = vunit(n, j)
         if not is_zero_vec(dense_reduce(span, ej)):
             chosen.append(j)
-            span = span + Subspace(n, [ej])
+            span = dense.subspace_sum(span, Subspace(n, [ej]))
     return chosen
 
 
@@ -654,7 +655,6 @@ def assert_subspace_queries_match_references(space, probes):
     for v in probes:
         inside = is_zero_vec(dense_reduce(space, v))
         assert space.contains(v) == inside
-        assert space.coordinates(v) == (tuple(Q(v[p]) for p in space.pivots) if inside else None)
 
 
 def _random_vector(rng, n, density):
@@ -677,7 +677,7 @@ def _probes(rng, space):
 
 
 def test_subspace_queries_match_dense_references_in_every_dimension():
-    # membership, coordinates and the complement read the echelon engine;
+    # membership and the complement read the echelon engine;
     # a dense reduction and a greedy complement are the references
     rng = random.Random(41)
     for n in range(8):
@@ -685,7 +685,7 @@ def test_subspace_queries_match_dense_references_in_every_dimension():
             for density in (0.3, 0.8):
                 space = Subspace(n)
                 while space.dim < k:
-                    space = space + Subspace(n, [_random_vector(rng, n, density)])
+                    space = dense.subspace_sum(space, Subspace(n, [_random_vector(rng, n, density)]))
                 assert space.dim == k
                 assert_subspace_queries_match_references(space, _probes(rng, space))
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from novikov import fixtures as fx
 from novikov.lie import StructureTensor, validate_lie
-from novikov.linalg import commutator
 from novikov.products import (
     AlgebraProduct,
     _eq2,
@@ -17,7 +16,14 @@ from novikov.products import (
 )
 
 import dense_scans as dense
-from dense_scans import derived_identities_hold, novikov_operator_identity_holds
+from dense_scans import (
+    commutator,
+    commutator_tensor,
+    derived_identities_hold,
+    left_matrix_of,
+    novikov_operator_identity_holds,
+    right_matrix,
+)
 from randalg import (
     product_cases,
     random_prop57_instance,
@@ -69,10 +75,10 @@ def test_compatibility_examples():
 
 def test_commutator_lie():
     # the commutator x*y - y*x of a left-symmetric product is a Lie bracket
-    assert validate_lie(AlgebraProduct.zero(2).commutator_tensor()).is_abelian()
-    g = validate_lie(fx.ex35_product().commutator_tensor())
+    assert validate_lie(commutator_tensor(AlgebraProduct.zero(2))).is_abelian()
+    g = validate_lie(commutator_tensor(fx.ex35_product()))
     assert g.bracket == fx.ex35().bracket
-    gi = validate_lie(fx.in_product(4).commutator_tensor())
+    gi = validate_lie(commutator_tensor(fx.in_product(4)))
     assert gi.bracket == fx.in_lie(4).bracket
     assert not is_left_symmetric(half_bracket_product(fx.free_n2_c4()))
 
@@ -95,13 +101,13 @@ def _scheuneman_ex35():
     return lift_product(ext, scheuneman_lift(ext))
 
 
-def test_heuristic_unknown_reachable():
+def test_not_left_symmetric_reachable():
     # half the bracket of a class-5 algebra is not left-symmetric, its rights
     # do not commute, and every R(x) is strictly triangular
     p = half_bracket_product(fx.filiform(6))
     assert not is_left_symmetric(p) and not _eq2(p)
     res = is_complete(p)
-    assert res.kind == "heuristic-unknown"
+    assert res.kind == "not-left-symmetric" and res.witness is None
     assert res.passes_nilpotency_checks
     # Scheuneman products are left-symmetric with non-commuting rights in
     # general; the answer on them is exact
@@ -112,7 +118,7 @@ def test_heuristic_unknown_reachable():
     for q in (q, fx.in_product(3)):
         assert is_left_symmetric(q) and not is_novikov(q)
         assert not all(
-            commutator(q.right(i), q.right(j)).is_zero()
+            commutator(right_matrix(q.tensor, i), right_matrix(q.tensor, j)).is_zero()
             for i in range(q.dim)
             for j in range(q.dim)
         )
@@ -120,9 +126,8 @@ def test_heuristic_unknown_reachable():
 
 def test_sampler_finds_nothing_on_complete_left_symmetric_products():
     # a left-symmetric product whose R(e_i) are nilpotent is complete
-    # (Helmstetter; Segal), so is_complete no longer samples it even when
-    # its rights do not commute; the 32 seeded samples it ran there find no
-    # R(x) that is not nilpotent
+    # (Helmstetter; Segal), even when its rights do not commute; 32 seeded
+    # samples find no R(x) there that is not nilpotent
     from novikov.reduction import prop57_construct
 
     rng = rng_for("products-prop57")
@@ -131,7 +136,7 @@ def test_sampler_finds_nothing_on_complete_left_symmetric_products():
     for p in products:
         assert is_left_symmetric(p) and not _eq2(p)
         assert is_complete(p).kind == "complete"
-        assert dense.sample_rights(p).kind == "heuristic-unknown"
+        assert dense.sample_rights(p) is None
 
 
 def test_derived_identities():
@@ -159,16 +164,17 @@ def test_novikov_invariants_across_corpus():
         assert is_novikov(p)
         assert is_compatible(p, g)
         # solvability of the commutator algebra
-        assert validate_lie(p.commutator_tensor()).derived_length() is not None
+        assert validate_lie(commutator_tensor(p)).derived_length() is not None
         # commuting right multiplications and L as a representation
         for i in range(p.dim):
             for j in range(p.dim):
-                assert commutator(p.right(i), p.right(j)).is_zero()
+                assert commutator(right_matrix(p.tensor, i), right_matrix(p.tensor, j)).is_zero()
                 com = tuple(
                     a - b
                     for a, b in zip(p.basis_product(i, j), p.basis_product(j, i))
                 )
-                assert commutator(p.left(i), p.left(j)) == p.left_of(com)
+                left = p.tensor.left_matrix
+                assert commutator(left(i), left(j)) == left_matrix_of(p.tensor, com)
         # the linear operator relation used by the certifier
         assert novikov_operator_identity_holds(p, g)
         assert derived_identities_hold(p)
@@ -215,28 +221,29 @@ def _completeness(c):
 
 def test_is_complete_matches_dense_reference_on_tables():
     # e1*e0 = e0 and e0*e1 = e1: R(e0) and R(e1) are nilpotent, R(e0 + e1)
-    # is not, and the first sample x finds it
+    # is not, and the product is not left-symmetric
     swap = AlgebraProduct(StructureTensor(2, {(1, 0, 0): 1, (0, 1, 1): 1}))
     cases = [
         (AlgebraProduct.zero(0), "complete"),
         (AlgebraProduct.zero(1), "complete"),
         (fx.in_product(3), "incomplete"),
         (fx.in_product(5), "incomplete"),
-        (swap, "incomplete"),
+        (swap, "not-left-symmetric"),
         (_scheuneman_ex35(), "complete"),
         (fx.ex35_product(), "complete"),
         (fx.free_n3_c3_product(), "complete"),
         (fx.in_novikov_product(4), "complete"),
         (half_bracket_product(fx.n3()), "complete"),
         # class 5: not left-symmetric, every R(x) strictly triangular
-        (half_bracket_product(fx.filiform(6)), "heuristic-unknown"),
+        (half_bracket_product(fx.filiform(6)), "not-left-symmetric"),
     ]
     for p, kind in cases:
         got = is_complete(p)
         assert got.kind == kind
         assert _completeness(got) == _completeness(dense.is_complete(p))
-    # the swap witness is a sample, not a basis vector
-    assert sum(1 for c in is_complete(swap).witness if c) == 2
+    # a sample finds the swap product incomplete, at a vector that is not a
+    # multiple of a basis vector
+    assert sum(1 for c in dense.sample_rights(swap) if c) == 2
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
