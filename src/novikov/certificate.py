@@ -28,11 +28,11 @@ from .extensions import (
     NotInvertible,
     NotTwoStepSolvable,
     _scheuneman_form,
-    _two_gen_form,
     check_lift_novikov,
     iso_lift,
     jordan_lift,
     lift_product,
+    two_gen_lift,
     two_step_solvable_from,
 )
 from .lie import StructureTensor
@@ -500,14 +500,11 @@ def _constructor_candidates(g):
     def transported(lift):
         return split.transport_product(lift_product(ext, lift))
 
-    # a nilpotent g of class at most 3 meets the two closed forms' hypotheses
-    # on its extension (abelian b, trivial products, A_p A_q = 0), so each
-    # needs only the Novikov check (25)-(31)
-    three_step = cls is not None and cls <= 3
-    if three_step and ext.dim_b == 2:
-        lift = _two_gen_form(ext)
-        if check_lift_novikov(ext, lift):
-            yield "two-generator", transported(lift)
+    if ext.dim_b == 2:
+        try:
+            yield "two-generator", transported(two_gen_lift(ext))
+        except (HypothesisFailed, LiftCheckFailed):
+            pass
     for x_index in range(ext.dim_b):
         try:
             yield "jordan-block", transported(jordan_lift(ext, x_index))
@@ -520,7 +517,10 @@ def _constructor_candidates(g):
             break
         except (NotInvertible, HypothesisFailed, LiftCheckFailed):
             pass
-    if three_step:
+    # a nilpotent g of class at most 3 meets the Scheuneman form's hypotheses
+    # on its extension (abelian b, trivial products, A_p A_q = 0), so it
+    # needs only the Novikov check (25)-(31), not scheuneman_lift's LSA check
+    if cls is not None and cls <= 3:
         lift = _scheuneman_form(ext)
         if check_lift_novikov(ext, lift):
             yield "scheuneman", transported(lift)

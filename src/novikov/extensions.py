@@ -13,7 +13,7 @@ Each lift is decided by one of the two systems; that they agree where both
 apply is a differential test in the test suite.
 """
 
-from .lie import StructureTensor, quotient_tensor, validate_lie
+from .lie import LieAlgebra, StructureTensor, quotient_tensor, validate_lie
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -235,7 +235,9 @@ class LiftData:
 
 
 def assemble(ext):
-    """The Lie algebra on a x b defined by the extension data."""
+    """The Lie algebra on a x b defined by the extension data. Once
+    ext.validate() passes, (5), (6) and b's Jacobi identity make the bracket
+    a Lie bracket; the test suite checks that validate_lie agrees."""
     ext.validate()
     n, m = ext.dim_a, ext.dim_b
     zb = vzero(m)
@@ -250,7 +252,7 @@ def assemble(ext):
 
     tensor = StructureTensor.tabulate(n + m, bracket)
     labels = tuple("a%d" % (i + 1) for i in range(n)) + tuple("b%d" % (p + 1) for p in range(m))
-    return validate_lie(tensor, labels)
+    return LieAlgebra(tensor, labels)
 
 
 class SplitData:
@@ -260,11 +262,9 @@ class SplitData:
     section vectors, expressed in the original coordinates.
     """
 
-    __slots__ = ("a_basis", "section_indices", "basis", "basis_inv")
+    __slots__ = ("basis", "basis_inv")
 
     def __init__(self, a_basis, section_indices, ambient_dim):
-        self.a_basis = tuple(a_basis)
-        self.section_indices = tuple(section_indices)
         columns = [list(v) for v in a_basis] + [
             list(vunit(ambient_dim, j)) for j in section_indices
         ]
@@ -321,7 +321,10 @@ def lift_product(ext, lift):
 
 
 def check_lift_lsa(ext, lift):
-    """Conditions (8)-(14) for the lifted product to be left-symmetric."""
+    """Conditions (8)-(14) for the lifted product to be left-symmetric; a
+    lift whose dimensions are not the extension's fails dimension-mismatch."""
+    if (lift.dim_a, lift.dim_b) != (ext.dim_a, ext.dim_b):
+        return Verdict(False, None, "dimension-mismatch")
     n, m = ext.dim_a, ext.dim_b
     ea = [vunit(n, i) for i in range(n)]
     eb = [vunit(m, p) for p in range(m)]
@@ -397,6 +400,8 @@ def check_lift_lsa(ext, lift):
 
 def _check_lift_novikov_trivial(ext, lift):
     """Conditions (25)-(31): the trivial-products specialization."""
+    if (lift.dim_a, lift.dim_b) != (ext.dim_a, ext.dim_b):
+        return Verdict(False, None, "dimension-mismatch")
     n, m = ext.dim_a, ext.dim_b
     x_op, y_op = lift.x_op, lift.y_op
     for p in range(m):
@@ -510,7 +515,8 @@ def _require_trivial_abelian(ext, who):
 
 def _require_three_step(ext, who):
     """The closed forms' hypotheses: abelian b, trivial products, A_p A_q = 0
-    and an assembled algebra that is nilpotent of class at most 3."""
+    and valid data. They give class at most 3, since g^4 is spanned by the
+    A_s A_r Omega(p, q) = 0; the test suite checks the class."""
     _require_trivial_abelian(ext, who)
     for p in range(ext.dim_b):
         for q in range(ext.dim_b):
@@ -518,9 +524,7 @@ def _require_three_step(ext, who):
                 raise HypothesisFailed(
                     "%s requires A_p A_q = 0; fails at (%d, %d)" % (who, p, q)
                 )
-    cls = assemble(ext).nilpotency_class()
-    if cls is None or cls > 3:
-        raise HypothesisFailed("%s requires a 3-step nilpotent extension" % who)
+    ext.validate()
 
 
 def _checked(lift, verdict):
@@ -547,23 +551,13 @@ def _scheuneman_form(ext):
 def scheuneman_lift(ext):
     """The closed-form LSA lift x_pq = v_pq/2, X_p = -A_p/3, Y_p = 2A_p/3.
 
-    Valid for extensions assembling to a 3-step nilpotent algebra with
-    A_p A_q = 0 (automatic when a = [g, g]).
+    Requires abelian b, trivial products and A_p A_q = 0, which for
+    a = [g, g] hold exactly when g has class at most 3. The lift is checked
+    once, by check_lift_lsa; the reduction takes it as it is.
     """
     _require_three_step(ext, "scheuneman_lift")
     lift = _scheuneman_form(ext)
     return _checked(lift, check_lift_lsa(ext, lift))
-
-
-def _two_gen_form(ext):
-    """The closed form X_1 = -A_1/2, X_2 = 0, x_21 = -v_12 for dim b = 2, unchecked."""
-    x_op = [ext.phi[0].scale(Q(-1, 2)), Matrix.zeros(ext.dim_a, ext.dim_a)]
-    y_op = [x + a for x, a in zip(x_op, ext.phi)]
-    v12 = ext.omega_pair(0, 1)
-    x_values = {}
-    if not is_zero_vec(v12):
-        x_values[(1, 0)] = vscale(-1, v12)
-    return LiftData(ext.dim_a, ext.dim_b, x_op, y_op, x_values)
 
 
 def two_gen_lift(ext):
@@ -572,7 +566,13 @@ def two_gen_lift(ext):
     if ext.dim_b != 2:
         raise HypothesisFailed("two_gen_lift requires dim b = 2")
     _require_three_step(ext, "two_gen_lift")
-    lift = _two_gen_form(ext)
+    x_op = [ext.phi[0].scale(Q(-1, 2)), Matrix.zeros(ext.dim_a, ext.dim_a)]
+    y_op = [x + a for x, a in zip(x_op, ext.phi)]
+    v12 = ext.omega_pair(0, 1)
+    x_values = {}
+    if not is_zero_vec(v12):
+        x_values[(1, 0)] = vscale(-1, v12)
+    lift = LiftData(ext.dim_a, ext.dim_b, x_op, y_op, x_values)
     return _checked(lift, check_lift_novikov(ext, lift))
 
 
@@ -605,7 +605,9 @@ def iso_lift(ext, e):
 def semidirect_lift(ext):
     """Lift for split extensions (Omega = 0): the product (a,x)o(b,y) =
     (phi(x)b, x.y). Left-symmetric whenever the b-product is an LSA structure
-    on b; Novikov iff additionally phi(x.y) = 0 (condition (16))."""
+    on b; Novikov iff additionally phi(x.y) = 0 (condition (16)). The two
+    b-product checks decide the lift: with omega = 0, X = 0 and Y = A, (8)-(14)
+    hold (tested in the suite)."""
     if ext.omega:
         raise HypothesisFailed("semidirect_lift requires a split extension (Omega = 0)")
     if not ext.a_product.is_zero():
@@ -613,18 +615,11 @@ def semidirect_lift(ext):
     lsa = is_left_symmetric(ext.b_product)
     if not lsa:
         raise LiftCheckFailed(lsa)
-    compat = is_compatible(ext.b_product, validate_lie(ext.b_bracket))
+    compat = is_compatible(ext.b_product, ext.b_algebra())
     if not compat:
         raise LiftCheckFailed(Verdict(False, compat.witness, "b-product-compatibility"))
-    m = ext.dim_b
-    lift = LiftData(
-        ext.dim_a,
-        ext.dim_b,
-        [Matrix.zeros(ext.dim_a, ext.dim_a)] * m,
-        list(ext.phi),
-        {},
-    )
-    return _checked(lift, check_lift_lsa(ext, lift))
+    zero = Matrix.zeros(ext.dim_a, ext.dim_a)
+    return LiftData(ext.dim_a, ext.dim_b, [zero] * ext.dim_b, list(ext.phi), {})
 
 
 def jordan_lift(ext, x_index):

@@ -173,10 +173,10 @@ def in_novikov_product(n):
 
 
 _PARAMETRIC = {
-    "abelian": (abelian, "n"),
-    "r3-lambda": (r3_lambda, "lam"),
-    "filiform": (filiform, "n"),
-    "In": (in_lie, "n"),
+    "abelian": (abelian, int),
+    "r3-lambda": (r3_lambda, Q),
+    "filiform": (filiform, int),
+    "In": (in_lie, int),
 }
 
 _PRODUCT_PLAIN = {
@@ -190,7 +190,7 @@ _PRODUCT_PARAMETRIC = {
 }
 
 
-def product_fixture(name, **params):
+def product_fixture(name):
     """Look up a named product fixture.
 
     "In-product:3" and "In-novikov:3" take the dimension after the colon;
@@ -200,19 +200,11 @@ def product_fixture(name, **params):
 
     if name.startswith("half-bracket:"):
         return half_bracket_product(fixture(name.partition(":")[2]))
-    if ":" in name and not params:
-        head, _, raw = name.partition(":")
-        if head not in _PRODUCT_PARAMETRIC:
-            raise UnknownFixture(name)
+    head, colon, raw = name.partition(":")
+    if colon and head in _PRODUCT_PARAMETRIC:
         return _PRODUCT_PARAMETRIC[head](int(raw))
-    if name in _PRODUCT_PLAIN:
-        if params:
-            raise UnknownFixture("%s takes no parameters" % name)
+    if not colon and name in _PRODUCT_PLAIN:
         return _PRODUCT_PLAIN[name]()
-    if name in _PRODUCT_PARAMETRIC:
-        if set(params) != {"n"}:
-            raise UnknownFixture("%s takes exactly the parameter 'n'" % name)
-        return _PRODUCT_PARAMETRIC[name](params["n"])
     raise UnknownFixture(name)
 
 _PLAIN = {
@@ -226,27 +218,17 @@ _PLAIN = {
 }
 
 
-def fixture(name, **params):
+def fixture(name):
     """Look up a named Lie algebra fixture.
 
-    Parametric names take a single keyword ("abelian" and "filiform" and "In"
-    take n, "r3-lambda" takes lam); alternatively the parameter may be packed
-    into the name after a colon, e.g. "filiform:6" or "r3-lambda:-1/2".
+    Parametric names carry their parameter after a colon: "abelian:5",
+    "filiform:6" and "In:4" take the dimension, "r3-lambda:-1/2" takes
+    lambda. A parametric name without its value is unknown.
     """
-    if ":" in name and not params:
-        name, _, raw = name.partition(":")
-        if name not in _PARAMETRIC:
-            raise UnknownFixture(name)
-        fn, key = _PARAMETRIC[name]
-        value = Q(raw) if key == "lam" else int(raw)
-        return fn(value)
-    if name in _PLAIN:
-        if params:
-            raise UnknownFixture("%s takes no parameters" % name)
+    head, colon, raw = name.partition(":")
+    if colon and head in _PARAMETRIC:
+        fn, parse = _PARAMETRIC[head]
+        return fn(parse(raw))
+    if not colon and name in _PLAIN:
         return _PLAIN[name]()
-    if name in _PARAMETRIC:
-        fn, key = _PARAMETRIC[name]
-        if set(params) != {key}:
-            raise UnknownFixture("%s takes exactly the parameter %r" % (name, key))
-        return fn(params[key])
-    raise UnknownFixture(name)
+    raise UnknownFixture(head)

@@ -301,11 +301,12 @@ def quotient_tensor(tensor, subspace):
 
 
 def quotient(g, ideal):
-    """Quotient Lie algebra by an ideal, on the canonical complement basis."""
+    """Quotient Lie algebra by an ideal, on the canonical complement basis;
+    a Lie algebra modulo a checked ideal needs no validate_lie."""
     for i in range(g.dim):
         for v in ideal.basis:
             w = g.bracket_vec(g.basis_vector(i), v)
             if not ideal.contains(w):
                 raise NotAnIdeal(i, v)
     comp, tensor = quotient_tensor(g.bracket, ideal)
-    return validate_lie(tensor, tuple(g.labels[j] for j in comp))
+    return LieAlgebra(tensor, tuple(g.labels[j] for j in comp))

@@ -200,7 +200,7 @@ class Subspace:
     Equality of subspaces is a syntactic comparison of the stored bases.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_echelon")
+    __slots__ = ("ambient_dim", "basis", "_echelon")
 
     def __init__(self, ambient_dim, vectors=()):
         vectors = [tuple(v) for v in vectors]
@@ -208,13 +208,12 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector does not match ambient dimension")
         echelon = solve_sparse(_sparse(vectors), None, ambient_dim)
-        pivots = sorted(echelon.pivot_rows)
         basis = tuple(
-            tuple(echelon.pivot_rows[p].get(j, Q(0)) for j in range(ambient_dim)) for p in pivots
+            tuple(echelon.pivot_rows[p].get(j, Q(0)) for j in range(ambient_dim))
+            for p in sorted(echelon.pivot_rows)
         )
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", tuple(pivots))
         object.__setattr__(self, "_echelon", echelon)
 
     def __setattr__(self, name, value):

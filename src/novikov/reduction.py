@@ -10,9 +10,9 @@ a, producing a nilpotent extension; lifts of products pull back from there.
 from .extensions import (
     ExtensionData,
     HypothesisFailed,
-    LiftCheckFailed,
     LiftData,
     NotTwoStepSolvable,
+    _checked,
     check_lift_lsa,
     lift_product,
     scheuneman_lift,
@@ -201,19 +201,17 @@ class InducedExtension:
     lam: one a_0-coordinate vector per b basis element; shifting the section
          by lam replaces the cocycle by one with values in a_n only.
     phi_0: the actions of b on a_0, one matrix per b basis element.
-    decomposition: the Fitting splitting of a as a b-module.
     basis / basis_inv: the a-coordinate change (columns = V_n then V_0 basis).
+    dim_n / dim_0: the dimensions of V_n and V_0 in decomposition, the
+    Fitting splitting of a as a b-module.
     """
 
-    __slots__ = (
-        "ext_n", "lam", "phi_0", "decomposition", "basis", "basis_inv", "dim_n", "dim_0"
-    )
+    __slots__ = ("ext_n", "lam", "phi_0", "basis", "basis_inv", "dim_n", "dim_0")
 
     def __init__(self, ext_n, lam, phi_0, decomposition, basis, basis_inv):
         self.ext_n = ext_n
         self.lam = lam
         self.phi_0 = phi_0
-        self.decomposition = decomposition
         self.basis = basis
         self.basis_inv = basis_inv
         self.dim_n = decomposition.v_n.dim
@@ -285,22 +283,23 @@ def reduction_lift(ext, lift_n):
     The block construction pads phi1 with zero and phi2 with the a_0-action;
     the section correction rewrites the result against the original cocycle.
     Preserves the checker verdicts: an LSA lift yields an LSA lift, and a
-    Novikov lift a Novikov lift in the trivial-products case.
+    Novikov lift a Novikov lift in the trivial-products case. The incoming
+    lift comes from outside, so it is checked here, once, by check_lift_lsa
+    on the induced extension; a lift of the wrong dimensions fails there
+    with dimension-mismatch.
     """
     if not ext.a_product.is_zero():
         raise HypothesisFailed("reduction_lift requires a trivial a-product")
-    return _lift_through(ext, induced_nilpotent_extension(ext), lift_n)
+    ind = induced_nilpotent_extension(ext)
+    return _lift_through(ext, ind, _checked(lift_n, check_lift_lsa(ind.ext_n, lift_n)))
 
 
 def _lift_through(ext, ind, lift_n):
-    """reduction_lift with the induced nilpotent extension ind of ext given."""
-    verdict = check_lift_lsa(ind.ext_n, lift_n)
-    if not verdict:
-        raise LiftCheckFailed(verdict)
+    """reduction_lift with the induced nilpotent extension ind of ext given
+    and lift_n already checked on ind.ext_n. The pulled-back lift is the
+    output, and its one check is the check_lift_lsa at the end."""
     n1, n2 = ind.dim_n, ind.dim_0
     n, m = ext.dim_a, ext.dim_b
-    if lift_n.dim_a != n1 or lift_n.dim_b != m:
-        raise DimensionMismatch("lift does not match the induced extension")
 
     def block(x_mat, corner):
         rows = [[Q(0)] * n for _ in range(n)]
@@ -341,10 +340,7 @@ def _lift_through(ext, ind, lift_n):
     y_orig = [basis * ym * basis_inv for ym in y_split]
     values_orig = {k: basis.apply(v) for k, v in x_values.items()}
     lift = LiftData(n, m, x_orig, y_orig, values_orig)
-    final = check_lift_lsa(ext, lift)
-    if not final:
-        raise LiftCheckFailed(final)
-    return lift
+    return _checked(lift, check_lift_lsa(ext, lift))
 
 
 def prop57_construct(g):
@@ -354,11 +350,11 @@ def prop57_construct(g):
     Pipeline: present g as an extension of abelian algebras, pass to the
     induced nilpotent extension (nilpotent of class at most 3), apply the
     closed-form lift there, pull the lift back, and assemble the product.
-    The pulled-back lift passes check_lift_lsa as in reduction_lift; that
-    the product is left-symmetric, compatible and complete is tested in the
-    test suite. The derived series of g is built once, by
-    two_step_solvable_from; the class of the induced algebra is checked once,
-    by scheuneman_lift.
+    The closed-form lift is checked once, by scheuneman_lift, and handed to
+    the pull-back as it is; the pulled-back lift passes check_lift_lsa as in
+    reduction_lift. That the product is left-symmetric, compatible and
+    complete is tested in the test suite. The derived series of g is built
+    once, by two_step_solvable_from.
     """
     try:
         ext, split = two_step_solvable_from(g)

@@ -68,13 +68,18 @@ def included(u, w):
     return all(w.contains(v) for v in u.basis)
 
 
+def pivots(space):
+    """The pivot column of each canonical basis row: its first nonzero."""
+    return tuple(next(j for j, x in enumerate(row) if x) for row in space.basis)
+
+
 def coordinates(space, v):
     """Coefficients of v in the canonical basis of the subspace; None if v is
     outside. The basis is reduced at the pivot columns, so they are v's
     entries there."""
     if not space.contains(v):
         return None
-    return tuple(Q(v[p]) for p in space.pivots)
+    return tuple(Q(v[p]) for p in pivots(space))
 
 
 def row_module(module):

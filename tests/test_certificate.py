@@ -482,7 +482,7 @@ def test_decide_assembles_no_extension(monkeypatch):
     assert decide_novikov(fx.ex35()).method == "two-generator"
     assert calls == []
     extensions.scheuneman_lift(two_step_solvable_from(fx.ex35())[0])
-    assert calls == ["assemble", "check_lift_lsa"]
+    assert calls == ["check_lift_lsa"]
 
 
 def test_decide_free_n3_c3_at_the_particular_point():

@@ -25,8 +25,9 @@ from novikov.extensions import (
     two_step_solvable_from,
     _check_lift_novikov_trivial,
     _check_novikov_extra,
+    _require_three_step,
 )
-from novikov.lie import quotient
+from novikov.lie import quotient, validate_lie
 from novikov.linalg import Matrix, NotRegularNilpotent, Subspace, jordan_block
 from novikov.products import (
     AlgebraProduct,
@@ -38,7 +39,13 @@ from novikov.products import (
 )
 
 from dense_scans import commutator
-from randalg import rational, rng_for
+from randalg import (
+    random_mixed_extension,
+    random_regular_jordan_extension,
+    random_three_step_extension,
+    rational,
+    rng_for,
+)
 
 
 def unit(n, k, c=1):
@@ -66,9 +73,7 @@ def test_assemble_ex35_data():
 def test_assemble_round_trip_free_n2_c4():
     g = fx.free_n2_c4()
     ext, split = two_step_solvable_from(g)
-    cols = [list(v) for v in split.a_basis] + [
-        list(unit(8, j)) for j in split.section_indices
-    ]
+    cols = [split.basis.column(c) for c in range(8)]
     assert g.bracket.change_basis(cols) == assemble(ext).bracket
 
 
@@ -544,6 +549,103 @@ def test_general_and_trivial_novikov_routes_agree():
             for q in range(p + 1, ext.dim_b):
                 assert commutator(y[p], y[q]).is_zero()
     assert passing >= 10 and failing >= 10
+
+
+def coboundary_extension(rng, b):
+    """b acting on a = b by ad, with the coboundary
+    Omega(p, q) = A_p mu_q - A_q mu_p - mu([e_p, e_q]) of a random mu."""
+    m = b.dim
+    phi = [b.bracket.left_matrix(p) for p in range(m)]
+    mu = [tuple(rational(rng) for _ in range(m)) for _ in range(m)]
+
+    def mu_of(x):
+        return tuple(sum(c * v[i] for c, v in zip(x, mu)) for i in range(m))
+
+    omega = {}
+    for p in range(m):
+        for q in range(p + 1, m):
+            bracket = b.bracket.basis_product(p, q)
+            dmu = zip(phi[p].apply(mu[q]), phi[q].apply(mu[p]), mu_of(bracket))
+            omega[(p, q)] = tuple(x - y - z for x, y, z in dmu)
+    return ExtensionData(m, m, phi, omega, b_bracket=b.bracket)
+
+
+def strict_block_extension(rng):
+    """Abelian b whose actions map a first block of a into a second one, so
+    A_p A_q = 0; random cocycle values, which (24) rejects for some m = 3."""
+    k1, k2, m = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+    n = k1 + k2
+    phi = [
+        Matrix([[rational(rng) if r >= k1 and c < k1 and rng.random() < 0.7 else Q(0)
+                 for c in range(n)] for r in range(n)])
+        for _ in range(m)
+    ]
+    omega = {(p, q): tuple(rational(rng) for _ in range(n))
+             for p in range(m) for q in range(p + 1, m)}
+    return ExtensionData(n, m, phi, omega)
+
+
+def perturbed_extension(rng, ext):
+    """ext with one action entry or one cocycle value changed."""
+    n, m = ext.dim_a, ext.dim_b
+    phi, omega = list(ext.phi), dict(ext.omega)
+    if m > 1 and rng.random() < 0.5:
+        p = rng.randrange(m - 1)
+        omega[(p, p + 1)] = tuple(rational(rng) for _ in range(n))
+    else:
+        p = rng.randrange(m)
+        phi[p] = phi[p] + Matrix.unit(n, rng.randrange(n), rng.randrange(n), rational(rng))
+    return ExtensionData(n, m, phi, omega, b_bracket=ext.b_bracket)
+
+
+def differential_extensions():
+    """The randalg corpora, random small and strict-block extensions, the
+    splits of the 2-step solvable fixtures, coboundary extensions of
+    non-abelian b, and each of them perturbed once."""
+    rng = rng_for("ext-differential")
+    exts = [random_three_step_extension(rng, i) for i in range(4)]
+    exts += [random_regular_jordan_extension(rng, i) for i in range(4)]
+    exts += [random_mixed_extension(rng) for _ in range(4)]
+    exts += [random_small_extension(rng) for _ in range(6)]
+    exts += [strict_block_extension(rng) for _ in range(20)]
+    names = ("n3", "r2", "r3", "ex35", "free-n2-c4", "free-n3-c3", "filiform:6", "In:4",
+             "r3-lambda:-1/2")
+    exts += [two_step_solvable_from(fx.fixture(name))[0] for name in names]
+    exts += [coboundary_extension(rng, b) for b in (fx.n3(), fx.r3(), fx.filiform(5), fx.sl2())]
+    return exts + [perturbed_extension(rng, ext) for ext in exts]
+
+
+def test_valid_extensions_assemble_to_lie_brackets():
+    # assemble does not run validate_lie: once validate() passes, (5), (6)
+    # and b's own Jacobi identity make the assembled bracket a Lie bracket
+    valid = invalid = nonabelian = 0
+    for ext in differential_extensions():
+        try:
+            ext.validate()
+        except InvariantViolation:
+            invalid += 1
+            continue
+        valid += 1
+        nonabelian += not ext.b_is_abelian() and bool(ext.omega)
+        g = assemble(ext)
+        assert validate_lie(g.bracket, g.labels).bracket == g.bracket
+    assert valid >= 40 and invalid >= 10 and nonabelian >= 4
+
+
+def test_three_step_hypotheses_bound_the_class():
+    # _require_three_step assembles no algebra: abelian b, trivial products
+    # and A_p A_q = 0 on valid data give class at most 3
+    met = class_three = 0
+    for ext in differential_extensions():
+        try:
+            _require_three_step(ext, "test")
+        except (HypothesisFailed, InvariantViolation):
+            continue
+        met += 1
+        cls = assemble(ext).nilpotency_class()
+        assert cls is not None and cls <= 3
+        class_three += cls == 3
+    assert met >= 20 and class_three >= 10
 
 
 def test_eq11_witness_is_first_in_scan_order():

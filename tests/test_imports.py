@@ -37,6 +37,13 @@ def test_every_private_definition_is_used(module):
     assert not unused, "private but never referenced in its module: %s" % unused
 
 
+def _library_paths():
+    """The package modules and the benchmark's."""
+    bench = os.path.join(SRC, os.pardir, os.pardir, "perfbench")
+    paths = [os.path.join(SRC, f) for f in os.listdir(SRC) if f.endswith(".py")]
+    return paths + [os.path.join(bench, f) for f in os.listdir(bench) if f.endswith(".py")]
+
+
 def _names_used(paths):
     """Every identifier read as a name, an attribute or an import alias."""
     used = set()
@@ -56,10 +63,7 @@ def _names_used(paths):
 def test_every_public_definition_is_called_by_the_library():
     """A public function, class or method that nothing in the package or the
     benchmark names is test-only code; it belongs in the test helpers."""
-    bench = os.path.join(SRC, os.pardir, os.pardir, "perfbench")
-    paths = [os.path.join(SRC, f) for f in os.listdir(SRC) if f.endswith(".py")]
-    paths += [os.path.join(bench, f) for f in os.listdir(bench) if f.endswith(".py")]
-    used = _names_used(paths)
+    used = _names_used(_library_paths())
     defined = []
     for module in MODULES:
         with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
@@ -79,3 +83,41 @@ def test_every_public_definition_is_called_by_the_library():
         if not name.split(".")[-1].startswith("_") and name.split(".")[-1] not in used
     ]
     assert not unused, "defined but never named in src/ or perfbench/: %s" % unused
+
+
+def _attributes_read(paths):
+    """Every attribute read in load context, or named as a getattr string."""
+    read = set()
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return read
+
+
+def test_every_slot_is_read_by_the_library():
+    """A slot that nothing in the package or the benchmark reads is stored
+    for the tests alone; they derive the same fact from what the library
+    does read."""
+    read = _attributes_read(_library_paths())
+    unread = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.Assign) and [t.id for t in item.targets] == ["__slots__"]:
+                    unread.extend(
+                        (module, "%s.%s" % (node.name, slot.value))
+                        for slot in item.value.elts
+                        if slot.value not in read
+                    )
+    assert not unread, "stored but never read in src/ or perfbench/: %s" % unread

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from novikov import fixtures as fx
+from novikov.extensions import assemble
 from novikov.lie import (
     AntisymmetryViolation,
     JacobiViolation,
@@ -14,11 +15,18 @@ from novikov.lie import (
     quotient_tensor,
     validate_lie,
 )
-from novikov.fixtures import UnknownFixture, fixture
+from novikov.fixtures import UnknownFixture, fixture, product_fixture
 from novikov.linalg import Subspace
 
 import dense_scans as dense
-from randalg import bracket_cases, random_two_step_nilpotent, rational, rng_for
+from randalg import (
+    bracket_cases,
+    random_prop57_instance,
+    random_three_step_extension,
+    random_two_step_nilpotent,
+    rational,
+    rng_for,
+)
 
 
 def unit(n, k, c=1):
@@ -116,23 +124,46 @@ def test_quotient_valid_on_random_ideals():
     for i in range(5):
         g = random_two_step_nilpotent(rng)
         lcs = g.lower_central_series()
-        quotient(g, lcs[1])  # derived = center-ish ideal; validates internally
+        q = quotient(g, lcs[1])
+        validate_lie(q.bracket, q.labels)
+
+
+def test_quotients_by_series_terms_pass_validate_lie():
+    # quotient does not validate its bracket, since a Lie algebra modulo an
+    # ideal is one; validate_lie must accept every quotient by a series term
+    # of the fixtures and of the random corpora
+    names = ("n3", "r2", "r3", "sl2", "ex35", "free-n2-c4", "free-n3-c3",
+             "filiform:6", "In:4", "abelian:3", "r3-lambda:-1/2")
+    rng = rng_for("lie-quot-series")
+    algebras = [fixture(name) for name in names]
+    algebras += [random_two_step_nilpotent(rng) for _ in range(4)]
+    algebras += [assemble(random_three_step_extension(rng, i)) for i in range(4)]
+    algebras += [random_prop57_instance(rng) for _ in range(2)]
+    proper = 0
+    for g in algebras:
+        for term in g.lower_central_series() + g.derived_series():
+            q = quotient(g, term)
+            assert validate_lie(q.bracket, q.labels).bracket == q.bracket
+            proper += 0 < q.dim and not q.is_abelian()
+    assert proper >= 20
 
 
 def test_fixture_lookup():
     assert fixture("sl2").dim == 3
     assert fixture("free-n2-c4").dim == 8
     assert fixture("free-n3-c3").dim == 14
-    assert fixture("filiform", n=6).dim == 6
     assert fixture("filiform:6").dim == 6
-    assert fixture("r3-lambda", lam=Q(-1)).dim == 3
     assert fixture("r3-lambda:-1/2").dim == 3
-    assert fixture("In", n=4).dim == 4
+    assert fixture("In:4").dim == 4
     assert fixture("abelian:5").dim == 5
-    with pytest.raises(UnknownFixture):
-        fixture("nope")
-    with pytest.raises(UnknownFixture):
-        fixture("sl2", n=3)
+    for name in ("nope", "sl2:3", "filiform", "r3-lambda"):
+        with pytest.raises(UnknownFixture):
+            fixture(name)
+    assert product_fixture("In-novikov:3").dim == 3
+    assert product_fixture("ex35-product").dim == 5
+    for name in ("nope", "ex35-product:3", "In-product", "In-novikov"):
+        with pytest.raises(UnknownFixture):
+            product_fixture(name)
 
 
 def test_fixture_brackets_exact():

@@ -269,7 +269,7 @@ def test_echelon_forms_match_dense_gauss_jordan():
                  for _ in range(cols)] for _ in range(rows)]
         basis, pivots = dense_rref(data)
         space = Subspace(cols, data)
-        assert space.basis == tuple(basis) and space.pivots == tuple(pivots)
+        assert space.basis == tuple(basis) and dense.pivots(space) == tuple(pivots)
         if rows:
             m = Matrix(data)
             kernel = nullspace_of_rows(data, cols)
@@ -628,7 +628,7 @@ def dense_reduce(space, v):
     """Reference membership: the remainder of v after eliminating each pivot
     coordinate of the canonical basis, dense, one basis row at a time."""
     v = [Q(x) for x in v]
-    for row, p in zip(space.basis, space.pivots):
+    for row, p in zip(space.basis, dense.pivots(space)):
         f = v[p]
         if f:
             v = [x - f * y for x, y in zip(v, row)]

@@ -272,6 +272,26 @@ def test_reduction_lift_rejects_failing_input():
         reduction_lift(ext, bad)
 
 
+def test_lift_checkers_reject_mismatched_dimensions():
+    # the Scheuneman lift of ex35 padded with a zero third b element, and
+    # zero lifts of the wrong shape: each fails dimension-mismatch before any
+    # equation is read, in both checkers and in reduction_lift
+    ext, _ = two_step_solvable_from(fx.ex35())
+    good = scheuneman_lift(ext)
+    zero = Matrix.zeros(3, 3)
+    lifts = [LiftData(3, 3, good.x_op + (zero,), good.y_op + (zero,), good.x_values)]
+    for dim_a, dim_b in ((2, 2), (4, 2), (3, 1), (3, 3)):
+        z = Matrix.zeros(dim_a, dim_a)
+        lifts.append(LiftData(dim_a, dim_b, [z] * dim_b, [z] * dim_b))
+    for lift in lifts:
+        for check in (check_lift_lsa, check_lift_novikov):
+            verdict = check(ext, lift)
+            assert not verdict and (verdict.label, verdict.witness) == ("dimension-mismatch", None)
+        with pytest.raises(LiftCheckFailed) as err:
+            reduction_lift(ext, lift)
+        assert err.value.verdict.label == "dimension-mismatch"
+
+
 def test_prop57_three_step_fixture():
     p = prop57_construct(fx.ex35())
     assert is_left_symmetric(p) and is_compatible(p, fx.ex35())
@@ -324,9 +344,9 @@ def test_prop57_builds_the_induced_extension_once(monkeypatch):
 
 def test_prop57_builds_each_series_once(monkeypatch):
     # the derived series of g is built once, by two_step_solvable_from, and
-    # the nilpotency class of the induced algebra is read once, by the
-    # Scheuneman lift's hypothesis check; calls are counted per bracket,
-    # since assembling one extension twice gives two objects, one bracket
+    # no nilpotency class is read twice: the Scheuneman lift's hypotheses
+    # read none, and fitting_decompose reads b's once; calls are counted per
+    # bracket, since two objects can share one bracket
     rng = rng_for("prop57-series")
     algebras = [fx.ex35()] + [random_prop57_instance(rng) for _ in range(2)]
     counts = Counter()
@@ -425,7 +445,8 @@ def test_induced_extension_without_a0_matches_reference():
         if ind.dim_0:
             continue
         without_a0 += 1
-        ref = reference_induced_without_a0(ext, ind.decomposition)
+        dec = fitting_decompose(ModuleAction(ext.b_algebra(), ext.dim_a, ext.phi))
+        ref = reference_induced_without_a0(ext, dec)
         assert emit(ind.ext_n) == emit(ref.ext_n)
         assert ind.ext_n.phi == ref.ext_n.phi and ind.ext_n.omega == ref.ext_n.omega
         assert ind.lam == ref.lam and ind.phi_0 == ref.phi_0
