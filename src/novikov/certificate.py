@@ -24,7 +24,6 @@ from collections.abc import Sequence
 from .extensions import (
     GammaExpansionFailed,
     HypothesisFailed,
-    LiftCheckFailed,
     NotInvertible,
     NotTwoStepSolvable,
     _scheuneman_form,
@@ -503,23 +502,23 @@ def _constructor_candidates(g):
     if ext.dim_b == 2:
         try:
             yield "two-generator", transported(two_gen_lift(ext))
-        except (HypothesisFailed, LiftCheckFailed):
+        except HypothesisFailed:
             pass
     for x_index in range(ext.dim_b):
         try:
             yield "jordan-block", transported(jordan_lift(ext, x_index))
             break
-        except (NotRegularNilpotent, GammaExpansionFailed, HypothesisFailed, LiftCheckFailed):
+        except (NotRegularNilpotent, GammaExpansionFailed, HypothesisFailed):
             pass
     for e_index in range(ext.dim_b):
         try:
             yield "invertible-action", transported(iso_lift(ext, vunit(ext.dim_b, e_index)))
             break
-        except (NotInvertible, HypothesisFailed, LiftCheckFailed):
+        except (NotInvertible, HypothesisFailed):
             pass
     # a nilpotent g of class at most 3 meets the Scheuneman form's hypotheses
-    # on its extension (abelian b, trivial products, A_p A_q = 0), so it
-    # needs only the Novikov check (25)-(31), not scheuneman_lift's LSA check
+    # on its extension (abelian b, trivial products, A_p A_q = 0), so the
+    # form is an LSA lift and only its Novikov-ness, (25)-(31), is open
     if cls is not None and cls <= 3:
         lift = _scheuneman_form(ext)
         if check_lift_novikov(ext, lift):

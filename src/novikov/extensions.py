@@ -9,11 +9,11 @@ products on a and b into a product on the extension via
 Coordinates on the assembled algebra put the a-part first, then the b-part.
 Checker diagnostics name the governing equation by its number: (8)-(20) for
 the general conditions, (25)-(31) for the trivial-products specialization.
-Each lift is decided by one of the two systems; that they agree where both
-apply is a differential test in the test suite.
+The checkers decide lifts from outside, and their agreement where both apply
+is a differential test; a closed-form lift is decided by its hypotheses.
 """
 
-from .lie import LieAlgebra, StructureTensor, quotient_tensor, validate_lie
+from .lie import LieAlgebra, StructureTensor, _product_sum, quotient_tensor, validate_lie
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -140,7 +140,7 @@ class ExtensionData:
         representation identity ((23) when b is abelian), (6) for the cocycle
         identity ((24) when b is abelian). A b-bracket that is not a Lie
         bracket raises the AntisymmetryViolation or JacobiViolation of
-        validate_lie first.
+        validate_lie first. The a-product scans sum over its nonzeros.
         """
         self.b_algebra()
         abelian = self.b_is_abelian()
@@ -173,17 +173,17 @@ class ExtensionData:
                     if lhs != rhs:
                         raise InvariantViolation(cocycle_eq, (p, q, r))
         n = self.dim_a
+        pairs = self.a_product.tensor.pairs
+        e = [{i: 1} for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                if self.a_product.basis_product(i, j) != self.a_product.basis_product(j, i):
+                if _product_sum(pairs, ((1, e[i], e[j]), (-1, e[j], e[i]))):
                     raise InvariantViolation("a-product-commutative", (i, j))
-        e = [vunit(n, i) for i in range(n)]
         for i in range(n):
             for j in range(n):
+                ij = pairs.get((i, j), {})
                 for k in range(n):
-                    lhs = self.a_product.apply(self.a_product.basis_product(i, j), e[k])
-                    rhs = self.a_product.apply(e[i], self.a_product.basis_product(j, k))
-                    if lhs != rhs:
+                    if _product_sum(pairs, ((1, ij, e[k]), (-1, e[i], pairs.get((j, k), {})))):
                         raise InvariantViolation("a-product-associative", (i, j, k))
         return self
 
@@ -320,11 +320,26 @@ def lift_product(ext, lift):
     return AlgebraProduct(StructureTensor.tabulate(n + m, product))
 
 
+def _b_product_verdict(ext):
+    """The hypothesis of (8)-(14): the b-product is an LSA structure on b."""
+    lsa = is_left_symmetric(ext.b_product)
+    if not lsa:
+        return Verdict(False, lsa.witness, "b-product-left-symmetric")
+    compat = is_compatible(ext.b_product, ext.b_algebra())
+    if not compat:
+        return Verdict(False, compat.witness, "b-product-compatibility")
+    return Verdict(True)
+
+
 def check_lift_lsa(ext, lift):
     """Conditions (8)-(14) for the lifted product to be left-symmetric; a
-    lift whose dimensions are not the extension's fails dimension-mismatch."""
+    lift whose dimensions are not the extension's fails dimension-mismatch,
+    and a b-product that is no LSA structure on b its b-product label."""
     if (lift.dim_a, lift.dim_b) != (ext.dim_a, ext.dim_b):
         return Verdict(False, None, "dimension-mismatch")
+    hypothesis = _b_product_verdict(ext)
+    if not hypothesis:
+        return hypothesis
     n, m = ext.dim_a, ext.dim_b
     ea = [vunit(n, i) for i in range(n)]
     eb = [vunit(m, p) for p in range(m)]
@@ -527,13 +542,6 @@ def _require_three_step(ext, who):
     ext.validate()
 
 
-def _checked(lift, verdict):
-    """The lift, or LiftCheckFailed carrying the verdict that failed."""
-    if not verdict:
-        raise LiftCheckFailed(verdict)
-    return lift
-
-
 def _scheuneman_form(ext):
     """The closed form x_pq = v_pq/2, X_p = -A_p/3, Y_p = 2A_p/3, unchecked."""
     third = Q(1, 3)
@@ -552,17 +560,18 @@ def scheuneman_lift(ext):
     """The closed-form LSA lift x_pq = v_pq/2, X_p = -A_p/3, Y_p = 2A_p/3.
 
     Requires abelian b, trivial products and A_p A_q = 0, which for
-    a = [g, g] hold exactly when g has class at most 3. The lift is checked
-    once, by check_lift_lsa; the reduction takes it as it is.
+    a = [g, g] hold exactly when g has class at most 3, and valid data.
+    They decide (8)-(14), so the lift is returned unchecked: (10) is a third
+    of (24), (11) reads -(2/9)A_q A_r + (1/3)A_r A_q = 0, the rest are direct.
     """
     _require_three_step(ext, "scheuneman_lift")
-    lift = _scheuneman_form(ext)
-    return _checked(lift, check_lift_lsa(ext, lift))
+    return _scheuneman_form(ext)
 
 
 def two_gen_lift(ext):
     """Novikov lift for two-generated three-step nilpotent extensions:
-    X_1 = -A_1/2, X_2 = 0, x_21 = -v_12."""
+    X_1 = -A_1/2, X_2 = 0, x_21 = -v_12. With A_p A_q = 0, (25)-(31) read
+    0 = 0 or the definition of the lift, so it is returned unchecked."""
     if ext.dim_b != 2:
         raise HypothesisFailed("two_gen_lift requires dim b = 2")
     _require_three_step(ext, "two_gen_lift")
@@ -572,19 +581,20 @@ def two_gen_lift(ext):
     x_values = {}
     if not is_zero_vec(v12):
         x_values[(1, 0)] = vscale(-1, v12)
-    lift = LiftData(ext.dim_a, ext.dim_b, x_op, y_op, x_values)
-    return _checked(lift, check_lift_novikov(ext, lift))
+    return LiftData(ext.dim_a, ext.dim_b, x_op, y_op, x_values)
 
 
 def iso_lift(ext, e):
     """Novikov lift when phi(e) is invertible: phi1 = 0, phi2 = phi and
-    omega(x, y) = phi(e)^-1 phi(x) Omega(e, y)."""
+    omega(x, y) = phi(e)^-1 phi(x) Omega(e, y). Valid data decides (25)-(31):
+    (25) is phi(e)^-1 times (24) at (e, p, q), (27) is (23), and X = 0."""
     _require_trivial_abelian(ext, "iso_lift")
     phi_e = ext.phi_of(e)
     try:
         inv = phi_e.inverse()
     except ValueError:
         raise NotInvertible("phi(e) is singular for e = %s" % (e,))
+    ext.validate()
     m = ext.dim_b
     x_values = {}
     for p in range(m):
@@ -592,14 +602,8 @@ def iso_lift(ext, e):
             w = inv.apply(ext.phi[p].apply(ext.omega_of(e, vunit(m, q))))
             if not is_zero_vec(w):
                 x_values[(p, q)] = w
-    lift = LiftData(
-        ext.dim_a,
-        ext.dim_b,
-        [Matrix.zeros(ext.dim_a, ext.dim_a)] * m,
-        list(ext.phi),
-        x_values,
-    )
-    return _checked(lift, check_lift_novikov(ext, lift))
+    zero = Matrix.zeros(ext.dim_a, ext.dim_a)
+    return LiftData(ext.dim_a, ext.dim_b, [zero] * m, list(ext.phi), x_values)
 
 
 def semidirect_lift(ext):
@@ -612,12 +616,9 @@ def semidirect_lift(ext):
         raise HypothesisFailed("semidirect_lift requires a split extension (Omega = 0)")
     if not ext.a_product.is_zero():
         raise HypothesisFailed("semidirect_lift requires a trivial a-product")
-    lsa = is_left_symmetric(ext.b_product)
-    if not lsa:
-        raise LiftCheckFailed(lsa)
-    compat = is_compatible(ext.b_product, ext.b_algebra())
-    if not compat:
-        raise LiftCheckFailed(Verdict(False, compat.witness, "b-product-compatibility"))
+    hypothesis = _b_product_verdict(ext)
+    if not hypothesis:
+        raise LiftCheckFailed(hypothesis)
     zero = Matrix.zeros(ext.dim_a, ext.dim_a)
     return LiftData(ext.dim_a, ext.dim_b, [zero] * ext.dim_b, list(ext.phi), {})
 
@@ -631,7 +632,8 @@ def jordan_lift(ext, x_index):
     some constant coefficient is nonzero (that matrix is then invertible),
     otherwise re-bases b to kill the linear coefficients and emits the
     closed-form table x_1j = v_1j, x_ij = J^t A_i v_1j (i <= j),
-    x_ji = x_ij - v_ij. The result is reported in the caller's basis.
+    x_ji = x_ij - v_ij. The result is reported in the caller's basis. On
+    valid data the table is the paper's regular Jordan-block lift, unchecked.
     """
     _require_trivial_abelian(ext, "jordan_lift")
     n, m = ext.dim_a, ext.dim_b
@@ -658,6 +660,7 @@ def jordan_lift(ext, x_index):
     for idx in range(1, m):
         if gammas[idx][0] != 0:
             return iso_lift(ext, vunit(m, order[idx]))
+    ext.validate()
     # rebase b: f_0 = e_0, f_i = e_i - gamma_{i,1} e_0 (no linear term when n = 1)
     shift = [Q(0)] + [gammas[idx][1] if n > 1 else Q(0) for idx in range(1, m)]
     b_mats = [a_conj[0]] + [a_conj[idx] - j_n.scale(shift[idx]) for idx in range(1, m)]
@@ -690,14 +693,7 @@ def jordan_lift(ext, x_index):
             w = p_inv.apply(w)
             if not is_zero_vec(w):
                 x_values[(order[p], order[q])] = w
-    lift = LiftData(
-        n,
-        m,
-        [Matrix.zeros(n, n)] * m,
-        list(ext.phi),
-        x_values,
-    )
-    return _checked(lift, check_lift_novikov(ext, lift))
+    return LiftData(n, m, [Matrix.zeros(n, n)] * m, list(ext.phi), x_values)
 
 
 def novikov_ideal_quotient(p, ideal):

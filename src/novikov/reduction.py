@@ -10,9 +10,9 @@ a, producing a nilpotent extension; lifts of products pull back from there.
 from .extensions import (
     ExtensionData,
     HypothesisFailed,
+    LiftCheckFailed,
     LiftData,
     NotTwoStepSolvable,
-    _checked,
     check_lift_lsa,
     lift_product,
     scheuneman_lift,
@@ -285,19 +285,23 @@ def reduction_lift(ext, lift_n):
     Preserves the checker verdicts: an LSA lift yields an LSA lift, and a
     Novikov lift a Novikov lift in the trivial-products case. The incoming
     lift comes from outside, so it is checked here, once, by check_lift_lsa
-    on the induced extension; a lift of the wrong dimensions fails there
-    with dimension-mismatch.
+    on the induced extension, and LiftCheckFailed carries a failing verdict
+    (dimension-mismatch for a lift of the wrong dimensions). The pulled-back
+    lift is then an LSA lift by the reduction and is returned unchecked; the
+    test suite runs check_lift_lsa on it.
     """
     if not ext.a_product.is_zero():
         raise HypothesisFailed("reduction_lift requires a trivial a-product")
     ind = induced_nilpotent_extension(ext)
-    return _lift_through(ext, ind, _checked(lift_n, check_lift_lsa(ind.ext_n, lift_n)))
+    verdict = check_lift_lsa(ind.ext_n, lift_n)
+    if not verdict:
+        raise LiftCheckFailed(verdict)
+    return _lift_through(ext, ind, lift_n)
 
 
 def _lift_through(ext, ind, lift_n):
     """reduction_lift with the induced nilpotent extension ind of ext given
-    and lift_n already checked on ind.ext_n. The pulled-back lift is the
-    output, and its one check is the check_lift_lsa at the end."""
+    and lift_n an LSA lift on ind.ext_n; the pull-back runs no check."""
     n1, n2 = ind.dim_n, ind.dim_0
     n, m = ext.dim_a, ext.dim_b
 
@@ -339,8 +343,7 @@ def _lift_through(ext, ind, lift_n):
     x_orig = [basis * xm * basis_inv for xm in x_split]
     y_orig = [basis * ym * basis_inv for ym in y_split]
     values_orig = {k: basis.apply(v) for k, v in x_values.items()}
-    lift = LiftData(n, m, x_orig, y_orig, values_orig)
-    return _checked(lift, check_lift_lsa(ext, lift))
+    return LiftData(n, m, x_orig, y_orig, values_orig)
 
 
 def prop57_construct(g):
@@ -350,11 +353,10 @@ def prop57_construct(g):
     Pipeline: present g as an extension of abelian algebras, pass to the
     induced nilpotent extension (nilpotent of class at most 3), apply the
     closed-form lift there, pull the lift back, and assemble the product.
-    The closed-form lift is checked once, by scheuneman_lift, and handed to
-    the pull-back as it is; the pulled-back lift passes check_lift_lsa as in
-    reduction_lift. That the product is left-symmetric, compatible and
-    complete is tested in the test suite. The derived series of g is built
-    once, by two_step_solvable_from.
+    No lift is checked: scheuneman_lift's hypotheses decide its lift, and
+    the reduction turns it into an LSA lift on the extension. That the
+    product is left-symmetric, compatible and complete is tested in the test
+    suite. The derived series of g is built once, by two_step_solvable_from.
     """
     try:
         ext, split = two_step_solvable_from(g)

@@ -4,7 +4,8 @@ The library reads a tensor through its pair index and sums each basis triple
 identity over nonzero structure constants. These are the entry-scan and
 dense-vector forms the differential tests hold it to: same vectors and
 matrices, same Verdict (ok, witness, label), same exception and triple.
-The derived Novikov identities, which no library path needs, live here too.
+The derived Novikov identities, which no library path needs, live here too,
+as do the dense a-product scans of ExtensionData.validate.
 So do the dense matrix powers that completeness and the regular nilpotent
 normal form were decided by, before both read sparse Krylov chains, and the
 dense dot product, the matrix commutator, the commutator algebra of a
@@ -186,6 +187,25 @@ def is_compatible(p, g):
             if com != basis_product(g.bracket, i, j):
                 return Verdict(False, (i, j), "eq-3")
     return Verdict(True)
+
+
+def a_product_violation(a):
+    """The a-product scans of ExtensionData.validate with dense vectors: the
+    (label, witness) of the first failure, commutativity on i < j before
+    associativity on every triple, or None."""
+    t, n = a.tensor, a.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            if basis_product(t, i, j) != basis_product(t, j, i):
+                return "a-product-commutative", (i, j)
+    e = [vunit(n, i) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = apply(t, basis_product(t, i, j), e[k])
+                if lhs != apply(t, e[i], basis_product(t, j, k)):
+                    return "a-product-associative", (i, j, k)
+    return None
 
 
 def validate_lie(bracket, labels=None):

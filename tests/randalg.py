@@ -327,3 +327,24 @@ def bracket_cases(draw):
         g = draw(st.sampled_from(_lie_fixtures()))
         return draw(perturbed(g.bracket, antisymmetric=draw(st.booleans())))
     return draw(sparse_tensors(antisymmetric=kind == "antisymmetric"))
+
+
+def _truncated_polynomials(n):
+    """x, ..., x^n in Q[x]/(x^(n+1)): a commutative associative product."""
+    return StructureTensor(n, {(i, j, i + j + 1): Q(1) for i in range(n) for j in range(n)
+                               if i + j + 1 < n})
+
+
+@st.composite
+def a_product_cases(draw):
+    """Candidate a-products: truncated polynomial algebras, sometimes with
+    one constant changed, and random tables, sometimes made commutative."""
+    kind = draw(st.sampled_from(("polynomial", "random", "symmetric")))
+    if kind == "polynomial":
+        t = _truncated_polynomials(draw(st.integers(1, 5)))
+        return AlgebraProduct(draw(perturbed(t)) if draw(st.booleans()) else t)
+    t = draw(sparse_tensors(max_dim=5))
+    if kind == "symmetric":
+        t = StructureTensor(t.dim, {(a, b, k): c for (i, j, k), c in t.entries.items() if i <= j
+                                    for a, b in ((i, j), (j, i))})
+    return AlgebraProduct(t)

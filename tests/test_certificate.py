@@ -415,8 +415,8 @@ def test_decide_existence_cases():
 
 
 def reference_constructor_candidates(g):
-    """decide's constructor order through the public lifts, each with its
-    own hypothesis checks (assemble) and, for Scheuneman, the LSA pass."""
+    """decide's constructor order through the public lifts, each behind its
+    own hypothesis checks, with the Scheuneman lift's Novikov check."""
     if g.is_abelian():
         yield "zero-product", AlgebraProduct.zero(g.dim)
         return
@@ -472,8 +472,8 @@ def test_constructor_candidates_match_public_lifts():
 
 
 def test_decide_assembles_no_extension(monkeypatch):
-    # the constructors read the class of g itself; neither the closed forms
-    # nor the LSA pass of scheuneman_lift run inside decide
+    # the constructors read the class of g itself; no closed form assembles
+    # its extension, and scheuneman_lift runs no lift check
     calls = []
     for name in ("assemble", "check_lift_lsa"):
         original = getattr(extensions, name)
@@ -482,7 +482,7 @@ def test_decide_assembles_no_extension(monkeypatch):
     assert decide_novikov(fx.ex35()).method == "two-generator"
     assert calls == []
     extensions.scheuneman_lift(two_step_solvable_from(fx.ex35())[0])
-    assert calls == ["check_lift_lsa"]
+    assert calls == []
 
 
 def test_decide_free_n3_c3_at_the_particular_point():

@@ -8,6 +8,8 @@ from novikov.linalg import Matrix
 from novikov.products import is_novikov
 from novikov.rmatrix import RMatrix, check_cybe, check_novbed
 
+from test_laf import BAD_A_PRODUCTS
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -213,6 +215,15 @@ def test_reduce_command(tmp_path, capsys):
         fh.write("LAF-E 1\ndim-a 1\ndim-b 2\nphi 1 1 1 1\nb-bracket 1 2 2 1\n")
     code, report = run(capsys, "reduce", "--ext", r2_path, "-o", str(tmp_path / "r.lafe"))
     assert code == 1 and report["error"] == "NotNilpotentAlgebra"
+
+
+def test_reduce_rejects_bad_a_products(tmp_path, capsys):
+    ext = tmp_path / "bad.lafe"
+    for label, _, lines in BAD_A_PRODUCTS:
+        ext.write_text("LAF-E 1\ndim-a 2\ndim-b 1\n" + lines)
+        code, report = run(capsys, "reduce", "--ext", str(ext), "-o", str(tmp_path / "r.lafe"))
+        assert code == 2 and report["error"] == "InvariantViolation"
+        assert label in report["detail"]
 
 
 def _read(path):

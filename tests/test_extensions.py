@@ -1,10 +1,13 @@
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
 
 from novikov import fixtures as fx
 from novikov.extensions import (
     ExtensionData,
+    GammaExpansionFailed,
     HypothesisFailed,
     InvariantViolation,
     LiftCheckFailed,
@@ -27,6 +30,7 @@ from novikov.extensions import (
     _check_novikov_extra,
     _require_three_step,
 )
+from novikov.laf import parse
 from novikov.lie import quotient, validate_lie
 from novikov.linalg import Matrix, NotRegularNilpotent, Subspace, jordan_block
 from novikov.products import (
@@ -38,8 +42,9 @@ from novikov.products import (
     is_novikov,
 )
 
-from dense_scans import commutator
+from dense_scans import a_product_violation, commutator
 from randalg import (
+    a_product_cases,
     random_mixed_extension,
     random_regular_jordan_extension,
     random_three_step_extension,
@@ -481,7 +486,7 @@ def constructed_lifts(ext):
         for construct in (lambda: iso_lift(ext, unit(ext.dim_b, p)), lambda: jordan_lift(ext, p)):
             try:
                 lifts.append(construct())
-            except (NotInvertible, NotRegularNilpotent, HypothesisFailed, LiftCheckFailed):
+            except (NotInvertible, NotRegularNilpotent, HypothesisFailed):
                 pass
     return lifts
 
@@ -676,3 +681,91 @@ def test_jordan_normal_form_identities():
             assert j * jt * b == b
             for c in mats:
                 assert b * jt * c == c * jt * b
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(a_product_cases())
+def test_validate_a_product_scans_match_dense_loops(a_product):
+    # validate sums each a-product identity over the nonzero constants; the
+    # dense loops it replaced must report the same label and first witness
+    ext = ExtensionData(a_product.dim, 1, [Matrix.zeros(a_product.dim, a_product.dim)],
+                        a_product=a_product)
+    try:
+        ext.validate()
+        got = None
+    except InvariantViolation as err:
+        got = (err.equation, err.witness)
+    assert got == a_product_violation(a_product)
+
+
+# b-product e1*e1 = e2, e1*e2 = e2*e1 = e1 on abelian b: commutative, hence
+# compatible, but not left-symmetric
+NON_LSA_B_PRODUCT = ("LAF-E 1\ndim-a 1\ndim-b 2\n"
+                     "b-product 1 1 2 1\nb-product 1 2 1 1\nb-product 2 1 1 1\n")
+
+
+def test_lift_checkers_read_the_b_product_hypothesis_first():
+    # (8)-(14) presuppose an LSA structure on b: the zero lift meets them on
+    # both extensions below, yet its product fails eq-1, or eq-3 against the
+    # assembled bracket; the checkers fail the hypothesis with its witness
+    ext = parse(NON_LSA_B_PRODUCT).payload
+    zero = LiftData(1, 2, [Matrix.zeros(1, 1)] * 2, [Matrix.zeros(1, 1)] * 2)
+    assert is_left_symmetric(lift_product(ext, zero)).witness == (1, 2, 1)
+    for check in (check_lift_lsa, check_lift_novikov):
+        verdict = check(ext, zero)
+        assert (verdict.label, verdict.witness) == ("b-product-left-symmetric", (0, 1, 0))
+    with pytest.raises(LiftCheckFailed) as err:
+        semidirect_lift(ext)
+    assert err.value.verdict.label == "b-product-left-symmetric"
+    ext = ExtensionData(1, 3, [Matrix.zeros(1, 1)] * 3, {}, b_bracket=fx.n3().bracket)
+    zero = LiftData(1, 3, [Matrix.zeros(1, 1)] * 3, [Matrix.zeros(1, 1)] * 3)
+    assert is_compatible(lift_product(ext, zero), assemble(ext)).witness == (1, 2)
+    for check in (check_lift_lsa, check_lift_novikov):
+        verdict = check(ext, zero)
+        assert (verdict.label, verdict.witness) == ("b-product-compatibility", (0, 1))
+
+
+def test_iso_and_jordan_lifts_validate_their_data():
+    # the lifts check no output, so invalid data fails their validity
+    # hypothesis; iso_lift validates only once phi(e) is invertible
+    ext = ExtensionData(1, 3, [Matrix([[1]])] * 3, {(0, 1): (Q(1),)})
+    with pytest.raises(InvariantViolation) as err:
+        iso_lift(ext, unit(3, 0))
+    assert (err.value.equation, err.value.witness) == ("eq-24", (0, 1, 2))
+    singular = ExtensionData(1, 3, [Matrix([[0]]), Matrix([[1]]), Matrix([[1]])], {(0, 1): (Q(1),)})
+    with pytest.raises(NotInvertible):
+        iso_lift(singular, unit(3, 0))
+    zero = Matrix.zeros(2, 2)
+    ext = ExtensionData(2, 3, [jordan_block(2), zero, zero], {(1, 2): (Q(0), Q(1))})
+    with pytest.raises(InvariantViolation) as err:
+        jordan_lift(ext, 0)
+    assert (err.value.equation, err.value.witness) == ("eq-24", (0, 1, 2))
+
+
+def test_closed_forms_pass_their_checkers():
+    # each closed form returns its lift unchecked once its hypotheses hold;
+    # the lift must pass the checker those hypotheses decide
+    rng = rng_for("ext-closed-forms")
+    exts = differential_extensions()
+    exts += [random_three_step_extension(rng, i) for i in range(12)]
+    exts += [random_regular_jordan_extension(rng, i) for i in range(24)]
+    counts = Counter()
+    for ext in exts:
+        m = ext.dim_b
+        constructions = [("scheuneman", check_lift_lsa, lambda: scheuneman_lift(ext)),
+                         ("two-generator", check_lift_novikov, lambda: two_gen_lift(ext))]
+        for p in range(m):
+            constructions += [
+                ("invertible-action", check_lift_novikov, lambda p=p: iso_lift(ext, unit(m, p))),
+                ("jordan-block", check_lift_novikov, lambda p=p: jordan_lift(ext, p)),
+            ]
+        for name, check, construct in constructions:
+            try:
+                lift = construct()
+            except (HypothesisFailed, InvariantViolation, NotInvertible, NotRegularNilpotent,
+                    GammaExpansionFailed):
+                continue
+            assert check(ext, lift), name
+            counts[name] += 1
+    assert counts["scheuneman"] >= 50 and counts["two-generator"] >= 25
+    assert counts["invertible-action"] >= 25 and counts["jordan-block"] >= 50

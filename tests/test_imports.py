@@ -121,3 +121,37 @@ def test_every_slot_is_read_by_the_library():
                         if slot.value not in read
                     )
     assert not unread, "stored but never read in src/ or perfbench/: %s" % unread
+
+
+def _calls_by_function(tree, names):
+    """(enclosing function, callee) for every call to one of names."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in names):
+            found.append((function, node.func.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_lift_checkers_run_only_where_a_lift_is_open():
+    """A closed form is decided by its hypotheses and a pull-back by the
+    reduction; the checkers run on the lift reduction_lift is handed, in
+    check_lift_novikov's general route, and on decide's Scheuneman form."""
+    calls = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        calls += [(module[:-3],) + call
+                  for call in _calls_by_function(tree, {"check_lift_lsa", "check_lift_novikov"})]
+    assert sorted(calls) == [
+        ("certificate", "_constructor_candidates", "check_lift_novikov"),
+        ("extensions", "check_lift_novikov", "check_lift_lsa"),
+        ("reduction", "reduction_lift", "check_lift_lsa"),
+    ]

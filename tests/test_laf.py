@@ -11,6 +11,7 @@ from novikov.certificate import decide_novikov, verify_certificate
 from novikov.cli import main
 from novikov.extensions import (
     ExtensionData,
+    InvariantViolation,
     LiftData,
     assemble,
     lift_product,
@@ -280,6 +281,21 @@ NON_LIE_B = "LAF-E 1\ndim-a 1\ndim-b 3\nb-bracket 1 2 3 1\nb-bracket 1 3 1 1\n"
 def test_extension_with_non_lie_b_rejected():
     with pytest.raises(JacobiViolation):
         parse(NON_LIE_B)
+
+
+# a-products on a of dimension 2: e1*e2 = e1 alone is not commutative;
+# e1*e1 = e1 with e2*e2 = e1 is, but (e1*e2)*e2 = 0 while e1*(e2*e2) = e1
+BAD_A_PRODUCTS = (
+    ("a-product-commutative", (0, 1), "a-product 1 2 1 1\n"),
+    ("a-product-associative", (0, 1, 1), "a-product 1 1 1 1\na-product 2 2 1 1\n"),
+)
+
+
+def test_extension_with_bad_a_product_rejected():
+    for label, witness, lines in BAD_A_PRODUCTS:
+        with pytest.raises(InvariantViolation) as err:
+            parse("LAF-E 1\ndim-a 2\ndim-b 1\n" + lines)
+        assert (err.value.equation, err.value.witness) == (label, witness)
 
 
 def test_comments_and_blank_lines():

@@ -15,10 +15,11 @@ from novikov.extensions import (
     check_lift_novikov,
     lift_product,
     scheuneman_lift,
+    semidirect_lift,
     two_gen_lift,
     two_step_solvable_from,
 )
-from novikov.laf import emit
+from novikov.laf import emit, parse
 from novikov.lie import LieAlgebra
 from novikov.linalg import (
     Matrix,
@@ -28,7 +29,13 @@ from novikov.linalg import (
     vzero,
     word_image_space,
 )
-from novikov.products import is_compatible, is_complete, is_left_symmetric, is_novikov
+from novikov.products import (
+    half_bracket_product,
+    is_compatible,
+    is_complete,
+    is_left_symmetric,
+    is_novikov,
+)
 from novikov.reduction import (
     InconsistentCoboundary,
     InducedExtension,
@@ -51,8 +58,11 @@ from randalg import (
     random_prop57_instance,
     random_regular_jordan_extension,
     random_three_step_extension,
+    random_two_step_nilpotent,
+    rational,
     rng_for,
 )
+from test_extensions import NON_LSA_B_PRODUCT
 
 
 def vecm(m):
@@ -290,6 +300,75 @@ def test_lift_checkers_reject_mismatched_dimensions():
         with pytest.raises(LiftCheckFailed) as err:
             reduction_lift(ext, lift)
         assert err.value.verdict.label == "dimension-mismatch"
+
+
+def test_reduction_lift_checks_the_b_product_hypothesis():
+    # the zero lift meets (8)-(14) on the induced extension, but its b-product
+    # is no LSA structure on b: not left-symmetric, then not compatible
+    cases = (
+        (parse(NON_LSA_B_PRODUCT).payload, "b-product-left-symmetric"),
+        (ExtensionData(1, 3, [Matrix.zeros(1, 1)] * 3, {}, b_bracket=fx.n3().bracket),
+         "b-product-compatibility"),
+    )
+    for ext, label in cases:
+        zero = Matrix.zeros(1, 1)
+        with pytest.raises(LiftCheckFailed) as err:
+            reduction_lift(ext, LiftData(1, ext.dim_b, [zero] * ext.dim_b, [zero] * ext.dim_b))
+        assert err.value.verdict.label == label
+
+
+def heisenberg_pullback_extension(rng):
+    """b = n3 with its half-bracket product, acting on a as randalg's
+    Heisenberg module, with the coboundary of a random mu: b -> V_0 as the
+    cocycle. The induced extension is split and the section correction is
+    not zero."""
+    module = random_nilpotent_module(rng, 2)
+    b, phi = module.b, module.action
+    v_0 = fitting_decompose(module).v_0.basis
+    mu = []
+    for _ in range(b.dim):
+        coeffs = [rational(rng) for _ in v_0]
+        mu.append(tuple(sum(c * v[i] for c, v in zip(coeffs, v_0)) for i in range(module.dim_v)))
+    omega = {}
+    for p in range(b.dim):
+        for q in range(p + 1, b.dim):
+            bracket = b.bracket.basis_product(p, q)
+            mu_pq = [sum(c * w[i] for c, w in zip(bracket, mu)) for i in range(module.dim_v)]
+            coboundary = zip(phi[p].apply(mu[q]), phi[q].apply(mu[p]), mu_pq)
+            omega[(p, q)] = tuple(x - y - z for x, y, z in coboundary)
+    return ExtensionData(module.dim_v, b.dim, phi, omega, b_bracket=b.bracket,
+                         b_product=half_bracket_product(b))
+
+
+def test_pull_backs_pass_check_lift_lsa():
+    # reduction_lift checks only the incoming lift and prop57_construct no
+    # lift at all; each pulled-back lift must pass check_lift_lsa on ext
+    rng = rng_for("reduction-pullbacks")
+    cases = []
+    for _ in range(10):
+        ext = random_mixed_extension(rng)
+        cases.append((ext, two_gen_lift(induced_nilpotent_extension(ext).ext_n)))
+    algebras = [random_prop57_instance(rng) for _ in range(10)]
+    algebras += [random_two_step_nilpotent(rng, max_dim=6) for _ in range(10)]
+    algebras += [fx.fixture(name) for name in ("n3", "r2", "r3", "ex35", "free-n3-c3",
+                                                  "filiform:4", "In:3", "r3-lambda:-1/2")]
+    for g in algebras:
+        ext, _ = two_step_solvable_from(g)
+        cases.append((ext, scheuneman_lift(induced_nilpotent_extension(ext).ext_n)))
+    corrected = 0
+    for _ in range(10):
+        ext = heisenberg_pullback_extension(rng)
+        ind = induced_nilpotent_extension(ext)
+        assert not ind.ext_n.omega
+        corrected += any(any(v) for v in ind.lam)
+        cases.append((ext, semidirect_lift(ind.ext_n)))
+    for ext, lift_n in cases:
+        lift = reduction_lift(ext, lift_n)
+        assert check_lift_lsa(ext, lift)
+        if not ext.b_is_abelian():
+            p = lift_product(ext, lift)
+            assert is_left_symmetric(p) and is_compatible(p, assemble(ext))
+    assert len(cases) == 48 and corrected >= 8
 
 
 def test_prop57_three_step_fixture():
