@@ -59,20 +59,16 @@ from .products import (
 from .reduction import (
     Decomposition,
     ModuleAction,
-    combination,
     fitting_decompose,
-    h0,
     induced_nilpotent_extension,
     prop57_construct,
     reduction_lift,
-    solve_coboundary_1,
 )
 from .rmatrix import (
     RMatrix,
     basis_rmatrix,
     check_cybe,
     check_novbed,
-    class_bounds_report,
     deformed_bracket,
     induced_product,
 )

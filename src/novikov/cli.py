@@ -54,7 +54,6 @@ CONSTRUCTION_ERRORS = (
     NotAnIdeal,
     NotProductIdeal,
     NotNilpotentAlgebra,
-    PreconditionFailed,
 )
 
 
@@ -142,18 +141,18 @@ def _cmd_rmatrix(args):
     g = _load(args.lie, "LAF")
     t = _load(args.t, "LAF-M")
     r = RMatrix(g, t)
-    cybe = check_cybe(r)
-    novbed = check_novbed(r)
     if args.induce:
-        if not (cybe and novbed):
-            bad = cybe if not cybe else novbed
-            _report(command="rmatrix", mode="induce", ok=False, condition=bad.label,
-                    witness=_witness_1based(bad.witness))
+        try:
+            product = induced_product(r)
+        except PreconditionFailed as exc:
+            _report(command="rmatrix", mode="induce", ok=False, condition=exc.check,
+                    witness=_witness_1based(exc.witness))
             return 1
-        product = induced_product(r)
         laf.emit_file(product, args.output)
         _report(command="rmatrix", mode="induce", ok=True, output=args.output)
         return 0
+    cybe = check_cybe(r)
+    novbed = check_novbed(r)
     fields = {"command": "rmatrix", "mode": "check", "cybe": bool(cybe), "novbed": bool(novbed)}
     if not cybe:
         fields["cybe_witness"] = _witness_1based(cybe.witness)

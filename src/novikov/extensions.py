@@ -134,13 +134,18 @@ class ExtensionData:
         return validate_lie(self.b_bracket)
 
     def validate(self):
-        """Check the representation and cocycle identities and the a-product.
+        """Check the representation and cocycle identities, the a-product and
+        the b-product.
 
         Raises InvariantViolation naming the governing equation: (5) for the
         representation identity ((23) when b is abelian), (6) for the cocycle
-        identity ((24) when b is abelian). A b-bracket that is not a Lie
-        bracket raises the AntisymmetryViolation or JacobiViolation of
-        validate_lie first. The a-product scans sum over its nonzeros.
+        identity ((24) when b is abelian), and last, for a nonzero b-product,
+        the hypothesis of (8)-(14) with the label and witness of
+        _b_product_verdict. A zero b-product stands for none: assemble needs
+        no product on b, and the lift checkers fail it on a non-abelian b. A
+        b-bracket that is not a Lie bracket raises the AntisymmetryViolation
+        or JacobiViolation of validate_lie first. The a-product scans sum
+        over its nonzeros.
         """
         self.b_algebra()
         abelian = self.b_is_abelian()
@@ -185,6 +190,10 @@ class ExtensionData:
                 for k in range(n):
                     if _product_sum(pairs, ((1, ij, e[k]), (-1, e[i], pairs.get((j, k), {})))):
                         raise InvariantViolation("a-product-associative", (i, j, k))
+        if not self.b_product.is_zero():
+            hypothesis = _b_product_verdict(self)
+            if not hypothesis:
+                raise InvariantViolation(hypothesis.label, hypothesis.witness)
         return self
 
     def __repr__(self):

@@ -265,15 +265,10 @@ class Subspace:
 
     def annihilator(self):
         """Vectors orthogonal (dot product) to every element of the subspace."""
-        return nullspace_of_rows(self.basis, self.ambient_dim)
+        return self._echelon.nullspace()
 
     def __repr__(self):
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient_dim)
-
-
-def nullspace_of_rows(rows, ncols):
-    """Canonical nullspace of the linear map given by stacked row vectors."""
-    return solve_sparse(_sparse(rows), None, ncols).nullspace()
 
 
 class SparseSolution:

@@ -24,9 +24,7 @@ from .linalg import (
     Q,
     Subspace,
     _add_term,
-    _sparse,
     is_zero_vec,
-    nullspace_of_rows,
     scaled_sum,
     solve_sparse,
     vadd,
@@ -39,12 +37,6 @@ from .linalg import (
 
 class NotNilpotentAlgebra(ValueError):
     pass
-
-
-class NotACocycle(ValueError):
-    def __init__(self, pair):
-        super().__init__("1-cocycle identity fails at basis pair %s" % (pair,))
-        self.pair = pair
 
 
 class InconsistentCoboundary(ValueError):
@@ -81,38 +73,6 @@ class ModuleAction:
         return "ModuleAction(b dim=%d, V dim=%d)" % (self.b.dim, self.dim_v)
 
 
-def h0(module):
-    """Common kernel of all action matrices (the invariants of the module)."""
-    rows = []
-    for m in module.action:
-        rows.extend(m.data)
-    return nullspace_of_rows(rows, module.dim_v)
-
-
-def combination(m1, m2):
-    """The action on n1 x n2 matrices, B -> phi1(X) B - B phi2(X), flattened
-    row-major."""
-    if m1.b.bracket != m2.b.bracket:
-        raise DimensionMismatch("combination requires the same acting algebra")
-    n1, n2 = m1.dim_v, m2.dim_v
-    dim = n1 * n2
-    mats = []
-    for p in range(m1.b.dim):
-        a, b = m1.action[p], m2.action[p]
-        rows = [[Q(0)] * dim for _ in range(dim)]
-        for r in range(n1):
-            for s in range(n2):
-                out = r * n2 + s
-                for k in range(n1):
-                    if a[r, k]:
-                        rows[out][k * n2 + s] += a[r, k]
-                for l in range(n2):
-                    if b[l, s]:
-                        rows[out][r * n2 + l] -= b[l, s]
-        mats.append(Matrix(rows, cols=dim))
-    return ModuleAction(m1.b, dim, mats)
-
-
 class Decomposition:
     """The splitting V = V_n + V_0 of a module over a nilpotent algebra."""
 
@@ -147,51 +107,6 @@ def fitting_decompose(module):
     full = Subspace.full(d)
     rows = word_image_space([m.transpose() for m in module.action], full, d)
     return Decomposition(rows.annihilator(), word_image_space(module.action, full, d))
-
-
-def _vec_matrix(m):
-    return tuple(x for row in m.data for x in row)
-
-
-def _unvec(entries, rows, cols):
-    return Matrix([entries[r * cols : (r + 1) * cols] for r in range(rows)], cols=cols)
-
-
-def solve_coboundary_1(combo, b_matrices):
-    """Solve B_X = phi(X) alpha for alpha, where phi is a combination action
-    and B is a 1-cocycle given by one n1 x n2 matrix per basis element.
-
-    Raises NotACocycle if B fails the cocycle identity
-    B_[X,Y] = phi(X) B_Y - phi(Y) B_X, and InconsistentCoboundary if the
-    linear system has no solution.
-    """
-    b_matrices = list(b_matrices)
-    if not b_matrices:
-        raise DimensionMismatch("empty cocycle data")
-    n1, n2 = b_matrices[0].rows, b_matrices[0].cols
-    if n1 * n2 != combo.dim_v:
-        raise DimensionMismatch("cocycle matrices do not match the combination module")
-    algebra = combo.b
-    for p in range(algebra.dim):
-        for q in range(p + 1, algebra.dim):
-            lhs = scaled_sum(zip(algebra.bracket.basis_product(p, q), b_matrices), n1, n2)
-            rhs = vsub(
-                combo.action[p].apply(_vec_matrix(b_matrices[q])),
-                combo.action[q].apply(_vec_matrix(b_matrices[p])),
-            )
-            if _vec_matrix(lhs) != rhs:
-                raise NotACocycle((p, q))
-    rows = []
-    rhs_entries = []
-    for p in range(algebra.dim):
-        rows.extend(_sparse(combo.action[p].data))
-        rhs_entries.extend(_vec_matrix(b_matrices[p]))
-    sol = solve_sparse(rows, rhs_entries, combo.dim_v)
-    if not sol.consistent:
-        raise InconsistentCoboundary(
-            "coboundary equation has no solution", witness=sol.witness
-        )
-    return _unvec(sol.particular(), n1, n2)
 
 
 class InducedExtension:

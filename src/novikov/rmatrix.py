@@ -119,41 +119,3 @@ def basis_rmatrix(g, ell, m):
                 "T([x_%d, x_m]) != 0; offending bracket %s" % (i, (w,)), index=i
             )
     return RMatrix(g, Matrix.unit(n, m, ell))
-
-
-class ClassBounds:
-    """Nilpotency and solvability classes of g and g_T (None = not of that kind)."""
-
-    __slots__ = ("nil_class_g", "nil_class_gt", "solv_class_g", "solv_class_gt")
-
-    def __init__(self, nil_class_g, nil_class_gt, solv_class_g, solv_class_gt):
-        self.nil_class_g = nil_class_g
-        self.nil_class_gt = nil_class_gt
-        self.solv_class_g = solv_class_g
-        self.solv_class_gt = solv_class_gt
-
-    def __repr__(self):
-        return "ClassBounds(nil %s -> %s, solv %s -> %s)" % (
-            self.nil_class_g,
-            self.nil_class_gt,
-            self.solv_class_g,
-            self.solv_class_gt,
-        )
-
-
-def class_bounds_report(r):
-    """Compute both classes for g and g_T and assert the deformation bounds:
-    the class of g_T never exceeds the class of g, in either sense."""
-    gt = deformed_algebra(r)
-    g = r.g
-    report = ClassBounds(
-        g.nilpotency_class(),
-        gt.nilpotency_class(),
-        g.derived_length(),
-        gt.derived_length(),
-    )
-    if report.nil_class_g is not None:
-        assert report.nil_class_gt is not None and report.nil_class_gt <= report.nil_class_g
-    if report.solv_class_g is not None:
-        assert report.solv_class_gt is not None and report.solv_class_gt <= report.solv_class_g
-    return report

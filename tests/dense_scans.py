@@ -10,9 +10,10 @@ So do the dense matrix powers that completeness and the regular nilpotent
 normal form were decided by, before both read sparse Krylov chains, and the
 dense dot product, the matrix commutator, the commutator algebra of a
 product, subspace sums, inclusion, intersection and coordinates, the dual
-module and the Lie algebra invariant profile that only tests use, and a
-seeded sampler of right multiplications R(x), which searches for an R(x)
-that is not nilpotent.
+module, the nullspace of stacked rows, the invariants of a module, the class
+bounds of a deformation and the Lie algebra invariant profile that only
+tests use, and a seeded sampler of right multiplications R(x), which
+searches for an R(x) that is not nilpotent.
 """
 
 import random
@@ -25,8 +26,10 @@ from novikov.linalg import (
     NotRegularNilpotent,
     Q,
     Subspace,
+    _sparse,
     is_zero_vec,
     scaled_sum,
+    solve_sparse,
     vadd,
     vscale,
     vsub,
@@ -86,6 +89,27 @@ def coordinates(space, v):
 def row_module(module):
     """The dual action on row vectors, v -> -v phi(X)."""
     return ModuleAction(module.b, module.dim_v, [m.transpose().scale(-1) for m in module.action])
+
+
+def nullspace_of_rows(rows, ncols):
+    """The nullspace of the stacked rows, eliminated from scratch: the
+    two-pass reference for Subspace.annihilator."""
+    return solve_sparse(_sparse(rows), None, ncols).nullspace()
+
+
+def h0(module):
+    """The invariants of a module: the nullspace of its stacked action rows."""
+    return nullspace_of_rows([row for m in module.action for row in m.data], module.dim_v)
+
+
+def deformation_keeps_class_bounds(g, gt):
+    """Whether g_T is nilpotent of class at most g's when g is nilpotent, and
+    solvable of derived length at most g's when g is solvable."""
+    for bound, value in ((g.nilpotency_class(), gt.nilpotency_class()),
+                         (g.derived_length(), gt.derived_length())):
+        if bound is not None and (value is None or value > bound):
+            return False
+    return True
 
 
 def is_unimodular(g):

@@ -348,3 +348,12 @@ def a_product_cases(draw):
         t = StructureTensor(t.dim, {(a, b, k): c for (i, j, k), c in t.entries.items() if i <= j
                                     for a, b in ((i, j), (j, i))})
     return AlgebraProduct(t)
+
+
+@st.composite
+def subspaces(draw, max_dim=7):
+    """Subspaces of Q^n for n up to max_dim, spanned by up to n + 1 vectors
+    whose entries are zero about half the time."""
+    n = draw(st.integers(0, max_dim))
+    vector = st.lists(st.one_of(st.just(Q(0)), FRACTIONS), min_size=n, max_size=n)
+    return Subspace(n, draw(st.lists(vector, max_size=n + 1)))

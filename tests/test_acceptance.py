@@ -38,7 +38,6 @@ from novikov.products import (
 from novikov.reduction import (
     ModuleAction,
     fitting_decompose,
-    h0,
     induced_nilpotent_extension,
     prop57_construct,
     reduction_lift,
@@ -48,7 +47,6 @@ from novikov.rmatrix import (
     basis_rmatrix,
     check_cybe,
     check_novbed,
-    class_bounds_report,
     deformed_algebra,
     induced_product,
 )
@@ -57,7 +55,9 @@ from dense_scans import (
     commutator,
     commutator_tensor,
     coordinates,
+    deformation_keeps_class_bounds,
     derived_identities_hold,
+    h0,
     invariant_profile,
     novikov_operator_identity_holds,
     right_matrix,
@@ -173,11 +173,7 @@ def test_criterion_4_rmatrix_suite(criterion):
         for _ in range(20):
             g, ell, m = random_basis_rmatrix_case(rng, pool)
             r = basis_rmatrix(g, ell, m)
-            report = class_bounds_report(r)
-            if report.nil_class_g is not None:
-                assert report.nil_class_gt <= report.nil_class_g
-            if report.solv_class_g is not None:
-                assert report.solv_class_gt <= report.solv_class_g
+            assert deformation_keeps_class_bounds(r.g, deformed_algebra(r))
 
 
 def test_criterion_5_scheuneman(criterion):

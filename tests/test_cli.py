@@ -1,13 +1,15 @@
 import json
 import os
 
+from novikov import cli, rmatrix
 from novikov import fixtures as fx
 from novikov.cli import main
 from novikov.laf import emit_file, parse_file
 from novikov.linalg import Matrix
 from novikov.products import is_novikov
-from novikov.rmatrix import RMatrix, check_cybe, check_novbed
+from novikov.rmatrix import RMatrix, basis_rmatrix, check_cybe, check_novbed
 
+from test_extensions import INCOMPATIBLE_B_PRODUCT, NON_LSA_B_PRODUCT
 from test_laf import BAD_A_PRODUCTS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -90,6 +92,31 @@ def test_rmatrix_check_and_induce(tmp_path, capsys):
     # equivalence with the direct library call
     r = RMatrix(fx.sl2(), Matrix.unit(3, 0, 1))
     assert bool(check_cybe(r)) and bool(check_novbed(r))
+
+
+def test_rmatrix_induce_runs_each_precondition_once(tmp_path, capsys, monkeypatch):
+    # induced_product decides both preconditions; the command reports its
+    # PreconditionFailed with 1-based witnesses and runs no check of its own
+    calls = []
+    for module in (cli, rmatrix):
+        for name in ("check_cybe", "check_novbed"):
+            original = getattr(rmatrix, name)
+            monkeypatch.setattr(module, name, lambda r, _n=name, _f=original: calls.append(_n) or _f(r))
+    lie = str(tmp_path / "ex35.laf")
+    tmat = str(tmp_path / "t.lafm")
+    out = str(tmp_path / "induced.lafp")
+    emit_file(fx.ex35(), lie)
+    emit_file(basis_rmatrix(fx.ex35(), 0, 1).t, tmat)
+    code, report = run(capsys, "rmatrix", "--lie", lie, "--t", tmat, "--induce", "-o", out)
+    assert code == 0 and report["ok"]
+    assert sorted(calls) == ["check_cybe", "check_novbed"]
+    emit_file(fx.sl2(), lie)
+    for unit, condition, witness in (((0, 0), "cybe", [1, 3]), ((2, 0), "novbed", [1, 2, 1])):
+        emit_file(Matrix.unit(3, *unit), tmat)
+        code, report = run(capsys, "rmatrix", "--lie", lie, "--t", tmat, "--induce", "-o", out)
+        assert code == 1
+        assert report == {"command": "rmatrix", "mode": "induce", "ok": False,
+                          "condition": condition, "witness": witness}
 
 
 def test_rmatrix_induce_without_output(tmp_path, capsys):
@@ -185,7 +212,7 @@ def test_lift_semidirect(tmp_path, capsys):
     assert lift.x_values == {}
 
 
-def test_decide_effort_env_override(tmp_path, capsys):
+def test_decide_effort_threshold(tmp_path, capsys):
     lie = str(tmp_path / "g8.laf")
     emit_file(fx.free_n2_c4(), lie)
     code, report = run(capsys, "decide", "--lie", lie, "--effort", "0")
@@ -224,6 +251,19 @@ def test_reduce_rejects_bad_a_products(tmp_path, capsys):
         code, report = run(capsys, "reduce", "--ext", str(ext), "-o", str(tmp_path / "r.lafe"))
         assert code == 2 and report["error"] == "InvariantViolation"
         assert label in report["detail"]
+
+
+def test_reduce_and_lift_reject_a_b_product_that_is_no_lsa_structure(tmp_path, capsys):
+    ext = tmp_path / "bad.lafe"
+    out = str(tmp_path / "out.lafe")
+    cases = ((NON_LSA_B_PRODUCT, "b-product-left-symmetric"),
+             (INCOMPATIBLE_B_PRODUCT, "b-product-compatibility"))
+    for document, label in cases:
+        ext.write_text(document)
+        for argv in (("reduce",), ("lift", "--method", "semidirect")):
+            code, report = run(capsys, *argv, "--ext", str(ext), "-o", out)
+            assert code == 2 and report["ok"] is False and report["command"] == argv[0]
+            assert report["error"] == "InvariantViolation" and label in report["detail"]
 
 
 def _read(path):

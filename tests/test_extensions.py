@@ -699,16 +699,42 @@ def test_validate_a_product_scans_match_dense_loops(a_product):
 
 
 # b-product e1*e1 = e2, e1*e2 = e2*e1 = e1 on abelian b: commutative, hence
-# compatible, but not left-symmetric
+# compatible, but not left-symmetric; validate rejects it, so parse does too
 NON_LSA_B_PRODUCT = ("LAF-E 1\ndim-a 1\ndim-b 2\n"
                      "b-product 1 1 2 1\nb-product 1 2 1 1\nb-product 2 1 1 1\n")
+# b = n3 with the b-product e1*e1 = e3: left-symmetric, as every product lands
+# in e3, which annihilates, but e1*e2 - e2*e1 = 0 is not [e1, e2] = e3
+INCOMPATIBLE_B_PRODUCT = ("LAF-E 1\ndim-a 1\ndim-b 3\n"
+                          "b-bracket 1 2 3 1\nb-product 1 1 3 1\n")
+
+
+def non_lsa_b_product_extension():
+    """The extension of NON_LSA_B_PRODUCT, built without validate."""
+    product = AlgebraProduct.from_products(2, {(0, 0): (0, 1), (0, 1): (1, 0), (1, 0): (1, 0)})
+    return ExtensionData(1, 2, [Matrix.zeros(1, 1)] * 2, {}, b_product=product)
+
+
+def test_validate_rejects_a_b_product_that_is_no_lsa_structure():
+    # the hypothesis of (8)-(14), with the checkers' labels and witnesses; a
+    # zero b-product stands for none and passes on any b
+    cases = ((NON_LSA_B_PRODUCT, "b-product-left-symmetric", (0, 1, 0)),
+             (INCOMPATIBLE_B_PRODUCT, "b-product-compatibility", (0, 1)))
+    for document, label, witness in cases:
+        with pytest.raises(InvariantViolation) as err:
+            parse(document)
+        assert (err.value.equation, err.value.witness) == (label, witness)
+    n3 = fx.n3()
+    zero = [Matrix.zeros(1, 1)] * 3
+    for product in (None, half_bracket_product(n3)):
+        ext = ExtensionData(1, 3, zero, {}, b_bracket=n3.bracket, b_product=product)
+        assert ext.validate() is ext
 
 
 def test_lift_checkers_read_the_b_product_hypothesis_first():
     # (8)-(14) presuppose an LSA structure on b: the zero lift meets them on
     # both extensions below, yet its product fails eq-1, or eq-3 against the
     # assembled bracket; the checkers fail the hypothesis with its witness
-    ext = parse(NON_LSA_B_PRODUCT).payload
+    ext = non_lsa_b_product_extension()
     zero = LiftData(1, 2, [Matrix.zeros(1, 1)] * 2, [Matrix.zeros(1, 1)] * 2)
     assert is_left_symmetric(lift_product(ext, zero)).witness == (1, 2, 1)
     for check in (check_lift_lsa, check_lift_novikov):

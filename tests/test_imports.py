@@ -38,9 +38,10 @@ def test_every_private_definition_is_used(module):
 
 
 def _library_paths():
-    """The package modules and the benchmark's."""
+    """The package modules and the benchmark's. The package's __init__ is left
+    out: a name it re-exports is not thereby called by the library."""
     bench = os.path.join(SRC, os.pardir, os.pardir, "perfbench")
-    paths = [os.path.join(SRC, f) for f in os.listdir(SRC) if f.endswith(".py")]
+    paths = [os.path.join(SRC, f) for f in MODULES]
     return paths + [os.path.join(bench, f) for f in os.listdir(bench) if f.endswith(".py")]
 
 
@@ -61,8 +62,9 @@ def _names_used(paths):
 
 
 def test_every_public_definition_is_called_by_the_library():
-    """A public function, class or method that nothing in the package or the
-    benchmark names is test-only code; it belongs in the test helpers."""
+    """A public function, class or method that nothing in the package's
+    modules or the benchmark names is test-only code; it belongs in the test
+    helpers. An export from __init__ is not a use."""
     used = _names_used(_library_paths())
     defined = []
     for module in MODULES:

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from novikov import fixtures as fx
+from novikov import linalg
 from novikov.certificate import build_system
 from novikov.extensions import assemble
 from novikov.linalg import (
@@ -18,7 +20,6 @@ from novikov.linalg import (
     is_zero_vec,
     jordan_block,
     nilpotent_regular_basis,
-    nullspace_of_rows,
     scaled_sum,
     solve_sparse,
     vadd,
@@ -28,8 +29,8 @@ from novikov.linalg import (
 )
 
 import dense_scans as dense
-from dense_scans import vdot
-from randalg import random_mixed_extension, random_regular_jordan_extension, rng_for
+from dense_scans import nullspace_of_rows, vdot
+from randalg import random_mixed_extension, random_regular_jordan_extension, rng_for, subspaces
 
 
 def solve(a, b):
@@ -120,6 +121,30 @@ def test_nullspace_examples():
     assert ker.dim == 1 and ker.contains((-2, 1))
     for v in ker.basis:
         assert a.apply(v) == (0, 0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(subspaces())
+def test_annihilator_matches_the_two_pass_reference(space):
+    # the annihilator reads the echelon form the subspace holds; eliminating
+    # its basis from scratch must give the same canonical subspace
+    ann = space.annihilator()
+    assert ann == nullspace_of_rows(space.basis, space.ambient_dim)
+    assert ann.dim + space.dim == space.ambient_dim
+    assert all(vdot(u, v) == 0 for u in ann.basis for v in space.basis)
+
+
+def test_annihilator_runs_one_elimination(monkeypatch):
+    # one solve_sparse, building the annihilator's own echelon form; the
+    # basis is not eliminated a second time
+    calls = []
+    original = linalg.solve_sparse
+    monkeypatch.setattr(linalg, "solve_sparse", lambda *args: calls.append(args) or original(*args))
+    spaces = [Subspace(4, [(1, 2, 0, 1), (0, 0, 1, 3)]), Subspace(3), Subspace.full(2)]
+    for space in spaces:
+        calls.clear()
+        space.annihilator()
+        assert len(calls) == 1
 
 
 def test_subspace_canonical_idempotent():

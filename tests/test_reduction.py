@@ -19,13 +19,12 @@ from novikov.extensions import (
     two_gen_lift,
     two_step_solvable_from,
 )
-from novikov.laf import emit, parse
+from novikov.laf import emit
 from novikov.lie import LieAlgebra
 from novikov.linalg import (
     Matrix,
     Subspace,
     jordan_block,
-    nullspace_of_rows,
     vzero,
     word_image_space,
 )
@@ -37,21 +36,16 @@ from novikov.products import (
     is_novikov,
 )
 from novikov.reduction import (
-    InconsistentCoboundary,
     InducedExtension,
     ModuleAction,
-    NotACocycle,
     NotNilpotentAlgebra,
-    combination,
     fitting_decompose,
-    h0,
     induced_nilpotent_extension,
     prop57_construct,
     reduction_lift,
-    solve_coboundary_1,
 )
 
-from dense_scans import intersect, row_module, subspace_sum, vdot
+from dense_scans import h0, intersect, nullspace_of_rows, row_module, subspace_sum, vdot
 from randalg import (
     random_mixed_extension,
     random_nilpotent_module,
@@ -62,11 +56,7 @@ from randalg import (
     rational,
     rng_for,
 )
-from test_extensions import NON_LSA_B_PRODUCT
-
-
-def vecm(m):
-    return tuple(x for row in m.data for x in row)
+from test_extensions import non_lsa_b_product_extension
 
 
 def test_h0_examples():
@@ -83,37 +73,6 @@ def test_h0_column_row_equivalence():
         col_zero = h0(module).is_zero()
         row_zero = h0(row_module(module)).is_zero()
         assert col_zero == row_zero
-
-
-def test_combination_examples():
-    ab1 = fx.abelian(1)
-    zero = ModuleAction(ab1, 2, [Matrix.zeros(2, 2)])
-    assert all(m.is_zero() for m in combination(zero, zero).action)
-
-    m1 = ModuleAction(ab1, 2, [Matrix([[0, 1], [0, 0]])])
-    comb = combination(m1, m1)
-    assert h0(comb).contains(vecm(Matrix.identity(2)))
-
-
-def test_combination_vanishing_lemma():
-    # nilpotent phi1-images plus invariant-free phi2 kill all invariants
-    rng = rng_for("reduction-vanish")
-    for _ in range(8):
-        b = fx.abelian(2)
-        n1 = rng.randint(1, 3)
-        seed = Matrix(
-            [[Q(rng.randint(-2, 2)) if c > r else Q(0) for c in range(n1)]
-             for r in range(n1)]
-        )
-        phi1 = ModuleAction(b, n1, [seed, seed * seed])
-        d1 = [Q(rng.randint(1, 3)) for _ in range(2)]
-        phi2 = ModuleAction(
-            b,
-            2,
-            [Matrix([[d1[0], 0], [0, d1[1]]]), Matrix([[1, 0], [0, 2]])],
-        )
-        assert h0(phi2).is_zero()
-        assert h0(combination(phi1, phi2)).is_zero()
 
 
 def test_fitting_all_nilpotent():
@@ -175,40 +134,6 @@ def test_fitting_block_triangular_coupling():
     assert dec.v_n.dim == 2 and dec.v_0.dim == 1
     # V_0 is the image of the phi2-axis under [[I, -alpha], [0, I]]
     assert dec.v_0.contains((-alpha[0, 0], -alpha[1, 0], Q(1)))
-
-
-def test_solve_coboundary_examples():
-    b = fx.abelian(2)
-    phi1 = ModuleAction(b, 2, [Matrix([[0, 1], [0, 0]]), Matrix.zeros(2, 2)])
-    phi2 = ModuleAction(b, 2, [Matrix([[1, 0], [0, 2]]), Matrix([[3, 0], [0, 4]])])
-    comb = combination(phi1, phi2)
-
-    zero = Matrix.zeros(2, 2)
-    alpha = solve_coboundary_1(comb, [zero, zero])
-    assert all(comb.action[p].apply(vecm(alpha)) == vecm(zero) for p in range(2))
-
-    planted = Matrix([[1, 2], [3, 4]])
-    bs = [
-        Matrix([comb.action[p].apply(vecm(planted))[0:2],
-                comb.action[p].apply(vecm(planted))[2:4]])
-        for p in range(2)
-    ]
-    alpha = solve_coboundary_1(comb, bs)
-    for p in range(2):
-        assert comb.action[p].apply(vecm(alpha)) == vecm(bs[p])
-
-    with pytest.raises(NotACocycle):
-        solve_coboundary_1(comb, [bs[0] + Matrix.unit(2, 0, 0), bs[1]])
-
-
-def test_solve_coboundary_inconsistent_carries_witness():
-    # trivial action: every map is a cocycle, only zero is a coboundary
-    b = fx.abelian(1)
-    phi = ModuleAction(b, 2, [Matrix.zeros(2, 2)])
-    comb = combination(phi, phi)
-    with pytest.raises(InconsistentCoboundary) as err:
-        solve_coboundary_1(comb, [Matrix([[1, 0], [0, 0]])])
-    assert err.value.witness is not None
 
 
 def test_induced_extension_nilpotent_input():
@@ -306,7 +231,7 @@ def test_reduction_lift_checks_the_b_product_hypothesis():
     # the zero lift meets (8)-(14) on the induced extension, but its b-product
     # is no LSA structure on b: not left-symmetric, then not compatible
     cases = (
-        (parse(NON_LSA_B_PRODUCT).payload, "b-product-left-symmetric"),
+        (non_lsa_b_product_extension(), "b-product-left-symmetric"),
         (ExtensionData(1, 3, [Matrix.zeros(1, 1)] * 3, {}, b_bracket=fx.n3().bracket),
          "b-product-compatibility"),
     )

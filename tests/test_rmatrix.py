@@ -12,13 +12,12 @@ from novikov.rmatrix import (
     basis_rmatrix,
     check_cybe,
     check_novbed,
-    class_bounds_report,
     deformed_algebra,
     deformed_bracket,
     induced_product,
 )
 
-from dense_scans import invariant_profile, is_unimodular
+from dense_scans import deformation_keeps_class_bounds, invariant_profile, is_unimodular
 from randalg import basis_rmatrix_pool, random_basis_rmatrix_case, rng_for
 
 
@@ -176,15 +175,13 @@ def test_class_bounds_random():
     for _ in range(8):
         g, ell, m = random_basis_rmatrix_case(rng, pool)
         r = basis_rmatrix(g, ell, m)
-        report = class_bounds_report(r)
-        if report.nil_class_g is not None:
-            assert report.nil_class_gt <= report.nil_class_g
-        if report.solv_class_g is not None:
-            assert report.solv_class_gt <= report.solv_class_g
+        assert deformation_keeps_class_bounds(r.g, deformed_algebra(r))
 
 
 def test_class_bounds_sl2_cases():
-    report = class_bounds_report(RMatrix(fx.n3(), Matrix.zeros(3, 3)))
-    assert report.nil_class_gt == 1 and report.nil_class_g == 2
-    report = class_bounds_report(RMatrix(fx.sl2(), Matrix.unit(3, 0, 1)))
-    assert report.nil_class_g is None and report.nil_class_gt == 2
+    n3 = fx.n3()
+    gt = deformed_algebra(RMatrix(n3, Matrix.zeros(3, 3)))
+    assert gt.nilpotency_class() == 1 and n3.nilpotency_class() == 2
+    sl2 = fx.sl2()
+    gt = deformed_algebra(RMatrix(sl2, Matrix.unit(3, 0, 1)))
+    assert sl2.nilpotency_class() is None and gt.nilpotency_class() == 2
