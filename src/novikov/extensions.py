@@ -13,7 +13,7 @@ The checkers decide lifts from outside, and their agreement where both apply
 is a differential test; a closed-form lift is decided by its hypotheses.
 """
 
-from .lie import LieAlgebra, StructureTensor, _product_sum, quotient_tensor, validate_lie
+from .lie import LieAlgebra, StructureTensor, _first_defect, quotient_tensor, validate_lie
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -29,6 +29,10 @@ from .linalg import (
     vzero,
 )
 from .products import AlgebraProduct, Verdict, _eq2, is_compatible, is_left_symmetric
+
+
+# (x*y)*z - x*(y*z), in the terms of lie._first_defect
+_ASSOCIATIVE = ((1, False, (0, 1, 2)), (-1, True, (0, 1, 2)))
 
 
 class InvariantViolation(ValueError):
@@ -144,10 +148,11 @@ class ExtensionData:
         _b_product_verdict. A zero b-product stands for none: assemble needs
         no product on b, and the lift checkers fail it on a non-abelian b. A
         b-bracket that is not a Lie bracket raises the AntisymmetryViolation
-        or JacobiViolation of validate_lie first. The a-product scans sum
-        over its nonzeros.
+        or JacobiViolation of validate_lie first. The a-product's
+        commutativity compares its pair index, and its associativity is the
+        triple scan of lie._first_defect.
         """
-        self.b_algebra()
+        b = self.b_algebra()
         abelian = self.b_is_abelian()
         rep_eq = "eq-23" if abelian else "eq-5"
         cocycle_eq = "eq-24" if abelian else "eq-6"
@@ -177,21 +182,15 @@ class ExtensionData:
                     )
                     if lhs != rhs:
                         raise InvariantViolation(cocycle_eq, (p, q, r))
-        n = self.dim_a
         pairs = self.a_product.tensor.pairs
-        e = [{i: 1} for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _product_sum(pairs, ((1, e[i], e[j]), (-1, e[j], e[i]))):
-                    raise InvariantViolation("a-product-commutative", (i, j))
-        for i in range(n):
-            for j in range(n):
-                ij = pairs.get((i, j), {})
-                for k in range(n):
-                    if _product_sum(pairs, ((1, ij, e[k]), (-1, e[i], pairs.get((j, k), {})))):
-                        raise InvariantViolation("a-product-associative", (i, j, k))
+        for i, j in sorted({(min(ij), max(ij)) for ij in pairs}):
+            if i < j and pairs.get((i, j), {}) != pairs.get((j, i), {}):
+                raise InvariantViolation("a-product-commutative", (i, j))
+        bad = _first_defect(self.a_product.tensor, _ASSOCIATIVE, False, False)
+        if bad:
+            raise InvariantViolation("a-product-associative", bad)
         if not self.b_product.is_zero():
-            hypothesis = _b_product_verdict(self)
+            hypothesis = _b_product_verdict(self, b)
             if not hypothesis:
                 raise InvariantViolation(hypothesis.label, hypothesis.witness)
         return self
@@ -329,12 +328,14 @@ def lift_product(ext, lift):
     return AlgebraProduct(StructureTensor.tabulate(n + m, product))
 
 
-def _b_product_verdict(ext):
-    """The hypothesis of (8)-(14): the b-product is an LSA structure on b."""
+def _b_product_verdict(ext, b=None):
+    """The hypothesis of (8)-(14): the b-product is an LSA structure on b.
+    b is the validated b-algebra when the caller has built it; otherwise it
+    is validated here, once left symmetry holds."""
     lsa = is_left_symmetric(ext.b_product)
     if not lsa:
         return Verdict(False, lsa.witness, "b-product-left-symmetric")
-    compat = is_compatible(ext.b_product, ext.b_algebra())
+    compat = is_compatible(ext.b_product, b if b is not None else ext.b_algebra())
     if not compat:
         return Verdict(False, compat.witness, "b-product-compatibility")
     return Verdict(True)

@@ -2,9 +2,15 @@
 
 Indices are 0-based throughout the Python API; the LAF file formats are
 1-based and convert at the boundary. A StructureTensor keeps its nonzero
-constants indexed by basis pair, and the products and the axiom scans sum
-over those nonzeros rather than over every entry or every coordinate.
+constants indexed by basis pair, and the products sum over those nonzeros
+rather than over every entry or every coordinate. Every axiom scan over
+basis triples (Jacobi here, left symmetry and eq-2 in products, the
+a-product's associativity in extensions) is one call of _first_defect,
+which walks the nonzero paths of the pair index in ints.
 """
+
+from bisect import bisect_left
+from math import lcm
 
 from .linalg import (
     DimensionMismatch,
@@ -228,53 +234,101 @@ def _steps_to_zero(series):
     return len(series) - 1 if series[-1].is_zero() else None
 
 
-def _product_sum(pairs, terms):
-    """The nonzero coordinates {k: c} of the sum of sign * u*v over the terms
-    (sign, u, v), for a product with pair index pairs.
+def _int_pairs(tensor):
+    """The pair index with every constant multiplied by the lcm d of the
+    denominators, as ints. Each identity the scans test is homogeneous, so
+    d scales both of its sides alike and keeps every verdict."""
+    d = lcm(*(c.denominator for c in tensor.entries.values()))
+    return {
+        ij: {k: c.numerator * (d // c.denominator) for k, c in row.items()}
+        for ij, row in tensor.pairs.items()
+    }
 
-    u and v are sparse vectors {index: coefficient}, so the sum visits only
-    the basis pairs where both are nonzero. The axiom scans write each basis
-    triple identity as such a sum: e_x*(e_y*e_z) is (1, {x: 1}, pairs[y, z])
-    and (e_x*e_y)*e_z is (1, pairs[x, y], {z: 1}).
+
+def _first_defect(tensor, identity, j_after_i, k_after_j):
+    """The first basis triple (i, j, k) in lex order where a bilinear identity
+    of degree 2 fails, or None.
+
+    identity is a tuple of terms (sign, nested, (x, y, z)): sign * (e_x e_y) e_z,
+    or sign * e_x (e_y e_z) when nested, where x, y, z are the positions in
+    (i, j, k) of the three factors. The flags limit the scan to j > i and to
+    k > j. The walk runs on int constants (_int_pairs) and touches only
+    nonzero ones: for each i in turn, every term lists its paths through e_i
+    under the (j, k) they add to, indexed by the pairs' left and right factors
+    and the coordinates of their products, and the first (j, k) in order
+    whose paths do not cancel is the witness.
     """
-    acc = {}
-    for sign, u, v in terms:
-        for a, cu in u.items():
-            for b, cv in v.items():
-                row = pairs.get((a, b))
-                if row:
-                    s = sign * cu * cv
-                    for k, c in row.items():
-                        acc[k] = acc.get(k, 0) + s * c
-    return {k: c for k, c in acc.items() if c}
+    pairs = _int_pairs(tensor)
+    left, right, image = {}, {}, {}
+    for (a, b), row in pairs.items():
+        left.setdefault(a, {})[b] = row
+        right.setdefault(b, {})[a] = row
+        for m, c in row.items():
+            image.setdefault(m, []).append((a, b, c))
+    for paths in image.values():
+        paths.sort()
+    # Where e_i sits in a term fixes its walk, with a and b the other factors:
+    #   (e_i e_a) e_b, (e_a e_i) e_b    left[i] or right[i], then left[m]
+    #   e_b (e_i e_a), e_b (e_a e_i)    left[i] or right[i], then right[m]
+    #   e_i (e_a e_b), (e_a e_b) e_i    left[i] or right[i], then image[m]
+    # flip says that (a, b) is (k, j), not (j, k).
+    walks = []
+    for sign, nested, slots in identity:
+        at = slots.index(0)
+        first = left if at == 0 or (at == 1 and nested) else right
+        second = None if at == (0 if nested else 2) else right if nested else left
+        others = [s for s in slots if s]
+        walks.append((sign, first, second, (others[0] == 2) != (nested and at > 0)))
+    for i in range(tensor.dim):
+        least_j = i + 1 if j_after_i else 0
+        least = (least_j, least_j + 1 if k_after_j else 0)
+        groups = {}
+        for sign, first, second, flip in walks:
+            for a, row in first.get(i, {}).items():
+                if second is None:
+                    found = image.get(a, [])
+                    paths = [(u, w, c, row) for u, w, c in
+                             found[bisect_left(found, (least[flip],)):]]
+                elif a < least[flip]:
+                    continue
+                else:
+                    paths = [(a, b, c, row2) for m, c in row.items()
+                             for b, row2 in second.get(m, {}).items()]
+                for u, w, c, vector in paths:
+                    j, k = (w, u) if flip else (u, w)
+                    if j >= least_j and not (k_after_j and k <= j):
+                        groups.setdefault((j, k), []).append((sign * c, vector))
+        for key in sorted(groups):
+            defect = {}
+            for c, vector in groups[key]:
+                for out, x in vector.items():
+                    defect[out] = defect.get(out, 0) + c * x
+            if any(defect.values()):
+                return (i,) + key
+    return None
+
+
+# [[i, j], k] + [[j, k], i] + [[k, i], j], in the terms of _first_defect
+_JACOBI = ((1, False, (0, 1, 2)), (1, False, (1, 2, 0)), (1, False, (2, 0, 1)))
 
 
 def validate_lie(bracket, labels=None):
     """Check antisymmetry and the Jacobi identity on all basis triples.
 
     Returns the LieAlgebra on success; raises AntisymmetryViolation or
-    JacobiViolation naming the first failing triple otherwise. Both scans sum
-    over the nonzero structure constants only.
+    JacobiViolation naming the first failing triple otherwise. Antisymmetry
+    reads the pair index directly, and Jacobi on i < j < k is the triple
+    scan of _first_defect.
     """
-    n = bracket.dim
     pairs = bracket.pairs
-    e = [{i: 1} for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            bad = _product_sum(pairs, ((1, e[i], e[j]), (1, e[j], e[i])))
-            if bad:
-                raise AntisymmetryViolation(i, j, min(bad))
-    for i in range(n):
-        for j in range(i + 1, n):
-            ij = pairs.get((i, j), {})
-            for k in range(j + 1, n):
-                jacobi = (
-                    (1, ij, e[k]),
-                    (1, pairs.get((j, k), {}), e[i]),
-                    (1, pairs.get((k, i), {}), e[j]),
-                )
-                if _product_sum(pairs, jacobi):
-                    raise JacobiViolation(i, j, k)
+    for i, j in sorted({(min(ij), max(ij)) for ij in pairs}):
+        u, v = pairs.get((i, j), {}), pairs.get((j, i), {})
+        bad = [k for k in u.keys() | v.keys() if u.get(k, 0) + v.get(k, 0)]
+        if bad:
+            raise AntisymmetryViolation(i, j, min(bad))
+    bad = _first_defect(bracket, _JACOBI, True, True)
+    if bad:
+        raise JacobiViolation(*bad)
     return LieAlgebra(bracket, labels)
 
 

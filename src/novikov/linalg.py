@@ -642,7 +642,11 @@ def nilpotent_regular_basis(n_matrix):
 
 
 def word_image_space(ops, v_subspace, length):
-    """Span of w(v) over v in the subspace and words w of exactly `length` operators."""
+    """Span of w(v) over v in the subspace and words w of exactly `length` operators.
+
+    The term for words of length k + 1 is the span of the ops applied to the
+    term for length k, so once a term repeats every later one equals it.
+    """
     for m in ops:
         if m.rows != m.cols or m.rows != v_subspace.ambient_dim:
             raise DimensionMismatch("operators must be square of the ambient dimension")
@@ -651,5 +655,8 @@ def word_image_space(ops, v_subspace, length):
         vectors = []
         for m in ops:
             vectors.extend(m.apply(v) for v in current.basis)
-        current = Subspace(v_subspace.ambient_dim, vectors)
+        image = Subspace(v_subspace.ambient_dim, vectors)
+        if image == current:
+            break
+        current = image
     return current

@@ -2,10 +2,10 @@
 
 Checks the left-symmetric and Novikov axioms, compatibility with a bracket,
 and completeness of left-symmetric products (nilpotency of every right
-multiplication). The axiom checks scan basis triples; each triple's
-identity is summed over the nonzero structure constants through the
-tensor's pair index (lie.StructureTensor), so a sparse product costs its
-nonzeros, not n coordinates per term.
+multiplication). Left symmetry and eq-2 are triple scans run by the kernel
+lie._first_defect, on int constants and over the nonzero paths of the
+pair index, so a sparse product costs its nonzeros, not a sum per triple.
+Compatibility compares the pair indexes of the product and the bracket.
 Completeness reads each R(e_i) column by column from the same index and
 decides R^n = 0 from the sparse Krylov chains of the unit vectors, building
 no matrix.
@@ -13,9 +13,7 @@ no matrix.
 Convention: L(x)y = x*y and R(x)y = y*x throughout.
 """
 
-from math import lcm
-
-from .lie import StructureTensor, _product_sum
+from .lie import StructureTensor, _first_defect, _int_pairs
 from .linalg import Q, _krylov_chain, vscale, vunit
 
 
@@ -80,6 +78,12 @@ class Verdict:
         return "Verdict(fail, label=%r, witness=%r)" % (self.label, self.witness)
 
 
+# x*(y*z) - (x*y)*z - y*(x*z) + (y*x)*z, in the terms of lie._first_defect
+_EQ1 = ((1, True, (0, 1, 2)), (-1, False, (0, 1, 2)), (-1, True, (1, 0, 2)), (1, False, (1, 0, 2)))
+# (x*y)*z - (x*z)*y
+_EQ2 = ((1, False, (0, 1, 2)), (-1, False, (0, 2, 1)))
+
+
 def is_left_symmetric(p):
     """x*(y*z) - (x*y)*z = y*(x*z) - (y*x)*z on all basis triples.
 
@@ -87,22 +91,8 @@ def is_left_symmetric(p):
     x < y is scanned; that visits the failing triples in the same order and
     returns the same first one as a scan over every triple.
     """
-    n = p.dim
-    pairs = p.tensor.pairs
-    e = [{i: 1} for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            ij, ji = pairs.get((i, j), {}), pairs.get((j, i), {})
-            for k in range(n):
-                terms = (
-                    (1, e[i], pairs.get((j, k), {})),
-                    (-1, ij, e[k]),
-                    (-1, e[j], pairs.get((i, k), {})),
-                    (1, ji, e[k]),
-                )
-                if _product_sum(pairs, terms):
-                    return Verdict(False, (i, j, k), "eq-1")
-    return Verdict(True)
+    bad = _first_defect(p.tensor, _EQ1, True, False)
+    return Verdict(False, bad, "eq-1") if bad else Verdict(True)
 
 
 def _eq2(p):
@@ -111,17 +101,8 @@ def _eq2(p):
     The identity is antisymmetric in y and z, so only y < z is scanned, which
     keeps the first failing triple of the full scan.
     """
-    n = p.dim
-    pairs = p.tensor.pairs
-    e = [{i: 1} for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            ij = pairs.get((i, j), {})
-            for k in range(j + 1, n):
-                terms = ((1, ij, e[k]), (-1, pairs.get((i, k), {}), e[j]))
-                if _product_sum(pairs, terms):
-                    return Verdict(False, (i, j, k), "eq-2")
-    return Verdict(True)
+    bad = _first_defect(p.tensor, _EQ2, False, True)
+    return Verdict(False, bad, "eq-2") if bad else Verdict(True)
 
 
 def is_novikov(p):
@@ -138,16 +119,15 @@ def is_novikov(p):
 
 
 def is_compatible(p, g):
-    """The commutator of the product equals the Lie bracket exactly."""
+    """The commutator of the product equals the Lie bracket exactly; only the
+    basis pairs where either pair index has a constant are visited."""
     if p.dim != g.dim:
         return Verdict(False, None, "dimension-mismatch")
-    pairs = p.tensor.pairs
-    e = [{i: 1} for i in range(p.dim)]
-    for i in range(p.dim):
-        for j in range(p.dim):
-            com = _product_sum(pairs, ((1, e[i], e[j]), (-1, e[j], e[i])))
-            if com != g.bracket.pairs.get((i, j), {}):
-                return Verdict(False, (i, j), "eq-3")
+    pairs, bracket = p.tensor.pairs, g.bracket.pairs
+    for i, j in sorted({(b, a) for a, b in pairs} | set(pairs) | set(bracket)):
+        u, v, w = pairs.get((i, j), {}), pairs.get((j, i), {}), bracket.get((i, j), {})
+        if any(u.get(k, 0) - v.get(k, 0) != w.get(k, 0) for k in u.keys() | v.keys() | w.keys()):
+            return Verdict(False, (i, j), "eq-3")
     return Verdict(True)
 
 
@@ -218,8 +198,7 @@ def is_complete(p):
     """
     n = p.dim
     # in ints: d R(e_i), with d clearing denominators, is nilpotent iff R(e_i) is
-    d = lcm(*(c.denominator for c in p.tensor.entries.values()))
-    pairs = {ij: {k: int(c * d) for k, c in row.items()} for ij, row in p.tensor.pairs.items()}
+    pairs = _int_pairs(p.tensor)
     for i in range(n):
         if not _nilpotent({j: pairs[j, i] for j in range(n) if (j, i) in pairs}, n):
             return Completeness(INCOMPLETE, vunit(n, i))

@@ -13,7 +13,8 @@ product, subspace sums, inclusion, intersection and coordinates, the dual
 module, the nullspace of stacked rows, the invariants of a module, the class
 bounds of a deformation and the Lie algebra invariant profile that only
 tests use, and a seeded sampler of right multiplications R(x), which
-searches for an R(x) that is not nilpotent.
+searches for an R(x) that is not nilpotent, and the word image spans
+computed to full length, past their fixed point.
 """
 
 import random
@@ -366,6 +367,17 @@ def sample_rights(p):
         if not is_nilpotent(right_matrix_of(t, x)):
             return x
     return None
+
+
+def word_image_space(ops, v_subspace, length):
+    """Every one of the `length` image spans, with no stop at a repeat."""
+    current = v_subspace
+    for _ in range(length):
+        vectors = []
+        for m in ops:
+            vectors.extend(m.apply(v) for v in current.basis)
+        current = Subspace(v_subspace.ambient_dim, vectors)
+    return current
 
 
 def nilpotent_regular_basis(n_matrix):

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings
 
+from novikov import extensions
 from novikov import fixtures as fx
 from novikov.extensions import (
     ExtensionData,
@@ -31,7 +32,7 @@ from novikov.extensions import (
     _require_three_step,
 )
 from novikov.laf import parse
-from novikov.lie import quotient, validate_lie
+from novikov.lie import StructureTensor, quotient, validate_lie
 from novikov.linalg import Matrix, NotRegularNilpotent, Subspace, jordan_block
 from novikov.products import (
     AlgebraProduct,
@@ -698,6 +699,26 @@ def test_validate_a_product_scans_match_dense_loops(a_product):
     assert got == a_product_violation(a_product)
 
 
+# Commutative a-products with non-integral constants where several triples
+# fail associativity, the first after triples whose terms cancel, and the
+# same table made non-commutative at two pairs, the first after equal pairs
+ASSOCIATIVE_TABLE = {(0, 0, 0): Q(-1, 3), (1, 2, 1): Q(-1), (2, 1, 1): Q(-1),
+                     (2, 3, 2): Q(-2), (2, 3, 3): Q(2, 3), (3, 2, 2): Q(-2),
+                     (3, 2, 3): Q(2, 3)}
+COMMUTATIVE_TABLE = {**ASSOCIATIVE_TABLE, (1, 3, 0): Q(1, 2), (3, 2, 3): Q(1, 3)}
+
+
+def test_validate_a_product_scans_return_the_dense_witness_on_pinned_tables():
+    cases = ((ASSOCIATIVE_TABLE, ("a-product-associative", (1, 2, 2))),
+             (COMMUTATIVE_TABLE, ("a-product-commutative", (1, 3))))
+    for table, outcome in cases:
+        a_product = AlgebraProduct(StructureTensor(4, table))
+        ext = ExtensionData(4, 1, [Matrix.zeros(4, 4)], a_product=a_product)
+        with pytest.raises(InvariantViolation) as err:
+            ext.validate()
+        assert (err.value.equation, err.value.witness) == outcome == a_product_violation(a_product)
+
+
 # b-product e1*e1 = e2, e1*e2 = e2*e1 = e1 on abelian b: commutative, hence
 # compatible, but not left-symmetric; validate rejects it, so parse does too
 NON_LSA_B_PRODUCT = ("LAF-E 1\ndim-a 1\ndim-b 2\n"
@@ -728,6 +749,23 @@ def test_validate_rejects_a_b_product_that_is_no_lsa_structure():
     for product in (None, half_bracket_product(n3)):
         ext = ExtensionData(1, 3, zero, {}, b_bracket=n3.bracket, b_product=product)
         assert ext.validate() is ext
+
+
+def test_validate_checks_the_b_bracket_once(monkeypatch):
+    # the b-product's compatibility reads the algebra that validate built
+    # first; with a nonzero b-product, b's Jacobi scan used to run twice
+    calls = []
+
+    def counted(bracket, labels=None):
+        calls.append(bracket)
+        return validate_lie(bracket, labels)
+
+    monkeypatch.setattr(extensions, "validate_lie", counted)
+    n3 = fx.n3()
+    ext = ExtensionData(1, 3, [Matrix.zeros(1, 1)] * 3, {}, b_bracket=n3.bracket,
+                        b_product=half_bracket_product(n3))
+    assert ext.validate() is ext
+    assert calls == [n3.bracket]
 
 
 def test_lift_checkers_read_the_b_product_hypothesis_first():

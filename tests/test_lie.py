@@ -261,6 +261,22 @@ def _lie_outcome(check, t):
     return None
 
 
+# Non-integral brackets with several failing triples, where the first
+# failure comes after triples whose terms are nonzero and cancel
+JACOBI_TABLE = {(0, 1, 1): Q(1), (1, 0, 1): Q(-1), (1, 3, 1): Q(2, 3), (2, 3, 3): Q(1, 3),
+                (3, 1, 1): Q(-2, 3), (3, 2, 3): Q(-1, 3), (3, 4, 0): Q(3, 2),
+                (4, 3, 0): Q(-3, 2)}
+ANTISYMMETRY_TABLE = {**JACOBI_TABLE, (2, 2, 1): Q(1, 2), (4, 3, 0): Q(-1, 2)}
+
+
+def test_validate_lie_returns_the_dense_witness_on_pinned_tables():
+    cases = ((JACOBI_TABLE, JacobiViolation, (1, 2, 3)),
+             (ANTISYMMETRY_TABLE, AntisymmetryViolation, (2, 2, 1)))
+    for table, error, triple in cases:
+        t = StructureTensor(5, table)
+        assert _lie_outcome(validate_lie, t) == _lie_outcome(dense.validate_lie, t) == (error, triple)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(bracket_cases())
 def test_validate_lie_matches_dense_reference(t):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novikov import fixtures as fx
 from novikov import linalg
@@ -263,6 +264,50 @@ def test_word_image_space_examples():
     assert word_image_space([Matrix.zeros(2, 2)], full2, 1).is_zero()
     full3 = Subspace.full(3)
     assert word_image_space([jordan_block(3)], full3, 2) == Subspace(3, [(1, 0, 0)])
+
+
+@st.composite
+def word_image_cases(draw):
+    """Operators on Q^n, zero about half the time entry by entry, a subspace
+    and a word length up to n + 2."""
+    v = draw(subspaces(max_dim=5))
+    n = v.ambient_dim
+    entry = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-2, 2), st.sampled_from((1, 2))))
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    ops = [Matrix(rows, cols=n) for rows in draw(st.lists(matrix, min_size=1, max_size=3))]
+    return ops, v, draw(st.integers(0, n + 2))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(word_image_cases())
+def test_word_image_space_matches_full_length_loop(case):
+    ops, v, length = case
+    assert word_image_space(ops, v, length) == dense.word_image_space(ops, v, length)
+
+
+def test_word_image_space_stops_at_its_fixed_point(monkeypatch):
+    # the shape of the reduction items' modules: b abelian of dimension 2 on
+    # Q^5, a nilpotent block of rank 1 and an invertible diagonal block; the
+    # image spans have dimensions 3, 2, 2, 2, 2, so the third build repeats
+    # the second and is the last
+    x = Matrix([[0, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0],
+                [0, 0, 0, 2, 0], [0, 0, 0, 0, -1]], cols=5)
+    y = Matrix([[0, 0, 0, 0, 0]] * 3 + [[0, 0, 0, 1, 0], [0, 0, 0, 0, 3]], cols=5)
+    builds = []
+
+    class Counted(Subspace):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    full = Subspace.full(5)
+    monkeypatch.setattr(linalg, "Subspace", Counted)
+    got = word_image_space([x, y], full, 5)
+    assert len(builds) == 3
+    monkeypatch.undo()
+    assert got == dense.word_image_space([x, y], full, 5) == Subspace(5, [vunit(5, 3), vunit(5, 4)])
 
 
 def dense_rref(rows):

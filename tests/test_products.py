@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novikov import fixtures as fx
-from novikov.lie import StructureTensor, validate_lie
+from novikov.extensions import ExtensionData, InvariantViolation
+from novikov.lie import (
+    AntisymmetryViolation,
+    JacobiViolation,
+    LieAlgebra,
+    StructureTensor,
+    validate_lie,
+)
+from novikov.linalg import Matrix
 from novikov.products import (
     AlgebraProduct,
     _eq2,
@@ -25,6 +33,8 @@ from dense_scans import (
     right_matrix,
 )
 from randalg import (
+    a_product_cases,
+    bracket_cases,
     product_cases,
     random_prop57_instance,
     random_two_step_nilpotent,
@@ -196,6 +206,65 @@ def test_scans_match_dense_references(case):
     assert _verdict(is_left_symmetric(p)) == _verdict(dense.is_left_symmetric(p))
     assert _verdict(_eq2(p)) == _verdict(dense.eq2(p))
     assert _verdict(is_compatible(p, g)) == _verdict(dense.is_compatible(p, g))
+
+
+# Tables with non-integral constants where several triples (pairs, for eq-3)
+# fail and the first failure is not the first triple the product reaches: the
+# blocks before it have nonzero terms that cancel.
+EQ1_TABLE = {(0, 2, 0): Q(-1, 3), (1, 0, 0): Q(2), (1, 1, 1): Q(-1, 3), (1, 2, 1): Q(-1),
+             (2, 2, 1): Q(1), (2, 2, 2): Q(-1, 3)}
+EQ2_TABLE = {(0, 0, 0): Q(2), (0, 2, 0): Q(2, 3), (2, 1, 0): Q(-1), (2, 1, 2): Q(2),
+             (2, 2, 0): Q(2, 3), (2, 2, 1): Q(3), (2, 2, 2): Q(2)}
+# the commutator of EQ1_TABLE, but [e2, e3] = e2 where it is -e2
+EQ3_BRACKET = {(1, 0, 0): Q(2), (0, 1, 0): Q(-2), (0, 2, 0): Q(-1, 3), (2, 0, 0): Q(1, 3),
+               (1, 2, 1): Q(1), (2, 1, 1): Q(-1)}
+
+
+def test_scans_return_the_dense_witness_on_pinned_tables():
+    eq1 = AlgebraProduct(StructureTensor(3, EQ1_TABLE))
+    eq2 = AlgebraProduct(StructureTensor(3, EQ2_TABLE))
+    g = LieAlgebra(StructureTensor(3, EQ3_BRACKET))
+    cases = [
+        (is_left_symmetric(eq1), dense.is_left_symmetric(eq1), (1, 2, 0)),
+        (_eq2(eq2), dense.eq2(eq2), (2, 0, 1)),
+        (is_compatible(eq1, g), dense.is_compatible(eq1, g), (1, 2)),
+    ]
+    for got, want, witness in cases:
+        assert _verdict(got) == _verdict(want)
+        assert got.witness == witness
+
+
+def _scan_outcomes(t):
+    """Every scan's outcome on the tensor t: as a product, as a bracket, and
+    as an a-product."""
+    p = AlgebraProduct(t)
+    try:
+        lie = validate_lie(t).dim
+    except (AntisymmetryViolation, JacobiViolation) as err:
+        lie = type(err), err.triple
+    ext = ExtensionData(t.dim, 1, [Matrix.zeros(t.dim, t.dim)], a_product=p)
+    try:
+        a_product = ext.validate() is ext
+    except InvariantViolation as err:
+        a_product = err.equation, err.witness
+    complete = is_complete(p)
+    return (_verdict(is_left_symmetric(p)), _verdict(_eq2(p)),
+            _verdict(is_compatible(p, LieAlgebra(t))), (complete.kind, complete.witness),
+            lie, a_product)
+
+
+NONZERO = st.builds(Q, st.integers(1, 7), st.integers(1, 6)).flatmap(
+    lambda q: st.sampled_from((q, -q)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.one_of(sparse_tensors(), bracket_cases(), a_product_cases().map(lambda a: a.tensor)),
+       NONZERO)
+def test_scaling_a_tensor_keeps_every_scan_outcome(t, q):
+    # every scanned identity is homogeneous, which is what lets the scans
+    # clear denominators
+    scaled = StructureTensor(t.dim, {key: q * c for key, c in t.entries.items()})
+    assert _scan_outcomes(scaled) == _scan_outcomes(t)
 
 
 def test_scans_make_no_apply_calls(monkeypatch):
