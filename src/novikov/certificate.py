@@ -9,9 +9,11 @@ the operator relation
 
 the quadratic block the representation condition [L(x), L(y)] = L([x,y]) and
 the commutation [R(x), R(y)] = 0. The quadratic block is never listed: a
-QuadraticBlock builds a polynomial when it is accessed, and the residual step
-builds only those that can hold a monomial none of whose variables the linear
-block forces to zero (144 of 35,672 on free-n3-c3). A NotExists verdict
+QuadraticBlock builds a polynomial when it is accessed. The residual step
+builds only representation polynomials that can hold a monomial none of whose
+variables the linear block forces to zero; a commutation polynomial minus its
+representation polynomial is an operator row, so both have that residual (72
+substitutions for 144 of 35,672 residuals on free-n3-c3). A NotExists verdict
 carries a rational combination of equations that evaluates to a nonzero
 constant on the whole affine solution set of the linear block; the witness
 re-verifies with nothing but rational arithmetic. No Groebner bases anywhere:
@@ -130,7 +132,8 @@ class QuadraticBlock(Sequence):
     2n terms (2n - 2 when r == s); rep adds -L([e_i, e_j])[r][s], and
     rr = [L(e_i) - ad(e_i), L(e_j) - ad(e_j)][r][s] adds the ad terms of the
     operator row (i, j, r, s) and the constant [ad(e_i), ad(e_j)][r][s],
-    which is ad([e_i, e_j])[r][s] by the Jacobi identity. An entry costs
+    which is ad([e_i, e_j])[r][s] by the Jacobi identity; so rr - rep is the
+    operator row (i, j, r, s) minus its right-hand side. An entry costs
     O(n + nnz of the rows and columns it reads). ad_terms serves only the rr
     entries: build_system scatters the operator rows from the same indexes
     without calling it.
@@ -209,16 +212,15 @@ class QuadraticBlock(Sequence):
         return poly
 
     def candidates(self, live):
-        """Ascending indices of the entries that can hold a monomial whose
-        variables are all in the set live.
+        """Ascending indices of the rep entries that can hold a monomial
+        whose variables are all in the set live; no rr entry is named.
 
-        A live commutator monomial x(i,r,k) x(j,k,s) or x(j,r,k) x(i,k,s)
-        marks both entries of its (i, j, r, s), a live linear monomial of rep
-        or rr its own entry, and a nonzero ad([e_i, e_j])[r][s] the rr entry.
-        No entry is built: the rules read the live variables against the
-        bracket indexes, visiting each live variable once per basis pair it
-        takes part in, and terms that cancel are not looked for, so the
-        result is a superset of the exact set.
+        A live commutator monomial x(i,r,k) x(j,k,s) or x(j,r,k) x(i,k,s), or
+        a live x(k,r,s) with k in the support of [e_i, e_j], marks the rep
+        entry of its (i, j, r, s). No entry is built: the rules read the live
+        variables against the bracket indexes, visiting each live variable
+        once per basis pair it takes part in, and terms that cancel are not
+        looked for, so the result is a superset of the exact set.
         """
         n = self.n
         nn = n * n
@@ -232,27 +234,14 @@ class QuadraticBlock(Sequence):
             by_row[i][r].append(c)
         found = set()
         for p, (i, j) in enumerate(self.pairs):
-            rep = 2 * p * nn  # entry rep + 2 * (r*n + s), and rr one after it
-            rr = rep + 1
+            rep = 2 * p * nn  # the rep entry of (r, s) is rep + 2 * (r*n + s)
             for a, b in ((i, j), (j, i)):
                 for r, k in by_op[a]:
                     for s in by_row[b][k]:
                         found.add(rep + 2 * (r * n + s))
-                        found.add(rr + 2 * (r * n + s))
             for k in self.bracket.get((i, j), ()):
                 for r, s in by_op[k]:
                     found.add(rep + 2 * (r * n + s))
-            # the four ad terms of ad_terms, read from the live variable:
-            # x(j,a,s) and x(i,a,s) meet rows r of ad column a, x(j,r,k)
-            # and x(i,r,k) meet columns s of ad row k
-            for a, b in ((i, j), (j, i)):
-                for r0, c0 in by_op[b]:
-                    for r in self.ad_cols[a][r0]:
-                        found.add(rr + 2 * (r * n + c0))
-                    for s in self.ad_rows[a][c0]:
-                        found.add(rr + 2 * (r0 * n + s))
-            for r, s in self.ad_brackets[p]:
-                found.add(rr + 2 * (r * n + s))
         return sorted(found)
 
 
@@ -404,11 +393,13 @@ def residual_polynomials(system):
     quadratics. Returns (sparse solution, {quadratic index: residual poly})
     or (solution, None) if the linear block is inconsistent.
 
-    A variable is live when its affine form is not (0, {}). A quadratic none
-    of whose monomials has all its variables live (the constant monomial
-    () always does) substitutes to zero. Only the quadratics that
-    system.quadratics.candidates(live) names are built; of those, the ones
-    without such a monomial are skipped unexpanded.
+    rr(i,j,r,s) - rep(i,j,r,s) is the operator row (i, j, r, s) minus its
+    right-hand side, which vanishes on the solution set, so only rep entries
+    are substituted and each nonzero rep residual at 2q is stored, as the
+    same dict, at 2q + 1 too. A variable is live when its affine form is not
+    (0, {}). A rep entry none of whose monomials has all its variables live
+    substitutes to zero. Only the entries that system.quadratics.candidates
+    names are built; of those, the ones without such a monomial are skipped.
 
     As in solve_sparse, the substitution runs on ints where the values are
     integral (the affine forms and the quadratic's coefficients are demoted
@@ -419,16 +410,16 @@ def residual_polynomials(system):
     forms = sol.affine_forms()
     live = {v for v, (c, terms) in enumerate(forms) if c or terms}
     forms = [(_as_int(c), {p: _as_int(a) for p, a in t.items()}) for c, t in forms]
-    residuals = {}
+    reps = {}
     for qi in system.quadratics.candidates(live):
         poly = system.quadratics[qi]
         if not any(map(live.issuperset, poly)):
             continue
         sub = _substitute({m: _as_int(c) for m, c in poly.items()}, forms)
         if sub:
-            residuals[qi] = sub
-    _to_fractions(residuals.values())
-    return sol, residuals
+            reps[qi] = sub
+    _to_fractions(reps.values())
+    return sol, {qi + kind: sub for qi, sub in reps.items() for kind in (0, 1)}
 
 
 def _eliminate_residuals(residuals, effort):
@@ -477,9 +468,9 @@ def _product_from_solution(system, values):
     )
 
 
-def _verified(g, product, method):
+def _verified(g, h, product, method):
     if is_novikov(product) and is_compatible(product, g):
-        return Certificate(EXISTS, algebra_hash(g), product=product, method=method)
+        return Certificate(EXISTS, h, product=product, method=method)
     return None
 
 
@@ -539,7 +530,7 @@ def decide_novikov(g, effort=DEFAULT_EFFORT):
     """
     h = algebra_hash(g)
     for method, product in _constructor_candidates(g):
-        cert = _verified(g, product, method)
+        cert = _verified(g, h, product, method)
         if cert is not None:
             return cert
     system = build_system(g)
@@ -567,7 +558,7 @@ def decide_novikov(g, effort=DEFAULT_EFFORT):
     if not any(() in poly for poly in residuals.values()):
         # every residual vanishes at the particular point (all parameters 0)
         product = _product_from_solution(system, sol.particular())
-        cert = _verified(g, product, "linear-system")
+        cert = _verified(g, h, product, "linear-system")
         if cert is not None:
             return cert
     found = _eliminate_residuals(residuals, effort)

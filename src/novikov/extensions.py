@@ -13,7 +13,8 @@ The checkers decide lifts from outside, and their agreement where both apply
 is a differential test; a closed-form lift is decided by its hypotheses.
 """
 
-from .lie import LieAlgebra, StructureTensor, _first_defect, quotient_tensor, validate_lie
+from .lie import (LieAlgebra, StructureTensor, _first_defect, _steps_to_zero, quotient_tensor,
+                  validate_lie)
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -102,6 +103,10 @@ class ExtensionData:
             v = tuple(Q(x) for x in v)
             if not is_zero_vec(v):
                 table[(p, q)] = v
+        for name, given, dim in (("b_bracket", b_bracket, dim_b),
+                                 ("b_product", b_product, dim_b), ("a_product", a_product, dim_a)):
+            if given is not None and given.dim != dim:
+                raise DimensionMismatch("%s must have dimension %d" % (name, dim))
         self.dim_a = dim_a
         self.dim_b = dim_b
         self.phi = phi
@@ -281,8 +286,7 @@ class SplitData:
 
     def transport_product(self, p):
         """Rewrite a product on split coordinates into original coordinates."""
-        n = self.basis.rows
-        return p.change_basis([self.basis_inv.column(i) for i in range(n)])
+        return AlgebraProduct(p.tensor.change_basis(self.basis_inv, self.basis))
 
 
 def two_step_solvable_from(g):
@@ -293,7 +297,7 @@ def two_step_solvable_from(g):
     deterministic. Returns (ExtensionData, SplitData).
     """
     series = g.derived_series()
-    dl = len(series) - 1 if series[-1].is_zero() else None
+    dl = _steps_to_zero(series)
     if dl is None or dl > 2:
         raise NotTwoStepSolvable("derived length is %s" % dl)
     derived = series[1] if len(series) > 1 else series[-1]
@@ -303,7 +307,7 @@ def two_step_solvable_from(g):
     split = SplitData(derived.basis, section, g.dim)
     # in the split basis a = [g, g] comes first, so phi_p is the a x a block of
     # ad(b_p) and Omega(p, q) the a-part of [b_p, b_q]
-    t = g.bracket.change_basis([split.basis.column(c) for c in range(g.dim)])
+    t = g.bracket.change_basis(split.basis, split.basis_inv)
     assert all(k < n for _, _, k in t.entries), "[g, g] escaped the derived subalgebra"
     phi = [Matrix([row[:n] for row in t.left_matrix(n + p).data[:n]], cols=n) for p in range(m)]
     omega = {

@@ -146,15 +146,16 @@ class StructureTensor:
     def __hash__(self):
         return hash((self.dim, tuple(sorted(self.entries.items()))))
 
-    def change_basis(self, basis_vectors):
-        """Constants in a new basis given as vectors in the old coordinates."""
-        if len(basis_vectors) != self.dim:
-            raise DimensionMismatch("need exactly dim basis vectors")
-        minv = Matrix.from_columns(basis_vectors).inverse()
+    def change_basis(self, basis, basis_inv):
+        """Constants in the basis of the columns of the matrix basis, which
+        are given in the old coordinates; basis_inv is its inverse."""
+        if basis.rows != self.dim or basis.cols != self.dim:
+            raise DimensionMismatch("need a dim x dim basis matrix")
+        columns = [basis.column(a) for a in range(self.dim)]
 
         def entry(a, b):
-            w = self.apply(basis_vectors[a], basis_vectors[b])
-            return minv.apply(w) if any(w) else w
+            w = self.apply(columns[a], columns[b])
+            return basis_inv.apply(w) if any(w) else w
 
         return StructureTensor.tabulate(self.dim, entry)
 

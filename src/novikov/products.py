@@ -43,9 +43,6 @@ class AlgebraProduct:
     def basis_product(self, i, j):
         return self.tensor.basis_product(i, j)
 
-    def change_basis(self, basis_vectors):
-        return AlgebraProduct(self.tensor.change_basis(basis_vectors))
-
     def is_zero(self):
         return self.tensor.is_zero()
 

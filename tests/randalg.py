@@ -232,6 +232,26 @@ def random_prop57_instance(rng):
             return g
 
 
+def gelfand_dorfman(n, k):
+    """The Novikov product t^a * t^b = b t^(a+b+k-1) on A = Q[t]/(t^n), that
+    is x * y = x D(y) for the derivation D = t^k d/dt of A (Gelfand-Dorfman),
+    with its commutator algebra. k >= 1: d/dt is no derivation of A."""
+    if k < 1:
+        raise ValueError("t^k d/dt is a derivation of Q[t]/(t^n) only for k >= 1")
+    entries = {(a, b, a + b + k - 1): Q(b)
+               for a in range(n) for b in range(1, n) if a + b + k - 1 < n}
+    product = AlgebraProduct(StructureTensor(n, entries))
+    return validate_lie(commutator_tensor(product)), product
+
+
+def rebased(g, product, rng):
+    """g and product in the basis of the columns of unimodular(rng, dim)."""
+    s = unimodular(rng, g.dim)
+    s_inv = s.inverse()
+    return (LieAlgebra(g.bracket.change_basis(s, s_inv)),
+            AlgebraProduct(product.tensor.change_basis(s, s_inv)))
+
+
 def basis_rmatrix_pool():
     return [
         fx.n3(),

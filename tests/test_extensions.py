@@ -33,7 +33,7 @@ from novikov.extensions import (
 )
 from novikov.laf import parse
 from novikov.lie import StructureTensor, quotient, validate_lie
-from novikov.linalg import Matrix, NotRegularNilpotent, Subspace, jordan_block
+from novikov.linalg import DimensionMismatch, Matrix, NotRegularNilpotent, Subspace, jordan_block
 from novikov.products import (
     AlgebraProduct,
     _eq2,
@@ -79,8 +79,7 @@ def test_assemble_ex35_data():
 def test_assemble_round_trip_free_n2_c4():
     g = fx.free_n2_c4()
     ext, split = two_step_solvable_from(g)
-    cols = [split.basis.column(c) for c in range(8)]
-    assert g.bracket.change_basis(cols) == assemble(ext).bracket
+    assert g.bracket.change_basis(split.basis, split.basis_inv) == assemble(ext).bracket
 
 
 def test_assemble_invariant_violations():
@@ -749,6 +748,32 @@ def test_validate_rejects_a_b_product_that_is_no_lsa_structure():
     for product in (None, half_bracket_product(n3)):
         ext = ExtensionData(1, 3, zero, {}, b_bracket=n3.bracket, b_product=product)
         assert ext.validate() is ext
+
+
+# dim a = 1 and dim b = 2, with one product or the b-bracket of another
+# dimension: each used to pass __init__ and to fail later, or not at all
+ZERO_ACTIONS = [Matrix.zeros(1, 1)] * 2
+
+
+def test_extension_rejects_an_a_product_of_the_wrong_dimension():
+    # a 2-dim a-product passed validate, and lift_product built a wrong table
+    a_product = AlgebraProduct.from_products(2, {(0, 0): (0, 1)})
+    with pytest.raises(DimensionMismatch, match="a_product"):
+        ExtensionData(1, 2, ZERO_ACTIONS, a_product=a_product)
+
+
+def test_extension_rejects_a_b_bracket_of_the_wrong_dimension():
+    # a 3-dim b-bracket passed validate, and assemble then failed with
+    # "tensor index out of range"
+    with pytest.raises(DimensionMismatch, match="b_bracket"):
+        ExtensionData(1, 2, ZERO_ACTIONS, b_bracket=fx.n3().bracket)
+
+
+def test_extension_rejects_a_b_product_of_the_wrong_dimension():
+    # validate reported a 3-dim b-product as b-product-compatibility, with
+    # witness None
+    with pytest.raises(DimensionMismatch, match="b_product"):
+        ExtensionData(1, 2, ZERO_ACTIONS, b_product=half_bracket_product(fx.n3()))
 
 
 def test_validate_checks_the_b_bracket_once(monkeypatch):

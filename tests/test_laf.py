@@ -50,7 +50,8 @@ def _sheared(g):
     """g in the basis f_i = e_i + e_(i+1 mod n)/2."""
     n = g.dim
     cols = [[Q(int(r == c)) + (Q(1, 2) if r == (c + 1) % n else 0) for r in range(n)] for c in range(n)]
-    return validate_lie(g.bracket.change_basis(cols))
+    shear = Matrix.from_columns(cols)
+    return validate_lie(g.bracket.change_basis(shear, shear.inverse()))
 
 
 def _vector(n, coords):

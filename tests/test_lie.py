@@ -16,7 +16,7 @@ from novikov.lie import (
     validate_lie,
 )
 from novikov.fixtures import UnknownFixture, fixture, product_fixture
-from novikov.linalg import Subspace
+from novikov.linalg import Matrix, Subspace
 
 import dense_scans as dense
 from randalg import (
@@ -211,15 +211,16 @@ def _random_vector(rng, n):
 def test_pair_index_on_every_construction_path():
     g = fx.free_n3_c3()
     ideal = Subspace(g.dim, g.lower_central_series()[2].basis)
+    shear = Matrix.from_columns([
+        tuple(Q(1) if b == a else Q(1, 2) if b == a + 1 else Q(0) for b in range(5))
+        for a in range(5)
+    ])
     tensors = [
         StructureTensor(3, {(0, 1, 2): Q(1, 2), (0, 1, 0): 0, (2, 2, 1): Q(-3)}),
         StructureTensor.from_products(3, {(0, 1): (Q(0), Q(1, 3), Q(2)), (1, 1): (0, 0, 0)}),
         StructureTensor.tabulate(3, lambda i, j: tuple(Q(i - j, k + 1) for k in range(3))),
         StructureTensor.antisymmetric_from_brackets(3, {(0, 1): (Q(0), Q(0), Q(5, 2))}),
-        fx.ex35().bracket.change_basis([
-            tuple(Q(1) if b == a else Q(1, 2) if b == a + 1 else Q(0) for b in range(5))
-            for a in range(5)
-        ]),
+        fx.ex35().bracket.change_basis(shear, shear.inverse()),
         quotient_tensor(g.bracket, ideal)[1],
     ]
     for t in tensors:
