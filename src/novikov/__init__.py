@@ -23,7 +23,6 @@ from .extensions import (
     LiftData,
     assemble,
     check_lift_lsa,
-    check_lift_novikov,
     iso_lift,
     jordan_lift,
     lift_product,

@@ -29,7 +29,6 @@ from .extensions import (
     NotInvertible,
     NotTwoStepSolvable,
     _scheuneman_form,
-    check_lift_novikov,
     iso_lift,
     jordan_lift,
     lift_product,
@@ -469,6 +468,8 @@ def _product_from_solution(system, values):
 
 
 def _verified(g, h, product, method):
+    """An Exists certificate when product is a Novikov structure on g, else
+    None; decide_novikov and verify_certificate both decide by it."""
     if is_novikov(product) and is_compatible(product, g):
         return Certificate(EXISTS, h, product=product, method=method)
     return None
@@ -509,11 +510,9 @@ def _constructor_candidates(g):
             pass
     # a nilpotent g of class at most 3 meets the Scheuneman form's hypotheses
     # on its extension (abelian b, trivial products, A_p A_q = 0), so the
-    # form is an LSA lift and only its Novikov-ness, (25)-(31), is open
+    # form is an LSA lift; whether it is Novikov is left to _verified
     if cls is not None and cls <= 3:
-        lift = _scheuneman_form(ext)
-        if check_lift_novikov(ext, lift):
-            yield "scheuneman", transported(lift)
+        yield "scheuneman", transported(_scheuneman_form(ext))
 
 
 def decide_novikov(g, effort=DEFAULT_EFFORT):
@@ -581,17 +580,17 @@ def decide_novikov(g, effort=DEFAULT_EFFORT):
 def verify_certificate(g, cert):
     """Re-check a certificate against the algebra, in exact arithmetic.
 
-    Exists: the embedded product must pass the Novikov and compatibility
-    checks. NotExists: the witness combination must evaluate to exactly the
-    recorded nonzero constant (and reference only equations that actually
-    constrain the system). Undetermined never verifies.
+    Exists: the embedded product must pass _verified, the Novikov and
+    compatibility checks decide_novikov runs. NotExists: the witness
+    combination must evaluate to exactly the recorded nonzero constant (and
+    reference only equations that actually constrain the system).
+    Undetermined never verifies.
     """
     if cert.algebra_hash != algebra_hash(g):
         return False
     if cert.verdict == EXISTS:
-        if cert.product is None or cert.product.dim != g.dim:
-            return False
-        return bool(is_novikov(cert.product)) and bool(is_compatible(cert.product, g))
+        return cert.product is not None and _verified(
+            g, cert.algebra_hash, cert.product, cert.method) is not None
     if cert.verdict != NOT_EXISTS:
         return False
     if cert.constant is None or cert.constant == 0 or not cert.witness:

@@ -5,7 +5,8 @@ property is false, the construction is inapplicable, or the verdict is
 NotExists/Undetermined (the report distinguishes these); 2 malformed input,
 a bad command line included.
 Every command prints a single JSON report to stdout; failed conditions are
-named by their equation label (e.g. "eq-2", "eq-27").
+named by their label: "eq-1", "eq-2", "eq-3" or "dimension-mismatch" from
+verify, "cybe" or "novbed" from rmatrix.
 """
 
 import argparse

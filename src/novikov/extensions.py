@@ -7,10 +7,11 @@ products on a and b into a product on the extension via
     (a,x) o (b,y) = (a.b + phi1(y)a + phi2(x)b + omega(x,y), x.y).
 
 Coordinates on the assembled algebra put the a-part first, then the b-part.
-Checker diagnostics name the governing equation by its number: (8)-(20) for
-the general conditions, (25)-(31) for the trivial-products specialization.
-The checkers decide lifts from outside, and their agreement where both apply
-is a differential test; a closed-form lift is decided by its hypotheses.
+check_lift_lsa decides a lift handed in from outside by (8)-(14) and names
+the failing condition by its number. A closed-form lift is decided by its
+hypotheses, and whether a lifted product is Novikov by the product checks.
+The paper's Novikov lift systems, (8)-(20) and (25)-(31), are the test
+suite's references (tests/dense_scans.py).
 """
 
 from .lie import (LieAlgebra, StructureTensor, _first_defect, _steps_to_zero, quotient_tensor,
@@ -29,7 +30,7 @@ from .linalg import (
     vunit,
     vzero,
 )
-from .products import AlgebraProduct, Verdict, _eq2, is_compatible, is_left_symmetric
+from .products import AlgebraProduct, Verdict, is_compatible, is_left_symmetric
 
 
 # (x*y)*z - x*(y*z), in the terms of lie._first_defect
@@ -151,7 +152,7 @@ class ExtensionData:
         identity ((24) when b is abelian), and last, for a nonzero b-product,
         the hypothesis of (8)-(14) with the label and witness of
         _b_product_verdict. A zero b-product stands for none: assemble needs
-        no product on b, and the lift checkers fail it on a non-abelian b. A
+        no product on b, and check_lift_lsa fails it on a non-abelian b. A
         b-bracket that is not a Lie bracket raises the AntisymmetryViolation
         or JacobiViolation of validate_lie first. The a-product's
         commutativity compares its pair index, and its associativity is the
@@ -427,114 +428,6 @@ def check_lift_lsa(ext, lift):
     return Verdict(True)
 
 
-def _check_lift_novikov_trivial(ext, lift):
-    """Conditions (25)-(31): the trivial-products specialization."""
-    if (lift.dim_a, lift.dim_b) != (ext.dim_a, ext.dim_b):
-        return Verdict(False, None, "dimension-mismatch")
-    n, m = ext.dim_a, ext.dim_b
-    x_op, y_op = lift.x_op, lift.y_op
-    for p in range(m):
-        for q in range(m):
-            lhs = vsub(lift.omega_value(p, q), lift.omega_value(q, p))
-            if lhs != ext.omega_pair(p, q):
-                return Verdict(False, (p, q), "eq-25")
-    for p in range(m):
-        if x_op[p] + ext.phi[p] != y_op[p]:
-            return Verdict(False, (p,), "eq-26")
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                lhs = vsub(
-                    y_op[p].apply(lift.omega_value(q, r)),
-                    y_op[q].apply(lift.omega_value(p, r)),
-                )
-                if lhs != x_op[r].apply(ext.omega_pair(p, q)):
-                    return Verdict(False, (p, q, r), "eq-27")
-    for p in range(m):
-        for q in range(m):
-            if x_op[p] * ext.phi[q] - ext.phi[q] * x_op[p] != x_op[q] * x_op[p]:
-                return Verdict(False, (p, q), "eq-28")
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                if x_op[r].apply(lift.omega_value(p, q)) != x_op[q].apply(
-                    lift.omega_value(p, r)
-                ):
-                    return Verdict(False, (p, q, r), "eq-29")
-    for p in range(m):
-        for q in range(m):
-            if not (x_op[p] * y_op[q]).is_zero():
-                return Verdict(False, (p, q), "eq-30")
-    for p in range(m):
-        for q in range(p + 1, m):
-            if x_op[p] * x_op[q] != x_op[q] * x_op[p]:
-                return Verdict(False, (p, q), "eq-31")
-    return Verdict(True)
-
-
-def check_lift_novikov(ext, lift):
-    """Conditions (25)-(31) when both products are trivial and b is abelian;
-    otherwise the LSA conditions (8)-(14) followed by (15)-(20)."""
-    if ext.products_trivial() and ext.b_is_abelian():
-        return _check_lift_novikov_trivial(ext, lift)
-    lsa = check_lift_lsa(ext, lift)
-    if not lsa:
-        return lsa
-    return _check_novikov_extra(ext, lift)
-
-
-def _check_novikov_extra(ext, lift):
-    n, m = ext.dim_a, ext.dim_b
-    ea = [vunit(n, i) for i in range(n)]
-    eb = [vunit(m, p) for p in range(m)]
-    x_op, y_op = lift.x_op, lift.y_op
-    aprod = ext.a_product
-    bprod = ext.b_product
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                lhs = vsub(
-                    x_op[r].apply(lift.omega_value(p, q)),
-                    x_op[q].apply(lift.omega_value(p, r)),
-                )
-                rhs = vsub(
-                    lift.omega_of(bprod.basis_product(p, r), eb[q]),
-                    lift.omega_of(bprod.basis_product(p, q), eb[r]),
-                )
-                if lhs != rhs:
-                    return Verdict(False, (p, q, r), "eq-15")
-    for p in range(m):
-        for q in range(m):
-            # eq-16 reads omega(p, q).e_k = (X_q Y_p - Y(p.q)) e_k
-            rhs = x_op[q] * y_op[p] - scaled_sum(zip(bprod.basis_product(p, q), y_op), n, n)
-            for k in range(n):
-                if aprod.apply(lift.omega_value(p, q), ea[k]) != rhs.column(k):
-                    return Verdict(False, (p, q, k), "eq-16")
-    for p in range(m):
-        for q in range(p + 1, m):
-            if x_op[p] * x_op[q] != x_op[q] * x_op[p]:
-                return Verdict(False, (p, q), "eq-17")
-    for p in range(m):
-        for j in range(n):
-            for k in range(n):
-                if aprod.apply(y_op[p].apply(ea[j]), ea[k]) != aprod.apply(
-                    y_op[p].apply(ea[k]), ea[j]
-                ):
-                    return Verdict(False, (p, j, k), "eq-18")
-    for r in range(m):
-        for i in range(n):
-            for j in range(n):
-                if x_op[r].apply(aprod.apply(ea[i], ea[j])) != aprod.apply(
-                    x_op[r].apply(ea[i]), ea[j]
-                ):
-                    return Verdict(False, (r, i, j), "eq-19")
-    # eq-20 is the eq-2 scan of the b-product
-    eq20 = _eq2(bprod)
-    if not eq20:
-        return Verdict(False, eq20.witness, "eq-20")
-    return Verdict(True)
-
-
 def _require_trivial_abelian(ext, who):
     if not ext.b_is_abelian():
         raise HypothesisFailed("%s requires an abelian b" % who)
@@ -603,6 +496,8 @@ def iso_lift(ext, e):
     omega(x, y) = phi(e)^-1 phi(x) Omega(e, y). Valid data decides (25)-(31):
     (25) is phi(e)^-1 times (24) at (e, p, q), (27) is (23), and X = 0."""
     _require_trivial_abelian(ext, "iso_lift")
+    if len(e) != ext.dim_b:
+        raise DimensionMismatch("e must have dim b coordinates")
     phi_e = ext.phi_of(e)
     try:
         inv = phi_e.inverse()

@@ -112,6 +112,8 @@ def basis_rmatrix(g, ell, m):
     auxiliary identity.
     """
     n = g.dim
+    if not (0 <= ell < n and 0 <= m < n):
+        raise DimensionMismatch("basis index out of range")
     for i in range(n):
         w = g.bracket.basis_product(i, m)
         if w[ell] != 0:

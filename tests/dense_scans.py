@@ -15,11 +15,15 @@ bounds of a deformation and the Lie algebra invariant profile that only
 tests use, and a seeded sampler of right multiplications R(x), which
 searches for an R(x) that is not nilpotent, and the word image spans
 computed to full length, past their fixed point.
+The paper's Novikov lift systems are here as well: (8)-(20) in general and
+(25)-(31) for trivial products on an abelian b, the reference the lifted
+product's Novikov and compatibility checks are held to.
 """
 
 import random
 
 
+from novikov.extensions import check_lift_lsa
 from novikov.lie import AntisymmetryViolation, JacobiViolation, LieAlgebra, StructureTensor
 from novikov.linalg import (
     DimensionMismatch,
@@ -42,6 +46,7 @@ from novikov.products import (
     NOT_LEFT_SYMMETRIC,
     Completeness,
     Verdict,
+    _eq2,
 )
 from novikov.reduction import ModuleAction
 
@@ -401,3 +406,111 @@ def nilpotent_regular_basis(n_matrix):
         chain.append(n_matrix.apply(chain[-1]))
     chain.reverse()
     return Matrix.from_columns(chain).inverse()
+
+
+def _check_lift_novikov_trivial(ext, lift):
+    """Conditions (25)-(31): the trivial-products specialization."""
+    if (lift.dim_a, lift.dim_b) != (ext.dim_a, ext.dim_b):
+        return Verdict(False, None, "dimension-mismatch")
+    n, m = ext.dim_a, ext.dim_b
+    x_op, y_op = lift.x_op, lift.y_op
+    for p in range(m):
+        for q in range(m):
+            lhs = vsub(lift.omega_value(p, q), lift.omega_value(q, p))
+            if lhs != ext.omega_pair(p, q):
+                return Verdict(False, (p, q), "eq-25")
+    for p in range(m):
+        if x_op[p] + ext.phi[p] != y_op[p]:
+            return Verdict(False, (p,), "eq-26")
+    for p in range(m):
+        for q in range(m):
+            for r in range(m):
+                lhs = vsub(
+                    y_op[p].apply(lift.omega_value(q, r)),
+                    y_op[q].apply(lift.omega_value(p, r)),
+                )
+                if lhs != x_op[r].apply(ext.omega_pair(p, q)):
+                    return Verdict(False, (p, q, r), "eq-27")
+    for p in range(m):
+        for q in range(m):
+            if x_op[p] * ext.phi[q] - ext.phi[q] * x_op[p] != x_op[q] * x_op[p]:
+                return Verdict(False, (p, q), "eq-28")
+    for p in range(m):
+        for q in range(m):
+            for r in range(m):
+                if x_op[r].apply(lift.omega_value(p, q)) != x_op[q].apply(
+                    lift.omega_value(p, r)
+                ):
+                    return Verdict(False, (p, q, r), "eq-29")
+    for p in range(m):
+        for q in range(m):
+            if not (x_op[p] * y_op[q]).is_zero():
+                return Verdict(False, (p, q), "eq-30")
+    for p in range(m):
+        for q in range(p + 1, m):
+            if x_op[p] * x_op[q] != x_op[q] * x_op[p]:
+                return Verdict(False, (p, q), "eq-31")
+    return Verdict(True)
+
+
+def check_lift_novikov(ext, lift):
+    """Conditions (25)-(31) when both products are trivial and b is abelian;
+    otherwise the LSA conditions (8)-(14) followed by (15)-(20)."""
+    if ext.products_trivial() and ext.b_is_abelian():
+        return _check_lift_novikov_trivial(ext, lift)
+    lsa = check_lift_lsa(ext, lift)
+    if not lsa:
+        return lsa
+    return _check_novikov_extra(ext, lift)
+
+
+def _check_novikov_extra(ext, lift):
+    n, m = ext.dim_a, ext.dim_b
+    ea = [vunit(n, i) for i in range(n)]
+    eb = [vunit(m, p) for p in range(m)]
+    x_op, y_op = lift.x_op, lift.y_op
+    aprod = ext.a_product
+    bprod = ext.b_product
+    for p in range(m):
+        for q in range(m):
+            for r in range(m):
+                lhs = vsub(
+                    x_op[r].apply(lift.omega_value(p, q)),
+                    x_op[q].apply(lift.omega_value(p, r)),
+                )
+                rhs = vsub(
+                    lift.omega_of(bprod.basis_product(p, r), eb[q]),
+                    lift.omega_of(bprod.basis_product(p, q), eb[r]),
+                )
+                if lhs != rhs:
+                    return Verdict(False, (p, q, r), "eq-15")
+    for p in range(m):
+        for q in range(m):
+            # eq-16 reads omega(p, q).e_k = (X_q Y_p - Y(p.q)) e_k
+            rhs = x_op[q] * y_op[p] - scaled_sum(zip(bprod.basis_product(p, q), y_op), n, n)
+            for k in range(n):
+                if aprod.apply(lift.omega_value(p, q), ea[k]) != rhs.column(k):
+                    return Verdict(False, (p, q, k), "eq-16")
+    for p in range(m):
+        for q in range(p + 1, m):
+            if x_op[p] * x_op[q] != x_op[q] * x_op[p]:
+                return Verdict(False, (p, q), "eq-17")
+    for p in range(m):
+        for j in range(n):
+            for k in range(n):
+                if aprod.apply(y_op[p].apply(ea[j]), ea[k]) != aprod.apply(
+                    y_op[p].apply(ea[k]), ea[j]
+                ):
+                    return Verdict(False, (p, j, k), "eq-18")
+    for r in range(m):
+        for i in range(n):
+            for j in range(n):
+                if x_op[r].apply(aprod.apply(ea[i], ea[j])) != aprod.apply(
+                    x_op[r].apply(ea[i]), ea[j]
+                ):
+                    return Verdict(False, (r, i, j), "eq-19")
+    # eq-20 is the eq-2 scan of the b-product
+    eq20 = _eq2(bprod)
+    if not eq20:
+        return Verdict(False, eq20.witness, "eq-20")
+    return Verdict(True)

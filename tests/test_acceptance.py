@@ -17,7 +17,6 @@ from novikov.certificate import (
 from novikov.extensions import (
     assemble,
     check_lift_lsa,
-    check_lift_novikov,
     jordan_lift,
     lift_product,
     novikov_ideal_quotient,
@@ -52,6 +51,7 @@ from novikov.rmatrix import (
 )
 
 from dense_scans import (
+    check_lift_novikov,
     commutator,
     commutator_tensor,
     coordinates,

@@ -28,7 +28,6 @@ from novikov.extensions import (
     NotInvertible,
     NotTwoStepSolvable,
     assemble,
-    check_lift_novikov,
     iso_lift,
     jordan_lift,
     lift_product,
@@ -40,7 +39,7 @@ from novikov.laf import parse_file
 from novikov.linalg import NotRegularNilpotent, _add_scaled, _add_term, solve_sparse, vunit
 from novikov.products import AlgebraProduct, half_bracket_product, is_compatible, is_novikov
 
-from dense_scans import left_matrix_of
+from dense_scans import check_lift_novikov, left_matrix_of
 from randalg import (
     gelfand_dorfman,
     random_mixed_extension,
@@ -479,7 +478,8 @@ def test_decide_on_gelfand_dorfman_algebras():
 
 def reference_constructor_candidates(g):
     """decide's constructor order through the public lifts, each behind its
-    own hypothesis checks, with the Scheuneman lift's Novikov check."""
+    own hypothesis checks; the Scheuneman lift comes last for every g its
+    hypotheses admit, Novikov or not."""
     if g.is_abelian():
         yield "zero-product", AlgebraProduct.zero(g.dim)
         return
@@ -512,9 +512,7 @@ def reference_constructor_candidates(g):
         except (NotInvertible, HypothesisFailed, LiftCheckFailed):
             pass
     try:
-        lift = scheuneman_lift(ext)
-        if check_lift_novikov(ext, lift):
-            yield "scheuneman", transported(lift)
+        yield "scheuneman", transported(scheuneman_lift(ext))
     except (HypothesisFailed, LiftCheckFailed):
         pass
 
@@ -531,7 +529,27 @@ def test_constructor_candidates_match_public_lifts():
         got = list(certificate._constructor_candidates(g))
         assert got == list(reference_constructor_candidates(g))
         methods.update(method for method, _ in got)
-    assert {"two-generator", "jordan-block", "invertible-action"} <= methods
+    assert {"two-generator", "jordan-block", "invertible-action", "scheuneman"} <= methods
+
+
+def test_scheuneman_candidate_is_verified_exactly_when_its_lift_is_novikov():
+    # decide hands the transported Scheuneman form to _verified unchecked;
+    # the paper's lift systems, the reference check_lift_novikov, must agree
+    corpus = [g for _, g in _differential_corpus("scheuneman")] + [fx.free_n3_c3()]
+    corpus += [assemble(random_three_step_extension(rng_for("x3", i), i)) for i in range(10)]
+    labels = Counter()
+    for g in corpus:
+        cls = g.nilpotency_class()
+        if g.is_abelian() or cls is None or cls > 3:
+            continue
+        ext, split = two_step_solvable_from(g)
+        lift = extensions._scheuneman_form(ext)
+        product = split.transport_product(lift_product(ext, lift))
+        reference = check_lift_novikov(ext, lift)
+        verified = certificate._verified(g, algebra_hash(g), product, "scheuneman")
+        assert (verified is not None) == bool(reference)
+        labels[reference.label] += 1
+    assert labels[None] and labels["eq-29"]
 
 
 def test_decide_assembles_no_extension(monkeypatch):
@@ -819,8 +837,11 @@ def test_certificate_bound_to_algebra():
 
 def test_exists_certificate_with_wrong_product_fails():
     g = fx.n3()
-    bad = Certificate(EXISTS, algebra_hash(g), product=fx.ex35_product(), method="half-bracket")
-    assert not verify_certificate(g, bad)
+    # a Novikov product of the wrong dimension, one of the right dimension
+    # that is not compatible with g, and no product at all
+    for product in (fx.ex35_product(), AlgebraProduct.zero(3), None):
+        bad = Certificate(EXISTS, algebra_hash(g), product=product, method="half-bracket")
+        assert not verify_certificate(g, bad)
 
 
 def test_constructor_products_satisfy_system():

@@ -18,7 +18,6 @@ from novikov.extensions import (
     NotTwoStepSolvable,
     assemble,
     check_lift_lsa,
-    check_lift_novikov,
     iso_lift,
     jordan_lift,
     lift_product,
@@ -27,8 +26,6 @@ from novikov.extensions import (
     semidirect_lift,
     two_gen_lift,
     two_step_solvable_from,
-    _check_lift_novikov_trivial,
-    _check_novikov_extra,
     _require_three_step,
 )
 from novikov.laf import parse
@@ -43,7 +40,13 @@ from novikov.products import (
     is_novikov,
 )
 
-from dense_scans import a_product_violation, commutator
+from dense_scans import (
+    _check_lift_novikov_trivial,
+    _check_novikov_extra,
+    a_product_violation,
+    check_lift_novikov,
+    commutator,
+)
 from randalg import (
     a_product_cases,
     random_mixed_extension,
@@ -227,6 +230,14 @@ def test_iso_lift_examples():
     for p_idx in range(ext3.dim_b):
         with pytest.raises(NotInvertible):
             iso_lift(ext3, unit(ext3.dim_b, p_idx))
+
+
+def test_iso_lift_rejects_e_of_the_wrong_length():
+    # a longer e used to be cut to dim b, a shorter one raised IndexError
+    ext = ExtensionData(1, 2, [Matrix([[1]]), Matrix([[2]])], {(0, 1): (Q(3),)})
+    for e in ((Q(1), Q(0), Q(5)), (Q(1),)):
+        with pytest.raises(DimensionMismatch, match="dim b"):
+            iso_lift(ext, e)
 
 
 def test_jordan_lift_single_generator():

@@ -143,17 +143,13 @@ def _calls_by_function(tree, names):
 
 
 def test_lift_checkers_run_only_where_a_lift_is_open():
-    """A closed form is decided by its hypotheses and a pull-back by the
-    reduction; the checkers run on the lift reduction_lift is handed, in
-    check_lift_novikov's general route, and on decide's Scheuneman form."""
+    """A closed form is decided by its hypotheses, a pull-back by the
+    reduction and decide's candidates by the product checks; the one checker
+    left runs on the lift reduction_lift is handed."""
     calls = []
     for module in MODULES:
         with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         calls += [(module[:-3],) + call
                   for call in _calls_by_function(tree, {"check_lift_lsa", "check_lift_novikov"})]
-    assert sorted(calls) == [
-        ("certificate", "_constructor_candidates", "check_lift_novikov"),
-        ("extensions", "check_lift_novikov", "check_lift_lsa"),
-        ("reduction", "reduction_lift", "check_lift_lsa"),
-    ]
+    assert sorted(calls) == [("reduction", "reduction_lift", "check_lift_lsa")]

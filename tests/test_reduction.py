@@ -12,7 +12,6 @@ from novikov.extensions import (
     LiftData,
     assemble,
     check_lift_lsa,
-    check_lift_novikov,
     lift_product,
     scheuneman_lift,
     semidirect_lift,
@@ -45,7 +44,15 @@ from novikov.reduction import (
     reduction_lift,
 )
 
-from dense_scans import h0, intersect, nullspace_of_rows, row_module, subspace_sum, vdot
+from dense_scans import (
+    check_lift_novikov,
+    h0,
+    intersect,
+    nullspace_of_rows,
+    row_module,
+    subspace_sum,
+    vdot,
+)
 from randalg import (
     random_mixed_extension,
     random_nilpotent_module,

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from novikov import fixtures as fx
-from novikov.linalg import Matrix
+from novikov.linalg import DimensionMismatch, Matrix
 from novikov.products import is_compatible, is_novikov
 from novikov.rmatrix import (
     HypothesisFailed,
@@ -113,6 +113,14 @@ def test_basis_rmatrix_examples():
     with pytest.raises(HypothesisFailed) as err:
         basis_rmatrix(n3, 2, 0)
     assert err.value.index == 1  # [x2, x1] = -x3 has a nonzero x3 coefficient
+
+
+def test_basis_rmatrix_rejects_an_index_out_of_range():
+    # a negative index used to wrap (-1 read as x3), one past n raised IndexError
+    n3 = fx.n3()
+    for ell, m in ((-1, 2), (2, -1), (3, 0), (0, 3)):
+        with pytest.raises(DimensionMismatch, match="out of range"):
+            basis_rmatrix(n3, ell, m)
 
 
 def test_basis_rmatrix_case_table():
