@@ -22,13 +22,13 @@ linear algebra plus bounded cancellation of leading monomials.
 
 import hashlib
 from collections.abc import Sequence
+from math import lcm
 
 from .extensions import (
     GammaExpansionFailed,
     HypothesisFailed,
     NotInvertible,
     NotTwoStepSolvable,
-    _scheuneman_form,
     iso_lift,
     jordan_lift,
     lift_product,
@@ -352,39 +352,61 @@ class Certificate:
 
 
 def _substitute(poly, forms):
-    """Substitute affine forms (const, {param: coeff}) into a quadratic.
+    """Substitute affine forms into a quadratic, in ints.
 
-    Coefficients may be ints or Fractions; the result is exact either way."""
-    out = {}
+    forms[v] is (d, c, {param: a}) with ints: variable v is the affine form
+    (c + sum a * param) / d. Each term is scaled to ints by D, the lcm over
+    the monomials of the coefficient's denominator times the d of each of
+    their variables, and the sums are divided by D once, at the end. Every
+    term is D times the term over Fractions, so the same keys cancel and the
+    residual holds the same Fractions in the same order."""
+    scale = 1
+    scaled = []
     for mono, coeff in poly.items():
+        den = coeff.denominator
+        for v in mono:
+            den *= forms[v][0]
+        if scale % den:
+            scale = lcm(scale, den)
+        scaled.append((mono, coeff.numerator, den))
+    out = {}
+    for mono, num, den in scaled:
+        k = num * (scale // den)
         if mono == ():
-            _add_term(out, (), coeff)
+            _add_term(out, (), k)
         elif len(mono) == 1:
-            c0, terms = forms[mono[0]]
-            _add_term(out, (), coeff * c0)
+            _, c0, terms = forms[mono[0]]
+            _add_term(out, (), k * c0)
             for p, a in terms.items():
-                _add_term(out, (p,), coeff * a)
+                _add_term(out, (p,), k * a)
         else:
-            c1, t1 = forms[mono[0]]
-            c2, t2 = forms[mono[1]]
+            _, c1, t1 = forms[mono[0]]
+            _, c2, t2 = forms[mono[1]]
             if c1 and c2:
-                _add_term(out, (), coeff * c1 * c2)
+                _add_term(out, (), k * c1 * c2)
             if c2:
                 for p, a in t1.items():
-                    _add_term(out, (p,), coeff * a * c2)
+                    _add_term(out, (p,), k * a * c2)
             if c1:
                 for p, a in t2.items():
-                    _add_term(out, (p,), coeff * c1 * a)
+                    _add_term(out, (p,), k * c1 * a)
             for p, a in t1.items():
-                ca = coeff * a
+                ka = k * a
                 for q, b in t2.items():
-                    _add_term(out, _sorted_pair(p, q), ca * b)
+                    _add_term(out, _sorted_pair(p, q), ka * b)
+    _to_fractions([out], scale)
     return out
 
 
-def _as_int(x):
-    """x as an int when it is integral (an int or a Fraction), else x."""
-    return x.numerator if x.denominator == 1 else x
+def _int_affine_form(c, terms):
+    """The affine form (c, {param: a}) as (d, d * c, {param: d * a}) with
+    ints, d the lcm of its denominators."""
+    d = lcm(c.denominator, *[a.denominator for a in terms.values()])
+    if d == 1:
+        return 1, c.numerator, {p: a.numerator for p, a in terms.items()}
+    return d, c.numerator * (d // c.denominator), {
+        p: a.numerator * (d // a.denominator) for p, a in terms.items()
+    }
 
 
 def residual_polynomials(system):
@@ -400,24 +422,26 @@ def residual_polynomials(system):
     substitutes to zero. Only the entries that system.quadratics.candidates
     names are built; of those, the ones without such a monomial are skipped.
 
-    As in solve_sparse, the substitution runs on ints where the values are
-    integral (the affine forms and the quadratic's coefficients are demoted
-    first), and the residual coefficients come back as Fractions."""
+    As in solve_sparse, the substitution runs on ints: each affine form is
+    scaled to ints by its denominators once (_int_affine_form), and each
+    residual is divided once, at the end of _substitute; its coefficients
+    are Fractions."""
     sol = solve_sparse(system.linear_rows, system.linear_rhs, system.nvars)
     if not sol.consistent:
         return sol, None
     forms = sol.affine_forms()
     live = {v for v, (c, terms) in enumerate(forms) if c or terms}
-    forms = [(_as_int(c), {p: _as_int(a) for p, a in t.items()}) for c, t in forms]
+    # a variable that is not live is 0: (1, 0, {})
+    forms = [_int_affine_form(c, t) if v in live else (1, 0, t)
+             for v, (c, t) in enumerate(forms)]
     reps = {}
     for qi in system.quadratics.candidates(live):
         poly = system.quadratics[qi]
         if not any(map(live.issuperset, poly)):
             continue
-        sub = _substitute({m: _as_int(c) for m, c in poly.items()}, forms)
+        sub = _substitute(poly, forms)
         if sub:
             reps[qi] = sub
-    _to_fractions(reps.values())
     return sol, {qi + kind: sub for qi, sub in reps.items() for kind in (0, 1)}
 
 
@@ -476,7 +500,13 @@ def _verified(g, h, product, method):
 
 
 def _constructor_candidates(g):
-    """Known closed-form constructions, tried in a fixed order."""
+    """Known closed-form constructions, tried in a fixed order.
+
+    The Scheuneman lift is no candidate: it is Novikov only when g has class
+    at most 2, where its product is the half-bracket product (the test suite
+    pins both). At class 3, (29) with X_p = -A_p/3 and x_pq = v_pq/2 reads
+    A_r v_pq = A_q v_pr, which makes A_r v_pq symmetric in (r, q) and
+    antisymmetric in (p, q), hence zero."""
     if g.is_abelian():
         yield "zero-product", AlgebraProduct.zero(g.dim)
         return
@@ -508,11 +538,6 @@ def _constructor_candidates(g):
             break
         except (NotInvertible, HypothesisFailed):
             pass
-    # a nilpotent g of class at most 3 meets the Scheuneman form's hypotheses
-    # on its extension (abelian b, trivial products, A_p A_q = 0), so the
-    # form is an LSA lift; whether it is Novikov is left to _verified
-    if cls is not None and cls <= 3:
-        yield "scheuneman", transported(_scheuneman_form(ext))
 
 
 def decide_novikov(g, effort=DEFAULT_EFFORT):

@@ -449,8 +449,15 @@ def _require_three_step(ext, who):
     ext.validate()
 
 
-def _scheuneman_form(ext):
-    """The closed form x_pq = v_pq/2, X_p = -A_p/3, Y_p = 2A_p/3, unchecked."""
+def scheuneman_lift(ext):
+    """The closed-form LSA lift x_pq = v_pq/2, X_p = -A_p/3, Y_p = 2A_p/3.
+
+    Requires abelian b, trivial products and A_p A_q = 0, which for
+    a = [g, g] hold exactly when g has class at most 3, and valid data.
+    They decide (8)-(14), so the lift is returned unchecked: (10) is a third
+    of (24), (11) reads -(2/9)A_q A_r + (1/3)A_r A_q = 0, the rest are direct.
+    """
+    _require_three_step(ext, "scheuneman_lift")
     third = Q(1, 3)
     x_op = [a.scale(-third) for a in ext.phi]
     y_op = [a.scale(2 * third) for a in ext.phi]
@@ -461,18 +468,6 @@ def _scheuneman_form(ext):
             if not is_zero_vec(v):
                 x_values[(p, q)] = vscale(Q(1, 2), v)
     return LiftData(ext.dim_a, ext.dim_b, x_op, y_op, x_values)
-
-
-def scheuneman_lift(ext):
-    """The closed-form LSA lift x_pq = v_pq/2, X_p = -A_p/3, Y_p = 2A_p/3.
-
-    Requires abelian b, trivial products and A_p A_q = 0, which for
-    a = [g, g] hold exactly when g has class at most 3, and valid data.
-    They decide (8)-(14), so the lift is returned unchecked: (10) is a third
-    of (24), (11) reads -(2/9)A_q A_r + (1/3)A_r A_q = 0, the rest are direct.
-    """
-    _require_three_step(ext, "scheuneman_lift")
-    return _scheuneman_form(ext)
 
 
 def two_gen_lift(ext):

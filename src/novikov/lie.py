@@ -6,7 +6,9 @@ constants indexed by basis pair, and the products sum over those nonzeros
 rather than over every entry or every coordinate. Every axiom scan over
 basis triples (Jacobi here, left symmetry and eq-2 in products, the
 a-product's associativity in extensions) is one call of _first_defect,
-which walks the nonzero paths of the pair index in ints.
+which walks the nonzero paths of the pair index in ints, read from the
+tensor's int form: scaled and indexed once per tensor, however many scans,
+completeness checks and changes of basis read it.
 """
 
 from bisect import bisect_left
@@ -17,6 +19,7 @@ from .linalg import (
     Matrix,
     Q,
     Subspace,
+    _to_fractions,
     vunit,
 )
 
@@ -46,34 +49,60 @@ class NotAnIdeal(ValidationError):
 class StructureTensor:
     """Sparse structure constants c[i][j][k] of a bilinear product on Q^n.
 
-    e_i * e_j = sum_k c[i][j][k] e_k; only nonzero entries are stored. Every
-    table a construction builds from a bilinear map on basis vectors goes
-    through tabulate.
+    e_i * e_j = sum_k c[i][j][k] e_k; only nonzero entries are stored. A table
+    that a construction builds from a bilinear map on basis vectors goes
+    through tabulate; the half-bracket product and change_basis build theirs
+    from the nonzeros alone.
 
     pairs indexes the same entries by basis pair, {(i, j): {k: c}}, with no
     empty or zero value. It is built once with the tensor and never changes;
     equality and hashing read entries alone. The products read it, so they
-    cost the nonzeros they touch, not a scan of every entry.
+    cost the nonzeros they touch, not a scan of every entry. The triple scans,
+    the completeness check and change_basis read the int form instead
+    (_int_form), built on first use and kept: the pair index scaled to ints
+    and indexed by left factor, right factor and product coordinate.
     """
 
-    __slots__ = ("dim", "entries", "pairs")
+    __slots__ = ("dim", "entries", "pairs", "_ints")
 
     def __init__(self, dim, entries=None):
         table = {}
         pairs = {}
         for (i, j, k), v in (entries or {}).items():
-            v = Q(v)
+            if type(v) is not Q:
+                v = Q(v)
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise DimensionMismatch("tensor index out of range: %s" % ((i, j, k),))
-            if v != 0:
+            if v:
                 table[(i, j, k)] = v
                 pairs.setdefault((i, j), {})[k] = v
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", table)
         object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StructureTensor is immutable")
+
+    def _int_form(self):
+        """(d, pairs, left, right, image), built once: d is the lcm of the
+        denominators and pairs the pair index of d * c as ints (_int_pairs);
+        left[a][b] and right[b][a] are the int row of the pair (a, b), and
+        image[m] lists the (a, b, c) with c = (d * c)[a][b][m] != 0, sorted."""
+        form = self._ints
+        if form is None:
+            d, pairs = _int_pairs(self)
+            left, right, image = {}, {}, {}
+            for (a, b), row in pairs.items():
+                left.setdefault(a, {})[b] = row
+                right.setdefault(b, {})[a] = row
+                for m, c in row.items():
+                    image.setdefault(m, []).append((a, b, c))
+            for paths in image.values():
+                paths.sort()
+            form = (d, pairs, left, right, image)
+            object.__setattr__(self, "_ints", form)
+        return form
 
     @classmethod
     def from_products(cls, dim, products):
@@ -81,8 +110,8 @@ class StructureTensor:
         entries = {}
         for (i, j), vector in products.items():
             for k, v in enumerate(vector):
-                if v != 0:
-                    entries[(i, j, k)] = Q(v)
+                if v:
+                    entries[(i, j, k)] = v
         return cls(dim, entries)
 
     @classmethod
@@ -148,16 +177,42 @@ class StructureTensor:
 
     def change_basis(self, basis, basis_inv):
         """Constants in the basis of the columns of the matrix basis, which
-        are given in the old coordinates; basis_inv is its inverse."""
-        if basis.rows != self.dim or basis.cols != self.dim:
+        are given in the old coordinates; basis_inv is its inverse.
+
+        One int transform of the nonzeros: with B = basis and C = basis_inv in
+        their int forms (d_B B, d_C C) and the constants in theirs (d c),
+        each pair row c(i, j) is mapped through C once, and its image, times
+        B[i, a] B[j, b], is added to the new pair (a, b) for the nonzero
+        B[i, a] and B[j, b]. The sums are divided by d_B^2 d_C d once, in
+        sorted (a, b, k) order, as tabulate orders its entries.
+        """
+        n = self.dim
+        if basis.rows != n or basis.cols != n:
             raise DimensionMismatch("need a dim x dim basis matrix")
-        columns = [basis.column(a) for a in range(self.dim)]
-
-        def entry(a, b):
-            w = self.apply(columns[a], columns[b])
-            return basis_inv.apply(w) if any(w) else w
-
-        return StructureTensor.tabulate(self.dim, entry)
+        d, pairs = self._int_form()[:2]
+        d_b, _, b_rows = basis._int_form()
+        d_c, c_rows, _ = basis_inv._int_form()
+        acc = {}
+        for (i, j), row in pairs.items():
+            image = []
+            for m, c_row in enumerate(c_rows):
+                s = sum([c_row[k] * c for k, c in row.items()])
+                if s:
+                    image.append((m, s))
+            for a, x in b_rows[i]:
+                for b, y in b_rows[j]:
+                    xy = x * y
+                    out = acc.setdefault((a, b), {})
+                    for m, s in image:
+                        out[m] = out.get(m, 0) + xy * s
+        entries = {}
+        for ab in sorted(acc):
+            out = acc[ab]
+            for m in sorted(out):
+                if out[m]:
+                    entries[ab + (m,)] = out[m]
+        _to_fractions([entries], d_b * d_b * d_c * d)
+        return StructureTensor(n, entries)
 
     def __repr__(self):
         return "StructureTensor(dim=%d, nnz=%d)" % (self.dim, len(self.entries))
@@ -236,11 +291,12 @@ def _steps_to_zero(series):
 
 
 def _int_pairs(tensor):
-    """The pair index with every constant multiplied by the lcm d of the
-    denominators, as ints. Each identity the scans test is homogeneous, so
-    d scales both of its sides alike and keeps every verdict."""
+    """(d, the pair index with every constant multiplied by d, as ints), d
+    the lcm of the denominators. Each identity the scans test is
+    homogeneous, so d scales both of its sides alike and keeps every
+    verdict. StructureTensor._int_form calls it once per tensor."""
     d = lcm(*(c.denominator for c in tensor.entries.values()))
-    return {
+    return d, {
         ij: {k: c.numerator * (d // c.denominator) for k, c in row.items()}
         for ij, row in tensor.pairs.items()
     }
@@ -253,21 +309,14 @@ def _first_defect(tensor, identity, j_after_i, k_after_j):
     identity is a tuple of terms (sign, nested, (x, y, z)): sign * (e_x e_y) e_z,
     or sign * e_x (e_y e_z) when nested, where x, y, z are the positions in
     (i, j, k) of the three factors. The flags limit the scan to j > i and to
-    k > j. The walk runs on int constants (_int_pairs) and touches only
-    nonzero ones: for each i in turn, every term lists its paths through e_i
-    under the (j, k) they add to, indexed by the pairs' left and right factors
-    and the coordinates of their products, and the first (j, k) in order
-    whose paths do not cancel is the witness.
+    k > j. The walk reads the tensor's int form (StructureTensor._int_form),
+    scaled and indexed once per tensor however many scans read it, and
+    touches only nonzero constants: for each i in turn, every term lists its
+    paths through e_i under the (j, k) they add to, found through the pairs'
+    left and right factors and the coordinates of their products, and the
+    first (j, k) in order whose paths do not cancel is the witness.
     """
-    pairs = _int_pairs(tensor)
-    left, right, image = {}, {}, {}
-    for (a, b), row in pairs.items():
-        left.setdefault(a, {})[b] = row
-        right.setdefault(b, {})[a] = row
-        for m, c in row.items():
-            image.setdefault(m, []).append((a, b, c))
-    for paths in image.values():
-        paths.sort()
+    left, right, image = tensor._int_form()[2:]
     # Where e_i sits in a term fixes its walk, with a and b the other factors:
     #   (e_i e_a) e_b, (e_a e_i) e_b    left[i] or right[i], then left[m]
     #   e_b (e_i e_a), e_b (e_a e_i)    left[i] or right[i], then right[m]

@@ -1,25 +1,31 @@
 """Exact rational linear algebra: matrices, linear systems, subspaces.
 
-Everything is over Q via fractions.Fraction, so every comparison in the
-package is an exact equality; there are no tolerances anywhere. There is one
-sparse elimination kernel: _add_term and _add_scaled accumulate into sparse
-dicts (dropping entries that cancel), and _row_step takes one row
-fraction-free: it scales the row to Python ints, reduces it by
-cross-multiplying with int pivot rows instead of dividing by their leads,
-and makes it primitive with a positive lead. solve_sparse (_echelon) runs
-the row step on every row and clears each new pivot from the earlier pivot
-rows that hold it, found through a column index. It divides only once, at
-the end, so the pivot rows, values and witness come back as Fractions,
-exactly those of the elimination over Fractions. It tracks row provenance
-only in a second pass, run when the system is inconsistent, to build the
-witness. Subspace bases, nullspaces and inverses all take their reduced
-echelon form from it. Subspace membership reads a subspace's reduced
-echelon rows directly, and its complement is one echelon pass over
-the basis with the columns reversed. The certificate's residual elimination
-runs the same row step, and every sparse row or polynomial build in the
-package accumulates with the same helpers. Nilpotency reads one more,
-_krylov_chain: the nonzero images of a sparse vector under an operator given
-by its sparse columns, so no matrix power is ever formed.
+Every value the package hands out is over Q, as a fractions.Fraction, so
+every comparison in the package is an exact equality; there are no
+tolerances anywhere. The exact kernels compute on Python ints and divide
+once, at the end. A Matrix keeps one int form, built on first use: the lcm d
+of its denominators and the rows of d * M as ints, with their nonzeros.
+The matrix product and the matrix-vector product read it, accumulate in
+ints and build one Fraction per nonzero output entry, and a product passes
+its int form on. There is one sparse elimination kernel: _add_term and
+_add_scaled accumulate into sparse dicts (dropping entries that cancel), and
+_row_step takes one row fraction-free: it scales the row to Python ints,
+reduces it by cross-multiplying with int pivot rows instead of dividing by
+their leads, and makes it primitive with a positive lead. solve_sparse
+(_echelon) runs the row step on every row and clears each new pivot from the
+earlier pivot rows that hold it, found through a column index. It divides
+only once, at the end, so the pivot rows, values and witness come back as
+Fractions, exactly those of the elimination over Fractions. It tracks row
+provenance only in a second pass, run when the system is inconsistent, to
+build the witness. Subspace bases, nullspaces and inverses all take their
+reduced echelon form from it. Subspace membership reads a subspace's reduced
+echelon rows directly, and its complement is one echelon pass over the basis
+with the columns reversed. The certificate's residual elimination runs the
+same row step, and every sparse row or polynomial build in the package
+accumulates with the same helpers. Nilpotency reads one more, _krylov_chain:
+the nonzero images of a sparse vector under an operator given by its sparse
+columns, so no matrix power is ever formed. The Fraction forms of the dense
+kernels are the test suite's references (tests/dense_scans.py).
 """
 
 from fractions import Fraction
@@ -39,12 +45,14 @@ class NotRegularNilpotent(ValueError):
 
 
 def vzero(n):
-    return (Q(0),) * n
+    return (_ZERO,) * n
 
 
 def vunit(n, i, value=1):
-    """The i-th standard basis vector of Q^n, scaled by value."""
-    return tuple(Q(value) if j == i else Q(0) for j in range(n))
+    """The i-th standard basis vector of Q^n, scaled by value; the zero
+    entries share one Fraction."""
+    value = Q(value)
+    return tuple(value if j == i else _ZERO for j in range(n))
 
 
 def vadd(u, v):
@@ -65,9 +73,18 @@ def is_zero_vec(u):
 
 
 class Matrix:
-    """Immutable dense matrix over Q."""
+    """Immutable dense matrix over Q.
 
-    __slots__ = ("rows", "cols", "data")
+    data holds the entries as Fractions. The exact products read an int form
+    instead, built on first use and kept (_int_form): the lcm d of the
+    entries' denominators, the rows of d * M as int tuples, and each of those
+    rows' nonzero (column, int) pairs. __mul__ and apply accumulate in ints
+    and build one Fraction per nonzero output entry; a product matrix gets
+    its int form from the int sums, so a chain of products converts each
+    factor once.
+    """
+
+    __slots__ = ("rows", "cols", "data", "_ints")
 
     def __init__(self, data, cols=None):
         data = tuple(tuple(x if type(x) is Q else Q(x) for x in row) for row in data)
@@ -81,9 +98,50 @@ class Matrix:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @classmethod
+    def _from_ints(cls, int_rows, denominator, cols):
+        """The matrix int_rows / denominator (int rows, an int denominator),
+        with its int form set. With g the gcd of the denominator and every
+        entry, d = denominator / g is the lcm of the entries' denominators, and
+        the int rows are divided by g. Every zero entry is _ZERO, and every
+        nonzero int value of d * M shares one Fraction."""
+        g = gcd(denominator, *(x for row in int_rows for x in row))
+        d = denominator // g
+        if g != 1:
+            int_rows = [[x // g for x in row] for row in int_rows]
+        shared = {0: _ZERO}
+        data = []
+        for row in int_rows:
+            out = []
+            for x in row:
+                f = shared.get(x)
+                if f is None:
+                    f = shared[x] = Q(x, d)
+                out.append(f)
+            data.append(tuple(out))
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", tuple(data))
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_ints", _int_rows_form(d, int_rows))
+        return m
+
+    def _int_form(self):
+        """(d, int rows, nonzero (column, int) pairs per row), d * M = int
+        rows with d the lcm of the denominators; built once."""
+        form = self._ints
+        if form is None:
+            d = lcm(*(x.denominator for row in self.data for x in row))
+            form = _int_rows_form(d, [
+                [x.numerator * (d // x.denominator) for x in row] for row in self.data
+            ])
+            object.__setattr__(self, "_ints", form)
+        return form
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -134,26 +192,37 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch("matrix product shape mismatch")
-            # row i of the product sums a * (row k of other) over a = self[i, k] != 0
-            nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+            # in ints: row i of (d A)(e B) sums a * (row k of e B) over the
+            # nonzero a = (d A)[i, k]
+            d, _, left = self._int_form()
+            e, _, right = other._int_form()
             product = []
-            for row in self.data:
-                acc = [_ZERO] * other.cols
-                for a, terms in zip(row, nonzeros):
-                    if a:
-                        for j, b in terms:
-                            acc[j] += a * b
+            for terms in left:
+                acc = [0] * other.cols
+                for k, a in terms:
+                    for j, b in right[k]:
+                        acc[j] += a * b
                 product.append(acc)
-            return Matrix(product, cols=other.cols)
+            return Matrix._from_ints(product, d * e, other.cols)
         return self.scale(other)
 
     def apply(self, v):
-        """Matrix times column vector (given and returned as a tuple); each
-        entry sums row[j] * v[j] over the nonzero v[j] only."""
+        """Matrix times column vector (given and returned as a tuple). In
+        ints: with e the lcm of the denominators of the nonzero v[j], each
+        entry of (d M)(e v) sums over those v[j] only and is divided by d * e
+        once; a zero entry is _ZERO."""
         if len(v) != self.cols:
             raise DimensionMismatch("matrix-vector shape mismatch")
-        nonzeros = [(j, b) for j, b in enumerate(v) if b]
-        return tuple(sum((row[j] * b for j, b in nonzeros if row[j]), _ZERO) for row in self.data)
+        d, rows, _ = self._int_form()
+        nonzeros = [(j, x) for j, x in enumerate(v) if x]
+        e = lcm(*[x.denominator for _, x in nonzeros])
+        nonzeros = [(j, x.numerator * (e // x.denominator)) for j, x in nonzeros]
+        d *= e
+        out = []
+        for row in rows:
+            s = sum([row[j] * x for j, x in nonzeros])
+            out.append(Q(s, d) if s else _ZERO)
+        return tuple(out)
 
     def transpose(self):
         return Matrix(list(zip(*self.data)) if self.data else [()] * self.cols, cols=self.rows)
@@ -177,6 +246,13 @@ class Matrix:
         return "Matrix[%s]" % body
 
 
+def _int_rows_form(d, int_rows):
+    """A Matrix int form: (d, the int rows as tuples, their nonzero
+    (column, int) pairs)."""
+    rows = tuple(tuple(row) for row in int_rows)
+    return d, rows, [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+
 def scaled_sum(terms, rows, cols):
     """The rows x cols matrix sum of c * M over the (c, M) pairs in terms."""
     acc = [[Q(0)] * cols for _ in range(rows)]
@@ -190,8 +266,9 @@ def scaled_sum(terms, rows, cols):
 
 
 def _sparse(rows):
-    """Dense rows as {column: entry} dicts over Q (so pivots divide exactly)."""
-    return [{j: Q(x) for j, x in enumerate(row) if x} for row in rows]
+    """Dense rows as {column: entry} dicts over Q (so pivots divide exactly);
+    a Fraction entry is kept as it is."""
+    return [{j: x if type(x) is Q else Q(x) for j, x in enumerate(row) if x} for row in rows]
 
 
 class Subspace:
@@ -209,7 +286,7 @@ class Subspace:
                 raise DimensionMismatch("vector does not match ambient dimension")
         echelon = solve_sparse(_sparse(vectors), None, ambient_dim)
         basis = tuple(
-            tuple(echelon.pivot_rows[p].get(j, Q(0)) for j in range(ambient_dim))
+            tuple(echelon.pivot_rows[p].get(j, _ZERO) for j in range(ambient_dim))
             for p in sorted(echelon.pivot_rows)
         )
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -233,7 +310,10 @@ class Subspace:
     def contains(self, v):
         """Whether v lies in the subspace. The basis is reduced at the pivot
         columns, so v is in it exactly when v = sum of v[p] * (basis row of
-        pivot p), compared as sparse dicts."""
+        pivot p), compared as sparse dicts. A vector of another length raises
+        DimensionMismatch, as __init__ does."""
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch("vector does not match ambient dimension")
         span = {}
         for p, row in self._echelon.pivot_rows.items():
             if v[p]:
@@ -549,17 +629,18 @@ def _divide(d, divisor):
         d[k] = _quotient(x, divisor)
 
 
-def _to_fractions(dicts):
-    """Replace every int value of the dicts by a Fraction, in place, which
-    keeps each dict's order. A Fraction is immutable, so one object serves
-    every entry with the same int value and only distinct values allocate."""
+def _to_fractions(dicts, denominator=1):
+    """Replace every int value x of the dicts by the Fraction x / denominator,
+    in place, which keeps each dict's order. A Fraction is immutable, so one
+    object serves every entry with the same int value and only distinct
+    values allocate."""
     shared = {}
     for d in dicts:
         for key, x in d.items():
             if type(x) is int:
                 f = shared.get(x)
                 if f is None:
-                    f = shared[x] = Q(x)
+                    f = shared[x] = Q(x, denominator)
                 d[key] = f
 
 

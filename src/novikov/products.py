@@ -13,8 +13,8 @@ no matrix.
 Convention: L(x)y = x*y and R(x)y = y*x throughout.
 """
 
-from .lie import StructureTensor, _first_defect, _int_pairs
-from .linalg import Q, _krylov_chain, vscale, vunit
+from .lie import StructureTensor, _first_defect
+from .linalg import Q, _krylov_chain, vunit
 
 
 class AlgebraProduct:
@@ -129,11 +129,12 @@ def is_compatible(p, g):
 
 
 def half_bracket_product(g):
-    """The product x*y = [x,y]/2 on the space of g."""
+    """The product x*y = [x,y]/2 on the space of g, halved entry by entry
+    from the bracket's nonzeros, in sorted order as tabulate gives them."""
     half = Q(1, 2)
-    return AlgebraProduct(
-        StructureTensor.tabulate(g.dim, lambda i, j: vscale(half, g.bracket.basis_product(i, j)))
-    )
+    return AlgebraProduct(StructureTensor(
+        g.dim, {ijk: half * c for ijk, c in sorted(g.bracket.entries.items())}
+    ))
 
 
 COMPLETE = "complete"
@@ -195,7 +196,7 @@ def is_complete(p):
     """
     n = p.dim
     # in ints: d R(e_i), with d clearing denominators, is nilpotent iff R(e_i) is
-    pairs = _int_pairs(p.tensor)
+    pairs = p.tensor._int_form()[1]
     for i in range(n):
         if not _nilpotent({j: pairs[j, i] for j in range(n) if (j, i) in pairs}, n):
             return Completeness(INCOMPLETE, vunit(n, i))

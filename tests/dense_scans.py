@@ -18,6 +18,10 @@ computed to full length, past their fixed point.
 The paper's Novikov lift systems are here as well: (8)-(20) in general and
 (25)-(31) for trivial products on an abelian b, the reference the lifted
 product's Novikov and compatibility checks are held to.
+The library's dense exact kernels run on ints; their entry-by-entry Fraction
+forms are here too: the matrix product and matrix-vector product, the
+half-bracket product and the change of basis through tabulate, and the
+substitution of affine forms into a quadratic.
 """
 
 import random
@@ -31,6 +35,7 @@ from novikov.linalg import (
     NotRegularNilpotent,
     Q,
     Subspace,
+    _add_term,
     _sparse,
     is_zero_vec,
     scaled_sum,
@@ -44,6 +49,7 @@ from novikov.products import (
     COMPLETE,
     INCOMPLETE,
     NOT_LEFT_SYMMETRIC,
+    AlgebraProduct,
     Completeness,
     Verdict,
     _eq2,
@@ -56,6 +62,79 @@ SEED = 0x4E6F76
 
 def vdot(u, v):
     return sum((a * b for a, b in zip(u, v)), Q(0))
+
+
+def matmul(a, b):
+    """a * b over Fractions: row i sums a[i, k] * (row k of b) over the
+    nonzero a[i, k]."""
+    if a.cols != b.rows:
+        raise DimensionMismatch("matrix product shape mismatch")
+    nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b.data]
+    product = []
+    for row in a.data:
+        acc = [Q(0)] * b.cols
+        for x, terms in zip(row, nonzeros):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        product.append(acc)
+    return Matrix(product, cols=b.cols)
+
+
+def matrix_apply(m, v):
+    """m times the column vector v over Fractions, as a tuple."""
+    if len(v) != m.cols:
+        raise DimensionMismatch("matrix-vector shape mismatch")
+    nonzeros = [(j, y) for j, y in enumerate(v) if y]
+    return tuple(sum((row[j] * y for j, y in nonzeros if row[j]), Q(0)) for row in m.data)
+
+
+def half_bracket_product(g):
+    """x*y = [x,y]/2 through tabulate, one dense vector per basis pair."""
+    return AlgebraProduct(StructureTensor.tabulate(
+        g.dim, lambda i, j: vscale(Q(1, 2), g.bracket.basis_product(i, j))))
+
+
+def change_basis(t, basis, basis_inv):
+    """t.change_basis through tabulate: e_a * e_b is basis_inv applied to the
+    product of columns a and b of basis, for every pair (a, b)."""
+    if basis.rows != t.dim or basis.cols != t.dim:
+        raise DimensionMismatch("need a dim x dim basis matrix")
+    columns = [basis.column(a) for a in range(t.dim)]
+
+    def entry(a, b):
+        w = apply(t, columns[a], columns[b])
+        return matrix_apply(basis_inv, w) if any(w) else w
+
+    return StructureTensor.tabulate(t.dim, entry)
+
+
+def substitute(poly, forms):
+    """The affine forms (const, {param: coeff}) substituted into a quadratic
+    over Fractions, term by term in the library's order."""
+    out = {}
+    for mono, coeff in poly.items():
+        if mono == ():
+            _add_term(out, (), coeff)
+        elif len(mono) == 1:
+            c0, terms = forms[mono[0]]
+            _add_term(out, (), coeff * c0)
+            for p, a in terms.items():
+                _add_term(out, (p,), coeff * a)
+        else:
+            (c1, t1), (c2, t2) = forms[mono[0]], forms[mono[1]]
+            if c1 and c2:
+                _add_term(out, (), coeff * c1 * c2)
+            if c2:
+                for p, a in t1.items():
+                    _add_term(out, (p,), coeff * a * c2)
+            if c1:
+                for p, a in t2.items():
+                    _add_term(out, (p,), coeff * c1 * a)
+            for p, a in t1.items():
+                for q, b in t2.items():
+                    _add_term(out, (min(p, q), max(p, q)), coeff * a * b)
+    return out
 
 
 def commutator(a, b):

@@ -1,0 +1,160 @@
+"""The dense exact kernels that run on ints, held to their Fraction forms.
+
+Matrix.__mul__ and Matrix.apply, the half-bracket product, change_basis and
+the residual substitution accumulate in ints and divide once; the references
+in dense_scans compute entry by entry over Fractions. Results must agree in
+value, in entry order and in type: every entry is a Fraction.
+"""
+
+from fractions import Fraction as Q
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from novikov import certificate, lie
+from novikov import fixtures as fx
+from novikov.lie import LieAlgebra, StructureTensor
+from novikov.linalg import Matrix
+from novikov.products import (
+    AlgebraProduct,
+    half_bracket_product,
+    is_complete,
+    is_left_symmetric,
+    is_novikov,
+)
+
+import dense_scans as dense
+
+# values with a denominator up to 97; ENTRIES are zero about half the time
+NONZERO = st.builds(Q, st.integers(-60, 60).filter(bool), st.integers(1, 97))
+ENTRIES = st.one_of(st.just(Q(0)), NONZERO)
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """rows x cols matrices; a row or a column is sometimes all zero."""
+    data = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    if rows and draw(st.booleans()):
+        data[draw(st.integers(0, rows - 1))] = [Q(0)] * cols
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in data:
+            row[j] = Q(0)
+    return Matrix(data, cols=cols)
+
+
+@st.composite
+def tensors(draw, max_dim=5, antisymmetric=False):
+    n = draw(st.integers(0, max_dim))
+    if not n:
+        return StructureTensor(0, {})
+    index = st.integers(0, n - 1)
+    entries = draw(st.dictionaries(st.tuples(index, index, index), ENTRIES, max_size=2 * n * n))
+    if antisymmetric:
+        entries = {(i, j, k): c for (i, j, k), c in entries.items() if i < j}
+        entries.update({(j, i, k): -c for (i, j, k), c in entries.items()})
+    return StructureTensor(n, entries)
+
+
+def assert_fraction_data(got, want):
+    assert got.data == want.data and (got.rows, got.cols) == (want.rows, want.cols)
+    assert all(type(x) is Q for row in got.data for x in row)
+
+
+def assert_same_tensor(got, want):
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert all(type(c) is Q for c in got.entries.values())
+
+
+@st.composite
+def matrix_chains(draw):
+    r, k, c, e = (draw(st.integers(0, 5)) for _ in range(4))
+    return draw(matrices(r, k)), draw(matrices(k, c)), draw(matrices(c, e))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(matrix_chains())
+def test_matmul_matches_fraction_reference(chain):
+    a, b, c = chain
+    ab = a * b
+    assert_fraction_data(ab, dense.matmul(a, b))
+    # the int form a product inherits is the one its entries give
+    assert ab._int_form() == Matrix(ab.data, cols=ab.cols)._int_form()
+    assert_fraction_data(ab * c, dense.matmul(dense.matmul(a, b), c))
+
+
+@st.composite
+def matrix_vector_cases(draw):
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.one_of(ENTRIES, st.integers(-3, 3))
+    return draw(matrices(r, c)), tuple(draw(entries) for _ in range(c))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(matrix_vector_cases())
+def test_apply_matches_fraction_reference(case):
+    m, v = case
+    got = m.apply(v)
+    assert got == dense.matrix_apply(m, v)
+    assert type(got) is tuple and all(type(x) is Q for x in got)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(tensors(antisymmetric=True))
+def test_half_bracket_matches_fraction_reference(bracket):
+    g = LieAlgebra(bracket)
+    assert_same_tensor(half_bracket_product(g).tensor, dense.half_bracket_product(g).tensor)
+
+
+@st.composite
+def change_basis_cases(draw):
+    t = draw(tensors())
+    return t, draw(matrices(t.dim, t.dim)), draw(matrices(t.dim, t.dim))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(change_basis_cases())
+def test_change_basis_matches_fraction_reference(case):
+    # the formula holds for any pair of matrices, inverse to each other or not
+    t, basis, basis_inv = case
+    assert_same_tensor(t.change_basis(basis, basis_inv), dense.change_basis(t, basis, basis_inv))
+
+
+@st.composite
+def substitution_cases(draw):
+    """A quadratic in up to 4 variables and an affine form per variable in
+    up to 3 parameters."""
+    nvars = draw(st.integers(1, 4))
+    var = st.integers(0, nvars - 1)
+    monomials = st.one_of(
+        st.just(()), st.tuples(var), st.tuples(var, var).map(lambda m: tuple(sorted(m))))
+    poly = draw(st.dictionaries(monomials, NONZERO, max_size=6))
+    params = st.dictionaries(st.integers(0, 2), NONZERO, max_size=3)
+    forms = [(draw(ENTRIES), draw(params)) for _ in range(nvars)]
+    return poly, forms
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(substitution_cases())
+def test_substitute_matches_fraction_reference(case):
+    poly, forms = case
+    int_forms = [certificate._int_affine_form(c, t) for c, t in forms]
+    got = certificate._substitute(poly, int_forms)
+    assert list(got.items()) == list(dense.substitute(poly, forms).items())
+    assert all(type(c) is Q for c in got.values())
+
+
+def test_product_checks_build_the_int_index_once(monkeypatch):
+    # is_left_symmetric, is_novikov and is_complete read one int form of the
+    # product; they used to scale and index it once per scan, 4 or 5 times
+    calls = []
+    original = lie._int_pairs
+    monkeypatch.setattr(lie, "_int_pairs", lambda t: calls.append(t) or original(t))
+    for name in ("In-product:5", "free-n3-c3-product", "ex35-product"):
+        fixture = fx.product_fixture(name)
+        p = AlgebraProduct(StructureTensor(fixture.dim, fixture.tensor.entries))
+        calls.clear()
+        is_left_symmetric(p)
+        is_novikov(p)
+        is_complete(p)
+        assert calls == [p.tensor], name

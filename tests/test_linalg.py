@@ -167,6 +167,17 @@ def test_subspace_canonical_idempotent():
             assert s.contains(tuple(combo))
 
 
+def test_subspace_contains_rejects_other_lengths():
+    # a shorter vector used to be read as if padded with zeros
+    s = Subspace(3, [(1, 0, 0)])
+    assert s.contains((2, 0, 0)) and not s.contains((0, 1, 0))
+    for v in [(1, 0), (0,), (), (1, 0, 0, 0)]:
+        with pytest.raises(DimensionMismatch):
+            s.contains(v)
+    with pytest.raises(DimensionMismatch):
+        Subspace(2).contains((0, 0, 0))
+
+
 def test_subspace_sum_intersect():
     # U meets W in 0 exactly when dim(U + W) = dim U + dim W
     u = Subspace(3, [(1, 0, 0)])
