@@ -141,7 +141,10 @@ class StructureTensor:
 
     def apply(self, u, v):
         """Bilinear product of two coordinate vectors, summed over the basis
-        pairs where both coordinates are nonzero."""
+        pairs where both coordinates are nonzero; raises DimensionMismatch
+        on a vector of another length."""
+        if len(u) != self.dim or len(v) != self.dim:
+            raise DimensionMismatch("vector does not match the tensor's dimension")
         out = [Q(0)] * self.dim
         vs = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
@@ -242,12 +245,24 @@ class LieAlgebra:
         return vunit(self.dim, i)
 
     def bracket_space(self, u_space, v_space):
-        """Span of [u, v] over basis vectors of the two subspaces."""
-        vectors = []
-        for u in u_space.basis:
-            for v in v_space.basis:
-                vectors.append(self.bracket_vec(u, v))
-        return Subspace(self.dim, vectors)
+        """Span of [u, v] over basis vectors of the two subspaces. Each product
+        is summed in ints, as a sparse dict over the nonzeros of the int forms
+        of u, v and the bracket: a positive multiple of [u, v], which spans the
+        same. A subspace of another ambient dimension raises DimensionMismatch."""
+        if u_space.ambient_dim != self.dim or v_space.ambient_dim != self.dim:
+            raise DimensionMismatch("subspace does not match the algebra's dimension")
+        left = self.bracket._int_form()[2]
+        us, vs = (Matrix(s.basis, cols=self.dim)._int_form()[2] for s in (u_space, v_space))
+        rows = []
+        for u in us:
+            for v in vs:
+                out = {}
+                for i, a in u:
+                    for j, b in v:
+                        for k, c in left.get(i, {}).get(j, {}).items():
+                            out[k] = out.get(k, 0) + a * b * c
+                rows.append({k: x for k, x in out.items() if x})
+        return Subspace._from_rows(self.dim, rows)
 
     def _series(self, derived):
         """g, then [S, S] (derived) or [g, S] (lower central) of the last term

@@ -284,7 +284,17 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector does not match ambient dimension")
-        echelon = solve_sparse(_sparse(vectors), None, ambient_dim)
+        self._span(ambient_dim, _sparse(vectors))
+
+    @classmethod
+    def _from_rows(cls, ambient_dim, rows):
+        """The span of sparse rows {column: int or Fraction}, unchecked."""
+        space = cls.__new__(cls)
+        space._span(ambient_dim, rows)
+        return space
+
+    def _span(self, ambient_dim, rows):
+        echelon = solve_sparse(rows, None, ambient_dim)
         basis = tuple(
             tuple(echelon.pivot_rows[p].get(j, _ZERO) for j in range(ambient_dim))
             for p in sorted(echelon.pivot_rows)
@@ -484,8 +494,10 @@ def _echelon(rows, rhs, track):
     that reduces to 0 = c != 0 or None, that row's combination).
 
     The elimination runs on Python ints and divides once, at the end:
-    - each input row goes through the row step (_row_step): it is scaled to
-      ints, reduced by the pivot rows it holds, and made primitive with a
+    - a row that only restates fixed variables (_restates_fixed) reduces to
+      0 = 0 and changes nothing, tracked or not, so it is skipped;
+    - every other row goes through the row step (_row_step): it is scaled
+      to ints, reduced by the pivot rows it holds, and made primitive with a
       positive lead; its combination starts as {index: scale};
     - a row with entry f at pivot p, whose pivot row has lead l, becomes
       a * row - b * (pivot row) with g = gcd(f, l), a = l / g and b = f / g
@@ -507,9 +519,11 @@ def _echelon(rows, rhs, track):
     holders = {}  # column -> the pivot columns whose rows have an entry there
     bad = witness = None
     for idx, row in enumerate(rows):
+        val = 0 if rhs is None else rhs[idx]
+        if _restates_fixed(row, val, pivot_rows, pivot_rhs):
+            continue
         p, work, val, combo = _row_step(
-            row, 0 if rhs is None else rhs[idx], idx if track else None,
-            pivot_rows, pivot_rhs, pivot_combo,
+            row, val, idx if track else None, pivot_rows, pivot_rhs, pivot_combo
         )
         if p is None:
             if val and bad is None:
@@ -557,6 +571,18 @@ def _echelon(rows, rhs, track):
         _divide(witness, witness[bad])
     _to_fractions([*pivot_rows.values(), pivot_rhs, witness or {}])
     return pivot_rows, pivot_rhs, bad, witness
+
+
+def _restates_fixed(row, val, pivot_rows, pivot_vals):
+    """Whether the row and val are integral, each column c of the row has the
+    int pivot row {c: 1} and val = sum of row[c] * pivot_vals[c] (0 = 0)."""
+    rest = val.numerator
+    for c, x in row.items():
+        prow = pivot_rows.get(c)
+        if prow is None or x.denominator != 1 or len(prow) != 1 or prow[c] != 1:
+            return False
+        rest -= x.numerator * pivot_vals[c]
+    return rest == 0 and val.denominator == 1
 
 
 def _cross_reduce(row, val, combo, prow, pval, pcombo, p):
@@ -647,22 +673,18 @@ def _to_fractions(dicts, denominator=1):
 def solve_sparse(rows, rhs, ncols):
     """Echelonize a sparse system given as a list of dicts {column: coefficient}.
 
-    rhs may be None for a homogeneous system. Each row is reduced by the
-    pivots it holds, in increasing order, and its new pivot column is then
-    cleared from the earlier pivot rows that hold it, found through a column
-    index, so the pivot rows stay reduced against each other and every
-    reduction is exact. The result is a SparseSolution whose pivot rows form a reduced echelon
-    basis (pivot entry 1, pivot columns cleared from all other rows); the
-    pivot chosen for each new row is its smallest remaining column, which
-    makes the result canonical for a fixed row order. Provenance is tracked
-    only if some row reduces to 0 = c != 0: the rows up to the first such
-    row are then eliminated again with it, and the witness is that row's
-    sparse combination {original row index: coefficient}, with
-    sum_i witness_i row_i = 0 and sum_i witness_i rhs_i != 0.
-
-    The elimination runs on ints and divides once, at the end (see
-    _echelon); every pivot row entry, pivot value and witness coefficient of
-    the result is a Fraction.
+    rhs may be None for a homogeneous system. The result is a SparseSolution
+    whose pivot rows form the reduced echelon basis (pivot entry 1, pivot
+    columns cleared from all other rows, each pivot the smallest column its
+    row keeps), canonical for a fixed row order. A row that restates fixed
+    variables is skipped; any other is reduced by the pivots it holds, in
+    increasing order, and its new pivot cleared from the earlier pivot rows
+    found through a column index. Provenance is tracked only if some row
+    reduces to 0 = c != 0: the rows up to the first such row are eliminated
+    again with it, and the witness is that row's sparse combination
+    {original row index: coefficient}, with sum_i witness_i row_i = 0 and
+    sum_i witness_i rhs_i != 0. The elimination runs on ints and divides
+    once, at the end (_echelon); every entry of the result is a Fraction.
     """
     pivot_rows, pivot_rhs, bad, _ = _echelon(rows, rhs, False)
     witness = None if bad is None else _echelon(rows[: bad + 1], rhs, True)[3]

@@ -21,7 +21,9 @@ product's Novikov and compatibility checks are held to.
 The library's dense exact kernels run on ints; their entry-by-entry Fraction
 forms are here too: the matrix product and matrix-vector product, the
 half-bracket product and the change of basis through tabulate, and the
-substitution of affine forms into a quadratic.
+substitution of affine forms into a quadratic. So is the bracket of two
+subspaces as a dense product over every pair of basis vectors, with the
+derived and lower central series built on it.
 """
 
 import random
@@ -220,6 +222,24 @@ def invariant_profile(g):
 def intersect(u, w):
     """U meet W, as the annihilator of ann(U) + ann(W)."""
     return subspace_sum(u.annihilator(), w.annihilator()).annihilator()
+
+
+def bracket_space(g, u_space, v_space):
+    """Span of [u, v] over basis vectors of the two subspaces, each product
+    one dense StructureTensor.apply."""
+    return Subspace(g.dim, [g.bracket.apply(u, v) for u in u_space.basis for v in v_space.basis])
+
+
+def series(g, derived):
+    """g, then [S, S] (derived) or [g, S] (lower central) of the last term
+    S by the dense bracket_space, until a term repeats."""
+    full = Subspace.full(g.dim)
+    terms = [full]
+    while True:
+        nxt = bracket_space(g, terms[-1] if derived else full, terms[-1])
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
 
 
 def basis_product(t, i, j):

@@ -77,6 +77,14 @@ def test_series_matches_library(tmp_path, capsys):
     assert report["nilpotency_class"] == 4
 
 
+def test_series_report_on_free_n2_c4_is_pinned(capsys):
+    assert main(["series", "--lie", os.path.join(DATA, "free-n2-c4.laf")]) == 0
+    assert capsys.readouterr().out == (
+        '{"command": "series", "derived_dims": [8, 6, 0], "lower_central_dims": '
+        '[8, 6, 5, 3, 0], "derived_length": 2, "nilpotency_class": 4}\n'
+    )
+
+
 def test_rmatrix_check_and_induce(tmp_path, capsys):
     lie = str(tmp_path / "sl2.laf")
     tmat = str(tmp_path / "t.lafm")

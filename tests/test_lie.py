@@ -16,15 +16,18 @@ from novikov.lie import (
     validate_lie,
 )
 from novikov.fixtures import UnknownFixture, fixture, product_fixture
-from novikov.linalg import Matrix, Subspace
+from novikov.linalg import DimensionMismatch, Matrix, Subspace
+from novikov.products import half_bracket_product
 
 import dense_scans as dense
 from randalg import (
     bracket_cases,
+    gelfand_dorfman,
     random_prop57_instance,
     random_three_step_extension,
     random_two_step_nilpotent,
     rational,
+    rebased,
     rng_for,
 )
 
@@ -90,6 +93,81 @@ def test_series_monotone_and_stabilize():
             assert len(series) <= g.dim + 1
             for prev, nxt in zip(series, series[1:]):
                 assert dense.included(nxt, prev) and nxt.dim < prev.dim
+
+
+SERIES_FIXTURES = ("n3", "r2", "r3", "sl2", "ex35", "free-n2-c4", "free-n3-c3", "filiform:6",
+                   "In:4", "abelian:3", "r3-lambda:-1/2", "abelian:0", "abelian:1")
+
+
+def _series_algebras():
+    """Every named fixture, 0- and 1-dimensional ones among them; the
+    Gelfand-Dorfman algebras; and rebased copies of both, whose series have
+    dense bases with entries that are not integral."""
+    rng = rng_for("series-parity")
+    for name in SERIES_FIXTURES:
+        g = fx.fixture(name)
+        yield name, g
+        if g.dim:
+            yield "rebased " + name, rebased(g, half_bracket_product(g), rng)[0]
+    for n in range(1, 7):
+        for k in range(1, 4):
+            g, product = gelfand_dorfman(n, k)
+            yield "gd(%d, %d)" % (n, k), g
+            yield "rebased gd(%d, %d)" % (n, k), rebased(g, product, rng)[0]
+
+
+def test_series_match_the_dense_reference():
+    # both series term by term, and the bracket of each pair of their terms,
+    # against products built by StructureTensor.apply over basis pairs
+    non_integral = 0
+    for label, g in _series_algebras():
+        terms = []
+        for derived in (True, False):
+            got = g.derived_series() if derived else g.lower_central_series()
+            assert [s.basis for s in got] == [s.basis for s in dense.series(g, derived)], label
+            terms += got
+        for u in terms[:5]:
+            for v in terms[:5]:
+                assert g.bracket_space(u, v) == dense.bracket_space(g, u, v), label
+        non_integral += any(x.denominator != 1 for s in terms for v in s.basis for x in v)
+    assert non_integral >= 10
+
+
+def test_bracket_space_matches_the_dense_reference_on_random_subspaces():
+    rng = rng_for("bracket-space")
+    algebras = [fx.ex35(), fx.free_n3_c3(), fx.sl2(), random_two_step_nilpotent(rng)]
+    for g in algebras:
+        for _ in range(6):
+            u, v = (Subspace(g.dim, [_random_vector(rng, g.dim) for _ in range(rng.randint(0, 3))])
+                    for _ in range(2))
+            assert g.bracket_space(u, v) == dense.bracket_space(g, u, v)
+
+
+def test_series_make_no_dense_products(monkeypatch):
+    algebras = [fx.fixture(name) for name in SERIES_FIXTURES]
+
+    def refuse(*args):
+        raise AssertionError("StructureTensor.apply called")
+
+    monkeypatch.setattr(StructureTensor, "apply", refuse)
+    for g in algebras:
+        g.derived_series()
+        g.lower_central_series()
+        g.nilpotency_class()
+
+
+def test_wrong_dimensions_raise():
+    # ex35 has dimension 5: subspaces of Q^7 or Q^3 and vectors of length 3
+    # are refused, not bracketed as if they fit
+    g = fx.ex35()
+    for n, m in ((7, 7), (3, 3), (5, 3), (7, 5)):
+        with pytest.raises(DimensionMismatch):
+            g.bracket_space(Subspace.full(n), Subspace.full(m))
+    for u, v in (((1, 0, 0), (0, 0, 0, 1, 0)), ((0, 0, 0, 1, 0), (1, 0, 0)),
+                 ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))):
+        with pytest.raises(DimensionMismatch):
+            g.bracket.apply(u, v)
+    assert g.bracket.apply((1, 0, 0, 0, 0), (0, 0, 0, 1, 0)) == (0, -1, 0, 0, 0)
 
 
 def test_quotient_by_zero():

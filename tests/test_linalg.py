@@ -640,6 +640,54 @@ def test_echelon_matches_fraction_reference_on_dense_blocks():
             assert _assert_echelon_matches_reference(rows, rhs, track, label)
 
 
+def _restating_systems():
+    """(label, rows, rhs, rows that reach the row step) for systems whose
+    columns 0, 1, 2 are fixed at 2, -1, 3 by singleton rows, then restated."""
+    one, x = Q(1), (Q(2), Q(-1), Q(3))
+    singles = [{c: one} for c in range(3)]
+    sums = [{0: one, 1: one}, {2: Q(-2), 0: Q(3)}, {1: Q(5), 2: one, 0: Q(-1)}]
+    yield "repeated singletons", singles * 3, list(x) * 3, 3
+    yield "sums of fixed variables", singles + sums, list(x) + [Q(1), Q(0), Q(-4)], 3
+    # a wrong restatement is the bad row; the singleton after it is skipped
+    yield ("wrong restatement", singles + [{0: one, 1: one}, {2: one}],
+           list(x) + [Q(2), Q(3)], 4)
+    yield ("fraction entries", singles + [{0: Q(1, 2), 1: Q(1, 2)}, {1: Q(-3, 7)}],
+           list(x) + [Q(1, 2), Q(3, 7)], 5)
+    yield "wrong fraction value", singles + [{0: one}], list(x) + [Q(7, 3)], 4
+    # x_0 = 1/2 keeps the int row {0: 2}: every restatement of it falls
+    # through, and x_0 = 1 contradicts it
+    yield ("fixed at 1/2", [{0: Q(2)}, {0: Q(2)}, {0: Q(4)}, {1: one}, {1: one}],
+           [Q(1), Q(1), Q(2), Q(3), Q(3)], 4)
+    yield "wrong value for 1/2", [{0: Q(2)}, {1: one}, {0: one}], [Q(1), Q(3), Q(1)], 3
+    # column 0 holds the pivot row {0: 1} only once column 1 is cleared from it
+    yield "cleared to a singleton", [{0: one, 1: one}, {1: one}, {0: one}], [Q(3), Q(1), Q(2)], 2
+
+
+def test_echelon_skips_rows_that_restate_fixed_variables(monkeypatch):
+    # the same echelon form, entry order, bad row and witness as the
+    # reference, tracked and untracked, with only the restating rows skipped
+    calls = []
+    row_step = linalg._row_step
+    monkeypatch.setattr(linalg, "_row_step", lambda *args: calls.append(1) or row_step(*args))
+    for label, rows, rhs, stepped in _restating_systems():
+        for track in (False, True):
+            del calls[:]
+            inconsistent = _assert_echelon_matches_reference(rows, rhs, track, label)
+            assert inconsistent == label.startswith("wrong"), label
+            assert len(calls) == stepped, label
+            # homogeneous, the singletons fix 0 and every restatement of 0
+            _assert_echelon_matches_reference(rows, None, track, label)
+
+
+def test_free_n3_c3_linear_block_steps_only_rows_that_are_not_restated(monkeypatch):
+    system = build_system(fx.fixture("free-n3-c3"))
+    calls = []
+    row_step = linalg._row_step
+    monkeypatch.setattr(linalg, "_row_step", lambda *args: calls.append(1) or row_step(*args))
+    assert solve_sparse(system.linear_rows, system.linear_rhs, system.nvars).consistent
+    assert (len(calls), len(system.linear_rows)) == (2893, 8670)
+
+
 @pytest.mark.parametrize("c", [3, -1, Q(1), Q(-5, 2)])
 def test_add_term_stores_a_new_key_as_given(c):
     # a new key takes c itself, so no 0 + c allocates a Fraction and an int
