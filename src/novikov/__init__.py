@@ -22,7 +22,6 @@ from .extensions import (
     ExtensionData,
     LiftData,
     assemble,
-    check_lift_lsa,
     iso_lift,
     jordan_lift,
     lift_product,

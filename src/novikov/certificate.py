@@ -97,9 +97,6 @@ class PolySystem:
         self.linear_rhs = linear_rhs
         self.quadratics = quadratics
 
-    def var_index(self, i, r, c):
-        return (i * self.n + r) * self.n + c
-
     def __repr__(self):
         return "PolySystem(n=%d, linear=%d, quadratic=%d)" % (
             self.n,
@@ -483,12 +480,12 @@ def _eliminate_residuals(residuals, effort):
 
 
 def _product_from_solution(system, values):
+    """The product with L(e_i)[k][j], variable (i*n + k)*n + j, as the
+    constant of e_i * e_j on e_k, read from the nonzero values."""
     n = system.n
-    return AlgebraProduct(
-        StructureTensor.tabulate(
-            n, lambda i, j: [values[system.var_index(i, k, j)] for k in range(n)]
-        )
-    )
+    entries = {(index // (n * n), index % n, index // n % n): v
+               for index, v in enumerate(values) if v}
+    return AlgebraProduct(StructureTensor(n, {key: entries[key] for key in sorted(entries)}))
 
 
 def _verified(g, h, product, method):

@@ -49,10 +49,9 @@ class NotAnIdeal(ValidationError):
 class StructureTensor:
     """Sparse structure constants c[i][j][k] of a bilinear product on Q^n.
 
-    e_i * e_j = sum_k c[i][j][k] e_k; only nonzero entries are stored. A table
-    that a construction builds from a bilinear map on basis vectors goes
-    through tabulate; the half-bracket product and change_basis build theirs
-    from the nonzeros alone.
+    e_i * e_j = sum_k c[i][j][k] e_k; only nonzero entries are stored. Every
+    construction builds its table from the nonzeros of its data, with the
+    entries in sorted (i, j, k) order.
 
     pairs indexes the same entries by basis pair, {(i, j): {k: c}}, with no
     empty or zero value. It is built once with the tensor and never changes;
@@ -113,11 +112,6 @@ class StructureTensor:
                 if v:
                     entries[(i, j, k)] = v
         return cls(dim, entries)
-
-    @classmethod
-    def tabulate(cls, dim, f):
-        """The tensor with e_i * e_j = f(i, j) for every basis pair."""
-        return cls.from_products(dim, {(i, j): f(i, j) for i in range(dim) for j in range(dim)})
 
     @classmethod
     def antisymmetric_from_brackets(cls, dim, brackets):
@@ -186,8 +180,8 @@ class StructureTensor:
         their int forms (d_B B, d_C C) and the constants in theirs (d c),
         each pair row c(i, j) is mapped through C once, and its image, times
         B[i, a] B[j, b], is added to the new pair (a, b) for the nonzero
-        B[i, a] and B[j, b]. The sums are divided by d_B^2 d_C d once, in
-        sorted (a, b, k) order, as tabulate orders its entries.
+        B[i, a] and B[j, b]. The sums are divided by d_B^2 d_C d once and
+        entered in sorted (a, b, k) order.
         """
         n = self.dim
         if basis.rows != n or basis.cols != n:
@@ -402,21 +396,20 @@ def quotient_tensor(tensor, subspace):
 
     The quotient basis is the lexicographically earliest set of standard basis
     vectors completing the ideal's echelon basis, which makes the structure
-    constants deterministic. Returns the chosen indices and the tensor; the
-    caller checks that the subspace is an ideal.
+    constants deterministic: the constants on [ideal basis | those vectors]
+    with all three indices past the ideal. Returns the chosen indices and the
+    tensor; the caller checks that the subspace is an ideal.
     """
     n = subspace.ambient_dim
     comp = subspace.complement()
-    minv = Matrix.from_columns(
+    basis = Matrix.from_columns(
         [list(v) for v in subspace.basis] + [list(vunit(n, j)) for j in comp]
-    ).inverse()
+    )
     k = subspace.dim
-
-    def entry(a, b):
-        w = tensor.basis_product(comp[a], comp[b])
-        return (minv.apply(w) if any(w) else w)[k:]
-
-    return comp, StructureTensor.tabulate(len(comp), entry)
+    entries = tensor.change_basis(basis, basis.inverse()).entries
+    return comp, StructureTensor(len(comp), {
+        (a - k, b - k, c - k): v for (a, b, c), v in entries.items() if min(a, b, c) >= k
+    })
 
 
 def quotient(g, ideal):

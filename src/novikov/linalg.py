@@ -748,17 +748,22 @@ def word_image_space(ops, v_subspace, length):
     """Span of w(v) over v in the subspace and words w of exactly `length` operators.
 
     The term for words of length k + 1 is the span of the ops applied to the
-    term for length k, so once a term repeats every later one equals it.
+    term for length k, so once a term repeats every later one equals it. Each
+    image is summed in ints, as a sparse dict: the int rows of an operator
+    over the int nonzeros of a basis vector, a positive multiple of the image
+    that spans the same.
     """
+    n = v_subspace.ambient_dim
     for m in ops:
-        if m.rows != m.cols or m.rows != v_subspace.ambient_dim:
+        if m.rows != m.cols or m.rows != n:
             raise DimensionMismatch("operators must be square of the ambient dimension")
+    op_rows = [m._int_form()[1] for m in ops]
     current = v_subspace
     for _ in range(length):
-        vectors = []
-        for m in ops:
-            vectors.extend(m.apply(v) for v in current.basis)
-        image = Subspace(v_subspace.ambient_dim, vectors)
+        vectors = Matrix(current.basis, cols=n)._int_form()[2]
+        images = [{r: s for r, s in enumerate(sum([row[j] * x for j, x in v]) for row in rows) if s}
+                  for rows in op_rows for v in vectors]
+        image = Subspace._from_rows(n, images)
         if image == current:
             break
         current = image

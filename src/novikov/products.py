@@ -130,7 +130,7 @@ def is_compatible(p, g):
 
 def half_bracket_product(g):
     """The product x*y = [x,y]/2 on the space of g, halved entry by entry
-    from the bracket's nonzeros, in sorted order as tabulate gives them."""
+    from the bracket's nonzeros, in sorted (i, j, k) order."""
     half = Q(1, 2)
     return AlgebraProduct(StructureTensor(
         g.dim, {ijk: half * c for ijk, c in sorted(g.bracket.entries.items())}

@@ -13,11 +13,14 @@ from .extensions import (
     LiftCheckFailed,
     LiftData,
     NotTwoStepSolvable,
-    check_lift_lsa,
+    _b_product_verdict,
+    _check_representation,
+    _extension_bracket,
     lift_product,
     scheuneman_lift,
     two_step_solvable_from,
 )
+from .lie import LieAlgebra
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -25,7 +28,6 @@ from .linalg import (
     Subspace,
     _add_term,
     is_zero_vec,
-    scaled_sum,
     solve_sparse,
     vadd,
     vscale,
@@ -33,6 +35,7 @@ from .linalg import (
     vzero,
     word_image_space,
 )
+from .products import Verdict, is_compatible, is_left_symmetric
 
 
 class NotNilpotentAlgebra(ValueError):
@@ -47,7 +50,7 @@ class InconsistentCoboundary(ValueError):
 
 class ModuleAction:
     """A representation of a Lie algebra b on Q^dim_v, one matrix per basis
-    element of b."""
+    element of b, checked as ExtensionData.validate checks phi."""
 
     __slots__ = ("b", "dim_v", "action")
 
@@ -58,13 +61,7 @@ class ModuleAction:
         for m in action:
             if m.rows != dim_v or m.cols != dim_v:
                 raise DimensionMismatch("action matrices must be dim_v x dim_v")
-        for p in range(b.dim):
-            for q in range(p + 1, b.dim):
-                lhs = action[p] * action[q] - action[q] * action[p]
-                if lhs != scaled_sum(zip(b.bracket.basis_product(p, q), action), dim_v, dim_v):
-                    raise DimensionMismatch(
-                        "representation identity fails at basis pair (%d, %d)" % (p, q)
-                    )
+        _check_representation(b.bracket, action, dim_v)
         self.b = b
         self.dim_v = dim_v
         self.action = action
@@ -199,16 +196,26 @@ def reduction_lift(ext, lift_n):
     the section correction rewrites the result against the original cocycle.
     Preserves the checker verdicts: an LSA lift yields an LSA lift, and a
     Novikov lift a Novikov lift in the trivial-products case. The incoming
-    lift comes from outside, so it is checked here, once, by check_lift_lsa
-    on the induced extension, and LiftCheckFailed carries a failing verdict
-    (dimension-mismatch for a lift of the wrong dimensions). The pulled-back
-    lift is then an LSA lift by the reduction and is returned unchecked; the
-    test suite runs check_lift_lsa on it.
+    lift comes from outside, so it is decided here, once, on the induced
+    extension; LiftCheckFailed carries the first failing verdict of
+    dimension-mismatch, the b-product hypothesis and the product checks that
+    decide (8)-(14): eq-1 of the lifted product, then eq-3 against the
+    unvalidated extension bracket, which invalid data fails too. The
+    pulled-back lift is an LSA lift by the reduction and is returned
+    unchecked; the test suite checks both against (8)-(14).
     """
     if not ext.a_product.is_zero():
         raise HypothesisFailed("reduction_lift requires a trivial a-product")
     ind = induced_nilpotent_extension(ext)
-    verdict = check_lift_lsa(ind.ext_n, lift_n)
+    ext_n = ind.ext_n
+    if (lift_n.dim_a, lift_n.dim_b) != (ext_n.dim_a, ext_n.dim_b):
+        raise LiftCheckFailed(Verdict(False, None, "dimension-mismatch"))
+    verdict = _b_product_verdict(ext_n)
+    if verdict:
+        product = lift_product(ext_n, lift_n)
+        verdict = is_left_symmetric(product)
+        if verdict:
+            verdict = is_compatible(product, LieAlgebra(_extension_bracket(ext_n)))
     if not verdict:
         raise LiftCheckFailed(verdict)
     return _lift_through(ext, ind, lift_n)

@@ -9,7 +9,7 @@ on the deformed algebra with bracket [x,y]_T = [Tx, y] + [x, Ty].
 
 from .extensions import HypothesisFailed
 from .lie import StructureTensor, validate_lie
-from .linalg import DimensionMismatch, Matrix, vadd
+from .linalg import DimensionMismatch, Matrix, _to_fractions, vadd
 from .products import AlgebraProduct, Verdict
 
 
@@ -36,15 +36,30 @@ class RMatrix:
 
 
 def deformed_bracket(r):
-    """Structure tensor of [x,y]_T = [Tx, y] + [x, Ty]; Jacobi not implied."""
-    g, t = r.g, r.t
-    return StructureTensor.tabulate(
-        g.dim,
-        lambda i, j: vadd(
-            g.bracket_vec(t.column(i), g.basis_vector(j)),
-            g.bracket_vec(g.basis_vector(i), t.column(j)),
-        ),
-    )
+    """Structure tensor of [x,y]_T = [Tx, y] + [x, Ty]; Jacobi not implied.
+    [e_i, T e_j] = -[T e_j, e_i], so it is the table of [T e_i, e_j] minus
+    its transpose."""
+    product = _t_product(r).entries
+    acc = dict(product)
+    for (i, j, k), c in product.items():
+        acc[(j, i, k)] = acc.get((j, i, k), 0) - c
+    return StructureTensor(r.g.dim, {key: acc[key] for key in sorted(acc) if acc[key]})
+
+
+def _t_product(r):
+    """The tensor of [T e_i, e_j] = sum of T[l, i] [e_l, e_j], summed in ints
+    over the nonzeros of the int forms of T and the bracket, in sorted order."""
+    d, _, left = r.g.bracket._int_form()[:3]
+    e, _, t_rows = r.t._int_form()
+    acc = {}
+    for l, terms in enumerate(t_rows):
+        for j, row in left.get(l, {}).items():
+            for i, x in terms:
+                for k, c in row.items():
+                    acc[(i, j, k)] = acc.get((i, j, k), 0) + x * c
+    entries = {key: acc[key] for key in sorted(acc) if acc[key]}
+    _to_fractions([entries], d * e)
+    return StructureTensor(r.g.dim, entries)
 
 
 def deformed_algebra(r):
@@ -98,10 +113,7 @@ def induced_product(r):
     novbed = check_novbed(r)
     if not novbed:
         raise PreconditionFailed("novbed", novbed.witness)
-    g, t = r.g, r.t
-    return AlgebraProduct(
-        StructureTensor.tabulate(g.dim, lambda i, j: g.bracket_vec(t.column(i), g.basis_vector(j)))
-    )
+    return AlgebraProduct(_t_product(r))
 
 
 def basis_rmatrix(g, ell, m):

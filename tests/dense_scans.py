@@ -15,21 +15,26 @@ bounds of a deformation and the Lie algebra invariant profile that only
 tests use, and a seeded sampler of right multiplications R(x), which
 searches for an R(x) that is not nilpotent, and the word image spans
 computed to full length, past their fixed point.
-The paper's Novikov lift systems are here as well: (8)-(20) in general and
-(25)-(31) for trivial products on an abelian b, the reference the lifted
-product's Novikov and compatibility checks are held to.
+The paper's lift systems are here as well: the LSA conditions (8)-(14), and
+the Novikov conditions (8)-(20) in general and (25)-(31) for trivial
+products on an abelian b, the references the lifted product's
+left-symmetry, Novikov and compatibility checks are held to.
 The library's dense exact kernels run on ints; their entry-by-entry Fraction
-forms are here too: the matrix product and matrix-vector product, the
-half-bracket product and the change of basis through tabulate, and the
-substitution of affine forms into a quadratic. So is the bracket of two
-subspaces as a dense product over every pair of basis vectors, with the
-derived and lower central series built on it.
+forms are here too: the matrix product and matrix-vector product, and the
+substitution of affine forms into a quadratic. The library builds every
+tensor from the nonzeros of its data; tabulate, one dense vector per basis
+pair, builds the references: the half-bracket product, the change of basis,
+the lifted product, the assembled bracket, the quotient tensor, the induced
+product and deformed bracket of an r-matrix, and the product read from a
+solution of the condition system. The bracket of two subspaces as a dense
+product over every pair of basis vectors is here too, with the derived and
+lower central series built on it.
 """
 
 import random
 
 
-from novikov.extensions import check_lift_lsa
+from novikov.extensions import _b_product_verdict
 from novikov.lie import AntisymmetryViolation, JacobiViolation, LieAlgebra, StructureTensor
 from novikov.linalg import (
     DimensionMismatch,
@@ -46,6 +51,7 @@ from novikov.linalg import (
     vscale,
     vsub,
     vunit,
+    vzero,
 )
 from novikov.products import (
     COMPLETE,
@@ -91,9 +97,15 @@ def matrix_apply(m, v):
     return tuple(sum((row[j] * y for j, y in nonzeros if row[j]), Q(0)) for row in m.data)
 
 
+def tabulate(dim, f):
+    """The tensor with e_i * e_j = f(i, j) for every basis pair."""
+    return StructureTensor.from_products(
+        dim, {(i, j): f(i, j) for i in range(dim) for j in range(dim)})
+
+
 def half_bracket_product(g):
     """x*y = [x,y]/2 through tabulate, one dense vector per basis pair."""
-    return AlgebraProduct(StructureTensor.tabulate(
+    return AlgebraProduct(tabulate(
         g.dim, lambda i, j: vscale(Q(1, 2), g.bracket.basis_product(i, j))))
 
 
@@ -108,7 +120,86 @@ def change_basis(t, basis, basis_inv):
         w = apply(t, columns[a], columns[b])
         return matrix_apply(basis_inv, w) if any(w) else w
 
-    return StructureTensor.tabulate(t.dim, entry)
+    return tabulate(t.dim, entry)
+
+
+def lift_product(ext, lift):
+    """The lifted product on a x b through tabulate."""
+    n, m = ext.dim_a, ext.dim_b
+    zb = vzero(m)
+
+    def product(i, j):
+        p, q = i - n, j - n
+        if i < n:
+            return (ext.a_product.basis_product(i, j) if j < n else lift.x_op[q].column(i)) + zb
+        if j < n:
+            return lift.y_op[p].column(j) + zb
+        return lift.omega_value(p, q) + ext.b_product.basis_product(p, q)
+
+    return AlgebraProduct(tabulate(n + m, product))
+
+
+def extension_bracket(ext):
+    """The bracket tensor that assemble gives, through tabulate."""
+    n, m = ext.dim_a, ext.dim_b
+    zb = vzero(m)
+
+    def bracket(i, j):
+        p, q = i - n, j - n
+        if i < n:
+            return (vzero(n) if j < n else vscale(-1, ext.phi[q].column(i))) + zb
+        if j < n:
+            return ext.phi[p].column(j) + zb
+        return ext.omega_pair(p, q) + ext.b_bracket.basis_product(p, q)
+
+    return tabulate(n + m, bracket)
+
+
+def quotient_tensor(tensor, subspace):
+    """The quotient constants through tabulate: the inverse of [ideal basis |
+    complement units] applied to each product of complement units, past the
+    ideal's coordinates."""
+    n = subspace.ambient_dim
+    comp = subspace.complement()
+    minv = Matrix.from_columns(
+        [list(v) for v in subspace.basis] + [list(vunit(n, j)) for j in comp]
+    ).inverse()
+    k = subspace.dim
+
+    def entry(a, b):
+        w = tensor.basis_product(comp[a], comp[b])
+        return (minv.apply(w) if any(w) else w)[k:]
+
+    return comp, tabulate(len(comp), entry)
+
+
+def t_product(r):
+    """e_i * e_j = [T e_i, e_j] through tabulate."""
+    g, t = r.g, r.t
+    return tabulate(g.dim, lambda i, j: g.bracket_vec(t.column(i), g.basis_vector(j)))
+
+
+def deformed_bracket(r):
+    """[x,y]_T = [Tx, y] + [x, Ty] through tabulate."""
+    g, t = r.g, r.t
+    return tabulate(
+        g.dim,
+        lambda i, j: vadd(
+            g.bracket_vec(t.column(i), g.basis_vector(j)),
+            g.bracket_vec(g.basis_vector(i), t.column(j)),
+        ),
+    )
+
+
+def var_index(n, i, r, c):
+    """The index of the unknown L(e_i)[r][c] of the condition system on Q^n."""
+    return (i * n + r) * n + c
+
+
+def product_from_solution(n, values):
+    """The product with L(e_i) read from a solution vector, through tabulate."""
+    return AlgebraProduct(
+        tabulate(n, lambda i, j: [values[var_index(n, i, k, j)] for k in range(n)]))
 
 
 def substitute(poly, forms):
@@ -145,7 +236,7 @@ def commutator(a, b):
 
 def commutator_tensor(p):
     """Structure constants of x*y - y*x."""
-    return StructureTensor.tabulate(
+    return tabulate(
         p.dim, lambda i, j: vsub(p.basis_product(i, j), p.basis_product(j, i))
     )
 
@@ -507,6 +598,98 @@ def nilpotent_regular_basis(n_matrix):
     return Matrix.from_columns(chain).inverse()
 
 
+def lift_omega_of(lift, x, y):
+    """The lift's omega(x, y), bilinear in the b-vectors x and y."""
+    out = vzero(lift.dim_a)
+    for (p, q), v in lift.x_values.items():
+        c = x[p] * y[q]
+        if c:
+            out = vadd(out, vscale(c, v))
+    return out
+
+
+def check_lift_lsa(ext, lift):
+    """Conditions (8)-(14) for the lifted product to be left-symmetric; a
+    lift whose dimensions are not the extension's fails dimension-mismatch,
+    and a b-product that is no LSA structure on b its b-product label."""
+    if (lift.dim_a, lift.dim_b) != (ext.dim_a, ext.dim_b):
+        return Verdict(False, None, "dimension-mismatch")
+    hypothesis = _b_product_verdict(ext)
+    if not hypothesis:
+        return hypothesis
+    n, m = ext.dim_a, ext.dim_b
+    ea = [vunit(n, i) for i in range(n)]
+    eb = [vunit(m, p) for p in range(m)]
+    x_op, y_op = lift.x_op, lift.y_op
+    aprod = ext.a_product
+    bprod = ext.b_product
+
+    for p in range(m):
+        for q in range(m):
+            lhs = vsub(lift.omega_value(p, q), lift.omega_value(q, p))
+            if lhs != ext.omega_pair(p, q):
+                return Verdict(False, (p, q), "eq-8")
+    for p in range(m):
+        if y_op[p] - x_op[p] != ext.phi[p]:
+            return Verdict(False, (p,), "eq-9")
+    for p in range(m):
+        for q in range(m):
+            for r in range(m):
+                lhs = vsub(
+                    vsub(
+                        y_op[p].apply(lift.omega_value(q, r)),
+                        y_op[q].apply(lift.omega_value(p, r)),
+                    ),
+                    lift.x_op[r].apply(ext.omega_pair(p, q)),
+                )
+                rhs = vadd(
+                    vsub(
+                        lift_omega_of(lift, eb[q], bprod.basis_product(p, r)),
+                        lift_omega_of(lift, eb[p], bprod.basis_product(q, r)),
+                    ),
+                    lift_omega_of(lift, ext.b_bracket.basis_product(p, q), eb[r]),
+                )
+                if lhs != rhs:
+                    return Verdict(False, (p, q, r), "eq-10")
+    # eq-11 reads e_i.omega(q, r) = (Y_q X_r - X_r A_q - X(q.r)) e_i; the
+    # matrix does not depend on i, so it is built once per (q, r)
+    eq11 = {
+        (q, r): y_op[q] * x_op[r] - x_op[r] * ext.phi[q]
+        - scaled_sum(zip(bprod.basis_product(q, r), x_op), n, n)
+        for q in range(m)
+        for r in range(m)
+    }
+    for i in range(n):
+        for q in range(m):
+            for r in range(m):
+                if aprod.apply(ea[i], lift.omega_value(q, r)) != eq11[(q, r)].column(i):
+                    return Verdict(False, (i, q, r), "eq-11")
+    for i in range(n):
+        for j in range(n):
+            for r in range(m):
+                if aprod.apply(ea[i], x_op[r].apply(ea[j])) != aprod.apply(
+                    ea[j], x_op[r].apply(ea[i])
+                ):
+                    return Verdict(False, (i, j, r), "eq-12")
+    for i in range(n):
+        for k in range(n):
+            for q in range(m):
+                lhs = vsub(
+                    y_op[q].apply(aprod.apply(ea[i], ea[k])),
+                    aprod.apply(ea[i], y_op[q].apply(ea[k])),
+                )
+                rhs = aprod.apply(ext.phi[q].apply(ea[i]), ea[k])
+                if lhs != rhs:
+                    return Verdict(False, (i, k, q), "eq-13")
+    for p in range(m):
+        for q in range(p + 1, m):
+            w = ext.omega_pair(p, q)
+            for k in range(n):
+                if not is_zero_vec(aprod.apply(w, ea[k])):
+                    return Verdict(False, (p, q, k), "eq-14")
+    return Verdict(True)
+
+
 def _check_lift_novikov_trivial(ext, lift):
     """Conditions (25)-(31): the trivial-products specialization."""
     if (lift.dim_a, lift.dim_b) != (ext.dim_a, ext.dim_b):
@@ -578,8 +761,8 @@ def _check_novikov_extra(ext, lift):
                     x_op[q].apply(lift.omega_value(p, r)),
                 )
                 rhs = vsub(
-                    lift.omega_of(bprod.basis_product(p, r), eb[q]),
-                    lift.omega_of(bprod.basis_product(p, q), eb[r]),
+                    lift_omega_of(lift, bprod.basis_product(p, r), eb[q]),
+                    lift_omega_of(lift, bprod.basis_product(p, q), eb[r]),
                 )
                 if lhs != rhs:
                     return Verdict(False, (p, q, r), "eq-15")

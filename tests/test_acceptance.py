@@ -16,7 +16,6 @@ from novikov.certificate import (
 )
 from novikov.extensions import (
     assemble,
-    check_lift_lsa,
     jordan_lift,
     lift_product,
     novikov_ideal_quotient,
@@ -51,6 +50,7 @@ from novikov.rmatrix import (
 )
 
 from dense_scans import (
+    check_lift_lsa,
     check_lift_novikov,
     commutator,
     commutator_tensor,

@@ -39,7 +39,7 @@ from novikov.laf import parse_file
 from novikov.linalg import NotRegularNilpotent, _add_scaled, _add_term, solve_sparse, vunit
 from novikov.products import AlgebraProduct, half_bracket_product, is_compatible, is_novikov
 
-from dense_scans import check_lift_novikov, left_matrix_of, substitute
+from dense_scans import check_lift_novikov, left_matrix_of, substitute, var_index
 from randalg import (
     gelfand_dorfman,
     random_mixed_extension,
@@ -74,7 +74,7 @@ def test_build_system_n3_solvable_by_half_bracket():
     p = fx.product_fixture("half-bracket:n3")
     values = [Q(0)] * system.nvars
     for (i, c, r), v in p.tensor.entries.items():
-        values[system.var_index(i, r, c)] = v
+        values[var_index(system.n, i, r, c)] = v
     for row, rhs in zip(system.linear_rows, system.linear_rhs):
         assert sum((c * values[v] for v, c in row.items()), Q(0)) == rhs
     for poly in system.quadratics:
@@ -417,7 +417,7 @@ def test_known_products_satisfy_their_systems():
         system = build_system(g)
         values = [Q(0)] * system.nvars
         for (i, c, r), v in p.tensor.entries.items():
-            values[system.var_index(i, r, c)] = v
+            values[var_index(system.n, i, r, c)] = v
         for row, rhs in zip(system.linear_rows, system.linear_rhs):
             assert sum((c * values[v] for v, c in row.items()), Q(0)) == rhs
         for poly in system.quadratics:
@@ -441,7 +441,7 @@ def test_product_from_solution_round_trip():
             left = p.tensor.left_matrix(i)
             for r in range(p.dim):
                 for c in range(p.dim):
-                    values[system.var_index(i, r, c)] = left[r, c]
+                    values[var_index(system.n, i, r, c)] = left[r, c]
         assert certificate._product_from_solution(system, values) == p
 
 
@@ -558,11 +558,10 @@ def test_scheuneman_lift_is_novikov_only_as_the_half_bracket():
 
 def test_decide_assembles_no_extension(monkeypatch):
     # the constructors read the class of g itself; no closed form assembles
-    # its extension, and scheuneman_lift runs no lift check
+    # its extension (no library module calls a lift checker at all)
     calls = []
-    for name in ("assemble", "check_lift_lsa"):
-        original = getattr(extensions, name)
-        monkeypatch.setattr(extensions, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    original = extensions.assemble
+    monkeypatch.setattr(extensions, "assemble", lambda *a: calls.append("assemble") or original(*a))
     assert decide_novikov(fx.free_n2_c4()).verdict == NOT_EXISTS
     assert decide_novikov(fx.ex35()).method == "two-generator"
     assert calls == []
@@ -857,6 +856,6 @@ def test_constructor_products_satisfy_system():
         system = build_system(g)
         values = [Q(0)] * system.nvars
         for (i, c, r), v in cert.product.tensor.entries.items():
-            values[system.var_index(i, r, c)] = v
+            values[var_index(system.n, i, r, c)] = v
         for row, rhs in zip(system.linear_rows, system.linear_rhs):
             assert sum((c * values[v] for v, c in row.items()), Q(0)) == rhs

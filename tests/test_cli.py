@@ -229,6 +229,20 @@ def test_decide_effort_threshold(tmp_path, capsys):
     assert code == 1 and report["verdict"] == "not-exists"
 
 
+def test_decide_rejects_a_negative_effort(tmp_path, capsys):
+    # a negative budget is malformed input, not a budget that runs out
+    import pytest
+
+    lie = str(tmp_path / "g8.laf")
+    emit_file(fx.free_n2_c4(), lie)
+    with pytest.raises(SystemExit) as err:
+        main(["decide", "--lie", lie, "--effort", "-1"])
+    assert err.value.code == 2
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["ok"] is False and report["error"] == "UsageError"
+    assert "--effort" in report["detail"]
+
+
 def test_reduce_command(tmp_path, capsys):
     from novikov.extensions import ExtensionData
 

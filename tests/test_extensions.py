@@ -17,7 +17,6 @@ from novikov.extensions import (
     NotProductIdeal,
     NotTwoStepSolvable,
     assemble,
-    check_lift_lsa,
     iso_lift,
     jordan_lift,
     lift_product,
@@ -41,6 +40,7 @@ from novikov.products import (
 )
 
 from dense_scans import (
+    check_lift_lsa,
     _check_lift_novikov_trivial,
     _check_novikov_extra,
     a_product_violation,

@@ -2,19 +2,24 @@
 
 Matrix.__mul__ and Matrix.apply, the half-bracket product, change_basis and
 the residual substitution accumulate in ints and divide once; the references
-in dense_scans compute entry by entry over Fractions. Results must agree in
-value, in entry order and in type: every entry is a Fraction.
+in dense_scans compute entry by entry over Fractions. The tensors the library
+builds from the nonzeros of their data are held to their tabulate forms.
+Results must agree in value, in entry order and in type: every entry is a
+Fraction.
 """
+
+import functools
 
 from fractions import Fraction as Q
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novikov import certificate, lie
+from novikov import certificate, extensions, lie, rmatrix
 from novikov import fixtures as fx
-from novikov.lie import LieAlgebra, StructureTensor
-from novikov.linalg import Matrix
+from novikov.extensions import ExtensionData, LiftData, assemble, lift_product
+from novikov.lie import LieAlgebra, StructureTensor, quotient_tensor
+from novikov.linalg import Matrix, Subspace
 from novikov.products import (
     AlgebraProduct,
     half_bracket_product,
@@ -24,6 +29,7 @@ from novikov.products import (
 )
 
 import dense_scans as dense
+from randalg import random_mixed_extension, random_three_step_extension, rng_for
 
 # values with a denominator up to 97; ENTRIES are zero about half the time
 NONZERO = st.builds(Q, st.integers(-60, 60).filter(bool), st.integers(1, 97))
@@ -44,8 +50,8 @@ def matrices(draw, rows, cols):
 
 
 @st.composite
-def tensors(draw, max_dim=5, antisymmetric=False):
-    n = draw(st.integers(0, max_dim))
+def tensors(draw, max_dim=5, antisymmetric=False, dim=None):
+    n = draw(st.integers(0, max_dim)) if dim is None else dim
     if not n:
         return StructureTensor(0, {})
     index = st.integers(0, n - 1)
@@ -158,3 +164,70 @@ def test_product_checks_build_the_int_index_once(monkeypatch):
         is_novikov(p)
         is_complete(p)
         assert calls == [p.tensor], name
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_extensions():
+    """Extensions that pass validate, so that assemble builds their bracket."""
+    rng = rng_for("int-kernels-assemble")
+    exts = [random_three_step_extension(rng, i) for i in range(3)]
+    exts += [random_mixed_extension(rng) for _ in range(3)]
+    return exts + [extensions.two_step_solvable_from(fx.fixture(name))[0]
+                   for name in ("ex35", "filiform:6", "n3", "r3")]
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_rmatrices():
+    """The basis r-matrices whose hypothesis holds, on small fixtures."""
+    return [rmatrix.basis_rmatrix(g, ell, m) for g in (fx.n3(), fx.r2(), fx.ex35())
+            for ell in range(g.dim) for m in range(g.dim)
+            if all(g.bracket.basis_product(i, m)[ell] == 0 for i in range(g.dim))]
+
+
+@st.composite
+def builder_cases(draw):
+    """Inputs for every builder: unvalidated extension and lift data with dim a
+    and dim b up to 3, a valid extension, a tensor and a subspace of its
+    space, an r-matrix that is random or valid, and a solution vector."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    index = st.integers(0, max(m - 1, 0))
+    table = st.dictionaries(st.tuples(index, index), st.tuples(*[ENTRIES] * n),
+                            max_size=m * m)
+    omega = {(p, q): v for (p, q), v in draw(table).items() if p < q}
+    ext = ExtensionData(n, m, [draw(matrices(n, n)) for _ in range(m)], omega,
+                        b_bracket=draw(tensors(antisymmetric=True, dim=m)),
+                        b_product=AlgebraProduct(draw(tensors(dim=m))),
+                        a_product=AlgebraProduct(draw(tensors(dim=n))))
+    lift = LiftData(n, m, [draw(matrices(n, n)) for _ in range(m)],
+                    [draw(matrices(n, n)) for _ in range(m)], draw(table))
+    t = draw(tensors())
+    vector = st.lists(ENTRIES, min_size=t.dim, max_size=t.dim)
+    ideal = Subspace(t.dim, draw(st.lists(vector, max_size=t.dim + 1)))
+    if draw(st.booleans()):
+        r = draw(st.sampled_from(_valid_rmatrices()))
+    else:
+        g = LieAlgebra(draw(tensors(antisymmetric=True)))
+        r = rmatrix.RMatrix(g, draw(matrices(g.dim, g.dim)))
+    k = draw(st.integers(0, 4))
+    values = tuple(draw(ENTRIES) for _ in range(k ** 3))
+    return ext, lift, draw(st.sampled_from(_valid_extensions())), t, ideal, r, k, values
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(builder_cases())
+def test_nonzero_builders_match_tabulate(case):
+    ext, lift, valid, t, ideal, r, k, values = case
+    assert_same_tensor(lift_product(ext, lift).tensor, dense.lift_product(ext, lift).tensor)
+    assert_same_tensor(extensions._extension_bracket(ext), dense.extension_bracket(ext))
+    assert_same_tensor(assemble(valid).bracket, dense.extension_bracket(valid))
+    comp, got = quotient_tensor(t, ideal)
+    want = dense.quotient_tensor(t, ideal)
+    assert comp == want[0]
+    assert_same_tensor(got, want[1])
+    if rmatrix.check_cybe(r) and rmatrix.check_novbed(r):
+        assert_same_tensor(rmatrix.induced_product(r).tensor, dense.t_product(r))
+    assert_same_tensor(rmatrix._t_product(r), dense.t_product(r))
+    assert_same_tensor(rmatrix.deformed_bracket(r), dense.deformed_bracket(r))
+    system = certificate.PolySystem(k, [], [], [])
+    assert_same_tensor(certificate._product_from_solution(system, values).tensor,
+                       dense.product_from_solution(k, values).tensor)

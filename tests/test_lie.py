@@ -296,7 +296,7 @@ def test_pair_index_on_every_construction_path():
     tensors = [
         StructureTensor(3, {(0, 1, 2): Q(1, 2), (0, 1, 0): 0, (2, 2, 1): Q(-3)}),
         StructureTensor.from_products(3, {(0, 1): (Q(0), Q(1, 3), Q(2)), (1, 1): (0, 0, 0)}),
-        StructureTensor.tabulate(3, lambda i, j: tuple(Q(i - j, k + 1) for k in range(3))),
+        dense.tabulate(3, lambda i, j: tuple(Q(i - j, k + 1) for k in range(3))),
         StructureTensor.antisymmetric_from_brackets(3, {(0, 1): (Q(0), Q(0), Q(5, 2))}),
         fx.ex35().bracket.change_basis(shear, shear.inverse()),
         quotient_tensor(g.bracket, ideal)[1],

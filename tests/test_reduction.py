@@ -8,10 +8,10 @@ from novikov import reduction
 from novikov.extensions import (
     ExtensionData,
     HypothesisFailed,
+    InvariantViolation,
     LiftCheckFailed,
     LiftData,
     assemble,
-    check_lift_lsa,
     lift_product,
     scheuneman_lift,
     semidirect_lift,
@@ -24,6 +24,7 @@ from novikov.linalg import (
     Matrix,
     Subspace,
     jordan_block,
+    vscale,
     vzero,
     word_image_space,
 )
@@ -44,7 +45,9 @@ from novikov.reduction import (
     reduction_lift,
 )
 
+import dense_scans as dense
 from dense_scans import (
+    check_lift_lsa,
     check_lift_novikov,
     h0,
     intersect,
@@ -232,6 +235,79 @@ def test_lift_checkers_reject_mismatched_dimensions():
         with pytest.raises(LiftCheckFailed) as err:
             reduction_lift(ext, lift)
         assert err.value.verdict.label == "dimension-mismatch"
+
+
+def _perturbed_lifts(rng, lift):
+    """The lift, the zero lift, the lift doubled, and copies with one random
+    matrix added to X_p and Y_p alike (Y_p - X_p kept), to X_p alone, or to
+    one omega value. The zero and doubled lifts of a left-symmetric product
+    with a zero b-product are left-symmetric, and compatible only if the
+    extension bracket is zero."""
+    n, m = lift.dim_a, lift.dim_b
+    zero = Matrix.zeros(n, n)
+    lifts = [lift, LiftData(n, m, [zero] * m, [zero] * m),
+             LiftData(n, m, [x.scale(2) for x in lift.x_op], [y.scale(2) for y in lift.y_op],
+                      {pq: vscale(2, v) for pq, v in lift.x_values.items()})]
+    for p in range(m):
+        d = Matrix([[rational(rng) for _ in range(n)] for _ in range(n)], cols=n)
+        x_op, y_op = list(lift.x_op), list(lift.y_op)
+        x_op[p] = x_op[p] + d
+        lifts.append(LiftData(n, m, x_op, lift.y_op, lift.x_values))
+        y_op[p] = y_op[p] + d
+        lifts.append(LiftData(n, m, x_op, y_op, lift.x_values))
+        values = dict(lift.x_values)
+        q = rng.randrange(m)
+        values[(p, q)] = tuple(x + rational(rng) for x in lift.omega_value(p, q))
+        lifts.append(LiftData(n, m, lift.x_op, lift.y_op, values))
+    return lifts
+
+
+def test_reduction_lift_decides_as_the_lsa_lift_conditions():
+    # the product checks on the lifted product against (8)-(14) on the
+    # induced extension, over valid lifts and perturbed ones
+    rng = rng_for("reduction-lift-decision")
+    cases = []
+    for _ in range(6):
+        ext = random_mixed_extension(rng)
+        cases.append((ext, two_gen_lift(induced_nilpotent_extension(ext).ext_n)))
+    for _ in range(3):
+        ext = heisenberg_pullback_extension(rng)
+        cases.append((ext, semidirect_lift(induced_nilpotent_extension(ext).ext_n)))
+    for name in ("ex35", "n3", "filiform:4", "free-n3-c3"):
+        ext, _ = two_step_solvable_from(fx.fixture(name))
+        cases.append((ext, scheuneman_lift(induced_nilpotent_extension(ext).ext_n)))
+    labels = Counter()
+    for ext, good in cases:
+        ext_n = induced_nilpotent_extension(ext).ext_n
+        for lift in _perturbed_lifts(rng, good):
+            try:
+                reduction_lift(ext, lift)
+                label = None
+            except LiftCheckFailed as err:
+                label = err.verdict.label
+            assert (label is None) == bool(check_lift_lsa(ext_n, lift))
+            labels[label] += 1
+    assert labels[None] >= len(cases) and labels["eq-1"] >= 10 and labels["eq-3"] >= 10
+
+
+def test_reduction_lift_failures_carry_the_product_check_witness():
+    # on ex35, a = [g, g] has no a_0 part; the Scheuneman lift with E_00
+    # added to X_0 and Y_0 keeps Y - X = A but is no longer left-symmetric,
+    # and the zero lift is left-symmetric but [e_0, f_0] = -A_0 e_0 = -e_1
+    ext, _ = two_step_solvable_from(fx.ex35())
+    ext_n = induced_nilpotent_extension(ext).ext_n
+    good = scheuneman_lift(ext_n)
+    d = Matrix.unit(3, 0, 0)
+    shifted = LiftData(3, 2, [good.x_op[0] + d, good.x_op[1]],
+                       [good.y_op[0] + d, good.y_op[1]], good.x_values)
+    zero = Matrix.zeros(3, 3)
+    cases = ((shifted, "eq-1", (0, 3, 3), "eq-10"),
+             (LiftData(3, 2, [zero] * 2, [zero] * 2), "eq-3", (0, 3), "eq-8"))
+    for lift, label, witness, reference in cases:
+        with pytest.raises(LiftCheckFailed) as err:
+            reduction_lift(ext, lift)
+        assert (err.value.verdict.label, err.value.verdict.witness) == (label, witness)
+        assert check_lift_lsa(ext_n, lift).label == reference
 
 
 def test_reduction_lift_checks_the_b_product_hypothesis():
@@ -436,15 +512,49 @@ def _corpus_extensions():
     return exts
 
 
-def test_fitting_matches_kernel_chain_reference():
-    # V_n as the annihilator of the dual word image equals the kernel of the
-    # words of length d found round by round
+def _module_corpus():
     rng = rng_for("reduction-fitting-reference")
     modules = [random_nilpotent_module(rng, index) for index in range(12)]
     modules += [ModuleAction(ext.b_algebra(), ext.dim_a, ext.phi) for ext in _corpus_extensions()]
     assert {mod.dim_v for mod in modules} >= {0, 3} and {mod.b.dim for mod in modules} >= {0, 2}
-    for module in modules:
+    return modules
+
+
+def test_fitting_matches_kernel_chain_reference():
+    # V_n as the annihilator of the dual word image equals the kernel of the
+    # words of length d found round by round
+    for module in _module_corpus():
         assert fitting_decompose(module).v_n == reference_fitting_kernel(module)
+
+
+def test_word_image_space_matches_dense_reference_on_modules():
+    # the int sums over nonzeros against the dense image spans, for the
+    # words of the actions and of their transposes that fitting_decompose reads
+    for module in _module_corpus():
+        d = module.dim_v
+        for ops in (module.action, [m.transpose() for m in module.action]):
+            full = Subspace.full(d)
+            for length in range(d + 2):
+                want = dense.word_image_space(ops, full, length)
+                assert word_image_space(ops, full, length) == want
+
+
+def test_module_action_rejects_a_failing_representation_identity():
+    # the shapes are right, so the identity fails as validate fails it: eq-23
+    # on an abelian b, eq-5 otherwise, with the basis pair as witness
+    x = Matrix([[0, 1], [0, 0]])
+    y = Matrix([[1, 0], [0, 0]])
+    zero = Matrix.zeros(2, 2)
+    cases = ((fx.abelian(3), [zero, x, y], "eq-23", (1, 2)),
+             (fx.n3(), [x, zero, x], "eq-5", (0, 1)))
+    for b, action, label, witness in cases:
+        with pytest.raises(InvariantViolation) as err:
+            ModuleAction(b, 2, action)
+        assert (err.value.equation, err.value.witness) == (label, witness)
+        ext = ExtensionData(2, 3, action, {}, b_bracket=b.bracket)
+        with pytest.raises(InvariantViolation) as err:
+            ext.validate()
+        assert (err.value.equation, err.value.witness) == (label, witness)
 
 
 def test_induced_extension_without_a0_matches_reference():
