@@ -301,10 +301,22 @@ def build_system(g):
 
 
 def _scatter(rows, cells, offset, c):
-    """rows[t][t + offset] += c for each cell t. A new key stores c itself
-    (_add_term), so one coefficient object serves every row it starts."""
+    """rows[t][t + offset] += c for each cell t, dropping a sum that cancels.
+    c is a nonzero bracket constant or its negation, so it is stored or
+    added with no zero test of its own; a new key stores c itself, so one
+    coefficient object serves every row it starts."""
     for t in cells:
-        _add_term(rows[t], t + offset, c)
+        row = rows[t]
+        key = t + offset
+        old = row.get(key)
+        if old is None:
+            row[key] = c
+        else:
+            total = old + c
+            if total:
+                row[key] = total
+            else:
+                del row[key]
 
 
 def _sorted_pair(a, b):
@@ -395,15 +407,26 @@ def _substitute(poly, forms):
     return out
 
 
-def _int_affine_form(c, terms):
-    """The affine form (c, {param: a}) as (d, d * c, {param: d * a}) with
-    ints, d the lcm of its denominators."""
-    d = lcm(c.denominator, *[a.denominator for a in terms.values()])
-    if d == 1:
-        return 1, c.numerator, {p: a.numerator for p, a in terms.items()}
-    return d, c.numerator * (d // c.denominator), {
-        p: a.numerator * (d // a.denominator) for p, a in terms.items()
-    }
+def _live_forms(sol):
+    """(live variables, int affine form of every variable) of a consistent
+    SparseSolution, read from its pivot rows. Variable v is (c + sum a *
+    x_f) / d over the free columns f, given as (d, c, {f: a}) with ints.
+    Every free column f is live, with form (1, 0, {f: 1}). A pivot column p
+    is live when its value c is nonzero or its row holds another column:
+    x_p = c - sum row[f] * x_f, scaled by d, the lcm of the denominators.
+    Every other variable is 0 and shares the form (1, 0, {})."""
+    zero = (1, 0, {})
+    forms = [zero] * sol.ncols
+    for f in sol.free_columns():
+        forms[f] = (1, 0, {f: 1})
+    for p, row in sol.pivot_rows.items():
+        c = sol.pivot_rhs[p]
+        if c or len(row) > 1:
+            d = lcm(c.denominator, *[x.denominator for x in row.values()])
+            forms[p] = (d, c.numerator * (d // c.denominator), {
+                f: -x.numerator * (d // x.denominator) for f, x in row.items() if f != p
+            })
+    return {v for v, form in enumerate(forms) if form is not zero}, forms
 
 
 def residual_polynomials(system):
@@ -415,22 +438,22 @@ def residual_polynomials(system):
     right-hand side, which vanishes on the solution set, so only rep entries
     are substituted and each nonzero rep residual at 2q is stored, as the
     same dict, at 2q + 1 too. A variable is live when its affine form is not
-    (0, {}). A rep entry none of whose monomials has all its variables live
-    substitutes to zero. Only the entries that system.quadratics.candidates
-    names are built; of those, the ones without such a monomial are skipped.
+    0: every free column, and every pivot column whose value is nonzero or
+    whose row holds another column. Only the live variables' forms are
+    built, straight from the pivot rows (_live_forms); every other variable
+    shares the form 0. A rep entry none of whose monomials has all its
+    variables live substitutes to zero. Only the entries that
+    system.quadratics.candidates names are built; of those, the ones without
+    such a monomial are skipped.
 
-    As in solve_sparse, the substitution runs on ints: each affine form is
-    scaled to ints by its denominators once (_int_affine_form), and each
-    residual is divided once, at the end of _substitute; its coefficients
-    are Fractions."""
+    As in solve_sparse, the substitution runs on ints: each live form is
+    (d, d * c, {param: d * a}), scaled to ints by its denominators once, and
+    each residual is divided once, at the end of _substitute; its
+    coefficients are Fractions."""
     sol = solve_sparse(system.linear_rows, system.linear_rhs, system.nvars)
     if not sol.consistent:
         return sol, None
-    forms = sol.affine_forms()
-    live = {v for v, (c, terms) in enumerate(forms) if c or terms}
-    # a variable that is not live is 0: (1, 0, {})
-    forms = [_int_affine_form(c, t) if v in live else (1, 0, t)
-             for v, (c, t) in enumerate(forms)]
+    live, forms = _live_forms(sol)
     reps = {}
     for qi in system.quadratics.candidates(live):
         poly = system.quadratics[qi]

@@ -12,8 +12,9 @@ _add_scaled accumulate into sparse dicts (dropping entries that cancel), and
 _row_step takes one row fraction-free: it scales the row to Python ints,
 reduces it by cross-multiplying with int pivot rows instead of dividing by
 their leads, and makes it primitive with a positive lead. solve_sparse
-(_echelon) runs the row step on every row and clears each new pivot from the
-earlier pivot rows that hold it, found through a column index. It divides
+(_echelon) skips each row that restates variables it has fixed, runs the row
+step on every other row and clears each new pivot from the earlier pivot
+rows that hold it, found through a column index. It divides
 only once, at the end, so the pivot rows, values and witness come back as
 Fractions, exactly those of the elimination over Fractions. It tracks row
 provenance only in a second pass, run when the system is inconsistent, to
@@ -33,7 +34,7 @@ from math import gcd, lcm
 
 Q = Fraction
 
-_ZERO, _ONE = Q(0), Q(1)
+_ZERO = Q(0)
 
 
 class DimensionMismatch(ValueError):
@@ -402,23 +403,6 @@ class SparseSolution:
             basis.append(v)
         return Subspace(self.ncols, basis)
 
-    def affine_forms(self):
-        """Per-variable affine form (constant, {free column: coefficient}).
-
-        The general solution is obtained by assigning arbitrary values to the
-        free columns; pivot variables depend on them affinely.
-        """
-        forms = []
-        for c in range(self.ncols):
-            row = self.pivot_rows.get(c)
-            if row is None:
-                forms.append((_ZERO, {c: _ONE}))
-            else:
-                forms.append(
-                    (self.pivot_rhs[c], {f: -x for f, x in row.items() if f != c})
-                )
-        return forms
-
 
 def _add_term(acc, key, c):
     """acc[key] += c, dropping the entry when it cancels.
@@ -494,6 +478,10 @@ def _echelon(rows, rhs, track):
     that reduces to 0 = c != 0 or None, that row's combination).
 
     The elimination runs on Python ints and divides once, at the end:
+    - fixed maps each column whose int pivot row is exactly {c: 1} to its int
+      value. It is filled when such a row is stored and when a clear reduces
+      an earlier pivot row to it; an entry never changes, since that row
+      holds no other column and so is never cleared again;
     - a row that only restates fixed variables (_restates_fixed) reduces to
       0 = 0 and changes nothing, tracked or not, so it is skipped;
     - every other row goes through the row step (_row_step): it is scaled
@@ -504,8 +492,10 @@ def _echelon(rows, rhs, track):
       (_cross_reduce); clearing a new pivot from the rows in holders is the
       same step, written out so that holders is kept up to date in the same
       pass over the new pivot row, and the cleared row is made primitive
-      again (_divide_content). Rows are scaled in place, so every dict keeps
-      its order.
+      again (_divide_content). A new pivot row {p: 1} of value v, with a = 1,
+      only drops p from each holder and subtracts b * v from its value (and
+      b times its combination from the holder's). Rows are scaled in place,
+      so every dict keeps its order.
     Every reduced row is a nonzero multiple of the row that an elimination
     over Fractions holds at the same point, so the pivot columns and entry
     order are the same. The final pass divides each pivot row and value by
@@ -517,10 +507,11 @@ def _echelon(rows, rhs, track):
     """
     pivot_rows, pivot_rhs, pivot_combo = {}, {}, {}
     holders = {}  # column -> the pivot columns whose rows have an entry there
+    fixed = {}  # column -> value, for the int pivot rows {c: 1}
     bad = witness = None
     for idx, row in enumerate(rows):
         val = 0 if rhs is None else rhs[idx]
-        if _restates_fixed(row, val, pivot_rows, pivot_rhs):
+        if _restates_fixed(row, val, fixed):
             continue
         p, work, val, combo = _row_step(
             row, val, idx if track else None, pivot_rows, pivot_rhs, pivot_combo
@@ -530,34 +521,42 @@ def _echelon(rows, rhs, track):
                 bad, witness = idx, combo
             continue
         lead = work[p]
+        single = len(work) == 1 and lead == 1
         for q in holders.pop(p, ()):
             qrow = pivot_rows[q]
-            b = qrow[p]
-            g = gcd(b, lead)
-            a, b = lead // g, b // g
             qval, qcombo = pivot_rhs[q], pivot_combo[q]
-            if a != 1:
-                _scale(qrow, a)
-                qval *= a
-                if track:
-                    _scale(qcombo, a)
-            for k, x in work.items():
-                old = qrow.get(k)
-                if old is None:
-                    qrow[k] = -b * x
-                    holders.setdefault(k, set()).add(q)
-                else:
-                    old -= b * x
-                    if old:
-                        qrow[k] = old
+            if single:
+                b = qrow.pop(p)
+            else:
+                b = qrow[p]
+                g = gcd(b, lead)
+                a, b = lead // g, b // g
+                if a != 1:
+                    _scale(qrow, a)
+                    qval *= a
+                    if track:
+                        _scale(qcombo, a)
+                for k, x in work.items():
+                    old = qrow.get(k)
+                    if old is None:
+                        qrow[k] = -b * x
+                        holders.setdefault(k, set()).add(q)
                     else:
-                        del qrow[k]
-                        if k != p:
-                            holders[k].discard(q)
+                        old -= b * x
+                        if old:
+                            qrow[k] = old
+                        else:
+                            del qrow[k]
+                            if k != p:
+                                holders[k].discard(q)
             qval -= b * val
             if track:
                 _add_scaled(qcombo, combo, -b)
-            pivot_rhs[q] = _divide_content(qrow, qval, qcombo, qrow[q])
+            qval = pivot_rhs[q] = _divide_content(qrow, qval, qcombo, qrow[q])
+            if len(qrow) == 1 and qrow[q] == 1:
+                fixed[q] = qval
+        if single:
+            fixed[p] = val
         for c in work:
             if c != p:
                 holders.setdefault(c, set()).add(p)
@@ -573,15 +572,16 @@ def _echelon(rows, rhs, track):
     return pivot_rows, pivot_rhs, bad, witness
 
 
-def _restates_fixed(row, val, pivot_rows, pivot_vals):
-    """Whether the row and val are integral, each column c of the row has the
-    int pivot row {c: 1} and val = sum of row[c] * pivot_vals[c] (0 = 0)."""
+def _restates_fixed(row, val, fixed):
+    """Whether the row and val are integral, each column c of the row is
+    fixed (its int pivot row is {c: 1}, with value fixed[c]) and val = sum of
+    row[c] * fixed[c] (0 = 0). One lookup per entry."""
     rest = val.numerator
     for c, x in row.items():
-        prow = pivot_rows.get(c)
-        if prow is None or x.denominator != 1 or len(prow) != 1 or prow[c] != 1:
+        v = fixed.get(c)
+        if v is None or x.denominator != 1:
             return False
-        rest -= x.numerator * pivot_vals[c]
+        rest -= x.numerator * v
     return rest == 0 and val.denominator == 1
 
 
@@ -677,9 +677,11 @@ def solve_sparse(rows, rhs, ncols):
     whose pivot rows form the reduced echelon basis (pivot entry 1, pivot
     columns cleared from all other rows, each pivot the smallest column its
     row keeps), canonical for a fixed row order. A row that restates fixed
-    variables is skipped; any other is reduced by the pivots it holds, in
-    increasing order, and its new pivot cleared from the earlier pivot rows
-    found through a column index. Provenance is tracked only if some row
+    variables, read from an index of the pivot rows {c: 1}, is skipped; any
+    other is reduced by the pivots it holds, in increasing order, and its
+    new pivot cleared from the earlier pivot rows found through a column
+    index (a new pivot row {p: 1} only drops p from them and shifts their
+    values). Provenance is tracked only if some row
     reduces to 0 = c != 0: the rows up to the first such row are eliminated
     again with it, and the witness is that row's sparse combination
     {original row index: coefficient}, with sum_i witness_i row_i = 0 and

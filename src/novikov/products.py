@@ -117,13 +117,18 @@ def is_novikov(p):
 
 def is_compatible(p, g):
     """The commutator of the product equals the Lie bracket exactly; only the
-    basis pairs where either pair index has a constant are visited."""
+    basis pairs where either pair index has a constant are visited, in
+    sorted order. Both sides are read from the tensors' cached int pair rows
+    (StructureTensor._int_form): with d_p and d_g their denominators, the
+    pair (i, j) holds when (u - v) * d_g = w * d_p entry by entry."""
     if p.dim != g.dim:
         return Verdict(False, None, "dimension-mismatch")
-    pairs, bracket = p.tensor.pairs, g.bracket.pairs
+    d_p, pairs = p.tensor._int_form()[:2]
+    d_g, bracket = g.bracket._int_form()[:2]
     for i, j in sorted({(b, a) for a, b in pairs} | set(pairs) | set(bracket)):
         u, v, w = pairs.get((i, j), {}), pairs.get((j, i), {}), bracket.get((i, j), {})
-        if any(u.get(k, 0) - v.get(k, 0) != w.get(k, 0) for k in u.keys() | v.keys() | w.keys()):
+        if any((u.get(k, 0) - v.get(k, 0)) * d_g != w.get(k, 0) * d_p
+               for k in u.keys() | v.keys() | w.keys()):
             return Verdict(False, (i, j), "eq-3")
     return Verdict(True)
 

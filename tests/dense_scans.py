@@ -20,8 +20,11 @@ the Novikov conditions (8)-(20) in general and (25)-(31) for trivial
 products on an abelian b, the references the lifted product's
 left-symmetry, Novikov and compatibility checks are held to.
 The library's dense exact kernels run on ints; their entry-by-entry Fraction
-forms are here too: the matrix product and matrix-vector product, and the
-substitution of affine forms into a quadratic. The library builds every
+forms are here too: the matrix product and matrix-vector product, the
+substitution of affine forms into a quadratic, the compatibility check over
+Fraction sums, and the affine form of every variable of a sparse solution
+with its scaling to ints, which the live forms the library reads straight
+from the pivot rows are held to. The library builds every
 tensor from the nonzeros of its data; tabulate, one dense vector per basis
 pair, builds the references: the half-bracket product, the change of basis,
 the lifted product, the assembled bracket, the quotient tensor, the induced
@@ -32,6 +35,7 @@ lower central series built on it.
 """
 
 import random
+from math import lcm
 
 
 from novikov.extensions import _b_product_verdict
@@ -200,6 +204,32 @@ def product_from_solution(n, values):
     """The product with L(e_i) read from a solution vector, through tabulate."""
     return AlgebraProduct(
         tabulate(n, lambda i, j: [values[var_index(n, i, k, j)] for k in range(n)]))
+
+
+def affine_forms(sol):
+    """Per-variable affine form (constant, {free column: coefficient}) of a
+    consistent SparseSolution, over Fractions, for every variable: the
+    general solution assigns arbitrary values to the free columns, and each
+    pivot variable depends on them affinely."""
+    forms = []
+    for c in range(sol.ncols):
+        row = sol.pivot_rows.get(c)
+        if row is None:
+            forms.append((Q(0), {c: Q(1)}))
+        else:
+            forms.append((sol.pivot_rhs[c], {f: -x for f, x in row.items() if f != c}))
+    return forms
+
+
+def int_affine_form(c, terms):
+    """The affine form (c, {param: a}) as (d, d * c, {param: d * a}) with
+    ints, d the lcm of its denominators."""
+    d = lcm(c.denominator, *[a.denominator for a in terms.values()])
+    if d == 1:
+        return 1, c.numerator, {p: a.numerator for p, a in terms.items()}
+    return d, c.numerator * (d // c.denominator), {
+        p: a.numerator * (d // a.denominator) for p, a in terms.items()
+    }
 
 
 def substitute(poly, forms):
@@ -406,6 +436,20 @@ def is_compatible(p, g):
             com = vsub(basis_product(p.tensor, i, j), basis_product(p.tensor, j, i))
             if com != basis_product(g.bracket, i, j):
                 return Verdict(False, (i, j), "eq-3")
+    return Verdict(True)
+
+
+def is_compatible_pairs(p, g):
+    """The commutator of the product equals the Lie bracket, compared over
+    Fractions pair by pair, visiting only the basis pairs where either pair
+    index has a constant, in sorted order."""
+    if p.dim != g.dim:
+        return Verdict(False, None, "dimension-mismatch")
+    pairs, bracket = p.tensor.pairs, g.bracket.pairs
+    for i, j in sorted({(b, a) for a, b in pairs} | set(pairs) | set(bracket)):
+        u, v, w = pairs.get((i, j), {}), pairs.get((j, i), {}), bracket.get((i, j), {})
+        if any(u.get(k, 0) - v.get(k, 0) != w.get(k, 0) for k in u.keys() | v.keys() | w.keys()):
+            return Verdict(False, (i, j), "eq-3")
     return Verdict(True)
 
 

@@ -39,10 +39,18 @@ from novikov.laf import parse_file
 from novikov.linalg import NotRegularNilpotent, _add_scaled, _add_term, solve_sparse, vunit
 from novikov.products import AlgebraProduct, half_bracket_product, is_compatible, is_novikov
 
-from dense_scans import check_lift_novikov, left_matrix_of, substitute, var_index
+from dense_scans import (
+    affine_forms,
+    check_lift_novikov,
+    int_affine_form,
+    left_matrix_of,
+    substitute,
+    var_index,
+)
 from randalg import (
     gelfand_dorfman,
     random_mixed_extension,
+    random_prop57_instance,
     random_regular_jordan_extension,
     random_three_step_extension,
     random_two_step_nilpotent,
@@ -268,7 +276,7 @@ def test_build_system_makes_no_ad_terms_calls(monkeypatch):
 def reference_residuals(system, sol):
     """Reference substitution of the solution sol of system's linear block:
     every quadratic expanded over Fractions, none skipped."""
-    forms = sol.affine_forms()
+    forms = affine_forms(sol)
     residuals = {}
     for qi, poly in enumerate(system.quadratics):
         sub = substitute(poly, forms)
@@ -311,6 +319,71 @@ def test_residuals_match_unfiltered_substitution():
     assert inconsistent >= 1
 
 
+def _live_form_corpus():
+    """The fixtures, census instances 0-2 of each random corpus, whose forms
+    have Fraction coefficients, and the graded and rebased Gelfand-Dorfman
+    algebras."""
+    names = ["n3", "r2", "r3", "sl2", "ex35", "free-n2-c4", "free-n3-c3", "abelian:3",
+             "r3-lambda:-1", "r3-lambda:-1/2", "r3-lambda:2", "filiform:5", "filiform:8",
+             "In:4", "In:8"]
+    for name in names:
+        yield name, fx.fixture(name)
+    for i in range(3):
+        yield "x3-%d" % i, assemble(random_three_step_extension(rng_for("x3", i), i))
+        yield "xj-%d" % i, assemble(random_regular_jordan_extension(rng_for("xj", i), i))
+        yield "xm-%d" % i, assemble(random_mixed_extension(rng_for("xm", i)))
+        yield "xp-%d" % i, random_prop57_instance(rng_for("xp", i))
+    for n in range(4, 11):
+        for k in (1, 2, 3):
+            yield "gd(%d, %d)" % (n, k), gelfand_dorfman(n, k)[0]
+    for n in (4, 5):
+        for k in (1, 2, 3):
+            yield "rebased gd(%d, %d)" % (n, k), rebased(
+                *gelfand_dorfman(n, k), rng_for("gelfand-dorfman", 3 * n + k))[0]
+
+
+def test_live_forms_match_the_affine_form_reference():
+    # the live set and the int forms read from the pivot rows are the
+    # reference's: every variable's Fraction form, scaled to ints, with the
+    # forms that are 0 dropped; and the residuals built on the reference's
+    # forms are the same dicts, in the same order, with the same types
+    fractional = 0
+    for name, g in _live_form_corpus():
+        system = build_system(g)
+        sol, residuals = residual_polynomials(system)
+        if not sol.consistent:
+            continue
+        live, forms = certificate._live_forms(sol)
+        ref = affine_forms(sol)
+        assert live == {v for v, (c, t) in enumerate(ref) if c or t}, name
+        ref_forms = []
+        for v, (c, t) in enumerate(ref):
+            if v in live:
+                want = int_affine_form(c, t)
+                d, c0, terms = forms[v]
+                got = (d, c0, list(terms.items()))
+                assert got == (want[0], want[1], list(want[2].items())), (name, v)
+                assert all(type(x) is int for x in (d, c0, *terms.values())), (name, v)
+                fractional += d > 1
+            else:
+                assert (c, t) == (0, {}) and forms[v] == (1, 0, {}), (name, v)
+                want = (1, 0, t)
+            ref_forms.append(want)
+        reps = {}
+        for qi in system.quadratics.candidates(live):
+            poly = system.quadratics[qi]
+            if any(map(live.issuperset, poly)):
+                sub = certificate._substitute(poly, ref_forms)
+                if sub:
+                    reps[qi] = sub
+        expected = {qi + kind: sub for qi, sub in reps.items() for kind in (0, 1)}
+        assert list(residuals) == list(expected), name
+        for qi, residual in residuals.items():
+            assert list(residual.items()) == list(expected[qi].items()), (name, qi)
+            assert all(type(c) is Q for c in residual.values()), (name, qi)
+    assert fractional > 0
+
+
 def test_rr_minus_rep_is_the_operator_row():
     # rr(i,j,r,s) - rep(i,j,r,s) is the operator row (i, j, r, s) minus its
     # right-hand side, and build_system drops that row when it is zero; so
@@ -323,7 +396,7 @@ def test_rr_minus_rep_is_the_operator_row():
         sol = solve_sparse(system.linear_rows, system.linear_rhs, system.nvars)
         forms = None
         if sol.consistent:
-            forms = [certificate._int_affine_form(c, t) for c, t in sol.affine_forms()]
+            forms = [int_affine_form(c, t) for c, t in affine_forms(sol)]
         for q in range(len(block) // 2):
             diff = dict(block[2 * q + 1])
             _add_scaled(diff, block[2 * q], Q(-1))
@@ -618,7 +691,7 @@ def test_decide_returns_only_fractions(name, kind):
     sol, residuals = residual_polynomials(build_system(g))
     assert (residuals is None) == (kind == "linear")
     values += [c for poly in (residuals or {}).values() for c in poly.values()]
-    for const, terms in sol.affine_forms():
+    for const, terms in affine_forms(sol):
         values += [const] + list(terms.values())
     assert all(type(c) is Q for c in values)
 

@@ -144,7 +144,7 @@ def substitution_cases(draw):
 @given(substitution_cases())
 def test_substitute_matches_fraction_reference(case):
     poly, forms = case
-    int_forms = [certificate._int_affine_form(c, t) for c, t in forms]
+    int_forms = [dense.int_affine_form(c, t) for c, t in forms]
     got = certificate._substitute(poly, int_forms)
     assert list(got.items()) == list(dense.substitute(poly, forms).items())
     assert all(type(c) is Q for c in got.values())

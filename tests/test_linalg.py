@@ -643,7 +643,9 @@ def test_echelon_matches_fraction_reference_on_dense_blocks():
 
 def _restating_systems():
     """(label, rows, rhs, rows that reach the row step) for systems whose
-    columns 0, 1, 2 are fixed at 2, -1, 3 by singleton rows, then restated."""
+    columns 0, 1, 2 are fixed at 2, -1, 3 by singleton rows, then restated;
+    then systems whose columns are fixed only when a new pivot is cleared
+    from the rows that hold it."""
     one, x = Q(1), (Q(2), Q(-1), Q(3))
     singles = [{c: one} for c in range(3)]
     sums = [{0: one, 1: one}, {2: Q(-2), 0: Q(3)}, {1: Q(5), 2: one, 0: Q(-1)}]
@@ -662,6 +664,22 @@ def _restating_systems():
     yield "wrong value for 1/2", [{0: Q(2)}, {1: one}, {0: one}], [Q(1), Q(3), Q(1)], 3
     # column 0 holds the pivot row {0: 1} only once column 1 is cleared from it
     yield "cleared to a singleton", [{0: one, 1: one}, {1: one}, {0: one}], [Q(3), Q(1), Q(2)], 2
+    # the new pivot row {1: 2, 2: 1} (lead 2) clears column 1 from the int
+    # row {0: 2, 1: 2, 2: 1}, which leaves {0: 2} of value 2, made {0: 1} of
+    # value 1: column 0 is fixed at 1 only then, and both restatements skip
+    half = Q(1, 2)
+    yield ("fixed at 1 by a clear", [{0: one, 1: one, 2: half}, {1: one, 2: half}, {0: one},
+                                     {0: Q(3)}], [Q(5, 2), Q(3, 2), one, Q(3)], 2)
+    # the pivot row {3: 1} of value 4 clears column 3 from three holders,
+    # which fixes columns 0, 1, 2 at -3, -6, 7
+    holders = [{0: one, 3: one}, {1: one, 3: Q(2)}, {2: one, 3: Q(-1)}, {3: one}]
+    values = [Q(1), Q(2), Q(3), Q(4)]
+    yield ("singleton cleared from three holders", holders + [{0: one, 1: one, 2: one}, {3: Q(2)}],
+           values + [Q(-2), Q(8)], 4)
+    # x_0 + x_2 = 4 after those clears, so the row x_0 + x_2 = 5 is the bad
+    # row, and the restatement of x_1 after it is skipped
+    yield ("wrong restatement after a clear", holders + [{0: one, 2: one}, {1: one}],
+           values + [Q(5), Q(-6)], 5)
 
 
 def test_echelon_skips_rows_that_restate_fixed_variables(monkeypatch):

@@ -81,6 +81,21 @@ def test_compatibility_examples():
     assert is_compatible(fx.in_novikov_product(4), fx.in_lie(4))
     bad = is_compatible(fx.in_novikov_product(3), fx.abelian(3))
     assert not bad and bad.label == "eq-3"
+    # the half-bracket product has denominator 2 where the bracket has 1;
+    # scaled alike by 1/3 or -2/5 they stay compatible, and the bracket
+    # tripled alone fails at the first pair with a constant
+    for g in (fx.n3(), fx.ex35(), fx.free_n3_c3()):
+        p = half_bracket_product(g)
+        assert p.tensor._int_form()[0] == 2 and g.bracket._int_form()[0] == 1
+        for q in (Q(1, 3), Q(-2, 5)):
+            pq = AlgebraProduct(_scaled(p.tensor, q))
+            assert is_compatible(pq, LieAlgebra(_scaled(g.bracket, q)))
+        bad = is_compatible(p, LieAlgebra(_scaled(g.bracket, Q(3))))
+        assert (bad.ok, bad.witness, bad.label) == (False, min(g.bracket.pairs), "eq-3")
+
+
+def _scaled(t, q):
+    return StructureTensor(t.dim, {key: q * c for key, c in t.entries.items()})
 
 
 def test_commutator_lie():
@@ -263,8 +278,20 @@ NONZERO = st.builds(Q, st.integers(1, 7), st.integers(1, 6)).flatmap(
 def test_scaling_a_tensor_keeps_every_scan_outcome(t, q):
     # every scanned identity is homogeneous, which is what lets the scans
     # clear denominators
-    scaled = StructureTensor(t.dim, {key: q * c for key, c in t.entries.items()})
-    assert _scan_outcomes(scaled) == _scan_outcomes(t)
+    assert _scan_outcomes(_scaled(t, q)) == _scan_outcomes(t)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(product_cases(), NONZERO, NONZERO)
+def test_is_compatible_matches_the_fraction_sums(case, q, r):
+    # the int comparison (u - v) * d_g = w * d_p against the Fraction sums,
+    # on the drawn pair, on both sides scaled by q (compatible pairs stay
+    # compatible, with other and unequal denominators) and on the bracket
+    # alone scaled by r (most pairs fail): same verdict, pair and label
+    p, g = case
+    pq, gq = AlgebraProduct(_scaled(p.tensor, q)), LieAlgebra(_scaled(g.bracket, q))
+    for pp, gg in ((p, g), (pq, gq), (p, LieAlgebra(_scaled(g.bracket, r)))):
+        assert _verdict(is_compatible(pp, gg)) == _verdict(dense.is_compatible_pairs(pp, gg))
 
 
 def test_scans_make_no_apply_calls(monkeypatch):
