@@ -12,18 +12,23 @@ _add_scaled accumulate into sparse dicts (dropping entries that cancel), and
 _row_step takes one row fraction-free: it scales the row to Python ints,
 reduces it by cross-multiplying with int pivot rows instead of dividing by
 their leads, and makes it primitive with a positive lead. solve_sparse
-(_echelon) skips each row that restates variables it has fixed, runs the row
-step on every other row and clears each new pivot from the earlier pivot
-rows that hold it, found through a column index. It divides
-only once, at the end, so the pivot rows, values and witness come back as
-Fractions, exactly those of the elimination over Fractions. It tracks row
-provenance only in a second pass, run when the system is inconsistent, to
-build the witness. Subspace bases, nullspaces and inverses all take their
-reduced echelon form from it. Subspace membership reads a subspace's reduced
-echelon rows directly, and its complement is one echelon pass over the basis
-with the columns reversed. The certificate's residual elimination runs the
-same row step, and every sparse row or polynomial build in the package
-accumulates with the same helpers. Nilpotency reads one more, _krylov_chain:
+first reads off the row pattern, with no arithmetic, the columns that the
+homogeneous rows force to zero (_forced_zeros); it drops the rows that only
+restate zeros and strips the zero columns from the rest. Its elimination
+(_echelon) skips each row that restates variables it has fixed, runs the
+row step on every other row and clears each new pivot from the earlier
+pivot rows that hold it, found through a column index. It divides only
+once, at the end, so the pivot rows, values and witness come back as
+Fractions, exactly those of the elimination over Fractions. When the system
+is inconsistent it eliminates the given rows again, unstripped, and tracks
+row provenance only in a last pass, to build the witness. The pivot rows
+are keyed by pivot column, in no promised order. Subspace bases, nullspaces
+and inverses all take their reduced echelon form from it. Subspace
+membership reads a subspace's reduced echelon rows directly, and its
+complement is one echelon pass over the basis with the columns reversed.
+The certificate's residual elimination runs the same row step, and every
+sparse row or polynomial build in the package accumulates with the same
+helpers. Nilpotency reads one more, _krylov_chain:
 the nonzero images of a sparse vector under an operator given by its sparse
 columns, so no matrix power is ever formed. The Fraction forms of the dense
 kernels are the test suite's references (tests/dense_scans.py).
@@ -166,9 +171,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
-
-    def column(self, j):
-        return tuple(row[j] for row in self.data)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.data == other.data
@@ -363,7 +365,9 @@ class Subspace:
 
 
 class SparseSolution:
-    """Echelonized sparse system: pivot rows by pivot column, plus provenance."""
+    """Echelonized sparse system: pivot rows and their values, each keyed by
+    pivot column, plus provenance. No iteration order is promised: readers
+    sort the pivot columns or read by key."""
 
     __slots__ = ("ncols", "pivot_rows", "pivot_rhs", "witness")
 
@@ -670,27 +674,80 @@ def _to_fractions(dicts, denominator=1):
                 d[key] = f
 
 
+def _forced_zeros(rows, rhs):
+    """The columns that the pattern of the homogeneous rows forces to zero,
+    and the indices, increasing, of the homogeneous rows that hold two or
+    more columns outside them.
+
+    A homogeneous row (rhs None or 0) whose columns are all known zero but
+    one forces that one to zero, and a row with none left only restates
+    zeros. The pass repeats over the rows still open until a round finds
+    nothing new. It does no arithmetic, so every row must hold nonzero
+    entries only."""
+    zeros = set()
+    open_rows = range(len(rows)) if rhs is None else [i for i, val in enumerate(rhs) if not val]
+    while True:
+        before, still = len(zeros), []
+        for i in open_rows:
+            last = None
+            for c in rows[i]:
+                if c not in zeros:
+                    if last is not None:
+                        still.append(i)
+                        break
+                    last = c
+            else:
+                if last is not None:
+                    zeros.add(last)
+        if len(zeros) == before:
+            return zeros, still
+        open_rows = still
+
+
 def solve_sparse(rows, rhs, ncols):
-    """Echelonize a sparse system given as a list of dicts {column: coefficient}.
+    """Echelonize a sparse system given as a list of dicts {column: coefficient},
+    each holding nonzero entries only.
 
     rhs may be None for a homogeneous system. The result is a SparseSolution
     whose pivot rows form the reduced echelon basis (pivot entry 1, pivot
     columns cleared from all other rows, each pivot the smallest column its
-    row keeps), canonical for a fixed row order. A row that restates fixed
-    variables, read from an index of the pivot rows {c: 1}, is skipped; any
-    other is reduced by the pivots it holds, in increasing order, and its
-    new pivot cleared from the earlier pivot rows found through a column
-    index (a new pivot row {p: 1} only drops p from them and shifts their
-    values). Provenance is tracked only if some row
-    reduces to 0 = c != 0: the rows up to the first such row are eliminated
-    again with it, and the witness is that row's sparse combination
-    {original row index: coefficient}, with sum_i witness_i row_i = 0 and
-    sum_i witness_i rhs_i != 0. The elimination runs on ints and divides
-    once, at the end (_echelon); every entry of the result is a Fraction.
+    row keeps), keyed by pivot column in no promised order. The columns the
+    homogeneous rows force to zero (_forced_zeros) become pivot rows {z: 1}
+    of value 0; the rows that only restate zeros are dropped and the zero
+    columns stripped from the rest, which with the zero rows span the same
+    augmented row space, so only the stripped rows are eliminated (_echelon).
+    There a row that restates fixed variables, read from an index of the
+    pivot rows {c: 1}, is skipped; any other is reduced by the pivots it
+    holds, in increasing order, and its new pivot cleared from the earlier
+    pivot rows found through a column index (a new pivot row {p: 1} only
+    drops p from them and shifts their values). Provenance is tracked only
+    if some row reduces to 0 = c != 0: the given rows are eliminated again
+    as they are, then the rows up to the first such row with it, and the
+    witness is that row's sparse combination {original row index:
+    coefficient}, with sum_i witness_i row_i = 0 and sum_i witness_i rhs_i
+    != 0. The elimination runs on ints and divides once, at the end
+    (_echelon); every entry of the result is a Fraction.
     """
-    pivot_rows, pivot_rhs, bad, _ = _echelon(rows, rhs, False)
-    witness = None if bad is None else _echelon(rows[: bad + 1], rhs, True)[3]
-    return SparseSolution(ncols, pivot_rows, pivot_rhs, witness)
+    zeros, kept = _forced_zeros(rows, rhs)
+    if rhs is not None:
+        kept = sorted(kept + [i for i, val in enumerate(rhs) if val])
+    kept_rows = []
+    for i in kept:
+        row = rows[i]
+        if not zeros.isdisjoint(row):
+            row = {c: x for c, x in row.items() if c not in zeros}
+        kept_rows.append(row)
+    kept_rhs = None if rhs is None else [rhs[i] for i in kept]
+    pivot_rows, pivot_rhs, bad, _ = _echelon(kept_rows, kept_rhs, False)
+    if bad is not None:
+        pivot_rows, pivot_rhs, bad, _ = _echelon(rows, rhs, False)
+        witness = _echelon(rows[: bad + 1], rhs, True)[3]
+        return SparseSolution(ncols, pivot_rows, pivot_rhs, witness)
+    one = Q(1)
+    for z in zeros:
+        pivot_rows[z] = {z: one}
+        pivot_rhs[z] = _ZERO
+    return SparseSolution(ncols, pivot_rows, pivot_rhs, None)
 
 
 def jordan_block(n):

@@ -9,7 +9,7 @@ on the deformed algebra with bracket [x,y]_T = [Tx, y] + [x, Ty].
 
 from .extensions import HypothesisFailed
 from .lie import StructureTensor, validate_lie
-from .linalg import DimensionMismatch, Matrix, _to_fractions, vadd
+from .linalg import DimensionMismatch, Matrix, _add_scaled, _to_fractions
 from .products import AlgebraProduct, Verdict
 
 
@@ -46,20 +46,47 @@ def deformed_bracket(r):
     return StructureTensor(r.g.dim, {key: acc[key] for key in sorted(acc) if acc[key]})
 
 
-def _t_product(r):
-    """The tensor of [T e_i, e_j] = sum of T[l, i] [e_l, e_j], summed in ints
-    over the nonzeros of the int forms of T and the bracket, in sorted order."""
+def _t_table(r):
+    """The int table of [T e_i, e_j]: (s, {i: {j: {k: c}}}) with
+    [T e_i, e_j] = sum of c / s e_k, summed in ints over the nonzeros of the
+    int forms of T (e * T) and the bracket (d * [,]), so s = d * e; entries
+    that cancel are dropped. [T e_i, e_j] = sum of T[l, i] [e_l, e_j] over l."""
     d, _, left = r.g.bracket._int_form()[:3]
     e, _, t_rows = r.t._int_form()
-    acc = {}
+    table = {}
     for l, terms in enumerate(t_rows):
         for j, row in left.get(l, {}).items():
             for i, x in terms:
-                for k, c in row.items():
-                    acc[(i, j, k)] = acc.get((i, j, k), 0) + x * c
-    entries = {key: acc[key] for key in sorted(acc) if acc[key]}
-    _to_fractions([entries], d * e)
+                _add_scaled(table.setdefault(i, {}).setdefault(j, {}), row, x)
+    return d * e, table
+
+
+def _t_product(r):
+    """The tensor of [T e_i, e_j], from the int table (_t_table), in sorted
+    order."""
+    s, table = _t_table(r)
+    entries = dict(sorted(((i, j, k), c) for i, row in table.items()
+                          for j, out in row.items() for k, c in out.items()))
+    _to_fractions([entries], s)
     return StructureTensor(r.g.dim, entries)
+
+
+def _combine(v, vectors):
+    """sum of a * vectors[m] over the (m, a) of the sparse int dict v, as a
+    sparse int dict; a vector missing from vectors is zero."""
+    acc = {}
+    for m, a in v.items():
+        _add_scaled(acc, vectors.get(m, {}), a)
+    return acc
+
+
+def _t_columns(r):
+    """The int columns of e * T, {k: {l: e * T[l, k]}}, nonzero only."""
+    columns = {}
+    for l, terms in enumerate(r.t._int_form()[2]):
+        for k, x in terms:
+            columns.setdefault(k, {})[l] = x
+    return columns
 
 
 def deformed_algebra(r):
@@ -68,33 +95,46 @@ def deformed_algebra(r):
 
 
 def check_cybe(r):
-    """[Tx, Ty] = T([Tx, y] + [x, Ty]) on all basis pairs."""
-    g, t = r.g, r.t
-    n = g.dim
+    """[Tx, Ty] = T([Tx, y] + [x, Ty]) on all basis pairs i < j, the first
+    failing pair in increasing order the witness.
+
+    Decided in ints from the table P of [T e_i, e_j] (_t_table, scale d * e)
+    and the int columns of e * T: [T e_i, T e_j] = sum of T[m, j] P(i, m)
+    over m, and [e_i, T e_j] = -P(j, i), so both sides carry the scale
+    d * e^2."""
+    table = _t_table(r)[1]
+    columns = _t_columns(r)
+    n = r.g.dim
     for i in range(n):
-        ti = t.column(i)
+        row = table.get(i, {})
         for j in range(i + 1, n):
-            tj = t.column(j)
-            lhs = g.bracket_vec(ti, tj)
-            rhs = t.apply(
-                vadd(g.bracket_vec(ti, g.basis_vector(j)), g.bracket_vec(g.basis_vector(i), tj))
-            )
-            if lhs != rhs:
+            lhs = _combine(columns.get(j, {}), row)
+            inner = dict(row.get(j, {}))
+            _add_scaled(inner, table.get(j, {}).get(i, {}), -1)
+            if lhs != _combine(inner, columns):
                 return Verdict(False, (i, j), "cybe")
     return Verdict(True)
 
 
 def check_novbed(r):
-    """[x, T[y, Tz]] = [y, T[x, Tz]] on all basis triples."""
-    g, t = r.g, r.t
-    n = g.dim
-    e = [g.basis_vector(i) for i in range(n)]
+    """[x, T[y, Tz]] = [y, T[x, Tz]] on all basis triples, the first failing
+    (i, j, k) with i < j, by k, then i, then j, the witness.
+
+    Decided in ints: [e_j, T e_k] = -P(k, j) for the table P of
+    [T e_i, e_j] (_t_table), so T[e_j, T e_k] is minus the int columns of
+    e * T combined by P(k, j), and its bracket with e_i reads the int rows
+    of the bracket. Both sides carry the same sign and scale."""
+    table = _t_table(r)[1]
+    columns = _t_columns(r)
+    left = r.g.bracket._int_form()[2]
+    n = r.g.dim
     for k in range(n):
-        tk = t.column(k)
-        inner = [t.apply(g.bracket_vec(e[i], tk)) for i in range(n)]
+        row = table.get(k, {})
+        inner = [_combine(row.get(i, {}), columns) for i in range(n)]
         for i in range(n):
+            rows_i = left.get(i, {})
             for j in range(i + 1, n):
-                if g.bracket_vec(e[i], inner[j]) != g.bracket_vec(e[j], inner[i]):
+                if _combine(inner[j], rows_i) != _combine(inner[i], left.get(j, {})):
                     return Verdict(False, (i, j, k), "novbed")
     return Verdict(True)
 

@@ -29,9 +29,10 @@ tensor from the nonzeros of its data; tabulate, one dense vector per basis
 pair, builds the references: the half-bracket product, the change of basis,
 the lifted product, the assembled bracket, the quotient tensor, the induced
 product and deformed bracket of an r-matrix, and the product read from a
-solution of the condition system. The bracket of two subspaces as a dense
-product over every pair of basis vectors is here too, with the derived and
-lower central series built on it.
+solution of the condition system. The r-matrix checks, the Yang-Baxter
+equation and the auxiliary identity, are here in their dense-vector form.
+The bracket of two subspaces as a dense product over every pair of basis
+vectors is here too, with the derived and lower central series built on it.
 """
 
 import random
@@ -76,6 +77,11 @@ def vdot(u, v):
     return sum((a * b for a, b in zip(u, v)), Q(0))
 
 
+def column(m, j):
+    """Column j of the Matrix m, as a tuple."""
+    return tuple(row[j] for row in m.data)
+
+
 def matmul(a, b):
     """a * b over Fractions: row i sums a[i, k] * (row k of b) over the
     nonzero a[i, k]."""
@@ -118,7 +124,7 @@ def change_basis(t, basis, basis_inv):
     product of columns a and b of basis, for every pair (a, b)."""
     if basis.rows != t.dim or basis.cols != t.dim:
         raise DimensionMismatch("need a dim x dim basis matrix")
-    columns = [basis.column(a) for a in range(t.dim)]
+    columns = [column(basis, a) for a in range(t.dim)]
 
     def entry(a, b):
         w = apply(t, columns[a], columns[b])
@@ -135,9 +141,9 @@ def lift_product(ext, lift):
     def product(i, j):
         p, q = i - n, j - n
         if i < n:
-            return (ext.a_product.basis_product(i, j) if j < n else lift.x_op[q].column(i)) + zb
+            return (ext.a_product.basis_product(i, j) if j < n else column(lift.x_op[q], i)) + zb
         if j < n:
-            return lift.y_op[p].column(j) + zb
+            return column(lift.y_op[p], j) + zb
         return lift.omega_value(p, q) + ext.b_product.basis_product(p, q)
 
     return AlgebraProduct(tabulate(n + m, product))
@@ -151,9 +157,9 @@ def extension_bracket(ext):
     def bracket(i, j):
         p, q = i - n, j - n
         if i < n:
-            return (vzero(n) if j < n else vscale(-1, ext.phi[q].column(i))) + zb
+            return (vzero(n) if j < n else vscale(-1, column(ext.phi[q], i))) + zb
         if j < n:
-            return ext.phi[p].column(j) + zb
+            return column(ext.phi[p], j) + zb
         return ext.omega_pair(p, q) + ext.b_bracket.basis_product(p, q)
 
     return tabulate(n + m, bracket)
@@ -180,7 +186,7 @@ def quotient_tensor(tensor, subspace):
 def t_product(r):
     """e_i * e_j = [T e_i, e_j] through tabulate."""
     g, t = r.g, r.t
-    return tabulate(g.dim, lambda i, j: g.bracket_vec(t.column(i), g.basis_vector(j)))
+    return tabulate(g.dim, lambda i, j: g.bracket_vec(column(t, i), g.basis_vector(j)))
 
 
 def deformed_bracket(r):
@@ -189,10 +195,44 @@ def deformed_bracket(r):
     return tabulate(
         g.dim,
         lambda i, j: vadd(
-            g.bracket_vec(t.column(i), g.basis_vector(j)),
-            g.bracket_vec(g.basis_vector(i), t.column(j)),
+            g.bracket_vec(column(t, i), g.basis_vector(j)),
+            g.bracket_vec(g.basis_vector(i), column(t, j)),
         ),
     )
+
+
+def check_cybe(r):
+    """[Tx, Ty] = T([Tx, y] + [x, Ty]) on all basis pairs, through dense
+    bracket vectors and Matrix.apply: the reference for rmatrix.check_cybe."""
+    g, t = r.g, r.t
+    n = g.dim
+    for i in range(n):
+        ti = column(t, i)
+        for j in range(i + 1, n):
+            tj = column(t, j)
+            lhs = g.bracket_vec(ti, tj)
+            rhs = t.apply(
+                vadd(g.bracket_vec(ti, g.basis_vector(j)), g.bracket_vec(g.basis_vector(i), tj))
+            )
+            if lhs != rhs:
+                return Verdict(False, (i, j), "cybe")
+    return Verdict(True)
+
+
+def check_novbed(r):
+    """[x, T[y, Tz]] = [y, T[x, Tz]] on all basis triples, through dense
+    bracket vectors and Matrix.apply: the reference for rmatrix.check_novbed."""
+    g, t = r.g, r.t
+    n = g.dim
+    e = [g.basis_vector(i) for i in range(n)]
+    for k in range(n):
+        tk = column(t, k)
+        inner = [t.apply(g.bracket_vec(e[i], tk)) for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if g.bracket_vec(e[i], inner[j]) != g.bracket_vec(e[j], inner[i]):
+                    return Verdict(False, (i, j, k), "novbed")
+    return Verdict(True)
 
 
 def var_index(n, i, r, c):
@@ -630,7 +670,7 @@ def nilpotent_regular_basis(n_matrix):
     top = matrix_power(n_matrix, n - 1) if n > 1 else Matrix.identity(n)
     seed = None
     for j in range(n):
-        if not is_zero_vec(top.column(j)):
+        if not is_zero_vec(column(top, j)):
             seed = vunit(n, j)
             break
     if seed is None:
@@ -706,7 +746,7 @@ def check_lift_lsa(ext, lift):
     for i in range(n):
         for q in range(m):
             for r in range(m):
-                if aprod.apply(ea[i], lift.omega_value(q, r)) != eq11[(q, r)].column(i):
+                if aprod.apply(ea[i], lift.omega_value(q, r)) != column(eq11[(q, r)], i):
                     return Verdict(False, (i, q, r), "eq-11")
     for i in range(n):
         for j in range(n):
@@ -815,7 +855,7 @@ def _check_novikov_extra(ext, lift):
             # eq-16 reads omega(p, q).e_k = (X_q Y_p - Y(p.q)) e_k
             rhs = x_op[q] * y_op[p] - scaled_sum(zip(bprod.basis_product(p, q), y_op), n, n)
             for k in range(n):
-                if aprod.apply(lift.omega_value(p, q), ea[k]) != rhs.column(k):
+                if aprod.apply(lift.omega_value(p, q), ea[k]) != column(rhs, k):
                     return Verdict(False, (p, q, k), "eq-16")
     for p in range(m):
         for q in range(p + 1, m):

@@ -57,7 +57,7 @@ from randalg import (
     rebased,
     rng_for,
 )
-from test_linalg import fraction_row_step
+from test_linalg import assert_solve_matches_echelon, fraction_row_step
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -382,6 +382,47 @@ def test_live_forms_match_the_affine_form_reference():
             assert list(residual.items()) == list(expected[qi].items()), (name, qi)
             assert all(type(c) is Q for c in residual.values()), (name, qi)
     assert fractional > 0
+
+
+def test_solve_sparse_matches_the_echelon_of_every_linear_block():
+    # the forced-zero pass leaves the pivot rows, values and witness of the
+    # elimination of the given rows as they were, on the fixtures (sl2 is
+    # inconsistent), the census instances 0-2 and the Gelfand-Dorfman
+    # algebras; it finds zero columns on the free and graded algebras, and
+    # few or none on the dense census and rebased blocks
+    inconsistent, zeros = [], {}
+    for name, g in _live_form_corpus():
+        system = build_system(g)
+        bad, zeros[name] = assert_solve_matches_echelon(
+            system.linear_rows, system.linear_rhs, system.nvars, name
+        )
+        if bad is not None:
+            inconsistent.append(name)
+    assert inconsistent == ["sl2"]
+    assert (zeros["free-n2-c4"], zeros["free-n3-c3"]) == (363, 1964)
+    assert all(zeros["gd(%d, %d)" % (n, k)] for n in range(4, 11) for k in (1, 2, 3))
+
+
+CENSUS = {
+    "x3": lambda i: assemble(random_three_step_extension(rng_for("x3", i), i)),
+    "xj": lambda i: assemble(random_regular_jordan_extension(rng_for("xj", i), i)),
+    "xm": lambda i: assemble(random_mixed_extension(rng_for("xm", i))),
+    "xp": lambda i: random_prop57_instance(rng_for("xp", i)),
+}
+
+
+def test_census_verdict_counts():
+    # the verdict census, ten seeded instances per corpus; a count may move
+    # only from undetermined to a checked answer. Its linear blocks are
+    # dense, where the forced-zero pass finds few zeros
+    counts = {tag: Counter(decide_novikov(build(i)).verdict for i in range(10))
+              for tag, build in CENSUS.items()}
+    assert counts == {
+        "x3": Counter({EXISTS: 3, UNDETERMINED: 7}),
+        "xj": Counter({EXISTS: 10}),
+        "xm": Counter({EXISTS: 1, UNDETERMINED: 9}),
+        "xp": Counter({EXISTS: 2, UNDETERMINED: 8}),
+    }
 
 
 def test_rr_minus_rep_is_the_operator_row():

@@ -45,6 +45,7 @@ from dense_scans import (
     _check_novikov_extra,
     a_product_violation,
     check_lift_novikov,
+    column,
     commutator,
 )
 from randalg import (
@@ -109,8 +110,8 @@ def test_two_step_solvable_from_ex35():
     ext, _ = ex35_extension()
     assert ext.dim_a == 3 and ext.dim_b == 2
     assert ext.omega == {(0, 1): unit(3, 0)}              # Omega(X, Y) = A
-    assert ext.phi[0].column(0) == unit(3, 1)             # phi(X) A = B
-    assert ext.phi[1].column(0) == unit(3, 2)             # phi(Y) A = C
+    assert column(ext.phi[0], 0) == unit(3, 1)            # phi(X) A = B
+    assert column(ext.phi[1], 0) == unit(3, 2)            # phi(Y) A = C
 
 
 def test_two_step_solvable_from_14dim():

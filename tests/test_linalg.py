@@ -30,7 +30,7 @@ from novikov.linalg import (
 )
 
 import dense_scans as dense
-from dense_scans import nullspace_of_rows, vdot
+from dense_scans import column, nullspace_of_rows, vdot
 from randalg import random_mixed_extension, random_regular_jordan_extension, rng_for, subspaces
 
 
@@ -57,7 +57,7 @@ def test_solve_inconsistent_witness():
     sol = solve(a, (1, 2))
     assert not sol.consistent and sol.particular() is None
     y = dense_witness(sol, 2)
-    assert all(vdot(y, a.column(j)) == 0 for j in range(2))
+    assert all(vdot(y, column(a, j)) == 0 for j in range(2))
     assert vdot(y, (Q(1), Q(2))) != 0
 
 
@@ -108,7 +108,7 @@ def test_random_inconsistent_witnesses():
             continue
         found += 1
         y = dense_witness(sol, rows)
-        assert all(vdot(y, a.column(j)) == 0 for j in range(cols))
+        assert all(vdot(y, column(a, j)) == 0 for j in range(cols))
         assert vdot(y, b) != 0
     assert found > 5
 
@@ -370,7 +370,7 @@ def test_scaled_sum_and_unit_vectors():
     assert scaled_sum([(2, a), (0, b), (Q(-1, 2), b)], 2, 2) == a.scale(2) - b.scale(Q(1, 2))
     assert scaled_sum([], 2, 3) == Matrix.zeros(2, 3)
     assert vunit(3, 1) == (0, 1, 0)
-    assert Matrix.identity(3).column(2) == vunit(3, 2)
+    assert column(Matrix.identity(3), 2) == vunit(3, 2)
 
 
 def reference_solve_sparse(rows, rhs):
@@ -441,7 +441,8 @@ def _random_sparse_system(rng, denominators=(1, 1, 2, 3)):
 def _assert_matches_reference(rows, rhs, ncols, label):
     sol = solve_sparse(rows, rhs, ncols)
     pivot_rows, pivot_rhs, witness = reference_solve_sparse(rows, rhs)
-    assert list(sol.pivot_rows.items()) == list(pivot_rows.items()), label
+    # keyed by pivot column: solve_sparse promises no iteration order
+    assert sol.pivot_rows == pivot_rows, label
     assert sol.pivot_rhs == pivot_rhs and sol.witness == witness, label
     # the elimination runs on ints where it can, but hands back Fractions only
     values = [x for row in sol.pivot_rows.values() for x in row.values()]
@@ -482,6 +483,113 @@ def test_solve_sparse_matches_eager_reference():
         consistent += not found
         _assert_matches_reference(rows, None, ncols, index)
     assert inconsistent >= 10 and consistent >= 10
+
+
+def reference_forced_zeros(rows, rhs):
+    """The columns the homogeneous rows force to zero, by rounds that each
+    read only the zeros known when the round starts: a homogeneous row with
+    exactly one column outside them forces it. Returns (zeros, indices of
+    the homogeneous rows with two or more columns outside them, rounds)."""
+    homogeneous = [i for i in range(len(rows)) if rhs is None or rhs[i] == 0]
+    zeros, rounds = set(), 0
+    while True:
+        rounds += 1
+        new = set()
+        for i in homogeneous:
+            left = set(rows[i]) - zeros
+            if len(left) == 1:
+                new |= left
+        if not new:
+            break
+        zeros |= new
+    return zeros, [i for i in homogeneous if len(set(rows[i]) - zeros) > 1], rounds
+
+
+def assert_solve_matches_echelon(rows, rhs, ncols, label):
+    """solve_sparse, with its forced-zero pass, against the two passes of
+    _echelon on the given rows: the same pivot rows and values keyed by
+    pivot column, every value a Fraction, and when the rows are
+    inconsistent the same witness, in the same order, with coefficient 1 at
+    the same bad row. The pass finds the reference's zeros and open rows,
+    and no row is changed. Returns (bad row or None, zero columns found)."""
+    before = [list(row.items()) for row in rows]
+    sol = solve_sparse(rows, rhs, ncols)
+    assert [list(row.items()) for row in rows] == before, label
+    pivot_rows, pivot_rhs, bad, _ = _echelon(rows, rhs, False)
+    witness = None if bad is None else _echelon(rows[: bad + 1], rhs, True)[3]
+    assert sol.pivot_rows == pivot_rows, label
+    assert sol.pivot_rhs == pivot_rhs, label
+    assert (sol.witness is None) == (witness is None), label
+    if witness is not None:
+        assert list(sol.witness.items()) == list(witness.items()), label
+        assert max(sol.witness) == bad and sol.witness[bad] == 1, label
+    values = [x for row in sol.pivot_rows.values() for x in row.values()]
+    values += list(sol.pivot_rhs.values()) + list((sol.witness or {}).values())
+    assert all(type(x) is Q for x in values), label
+    zeros, kept = linalg._forced_zeros(rows, rhs)
+    assert (zeros, kept) == reference_forced_zeros(rows, rhs)[:2], label
+    return bad, len(zeros)
+
+
+def _chained_system(rng):
+    """A random system whose homogeneous rows force a chain of columns to
+    zero one column a round: {c0}, {c0, c1}, ..., {c(k-2), c(k-1)} (some
+    with one more earlier chain column), given in reverse order. Random
+    rows are mixed in, homogeneous or not, with empty rows of value 0; some
+    systems get a row 0 = 1 or a nonzero value on a chain column, which
+    makes them inconsistent."""
+    ncols = rng.randint(3, 12)
+    cols = rng.sample(range(ncols), rng.randint(1, ncols))
+
+    def coefficient():
+        return Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2)))
+
+    chain = [{cols[0]: coefficient()}]
+    for k in range(1, len(cols)):
+        pair = [cols[k - 1], cols[k]] + ([rng.choice(cols[:k])] if rng.random() < 0.3 else [])
+        rng.shuffle(pair)
+        chain.append({c: coefficient() for c in pair})
+    chain.reverse()
+    rows, rhs = [], []
+    for row in chain:
+        while rng.random() < 0.5:
+            rows.append({j: coefficient() for j in range(ncols) if rng.random() < 0.3})
+            rhs.append(Q(rng.randint(-3, 3)) if rng.random() < 0.25 else Q(0))
+        rows.append(row)
+        rhs.append(Q(0))
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randint(0, len(rows))
+        rows.insert(at, {})
+        rhs.insert(at, Q(0))
+    if rng.random() < 0.3:
+        at = rng.randint(0, len(rows))
+        if rng.random() < 0.5:
+            rows.insert(at, {})
+        else:
+            rows.insert(at, {rng.choice(cols): coefficient()})
+        rhs.insert(at, Q(1))
+    return rows, rhs, ncols
+
+
+def test_solve_sparse_matches_the_echelon_of_the_given_rows_on_random_systems():
+    # chains that take the pass 3 or more rounds, rows that hold zero
+    # columns among others, empty rows, 0 = c rows and inconsistent systems,
+    # each also homogeneous (rhs None)
+    rng = random.Random(41)
+    inconsistent = long_chains = 0
+    for index in range(300):
+        rows, rhs, ncols = _chained_system(rng)
+        bad, _ = assert_solve_matches_echelon(rows, rhs, ncols, index)
+        assert_solve_matches_echelon(rows, None, ncols, index)
+        inconsistent += bad is not None
+        # three rounds that each find a zero, and the last that finds none
+        long_chains += reference_forced_zeros(rows, rhs)[2] >= 4
+    assert 50 <= inconsistent <= 250 and long_chains >= 100
+    rng = random.Random(43)
+    for index in range(100):
+        rows, rhs, ncols = _random_sparse_system(rng)
+        assert_solve_matches_echelon(rows, rhs, ncols, index)
+        assert_solve_matches_echelon(rows, None, ncols, index)
 
 
 def _as_int(x):
@@ -699,12 +807,20 @@ def test_echelon_skips_rows_that_restate_fixed_variables(monkeypatch):
 
 
 def test_free_n3_c3_linear_block_steps_only_rows_that_are_not_restated(monkeypatch):
+    # the pattern of the homogeneous rows forces 1,964 of the 2,678 pivot
+    # columns to zero; 744 of the 8,670 rows are left for the elimination,
+    # and 717 of those reach the row step
     system = build_system(fx.fixture("free-n3-c3"))
-    calls = []
-    row_step = linalg._row_step
+    rows, rhs = system.linear_rows, system.linear_rhs
+    calls, eliminated = [], []
+    row_step, echelon = linalg._row_step, linalg._echelon
     monkeypatch.setattr(linalg, "_row_step", lambda *args: calls.append(1) or row_step(*args))
-    assert solve_sparse(system.linear_rows, system.linear_rhs, system.nvars).consistent
-    assert (len(calls), len(system.linear_rows)) == (2893, 8670)
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda kept, *args: eliminated.append(len(kept)) or echelon(kept, *args))
+    sol = solve_sparse(rows, rhs, system.nvars)
+    assert sol.consistent and sol.rank == 2678
+    zeros = linalg._forced_zeros(rows, rhs)[0]
+    assert (len(zeros), eliminated, len(calls), len(rows)) == (1964, [744], 717, 8670)
 
 
 @pytest.mark.parametrize("c", [3, -1, Q(1), Q(-5, 2)])
@@ -737,7 +853,7 @@ def test_matmul_matches_vdot_reference():
         product = a * b
         assert (product.rows, product.cols) == (rows, cols)
         assert product.data == tuple(
-            tuple(vdot(a.data[i], b.column(j)) for j in range(cols)) for i in range(rows)
+            tuple(vdot(a.data[i], column(b, j)) for j in range(cols)) for i in range(rows)
         )
         assert all(type(x) is Q for row in product.data for x in row)
 

@@ -1,6 +1,9 @@
+import functools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novikov import fixtures as fx
 from novikov.linalg import DimensionMismatch, Matrix
@@ -17,8 +20,9 @@ from novikov.rmatrix import (
     induced_product,
 )
 
-from dense_scans import deformation_keeps_class_bounds, invariant_profile, is_unimodular
-from randalg import basis_rmatrix_pool, random_basis_rmatrix_case, rng_for
+import dense_scans as dense
+from dense_scans import column, deformation_keeps_class_bounds, invariant_profile, is_unimodular
+from randalg import FRACTIONS, basis_rmatrix_pool, random_basis_rmatrix_case, rng_for
 
 
 SL2_PARAMETERS = [(1, 2), (0, 1), (Q(1, 2), Q(-1, 3)), (-1, 1), (-4, 2), (Q(-1, 4), Q(1, 2))]
@@ -56,7 +60,7 @@ def test_cybe_examples():
     brute = True
     for i in range(3):
         for j in range(3):
-            ti, tj = t.column(i), t.column(j)
+            ti, tj = column(t, i), column(t, j)
             lhs = g.bracket_vec(ti, tj)
             inner = tuple(
                 x + y
@@ -174,7 +178,7 @@ def test_induced_product_consequences():
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
                 image = t.apply(gt.bracket.basis_product(i, j))
-                assert image == g.bracket_vec(t.column(i), t.column(j))
+                assert image == g.bracket_vec(column(t, i), column(t, j))
 
 
 def test_class_bounds_random():
@@ -193,3 +197,71 @@ def test_class_bounds_sl2_cases():
     sl2 = fx.sl2()
     gt = deformed_algebra(RMatrix(sl2, Matrix.unit(3, 0, 1)))
     assert sl2.nilpotency_class() is None and gt.nilpotency_class() == 2
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_cases():
+    """Every valid (algebra, ell, m) of basis_rmatrix over the pool."""
+    return [(g, ell, m) for g in basis_rmatrix_pool() for ell in range(g.dim) for m in range(g.dim)
+            if all(g.bracket.basis_product(i, m)[ell] == 0 for i in range(g.dim))]
+
+
+@functools.lru_cache(maxsize=None)
+def _operator_algebras():
+    return (fx.n3(), fx.r2(), fx.sl2(), fx.r3(), fx.ex35(), fx.filiform(5), fx.in_lie(4),
+            fx.free_n2_c4())
+
+
+@st.composite
+def rmatrix_cases(draw):
+    """Basis r-matrices, which pass both checks, the sl2 family, and
+    operators with Fraction entries on a few algebras, with up to n nonzeros
+    or dense: these fail the Yang-Baxter equation, the auxiliary identity,
+    both or neither."""
+    kind = draw(st.sampled_from(("basis", "sl2", "sparse", "dense")))
+    if kind == "basis":
+        return basis_rmatrix(*draw(st.sampled_from(_basis_cases())))
+    if kind == "sl2":
+        return sl2_family(*draw(st.sampled_from(SL2_PARAMETERS)))
+    g = draw(st.sampled_from(_operator_algebras()))
+    n = g.dim
+    index = st.integers(0, n - 1)
+    if kind == "sparse":
+        entries = draw(st.dictionaries(st.tuples(index, index), FRACTIONS, max_size=n))
+        return RMatrix(g, Matrix([[entries.get((a, b), 0) for b in range(n)] for a in range(n)]))
+    row = st.lists(FRACTIONS, min_size=n, max_size=n)
+    return RMatrix(g, Matrix(draw(st.lists(row, min_size=n, max_size=n))))
+
+
+def _assert_checks_match_the_dense_references(r):
+    """The same verdict, label and first witness from both checks as from
+    their dense references. Returns the two outcomes."""
+    outcome = []
+    for check, reference in ((check_cybe, dense.check_cybe), (check_novbed, dense.check_novbed)):
+        got, expected = check(r), reference(r)
+        assert (got.ok, got.witness, got.label) == (expected.ok, expected.witness, expected.label)
+        outcome.append(got.ok)
+    return tuple(outcome)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rmatrix_cases())
+def test_rmatrix_checks_match_the_dense_references(r):
+    # the int checks read the [T e_i, e_j] table and the bracket's int form;
+    # the references bracket dense vectors and apply T
+    _assert_checks_match_the_dense_references(r)
+
+
+def test_rmatrix_check_references_cover_every_outcome():
+    # seeded sparse operators on the same algebras give all four outcomes of
+    # the two checks, so the differential test above meets failures of each
+    rng = rng_for("rmatrix-outcomes")
+    outcomes = set()
+    for _ in range(200):
+        g = rng.choice(_operator_algebras())
+        n = g.dim
+        m = [[Q(0)] * n for _ in range(n)]
+        for _ in range(rng.randint(1, n)):
+            m[rng.randrange(n)][rng.randrange(n)] = Q(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+        outcomes.add(_assert_checks_match_the_dense_references(RMatrix(g, Matrix(m))))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
