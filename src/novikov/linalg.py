@@ -15,17 +15,17 @@ their leads, and makes it primitive with a positive lead. solve_sparse
 first reads off the row pattern, with no arithmetic, the columns that the
 homogeneous rows force to zero (_forced_zeros); it drops the rows that only
 restate zeros and strips the zero columns from the rest. Its elimination
-(_echelon) skips each row that restates variables it has fixed, runs the
-row step on every other row and clears each new pivot from the earlier
-pivot rows that hold it, found through a column index. It divides only
-once, at the end, so the pivot rows, values and witness come back as
-Fractions, exactly those of the elimination over Fractions. When the system
-is inconsistent it eliminates the given rows again, unstripped, and tracks
-row provenance only in a last pass, to build the witness. The pivot rows
-are keyed by pivot column, in no promised order. Subspace bases, nullspaces
-and inverses all take their reduced echelon form from it. Subspace
-membership reads a subspace's reduced echelon rows directly, and its
-complement is one echelon pass over the basis with the columns reversed.
+(_echelon) runs the row step on every row and clears each new pivot from
+the earlier pivot rows that hold it, found through a column index. It
+divides only once, at the end, so the pivot rows, values and witness come
+back as Fractions, exactly those of the elimination over Fractions. When
+the stripped rows are inconsistent, one more pass over the given rows
+tracks row provenance and stops at the first bad row, to build the
+witness. The pivot rows are keyed by pivot column, in no promised order.
+Subspace bases, nullspaces and inverses all take their reduced echelon
+form from it. Subspace membership reads a subspace's reduced echelon rows
+directly, and its complement is one echelon pass over the basis with the
+columns reversed.
 The certificate's residual elimination runs the same row step, and every
 sparse row or polynomial build in the package accumulates with the same
 helpers. Nilpotency reads one more, _krylov_chain:
@@ -367,7 +367,8 @@ class Subspace:
 class SparseSolution:
     """Echelonized sparse system: pivot rows and their values, each keyed by
     pivot column, plus provenance. No iteration order is promised: readers
-    sort the pivot columns or read by key."""
+    sort the pivot columns or read by key. An inconsistent system has a
+    witness and no values: pivot_rhs is None, as is particular()."""
 
     __slots__ = ("ncols", "pivot_rows", "pivot_rhs", "witness")
 
@@ -453,8 +454,8 @@ def _row_step(row, val, key, pivot_rows, pivot_vals, pivot_combos):
     Every step scales by a nonzero int, so the row stays a nonzero multiple
     of the row that dividing by each pivot's lead gives, with the same
     support in the same dict order. Nothing here divides by a Fraction.
-    Callers: _echelon, for every incoming row, and
-    certificate._eliminate_residuals.
+    Callers: _echelon, for every row it is given (up to the first bad row
+    when tracked), and certificate._eliminate_residuals.
     """
     scale = val.denominator
     for x in row.values():
@@ -479,27 +480,21 @@ def _row_step(row, val, key, pivot_rows, pivot_vals, pivot_combos):
 def _echelon(rows, rhs, track):
     """Run solve_sparse's elimination, carrying row combinations only when
     track is true. Returns (pivot rows, pivot values, index of the first row
-    that reduces to 0 = c != 0 or None, that row's combination).
+    that reduces to 0 = c != 0 or None, that row's combination). Tracked, it
+    stops at that row: the witness is then complete, and the pivot rows and
+    values are those of the rows before it.
 
     The elimination runs on Python ints and divides once, at the end:
-    - fixed maps each column whose int pivot row is exactly {c: 1} to its int
-      value. It is filled when such a row is stored and when a clear reduces
-      an earlier pivot row to it; an entry never changes, since that row
-      holds no other column and so is never cleared again;
-    - a row that only restates fixed variables (_restates_fixed) reduces to
-      0 = 0 and changes nothing, tracked or not, so it is skipped;
-    - every other row goes through the row step (_row_step): it is scaled
-      to ints, reduced by the pivot rows it holds, and made primitive with a
-      positive lead; its combination starts as {index: scale};
+    - every row goes through the row step (_row_step): it is scaled to ints,
+      reduced by the pivot rows it holds, and made primitive with a positive
+      lead; its combination starts as {index: scale};
     - a row with entry f at pivot p, whose pivot row has lead l, becomes
       a * row - b * (pivot row) with g = gcd(f, l), a = l / g and b = f / g
       (_cross_reduce); clearing a new pivot from the rows in holders is the
       same step, written out so that holders is kept up to date in the same
       pass over the new pivot row, and the cleared row is made primitive
-      again (_divide_content). A new pivot row {p: 1} of value v, with a = 1,
-      only drops p from each holder and subtracts b * v from its value (and
-      b times its combination from the holder's). Rows are scaled in place,
-      so every dict keeps its order.
+      again (_divide_content). Rows are scaled in place, so every dict keeps
+      its order.
     Every reduced row is a nonzero multiple of the row that an elimination
     over Fractions holds at the same point, so the pivot columns and entry
     order are the same. The final pass divides each pivot row and value by
@@ -511,56 +506,47 @@ def _echelon(rows, rhs, track):
     """
     pivot_rows, pivot_rhs, pivot_combo = {}, {}, {}
     holders = {}  # column -> the pivot columns whose rows have an entry there
-    fixed = {}  # column -> value, for the int pivot rows {c: 1}
     bad = witness = None
     for idx, row in enumerate(rows):
         val = 0 if rhs is None else rhs[idx]
-        if _restates_fixed(row, val, fixed):
-            continue
         p, work, val, combo = _row_step(
             row, val, idx if track else None, pivot_rows, pivot_rhs, pivot_combo
         )
         if p is None:
             if val and bad is None:
                 bad, witness = idx, combo
+                if track:
+                    break
             continue
         lead = work[p]
-        single = len(work) == 1 and lead == 1
         for q in holders.pop(p, ()):
             qrow = pivot_rows[q]
             qval, qcombo = pivot_rhs[q], pivot_combo[q]
-            if single:
-                b = qrow.pop(p)
-            else:
-                b = qrow[p]
-                g = gcd(b, lead)
-                a, b = lead // g, b // g
-                if a != 1:
-                    _scale(qrow, a)
-                    qval *= a
-                    if track:
-                        _scale(qcombo, a)
-                for k, x in work.items():
-                    old = qrow.get(k)
-                    if old is None:
-                        qrow[k] = -b * x
-                        holders.setdefault(k, set()).add(q)
+            b = qrow[p]
+            g = gcd(b, lead)
+            a, b = lead // g, b // g
+            if a != 1:
+                _scale(qrow, a)
+                qval *= a
+                if track:
+                    _scale(qcombo, a)
+            for k, x in work.items():
+                old = qrow.get(k)
+                if old is None:
+                    qrow[k] = -b * x
+                    holders.setdefault(k, set()).add(q)
+                else:
+                    old -= b * x
+                    if old:
+                        qrow[k] = old
                     else:
-                        old -= b * x
-                        if old:
-                            qrow[k] = old
-                        else:
-                            del qrow[k]
-                            if k != p:
-                                holders[k].discard(q)
+                        del qrow[k]
+                        if k != p:
+                            holders[k].discard(q)
             qval -= b * val
             if track:
                 _add_scaled(qcombo, combo, -b)
-            qval = pivot_rhs[q] = _divide_content(qrow, qval, qcombo, qrow[q])
-            if len(qrow) == 1 and qrow[q] == 1:
-                fixed[q] = qval
-        if single:
-            fixed[p] = val
+            pivot_rhs[q] = _divide_content(qrow, qval, qcombo, qrow[q])
         for c in work:
             if c != p:
                 holders.setdefault(c, set()).add(p)
@@ -574,19 +560,6 @@ def _echelon(rows, rhs, track):
         _divide(witness, witness[bad])
     _to_fractions([*pivot_rows.values(), pivot_rhs, witness or {}])
     return pivot_rows, pivot_rhs, bad, witness
-
-
-def _restates_fixed(row, val, fixed):
-    """Whether the row and val are integral, each column c of the row is
-    fixed (its int pivot row is {c: 1}, with value fixed[c]) and val = sum of
-    row[c] * fixed[c] (0 = 0). One lookup per entry."""
-    rest = val.numerator
-    for c, x in row.items():
-        v = fixed.get(c)
-        if v is None or x.denominator != 1:
-            return False
-        rest -= x.numerator * v
-    return rest == 0 and val.denominator == 1
 
 
 def _cross_reduce(row, val, combo, prow, pval, pcombo, p):
@@ -716,17 +689,17 @@ def solve_sparse(rows, rhs, ncols):
     of value 0; the rows that only restate zeros are dropped and the zero
     columns stripped from the rest, which with the zero rows span the same
     augmented row space, so only the stripped rows are eliminated (_echelon).
-    There a row that restates fixed variables, read from an index of the
-    pivot rows {c: 1}, is skipped; any other is reduced by the pivots it
-    holds, in increasing order, and its new pivot cleared from the earlier
-    pivot rows found through a column index (a new pivot row {p: 1} only
-    drops p from them and shifts their values). Provenance is tracked only
-    if some row reduces to 0 = c != 0: the given rows are eliminated again
-    as they are, then the rows up to the first such row with it, and the
-    witness is that row's sparse combination {original row index:
-    coefficient}, with sum_i witness_i row_i = 0 and sum_i witness_i rhs_i
-    != 0. The elimination runs on ints and divides once, at the end
-    (_echelon); every entry of the result is a Fraction.
+    There each row is reduced by the pivots it holds, in increasing order,
+    and its new pivot cleared from the earlier pivot rows found through a
+    column index. Provenance is tracked only if some stripped row reduces to
+    0 = c != 0. Then the given rows are eliminated once more, tracked, up to
+    the first such row among them, and the witness is that row's sparse
+    combination {original row index: coefficient}, with sum_i witness_i
+    row_i = 0 and sum_i witness_i rhs_i != 0. The pivot rows stay the
+    stripped pass's plus the zero rows, the same reduced echelon basis, but
+    pivot_rhs is None: the values of an inconsistent system depend on the
+    row order and mean nothing. The elimination runs on ints and divides
+    once, at the end (_echelon); every entry of the result is a Fraction.
     """
     zeros, kept = _forced_zeros(rows, rhs)
     if rhs is not None:
@@ -739,15 +712,13 @@ def solve_sparse(rows, rhs, ncols):
         kept_rows.append(row)
     kept_rhs = None if rhs is None else [rhs[i] for i in kept]
     pivot_rows, pivot_rhs, bad, _ = _echelon(kept_rows, kept_rhs, False)
-    if bad is not None:
-        pivot_rows, pivot_rhs, bad, _ = _echelon(rows, rhs, False)
-        witness = _echelon(rows[: bad + 1], rhs, True)[3]
-        return SparseSolution(ncols, pivot_rows, pivot_rhs, witness)
     one = Q(1)
     for z in zeros:
         pivot_rows[z] = {z: one}
         pivot_rhs[z] = _ZERO
-    return SparseSolution(ncols, pivot_rows, pivot_rhs, None)
+    if bad is None:
+        return SparseSolution(ncols, pivot_rows, pivot_rhs, None)
+    return SparseSolution(ncols, pivot_rows, None, _echelon(rows, rhs, True)[3])
 
 
 def jordan_block(n):

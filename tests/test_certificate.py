@@ -732,8 +732,14 @@ def test_decide_returns_only_fractions(name, kind):
     sol, residuals = residual_polynomials(build_system(g))
     assert (residuals is None) == (kind == "linear")
     values += [c for poly in (residuals or {}).values() for c in poly.values()]
-    for const, terms in affine_forms(sol):
-        values += [const] + list(terms.values())
+    if sol.consistent:
+        for const, terms in affine_forms(sol):
+            values += [const] + list(terms.values())
+    else:
+        # an inconsistent solution hands on pivot rows and a witness, no values
+        assert sol.pivot_rhs is None
+        values += [c for row in sol.pivot_rows.values() for c in row.values()]
+        values += list(sol.witness.values())
     assert all(type(c) is Q for c in values)
 
 

@@ -441,12 +441,13 @@ def _random_sparse_system(rng, denominators=(1, 1, 2, 3)):
 def _assert_matches_reference(rows, rhs, ncols, label):
     sol = solve_sparse(rows, rhs, ncols)
     pivot_rows, pivot_rhs, witness = reference_solve_sparse(rows, rhs)
-    # keyed by pivot column: solve_sparse promises no iteration order
-    assert sol.pivot_rows == pivot_rows, label
-    assert sol.pivot_rhs == pivot_rhs and sol.witness == witness, label
+    # keyed by pivot column: solve_sparse promises no iteration order; an
+    # inconsistent system has no values
+    assert sol.pivot_rows == pivot_rows and sol.witness == witness, label
+    assert sol.pivot_rhs == (pivot_rhs if witness is None else None), label
     # the elimination runs on ints where it can, but hands back Fractions only
     values = [x for row in sol.pivot_rows.values() for x in row.values()]
-    values += list(sol.pivot_rhs.values()) + list((sol.witness or {}).values())
+    values += list((sol.pivot_rhs or {}).values()) + list((sol.witness or {}).values())
     assert all(type(x) is Q for x in values), label
     return witness is not None
 
@@ -507,24 +508,25 @@ def reference_forced_zeros(rows, rhs):
 
 def assert_solve_matches_echelon(rows, rhs, ncols, label):
     """solve_sparse, with its forced-zero pass, against the two passes of
-    _echelon on the given rows: the same pivot rows and values keyed by
-    pivot column, every value a Fraction, and when the rows are
-    inconsistent the same witness, in the same order, with coefficient 1 at
-    the same bad row. The pass finds the reference's zeros and open rows,
-    and no row is changed. Returns (bad row or None, zero columns found)."""
+    _echelon on the given rows: the same pivot rows keyed by pivot column,
+    every value a Fraction, and the same values when the rows are
+    consistent; when they are not, no values, and the same witness, in the
+    same order, with coefficient 1 at the same bad row. The pass finds the
+    reference's zeros and open rows, and no row is changed. Returns (bad row
+    or None, zero columns found)."""
     before = [list(row.items()) for row in rows]
     sol = solve_sparse(rows, rhs, ncols)
     assert [list(row.items()) for row in rows] == before, label
     pivot_rows, pivot_rhs, bad, _ = _echelon(rows, rhs, False)
     witness = None if bad is None else _echelon(rows[: bad + 1], rhs, True)[3]
     assert sol.pivot_rows == pivot_rows, label
-    assert sol.pivot_rhs == pivot_rhs, label
+    assert sol.pivot_rhs == (pivot_rhs if bad is None else None), label
     assert (sol.witness is None) == (witness is None), label
     if witness is not None:
         assert list(sol.witness.items()) == list(witness.items()), label
         assert max(sol.witness) == bad and sol.witness[bad] == 1, label
     values = [x for row in sol.pivot_rows.values() for x in row.values()]
-    values += list(sol.pivot_rhs.values()) + list((sol.witness or {}).values())
+    values += list((sol.pivot_rhs or {}).values()) + list((sol.witness or {}).values())
     assert all(type(x) is Q for x in values), label
     zeros, kept = linalg._forced_zeros(rows, rhs)
     assert (zeros, kept) == reference_forced_zeros(rows, rhs)[:2], label
@@ -676,10 +678,15 @@ def reference_echelon(rows, rhs, track):
 
 def _assert_echelon_matches_reference(rows, rhs, track, label):
     """The same pivot rows, values, bad row and witness as the reference,
-    each dict in the same order, every value a Fraction. Returns whether
-    the system is inconsistent."""
+    each dict in the same order, every value a Fraction. A tracked run
+    stops at the bad row, so it is compared with the reference on the rows
+    through that row. Returns whether the system is inconsistent."""
     pivot_rows, pivot_rhs, bad, witness = _echelon(rows, rhs, track)
     ref_rows, ref_rhs, ref_bad, ref_witness = reference_echelon(rows, rhs, track)
+    if track and ref_bad is not None:
+        ref_rows, ref_rhs, ref_bad, ref_witness = reference_echelon(
+            rows[: ref_bad + 1], rhs, track
+        )
     assert [(p, list(r.items())) for p, r in pivot_rows.items()] == [
         (p, list(r.items())) for p, r in ref_rows.items()
     ], label
@@ -750,66 +757,59 @@ def test_echelon_matches_fraction_reference_on_dense_blocks():
 
 
 def _restating_systems():
-    """(label, rows, rhs, rows that reach the row step) for systems whose
-    columns 0, 1, 2 are fixed at 2, -1, 3 by singleton rows, then restated;
-    then systems whose columns are fixed only when a new pivot is cleared
-    from the rows that hold it."""
+    """(label, rows, rhs) for systems whose columns 0, 1, 2 are fixed at 2,
+    -1, 3 by singleton rows, then restated; then systems whose columns are
+    fixed only when a new pivot is cleared from the rows that hold it."""
     one, x = Q(1), (Q(2), Q(-1), Q(3))
     singles = [{c: one} for c in range(3)]
     sums = [{0: one, 1: one}, {2: Q(-2), 0: Q(3)}, {1: Q(5), 2: one, 0: Q(-1)}]
-    yield "repeated singletons", singles * 3, list(x) * 3, 3
-    yield "sums of fixed variables", singles + sums, list(x) + [Q(1), Q(0), Q(-4)], 3
-    # a wrong restatement is the bad row; the singleton after it is skipped
-    yield ("wrong restatement", singles + [{0: one, 1: one}, {2: one}],
-           list(x) + [Q(2), Q(3)], 4)
+    yield "repeated singletons", singles * 3, list(x) * 3
+    yield "sums of fixed variables", singles + sums, list(x) + [Q(1), Q(0), Q(-4)]
+    # a wrong restatement is the bad row; a singleton follows it
+    yield "wrong restatement", singles + [{0: one, 1: one}, {2: one}], list(x) + [Q(2), Q(3)]
     yield ("fraction entries", singles + [{0: Q(1, 2), 1: Q(1, 2)}, {1: Q(-3, 7)}],
-           list(x) + [Q(1, 2), Q(3, 7)], 5)
-    yield "wrong fraction value", singles + [{0: one}], list(x) + [Q(7, 3)], 4
-    # x_0 = 1/2 keeps the int row {0: 2}: every restatement of it falls
-    # through, and x_0 = 1 contradicts it
+           list(x) + [Q(1, 2), Q(3, 7)])
+    yield "wrong fraction value", singles + [{0: one}], list(x) + [Q(7, 3)]
+    # x_0 = 1/2 keeps the int row {0: 2}, which every restatement of it
+    # meets, and x_0 = 1 contradicts it
     yield ("fixed at 1/2", [{0: Q(2)}, {0: Q(2)}, {0: Q(4)}, {1: one}, {1: one}],
-           [Q(1), Q(1), Q(2), Q(3), Q(3)], 4)
-    yield "wrong value for 1/2", [{0: Q(2)}, {1: one}, {0: one}], [Q(1), Q(3), Q(1)], 3
+           [Q(1), Q(1), Q(2), Q(3), Q(3)])
+    yield "wrong value for 1/2", [{0: Q(2)}, {1: one}, {0: one}], [Q(1), Q(3), Q(1)]
     # column 0 holds the pivot row {0: 1} only once column 1 is cleared from it
-    yield "cleared to a singleton", [{0: one, 1: one}, {1: one}, {0: one}], [Q(3), Q(1), Q(2)], 2
+    yield "cleared to a singleton", [{0: one, 1: one}, {1: one}, {0: one}], [Q(3), Q(1), Q(2)]
     # the new pivot row {1: 2, 2: 1} (lead 2) clears column 1 from the int
     # row {0: 2, 1: 2, 2: 1}, which leaves {0: 2} of value 2, made {0: 1} of
-    # value 1: column 0 is fixed at 1 only then, and both restatements skip
+    # value 1: column 0 is fixed at 1 only then, and two restatements follow
     half = Q(1, 2)
     yield ("fixed at 1 by a clear", [{0: one, 1: one, 2: half}, {1: one, 2: half}, {0: one},
-                                     {0: Q(3)}], [Q(5, 2), Q(3, 2), one, Q(3)], 2)
+                                     {0: Q(3)}], [Q(5, 2), Q(3, 2), one, Q(3)])
     # the pivot row {3: 1} of value 4 clears column 3 from three holders,
     # which fixes columns 0, 1, 2 at -3, -6, 7
     holders = [{0: one, 3: one}, {1: one, 3: Q(2)}, {2: one, 3: Q(-1)}, {3: one}]
     values = [Q(1), Q(2), Q(3), Q(4)]
     yield ("singleton cleared from three holders", holders + [{0: one, 1: one, 2: one}, {3: Q(2)}],
-           values + [Q(-2), Q(8)], 4)
+           values + [Q(-2), Q(8)])
     # x_0 + x_2 = 4 after those clears, so the row x_0 + x_2 = 5 is the bad
-    # row, and the restatement of x_1 after it is skipped
+    # row, and a restatement of x_1 follows it
     yield ("wrong restatement after a clear", holders + [{0: one, 2: one}, {1: one}],
-           values + [Q(5), Q(-6)], 5)
+           values + [Q(5), Q(-6)])
 
 
-def test_echelon_skips_rows_that_restate_fixed_variables(monkeypatch):
+def test_echelon_matches_reference_on_rows_that_restate_fixed_variables():
     # the same echelon form, entry order, bad row and witness as the
-    # reference, tracked and untracked, with only the restating rows skipped
-    calls = []
-    row_step = linalg._row_step
-    monkeypatch.setattr(linalg, "_row_step", lambda *args: calls.append(1) or row_step(*args))
-    for label, rows, rhs, stepped in _restating_systems():
+    # reference, tracked and untracked
+    for label, rows, rhs in _restating_systems():
         for track in (False, True):
-            del calls[:]
             inconsistent = _assert_echelon_matches_reference(rows, rhs, track, label)
             assert inconsistent == label.startswith("wrong"), label
-            assert len(calls) == stepped, label
             # homogeneous, the singletons fix 0 and every restatement of 0
             _assert_echelon_matches_reference(rows, None, track, label)
 
 
-def test_free_n3_c3_linear_block_steps_only_rows_that_are_not_restated(monkeypatch):
+def test_free_n3_c3_linear_block_steps_every_stripped_row(monkeypatch):
     # the pattern of the homogeneous rows forces 1,964 of the 2,678 pivot
-    # columns to zero; 744 of the 8,670 rows are left for the elimination,
-    # and 717 of those reach the row step
+    # columns to zero; 744 of the 8,670 rows are left for one elimination,
+    # and each of them takes one row step
     system = build_system(fx.fixture("free-n3-c3"))
     rows, rhs = system.linear_rows, system.linear_rhs
     calls, eliminated = [], []
@@ -820,7 +820,45 @@ def test_free_n3_c3_linear_block_steps_only_rows_that_are_not_restated(monkeypat
     sol = solve_sparse(rows, rhs, system.nvars)
     assert sol.consistent and sol.rank == 2678
     zeros = linalg._forced_zeros(rows, rhs)[0]
-    assert (len(zeros), eliminated, len(calls), len(rows)) == (1964, [744], 717, 8670)
+    assert (len(zeros), eliminated, len(calls), len(rows)) == (1964, [744], 744, 8670)
+
+
+def _inconsistent_blocks():
+    """(label, rows, rhs, ncols): sl2's linear block, which is inconsistent
+    as it is, and the blocks of free-n3-c3 and free-n2-c4 with a row x_z = 1
+    on a column z that the homogeneous rows force to zero, put first or
+    last."""
+    system = build_system(fx.fixture("sl2"))
+    yield "sl2", system.linear_rows, system.linear_rhs, system.nvars
+    for name in ("free-n3-c3", "free-n2-c4"):
+        system = build_system(fx.fixture(name))
+        rows, rhs = system.linear_rows, system.linear_rhs
+        z = min(linalg._forced_zeros(rows, rhs)[0])
+        yield name + " x_z = 1 first", [{z: Q(1)}] + rows, [Q(1)] + rhs, system.nvars
+        yield name + " x_z = 1 last", rows + [{z: Q(1)}], rhs + [Q(1)], system.nvars
+
+
+def test_solve_sparse_eliminates_an_inconsistent_block_twice(monkeypatch):
+    # the stripped rows untracked, then the given rows tracked, which stops
+    # at the bad row; the pivot rows are those of the given rows, and the
+    # witness that of the rows through the bad row
+    for label, rows, rhs, ncols in _inconsistent_blocks():
+        pivot_rows, _, bad, _ = _echelon(rows, rhs, False)
+        witness = _echelon(rows[: bad + 1], rhs, True)[3]
+        eliminations, tracked = [], []
+        with monkeypatch.context() as patch:
+            row_step, echelon = linalg._row_step, linalg._echelon
+            patch.setattr(linalg, "_row_step",
+                          lambda *args: tracked.append(args[2]) or row_step(*args))
+            patch.setattr(linalg, "_echelon",
+                          lambda *args: eliminations.append(args[2]) or echelon(*args))
+            sol = solve_sparse(rows, rhs, ncols)
+        assert eliminations == [False, True], label
+        # the tracked pass steps each given row through the bad row once
+        assert [key for key in tracked if key is not None] == list(range(bad + 1)), label
+        assert sol.pivot_rows == pivot_rows and sol.pivot_rhs is None, label
+        assert list(sol.witness.items()) == list(witness.items()), label
+        assert max(sol.witness) == bad and sol.witness[bad] == 1, label
 
 
 @pytest.mark.parametrize("c", [3, -1, Q(1), Q(-5, 2)])
