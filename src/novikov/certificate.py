@@ -11,9 +11,10 @@ the quadratic block the representation condition [L(x), L(y)] = L([x,y]) and
 the commutation [R(x), R(y)] = 0. The quadratic block is never listed: a
 QuadraticBlock builds a polynomial when it is accessed. The residual step
 builds only representation polynomials that can hold a monomial none of whose
-variables the linear block forces to zero; a commutation polynomial minus its
-representation polynomial is an operator row, so both have that residual (72
-substitutions for 144 of 35,672 residuals on free-n3-c3). A NotExists verdict
+variables the linear block forces to zero, and substitutes only those live
+monomials of each; a commutation polynomial minus its representation
+polynomial is an operator row, so both have that residual (72 substitutions
+for 144 of 35,672 residuals on free-n3-c3). A NotExists verdict
 carries a rational combination of equations that evaluates to a nonzero
 constant on the whole affine solution set of the linear block; the witness
 re-verifies with nothing but rational arithmetic. No Groebner bases anywhere:
@@ -368,7 +369,9 @@ def _substitute(poly, forms):
     the monomials of the coefficient's denominator times the d of each of
     their variables, and the sums are divided by D once, at the end. Every
     term is D times the term over Fractions, so the same keys cancel and the
-    residual holds the same Fractions in the same order."""
+    residual holds the same Fractions in the same order. residual_polynomials
+    passes only the live monomials, those whose variables all have a nonzero
+    form: any other monomial adds no term, so the residual is the same."""
     scale = 1
     scaled = []
     for mono, coeff in poly.items():
@@ -441,10 +444,12 @@ def residual_polynomials(system):
     0: every free column, and every pivot column whose value is nonzero or
     whose row holds another column. Only the live variables' forms are
     built, straight from the pivot rows (_live_forms); every other variable
-    shares the form 0. A rep entry none of whose monomials has all its
-    variables live substitutes to zero. Only the entries that
-    system.quadratics.candidates names are built; of those, the ones without
-    such a monomial are skipped.
+    shares the form 0, so a monomial with a variable that is not live
+    substitutes to zero. Only the entries that system.quadratics.candidates
+    names are built; each is cut to its live monomials, those whose
+    variables are all live, and only those are substituted; an entry with
+    none is skipped. The live monomials keep their order, and the dead ones
+    added no key, so the residual is the one of the whole entry.
 
     As in solve_sparse, the substitution runs on ints: each live form is
     (d, d * c, {param: d * a}), scaled to ints by its denominators once, and
@@ -456,8 +461,8 @@ def residual_polynomials(system):
     live, forms = _live_forms(sol)
     reps = {}
     for qi in system.quadratics.candidates(live):
-        poly = system.quadratics[qi]
-        if not any(map(live.issuperset, poly)):
+        poly = {mono: c for mono, c in system.quadratics[qi].items() if live.issuperset(mono)}
+        if not poly:
             continue
         sub = _substitute(poly, forms)
         if sub:

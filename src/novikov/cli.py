@@ -10,6 +10,7 @@ verify, "cybe" or "novbed" from rmatrix.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -351,9 +352,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """The parser that main uses, built on its first call and then reused:
+    parsing sets no state on the parser, so in-process calls can share it."""
+    return build_parser()
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except UsageError as exc:
         _report(command=None, ok=False, error="UsageError", detail=str(exc))
         raise SystemExit(2)  # as argparse does, so in-process callers see the same exit

@@ -47,6 +47,7 @@ from dense_scans import (
     substitute,
     var_index,
 )
+from output_digest import CENSUS, FIXTURES
 from randalg import (
     gelfand_dorfman,
     random_mixed_extension,
@@ -323,10 +324,7 @@ def _live_form_corpus():
     """The fixtures, census instances 0-2 of each random corpus, whose forms
     have Fraction coefficients, and the graded and rebased Gelfand-Dorfman
     algebras."""
-    names = ["n3", "r2", "r3", "sl2", "ex35", "free-n2-c4", "free-n3-c3", "abelian:3",
-             "r3-lambda:-1", "r3-lambda:-1/2", "r3-lambda:2", "filiform:5", "filiform:8",
-             "In:4", "In:8"]
-    for name in names:
+    for name in FIXTURES:
         yield name, fx.fixture(name)
     for i in range(3):
         yield "x3-%d" % i, assemble(random_three_step_extension(rng_for("x3", i), i))
@@ -384,6 +382,57 @@ def test_live_forms_match_the_affine_form_reference():
     assert fractional > 0
 
 
+def test_live_monomials_substitute_to_the_whole_rep_entry():
+    # cutting a rep entry to its live monomials before the substitution
+    # leaves its residual as it was: the same dict, terms, order and types
+    # as the substitution of the whole entry, and an entry that substitutes
+    # to 0 in full stores no residual
+    dead = 0
+    for name, g in _live_form_corpus():
+        system = build_system(g)
+        sol, residuals = residual_polynomials(system)
+        if not sol.consistent:
+            continue
+        live, forms = certificate._live_forms(sol)
+        stored = 0
+        for qi in system.quadratics.candidates(live):
+            poly = system.quadratics[qi]
+            dead += not all(map(live.issuperset, poly))
+            whole = certificate._substitute(poly, forms)
+            if not whole:
+                assert qi not in residuals, (name, qi)
+                continue
+            stored += 2
+            for key in (qi, qi + 1):
+                assert list(residuals[key].items()) == list(whole.items()), (name, key)
+                assert all(type(c) is Q for c in residuals[key].values()), (name, key)
+        assert stored == len(residuals), name
+    assert dead > 0
+
+
+def test_residuals_substitute_only_live_monomials(monkeypatch):
+    # no monomial handed to _substitute holds a variable whose form is 0
+    substitute = certificate._substitute
+    handed = []
+
+    def spy(poly, forms):
+        handed.append(list(poly))
+        return substitute(poly, forms)
+
+    monkeypatch.setattr(certificate, "_substitute", spy)
+    calls = 0
+    for name, g in _live_form_corpus():
+        sol, _ = residual_polynomials(build_system(g))
+        if not sol.consistent:
+            continue
+        live, _ = certificate._live_forms(sol)
+        for monos in handed:
+            assert monos and all(map(live.issuperset, monos)), name
+        calls += len(handed)
+        handed.clear()
+    assert calls > 0
+
+
 def test_solve_sparse_matches_the_echelon_of_every_linear_block():
     # the forced-zero pass leaves the pivot rows, values and witness of the
     # elimination of the given rows as they were, on the fixtures (sl2 is
@@ -401,14 +450,6 @@ def test_solve_sparse_matches_the_echelon_of_every_linear_block():
     assert inconsistent == ["sl2"]
     assert (zeros["free-n2-c4"], zeros["free-n3-c3"]) == (363, 1964)
     assert all(zeros["gd(%d, %d)" % (n, k)] for n in range(4, 11) for k in (1, 2, 3))
-
-
-CENSUS = {
-    "x3": lambda i: assemble(random_three_step_extension(rng_for("x3", i), i)),
-    "xj": lambda i: assemble(random_regular_jordan_extension(rng_for("xj", i), i)),
-    "xm": lambda i: assemble(random_mixed_extension(rng_for("xm", i))),
-    "xp": lambda i: random_prop57_instance(rng_for("xp", i)),
-}
 
 
 def test_census_verdict_counts():

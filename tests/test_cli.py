@@ -409,3 +409,60 @@ def test_usage_errors_give_json_report(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["decide", "--help"])
     assert err.value.code == 0
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    # decide, check-cert, a usage error and --help all parse with the one
+    # parser main built on its first call
+    import pytest
+
+    build, calls = cli.build_parser, []
+
+    def spy():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._shared_parser.cache_clear()
+    lie = str(tmp_path / "g8.laf")
+    cert = str(tmp_path / "cert.lafc")
+    emit_file(fx.free_n2_c4(), lie)
+    assert run(capsys, "decide", "--lie", lie, "-o", cert)[0] == 1
+    assert run(capsys, "check-cert", "--lie", lie, "--cert", cert)[0] == 0
+    for argv, code in ((["decide", "--lie", lie, "--effort", "-1"], 2), (["decide", "--help"], 0)):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == code
+    capsys.readouterr()
+    assert len(calls) == 1
+    # build_parser itself still returns a new parser on every call
+    assert build() is not build()
+
+
+def test_calls_sharing_the_parser_keep_their_own_arguments(tmp_path, capsys):
+    # a default, a mutually exclusive flag and a usage error do not carry
+    # over from one call of main to the next
+    import pytest
+
+    lie = str(tmp_path / "g8.laf")
+    emit_file(fx.free_n2_c4(), lie)
+    code, report = run(capsys, "decide", "--lie", lie, "--effort", "0")
+    assert code == 1 and report["verdict"] == "undetermined"
+    code, report = run(capsys, "decide", "--lie", lie)
+    assert code == 1 and report["verdict"] == "not-exists"
+
+    n3 = str(tmp_path / "n3.laf")
+    prod = str(tmp_path / "half.lafp")
+    assert run(capsys, "fixture", "--name", "n3", "-o", n3)[0] == 0
+    assert run(capsys, "fixture", "--name", "half-bracket:n3", "-o", prod)[0] == 0
+    code, report = run(capsys, "verify", "--lie", n3, "--product", prod, "--lsa")
+    assert (code, report["property"], report["holds"]) == (0, "lsa", True)
+    code, report = run(capsys, "verify", "--lie", n3, "--product", prod, "--complete")
+    assert (code, report["property"], report["status"]) == (0, "complete", "complete")
+
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--lie", n3, "--product", prod, "--lsa", "--complete"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "decide", "--lie", n3) == (
+        0, {"command": "decide", "verdict": "exists", "method": "half-bracket"})
