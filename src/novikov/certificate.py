@@ -525,19 +525,14 @@ def _verified(g, h, product, method):
 
 
 def _constructor_candidates(g):
-    """Known closed-form constructions, tried in a fixed order.
-
-    The Scheuneman lift is no candidate: it is Novikov only when g has class
-    at most 2, where its product is the half-bracket product (the test suite
-    pins both). At class 3, (29) with X_p = -A_p/3 and x_pq = v_pq/2 reads
-    A_r v_pq = A_q v_pr, which makes A_r v_pq symmetric in (r, q) and
-    antisymmetric in (p, q), hence zero."""
-    if g.is_abelian():
-        yield "zero-product", AlgebraProduct.zero(g.dim)
-        return
-    cls = g.nilpotency_class()
-    if cls is not None and cls <= 2:
-        yield "half-bracket", half_bracket_product(g)
+    """Known closed-form constructions in a fixed order; _verified or the lift's own
+    hypothesis check decides each. The half-bracket product has eq-1 defect
+    -[[x, y], z]/4, and eq-2 and compatibility hold once that is zero: it verifies
+    exactly at class at most 2, where the Scheuneman lift gives the same product, so
+    that lift is no candidate. At class 3, (29) with X_p = -A_p/3 and x_pq = v_pq/2
+    reads A_r v_pq = A_q v_pr: A_r v_pq is symmetric in (r, q) and antisymmetric in
+    (p, q), hence zero. The test suite pins all three facts."""
+    yield ("zero-product" if g.is_abelian() else "half-bracket"), half_bracket_product(g)
     try:
         ext, split = two_step_solvable_from(g)
     except NotTwoStepSolvable:
@@ -546,11 +541,10 @@ def _constructor_candidates(g):
     def transported(lift):
         return split.transport_product(lift_product(ext, lift))
 
-    if ext.dim_b == 2:
-        try:
-            yield "two-generator", transported(two_gen_lift(ext))
-        except HypothesisFailed:
-            pass
+    try:
+        yield "two-generator", transported(two_gen_lift(ext))
+    except HypothesisFailed:
+        pass
     for x_index in range(ext.dim_b):
         try:
             yield "jordan-block", transported(jordan_lift(ext, x_index))

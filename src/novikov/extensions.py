@@ -514,7 +514,6 @@ def jordan_lift(ext, x_index):
             w = table[(p, q)]
             w = vadd(w, vscale(shift[q], table[(p, 0)]))
             w = vadd(w, vscale(shift[p], table[(0, q)]))
-            w = vadd(w, vscale(shift[p] * shift[q], table[(0, 0)]))
             w = p_inv.apply(w)
             if not is_zero_vec(w):
                 x_values[(order[p], order[q])] = w

@@ -172,9 +172,16 @@ def in_novikov_product(n):
     return AlgebraProduct.from_products(n, products)
 
 
+def _fraction(raw):
+    try:
+        return Q(raw)
+    except ZeroDivisionError:  # "1/0" is a malformed value like any other
+        raise ValueError("zero denominator in %r" % raw) from None
+
+
 _PARAMETRIC = {
     "abelian": (abelian, int),
-    "r3-lambda": (r3_lambda, Q),
+    "r3-lambda": (r3_lambda, _fraction),
     "filiform": (filiform, int),
     "In": (in_lie, int),
 }

@@ -159,13 +159,12 @@ def induced_nilpotent_extension(ext):
         omega_0[(p, q)] = w[n1:]
     # the extension of b by a_0; solve d(mu) = Omega'' for mu: b -> a_0,
     # then lam = -mu kills Omega''
-    ext_0 = ExtensionData(n2, m, phi_0, omega_0)
     rows = []
     rhs_entries = []
     for p in range(m):
         for q in range(p + 1, m):
             bracket = module.b.bracket.basis_product(p, q)
-            target = ext_0.omega_pair(p, q)
+            target = omega_0.get((p, q), vzero(n2))
             for r in range(n2):
                 row = {}
                 for c in range(n2):

@@ -2,17 +2,20 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 tests/output_digest.py
+    PYTHONPATH=src python3 tests/output_digest.py [--expect HEX]
 
 It decides the 15 named fixtures below and census instances 0-9 of the
 x3, xj, xm and xp corpora (55 algebras), emits each certificate as its
 canonical LAF-C document and prints the sha256 of those documents, joined
 in that order, with the verdict counts. A change that must keep every
-certificate byte prints the same line before and after. pytest does not
-collect this file.
+certificate byte prints the same line before and after. With --expect HEX
+it exits 1, printing both digests, when its digest is not HEX. pytest does
+not collect this file.
 """
 
+import argparse
 import hashlib
+import sys
 from collections import Counter
 
 from novikov import fixtures as fx
@@ -48,14 +51,21 @@ def algebras():
             yield build(i)
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Digest the decide certificates.")
+    parser.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is HEX")
+    args = parser.parse_args(argv)
     digest, verdicts = hashlib.sha256(), Counter()
     for g in algebras():
         cert = decide_novikov(g)
         digest.update(emit(cert).encode("utf-8"))
         verdicts[cert.verdict] += 1
     print(digest.hexdigest(), " ".join("%s=%d" % kv for kv in sorted(verdicts.items())))
+    if args.expect is not None and args.expect != digest.hexdigest():
+        print("expected %s\n     got %s" % (args.expect, digest.hexdigest()))
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -36,6 +36,7 @@ from novikov.extensions import (
     two_step_solvable_from,
 )
 from novikov.laf import parse_file
+from novikov.lie import LieAlgebra
 from novikov.linalg import NotRegularNilpotent, _add_scaled, _add_term, solve_sparse, vunit
 from novikov.products import AlgebraProduct, half_bracket_product, is_compatible, is_novikov
 
@@ -635,13 +636,14 @@ def test_decide_on_gelfand_dorfman_algebras():
 
 def reference_constructor_candidates(g):
     """decide's constructor order through the public lifts, each behind its
-    own hypothesis checks; the Scheuneman lift is none of them (see
+    own hypothesis checks and none gated: the half-bracket product first, the
+    zero product on abelian g (see
+    test_half_bracket_verifies_exactly_at_class_at_most_2); the Scheuneman
+    lift is none of them (see
     test_scheuneman_lift_is_novikov_only_as_the_half_bracket)."""
     if g.is_abelian():
         yield "zero-product", AlgebraProduct.zero(g.dim)
-        return
-    cls = g.nilpotency_class()
-    if cls is not None and cls <= 2:
+    else:
         yield "half-bracket", half_bracket_product(g)
     try:
         ext, split = two_step_solvable_from(g)
@@ -651,11 +653,10 @@ def reference_constructor_candidates(g):
     def transported(lift):
         return split.transport_product(lift_product(ext, lift))
 
-    if ext.dim_b == 2:
-        try:
-            yield "two-generator", transported(two_gen_lift(ext))
-        except (HypothesisFailed, LiftCheckFailed):
-            pass
+    try:
+        yield "two-generator", transported(two_gen_lift(ext))
+    except (HypothesisFailed, LiftCheckFailed):
+        pass
     for x_index in range(ext.dim_b):
         try:
             yield "jordan-block", transported(jordan_lift(ext, x_index))
@@ -685,6 +686,55 @@ def test_constructor_candidates_match_public_lifts():
     assert {"two-generator", "jordan-block", "invertible-action"} <= methods
 
 
+def test_half_bracket_verifies_exactly_at_class_at_most_2():
+    # why decide tries the half-bracket product on every g: its eq-1 defect
+    # is -[[x, y], z]/4 and eq-2 and compatibility hold once that is zero,
+    # so the product checks accept it exactly when the lower central series
+    # reaches 0 within two steps
+    corpus = [fx.fixture(name) for name in FIXTURES]
+    corpus += [build(i) for build in CENSUS.values() for i in range(10)]
+    corpus += [gelfand_dorfman(n, k)[0] for n in range(4, 11) for k in (1, 2, 3)]
+    rng = rng_for("half-bracket-class")
+    corpus += [random_two_step_nilpotent(rng, max_dim=6) for _ in range(4)]
+    kinds = Counter()
+    for g in corpus:
+        cls = g.nilpotency_class()
+        product = half_bracket_product(g)
+        verified = certificate._verified(g, algebra_hash(g), product, "half-bracket")
+        assert (verified is not None) == (cls is not None and cls <= 2)
+        if cls is None:
+            kinds["not nilpotent"] += 1
+        else:
+            kinds[min(cls, 3)] += 1
+    assert kinds[1] and kinds[2] and kinds[3] and kinds["not nilpotent"]
+
+
+def test_decide_builds_no_lower_central_series_and_one_commutator(monkeypatch):
+    # decide's only series is the derived series of two_step_solvable_from:
+    # [g, g], bracket_space on (full, full), is built once and no lower
+    # central series is built
+    calls = []
+    lower_central_series = LieAlgebra.lower_central_series
+    bracket_space = LieAlgebra.bracket_space
+
+    def spy_series(self):
+        calls.append("lower central series")
+        return lower_central_series(self)
+
+    def spy_bracket(self, u_space, v_space):
+        if u_space.dim == v_space.dim == self.dim:
+            calls.append("[g, g]")
+        return bracket_space(self, u_space, v_space)
+
+    monkeypatch.setattr(LieAlgebra, "lower_central_series", spy_series)
+    monkeypatch.setattr(LieAlgebra, "bracket_space", spy_bracket)
+    for name, verdict in (("free-n2-c4", NOT_EXISTS), ("free-n3-c3", EXISTS)):
+        g = fx.fixture(name)
+        calls.clear()
+        assert decide_novikov(g).verdict == verdict
+        assert calls == ["[g, g]"], name
+
+
 def test_scheuneman_lift_is_novikov_only_as_the_half_bracket():
     # why decide tries no Scheuneman candidate: at class 3 the lift always
     # fails (29), by the paper's lift systems and by the product checks, and
@@ -712,8 +762,9 @@ def test_scheuneman_lift_is_novikov_only_as_the_half_bracket():
 
 
 def test_decide_assembles_no_extension(monkeypatch):
-    # the constructors read the class of g itself; no closed form assembles
-    # its extension (no library module calls a lift checker at all)
+    # the product checks and the lifts' own hypothesis checks decide every
+    # constructor candidate; no closed form assembles its extension (no
+    # library module calls a lift checker at all)
     calls = []
     original = extensions.assemble
     monkeypatch.setattr(extensions, "assemble", lambda *a: calls.append("assemble") or original(*a))

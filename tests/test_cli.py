@@ -385,6 +385,14 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_fixture_with_zero_denominator_is_input_error(tmp_path, capsys):
+    out = str(tmp_path / "x.laf")
+    for name in ("r3-lambda:1/0", "half-bracket:r3-lambda:1/0"):
+        code, report = run(capsys, "fixture", "--name", name, "-o", out)
+        assert code == 2 and report["ok"] is False and report["error"] == "ValueError"
+        assert not os.path.exists(out)
+
+
 def test_lift_on_non_lie_b_is_input_error(tmp_path, capsys):
     ext = tmp_path / "bad.lafe"
     ext.write_text("LAF-E 1\ndim-a 1\ndim-b 3\nb-bracket 1 2 3 1\nb-bracket 1 3 1 1\n")

@@ -237,6 +237,15 @@ def test_fixture_lookup():
     for name in ("nope", "sl2:3", "filiform", "r3-lambda"):
         with pytest.raises(UnknownFixture):
             fixture(name)
+    # lambda reads as a Fraction; a zero denominator is a malformed value, a
+    # ValueError, not a ZeroDivisionError
+    for raw, lam in (("-1/2", Q(-1, 2)), ("2", Q(2)), ("2/4", Q(1, 2))):
+        assert fixture("r3-lambda:" + raw).bracket.basis_product(0, 2) == (0, 0, lam)
+    for name in ("r3-lambda:1/0", "r3-lambda:0/0"):
+        with pytest.raises(ValueError):
+            fixture(name)
+    with pytest.raises(ValueError):
+        product_fixture("half-bracket:r3-lambda:1/0")
     assert product_fixture("In-novikov:3").dim == 3
     assert product_fixture("ex35-product").dim == 5
     for name in ("nope", "ex35-product:3", "In-product", "In-novikov"):
