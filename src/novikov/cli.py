@@ -31,7 +31,7 @@ from .extensions import (
     semidirect_lift,
     two_gen_lift,
 )
-from .fixtures import UnknownFixture, fixture, product_fixture
+from .fixtures import UnknownFixture, _count, fixture, product_fixture
 from .lie import NotAnIdeal, quotient
 from .linalg import NotRegularNilpotent, Subspace, vunit
 from .products import (
@@ -273,13 +273,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError("%s: %s" % (self.prog, message))
 
 
-def _effort(text):
-    """An --effort value: a nonnegative int, in decimal digits."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError("expected a nonnegative int, got %r" % text)
-    return int(text)
-
-
 def build_parser():
     parser = _Parser(
         prog="novikov",
@@ -333,7 +326,7 @@ def build_parser():
 
     p = sub.add_parser("decide", help="decide existence of a Novikov structure")
     p.add_argument("--lie", required=True)
-    p.add_argument("--effort", type=_effort, default=cert_mod.DEFAULT_EFFORT)
+    p.add_argument("--effort", type=_count, default=cert_mod.DEFAULT_EFFORT)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_decide)
 

@@ -1,5 +1,6 @@
 """Named Lie algebras and products used as fixtures across the toolkit."""
 
+from .laf import _COUNT
 from .lie import StructureTensor, validate_lie
 from .linalg import Q, vunit
 from .products import AlgebraProduct
@@ -179,11 +180,19 @@ def _fraction(raw):
         raise ValueError("zero denominator in %r" % raw) from None
 
 
+def _count(raw):
+    """raw as a count of LAF's grammar (laf._COUNT), the one parser of the
+    integer parameters here and of decide's --effort."""
+    if not _COUNT.fullmatch(raw):
+        raise ValueError("expected a count, found %r" % raw)
+    return int(raw)
+
+
 _PARAMETRIC = {
-    "abelian": (abelian, int),
+    "abelian": (abelian, _count),
     "r3-lambda": (r3_lambda, _fraction),
-    "filiform": (filiform, int),
-    "In": (in_lie, int),
+    "filiform": (filiform, _count),
+    "In": (in_lie, _count),
 }
 
 _PRODUCT_PLAIN = {
@@ -209,7 +218,7 @@ def product_fixture(name):
         return half_bracket_product(fixture(name.partition(":")[2]))
     head, colon, raw = name.partition(":")
     if colon and head in _PRODUCT_PARAMETRIC:
-        return _PRODUCT_PARAMETRIC[head](int(raw))
+        return _PRODUCT_PARAMETRIC[head](_count(raw))
     if not colon and name in _PRODUCT_PLAIN:
         return _PRODUCT_PLAIN[name]()
     raise UnknownFixture(name)

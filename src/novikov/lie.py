@@ -173,8 +173,9 @@ class StructureTensor:
         return hash((self.dim, tuple(sorted(self.entries.items()))))
 
     def change_basis(self, basis, basis_inv):
-        """Constants in the basis of the columns of the matrix basis, which
-        are given in the old coordinates; basis_inv is its inverse.
+        """The constants of (x, y) -> C c(Bx, By) for square B = basis and
+        C = basis_inv; with C = B^-1 these are the constants in the basis of
+        B's columns, which are given in the old coordinates.
 
         One int transform of the nonzeros: with B = basis and C = basis_inv in
         their int forms (d_B B, d_C C) and the constants in theirs (d c),

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from novikov import cli, rmatrix
 from novikov import fixtures as fx
 from novikov.cli import main
@@ -391,6 +393,34 @@ def test_fixture_with_zero_denominator_is_input_error(tmp_path, capsys):
         code, report = run(capsys, "fixture", "--name", name, "-o", out)
         assert code == 2 and report["ok"] is False and report["error"] == "ValueError"
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("decide", "--lie", "LIE", "--effort", "\u0663"),
+    ("decide", "--lie", "LIE", "--effort", "+3"),
+    ("decide", "--lie", "LIE", "--effort", "03"),
+    ("fixture", "--name", "abelian:\u0663", "-o", "OUT"),
+    ("fixture", "--name", "abelian:+3", "-o", "OUT"),
+    ("fixture", "--name", "filiform: 5", "-o", "OUT"),
+    ("fixture", "--name", "filiform:05", "-o", "OUT"),
+    ("fixture", "--name", "In:-3", "-o", "OUT"),
+    ("fixture", "--name", "In-product:3 ", "-o", "OUT"),
+    ("fixture", "--name", "In-novikov:\u0663", "-o", "OUT"),
+])
+def test_integer_arguments_follow_the_laf_count_grammar(argv, tmp_path, capsys):
+    # --effort and the integer fixture parameters read a LAF count,
+    # 0|[1-9][0-9]* in ASCII digits: str.isdecimal took the Arabic-Indic 3
+    # and int() a sign, spaces and leading zeros
+    lie, out = str(tmp_path / "n3.laf"), str(tmp_path / "x.laf")
+    emit_file(fx.n3(), lie)
+    argv = [{"LIE": lie, "OUT": out}.get(a, a) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 2 and report["ok"] is False and report["command"] in (None, "fixture")
+    assert not os.path.exists(out)
 
 
 def test_lift_on_non_lie_b_is_input_error(tmp_path, capsys):

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novikov import fixtures as fx
-from novikov.linalg import DimensionMismatch, Matrix
-from novikov.products import is_compatible, is_novikov
+from novikov import products, rmatrix
+from novikov.lie import StructureTensor
+from novikov.linalg import DimensionMismatch, Matrix, vsub
+from novikov.products import AlgebraProduct, is_compatible, is_left_symmetric, is_novikov
 from novikov.rmatrix import (
     HypothesisFailed,
     PreconditionFailed,
@@ -265,3 +267,60 @@ def test_rmatrix_check_references_cover_every_outcome():
             m[rng.randrange(n)][rng.randrange(n)] = Q(rng.randint(-3, 3), rng.choice((1, 2, 3)))
         outcomes.add(_assert_checks_match_the_dense_references(RMatrix(g, Matrix(m))))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(rmatrix_cases())
+def test_cybe_and_novbed_are_eq1_and_eq2_of_the_induced_product(r):
+    # what check_cybe and check_novbed rest on, for x*y = [Tx, y] built by the
+    # dense references: the eq-1 defect at (x, y, z) is [CYBE(x, y), z], so
+    # the product passes the eq-1 scan once CYBE holds; novbed at (i, j, k)
+    # is eq-2 at (k, j, i), so novbed fails exactly where the eq-2 scan does,
+    # its first witness (i, j, k) the scan's (k, i, j)
+    g, t = r.g, r.t
+    p, gt = dense.t_product(r), dense.deformed_bracket(r)
+    n = g.dim
+    e = [g.basis_vector(i) for i in range(n)]
+    te = [column(t, i) for i in range(n)]
+
+    def assoc(i, j, k):
+        return vsub(p.apply(e[i], p.basis_product(j, k)), p.apply(p.basis_product(i, j), e[k]))
+
+    for i in range(n):
+        for j in range(n):
+            cybe = vsub(g.bracket_vec(te[i], te[j]), t.apply(gt.basis_product(i, j)))
+            for k in range(n):
+                assert vsub(assoc(i, j, k), assoc(j, i, k)) == g.bracket_vec(cybe, e[k])
+                novbed = vsub(g.bracket_vec(e[i], t.apply(g.bracket_vec(e[j], te[k]))),
+                              g.bracket_vec(e[j], t.apply(g.bracket_vec(e[i], te[k]))))
+                eq2 = vsub(p.apply(p.basis_product(k, j), e[i]),
+                           p.apply(p.basis_product(k, i), e[j]))
+                assert novbed == eq2
+    if dense.check_cybe(r):
+        assert is_left_symmetric(AlgebraProduct(p))
+    novbed, eq2 = dense.check_novbed(r), products._eq2(AlgebraProduct(p))
+    assert bool(novbed) == bool(eq2)
+    if not novbed:
+        k, i, j = eq2.witness
+        assert novbed.witness == (i, j, k)
+
+
+def test_the_product_of_t_is_built_once_and_rmatrix_is_immutable(monkeypatch):
+    # induced_product (check_cybe, check_novbed, the product) and then
+    # deformed_algebra share one tensor of [T e_i, e_j], kept by the RMatrix
+    made = []
+
+    def spy(dim, entries=None):
+        made.append(StructureTensor(dim, entries))
+        return made[-1]
+
+    monkeypatch.setattr(rmatrix, "StructureTensor", spy)
+    r = basis_rmatrix(fx.r2(), 0, 0)
+    p = induced_product(r)
+    deformed_algebra(r)
+    assert not p.is_zero()
+    assert [m for m in made if m == p.tensor] == [p.tensor]
+    assert rmatrix._t_product(r) is p.tensor
+    for name in ("g", "t"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(r, name, getattr(r, name))
