@@ -44,7 +44,6 @@ from .linalg import (
     Subspace,
     jordan_block,
     nilpotent_regular_basis,
-    word_image_space,
 )
 from .products import (
     AlgebraProduct,

@@ -241,15 +241,16 @@ class LieAlgebra:
 
     def bracket_space(self, u_space, v_space):
         """Span of [u, v] over basis vectors of the two subspaces. Each product
-        is summed in ints, as a sparse dict over the nonzeros of the int forms
-        of u, v and the bracket: a positive multiple of [u, v], which spans the
-        same. A subspace of another ambient dimension raises DimensionMismatch."""
+        is summed in ints, as a sparse dict over the nonzeros of the int form
+        of the bracket and of the subspaces' int echelon rows (_int_rows): a
+        positive multiple of [u, v], which spans the same. A subspace of
+        another ambient dimension raises DimensionMismatch."""
         if u_space.ambient_dim != self.dim or v_space.ambient_dim != self.dim:
             raise DimensionMismatch("subspace does not match the algebra's dimension")
         left = self.bracket._int_form()[2]
-        us, vs = (Matrix(s.basis, cols=self.dim)._int_form()[2] for s in (u_space, v_space))
+        vs = v_space._int_rows()
         rows = []
-        for u in us:
+        for u in u_space._int_rows():
             for v in vs:
                 out = {}
                 for i, a in u:

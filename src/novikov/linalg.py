@@ -24,13 +24,14 @@ tracks row provenance and stops at the first bad row, to build the
 witness. The pivot rows are keyed by pivot column, in no promised order.
 Subspace bases, nullspaces and inverses all take their reduced echelon
 form from it. Subspace membership reads a subspace's reduced echelon rows
-directly, and its complement is one echelon pass over the basis with the
-columns reversed.
+directly, its complement is one echelon pass over the basis with the
+columns reversed, and its int rows (each echelon row scaled by the lcm of
+its denominators) feed the bracket spans without a dense round trip.
 The certificate's residual elimination runs the same row step, and every
 sparse row or polynomial build in the package accumulates with the same
-helpers. Nilpotency reads one more, _krylov_chain:
+helpers. The regular nilpotent basis reads one more, _krylov_chain:
 the nonzero images of a sparse vector under an operator given by its sparse
-columns, so no matrix power is ever formed. The Fraction forms of the dense
+columns, so it forms no matrix power. The Fraction forms of the dense
 kernels are the test suite's references (tests/dense_scans.py).
 """
 
@@ -333,6 +334,16 @@ class Subspace:
                 _add_scaled(span, row, v[p])
         return span == {j: x for j, x in enumerate(v) if x}
 
+    def _int_rows(self):
+        """The reduced echelon rows as lists of nonzero (column, int) pairs,
+        each row scaled by the lcm of its denominators: positive multiples of
+        the basis vectors, which span the same."""
+        out = []
+        for row in self._echelon.pivot_rows.values():
+            d = lcm(*(x.denominator for x in row.values()))
+            out.append([(j, x.numerator * (d // x.denominator)) for j, x in row.items()])
+        return out
+
     def complement(self):
         """The lexicographically earliest coordinate indices, in increasing
         order, whose unit vectors complete the subspace.
@@ -355,10 +366,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
-
-    def annihilator(self):
-        """Vectors orthogonal (dot product) to every element of the subspace."""
-        return self._echelon.nullspace()
 
     def __repr__(self):
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient_dim)
@@ -772,29 +779,3 @@ def nilpotent_regular_basis(n_matrix):
         raise NotRegularNilpotent("nilpotency index is smaller than the dimension")
     chain.reverse()  # chain[k] = N^(n-1-k) e_j, so N chain[k+1] = chain[k]
     return Matrix.from_columns([[v.get(k, 0) for k in range(n)] for v in chain]).inverse()
-
-
-def word_image_space(ops, v_subspace, length):
-    """Span of w(v) over v in the subspace and words w of exactly `length` operators.
-
-    The term for words of length k + 1 is the span of the ops applied to the
-    term for length k, so once a term repeats every later one equals it. Each
-    image is summed in ints, as a sparse dict: the int rows of an operator
-    over the int nonzeros of a basis vector, a positive multiple of the image
-    that spans the same.
-    """
-    n = v_subspace.ambient_dim
-    for m in ops:
-        if m.rows != m.cols or m.rows != n:
-            raise DimensionMismatch("operators must be square of the ambient dimension")
-    op_rows = [m._int_form()[1] for m in ops]
-    current = v_subspace
-    for _ in range(length):
-        vectors = Matrix(current.basis, cols=n)._int_form()[2]
-        images = [{r: s for r, s in enumerate(sum([row[j] * x for j, x in v]) for row in rows) if s}
-                  for rows in op_rows for v in vectors]
-        image = Subspace._from_rows(n, images)
-        if image == current:
-            break
-        current = image
-    return current

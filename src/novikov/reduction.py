@@ -3,8 +3,11 @@ lifting problem to nilpotent extensions.
 
 A module over a nilpotent algebra splits as V_n + V_0 with V_n the unique
 maximal nilpotent submodule and V_0 an invariant complement with vanishing
-invariants. Applied to an extension this quotients away the H^0-free part of
-a, producing a nilpotent extension; lifts of products pull back from there.
+invariants (Fitting's lemma). Both parts come from one power A^d of each
+action, d = dim V: V_n is the common kernel of the powers, V_0 the sum of
+their images. Applied to an extension this quotients away the H^0-free part
+of a, producing a nilpotent extension; lifts of products pull back from
+there.
 """
 
 from .extensions import (
@@ -33,7 +36,6 @@ from .linalg import (
     vscale,
     vsub,
     vzero,
-    word_image_space,
 )
 from .products import Verdict, is_compatible, is_left_symmetric
 
@@ -71,7 +73,9 @@ class ModuleAction:
 
 
 class Decomposition:
-    """The splitting V = V_n + V_0 of a module over a nilpotent algebra."""
+    """The splitting V = V_n + V_0 of a module over a nilpotent algebra: V_n
+    the common kernel of the powers A^d of the actions, V_0 the sum of their
+    images, each a Subspace with its canonical basis."""
 
     __slots__ = ("v_n", "v_0")
 
@@ -90,20 +94,33 @@ class Decomposition:
 def fitting_decompose(module):
     """Split V into the maximal nilpotent submodule V_n and the image part V_0.
 
-    V_n is the space killed by every word of length d = dim V in the action
-    matrices. The rows of those words span the image of the transposed
-    actions' words of length d, so V_n is the annihilator of that dual word
-    image. V_0 is the span of images of all such words. Requires the acting
-    algebra to be nilpotent. That V = V_n + V_0 is a direct sum of invariant
-    subspaces is Fitting's lemma; it is not re-checked here but tested in the
-    test suite.
+    With d = dim V and A_p the action of the p-th basis element of b, V_n
+    is the common kernel of the A_p^d, read from one elimination of their
+    stacked int rows, and V_0 the span of their int columns. Requires the
+    acting algebra to be nilpotent; ModuleAction has checked that the A_p
+    form a representation, so they span a nilpotent Lie algebra of linear
+    maps. Over the algebraic closure V is then the direct sum of invariant
+    generalized weight spaces V^lam, with lam linear and A_p - lam(e_p)
+    nilpotent on V^lam (Jacobson, Lie Algebras, ch. II). So A_p^d kills
+    V^lam when lam(e_p) = 0 and is invertible on it otherwise: the common
+    kernel is V^0, the space every word of length d in the A_p kills, and
+    the sum of the images is the sum of the V^lam with lam != 0, the span of
+    the images of those words. Any power at or above d has the kernel and
+    the image of A_p^d, so the powers come from repeated squaring. That
+    V = V_n + V_0 is a direct sum of invariant subspaces is Fitting's lemma;
+    it is not re-checked here but tested in the test suite.
     """
     if not module.b.is_nilpotent():
         raise NotNilpotentAlgebra("acting algebra is not nilpotent")
     d = module.dim_v
-    full = Subspace.full(d)
-    rows = word_image_space([m.transpose() for m in module.action], full, d)
-    return Decomposition(rows.annihilator(), word_image_space(module.action, full, d))
+    rows, columns = [], []
+    for power in module.action:
+        for _ in range(max(d - 1, 0).bit_length()):
+            power = power * power
+        _, ints, nonzeros = power._int_form()
+        rows += map(dict, nonzeros)
+        columns += ({i: x for i, x in enumerate(col) if x} for col in zip(*ints))
+    return Decomposition(solve_sparse(rows, None, d).nullspace(), Subspace._from_rows(d, columns))
 
 
 class InducedExtension:

@@ -340,9 +340,13 @@ def row_module(module):
 
 
 def nullspace_of_rows(rows, ncols):
-    """The nullspace of the stacked rows, eliminated from scratch: the
-    two-pass reference for Subspace.annihilator."""
+    """The nullspace of the stacked rows, eliminated from scratch."""
     return solve_sparse(_sparse(rows), None, ncols).nullspace()
+
+
+def annihilator(space):
+    """Vectors orthogonal (dot product) to every element of the subspace."""
+    return nullspace_of_rows(space.basis, space.ambient_dim)
 
 
 def h0(module):
@@ -382,7 +386,7 @@ def invariant_profile(g):
 
 def intersect(u, w):
     """U meet W, as the annihilator of ann(U) + ann(W)."""
-    return subspace_sum(u.annihilator(), w.annihilator()).annihilator()
+    return annihilator(subspace_sum(annihilator(u), annihilator(w)))
 
 
 def bracket_space(g, u_space, v_space):
@@ -649,7 +653,9 @@ def sample_rights(p):
 
 
 def word_image_space(ops, v_subspace, length):
-    """Every one of the `length` image spans, with no stop at a repeat."""
+    """Span of w(v) over v in the subspace and words w of exactly `length`
+    operators, one dense image span per length: the reference for the V_0
+    of fitting_decompose, the image of the words of length dim V."""
     current = v_subspace
     for _ in range(length):
         vectors = []

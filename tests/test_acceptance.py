@@ -25,7 +25,7 @@ from novikov.extensions import (
 )
 from novikov.laf import parse_file
 from novikov.lie import quotient, validate_lie
-from novikov.linalg import Matrix, NotRegularNilpotent, Subspace, word_image_space
+from novikov.linalg import Matrix, NotRegularNilpotent, Subspace
 from novikov.products import (
     half_bracket_product,
     is_compatible,
@@ -63,6 +63,7 @@ from dense_scans import (
     right_matrix,
     row_module,
     subspace_sum,
+    word_image_space,
 )
 from randalg import (
     basis_rmatrix_pool,

@@ -26,7 +26,6 @@ from novikov.linalg import (
     vadd,
     vscale,
     vunit,
-    word_image_space,
 )
 
 import dense_scans as dense
@@ -126,26 +125,20 @@ def test_nullspace_examples():
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(subspaces())
-def test_annihilator_matches_the_two_pass_reference(space):
-    # the annihilator reads the echelon form the subspace holds; eliminating
-    # its basis from scratch must give the same canonical subspace
-    ann = space.annihilator()
-    assert ann == nullspace_of_rows(space.basis, space.ambient_dim)
-    assert ann.dim + space.dim == space.ambient_dim
-    assert all(vdot(u, v) == 0 for u in ann.basis for v in space.basis)
-
-
-def test_annihilator_runs_one_elimination(monkeypatch):
-    # one solve_sparse, building the annihilator's own echelon form; the
-    # basis is not eliminated a second time
-    calls = []
-    original = linalg.solve_sparse
-    monkeypatch.setattr(linalg, "solve_sparse", lambda *args: calls.append(args) or original(*args))
-    spaces = [Subspace(4, [(1, 2, 0, 1), (0, 0, 1, 3)]), Subspace(3), Subspace.full(2)]
-    for space in spaces:
-        calls.clear()
-        space.annihilator()
-        assert len(calls) == 1
+def test_int_rows_are_positive_int_multiples_of_the_basis(space):
+    # bracket_space reads these: one int row per basis vector, in
+    # no promised order, each a positive multiple of its vector
+    rows = space._int_rows()
+    assert len(rows) == space.dim
+    for row in rows:
+        assert all(type(x) is int and x for _, x in row)
+        dense_row = [Q(0)] * space.ambient_dim
+        for j, x in row:
+            dense_row[j] = Q(x)
+        pivot = min(j for j, _ in row)
+        v = space.basis[dense.pivots(space).index(pivot)]
+        scale = dense_row[pivot]
+        assert scale > 0 and vscale(scale, v) == tuple(dense_row)
 
 
 def test_subspace_canonical_idempotent():
@@ -270,56 +263,12 @@ def test_nilpotent_regular_basis_matches_dense_reference():
 
 
 def test_word_image_space_examples():
+    # the dense reference that fitting_decompose's V_0 is checked against
     full2 = Subspace.full(2)
-    assert word_image_space([jordan_block(2)], full2, 1) == Subspace(2, [(1, 0)])
-    assert word_image_space([Matrix.zeros(2, 2)], full2, 1).is_zero()
+    assert dense.word_image_space([jordan_block(2)], full2, 1) == Subspace(2, [(1, 0)])
+    assert dense.word_image_space([Matrix.zeros(2, 2)], full2, 1).is_zero()
     full3 = Subspace.full(3)
-    assert word_image_space([jordan_block(3)], full3, 2) == Subspace(3, [(1, 0, 0)])
-
-
-@st.composite
-def word_image_cases(draw):
-    """Operators on Q^n, zero about half the time entry by entry, a subspace
-    and a word length up to n + 2."""
-    v = draw(subspaces(max_dim=5))
-    n = v.ambient_dim
-    entry = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-2, 2), st.sampled_from((1, 2))))
-    matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
-    ops = [Matrix(rows, cols=n) for rows in draw(st.lists(matrix, min_size=1, max_size=3))]
-    return ops, v, draw(st.integers(0, n + 2))
-
-
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(word_image_cases())
-def test_word_image_space_matches_full_length_loop(case):
-    ops, v, length = case
-    assert word_image_space(ops, v, length) == dense.word_image_space(ops, v, length)
-
-
-def test_word_image_space_stops_at_its_fixed_point(monkeypatch):
-    # the shape of the reduction items' modules: b abelian of dimension 2 on
-    # Q^5, a nilpotent block of rank 1 and an invertible diagonal block; the
-    # image spans have dimensions 3, 2, 2, 2, 2, so the third build repeats
-    # the second and is the last
-    x = Matrix([[0, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0],
-                [0, 0, 0, 2, 0], [0, 0, 0, 0, -1]], cols=5)
-    y = Matrix([[0, 0, 0, 0, 0]] * 3 + [[0, 0, 0, 1, 0], [0, 0, 0, 0, 3]], cols=5)
-    builds = []
-
-    class Counted(Subspace):
-        __slots__ = ()
-
-        @classmethod
-        def _from_rows(cls, *args):
-            builds.append(args)
-            return super()._from_rows(*args)
-
-    full = Subspace.full(5)
-    monkeypatch.setattr(linalg, "Subspace", Counted)
-    got = word_image_space([x, y], full, 5)
-    assert len(builds) == 3
-    monkeypatch.undo()
-    assert got == dense.word_image_space([x, y], full, 5) == Subspace(5, [vunit(5, 3), vunit(5, 4)])
+    assert dense.word_image_space([jordan_block(3)], full3, 2) == Subspace(3, [(1, 0, 0)])
 
 
 def dense_rref(rows):

@@ -1,10 +1,13 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novikov import fixtures as fx
-from novikov import reduction
+from novikov import linalg, reduction
 from novikov.extensions import (
     ExtensionData,
     HypothesisFailed,
@@ -25,8 +28,8 @@ from novikov.linalg import (
     Subspace,
     jordan_block,
     vscale,
+    vunit,
     vzero,
-    word_image_space,
 )
 from novikov.products import (
     half_bracket_product,
@@ -115,13 +118,13 @@ def test_fitting_invariants_random():
             assert all(dec.v_n.contains(m.apply(v)) for v in dec.v_n.basis)
             assert all(dec.v_0.contains(m.apply(v)) for v in dec.v_0.basis)
         # V_n is a nilpotent module; restricted invariants on V_0 vanish
-        assert word_image_space(module.action, dec.v_n, d).is_zero()
+        assert dense.word_image_space(module.action, dec.v_n, d).is_zero()
         invariants = h0(module)
         assert subspace_sum(invariants, dec.v_0).dim == invariants.dim + dec.v_0.dim
         # maximality: adjoining any V_0 basis vector breaks nilpotency
         for v in dec.v_0.basis:
             grown = Subspace(d, dec.v_n.basis + (v,))
-            assert not word_image_space(module.action, grown, d).is_zero()
+            assert not dense.word_image_space(module.action, grown, d).is_zero()
 
 
 def test_fitting_block_triangular_coupling():
@@ -466,7 +469,7 @@ def test_prop57_rejects_sl2():
 def reference_preimage(space, m):
     """{v : m v in space}: the kernel of D m, D having the annihilator of
     the space as rows."""
-    ann = space.annihilator()
+    ann = dense.annihilator(space)
     rows = [tuple(vdot(d, col) for col in zip(*m.data)) for d in ann.basis]
     return nullspace_of_rows(rows, m.cols)
 
@@ -521,22 +524,94 @@ def _module_corpus():
 
 
 def test_fitting_matches_kernel_chain_reference():
-    # V_n as the annihilator of the dual word image equals the kernel of the
-    # words of length d found round by round
+    # V_n, the common kernel of the powers, equals the kernel of the words of
+    # length d found round by round, and V_0, the sum of their images, the
+    # span of the images of every word of length d
     for module in _module_corpus():
-        assert fitting_decompose(module).v_n == reference_fitting_kernel(module)
-
-
-def test_word_image_space_matches_dense_reference_on_modules():
-    # the int sums over nonzeros against the dense image spans, for the
-    # words of the actions and of their transposes that fitting_decompose reads
-    for module in _module_corpus():
+        dec = fitting_decompose(module)
         d = module.dim_v
-        for ops in (module.action, [m.transpose() for m in module.action]):
-            full = Subspace.full(d)
-            for length in range(d + 2):
-                want = dense.word_image_space(ops, full, length)
-                assert word_image_space(ops, full, length) == want
+        assert dec.v_n == reference_fitting_kernel(module)
+        assert dec.v_0 == dense.word_image_space(module.action, Subspace.full(d), d)
+
+
+def test_fitting_edge_cases():
+    # dim V = 0: both parts are the zero space
+    dec = fitting_decompose(ModuleAction(fx.abelian(2), 0, [Matrix.zeros(0, 0)] * 2))
+    assert dec.v_n == dec.v_0 == Subspace(0)
+    # dim b = 0: no power, so V_n is all of V
+    dec = fitting_decompose(ModuleAction(fx.abelian(0), 3, []))
+    assert dec.v_n == Subspace.full(3) and dec.v_0.is_zero()
+    # an invertible action: its power kills nothing and V_0 is all of V
+    dec = fitting_decompose(ModuleAction(fx.abelian(1), 2, [Matrix([[1, 1], [0, 2]])]))
+    assert dec.v_n.is_zero() and dec.v_0 == Subspace.full(2)
+
+
+def test_fitting_splits_the_reduction_item_shape(monkeypatch):
+    # the shape of the reduction items' modules: b abelian of dimension 2 on
+    # Q^5, a nilpotent block of rank 1 and an invertible diagonal block; d = 5
+    # takes three squarings per action, A^8 having the kernel and image of A^5
+    x = Matrix([[0, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0],
+                [0, 0, 0, 2, 0], [0, 0, 0, 0, -1]], cols=5)
+    y = Matrix([[0, 0, 0, 0, 0]] * 3 + [[0, 0, 0, 1, 0], [0, 0, 0, 0, 3]], cols=5)
+    module = ModuleAction(fx.abelian(2), 5, [x, y])
+    products = []
+    original = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda a, b: products.append(b) or original(a, b))
+    dec = fitting_decompose(module)
+    assert len(products) == 6
+    assert dec.v_n == Subspace(5, [vunit(5, 0), vunit(5, 1), vunit(5, 2)])
+    assert dec.v_0 == Subspace(5, [vunit(5, 3), vunit(5, 4)])
+    assert dec.v_0 == dense.word_image_space([x, y], Subspace.full(5), 5)
+
+
+def test_fitting_eliminates_the_powers_twice(monkeypatch):
+    # after the nilpotency check the powers are eliminated twice: their
+    # stacked rows by solve_sparse, read through nullspace(), and their
+    # columns by Subspace._from_rows. nullspace() and _from_rows each build
+    # one canonical basis with linalg's solve_sparse, so three eliminations
+    # run in all, whatever the module
+    modules = _module_corpus()
+    events = []
+
+    def spy(function, tag):
+        return lambda *args: events.append(tag) or function(*args)
+
+    monkeypatch.setattr(reduction, "solve_sparse", spy(reduction.solve_sparse, "rows"))
+    monkeypatch.setattr(linalg, "solve_sparse", spy(linalg.solve_sparse, "solve"))
+    monkeypatch.setattr(Subspace, "_from_rows",
+                        classmethod(spy(Subspace._from_rows.__func__, "columns")))
+    is_nilpotent = LieAlgebra.is_nilpotent
+
+    def checked(self):
+        verdict = is_nilpotent(self)
+        events.clear()
+        return verdict
+
+    monkeypatch.setattr(LieAlgebra, "is_nilpotent", checked)
+    for module in modules:
+        fitting_decompose(module)
+        assert Counter(events) == {"rows": 1, "columns": 1, "solve": 2}, module
+
+
+@st.composite
+def single_operators(draw):
+    """An operator on Q^n, n up to 5, zero about half the time entry by
+    entry: a representation of the one-dimensional algebra."""
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-2, 2), st.sampled_from((1, 2))))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return Matrix(rows, cols=n)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(single_operators())
+def test_fitting_matches_the_word_images_of_one_operator(op):
+    # for one operator A on Q^n, V_n is the kernel of A^n and V_0 its image
+    n = op.rows
+    module = ModuleAction(fx.abelian(1), n, [op])
+    dec = fitting_decompose(module)
+    assert dec.v_0 == dense.word_image_space([op], Subspace.full(n), n)
+    assert dec.v_n == reference_fitting_kernel(module)
 
 
 def test_module_action_rejects_a_failing_representation_identity():
@@ -574,3 +649,34 @@ def test_induced_extension_without_a0_matches_reference():
         assert (ind.basis, ind.basis_inv) == (ref.basis, ref.basis_inv)
         assert (ind.dim_n, ind.dim_0) == (ref.dim_n, ref.dim_0)
     assert without_a0 >= 10
+
+
+# sha256 of _construction_bytes(), recorded on the word-image Fitting
+# splitting that the power-based one replaced
+CONSTRUCTION_DIGEST = "c4555fc876ba1b81f359173a7590bf71633f0d9cbfd38608a44bebc5bb72057a"
+
+
+def _construction_bytes():
+    """What the construction layer hands out over _corpus_extensions(): the
+    induced extension emitted, with lam and the basis change; for each of
+    two_gen_lift and scheuneman_lift on it, the reduction-lift product
+    emitted or the hypothesis that fails; prop57_construct on the assembled
+    algebra, the same way."""
+    out = []
+    for ext in _corpus_extensions():
+        ind = induced_nilpotent_extension(ext)
+        out += [emit(ind.ext_n), repr(ind.lam), repr(ind.basis)]
+        for make in (two_gen_lift, scheuneman_lift):
+            try:
+                out.append(emit(lift_product(ext, reduction_lift(ext, make(ind.ext_n)))))
+            except HypothesisFailed as err:
+                out.append(str(err))
+        try:
+            out.append(emit(prop57_construct(assemble(ext))))
+        except HypothesisFailed as err:
+            out.append(str(err))
+    return "\n".join(out).encode()
+
+
+def test_construction_bytes_match_the_recorded_digest():
+    assert hashlib.sha256(_construction_bytes()).hexdigest() == CONSTRUCTION_DIGEST
