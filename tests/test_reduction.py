@@ -525,13 +525,20 @@ def _module_corpus():
 
 def test_fitting_matches_kernel_chain_reference():
     # V_n, the common kernel of the powers, equals the kernel of the words of
-    # length d found round by round, and V_0, the sum of their images, the
-    # span of the images of every word of length d
+    # length d found round by round
     for module in _module_corpus():
-        dec = fitting_decompose(module)
+        assert fitting_decompose(module).v_n == reference_fitting_kernel(module)
+
+
+def test_word_image_space_matches_dense_reference_on_modules():
+    # V_0, the sum of the images of the powers, equals the dense span of the
+    # images of every word of length d, and of length d + 1: the word images
+    # are stable from d on
+    for module in _module_corpus():
         d = module.dim_v
-        assert dec.v_n == reference_fitting_kernel(module)
-        assert dec.v_0 == dense.word_image_space(module.action, Subspace.full(d), d)
+        v_0 = fitting_decompose(module).v_0
+        for length in (d, d + 1):
+            assert v_0 == dense.word_image_space(module.action, Subspace.full(d), length)
 
 
 def test_fitting_edge_cases():
