@@ -46,7 +46,6 @@ from .linalg import (
     nilpotent_regular_basis,
 )
 from .products import (
-    AlgebraProduct,
     half_bracket_product,
     is_compatible,
     is_complete,

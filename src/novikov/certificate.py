@@ -48,7 +48,6 @@ from .linalg import (
     vunit,
 )
 from .products import (
-    AlgebraProduct,
     half_bracket_product,
     is_compatible,
     is_novikov,
@@ -513,7 +512,7 @@ def _product_from_solution(system, values):
     n = system.n
     entries = {(index // (n * n), index % n, index // n % n): v
                for index, v in enumerate(values) if v}
-    return AlgebraProduct(StructureTensor(n, {key: entries[key] for key in sorted(entries)}))
+    return StructureTensor(n, {key: entries[key] for key in sorted(entries)})
 
 
 def _verified(g, h, product, method):

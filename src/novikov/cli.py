@@ -32,10 +32,9 @@ from .extensions import (
     two_gen_lift,
 )
 from .fixtures import UnknownFixture, _count, fixture, product_fixture
-from .lie import NotAnIdeal, quotient
+from .lie import NotAnIdeal, StructureTensor, quotient
 from .linalg import NotRegularNilpotent, Subspace, vunit
 from .products import (
-    AlgebraProduct,
     is_complete,
     is_compatible,
     is_left_symmetric,
@@ -133,7 +132,7 @@ def _cmd_fixture(args):
         payload = product_fixture(args.name)
     laf.emit_file(payload, args.output)
     _report(command="fixture", name=args.name, output=args.output,
-            kind="product" if isinstance(payload, AlgebraProduct) else "lie")
+            kind="product" if isinstance(payload, StructureTensor) else "lie")
     return 0
 
 
@@ -261,6 +260,13 @@ def _cmd_quotient(args):
     return 0
 
 
+def _index(raw):
+    """raw as a 1-based index of LAF's grammar (laf._INDEX), for lift --index."""
+    if not laf._INDEX.fullmatch(raw):
+        raise ValueError("expected a 1-based index, found %r" % raw)
+    return int(raw)
+
+
 class UsageError(ValueError):
     """A command line that argparse rejects."""
 
@@ -314,7 +320,7 @@ def build_parser():
         required=True,
         choices=["scheuneman", "twogen", "jordan", "iso", "semidirect"],
     )
-    p.add_argument("--index", type=int, help="1-based b index for the jordan method")
+    p.add_argument("--index", type=_index, help="1-based b index for the jordan method")
     p.add_argument("--e", help="comma-separated b coordinates for the iso method")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_lift)

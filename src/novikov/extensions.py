@@ -32,7 +32,7 @@ from .linalg import (
     vunit,
     vzero,
 )
-from .products import AlgebraProduct, Verdict, is_compatible, is_left_symmetric
+from .products import Verdict, is_compatible, is_left_symmetric
 
 
 # (x*y)*z - x*(y*z), in the terms of lie._first_defect
@@ -127,8 +127,8 @@ class ExtensionData:
         self.phi = phi
         self.omega = table
         self.b_bracket = b_bracket if b_bracket is not None else StructureTensor(dim_b, {})
-        self.b_product = b_product if b_product is not None else AlgebraProduct.zero(dim_b)
-        self.a_product = a_product if a_product is not None else AlgebraProduct.zero(dim_a)
+        self.b_product = b_product if b_product is not None else StructureTensor(dim_b, {})
+        self.a_product = a_product if a_product is not None else StructureTensor(dim_a, {})
 
     def b_is_abelian(self):
         return self.b_bracket.is_zero()
@@ -168,9 +168,9 @@ class ExtensionData:
         _b_product_verdict. A zero b-product stands for none: assemble needs
         no product on b, and reduction_lift fails it on a non-abelian b. A
         b-bracket that is not a Lie bracket raises the AntisymmetryViolation
-        or JacobiViolation of validate_lie first. The a-product's
-        commutativity compares its pair index, and its associativity is the
-        triple scan of lie._first_defect.
+        or JacobiViolation of validate_lie first. The a-product is
+        commutative when it is compatible with the zero bracket, and its
+        associativity is the triple scan of lie._first_defect.
         """
         b = self.b_algebra()
         _check_representation(self.b_bracket, self.phi, self.dim_a)
@@ -195,11 +195,10 @@ class ExtensionData:
                     )
                     if lhs != rhs:
                         raise InvariantViolation(cocycle_eq, (p, q, r))
-        pairs = self.a_product.tensor.pairs
-        for i, j in sorted({(min(ij), max(ij)) for ij in pairs}):
-            if i < j and pairs.get((i, j), {}) != pairs.get((j, i), {}):
-                raise InvariantViolation("a-product-commutative", (i, j))
-        bad = _first_defect(self.a_product.tensor, _ASSOCIATIVE, False, False)
+        commutative = is_compatible(self.a_product, LieAlgebra(StructureTensor(self.dim_a, {})))
+        if not commutative:
+            raise InvariantViolation("a-product-commutative", commutative.witness)
+        bad = _first_defect(self.a_product, _ASSOCIATIVE, False, False)
         if bad:
             raise InvariantViolation("a-product-associative", bad)
         if not self.b_product.is_zero():
@@ -300,7 +299,7 @@ class SplitData:
 
     def transport_product(self, p):
         """Rewrite a product on split coordinates into original coordinates."""
-        return AlgebraProduct(p.tensor.change_basis(self.basis_inv, self.basis))
+        return p.change_basis(self.basis_inv, self.basis)
 
 
 def two_step_solvable_from(g):
@@ -332,8 +331,7 @@ def two_step_solvable_from(g):
 
 def lift_product(ext, lift):
     """The bilinear product on a x b defined by the lift; validity not implied."""
-    return AlgebraProduct(_block_tensor(ext.a_product.tensor, lift.x_op, lift.y_op,
-                                        lift.x_values, ext.b_product.tensor))
+    return _block_tensor(ext.a_product, lift.x_op, lift.y_op, lift.x_values, ext.b_product)
 
 
 def _b_product_verdict(ext, b=None):
@@ -531,4 +529,4 @@ def novikov_ideal_quotient(p, ideal):
                 raise NotProductIdeal(("right", j, v))
             if not ideal.contains(p.apply(ej, v)):
                 raise NotProductIdeal(("left", j, v))
-    return AlgebraProduct(quotient_tensor(p.tensor, ideal)[1])
+    return quotient_tensor(p, ideal)[1]

@@ -3,7 +3,6 @@
 from .laf import _COUNT
 from .lie import StructureTensor, validate_lie
 from .linalg import Q, vunit
-from .products import AlgebraProduct
 
 
 class UnknownFixture(KeyError):
@@ -123,7 +122,7 @@ def ex35_product():
         (4, 0): vunit(5, 2),
         (4, 3): vunit(5, 0, -1),
     }
-    return AlgebraProduct.from_products(5, products)
+    return StructureTensor.from_products(5, products)
 
 
 def free_n3_c3_product():
@@ -151,7 +150,7 @@ def free_n3_c3_product():
     v = [Q(0)] * n
     v[10], v[8] = Q(1), Q(-1, 2)
     products[(0, 5)] = tuple(v)     # x1*x6 = x11 - x9/2
-    return AlgebraProduct.from_products(n, products)
+    return StructureTensor.from_products(n, products)
 
 
 def in_product(n):
@@ -162,7 +161,7 @@ def in_product(n):
     for j in range(1, n):
         products[(0, j)] = vunit(n, j)
         products[(j, j)] = vunit(n, 0)
-    return AlgebraProduct.from_products(n, products)
+    return StructureTensor.from_products(n, products)
 
 
 def in_novikov_product(n):
@@ -170,7 +169,7 @@ def in_novikov_product(n):
     if n < 2:
         raise ValueError("I_n needs n >= 2")
     products = {(0, j): vunit(n, j) for j in range(1, n)}
-    return AlgebraProduct.from_products(n, products)
+    return StructureTensor.from_products(n, products)
 
 
 def _fraction(raw):

@@ -21,7 +21,6 @@ from .certificate import EXISTS, NOT_EXISTS, UNDETERMINED, Certificate
 from .extensions import ExtensionData, LiftData
 from .lie import LieAlgebra, StructureTensor, validate_lie
 from .linalg import Matrix, Q
-from .products import AlgebraProduct
 
 FORMAT_VERSION = 1
 
@@ -259,11 +258,11 @@ def _emit_lie(g):
 def _parse_product(body):
     (dim,), body = _counts(body, ("dim",))
     entries = _entries(body, {"product": _tensor(dim)})["product"]
-    return AlgebraProduct(StructureTensor(dim, entries))
+    return StructureTensor(dim, entries)
 
 
 def _emit_product(p):
-    return ["dim %d" % p.dim] + _lines_of("product", p.tensor.entries)
+    return ["dim %d" % p.dim] + _lines_of("product", p.entries)
 
 
 def _parse_matrix(body):
@@ -291,8 +290,8 @@ def _parse_extension(body):
         _stack(found["phi"], m, n),
         _table(found["omega"], n),
         b_bracket=StructureTensor(m, _antisymmetric(found["b-bracket"])),
-        b_product=AlgebraProduct(StructureTensor(m, found["b-product"])),
-        a_product=AlgebraProduct(StructureTensor(n, found["a-product"])),
+        b_product=StructureTensor(m, found["b-product"]),
+        a_product=StructureTensor(n, found["a-product"]),
     )
     ext.validate()
     return ext
@@ -304,8 +303,8 @@ def _emit_extension(ext):
         + _lines_of("phi", _stack_cells(ext.phi))
         + _lines_of("omega", _table_cells(ext.omega))
         + _lines_of("b-bracket", _upper(ext.b_bracket.entries))
-        + _lines_of("b-product", ext.b_product.tensor.entries)
-        + _lines_of("a-product", ext.a_product.tensor.entries)
+        + _lines_of("b-product", ext.b_product.entries)
+        + _lines_of("a-product", ext.a_product.entries)
     )
 
 
@@ -383,8 +382,8 @@ def _parse_certificate(body):
         values, line = keys["dim"]
         dim = _int(values, 0, line, count=True)
         entries = _entries(body, {"product": _tensor(dim)})["product"]
-        product = AlgebraProduct(StructureTensor(dim, entries))
-        return Certificate(EXISTS, h, product=product, method=first("method"))
+        return Certificate(EXISTS, h, product=StructureTensor(dim, entries),
+                           method=first("method"))
     if verdict == NOT_EXISTS:
         kind = first("witness-kind")
         if kind not in ("linear", "quadratic"):
@@ -413,7 +412,7 @@ def _emit_certificate(cert):
         if cert.method:
             out.append("method %s" % cert.method)
         out.append("dim %d" % cert.product.dim)
-        out += _lines_of("product", cert.product.tensor.entries)
+        out += _lines_of("product", cert.product.entries)
     elif cert.verdict == NOT_EXISTS:
         out.append("witness-kind %s" % cert.witness_kind)
         out += _lines_of("coeff", {(i,): c for i, c in cert.witness.items()})
@@ -426,7 +425,7 @@ def _emit_certificate(cert):
 # tag -> (payload type, parser, emitter); emit picks the first matching type.
 _FORMATS = {
     "LAF": (LieAlgebra, _parse_lie, _emit_lie),
-    "LAF-P": (AlgebraProduct, _parse_product, _emit_product),
+    "LAF-P": (StructureTensor, _parse_product, _emit_product),
     "LAF-M": (Matrix, _parse_matrix, _emit_matrix),
     "LAF-E": (ExtensionData, _parse_extension, _emit_extension),
     "LAF-L": (LiftData, _parse_lift, _emit_lift),

@@ -47,7 +47,8 @@ class NotAnIdeal(ValidationError):
 
 
 class StructureTensor:
-    """Sparse structure constants c[i][j][k] of a bilinear product on Q^n.
+    """Sparse structure constants c[i][j][k] of a bilinear map on Q^n: the
+    bracket of a LieAlgebra, or a product (products.py) itself.
 
     e_i * e_j = sum_k c[i][j][k] e_k; only nonzero entries are stored. Every
     construction builds its table from the nonzeros of its data, with the
@@ -233,12 +234,6 @@ class LieAlgebra:
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
-    def bracket_vec(self, u, v):
-        return self.bracket.apply(u, v)
-
-    def basis_vector(self, i):
-        return vunit(self.dim, i)
-
     def bracket_space(self, u_space, v_space):
         """Span of [u, v] over basis vectors of the two subspaces. Each product
         is summed in ints, as a sparse dict over the nonzeros of the int form
@@ -419,7 +414,7 @@ def quotient(g, ideal):
     a Lie algebra modulo a checked ideal needs no validate_lie."""
     for i in range(g.dim):
         for v in ideal.basis:
-            w = g.bracket_vec(g.basis_vector(i), v)
+            w = g.bracket.apply(vunit(g.dim, i), v)
             if not ideal.contains(w):
                 raise NotAnIdeal(i, v)
     comp, tensor = quotient_tensor(g.bracket, ideal)

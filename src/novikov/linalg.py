@@ -22,9 +22,10 @@ back as Fractions, exactly those of the elimination over Fractions. When
 the stripped rows are inconsistent, one more pass over the given rows
 tracks row provenance and stops at the first bad row, to build the
 witness. The pivot rows are keyed by pivot column, in no promised order.
-Subspace bases, nullspaces and inverses all take their reduced echelon
-form from it. Subspace membership reads a subspace's reduced echelon rows
-directly, its complement is one echelon pass over the basis with the
+Subspace bases and inverses take their reduced echelon form from it, and
+so does the Fitting kernel in reduction.py, which reads its echelon basis
+straight off one pass with the columns reversed. Subspace membership
+reads a subspace's reduced echelon rows directly, its complement is one echelon pass over the basis with the
 columns reversed, and its int rows (each echelon row scaled by the lcm of
 its denominators) feed the bracket spans without a dense round trip.
 The certificate's residual elimination runs the same row step, and every
@@ -281,38 +282,45 @@ class Subspace:
     Equality of subspaces is a syntactic comparison of the stored bases.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_echelon")
+    __slots__ = ("ambient_dim", "basis", "_pivot_rows")
 
     def __init__(self, ambient_dim, vectors=()):
         vectors = [tuple(v) for v in vectors]
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector does not match ambient dimension")
-        self._span(ambient_dim, _sparse(vectors))
+        self._set(ambient_dim, solve_sparse(_sparse(vectors), None, ambient_dim).pivot_rows)
 
     @classmethod
     def _from_rows(cls, ambient_dim, rows):
         """The span of sparse rows {column: int or Fraction}, unchecked."""
+        return cls._from_echelon(ambient_dim, solve_sparse(rows, None, ambient_dim).pivot_rows)
+
+    @classmethod
+    def _from_echelon(cls, ambient_dim, pivot_rows):
+        """The span of known reduced echelon rows {pivot column: {column:
+        Fraction}}, unchecked: each row has 1 at its pivot, its least column,
+        and no entry at another row's pivot."""
         space = cls.__new__(cls)
-        space._span(ambient_dim, rows)
+        space._set(ambient_dim, pivot_rows)
         return space
 
-    def _span(self, ambient_dim, rows):
-        echelon = solve_sparse(rows, None, ambient_dim)
+    def _set(self, ambient_dim, pivot_rows):
         basis = tuple(
-            tuple(echelon.pivot_rows[p].get(j, _ZERO) for j in range(ambient_dim))
-            for p in sorted(echelon.pivot_rows)
+            tuple(pivot_rows[p].get(j, _ZERO) for j in range(ambient_dim))
+            for p in sorted(pivot_rows)
         )
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_echelon", echelon)
+        object.__setattr__(self, "_pivot_rows", pivot_rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def full(cls, n):
-        return cls(n, Matrix.identity(n).data)
+        one = Q(1)
+        return cls._from_echelon(n, {j: {j: one} for j in range(n)})
 
     @property
     def dim(self):
@@ -329,7 +337,7 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector does not match ambient dimension")
         span = {}
-        for p, row in self._echelon.pivot_rows.items():
+        for p, row in self._pivot_rows.items():
             if v[p]:
                 _add_scaled(span, row, v[p])
         return span == {j: x for j, x in enumerate(v) if x}
@@ -339,7 +347,7 @@ class Subspace:
         each row scaled by the lcm of its denominators: positive multiples of
         the basis vectors, which span the same."""
         out = []
-        for row in self._echelon.pivot_rows.values():
+        for row in self._pivot_rows.values():
             d = lcm(*(x.denominator for x in row.values()))
             out.append([(j, x.numerator * (d // x.denominator)) for j, x in row.items()])
         return out
@@ -403,17 +411,6 @@ class SparseSolution:
         for p, val in self.pivot_rhs.items():
             v[p] = val
         return tuple(v)
-
-    def nullspace(self):
-        basis = []
-        for f in self.free_columns():
-            v = list(vunit(self.ncols, f))
-            for p, row in self.pivot_rows.items():
-                c = row.get(f)
-                if c is not None:
-                    v[p] = -c
-            basis.append(v)
-        return Subspace(self.ncols, basis)
 
 
 def _add_term(acc, key, c):

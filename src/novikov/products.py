@@ -1,8 +1,10 @@
 """Bilinear products on the underlying space of a Lie algebra.
 
-Checks the left-symmetric and Novikov axioms, compatibility with a bracket,
-and completeness of left-symmetric products (nilpotency of every right
-multiplication). Left symmetry and eq-2 are triple scans run by the kernel
+A product is the StructureTensor of its constants, the same kind of object
+as a bracket: e_i * e_j = sum_k c[i][j][k] e_k, with no symmetry asked of
+it. Checks the left-symmetric and Novikov axioms, compatibility with a
+bracket, and completeness of left-symmetric products (nilpotency of every
+right multiplication). Left symmetry and eq-2 are triple scans run by the kernel
 lie._first_defect, on int constants and over the nonzero paths of the
 pair index, so a sparse product costs its nonzeros, not a sum per triple.
 Compatibility compares the pair indexes of the product and the bracket.
@@ -15,45 +17,6 @@ Convention: L(x)y = x*y and R(x)y = y*x throughout.
 
 from .lie import StructureTensor, _first_defect
 from .linalg import Q, _krylov_chain, vunit
-
-
-class AlgebraProduct:
-    """A bilinear product on Q^n with no symmetry constraints."""
-
-    __slots__ = ("dim", "tensor")
-
-    def __init__(self, tensor):
-        object.__setattr__(self, "dim", tensor.dim)
-        object.__setattr__(self, "tensor", tensor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraProduct is immutable")
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(StructureTensor(dim, {}))
-
-    @classmethod
-    def from_products(cls, dim, products):
-        return cls(StructureTensor.from_products(dim, products))
-
-    def apply(self, u, v):
-        return self.tensor.apply(u, v)
-
-    def basis_product(self, i, j):
-        return self.tensor.basis_product(i, j)
-
-    def is_zero(self):
-        return self.tensor.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraProduct) and self.tensor == other.tensor
-
-    def __hash__(self):
-        return hash(self.tensor)
-
-    def __repr__(self):
-        return "AlgebraProduct(dim=%d, nnz=%d)" % (self.dim, len(self.tensor.entries))
 
 
 class Verdict:
@@ -88,7 +51,7 @@ def is_left_symmetric(p):
     x < y is scanned; that visits the failing triples in the same order and
     returns the same first one as a scan over every triple.
     """
-    bad = _first_defect(p.tensor, _EQ1, True, False)
+    bad = _first_defect(p, _EQ1, True, False)
     return Verdict(False, bad, "eq-1") if bad else Verdict(True)
 
 
@@ -98,7 +61,7 @@ def _eq2(p):
     The identity is antisymmetric in y and z, so only y < z is scanned, which
     keeps the first failing triple of the full scan.
     """
-    bad = _first_defect(p.tensor, _EQ2, False, True)
+    bad = _first_defect(p, _EQ2, False, True)
     return Verdict(False, bad, "eq-2") if bad else Verdict(True)
 
 
@@ -123,7 +86,7 @@ def is_compatible(p, g):
     pair (i, j) holds when (u - v) * d_g = w * d_p entry by entry."""
     if p.dim != g.dim:
         return Verdict(False, None, "dimension-mismatch")
-    d_p, pairs = p.tensor._int_form()[:2]
+    d_p, pairs = p._int_form()[:2]
     d_g, bracket = g.bracket._int_form()[:2]
     for i, j in sorted({(b, a) for a, b in pairs} | set(pairs) | set(bracket)):
         u, v, w = pairs.get((i, j), {}), pairs.get((j, i), {}), bracket.get((i, j), {})
@@ -137,9 +100,7 @@ def half_bracket_product(g):
     """The product x*y = [x,y]/2 on the space of g, halved entry by entry
     from the bracket's nonzeros, in sorted (i, j, k) order."""
     half = Q(1, 2)
-    return AlgebraProduct(StructureTensor(
-        g.dim, {ijk: half * c for ijk, c in sorted(g.bracket.entries.items())}
-    ))
+    return StructureTensor(g.dim, {ijk: half * c for ijk, c in sorted(g.bracket.entries.items())})
 
 
 COMPLETE = "complete"
@@ -201,7 +162,7 @@ def is_complete(p):
     """
     n = p.dim
     # in ints: d R(e_i), with d clearing denominators, is nilpotent iff R(e_i) is
-    pairs = p.tensor._int_form()[1]
+    pairs = p._int_form()[1]
     for i in range(n):
         if not _nilpotent({j: pairs[j, i] for j in range(n) if (j, i) in pairs}, n):
             return Completeness(INCOMPLETE, vunit(n, i))

@@ -95,9 +95,14 @@ def fitting_decompose(module):
     """Split V into the maximal nilpotent submodule V_n and the image part V_0.
 
     With d = dim V and A_p the action of the p-th basis element of b, V_n
-    is the common kernel of the A_p^d, read from one elimination of their
-    stacked int rows, and V_0 the span of their int columns. Requires the
-    acting algebra to be nilpotent; ModuleAction has checked that the A_p
+    is the common kernel of the A_p^d and V_0 the span of their int columns.
+    The kernel takes one elimination of the stacked int rows, with the
+    columns reversed: with P the pivot rows, each column f with d-1-f no
+    pivot gives v_f = e_f - sum_p P[p][d-1-f] e_(d-1-p). P is reduced, each
+    pivot the least column of its row, so v_f has its lead 1 at f and is 0
+    at every other lead: the v_f are the kernel's reduced echelon basis as
+    they stand, and no second elimination is needed. Requires the acting
+    algebra to be nilpotent; ModuleAction has checked that the A_p
     form a representation, so they span a nilpotent Lie algebra of linear
     maps. Over the algebraic closure V is then the direct sum of invariant
     generalized weight spaces V^lam, with lam linear and A_p - lam(e_p)
@@ -118,9 +123,17 @@ def fitting_decompose(module):
         for _ in range(max(d - 1, 0).bit_length()):
             power = power * power
         _, ints, nonzeros = power._int_form()
-        rows += map(dict, nonzeros)
+        rows += ({d - 1 - j: x for j, x in row} for row in nonzeros)
         columns += ({i: x for i, x in enumerate(col) if x} for col in zip(*ints))
-    return Decomposition(solve_sparse(rows, None, d).nullspace(), Subspace._from_rows(d, columns))
+    pivot_rows, one = solve_sparse(rows, None, d).pivot_rows, Q(1)
+    kernel = {}
+    for f in range(d):
+        if d - 1 - f not in pivot_rows:
+            v = kernel[f] = {f: one}
+            for p, row in pivot_rows.items():
+                if d - 1 - f in row:
+                    v[d - 1 - p] = -row[d - 1 - f]
+    return Decomposition(Subspace._from_echelon(d, kernel), Subspace._from_rows(d, columns))
 
 
 class InducedExtension:

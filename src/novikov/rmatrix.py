@@ -16,7 +16,7 @@ built by StructureTensor.change_basis.
 from .extensions import HypothesisFailed
 from .lie import StructureTensor, _first_defect, validate_lie
 from .linalg import DimensionMismatch, Matrix, _add_scaled, _to_fractions
-from .products import _EQ2, AlgebraProduct, Verdict
+from .products import _EQ2, Verdict
 
 
 class PreconditionFailed(ValueError):
@@ -124,7 +124,7 @@ def induced_product(r):
     novbed = check_novbed(r)
     if not novbed:
         raise PreconditionFailed("novbed", novbed.witness)
-    return AlgebraProduct(_t_product(r))
+    return _t_product(r)
 
 
 def basis_rmatrix(g, ell, m):

@@ -62,7 +62,6 @@ from novikov.products import (
     COMPLETE,
     INCOMPLETE,
     NOT_LEFT_SYMMETRIC,
-    AlgebraProduct,
     Completeness,
     Verdict,
     _eq2,
@@ -115,8 +114,7 @@ def tabulate(dim, f):
 
 def half_bracket_product(g):
     """x*y = [x,y]/2 through tabulate, one dense vector per basis pair."""
-    return AlgebraProduct(tabulate(
-        g.dim, lambda i, j: vscale(Q(1, 2), g.bracket.basis_product(i, j))))
+    return tabulate(g.dim, lambda i, j: vscale(Q(1, 2), g.bracket.basis_product(i, j)))
 
 
 def change_basis(t, basis, basis_inv):
@@ -146,7 +144,7 @@ def lift_product(ext, lift):
             return column(lift.y_op[p], j) + zb
         return lift.omega_value(p, q) + ext.b_product.basis_product(p, q)
 
-    return AlgebraProduct(tabulate(n + m, product))
+    return tabulate(n + m, product)
 
 
 def extension_bracket(ext):
@@ -186,7 +184,7 @@ def quotient_tensor(tensor, subspace):
 def t_product(r):
     """e_i * e_j = [T e_i, e_j] through tabulate."""
     g, t = r.g, r.t
-    return tabulate(g.dim, lambda i, j: g.bracket_vec(column(t, i), g.basis_vector(j)))
+    return tabulate(g.dim, lambda i, j: g.bracket.apply(column(t, i), vunit(g.dim, j)))
 
 
 def deformed_bracket(r):
@@ -195,8 +193,8 @@ def deformed_bracket(r):
     return tabulate(
         g.dim,
         lambda i, j: vadd(
-            g.bracket_vec(column(t, i), g.basis_vector(j)),
-            g.bracket_vec(g.basis_vector(i), column(t, j)),
+            g.bracket.apply(column(t, i), vunit(g.dim, j)),
+            g.bracket.apply(vunit(g.dim, i), column(t, j)),
         ),
     )
 
@@ -210,9 +208,9 @@ def check_cybe(r):
         ti = column(t, i)
         for j in range(i + 1, n):
             tj = column(t, j)
-            lhs = g.bracket_vec(ti, tj)
+            lhs = g.bracket.apply(ti, tj)
             rhs = t.apply(
-                vadd(g.bracket_vec(ti, g.basis_vector(j)), g.bracket_vec(g.basis_vector(i), tj))
+                vadd(g.bracket.apply(ti, vunit(g.dim, j)), g.bracket.apply(vunit(g.dim, i), tj))
             )
             if lhs != rhs:
                 return Verdict(False, (i, j), "cybe")
@@ -224,13 +222,13 @@ def check_novbed(r):
     bracket vectors and Matrix.apply: the reference for rmatrix.check_novbed."""
     g, t = r.g, r.t
     n = g.dim
-    e = [g.basis_vector(i) for i in range(n)]
+    e = [vunit(n, i) for i in range(n)]
     for k in range(n):
         tk = column(t, k)
-        inner = [t.apply(g.bracket_vec(e[i], tk)) for i in range(n)]
+        inner = [t.apply(g.bracket.apply(e[i], tk)) for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                if g.bracket_vec(e[i], inner[j]) != g.bracket_vec(e[j], inner[i]):
+                if g.bracket.apply(e[i], inner[j]) != g.bracket.apply(e[j], inner[i]):
                     return Verdict(False, (i, j, k), "novbed")
     return Verdict(True)
 
@@ -242,8 +240,7 @@ def var_index(n, i, r, c):
 
 def product_from_solution(n, values):
     """The product with L(e_i) read from a solution vector, through tabulate."""
-    return AlgebraProduct(
-        tabulate(n, lambda i, j: [values[var_index(n, i, k, j)] for k in range(n)]))
+    return tabulate(n, lambda i, j: [values[var_index(n, i, k, j)] for k in range(n)])
 
 
 def affine_forms(sol):
@@ -339,9 +336,22 @@ def row_module(module):
     return ModuleAction(module.b, module.dim_v, [m.transpose().scale(-1) for m in module.action])
 
 
+def kernel(sol):
+    """The nullspace of a solved system, one vector per free column f: e_f
+    minus the entries at f of the reduced pivot rows, each at its pivot."""
+    basis = []
+    for f in sol.free_columns():
+        v = list(vunit(sol.ncols, f))
+        for p, row in sol.pivot_rows.items():
+            if f in row:
+                v[p] = -row[f]
+        basis.append(v)
+    return Subspace(sol.ncols, basis)
+
+
 def nullspace_of_rows(rows, ncols):
     """The nullspace of the stacked rows, eliminated from scratch."""
-    return solve_sparse(_sparse(rows), None, ncols).nullspace()
+    return kernel(solve_sparse(_sparse(rows), None, ncols))
 
 
 def annihilator(space):
@@ -446,7 +456,7 @@ def _basis_products(t):
 
 def is_left_symmetric(p):
     """x*(y*z) - (x*y)*z = y*(x*z) - (y*x)*z over every basis triple."""
-    t, n = p.tensor, p.dim
+    t, n = p, p.dim
     e = [vunit(n, i) for i in range(n)]
     prod = _basis_products(t)
     for i in range(n):
@@ -461,7 +471,7 @@ def is_left_symmetric(p):
 
 def eq2(p):
     """(x*y)*z = (x*z)*y over every basis triple."""
-    t, n = p.tensor, p.dim
+    t, n = p, p.dim
     e = [vunit(n, i) for i in range(n)]
     prod = _basis_products(t)
     for i in range(n):
@@ -477,7 +487,7 @@ def is_compatible(p, g):
         return Verdict(False, None, "dimension-mismatch")
     for i in range(p.dim):
         for j in range(p.dim):
-            com = vsub(basis_product(p.tensor, i, j), basis_product(p.tensor, j, i))
+            com = vsub(basis_product(p, i, j), basis_product(p, j, i))
             if com != basis_product(g.bracket, i, j):
                 return Verdict(False, (i, j), "eq-3")
     return Verdict(True)
@@ -489,7 +499,7 @@ def is_compatible_pairs(p, g):
     index has a constant, in sorted order."""
     if p.dim != g.dim:
         return Verdict(False, None, "dimension-mismatch")
-    pairs, bracket = p.tensor.pairs, g.bracket.pairs
+    pairs, bracket = p.pairs, g.bracket.pairs
     for i, j in sorted({(b, a) for a, b in pairs} | set(pairs) | set(bracket)):
         u, v, w = pairs.get((i, j), {}), pairs.get((j, i), {}), bracket.get((i, j), {})
         if any(u.get(k, 0) - v.get(k, 0) != w.get(k, 0) for k in u.keys() | v.keys() | w.keys()):
@@ -501,7 +511,7 @@ def a_product_violation(a):
     """The a-product scans of ExtensionData.validate with dense vectors: the
     (label, witness) of the first failure, commutativity on i < j before
     associativity on every triple, or None."""
-    t, n = a.tensor, a.dim
+    t, n = a, a.dim
     for i in range(n):
         for j in range(i + 1, n):
             if basis_product(t, i, j) != basis_product(t, j, i):
@@ -586,12 +596,12 @@ def novikov_operator_identity_holds(p, g):
     nonexistence certifier.
     """
     n = p.dim
-    lefts = [p.tensor.left_matrix(i) for i in range(n)]
+    lefts = [p.left_matrix(i) for i in range(n)]
     ads = [g.bracket.left_matrix(i) for i in range(n)]
     for i in range(n):
         for j in range(n):
             bracket = g.bracket.basis_product(i, j)
-            l_br = left_matrix_of(p.tensor, bracket)
+            l_br = left_matrix_of(p, bracket)
             ad_br = left_matrix_of(g.bracket, bracket)
             total = l_br + ad_br - commutator(ads[i], lefts[j]) - commutator(lefts[i], ads[j])
             if not total.is_zero():
@@ -631,7 +641,7 @@ def is_complete(p):
     """Each dense R(e_i) raised to the n-th power, then the dense eq-2 scan
     and the dense left-symmetry scan; a product that passes neither is not
     left-symmetric."""
-    t, n = p.tensor, p.dim
+    t, n = p, p.dim
     for i in range(n):
         if not is_nilpotent(right_matrix(t, i)):
             return Completeness(INCOMPLETE, vunit(n, i))
@@ -643,7 +653,7 @@ def is_complete(p):
 def sample_rights(p):
     """The first of SAMPLES seeded rational vectors x with the dense R(x)
     not nilpotent, or None if every sampled R(x) is nilpotent."""
-    t, n = p.tensor, p.dim
+    t, n = p, p.dim
     rng = random.Random(SEED)
     for _ in range(SAMPLES):
         x = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))

@@ -9,8 +9,12 @@ x3, xj, xm and xp corpora (55 algebras), emits each certificate as its
 canonical LAF-C document and prints the sha256 of those documents, joined
 in that order, with the verdict counts. A change that must keep every
 certificate byte prints the same line before and after. With --expect HEX
-it exits 1, printing both digests, when its digest is not HEX. pytest does
-not collect this file.
+it exits 1, printing both digests, when its digest is not HEX.
+
+A second line prints product_digest(): one sha256 over the LAF documents
+of the products that the library's constructors build (see its docstring),
+which test_reduction.py pins as PRODUCT_DIGEST. pytest does not collect
+this file.
 """
 
 import argparse
@@ -20,10 +24,24 @@ from collections import Counter
 
 from novikov import fixtures as fx
 from novikov.certificate import decide_novikov
-from novikov.extensions import assemble
+from novikov.extensions import (
+    assemble,
+    iso_lift,
+    jordan_lift,
+    lift_product,
+    novikov_ideal_quotient,
+    scheuneman_lift,
+    semidirect_lift,
+    two_gen_lift,
+    two_step_solvable_from,
+)
 from novikov.laf import emit
+from novikov.linalg import Subspace, vunit
+from novikov.products import half_bracket_product
+from novikov.rmatrix import basis_rmatrix, deformed_algebra, induced_product
 
 from randalg import (
+    gelfand_dorfman,
     random_mixed_extension,
     random_prop57_instance,
     random_regular_jordan_extension,
@@ -51,6 +69,76 @@ def algebras():
             yield build(i)
 
 
+PRODUCT_FIXTURES = ["ex35-product", "free-n3-c3-product", "In-product:2", "In-product:4",
+                    "In-novikov:2", "In-novikov:4"]
+
+
+def _closed_form_lifts(ext):
+    """(name, lift or the exception that refused it) for each closed-form
+    lift of the extension, jordan_lift and iso_lift at every b index."""
+    m = ext.dim_b
+    makers = [("two-gen", lambda: two_gen_lift(ext)), ("scheuneman", lambda: scheuneman_lift(ext)),
+              ("semidirect", lambda: semidirect_lift(ext))]
+    makers += [("jordan %d" % x, lambda x=x: jordan_lift(ext, x)) for x in range(m)]
+    makers += [("iso %d" % e, lambda e=e: iso_lift(ext, vunit(m, e))) for e in range(m)]
+    for name, make in makers:
+        try:
+            yield name, make()
+        except ValueError as err:
+            yield name, err
+
+
+def _constructed():
+    """The LAF documents, or refusals, of the products the constructors
+    build, in a fixed order: the half-bracket product of each fixture; the
+    product fixtures; induced_product and deformed_algebra of each valid
+    basis_rmatrix on ex35 and filiform:5-6; each closed-form lift of the
+    census 0-9 algebras through lift_product and transport_product;
+    novikov_ideal_quotient of free-n3-c3-product and of the Gelfand-Dorfman
+    products; and those products themselves."""
+    for name in FIXTURES:
+        yield emit(half_bracket_product(fx.fixture(name)))
+    for name in PRODUCT_FIXTURES:
+        yield emit(fx.product_fixture(name))
+    for g in (fx.ex35(), fx.filiform(5), fx.filiform(6)):
+        for ell in range(g.dim):
+            for m in range(g.dim):
+                try:
+                    r = basis_rmatrix(g, ell, m)
+                except ValueError:
+                    continue
+                yield emit(induced_product(r)) + emit(deformed_algebra(r))
+    for build in CENSUS.values():
+        for i in range(10):
+            ext, split = two_step_solvable_from(build(i))
+            for name, lift in _closed_form_lifts(ext):
+                if isinstance(lift, ValueError):
+                    yield "%s: %s %s" % (name, type(lift).__name__, lift)
+                else:
+                    product = lift_product(ext, lift)
+                    yield emit(product) + emit(split.transport_product(product))
+    def ones(*at):
+        return tuple(int(k in at) for k in range(14))
+
+    p = fx.free_n3_c3_product()
+    for basis in ([ones(k) for k in range(6, 14)],
+                  [ones(3, 9)] + [ones(k) for k in (6, 7, 8, 12)],
+                  [ones(3, 12), ones(4)] + [ones(k) for k in range(6, 12)]):
+        yield emit(novikov_ideal_quotient(p, Subspace(14, basis)))
+    for n in range(2, 7):
+        for k in (1, 2, 3):
+            p = gelfand_dorfman(n, k)[1]
+            yield emit(p)
+            for start in range(1, n):
+                yield emit(novikov_ideal_quotient(p, Subspace(n, [vunit(n, j)
+                                                                  for j in range(start, n)])))
+
+
+def product_digest():
+    """The sha256 of _constructed(), joined in order."""
+    return hashlib.sha256("\n".join(_constructed()).encode("utf-8")).hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Digest the decide certificates.")
     parser.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is HEX")
@@ -61,6 +149,7 @@ def main(argv=None):
         digest.update(emit(cert).encode("utf-8"))
         verdicts[cert.verdict] += 1
     print(digest.hexdigest(), " ".join("%s=%d" % kv for kv in sorted(verdicts.items())))
+    print(product_digest(), "products")
     if args.expect is not None and args.expect != digest.hexdigest():
         print("expected %s\n     got %s" % (args.expect, digest.hexdigest()))
         return 1

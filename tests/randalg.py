@@ -9,7 +9,7 @@ from novikov import fixtures as fx
 from novikov.extensions import ExtensionData, assemble, two_step_solvable_from
 from novikov.lie import LieAlgebra, StructureTensor, quotient, validate_lie
 from novikov.linalg import Matrix, Q, Subspace, jordan_block
-from novikov.products import AlgebraProduct, half_bracket_product
+from novikov.products import half_bracket_product
 from novikov.reduction import ModuleAction
 
 from dense_scans import commutator_tensor
@@ -240,7 +240,7 @@ def gelfand_dorfman(n, k):
         raise ValueError("t^k d/dt is a derivation of Q[t]/(t^n) only for k >= 1")
     entries = {(a, b, a + b + k - 1): Q(b)
                for a in range(n) for b in range(1, n) if a + b + k - 1 < n}
-    product = AlgebraProduct(StructureTensor(n, entries))
+    product = StructureTensor(n, entries)
     return validate_lie(commutator_tensor(product)), product
 
 
@@ -249,7 +249,7 @@ def rebased(g, product, rng):
     s = unimodular(rng, g.dim)
     s_inv = s.inverse()
     return (LieAlgebra(g.bracket.change_basis(s, s_inv)),
-            AlgebraProduct(product.tensor.change_basis(s, s_inv)))
+            product.change_basis(s, s_inv))
 
 
 def basis_rmatrix_pool():
@@ -325,8 +325,8 @@ def product_cases(draw):
     itself sometimes changed; the Lie algebra is not validated."""
     if draw(st.booleans()):
         p, g = draw(st.sampled_from(_novikov_tables()))
-        return AlgebraProduct(draw(perturbed(p.tensor))), g
-    p = AlgebraProduct(draw(sparse_tensors()))
+        return draw(perturbed(p)), g
+    p = draw(sparse_tensors())
     bracket = commutator_tensor(p)
     if draw(st.booleans()):
         bracket = draw(perturbed(bracket))
@@ -362,12 +362,12 @@ def a_product_cases(draw):
     kind = draw(st.sampled_from(("polynomial", "random", "symmetric")))
     if kind == "polynomial":
         t = _truncated_polynomials(draw(st.integers(1, 5)))
-        return AlgebraProduct(draw(perturbed(t)) if draw(st.booleans()) else t)
+        return draw(perturbed(t)) if draw(st.booleans()) else t
     t = draw(sparse_tensors(max_dim=5))
     if kind == "symmetric":
         t = StructureTensor(t.dim, {(a, b, k): c for (i, j, k), c in t.entries.items() if i <= j
                                     for a, b in ((i, j), (j, i))})
-    return AlgebraProduct(t)
+    return t
 
 
 @st.composite

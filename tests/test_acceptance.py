@@ -344,4 +344,4 @@ def test_criterion_10_global_cross_checks(criterion):
             assert derived_identities_hold(p)
             for i in range(p.dim):
                 for j in range(i + 1, p.dim):
-                    assert commutator(right_matrix(p.tensor, i), right_matrix(p.tensor, j)).is_zero()
+                    assert commutator(right_matrix(p, i), right_matrix(p, j)).is_zero()

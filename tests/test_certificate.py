@@ -36,9 +36,9 @@ from novikov.extensions import (
     two_step_solvable_from,
 )
 from novikov.laf import parse_file
-from novikov.lie import LieAlgebra
+from novikov.lie import LieAlgebra, StructureTensor
 from novikov.linalg import NotRegularNilpotent, _add_scaled, _add_term, solve_sparse, vunit
-from novikov.products import AlgebraProduct, half_bracket_product, is_compatible, is_novikov
+from novikov.products import half_bracket_product, is_compatible, is_novikov
 
 from dense_scans import (
     affine_forms,
@@ -83,7 +83,7 @@ def test_build_system_n3_solvable_by_half_bracket():
     system = build_system(g)
     p = fx.product_fixture("half-bracket:n3")
     values = [Q(0)] * system.nvars
-    for (i, c, r), v in p.tensor.entries.items():
+    for (i, c, r), v in p.entries.items():
         values[var_index(system.n, i, r, c)] = v
     for row, rhs in zip(system.linear_rows, system.linear_rhs):
         assert sum((c * values[v] for v, c in row.items()), Q(0)) == rhs
@@ -572,7 +572,7 @@ def test_known_products_satisfy_their_systems():
     for g, p in cases:
         system = build_system(g)
         values = [Q(0)] * system.nvars
-        for (i, c, r), v in p.tensor.entries.items():
+        for (i, c, r), v in p.entries.items():
             values[var_index(system.n, i, r, c)] = v
         for row, rhs in zip(system.linear_rows, system.linear_rhs):
             assert sum((c * values[v] for v, c in row.items()), Q(0)) == rhs
@@ -594,7 +594,7 @@ def test_product_from_solution_round_trip():
         system = certificate.PolySystem(p.dim, [], [], [])
         values = [Q(0)] * system.nvars
         for i in range(p.dim):
-            left = p.tensor.left_matrix(i)
+            left = p.left_matrix(i)
             for r in range(p.dim):
                 for c in range(p.dim):
                     values[var_index(system.n, i, r, c)] = left[r, c]
@@ -642,7 +642,7 @@ def reference_constructor_candidates(g):
     lift is none of them (see
     test_scheuneman_lift_is_novikov_only_as_the_half_bracket)."""
     if g.is_abelian():
-        yield "zero-product", AlgebraProduct.zero(g.dim)
+        yield "zero-product", StructureTensor(g.dim, {})
     else:
         yield "half-bracket", half_bracket_product(g)
     try:
@@ -1054,7 +1054,7 @@ def test_exists_certificate_with_wrong_product_fails():
     g = fx.n3()
     # a Novikov product of the wrong dimension, one of the right dimension
     # that is not compatible with g, and no product at all
-    for product in (fx.ex35_product(), AlgebraProduct.zero(3), None):
+    for product in (fx.ex35_product(), StructureTensor(3, {}), None):
         bad = Certificate(EXISTS, algebra_hash(g), product=product, method="half-bracket")
         assert not verify_certificate(g, bad)
 
@@ -1067,7 +1067,7 @@ def test_constructor_products_satisfy_system():
         assert cert.verdict == EXISTS
         system = build_system(g)
         values = [Q(0)] * system.nvars
-        for (i, c, r), v in cert.product.tensor.entries.items():
+        for (i, c, r), v in cert.product.entries.items():
             values[var_index(system.n, i, r, c)] = v
         for row, rhs in zip(system.linear_rows, system.linear_rhs):
             assert sum((c * values[v] for v, c in row.items()), Q(0)) == rhs

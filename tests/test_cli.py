@@ -6,6 +6,7 @@ import pytest
 from novikov import cli, rmatrix
 from novikov import fixtures as fx
 from novikov.cli import main
+from novikov.extensions import two_step_solvable_from
 from novikov.laf import emit_file, parse_file
 from novikov.linalg import Matrix
 from novikov.products import is_novikov
@@ -406,20 +407,27 @@ def test_fixture_with_zero_denominator_is_input_error(tmp_path, capsys):
     ("fixture", "--name", "In:-3", "-o", "OUT"),
     ("fixture", "--name", "In-product:3 ", "-o", "OUT"),
     ("fixture", "--name", "In-novikov:\u0663", "-o", "OUT"),
+    ("lift", "--ext", "EXT", "--method", "jordan", "--index", "+1", "-o", "OUT"),
+    ("lift", "--ext", "EXT", "--method", "jordan", "--index", " 1", "-o", "OUT"),
+    ("lift", "--ext", "EXT", "--method", "jordan", "--index", "01", "-o", "OUT"),
+    ("lift", "--ext", "EXT", "--method", "jordan", "--index", "\u0661", "-o", "OUT"),
 ])
 def test_integer_arguments_follow_the_laf_count_grammar(argv, tmp_path, capsys):
     # --effort and the integer fixture parameters read a LAF count,
-    # 0|[1-9][0-9]* in ASCII digits: str.isdecimal took the Arabic-Indic 3
-    # and int() a sign, spaces and leading zeros
-    lie, out = str(tmp_path / "n3.laf"), str(tmp_path / "x.laf")
+    # 0|[1-9][0-9]* in ASCII digits, and lift --index a LAF index,
+    # [1-9][0-9]*: str.isdecimal took the Arabic-Indic 3 and int() a sign,
+    # spaces and leading zeros
+    lie, ext, out = (str(tmp_path / name) for name in ("n3.laf", "fil.lafe", "x.laf"))
     emit_file(fx.n3(), lie)
-    argv = [{"LIE": lie, "OUT": out}.get(a, a) for a in argv]
+    emit_file(two_step_solvable_from(fx.filiform(5))[0], ext)
+    argv = [{"LIE": lie, "EXT": ext, "OUT": out}.get(a, a) for a in argv]
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert code == 2 and report["ok"] is False and report["command"] in (None, "fixture")
+    assert report["error"] == ("ValueError" if report["command"] else "UsageError")
     assert not os.path.exists(out)
 
 

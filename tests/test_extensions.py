@@ -31,7 +31,6 @@ from novikov.laf import parse
 from novikov.lie import StructureTensor, quotient, validate_lie
 from novikov.linalg import DimensionMismatch, Matrix, NotRegularNilpotent, Subspace, jordan_block
 from novikov.products import (
-    AlgebraProduct,
     _eq2,
     half_bracket_product,
     is_compatible,
@@ -319,7 +318,7 @@ def test_semidirect_lift_r2_action():
 
 def test_semidirect_lift_novikov_fails_at_eq16():
     # abelian b with product e1*e1 = e2 and phi(e2) invertible: phi(x.y) != 0
-    b_product = AlgebraProduct.from_products(2, {(0, 0): (Q(0), Q(1))})
+    b_product = StructureTensor.from_products(2, {(0, 0): (Q(0), Q(1))})
     phi = [Matrix.zeros(1, 1), Matrix([[1]])]
     ext = ExtensionData(1, 2, phi, {}, b_product=b_product)
     lift = semidirect_lift(ext)
@@ -486,7 +485,7 @@ def test_a_is_two_sided_ideal_of_lifted_products():
     for ext, lift in cases:
         n = ext.dim_a
         p = lift_product(ext, lift)
-        for (i, j, k), value in p.tensor.entries.items():
+        for (i, j, k), value in p.entries.items():
             if (i < n or j < n) and value != 0:
                 assert k < n
 
@@ -723,7 +722,7 @@ def test_validate_a_product_scans_return_the_dense_witness_on_pinned_tables():
     cases = ((ASSOCIATIVE_TABLE, ("a-product-associative", (1, 2, 2))),
              (COMMUTATIVE_TABLE, ("a-product-commutative", (1, 3))))
     for table, outcome in cases:
-        a_product = AlgebraProduct(StructureTensor(4, table))
+        a_product = StructureTensor(4, table)
         ext = ExtensionData(4, 1, [Matrix.zeros(4, 4)], a_product=a_product)
         with pytest.raises(InvariantViolation) as err:
             ext.validate()
@@ -742,7 +741,7 @@ INCOMPATIBLE_B_PRODUCT = ("LAF-E 1\ndim-a 1\ndim-b 3\n"
 
 def non_lsa_b_product_extension():
     """The extension of NON_LSA_B_PRODUCT, built without validate."""
-    product = AlgebraProduct.from_products(2, {(0, 0): (0, 1), (0, 1): (1, 0), (1, 0): (1, 0)})
+    product = StructureTensor.from_products(2, {(0, 0): (0, 1), (0, 1): (1, 0), (1, 0): (1, 0)})
     return ExtensionData(1, 2, [Matrix.zeros(1, 1)] * 2, {}, b_product=product)
 
 
@@ -769,7 +768,7 @@ ZERO_ACTIONS = [Matrix.zeros(1, 1)] * 2
 
 def test_extension_rejects_an_a_product_of_the_wrong_dimension():
     # a 2-dim a-product passed validate, and lift_product built a wrong table
-    a_product = AlgebraProduct.from_products(2, {(0, 0): (0, 1)})
+    a_product = StructureTensor.from_products(2, {(0, 0): (0, 1)})
     with pytest.raises(DimensionMismatch, match="a_product"):
         ExtensionData(1, 2, ZERO_ACTIONS, a_product=a_product)
 

@@ -21,7 +21,6 @@ from novikov.extensions import ExtensionData, LiftData, assemble, lift_product
 from novikov.lie import LieAlgebra, StructureTensor, quotient_tensor
 from novikov.linalg import Matrix, Subspace
 from novikov.products import (
-    AlgebraProduct,
     half_bracket_product,
     is_complete,
     is_left_symmetric,
@@ -109,7 +108,7 @@ def test_apply_matches_fraction_reference(case):
 @given(tensors(antisymmetric=True))
 def test_half_bracket_matches_fraction_reference(bracket):
     g = LieAlgebra(bracket)
-    assert_same_tensor(half_bracket_product(g).tensor, dense.half_bracket_product(g).tensor)
+    assert_same_tensor(half_bracket_product(g), dense.half_bracket_product(g))
 
 
 @st.composite
@@ -158,12 +157,12 @@ def test_product_checks_build_the_int_index_once(monkeypatch):
     monkeypatch.setattr(lie, "_int_pairs", lambda t: calls.append(t) or original(t))
     for name in ("In-product:5", "free-n3-c3-product", "ex35-product"):
         fixture = fx.product_fixture(name)
-        p = AlgebraProduct(StructureTensor(fixture.dim, fixture.tensor.entries))
+        p = StructureTensor(fixture.dim, fixture.entries)
         calls.clear()
         is_left_symmetric(p)
         is_novikov(p)
         is_complete(p)
-        assert calls == [p.tensor], name
+        assert calls == [p], name
 
 
 @functools.lru_cache(maxsize=None)
@@ -196,8 +195,8 @@ def builder_cases(draw):
     omega = {(p, q): v for (p, q), v in draw(table).items() if p < q}
     ext = ExtensionData(n, m, [draw(matrices(n, n)) for _ in range(m)], omega,
                         b_bracket=draw(tensors(antisymmetric=True, dim=m)),
-                        b_product=AlgebraProduct(draw(tensors(dim=m))),
-                        a_product=AlgebraProduct(draw(tensors(dim=n))))
+                        b_product=draw(tensors(dim=m)),
+                        a_product=draw(tensors(dim=n)))
     lift = LiftData(n, m, [draw(matrices(n, n)) for _ in range(m)],
                     [draw(matrices(n, n)) for _ in range(m)], draw(table))
     t = draw(tensors())
@@ -217,7 +216,7 @@ def builder_cases(draw):
 @given(builder_cases())
 def test_nonzero_builders_match_tabulate(case):
     ext, lift, valid, t, ideal, r, k, values = case
-    assert_same_tensor(lift_product(ext, lift).tensor, dense.lift_product(ext, lift).tensor)
+    assert_same_tensor(lift_product(ext, lift), dense.lift_product(ext, lift))
     assert_same_tensor(extensions._extension_bracket(ext), dense.extension_bracket(ext))
     assert_same_tensor(assemble(valid).bracket, dense.extension_bracket(valid))
     comp, got = quotient_tensor(t, ideal)
@@ -225,9 +224,9 @@ def test_nonzero_builders_match_tabulate(case):
     assert comp == want[0]
     assert_same_tensor(got, want[1])
     if rmatrix.check_cybe(r) and rmatrix.check_novbed(r):
-        assert_same_tensor(rmatrix.induced_product(r).tensor, dense.t_product(r))
+        assert_same_tensor(rmatrix.induced_product(r), dense.t_product(r))
     assert_same_tensor(rmatrix._t_product(r), dense.t_product(r))
     assert_same_tensor(rmatrix.deformed_bracket(r), dense.deformed_bracket(r))
     system = certificate.PolySystem(k, [], [], [])
-    assert_same_tensor(certificate._product_from_solution(system, values).tensor,
-                       dense.product_from_solution(k, values).tensor)
+    assert_same_tensor(certificate._product_from_solution(system, values),
+                       dense.product_from_solution(k, values))

@@ -22,7 +22,7 @@ from novikov.extensions import (
 from novikov.laf import LAFError, emit, emit_file, parse, parse_rational
 from novikov.lie import JacobiViolation, StructureTensor, quotient, validate_lie
 from novikov.linalg import Matrix, Subspace
-from novikov.products import AlgebraProduct, half_bracket_product
+from novikov.products import half_bracket_product
 from novikov.rmatrix import RMatrix, deformed_algebra, induced_product
 
 from dense_scans import commutator_tensor
@@ -42,7 +42,7 @@ def _split_extension():
         {},
         b_bracket=fx.r2().bracket,
         b_product=fx.in_novikov_product(2),
-        a_product=AlgebraProduct(StructureTensor(1, {(0, 0, 0): Q(1, 2)})),
+        a_product=StructureTensor(1, {(0, 0, 0): Q(1, 2)}),
     )
 
 

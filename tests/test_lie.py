@@ -324,7 +324,7 @@ def test_pair_index_on_every_construction_path():
 
 def test_products_match_entry_scans():
     rng = rng_for("entry-scans")
-    tensors = [fx.free_n3_c3().bracket, fx.free_n3_c3_product().tensor, fx.sl2().bracket,
+    tensors = [fx.free_n3_c3().bracket, fx.free_n3_c3_product(), fx.sl2().bracket,
                StructureTensor(2, {})]
     tensors += [random_two_step_nilpotent(rng).bracket for _ in range(3)]
     for t in tensors:

@@ -49,6 +49,7 @@ from novikov.reduction import (
 )
 
 import dense_scans as dense
+from output_digest import product_digest
 from dense_scans import (
     check_lift_lsa,
     check_lift_novikov,
@@ -573,10 +574,10 @@ def test_fitting_splits_the_reduction_item_shape(monkeypatch):
 
 def test_fitting_eliminates_the_powers_twice(monkeypatch):
     # after the nilpotency check the powers are eliminated twice: their
-    # stacked rows by solve_sparse, read through nullspace(), and their
-    # columns by Subspace._from_rows. nullspace() and _from_rows each build
-    # one canonical basis with linalg's solve_sparse, so three eliminations
-    # run in all, whatever the module
+    # stacked rows by solve_sparse, whose pivot rows with the columns
+    # reversed give V_n's echelon basis as they are, and their columns by
+    # Subspace._from_rows, which builds V_0's with linalg's solve_sparse.
+    # V_n is the canonical span of its own basis, pivot rows included
     modules = _module_corpus()
     events = []
 
@@ -596,8 +597,10 @@ def test_fitting_eliminates_the_powers_twice(monkeypatch):
 
     monkeypatch.setattr(LieAlgebra, "is_nilpotent", checked)
     for module in modules:
-        fitting_decompose(module)
-        assert Counter(events) == {"rows": 1, "columns": 1, "solve": 2}, module
+        v_n = fitting_decompose(module).v_n
+        assert Counter(events) == {"rows": 1, "columns": 1, "solve": 1}, module
+        span = Subspace(v_n.ambient_dim, v_n.basis)
+        assert (span, span._pivot_rows) == (v_n, v_n._pivot_rows), module
 
 
 @st.composite
@@ -687,3 +690,12 @@ def _construction_bytes():
 
 def test_construction_bytes_match_the_recorded_digest():
     assert hashlib.sha256(_construction_bytes()).hexdigest() == CONSTRUCTION_DIGEST
+
+
+# output_digest.product_digest(), recorded while each product was still
+# wrapped in a class of its own around its structure tensor
+PRODUCT_DIGEST = "60c4104ccc8d1ad736b8191f0c958e5675ae6f8889c549ec0104f35869dde04e"
+
+
+def test_every_product_constructor_keeps_its_laf_bytes():
+    assert product_digest() == PRODUCT_DIGEST

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from novikov import fixtures as fx
 from novikov import products, rmatrix
 from novikov.lie import StructureTensor
-from novikov.linalg import DimensionMismatch, Matrix, vsub
-from novikov.products import AlgebraProduct, is_compatible, is_left_symmetric, is_novikov
+from novikov.linalg import DimensionMismatch, Matrix, vsub, vunit
+from novikov.products import is_compatible, is_left_symmetric, is_novikov
 from novikov.rmatrix import (
     HypothesisFailed,
     PreconditionFailed,
@@ -63,12 +63,12 @@ def test_cybe_examples():
     for i in range(3):
         for j in range(3):
             ti, tj = column(t, i), column(t, j)
-            lhs = g.bracket_vec(ti, tj)
+            lhs = g.bracket.apply(ti, tj)
             inner = tuple(
                 x + y
                 for x, y in zip(
-                    g.bracket_vec(ti, g.basis_vector(j)),
-                    g.bracket_vec(g.basis_vector(i), tj),
+                    g.bracket.apply(ti, vunit(g.dim, j)),
+                    g.bracket.apply(vunit(g.dim, i), tj),
                 )
             )
             if lhs != t.apply(inner):
@@ -91,7 +91,7 @@ def test_induced_product_examples():
 
     rd = RMatrix(fx.r2(), Matrix([[1, 0], [0, 0]]))
     p = induced_product(rd)
-    assert p.tensor.entries == {(0, 1, 1): Q(1)}  # x1*x2 = x2
+    assert p.entries == {(0, 1, 1): Q(1)}  # x1*x2 = x2
     assert is_novikov(p) and is_compatible(p, deformed_algebra(rd))
 
     r33 = RMatrix(fx.sl2(), Matrix.unit(3, 2, 2))
@@ -180,7 +180,7 @@ def test_induced_product_consequences():
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
                 image = t.apply(gt.bracket.basis_product(i, j))
-                assert image == g.bracket_vec(column(t, i), column(t, j))
+                assert image == g.bracket.apply(column(t, i), column(t, j))
 
 
 def test_class_bounds_random():
@@ -280,7 +280,7 @@ def test_cybe_and_novbed_are_eq1_and_eq2_of_the_induced_product(r):
     g, t = r.g, r.t
     p, gt = dense.t_product(r), dense.deformed_bracket(r)
     n = g.dim
-    e = [g.basis_vector(i) for i in range(n)]
+    e = [vunit(n, i) for i in range(n)]
     te = [column(t, i) for i in range(n)]
 
     def assoc(i, j, k):
@@ -288,17 +288,17 @@ def test_cybe_and_novbed_are_eq1_and_eq2_of_the_induced_product(r):
 
     for i in range(n):
         for j in range(n):
-            cybe = vsub(g.bracket_vec(te[i], te[j]), t.apply(gt.basis_product(i, j)))
+            cybe = vsub(g.bracket.apply(te[i], te[j]), t.apply(gt.basis_product(i, j)))
             for k in range(n):
-                assert vsub(assoc(i, j, k), assoc(j, i, k)) == g.bracket_vec(cybe, e[k])
-                novbed = vsub(g.bracket_vec(e[i], t.apply(g.bracket_vec(e[j], te[k]))),
-                              g.bracket_vec(e[j], t.apply(g.bracket_vec(e[i], te[k]))))
+                assert vsub(assoc(i, j, k), assoc(j, i, k)) == g.bracket.apply(cybe, e[k])
+                novbed = vsub(g.bracket.apply(e[i], t.apply(g.bracket.apply(e[j], te[k]))),
+                              g.bracket.apply(e[j], t.apply(g.bracket.apply(e[i], te[k]))))
                 eq2 = vsub(p.apply(p.basis_product(k, j), e[i]),
                            p.apply(p.basis_product(k, i), e[j]))
                 assert novbed == eq2
     if dense.check_cybe(r):
-        assert is_left_symmetric(AlgebraProduct(p))
-    novbed, eq2 = dense.check_novbed(r), products._eq2(AlgebraProduct(p))
+        assert is_left_symmetric(p)
+    novbed, eq2 = dense.check_novbed(r), products._eq2(p)
     assert bool(novbed) == bool(eq2)
     if not novbed:
         k, i, j = eq2.witness
@@ -319,8 +319,8 @@ def test_the_product_of_t_is_built_once_and_rmatrix_is_immutable(monkeypatch):
     p = induced_product(r)
     deformed_algebra(r)
     assert not p.is_zero()
-    assert [m for m in made if m == p.tensor] == [p.tensor]
-    assert rmatrix._t_product(r) is p.tensor
+    assert [m for m in made if m == p] == [p]
+    assert rmatrix._t_product(r) is p
     for name in ("g", "t"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(r, name, getattr(r, name))
