@@ -81,10 +81,11 @@ def _witness_1based(witness):
 
 
 def _load(path, expected_tag):
-    doc = laf.parse_file(path)
-    if doc.format_tag != expected_tag:
-        raise laf.LAFError("%s: expected a %s document, found %s" % (path, expected_tag, doc.format_tag))
-    return doc.payload
+    obj = laf.parse_file(path)
+    tag = laf.format_tag(obj)
+    if tag != expected_tag:
+        raise laf.LAFError("%s: expected a %s document, found %s" % (path, expected_tag, tag))
+    return obj
 
 
 def _cmd_verify(args):

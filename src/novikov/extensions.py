@@ -239,9 +239,6 @@ class LiftData:
         self.y_op = y_op
         self.x_values = table
 
-    def omega_value(self, p, q):
-        return self.x_values.get((p, q), vzero(self.dim_a))
-
     def __repr__(self):
         return "LiftData(dim_a=%d, dim_b=%d)" % (self.dim_a, self.dim_b)
 

@@ -1,6 +1,6 @@
 """Named Lie algebras and products used as fixtures across the toolkit."""
 
-from .laf import _COUNT
+from .laf import _COUNT, _GRAMMAR_RATIONAL
 from .lie import StructureTensor, validate_lie
 from .linalg import Q, vunit
 
@@ -173,6 +173,10 @@ def in_novikov_product(n):
 
 
 def _fraction(raw):
+    """raw as a rational of LAF's grammar (laf._GRAMMAR_RATIONAL), not
+    necessarily in lowest terms: "2/4" is 1/2."""
+    if not _GRAMMAR_RATIONAL.fullmatch(raw):
+        raise ValueError("expected a rational, found %r" % raw)
     try:
         return Q(raw)
     except ZeroDivisionError:  # "1/0" is a malformed value like any other

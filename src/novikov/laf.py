@@ -8,10 +8,12 @@ the field count is fixed per name; indices are 1-based and within the
 counts; i < j wherever antisymmetry is implied (Lie brackets, LAF-E omega and
 b-bracket); values are canonical nonzero rationals ("p" or "p/q" in lowest
 terms, q > 1), except the name in 'label i name'; and no entry or key line
-appears twice. Products and matrices are stored in full. emit writes the
-entries of each name in sorted index order, so its output is canonical and
-parse(emit(x)) round-trips exactly. The formal grammar ships as
-laf_grammar.ebnf next to this module.
+appears twice. Products and matrices are stored in full. parse returns the
+object a document holds, and format_tag the tag of an object. emit writes
+the entries of each name in sorted index order, so its output is canonical
+and parse(emit(x)) round-trips exactly; it refuses a label or method name
+that would not read back: an empty one, or one holding whitespace or '#'.
+The formal grammar ships as laf_grammar.ebnf next to this module.
 """
 
 import re
@@ -30,20 +32,6 @@ class LAFError(ValueError):
         prefix = "line %d: " % line if line is not None else ""
         super().__init__(prefix + message)
         self.line = line
-
-
-class LAFDocument:
-    """A parsed document: the format tag, version, and the payload object."""
-
-    __slots__ = ("format_tag", "version", "payload")
-
-    def __init__(self, format_tag, version, payload):
-        self.format_tag = format_tag
-        self.version = version
-        self.payload = payload
-
-    def __repr__(self):
-        return "LAFDocument(%s %d, %r)" % (self.format_tag, self.version, self.payload)
 
 
 _RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -77,9 +65,10 @@ def _lines(text):
             yield no, body.split()
 
 
-# The grammar's index and count, in ASCII digits only.
+# The grammar's index, count and rational, in ASCII digits only.
 _INDEX = re.compile(r"[1-9][0-9]*")
 _COUNT = re.compile(r"0|[1-9][0-9]*")
+_GRAMMAR_RATIONAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/(?:0|[1-9][0-9]*))?")
 
 
 def _int(fields, pos, line, count=False):
@@ -106,8 +95,17 @@ def _token(text, line):
     return text
 
 
+def _name(text):
+    """text as a label or method name: one token of str.split, without '#',
+    so that _lines reads it back as it is."""
+    if text.split() != [text] or "#" in text:
+        raise LAFError("cannot write %r as a name field" % (text,))
+    return text
+
+
 def parse(text):
-    """Parse a LAF-family document from text. Returns an LAFDocument."""
+    """Parse a LAF-family document from text. Returns the object it holds: a
+    LieAlgebra, product StructureTensor, Matrix, ExtensionData, LiftData or Certificate."""
     rows = list(_lines(text))
     if not rows:
         raise LAFError("empty document")
@@ -116,8 +114,7 @@ def parse(text):
         raise LAFError("expected a header '<TAG> 1' with TAG in %s" % (TAGS,), line)
     if header[1] != str(FORMAT_VERSION):
         raise LAFError("unsupported version %r" % header[1], line)
-    tag = header[0]
-    return LAFDocument(tag, FORMAT_VERSION, _FORMATS[tag][1](rows[1:]))
+    return _FORMATS[header[0]][1](rows[1:])
 
 
 def parse_file(path):
@@ -125,19 +122,26 @@ def parse_file(path):
         return parse(fh.read())
 
 
-def emit(payload):
+def format_tag(obj):
+    """The tag of the format that holds obj: the first in _FORMATS whose
+    type obj is."""
+    for tag, (kind, _, _) in _FORMATS.items():
+        if isinstance(obj, kind):
+            return tag
+    raise LAFError("cannot serialize %r" % type(obj).__name__)
+
+
+def emit(obj):
     """Serialize a supported object to its canonical LAF text."""
-    if isinstance(payload, LAFDocument):
-        payload = payload.payload
-    for tag, (kind, _, emitter) in _FORMATS.items():
-        if isinstance(payload, kind):
-            return "\n".join(["%s %d" % (tag, FORMAT_VERSION)] + emitter(payload)) + "\n"
-    raise LAFError("cannot serialize %r" % type(payload).__name__)
+    tag = format_tag(obj)
+    return "\n".join(["%s %d" % (tag, FORMAT_VERSION)] + _FORMATS[tag][2](obj)) + "\n"
 
 
-def emit_file(payload, path):
+def emit_file(obj, path):
+    """Write emit(obj) to path; nothing is written when emit refuses obj."""
+    text = emit(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit(payload))
+        fh.write(text)
 
 
 def _counts(body, keys):
@@ -250,7 +254,7 @@ def _emit_lie(g):
     labels = {(i,): label for i, label in enumerate(g.labels)}
     return (
         ["dim %d" % g.dim]
-        + _lines_of("label", labels, str)
+        + _lines_of("label", labels, _name)
         + _lines_of("bracket", _upper(g.bracket.entries))
     )
 
@@ -409,8 +413,8 @@ def _parse_certificate(body):
 def _emit_certificate(cert):
     out = ["algebra-sha256 %s" % cert.algebra_hash, "verdict %s" % cert.verdict]
     if cert.verdict == EXISTS:
-        if cert.method:
-            out.append("method %s" % cert.method)
+        if cert.method is not None:
+            out.append("method %s" % _name(cert.method))
         out.append("dim %d" % cert.product.dim)
         out += _lines_of("product", cert.product.entries)
     elif cert.verdict == NOT_EXISTS:
@@ -422,7 +426,7 @@ def _emit_certificate(cert):
     return out
 
 
-# tag -> (payload type, parser, emitter); emit picks the first matching type.
+# tag -> (object type, parser, emitter); format_tag picks the first matching type.
 _FORMATS = {
     "LAF": (LieAlgebra, _parse_lie, _emit_lie),
     "LAF-P": (StructureTensor, _parse_product, _emit_product),

@@ -6,8 +6,9 @@ maximal nilpotent submodule and V_0 an invariant complement with vanishing
 invariants (Fitting's lemma). Both parts come from one power A^d of each
 action, d = dim V: V_n is the common kernel of the powers, V_0 the sum of
 their images. Applied to an extension this quotients away the H^0-free part
-of a, producing a nilpotent extension; lifts of products pull back from
-there.
+of a, producing a nilpotent extension. A lift's product there pulls back to
+the extension by one change of basis, which takes a to its Fitting basis
+and moves each section vector f_p by lam_p.
 """
 
 from .extensions import (
@@ -23,18 +24,16 @@ from .extensions import (
     scheuneman_lift,
     two_step_solvable_from,
 )
-from .lie import LieAlgebra
+from .lie import LieAlgebra, StructureTensor
 from .linalg import (
     DimensionMismatch,
     Matrix,
     Q,
     Subspace,
     _add_term,
-    is_zero_vec,
     solve_sparse,
-    vadd,
     vscale,
-    vsub,
+    vunit,
     vzero,
 )
 from .products import Verdict, is_compatible, is_left_symmetric
@@ -221,17 +220,17 @@ def induced_nilpotent_extension(ext):
 def reduction_lift(ext, lift_n):
     """Extend a lift on the induced nilpotent extension to the full extension.
 
-    The block construction pads phi1 with zero and phi2 with the a_0-action;
-    the section correction rewrites the result against the original cocycle.
-    Preserves the checker verdicts: an LSA lift yields an LSA lift, and a
-    Novikov lift a Novikov lift in the trivial-products case. The incoming
-    lift comes from outside, so it is decided here, once, on the induced
-    extension; LiftCheckFailed carries the first failing verdict of
-    dimension-mismatch, the b-product hypothesis and the product checks that
-    decide (8)-(14): eq-1 of the lifted product, then eq-3 against the
-    unvalidated extension bracket, which invalid data fails too. The
-    pulled-back lift is an LSA lift by the reduction and is returned
-    unchecked; the test suite checks both against (8)-(14).
+    The lift's product on a_n x b is pulled back to the extension by
+    _pull_back, and the lift is read off the blocks that land in a. Preserves
+    the checker verdicts: an LSA lift yields an LSA lift, and a Novikov lift
+    a Novikov lift in the trivial-products case. The incoming lift comes from
+    outside, so it is decided here, once, on the induced extension;
+    LiftCheckFailed carries the first failing verdict of dimension-mismatch,
+    the b-product hypothesis and the product checks that decide (8)-(14):
+    eq-1 of the lifted product, then eq-3 against the unvalidated extension
+    bracket, which invalid data fails too. The pulled-back lift is an LSA
+    lift by the reduction and is returned unchecked; the test suite checks
+    both against (8)-(14).
     """
     if not ext.a_product.is_zero():
         raise HypothesisFailed("reduction_lift requires a trivial a-product")
@@ -247,54 +246,48 @@ def reduction_lift(ext, lift_n):
             verdict = is_compatible(product, LieAlgebra(_extension_bracket(ext_n)))
     if not verdict:
         raise LiftCheckFailed(verdict)
-    return _lift_through(ext, ind, lift_n)
+    return _lift_of(_pull_back(ind, product), ext.dim_a, ext.dim_b)
 
 
-def _lift_through(ext, ind, lift_n):
-    """reduction_lift with the induced nilpotent extension ind of ext given
-    and lift_n an LSA lift on ind.ext_n; the pull-back runs no check."""
-    n1, n2 = ind.dim_n, ind.dim_0
-    n, m = ext.dim_a, ext.dim_b
+def _pull_back(ind, product_n):
+    """product_n, the product of an LSA lift on ind.ext_n, in the coordinates
+    of the extension ind came from, unchecked. In the basis V_n, V_0, f_p +
+    lam_p it is product_n with b moved past a_0, plus f_p v = phi_0(p) v on
+    a_0; the columns of S = [[B, B Lam], [0, I]] are that basis, with B =
+    ind.basis and Lam the columns (0, lam_p), and S^-1 = [[B^-1, -Lam],
+    [0, I]]. As a a = 0, the a-part of f_p f_q becomes omega(p, q) -
+    X_q lam_p - Y_p lam_q + lam(p q): the section correction.
+    """
+    n1, n2, m = ind.dim_n, ind.dim_0, len(ind.lam)
+    n = n1 + n2
+    entries = {tuple(x + n2 if x >= n1 else x for x in key): c
+               for key, c in product_n.entries.items()}
+    for p, phi in enumerate(ind.phi_0):
+        for r, row in enumerate(phi.data):
+            entries.update({(n + p, n1 + c, n1 + r): x for c, x in enumerate(row) if x})
+    lam = [vzero(n1) + v for v in ind.lam]
+    b_lam = [ind.basis.apply(v) for v in lam]
+    b_rows = [vzero(n) + vunit(m, p) for p in range(m)]
+    s = Matrix([row + tuple(v[i] for v in b_lam) for i, row in enumerate(ind.basis.data)]
+               + b_rows, cols=n + m)
+    s_inv = Matrix([row + tuple(-v[i] for v in lam) for i, row in enumerate(ind.basis_inv.data)]
+                   + b_rows, cols=n + m)
+    return StructureTensor(n + m, entries).change_basis(s_inv, s)
 
-    def block(x_mat, corner):
-        rows = [[Q(0)] * n for _ in range(n)]
-        for r in range(n1):
-            for c in range(n1):
-                rows[r][c] = x_mat[r, c]
-        for r in range(n2):
-            for c in range(n2):
-                rows[n1 + r][n1 + c] = corner[r, c]
-        return Matrix(rows, cols=n)
 
-    zero_corner = Matrix.zeros(n2, n2)
-    x_split = [block(lift_n.x_op[p], zero_corner) for p in range(m)]
-    y_split = [block(lift_n.y_op[p], ind.phi_0[p]) for p in range(m)]
+def _lift_of(product, n, m):
+    """The lift on a = Q^n, b = Q^m whose lift_product is product, which has
+    a trivial a-product: the inverse of lift_product."""
 
-    def lam_vec(p):
-        return vzero(n1) + tuple(ind.lam[p])
+    def entry(i, j, k):
+        return product.pairs.get((i, j), {}).get(k, Q(0))
 
-    def lam_of(x):
-        out = vzero(n)
-        for p, c in enumerate(x):
-            if c:
-                out = vadd(out, vscale(c, lam_vec(p)))
-        return out
-
-    x_values = {}
-    for p in range(m):
-        for q in range(m):
-            w = tuple(lift_n.omega_value(p, q)) + vzero(n2)
-            w = vsub(w, x_split[q].apply(lam_vec(p)))
-            w = vsub(w, y_split[p].apply(lam_vec(q)))
-            w = vadd(w, lam_of(ext.b_product.basis_product(p, q)))
-            if not is_zero_vec(w):
-                x_values[(p, q)] = w
-    # back to the original a-coordinates
-    basis, basis_inv = ind.basis, ind.basis_inv
-    x_orig = [basis * xm * basis_inv for xm in x_split]
-    y_orig = [basis * ym * basis_inv for ym in y_split]
-    values_orig = {k: basis.apply(v) for k, v in x_values.items()}
-    return LiftData(n, m, x_orig, y_orig, values_orig)
+    x_op = [Matrix([[entry(i, n + q, k) for i in range(n)] for k in range(n)], cols=n)
+            for q in range(m)]
+    y_op = [Matrix([[entry(n + p, j, k) for j in range(n)] for k in range(n)], cols=n)
+            for p in range(m)]
+    values = {(p, q): product.basis_product(n + p, n + q)[:n] for p in range(m) for q in range(m)}
+    return LiftData(n, m, x_op, y_op, values)
 
 
 def prop57_construct(g):
@@ -303,23 +296,19 @@ def prop57_construct(g):
 
     Pipeline: present g as an extension of abelian algebras, pass to the
     induced nilpotent extension (nilpotent of class at most 3), apply the
-    closed-form lift there, pull the lift back, and assemble the product.
-    No lift is checked: scheuneman_lift's hypotheses decide its lift, and
-    the reduction turns it into an LSA lift on the extension. That the
-    product is left-symmetric, compatible and complete is tested in the test
-    suite. The derived series of g is built once, by two_step_solvable_from.
+    closed-form lift there, and carry its product back to the extension
+    (_pull_back) and on to g. No lift is checked: scheuneman_lift's
+    hypotheses decide its lift, and the reduction turns it into an LSA lift
+    on the extension. That the product is left-symmetric, compatible and
+    complete is tested in the test suite. The derived series of g is built
+    once, by two_step_solvable_from.
     """
     try:
         ext, split = two_step_solvable_from(g)
     except NotTwoStepSolvable:
         raise HypothesisFailed("prop57_construct requires a 2-step solvable algebra") from None
-    lcs = g.lower_central_series()
-
-    def term(k):
-        return lcs[k - 1] if k - 1 < len(lcs) else lcs[-1]
-
-    if term(5) != term(4):
+    if len(g.lower_central_series()) > 4:  # its terms are distinct until it stops
         raise HypothesisFailed("lower central series does not stabilize at step 4")
     ind = induced_nilpotent_extension(ext)
-    lift = _lift_through(ext, ind, scheuneman_lift(ind.ext_n))
-    return split.transport_product(lift_product(ext, lift))
+    product = lift_product(ind.ext_n, scheuneman_lift(ind.ext_n))
+    return split.transport_product(_pull_back(ind, product))

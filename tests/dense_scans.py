@@ -18,7 +18,9 @@ computed to full length, past their fixed point.
 The paper's lift systems are here as well: the LSA conditions (8)-(14), and
 the Novikov conditions (8)-(20) in general and (25)-(31) for trivial
 products on an abelian b, the references the lifted product's
-left-symmetry, Novikov and compatibility checks are held to.
+left-symmetry, Novikov and compatibility checks are held to, with
+omega_value, the lift's cocycle on a basis pair, and lift_through, the
+reduction's pull-back of a lift worked out block by block.
 The library's dense exact kernels run on ints; their entry-by-entry Fraction
 forms are here too: the matrix product and matrix-vector product, the
 substitution of affine forms into a quadratic, the compatibility check over
@@ -39,7 +41,7 @@ import random
 from math import lcm
 
 
-from novikov.extensions import _b_product_verdict
+from novikov.extensions import LiftData, _b_product_verdict
 from novikov.lie import AntisymmetryViolation, JacobiViolation, LieAlgebra, StructureTensor
 from novikov.linalg import (
     DimensionMismatch,
@@ -142,7 +144,7 @@ def lift_product(ext, lift):
             return (ext.a_product.basis_product(i, j) if j < n else column(lift.x_op[q], i)) + zb
         if j < n:
             return column(lift.y_op[p], j) + zb
-        return lift.omega_value(p, q) + ext.b_product.basis_product(p, q)
+        return omega_value(lift, p, q) + ext.b_product.basis_product(p, q)
 
     return tabulate(n + m, product)
 
@@ -698,6 +700,61 @@ def nilpotent_regular_basis(n_matrix):
     return Matrix.from_columns(chain).inverse()
 
 
+def omega_value(lift, p, q):
+    """The lift's omega(e_p, e_q), zero where x_values stores nothing."""
+    return lift.x_values.get((p, q), vzero(lift.dim_a))
+
+
+def lift_through(ext, ind, lift_n):
+    """reduction_lift's pull-back of lift_n, a lift on ind.ext_n, to ext,
+    worked out by hand: X and Y padded into blocks (0 and phi_0 on a_0), the
+    cocycle corrected vector by vector to omega(p, q) - X_q lam_p - Y_p lam_q
+    + lam(p q), and every X_p, Y_p and omega value conjugated by ind.basis.
+    The library's one change of basis is held to it."""
+    n1, n2 = ind.dim_n, ind.dim_0
+    n, m = ext.dim_a, ext.dim_b
+
+    def block(x_mat, corner):
+        rows = [[Q(0)] * n for _ in range(n)]
+        for r in range(n1):
+            for c in range(n1):
+                rows[r][c] = x_mat[r, c]
+        for r in range(n2):
+            for c in range(n2):
+                rows[n1 + r][n1 + c] = corner[r, c]
+        return Matrix(rows, cols=n)
+
+    zero_corner = Matrix.zeros(n2, n2)
+    x_split = [block(lift_n.x_op[p], zero_corner) for p in range(m)]
+    y_split = [block(lift_n.y_op[p], ind.phi_0[p]) for p in range(m)]
+
+    def lam_vec(p):
+        return vzero(n1) + tuple(ind.lam[p])
+
+    def lam_of(x):
+        out = vzero(n)
+        for p, c in enumerate(x):
+            if c:
+                out = vadd(out, vscale(c, lam_vec(p)))
+        return out
+
+    x_values = {}
+    for p in range(m):
+        for q in range(m):
+            w = tuple(omega_value(lift_n, p, q)) + vzero(n2)
+            w = vsub(w, x_split[q].apply(lam_vec(p)))
+            w = vsub(w, y_split[p].apply(lam_vec(q)))
+            w = vadd(w, lam_of(ext.b_product.basis_product(p, q)))
+            if not is_zero_vec(w):
+                x_values[(p, q)] = w
+    # back to the original a-coordinates
+    basis, basis_inv = ind.basis, ind.basis_inv
+    x_orig = [basis * xm * basis_inv for xm in x_split]
+    y_orig = [basis * ym * basis_inv for ym in y_split]
+    values_orig = {k: basis.apply(v) for k, v in x_values.items()}
+    return LiftData(n, m, x_orig, y_orig, values_orig)
+
+
 def lift_omega_of(lift, x, y):
     """The lift's omega(x, y), bilinear in the b-vectors x and y."""
     out = vzero(lift.dim_a)
@@ -726,7 +783,7 @@ def check_lift_lsa(ext, lift):
 
     for p in range(m):
         for q in range(m):
-            lhs = vsub(lift.omega_value(p, q), lift.omega_value(q, p))
+            lhs = vsub(omega_value(lift, p, q), omega_value(lift, q, p))
             if lhs != ext.omega_pair(p, q):
                 return Verdict(False, (p, q), "eq-8")
     for p in range(m):
@@ -737,8 +794,8 @@ def check_lift_lsa(ext, lift):
             for r in range(m):
                 lhs = vsub(
                     vsub(
-                        y_op[p].apply(lift.omega_value(q, r)),
-                        y_op[q].apply(lift.omega_value(p, r)),
+                        y_op[p].apply(omega_value(lift, q, r)),
+                        y_op[q].apply(omega_value(lift, p, r)),
                     ),
                     lift.x_op[r].apply(ext.omega_pair(p, q)),
                 )
@@ -762,7 +819,7 @@ def check_lift_lsa(ext, lift):
     for i in range(n):
         for q in range(m):
             for r in range(m):
-                if aprod.apply(ea[i], lift.omega_value(q, r)) != column(eq11[(q, r)], i):
+                if aprod.apply(ea[i], omega_value(lift, q, r)) != column(eq11[(q, r)], i):
                     return Verdict(False, (i, q, r), "eq-11")
     for i in range(n):
         for j in range(n):
@@ -798,7 +855,7 @@ def _check_lift_novikov_trivial(ext, lift):
     x_op, y_op = lift.x_op, lift.y_op
     for p in range(m):
         for q in range(m):
-            lhs = vsub(lift.omega_value(p, q), lift.omega_value(q, p))
+            lhs = vsub(omega_value(lift, p, q), omega_value(lift, q, p))
             if lhs != ext.omega_pair(p, q):
                 return Verdict(False, (p, q), "eq-25")
     for p in range(m):
@@ -808,8 +865,8 @@ def _check_lift_novikov_trivial(ext, lift):
         for q in range(m):
             for r in range(m):
                 lhs = vsub(
-                    y_op[p].apply(lift.omega_value(q, r)),
-                    y_op[q].apply(lift.omega_value(p, r)),
+                    y_op[p].apply(omega_value(lift, q, r)),
+                    y_op[q].apply(omega_value(lift, p, r)),
                 )
                 if lhs != x_op[r].apply(ext.omega_pair(p, q)):
                     return Verdict(False, (p, q, r), "eq-27")
@@ -820,8 +877,8 @@ def _check_lift_novikov_trivial(ext, lift):
     for p in range(m):
         for q in range(m):
             for r in range(m):
-                if x_op[r].apply(lift.omega_value(p, q)) != x_op[q].apply(
-                    lift.omega_value(p, r)
+                if x_op[r].apply(omega_value(lift, p, q)) != x_op[q].apply(
+                    omega_value(lift, p, r)
                 ):
                     return Verdict(False, (p, q, r), "eq-29")
     for p in range(m):
@@ -857,8 +914,8 @@ def _check_novikov_extra(ext, lift):
         for q in range(m):
             for r in range(m):
                 lhs = vsub(
-                    x_op[r].apply(lift.omega_value(p, q)),
-                    x_op[q].apply(lift.omega_value(p, r)),
+                    x_op[r].apply(omega_value(lift, p, q)),
+                    x_op[q].apply(omega_value(lift, p, r)),
                 )
                 rhs = vsub(
                     lift_omega_of(lift, bprod.basis_product(p, r), eb[q]),
@@ -871,7 +928,7 @@ def _check_novikov_extra(ext, lift):
             # eq-16 reads omega(p, q).e_k = (X_q Y_p - Y(p.q)) e_k
             rhs = x_op[q] * y_op[p] - scaled_sum(zip(bprod.basis_product(p, q), y_op), n, n)
             for k in range(n):
-                if aprod.apply(lift.omega_value(p, q), ea[k]) != column(rhs, k):
+                if aprod.apply(omega_value(lift, p, q), ea[k]) != column(rhs, k):
                     return Verdict(False, (p, q, k), "eq-16")
     for p in range(m):
         for q in range(p + 1, m):

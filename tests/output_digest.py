@@ -13,8 +13,10 @@ it exits 1, printing both digests, when its digest is not HEX.
 
 A second line prints product_digest(): one sha256 over the LAF documents
 of the products that the library's constructors build (see its docstring),
-which test_reduction.py pins as PRODUCT_DIGEST. pytest does not collect
-this file.
+which test_reduction.py pins as PRODUCT_DIGEST. A third prints the sha256
+of construction_bytes(), what the reduction hands out over
+corpus_extensions(), which test_reduction.py pins as CONSTRUCTION_DIGEST.
+pytest does not collect this file.
 """
 
 import argparse
@@ -25,6 +27,8 @@ from collections import Counter
 from novikov import fixtures as fx
 from novikov.certificate import decide_novikov
 from novikov.extensions import (
+    ExtensionData,
+    HypothesisFailed,
     assemble,
     iso_lift,
     jordan_lift,
@@ -36,8 +40,9 @@ from novikov.extensions import (
     two_step_solvable_from,
 )
 from novikov.laf import emit
-from novikov.linalg import Subspace, vunit
+from novikov.linalg import Matrix, Subspace, vunit
 from novikov.products import half_bracket_product
+from novikov.reduction import induced_nilpotent_extension, prop57_construct, reduction_lift
 from novikov.rmatrix import basis_rmatrix, deformed_algebra, induced_product
 
 from randalg import (
@@ -139,6 +144,45 @@ def product_digest():
     return hashlib.sha256("\n".join(_constructed()).encode("utf-8")).hexdigest()
 
 
+def corpus_extensions():
+    """The randalg extension corpora, plus extensions with dim a = 0 and
+    with dim b = 0."""
+    rng = rng_for("reduction-references")
+    exts = [random_three_step_extension(rng, i) for i in range(4)]
+    exts += [random_regular_jordan_extension(rng, i) for i in range(6)]
+    exts += [random_mixed_extension(rng) for _ in range(6)]
+    exts += [two_step_solvable_from(fx.fixture(name))[0] for name in ("ex35", "filiform:6", "n3")]
+    exts += [
+        ExtensionData(0, 2, [Matrix.zeros(0, 0)] * 2, {}),
+        ExtensionData(0, 3, [Matrix.zeros(0, 0)] * 3, {}, b_bracket=fx.n3().bracket),
+        ExtensionData(3, 0, [], {}),
+        ExtensionData(0, 0, [], {}),
+    ]
+    return exts
+
+
+def construction_bytes():
+    """What the construction layer hands out over corpus_extensions(): the
+    induced extension emitted, with lam and the basis change; for each of
+    two_gen_lift and scheuneman_lift on it, the reduction-lift product
+    emitted or the hypothesis that fails; prop57_construct on the assembled
+    algebra, the same way."""
+    out = []
+    for ext in corpus_extensions():
+        ind = induced_nilpotent_extension(ext)
+        out += [emit(ind.ext_n), repr(ind.lam), repr(ind.basis)]
+        for make in (two_gen_lift, scheuneman_lift):
+            try:
+                out.append(emit(lift_product(ext, reduction_lift(ext, make(ind.ext_n)))))
+            except HypothesisFailed as err:
+                out.append(str(err))
+        try:
+            out.append(emit(prop57_construct(assemble(ext))))
+        except HypothesisFailed as err:
+            out.append(str(err))
+    return "\n".join(out).encode()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Digest the decide certificates.")
     parser.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is HEX")
@@ -150,6 +194,7 @@ def main(argv=None):
         verdicts[cert.verdict] += 1
     print(digest.hexdigest(), " ".join("%s=%d" % kv for kv in sorted(verdicts.items())))
     print(product_digest(), "products")
+    print(hashlib.sha256(construction_bytes()).hexdigest(), "construction")
     if args.expect is not None and args.expect != digest.hexdigest():
         print("expected %s\n     got %s" % (args.expect, digest.hexdigest()))
         return 1

@@ -294,7 +294,7 @@ def test_criterion_9_nonexistence_certificate(criterion):
         cert = decide_novikov(g)
         assert cert.verdict == NOT_EXISTS
         assert verify_certificate(g, cert)
-        frozen = parse_file(os.path.join(DATA, "free-n2-c4.lafc")).payload
+        frozen = parse_file(os.path.join(DATA, "free-n2-c4.lafc"))
         assert frozen.verdict == NOT_EXISTS
         assert verify_certificate(g, frozen)
         for qi in list(frozen.witness):

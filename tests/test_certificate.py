@@ -966,16 +966,16 @@ def test_effort_threshold_gives_frozen_certificate():
 
 
 def test_frozen_certificate_fixture():
-    g = parse_file(os.path.join(DATA, "free-n2-c4.laf")).payload
+    g = parse_file(os.path.join(DATA, "free-n2-c4.laf"))
     assert g.bracket == fx.free_n2_c4().bracket
-    cert = parse_file(os.path.join(DATA, "free-n2-c4.lafc")).payload
+    cert = parse_file(os.path.join(DATA, "free-n2-c4.lafc"))
     assert cert.verdict == NOT_EXISTS
     assert verify_certificate(g, cert)
 
 
 def test_tampered_witness_fails():
     g = fx.free_n2_c4()
-    cert = parse_file(os.path.join(DATA, "free-n2-c4.lafc")).payload
+    cert = parse_file(os.path.join(DATA, "free-n2-c4.lafc"))
     for qi in list(cert.witness):
         for delta in (Q(1), Q(-1, 7)):
             tampered = Certificate(
@@ -1037,7 +1037,7 @@ def test_undetermined_round_trip():
     g = fx.free_n2_c4()
     cert = decide_novikov(g, effort=0)
     assert cert.verdict == UNDETERMINED
-    back = parse(emit(cert)).payload
+    back = parse(emit(cert))
     assert back.verdict == UNDETERMINED
     assert back.residual_summary == cert.residual_summary
     assert not verify_certificate(g, back)

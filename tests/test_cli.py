@@ -98,7 +98,7 @@ def test_rmatrix_check_and_induce(tmp_path, capsys):
     assert code == 0 and report["cybe"] and report["novbed"]
     code, report = run(capsys, "rmatrix", "--lie", lie, "--t", tmat, "--induce", "-o", out)
     assert code == 0
-    induced = parse_file(out).payload
+    induced = parse_file(out)
     assert is_novikov(induced)
     # equivalence with the direct library call
     r = RMatrix(fx.sl2(), Matrix.unit(3, 0, 1))
@@ -188,7 +188,7 @@ def test_lift_iso_at_given_e(tmp_path, capsys):
     out = str(tmp_path / "iso.lafl")
     code, report = run(capsys, "lift", "--ext", ext_path, "--method", "iso", "--e", "1/2,3", "-o", out)
     assert code == 0 and report["ok"]
-    assert list(parse_file(out).payload.y_op) == [Matrix([[1]]), Matrix([[2]])]
+    assert list(parse_file(out).y_op) == [Matrix([[1]]), Matrix([[2]])]
     code, report = run(capsys, "lift", "--ext", ext_path, "--method", "iso", "--e", "2,-1", "-o", out)
     assert code == 1 and report["error"] == "NotInvertible"
 
@@ -219,7 +219,7 @@ def test_lift_semidirect(tmp_path, capsys):
     out = str(tmp_path / "semi.lafl")
     code, report = run(capsys, "lift", "--ext", ext_path, "--method", "semidirect", "-o", out)
     assert code == 0 and report["ok"]
-    lift = parse_file(out).payload
+    lift = parse_file(out)
     assert lift.x_values == {}
 
 
@@ -258,7 +258,7 @@ def test_reduce_command(tmp_path, capsys):
     code, report = run(capsys, "reduce", "--ext", ext_path, "-o", out)
     assert code == 0
     assert report["dim_a_nilpotent"] == 1 and report["dim_a_free"] == 1
-    reduced = parse_file(out).payload
+    reduced = parse_file(out)
     assert reduced.dim_a == 1
     # well-formed input whose acting algebra (r2) is not nilpotent: the
     # reduction does not apply, which is exit 1, not malformed input
@@ -318,7 +318,7 @@ def test_reduce_and_quotient_outputs_pinned(tmp_path, capsys):
     # basis vectors are not coordinate vectors
     lie = os.path.join(DATA, "change-basis-ex35.laf")
     ideal = str(tmp_path / "ideal.lafm")
-    lcs = parse_file(lie).payload.lower_central_series()
+    lcs = parse_file(lie).lower_central_series()
     emit_file(Matrix([list(v) for v in lcs[2].basis]), ideal)
     code, report = run(capsys, "quotient", "--lie", lie, "--ideal", ideal, "-o", out)
     assert code == 0 and report["dim"] == 3
@@ -368,7 +368,7 @@ def test_quotient_commands(tmp_path, capsys):
     out2 = str(tmp_path / "q14.lafp")
     code, report = run(capsys, "quotient", "--product", prod, "--ideal", ideal14, "-o", out2)
     assert code == 0 and report["dim"] == 6
-    assert is_novikov(parse_file(out2).payload)
+    assert is_novikov(parse_file(out2))
 
 
 def test_missing_subcommand_is_usage_error():
@@ -411,12 +411,19 @@ def test_fixture_with_zero_denominator_is_input_error(tmp_path, capsys):
     ("lift", "--ext", "EXT", "--method", "jordan", "--index", " 1", "-o", "OUT"),
     ("lift", "--ext", "EXT", "--method", "jordan", "--index", "01", "-o", "OUT"),
     ("lift", "--ext", "EXT", "--method", "jordan", "--index", "\u0661", "-o", "OUT"),
+    ("fixture", "--name", "r3-lambda:1e3", "-o", "OUT"),
+    ("fixture", "--name", "r3-lambda:1.5", "-o", "OUT"),
+    ("fixture", "--name", "r3-lambda: 1", "-o", "OUT"),
+    ("fixture", "--name", "r3-lambda:+1", "-o", "OUT"),
+    ("fixture", "--name", "r3-lambda:\u0661", "-o", "OUT"),
+    ("fixture", "--name", "r3-lambda:1_000", "-o", "OUT"),
 ])
 def test_integer_arguments_follow_the_laf_count_grammar(argv, tmp_path, capsys):
     # --effort and the integer fixture parameters read a LAF count,
-    # 0|[1-9][0-9]* in ASCII digits, and lift --index a LAF index,
-    # [1-9][0-9]*: str.isdecimal took the Arabic-Indic 3 and int() a sign,
-    # spaces and leading zeros
+    # 0|[1-9][0-9]* in ASCII digits, lift --index a LAF index, [1-9][0-9]*,
+    # and r3-lambda a LAF rational, -?count(/count)?: str.isdecimal took the
+    # Arabic-Indic 3, int() a sign, spaces and leading zeros, and Fraction()
+    # exponents, decimals, spaces, signs, Arabic-Indic digits and underscores
     lie, ext, out = (str(tmp_path / name) for name in ("n3.laf", "fil.lafe", "x.laf"))
     emit_file(fx.n3(), lie)
     emit_file(two_step_solvable_from(fx.filiform(5))[0], ext)

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from novikov import fixtures as fx
-from novikov.certificate import decide_novikov, verify_certificate
+from novikov.certificate import Certificate, decide_novikov, verify_certificate
 from novikov.cli import main
 from novikov.extensions import (
     ExtensionData,
@@ -20,7 +20,7 @@ from novikov.extensions import (
     two_step_solvable_from,
 )
 from novikov.laf import LAFError, emit, emit_file, parse, parse_rational
-from novikov.lie import JacobiViolation, StructureTensor, quotient, validate_lie
+from novikov.lie import JacobiViolation, LieAlgebra, StructureTensor, quotient, validate_lie
 from novikov.linalg import Matrix, Subspace
 from novikov.products import half_bracket_product
 from novikov.rmatrix import RMatrix, deformed_algebra, induced_product
@@ -144,15 +144,24 @@ def golden_text(name):
 
 def round_trip(obj):
     text = emit(obj)
-    doc = parse(text)
-    assert emit(doc) == text
-    return doc.payload
+    back = parse(text)
+    assert emit(back) == text
+    return back
 
 
-def test_round_trip_lie():
+def test_round_trip_lie(tmp_path):
     for g in [fx.n3(), fx.sl2(), fx.free_n2_c4(), fx.free_n3_c3(), fx.abelian(2)]:
         back = round_trip(g)
         assert back.bracket == g.bracket and back.labels == g.labels
+    # emit refuses a label that would not read back as it is ("x#1" read
+    # back as "x", the others failed to parse with "expected 3 fields"), and
+    # emit_file writes no file for what emit refuses
+    path = tmp_path / "out.laf"
+    bad = [LieAlgebra(StructureTensor(1, {}), (label,)) for label in ("x#1", "a b", "", "x\xa0y")]
+    for obj in bad + [object()]:
+        with pytest.raises(LAFError):
+            emit_file(obj, str(path))
+        assert not path.exists()
 
 
 def test_round_trip_product():
@@ -186,6 +195,11 @@ def test_round_trip_certificates():
     exists = decide_novikov(fx.n3())
     back = round_trip(exists)
     assert verify_certificate(fx.n3(), back)
+    for method in ("x#1", "a b", "", "x\xa0y"):
+        bad = Certificate(exists.verdict, exists.algebra_hash, product=exists.product,
+                          method=method)
+        with pytest.raises(LAFError):
+            emit(bad)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -301,7 +315,7 @@ def test_extension_with_bad_a_product_rejected():
 
 def test_comments_and_blank_lines():
     text = "# header comment\nLAF 1\n\ndim 2  # with trailing comment\nbracket 1 2 1 1\n"
-    g = parse(text).payload
+    g = parse(text)
     assert g.dim == 2
 
 

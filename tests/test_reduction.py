@@ -49,13 +49,15 @@ from novikov.reduction import (
 )
 
 import dense_scans as dense
-from output_digest import product_digest
+from output_digest import construction_bytes, corpus_extensions, product_digest
 from dense_scans import (
     check_lift_lsa,
     check_lift_novikov,
     h0,
     intersect,
+    lift_through,
     nullspace_of_rows,
+    omega_value,
     row_module,
     subspace_sum,
     vdot,
@@ -64,8 +66,6 @@ from randalg import (
     random_mixed_extension,
     random_nilpotent_module,
     random_prop57_instance,
-    random_regular_jordan_extension,
-    random_three_step_extension,
     random_two_step_nilpotent,
     rational,
     rng_for,
@@ -261,7 +261,7 @@ def _perturbed_lifts(rng, lift):
         lifts.append(LiftData(n, m, x_op, y_op, lift.x_values))
         values = dict(lift.x_values)
         q = rng.randrange(m)
-        values[(p, q)] = tuple(x + rational(rng) for x in lift.omega_value(p, q))
+        values[(p, q)] = tuple(x + rational(rng) for x in omega_value(lift, p, q))
         lifts.append(LiftData(n, m, lift.x_op, lift.y_op, values))
     return lifts
 
@@ -354,7 +354,10 @@ def heisenberg_pullback_extension(rng):
 
 def test_pull_backs_pass_check_lift_lsa():
     # reduction_lift checks only the incoming lift and prop57_construct no
-    # lift at all; each pulled-back lift must pass check_lift_lsa on ext
+    # lift at all; each pulled-back lift must pass check_lift_lsa on ext and
+    # equal lift_through's, the pull-back worked out block by block. Only the
+    # Heisenberg extensions, with a nonzero b-product and lam != 0, reach
+    # its lam(p q) term
     rng = rng_for("reduction-pullbacks")
     cases = []
     for _ in range(10):
@@ -376,6 +379,9 @@ def test_pull_backs_pass_check_lift_lsa():
         cases.append((ext, semidirect_lift(ind.ext_n)))
     for ext, lift_n in cases:
         lift = reduction_lift(ext, lift_n)
+        reference = lift_through(ext, induced_nilpotent_extension(ext), lift_n)
+        assert (lift.x_op, lift.y_op, lift.x_values) == (
+            reference.x_op, reference.y_op, reference.x_values)
         assert check_lift_lsa(ext, lift)
         if not ext.b_is_abelian():
             p = lift_product(ext, lift)
@@ -499,27 +505,10 @@ def reference_induced_without_a0(ext, dec):
     return InducedExtension(ext_n, [vzero(0)] * m, [Matrix.zeros(0, 0)] * m, dec, basis, basis)
 
 
-def _corpus_extensions():
-    """The randalg extension corpora, plus extensions with dim a = 0 and
-    with dim b = 0."""
-    rng = rng_for("reduction-references")
-    exts = [random_three_step_extension(rng, i) for i in range(4)]
-    exts += [random_regular_jordan_extension(rng, i) for i in range(6)]
-    exts += [random_mixed_extension(rng) for _ in range(6)]
-    exts += [two_step_solvable_from(fx.fixture(name))[0] for name in ("ex35", "filiform:6", "n3")]
-    exts += [
-        ExtensionData(0, 2, [Matrix.zeros(0, 0)] * 2, {}),
-        ExtensionData(0, 3, [Matrix.zeros(0, 0)] * 3, {}, b_bracket=fx.n3().bracket),
-        ExtensionData(3, 0, [], {}),
-        ExtensionData(0, 0, [], {}),
-    ]
-    return exts
-
-
 def _module_corpus():
     rng = rng_for("reduction-fitting-reference")
     modules = [random_nilpotent_module(rng, index) for index in range(12)]
-    modules += [ModuleAction(ext.b_algebra(), ext.dim_a, ext.phi) for ext in _corpus_extensions()]
+    modules += [ModuleAction(ext.b_algebra(), ext.dim_a, ext.phi) for ext in corpus_extensions()]
     assert {mod.dim_v for mod in modules} >= {0, 3} and {mod.b.dim for mod in modules} >= {0, 2}
     return modules
 
@@ -646,7 +635,7 @@ def test_induced_extension_without_a0_matches_reference():
     # with a_0 = 0 the general path gives the same values as returning the
     # extension itself on the identity basis
     without_a0 = 0
-    for ext in _corpus_extensions():
+    for ext in corpus_extensions():
         ind = induced_nilpotent_extension(ext)
         if ind.dim_0:
             continue
@@ -661,35 +650,13 @@ def test_induced_extension_without_a0_matches_reference():
     assert without_a0 >= 10
 
 
-# sha256 of _construction_bytes(), recorded on the word-image Fitting
+# sha256 of construction_bytes(), recorded on the word-image Fitting
 # splitting that the power-based one replaced
 CONSTRUCTION_DIGEST = "c4555fc876ba1b81f359173a7590bf71633f0d9cbfd38608a44bebc5bb72057a"
 
 
-def _construction_bytes():
-    """What the construction layer hands out over _corpus_extensions(): the
-    induced extension emitted, with lam and the basis change; for each of
-    two_gen_lift and scheuneman_lift on it, the reduction-lift product
-    emitted or the hypothesis that fails; prop57_construct on the assembled
-    algebra, the same way."""
-    out = []
-    for ext in _corpus_extensions():
-        ind = induced_nilpotent_extension(ext)
-        out += [emit(ind.ext_n), repr(ind.lam), repr(ind.basis)]
-        for make in (two_gen_lift, scheuneman_lift):
-            try:
-                out.append(emit(lift_product(ext, reduction_lift(ext, make(ind.ext_n)))))
-            except HypothesisFailed as err:
-                out.append(str(err))
-        try:
-            out.append(emit(prop57_construct(assemble(ext))))
-        except HypothesisFailed as err:
-            out.append(str(err))
-    return "\n".join(out).encode()
-
-
 def test_construction_bytes_match_the_recorded_digest():
-    assert hashlib.sha256(_construction_bytes()).hexdigest() == CONSTRUCTION_DIGEST
+    assert hashlib.sha256(construction_bytes()).hexdigest() == CONSTRUCTION_DIGEST
 
 
 # output_digest.product_digest(), recorded while each product was still
