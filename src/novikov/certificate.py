@@ -460,13 +460,17 @@ def residual_polynomials(system):
     live, forms = _live_forms(sol)
     reps = {}
     for qi in system.quadratics.candidates(live):
-        poly = {mono: c for mono, c in system.quadratics[qi].items() if live.issuperset(mono)}
-        if not poly:
-            continue
-        sub = _substitute(poly, forms)
+        sub = _residual(system.quadratics, qi, live, forms)
         if sub:
             reps[qi] = sub
     return sol, {qi + kind: sub for qi, sub in reps.items() for kind in (0, 1)}
+
+
+def _residual(quadratics, qi, live, forms):
+    """The residual of entry qi: its rep entry 2q cut to the live monomials
+    and substituted, {} when none is live or the sum vanishes."""
+    poly = {mono: c for mono, c in quadratics[qi - qi % 2].items() if live.issuperset(mono)}
+    return _substitute(poly, forms) if poly else {}
 
 
 def _eliminate_residuals(residuals, effort):
@@ -626,8 +630,9 @@ def verify_certificate(g, cert):
     Exists: the embedded product must pass _verified, the Novikov and
     compatibility checks decide_novikov runs. NotExists: the witness
     combination must evaluate to exactly the recorded nonzero constant (and
-    reference only equations that actually constrain the system).
-    Undetermined never verifies.
+    reference only equations that actually constrain the system); after the
+    linear solve, only a quadratic witness's own entries are substituted,
+    and each must leave a nonzero residual. Undetermined never verifies.
     """
     if cert.algebra_hash != algebra_hash(g):
         return False
@@ -645,8 +650,10 @@ def verify_certificate(g, cert):
         total = sum((c * system.linear_rhs[i] for i, c in cert.witness.items()), Q(0))
         return not _combine(cert.witness, system.linear_rows) and total == cert.constant
     if cert.witness_kind == "quadratic":
-        _, residuals = residual_polynomials(system)
-        if residuals is None or not all(qi in residuals for qi in cert.witness):
+        sol = solve_sparse(system.linear_rows, system.linear_rhs, system.nvars)
+        if not sol.consistent or not all(0 <= qi < len(system.quadratics) for qi in cert.witness):
             return False
-        return _combine(cert.witness, residuals) == {(): cert.constant}
+        live, forms = _live_forms(sol)
+        residuals = {qi: _residual(system.quadratics, qi, live, forms) for qi in cert.witness}
+        return all(residuals.values()) and _combine(cert.witness, residuals) == {(): cert.constant}
     return False

@@ -8,7 +8,8 @@ basis triples (Jacobi here, left symmetry and eq-2 in products, the
 a-product's associativity in extensions) is one call of _first_defect,
 which walks the nonzero paths of the pair index in ints, read from the
 tensor's int form: scaled and indexed once per tensor, however many scans,
-completeness checks and changes of basis read it.
+completeness checks and changes of basis read it. The verdict of each scan
+is kept next to it, so no check walks a tensor twice.
 """
 
 from bisect import bisect_left
@@ -60,10 +61,11 @@ class StructureTensor:
     cost the nonzeros they touch, not a scan of every entry. The triple scans,
     the completeness check and change_basis read the int form instead
     (_int_form), built on first use and kept: the pair index scaled to ints
-    and indexed by left factor, right factor and product coordinate.
+    and indexed by left factor, right factor and product coordinate. The
+    scan verdicts are kept beside it (_scans, made by the first scan).
     """
 
-    __slots__ = ("dim", "entries", "pairs", "_ints")
+    __slots__ = ("dim", "entries", "pairs", "_ints", "_scans")
 
     def __init__(self, dim, entries=None):
         table = {}
@@ -80,6 +82,7 @@ class StructureTensor:
         object.__setattr__(self, "entries", table)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_scans", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StructureTensor is immutable")
@@ -180,24 +183,25 @@ class StructureTensor:
 
         One int transform of the nonzeros: with B = basis and C = basis_inv in
         their int forms (d_B B, d_C C) and the constants in theirs (d c),
-        each pair row c(i, j) is mapped through C once, and its image, times
-        B[i, a] B[j, b], is added to the new pair (a, b) for the nonzero
-        B[i, a] and B[j, b]. The sums are divided by d_B^2 d_C d once and
-        entered in sorted (a, b, k) order.
+        each pair row c(i, j) is mapped once through the nonzero columns of C
+        its constants meet, and its image, times B[i, a] B[j, b], is added to
+        the new pair (a, b) for the nonzero B[i, a] and B[j, b]. The sums are
+        divided by d_B^2 d_C d once and entered in sorted (a, b, k) order.
         """
         n = self.dim
         if basis.rows != n or basis.cols != n:
             raise DimensionMismatch("need a dim x dim basis matrix")
         d, pairs = self._int_form()[:2]
         d_b, _, b_rows = basis._int_form()
-        d_c, c_rows, _ = basis_inv._int_form()
+        d_c, c_ints, _ = basis_inv._int_form()
+        c_cols = [[(m, x) for m, x in enumerate(col) if x] for col in zip(*c_ints)]
         acc = {}
         for (i, j), row in pairs.items():
-            image = []
-            for m, c_row in enumerate(c_rows):
-                s = sum([c_row[k] * c for k, c in row.items()])
-                if s:
-                    image.append((m, s))
+            image = {}
+            for k, c in row.items():
+                for m, x in c_cols[k]:
+                    image[m] = image.get(m, 0) + x * c
+            image = [(m, s) for m, s in image.items() if s]
             for a, x in b_rows[i]:
                 for b, y in b_rows[j]:
                     xy = x * y
@@ -315,12 +319,24 @@ def _first_defect(tensor, identity, j_after_i, k_after_j):
     identity is a tuple of terms (sign, nested, (x, y, z)): sign * (e_x e_y) e_z,
     or sign * e_x (e_y e_z) when nested, where x, y, z are the positions in
     (i, j, k) of the three factors. The flags limit the scan to j > i and to
-    k > j. The walk reads the tensor's int form (StructureTensor._int_form),
-    scaled and indexed once per tensor however many scans read it, and
-    touches only nonzero constants: for each i in turn, every term lists its
-    paths through e_i under the (j, k) they add to, found through the pairs'
-    left and right factors and the coordinates of their products, and the
-    first (j, k) in order whose paths do not cancel is the witness.
+    k > j. The verdict is kept on the tensor, next to its int form, under
+    (identity, j_after_i, k_after_j): each scan walks a tensor once (_walk),
+    and the first scan makes the dict.
+    """
+    if tensor._scans is None:
+        object.__setattr__(tensor, "_scans", {})
+    scans, key = tensor._scans, (identity, j_after_i, k_after_j)
+    if key not in scans:
+        scans[key] = _walk(tensor, *key)
+    return scans[key]
+
+
+def _walk(tensor, identity, j_after_i, k_after_j):
+    """The walk of _first_defect over the tensor's int form, touching only
+    nonzero constants: for each i in turn, every path through e_i of every
+    term, found through the pairs' left and right factors and the
+    coordinates of their products, is added into the int defect of its
+    (j, k), and the first (j, k) in order whose defect is not 0 is the witness.
     """
     left, right, image = tensor._int_form()[2:]
     # Where e_i sits in a term fixes its walk, with a and b the other factors:
@@ -343,23 +359,22 @@ def _first_defect(tensor, identity, j_after_i, k_after_j):
             for a, row in first.get(i, {}).items():
                 if second is None:
                     found = image.get(a, [])
-                    paths = [(u, w, c, row) for u, w, c in
-                             found[bisect_left(found, (least[flip],)):]]
+                    paths = ((u, w, c, row) for u, w, c in
+                             found[bisect_left(found, (least[flip],)):])
                 elif a < least[flip]:
                     continue
                 else:
-                    paths = [(a, b, c, row2) for m, c in row.items()
-                             for b, row2 in second.get(m, {}).items()]
+                    paths = ((a, b, c, row2) for m, c in row.items()
+                             for b, row2 in second.get(m, {}).items())
                 for u, w, c, vector in paths:
                     j, k = (w, u) if flip else (u, w)
                     if j >= least_j and not (k_after_j and k <= j):
-                        groups.setdefault((j, k), []).append((sign * c, vector))
+                        defect = groups.setdefault((j, k), {})
+                        c *= sign
+                        for out, x in vector.items():
+                            defect[out] = defect.get(out, 0) + c * x
         for key in sorted(groups):
-            defect = {}
-            for c, vector in groups[key]:
-                for out, x in vector.items():
-                    defect[out] = defect.get(out, 0) + c * x
-            if any(defect.values()):
+            if any(groups[key].values()):
                 return (i,) + key
     return None
 

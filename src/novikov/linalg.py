@@ -5,35 +5,36 @@ every comparison in the package is an exact equality; there are no
 tolerances anywhere. The exact kernels compute on Python ints and divide
 once, at the end. A Matrix keeps one int form, built on first use: the lcm d
 of its denominators and the rows of d * M as ints, with their nonzeros.
-The matrix product and the matrix-vector product read it, accumulate in
-ints and build one Fraction per nonzero output entry, and a product passes
-its int form on. There is one sparse elimination kernel: _add_term and
-_add_scaled accumulate into sparse dicts (dropping entries that cancel), and
-_row_step takes one row fraction-free: it scales the row to Python ints,
-reduces it by cross-multiplying with int pivot rows instead of dividing by
-their leads, and makes it primitive with a positive lead. solve_sparse
-first reads off the row pattern, with no arithmetic, the columns that the
-homogeneous rows force to zero (_forced_zeros); it drops the rows that only
-restate zeros and strips the zero columns from the rest. Its elimination
-(_echelon) runs the row step on every row and clears each new pivot from
-the earlier pivot rows that hold it, found through a column index. It
-divides only once, at the end, so the pivot rows, values and witness come
-back as Fractions, exactly those of the elimination over Fractions. When
-the stripped rows are inconsistent, one more pass over the given rows
-tracks row provenance and stops at the first bad row, to build the
-witness. The pivot rows are keyed by pivot column, in no promised order.
-Subspace bases and inverses take their reduced echelon form from it, and
-so does the Fitting kernel in reduction.py, which reads its echelon basis
-straight off one pass with the columns reversed. Subspace membership
-reads a subspace's reduced echelon rows directly, its complement is one echelon pass over the basis with the
+Products, sums, differences, equality and is_zero read it and accumulate in
+ints; a matrix they build holds only its int form and makes its data
+Fractions when data is first read, so a chain of them builds none. There is
+one sparse elimination kernel: _add_term and _add_scaled accumulate into
+sparse dicts (dropping entries that cancel), and _row_step takes one row
+fraction-free: it scales the row to Python ints, reduces it by
+cross-multiplying with int pivot rows instead of dividing by their leads,
+and makes it primitive with a positive lead. solve_sparse first reads off
+the row pattern, with no arithmetic, the columns that the homogeneous rows
+force to zero (_forced_zeros); it drops the rows that only restate zeros and
+strips the zero columns from the rest. Its elimination (_echelon) runs the
+row step on every row and clears each new pivot from the earlier pivot rows
+that hold it, found through a column index. It divides only once, at the
+end, so the pivot rows, values and witness come back as Fractions, exactly
+those of the elimination over Fractions. When the stripped rows are
+inconsistent, one more pass over the given rows tracks row provenance and
+stops at the first bad row, to build the witness. The pivot rows are keyed
+by pivot column, in no promised order. Subspace bases and inverses take
+their reduced echelon form from it, and so does the Fitting kernel in
+reduction.py, which reads its echelon basis straight off one pass with the
+columns reversed. Subspace membership reads a subspace's reduced echelon
+rows directly, its complement is one echelon pass over the basis with the
 columns reversed, and its int rows (each echelon row scaled by the lcm of
-its denominators) feed the bracket spans without a dense round trip.
-The certificate's residual elimination runs the same row step, and every
-sparse row or polynomial build in the package accumulates with the same
-helpers. The regular nilpotent basis reads one more, _krylov_chain:
-the nonzero images of a sparse vector under an operator given by its sparse
-columns, so it forms no matrix power. The Fraction forms of the dense
-kernels are the test suite's references (tests/dense_scans.py).
+its denominators) feed the bracket spans without a dense round trip. The
+certificate's residual elimination runs the same row step, and every sparse
+row or polynomial build in the package accumulates with the same helpers.
+The regular nilpotent basis reads one more, _krylov_chain: the nonzero
+images of a sparse vector under an operator given by its sparse columns, so
+it forms no matrix power. The Fraction forms of the dense kernels are the
+test suite's references (tests/dense_scans.py).
 """
 
 from fractions import Fraction
@@ -83,16 +84,15 @@ def is_zero_vec(u):
 class Matrix:
     """Immutable dense matrix over Q.
 
-    data holds the entries as Fractions. The exact products read an int form
+    data holds the entries as Fractions. The exact kernels read an int form
     instead, built on first use and kept (_int_form): the lcm d of the
     entries' denominators, the rows of d * M as int tuples, and each of those
-    rows' nonzero (column, int) pairs. __mul__ and apply accumulate in ints
-    and build one Fraction per nonzero output entry; a product matrix gets
-    its int form from the int sums, so a chain of products converts each
-    factor once.
+    rows' nonzero (column, int) pairs. __mul__, __add__ and __sub__ sum in
+    ints and return a matrix holding that int form alone, its data built on
+    first read: a chain of them builds no Fraction in between.
     """
 
-    __slots__ = ("rows", "cols", "data", "_ints")
+    __slots__ = ("rows", "cols", "_data", "_ints")
 
     def __init__(self, data, cols=None):
         data = tuple(tuple(x if type(x) is Q else Q(x) for x in row) for row in data)
@@ -103,7 +103,7 @@ class Matrix:
                 raise DimensionMismatch("ragged rows")
         elif cols is None:
             cols = 0
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_data", data)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_ints", None)
@@ -114,30 +114,31 @@ class Matrix:
     @classmethod
     def _from_ints(cls, int_rows, denominator, cols):
         """The matrix int_rows / denominator (int rows, an int denominator),
-        with its int form set. With g the gcd of the denominator and every
-        entry, d = denominator / g is the lcm of the entries' denominators, and
-        the int rows are divided by g. Every zero entry is _ZERO, and every
-        nonzero int value of d * M shares one Fraction."""
+        holding its int form alone. With g the gcd of the denominator and
+        every entry, d = denominator / g is the lcm of the entries'
+        denominators, and the int rows are divided by g."""
         g = gcd(denominator, *(x for row in int_rows for x in row))
-        d = denominator // g
         if g != 1:
             int_rows = [[x // g for x in row] for row in int_rows]
-        shared = {0: _ZERO}
-        data = []
-        for row in int_rows:
-            out = []
-            for x in row:
-                f = shared.get(x)
-                if f is None:
-                    f = shared[x] = Q(x, d)
-                out.append(f)
-            data.append(tuple(out))
         m = object.__new__(cls)
-        object.__setattr__(m, "data", tuple(data))
-        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "_data", None)
+        object.__setattr__(m, "rows", len(int_rows))
         object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_ints", _int_rows_form(d, int_rows))
+        object.__setattr__(m, "_ints", _int_rows_form(denominator // g, int_rows))
         return m
+
+    @property
+    def data(self):
+        """The entries as Fractions, built on first read for a matrix made
+        from ints: every zero entry is _ZERO, and every nonzero int value of
+        d * M shares one Fraction."""
+        if self._data is None:
+            d, int_rows, _ = self._ints
+            shared = {x: Q(x, d) for x in set().union(*int_rows)}
+            shared[0] = _ZERO
+            data = tuple(tuple(map(shared.__getitem__, row)) for row in int_rows)
+            object.__setattr__(self, "_data", data)
+        return self._data
 
     def _int_form(self):
         """(d, int rows, nonzero (column, int) pairs per row), d * M = int
@@ -174,21 +175,28 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
+    def __eq__(self, other):  # the int form is canonical
+        return (isinstance(other, Matrix) and (self.rows, self.cols) == (other.rows, other.cols)
+                and self._int_form()[:2] == other._int_form()[:2])
 
     def __hash__(self):
-        return hash(self.data)
+        return hash(self._int_form()[:2])
 
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix([vadd(a, b) for a, b in zip(self.data, other.data)], cols=self.cols)
+        return self._plus(other, 1, "addition")
 
     def __sub__(self, other):
+        return self._plus(other, -1, "subtraction")
+
+    def _plus(self, other, sign, name):  # self + sign * other, in ints
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return Matrix([vsub(a, b) for a, b in zip(self.data, other.data)], cols=self.cols)
+            raise DimensionMismatch("matrix %s shape mismatch" % name)
+        d, a, _ = self._int_form()
+        e, b, _ = other._int_form()
+        m = lcm(d, e)
+        x, y = m // d, sign * (m // e)
+        rows = [[p * x + q * y for p, q in zip(u, v)] for u, v in zip(a, b)]
+        return Matrix._from_ints(rows, m, self.cols)
 
     def scale(self, c):
         return Matrix([vscale(c, r) for r in self.data], cols=self.cols)
@@ -233,7 +241,7 @@ class Matrix:
         return Matrix(list(zip(*self.data)) if self.data else [()] * self.cols, cols=self.rows)
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self._int_form()[2])
 
     def inverse(self):
         if self.rows != self.cols:
@@ -654,7 +662,7 @@ def _to_fractions(dicts, denominator=1):
 def _forced_zeros(rows, rhs):
     """The columns that the pattern of the homogeneous rows forces to zero,
     and the indices, increasing, of the homogeneous rows that hold two or
-    more columns outside them.
+    more columns outside them; rhs may be the values' truth values.
 
     A homogeneous row (rhs None or 0) whose columns are all known zero but
     one forces that one to zero, and a row with none left only restates
@@ -705,9 +713,10 @@ def solve_sparse(rows, rhs, ncols):
     row order and mean nothing. The elimination runs on ints and divides
     once, at the end (_echelon); every entry of the result is a Fraction.
     """
-    zeros, kept = _forced_zeros(rows, rhs)
+    nonzero = None if rhs is None else list(map(bool, rhs))  # each value read once
+    zeros, kept = _forced_zeros(rows, nonzero)
     if rhs is not None:
-        kept = sorted(kept + [i for i, val in enumerate(rhs) if val])
+        kept = sorted(kept + [i for i, x in enumerate(nonzero) if x])
     kept_rows = []
     for i in kept:
         row = rows[i]

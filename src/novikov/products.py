@@ -4,9 +4,10 @@ A product is the StructureTensor of its constants, the same kind of object
 as a bracket: e_i * e_j = sum_k c[i][j][k] e_k, with no symmetry asked of
 it. Checks the left-symmetric and Novikov axioms, compatibility with a
 bracket, and completeness of left-symmetric products (nilpotency of every
-right multiplication). Left symmetry and eq-2 are triple scans run by the kernel
-lie._first_defect, on int constants and over the nonzero paths of the
-pair index, so a sparse product costs its nonzeros, not a sum per triple.
+right multiplication). Left symmetry and eq-2 are triple scans run by the
+kernel lie._first_defect, on int constants and over the nonzero paths of
+the pair index, so a sparse product costs its nonzeros, not a sum per
+triple; the tensor keeps each verdict, so no check walks a product twice.
 Compatibility compares the pair indexes of the product and the bracket.
 Completeness reads each R(e_i) column by column from the same index and
 decides R^n = 0 from the sparse Krylov chains of the unit vectors, building
@@ -73,9 +74,7 @@ def is_novikov(p):
     multiplications) is a differential test in the test suite.
     """
     lsa = is_left_symmetric(p)
-    if not lsa:
-        return lsa
-    return _eq2(p)
+    return _eq2(p) if lsa else lsa
 
 
 def is_compatible(p, g):

@@ -249,14 +249,16 @@ def reduction_lift(ext, lift_n):
     return _lift_of(_pull_back(ind, product), ext.dim_a, ext.dim_b)
 
 
-def _pull_back(ind, product_n):
+def _pull_back(ind, product_n, split=None):
     """product_n, the product of an LSA lift on ind.ext_n, in the coordinates
-    of the extension ind came from, unchecked. In the basis V_n, V_0, f_p +
-    lam_p it is product_n with b moved past a_0, plus f_p v = phi_0(p) v on
-    a_0; the columns of S = [[B, B Lam], [0, I]] are that basis, with B =
-    ind.basis and Lam the columns (0, lam_p), and S^-1 = [[B^-1, -Lam],
-    [0, I]]. As a a = 0, the a-part of f_p f_q becomes omega(p, q) -
-    X_q lam_p - Y_p lam_q + lam(p q): the section correction.
+    of the extension ind came from, unchecked, or with split, the split data,
+    in those of the algebra, composed with split.transport_product's change
+    of basis. In the basis V_n, V_0, f_p + lam_p it is product_n with b
+    moved past a_0, plus f_p v = phi_0(p) v on a_0; the columns of S =
+    [[B, B Lam], [0, I]] are that basis, with B = ind.basis and Lam the
+    columns (0, lam_p), and S^-1 = [[B^-1, -Lam], [0, I]]. As a a = 0, the
+    a-part of f_p f_q becomes omega(p, q) - X_q lam_p - Y_p lam_q + lam(p q):
+    the section correction.
     """
     n1, n2, m = ind.dim_n, ind.dim_0, len(ind.lam)
     n = n1 + n2
@@ -272,6 +274,8 @@ def _pull_back(ind, product_n):
                + b_rows, cols=n + m)
     s_inv = Matrix([row + tuple(-v[i] for v in lam) for i, row in enumerate(ind.basis_inv.data)]
                    + b_rows, cols=n + m)
+    if split is not None:
+        s, s_inv = split.basis * s, s_inv * split.basis_inv
     return StructureTensor(n + m, entries).change_basis(s_inv, s)
 
 
@@ -296,10 +300,10 @@ def prop57_construct(g):
 
     Pipeline: present g as an extension of abelian algebras, pass to the
     induced nilpotent extension (nilpotent of class at most 3), apply the
-    closed-form lift there, and carry its product back to the extension
-    (_pull_back) and on to g. No lift is checked: scheuneman_lift's
-    hypotheses decide its lift, and the reduction turns it into an LSA lift
-    on the extension. That the product is left-symmetric, compatible and
+    closed-form lift there, and carry its product back to the extension and
+    on to g by one change of basis (_pull_back). No lift is checked:
+    scheuneman_lift's hypotheses decide its lift, and the reduction turns it
+    into an LSA lift on the extension. That the product is left-symmetric, compatible and
     complete is tested in the test suite. The derived series of g is built
     once, by two_step_solvable_from.
     """
@@ -311,4 +315,4 @@ def prop57_construct(g):
         raise HypothesisFailed("lower central series does not stabilize at step 4")
     ind = induced_nilpotent_extension(ext)
     product = lift_product(ind.ext_n, scheuneman_lift(ind.ext_n))
-    return split.transport_product(_pull_back(ind, product))
+    return _pull_back(ind, product, split)

@@ -7,10 +7,10 @@ Yang-Baxter equation (CYBE) together with the auxiliary identity
 x*y = [Tx, y] on the deformed algebra g_T with bracket
 [x,y]_T = [Tx, y] + [x, Ty].
 
-Everything reads the tensor of [T e_i, e_j], built once per RMatrix
-(_t_product), and each condition is decided by a kernel of the package:
-novbed is the eq-2 scan of that product, and CYBE compares two tensors
-built by StructureTensor.change_basis.
+Everything reads the tensor of [T e_i, e_j] and the deformed bracket, each
+built once per RMatrix (_t_product, deformed_bracket), and each condition
+is decided by a kernel of the package: novbed is the eq-2 scan of that
+product, and CYBE compares two tensors built by StructureTensor.change_basis.
 """
 
 from .extensions import HypothesisFailed
@@ -28,9 +28,10 @@ class PreconditionFailed(ValueError):
 
 class RMatrix:
     """An immutable linear operator T paired with the Lie algebra it
-    deforms; the product of [T e_i, e_j] is kept once built (_t_product)."""
+    deforms; the product of [T e_i, e_j] and the deformed bracket are kept
+    once built (_t_product, deformed_bracket)."""
 
-    __slots__ = ("g", "t", "_product")
+    __slots__ = ("g", "t", "_product", "_deformed")
 
     def __init__(self, g, t):
         if t.rows != g.dim or t.cols != g.dim:
@@ -38,6 +39,7 @@ class RMatrix:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "_product", None)
+        object.__setattr__(self, "_deformed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RMatrix is immutable")
@@ -69,12 +71,15 @@ def _t_product(r):
 
 def deformed_bracket(r):
     """Structure tensor of [x,y]_T = [Tx, y] + [x, Ty], Jacobi not implied:
-    the tensor of [T e_i, e_j] minus its transpose."""
-    product = _t_product(r).entries
-    acc = dict(product)
-    for (i, j, k), c in product.items():
-        acc[(j, i, k)] = acc.get((j, i, k), 0) - c
-    return StructureTensor(r.g.dim, {key: acc[key] for key in sorted(acc) if acc[key]})
+    the tensor of [T e_i, e_j] minus its transpose, built once per RMatrix."""
+    if r._deformed is None:
+        product = _t_product(r).entries
+        acc = dict(product)
+        for (i, j, k), c in product.items():
+            acc[(j, i, k)] = acc.get((j, i, k), 0) - c
+        object.__setattr__(r, "_deformed", StructureTensor(
+            r.g.dim, {key: acc[key] for key in sorted(acc) if acc[key]}))
+    return r._deformed
 
 
 def deformed_algebra(r):

@@ -518,13 +518,21 @@ def a_product_violation(a):
         for j in range(i + 1, n):
             if basis_product(t, i, j) != basis_product(t, j, i):
                 return "a-product-commutative", (i, j)
+    bad = associative_defect(t)
+    return None if bad is None else ("a-product-associative", bad)
+
+
+def associative_defect(t):
+    """The first basis triple, over every triple, where (e_i e_j) e_k and
+    e_i (e_j e_k) differ, with dense vectors, or None."""
+    n = t.dim
     e = [vunit(n, i) for i in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 lhs = apply(t, basis_product(t, i, j), e[k])
                 if lhs != apply(t, e[i], basis_product(t, j, k)):
-                    return "a-product-associative", (i, j, k)
+                    return i, j, k
     return None
 
 
@@ -540,6 +548,18 @@ def validate_lie(bracket, labels=None):
                 for k in range(n):
                     if lhs[k] != rhs[k]:
                         raise AntisymmetryViolation(i, j, k)
+    bad = jacobi_defect(bracket)
+    if bad:
+        raise JacobiViolation(*bad)
+    return LieAlgebra(bracket, labels)
+
+
+def jacobi_defect(bracket):
+    """The first basis triple i < j < k where [[i, j], k] + [[j, k], i] +
+    [[k, i], j] is not zero, with dense vectors, or None; antisymmetry is
+    not asked of the bracket."""
+    n = bracket.dim
+    products = _basis_products(bracket)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -551,8 +571,8 @@ def validate_lie(bracket, labels=None):
                     apply(bracket, products[(k, i)], vunit(n, j)),
                 )
                 if not is_zero_vec(total):
-                    raise JacobiViolation(i, j, k)
-    return LieAlgebra(bracket, labels)
+                    return i, j, k
+    return None
 
 
 def derived_identities_hold(p):

@@ -8,15 +8,17 @@ It decides the 15 named fixtures below and census instances 0-9 of the
 x3, xj, xm and xp corpora (55 algebras), emits each certificate as its
 canonical LAF-C document and prints the sha256 of those documents, joined
 in that order, with the verdict counts. A change that must keep every
-certificate byte prints the same line before and after. With --expect HEX
-it exits 1, printing both digests, when its digest is not HEX.
+certificate byte prints the same line before and after.
 
 A second line prints product_digest(): one sha256 over the LAF documents
 of the products that the library's constructors build (see its docstring),
-which test_reduction.py pins as PRODUCT_DIGEST. A third prints the sha256
-of construction_bytes(), what the reduction hands out over
-corpus_extensions(), which test_reduction.py pins as CONSTRUCTION_DIGEST.
-pytest does not collect this file.
+pinned here as PRODUCT_DIGEST. A third prints the sha256 of
+construction_bytes(), what the reduction hands out over
+corpus_extensions(), pinned here as CONSTRUCTION_DIGEST; test_reduction.py
+imports both pins. With --expect HEX it exits 1, printing each digest that
+differs next to what was expected, when the certificate digest is not HEX
+or either of the other two lines is not its pin, so one command gates
+every output byte. pytest does not collect this file.
 """
 
 import argparse
@@ -53,6 +55,13 @@ from randalg import (
     random_three_step_extension,
     rng_for,
 )
+
+# product_digest(), recorded while each product was still wrapped in a class
+# of its own around its structure tensor
+PRODUCT_DIGEST = "60c4104ccc8d1ad736b8191f0c958e5675ae6f8889c549ec0104f35869dde04e"
+# sha256 of construction_bytes(), recorded on the word-image Fitting
+# splitting that the power-based one replaced
+CONSTRUCTION_DIGEST = "c4555fc876ba1b81f359173a7590bf71633f0d9cbfd38608a44bebc5bb72057a"
 
 FIXTURES = ["n3", "r2", "r3", "sl2", "ex35", "free-n2-c4", "free-n3-c3", "abelian:3",
             "r3-lambda:-1", "r3-lambda:-1/2", "r3-lambda:2", "filiform:5", "filiform:8",
@@ -185,20 +194,28 @@ def construction_bytes():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Digest the decide certificates.")
-    parser.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is HEX")
+    parser.add_argument("--expect", metavar="HEX",
+                        help="exit 1 unless the digest is HEX and the other lines their pins")
     args = parser.parse_args(argv)
     digest, verdicts = hashlib.sha256(), Counter()
     for g in algebras():
         cert = decide_novikov(g)
         digest.update(emit(cert).encode("utf-8"))
         verdicts[cert.verdict] += 1
+    products = product_digest()
+    construction = hashlib.sha256(construction_bytes()).hexdigest()
     print(digest.hexdigest(), " ".join("%s=%d" % kv for kv in sorted(verdicts.items())))
-    print(product_digest(), "products")
-    print(hashlib.sha256(construction_bytes()).hexdigest(), "construction")
-    if args.expect is not None and args.expect != digest.hexdigest():
-        print("expected %s\n     got %s" % (args.expect, digest.hexdigest()))
-        return 1
-    return 0
+    print(products, "products")
+    print(construction, "construction")
+    if args.expect is None:
+        return 0
+    bad = [(name, want, got) for name, want, got in (
+        ("certificates", args.expect, digest.hexdigest()),
+        ("products", PRODUCT_DIGEST, products),
+        ("construction", CONSTRUCTION_DIGEST, construction)) if want != got]
+    for name, want, got in bad:
+        print("%s: expected %s\n%s       got %s" % (name, want, " " * len(name), got))
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -89,6 +89,48 @@ def test_matmul_matches_fraction_reference(chain):
 
 
 @st.composite
+def matrix_op_cases(draw):
+    r, c, e = (draw(st.integers(0, 4)) for _ in range(3))
+    return draw(matrices(r, c)), draw(matrices(r, c)), draw(matrices(c, e)), draw(ENTRIES)
+
+
+def _plain(m):
+    return tuple(tuple(row) for row in m.data)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(matrix_op_cases())
+def test_matrix_ops_match_fraction_tuples(case):
+    # each operation on Fraction-built matrices, and on the same matrices
+    # built by the int kernels (times the identity), which hold no Fractions
+    # until data is read, agrees with plain Fraction tuples
+    a, b, m, q = case
+    r, c = a.rows, a.cols
+    one = Matrix.identity(c)
+    kernel_built = a * one, b * one
+    assert all(x._data is None for x in kernel_built)
+    want_sum = tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a.data, b.data))
+    want_diff = tuple(tuple(x - y for x, y in zip(u, v)) for u, v in zip(a.data, b.data))
+    for x, y in ((a, b), kernel_built):
+        product, total, diff = x * m, x + y, x - y
+        assert all(z._data is None for z in (product, total, diff))
+        assert_fraction_data(product, dense.matmul(a, m))
+        for got, want in ((total, want_sum), (diff, want_diff)):
+            assert _plain(got) == want and (got.rows, got.cols) == (r, c)
+            assert all(type(z) is Q for row in got.data for z in row)
+            plain = Matrix(want, cols=c)
+            assert got == plain and hash(got) == hash(plain)
+        assert _plain(x.scale(q)) == tuple(tuple(q * z for z in row) for row in a.data)
+        assert (x == y) == (_plain(a) == _plain(b))
+        assert x == a and hash(x) == hash(a) and x != Matrix(a.data + ((Q(0),) * c,), cols=c)
+        assert x.is_zero() == all(z == 0 for row in a.data for z in row)
+        assert (x - x).is_zero() and (x - x) == Matrix.zeros(r, c)
+        t = x.transpose()
+        assert (t.rows, t.cols) == (c, r)
+        assert _plain(t) == (tuple(zip(*a.data)) if r else ((),) * c)
+
+
+@st.composite
 def matrix_vector_cases(draw):
     r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     entries = st.one_of(ENTRIES, st.integers(-3, 3))

@@ -952,3 +952,12 @@ def test_subspace_queries_match_dense_references_on_fixture_series(name):
     probes = [g.bracket.basis_product(i, j) for i in range(g.dim) for j in range(g.dim)]
     for space in g.derived_series() + g.lower_central_series():
         assert_subspace_queries_match_references(space, probes + _probes(rng, space))
+
+
+def test_matrix_equality_compares_the_shape_first():
+    # matrices with no rows have no entries to tell their widths apart
+    assert Matrix([], cols=3) != Matrix([], cols=2)
+    assert Matrix([], cols=3) == Matrix([], cols=3)
+    assert Matrix.zeros(0, 3) == Matrix([], cols=3)
+    assert Matrix.zeros(2, 0) != Matrix.zeros(3, 0)
+    assert hash(Matrix.zeros(0, 3)) == hash(Matrix([], cols=3))

@@ -4,16 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novikov import fixtures as fx
-from novikov.extensions import ExtensionData, InvariantViolation
+from novikov import lie
+from novikov.extensions import _ASSOCIATIVE, ExtensionData, InvariantViolation
 from novikov.lie import (
+    _JACOBI,
     AntisymmetryViolation,
     JacobiViolation,
     LieAlgebra,
     StructureTensor,
+    _first_defect,
     validate_lie,
 )
 from novikov.linalg import Matrix
 from novikov.products import (
+    _EQ1,
+    _EQ2,
     _eq2,
     half_bracket_product,
     is_compatible,
@@ -220,6 +225,37 @@ def test_scans_match_dense_references(case):
     assert _verdict(is_left_symmetric(p)) == _verdict(dense.is_left_symmetric(p))
     assert _verdict(_eq2(p)) == _verdict(dense.eq2(p))
     assert _verdict(is_compatible(p, g)) == _verdict(dense.is_compatible(p, g))
+    # a second scan is served from the tensor: the same witness as the first
+    # and as the dense reference, for every identity the package scans
+    for t, identity, flags, want in (
+        (p, _EQ1, (True, False), dense.is_left_symmetric(p).witness),
+        (p, _EQ2, (False, True), dense.eq2(p).witness),
+        (g.bracket, _JACOBI, (True, True), dense.jacobi_defect(g.bracket)),
+        (p, _ASSOCIATIVE, (False, False), dense.associative_defect(p)),
+    ):
+        first = _first_defect(t, identity, *flags)
+        assert _first_defect(t, identity, *flags) == first == want
+
+
+def test_each_scan_walks_a_tensor_once(monkeypatch):
+    # is_novikov reruns eq-1 after is_left_symmetric, and is_complete reruns
+    # eq-2 after is_novikov; the tensor keeps each verdict, so eq-1 and eq-2
+    # are walked once each, and a fresh tensor holds no scan dict
+    walks = []
+    walk = lie._walk
+
+    def counted(tensor, identity, j_after_i, k_after_j):
+        walks.append(identity)
+        return walk(tensor, identity, j_after_i, k_after_j)
+
+    monkeypatch.setattr(lie, "_walk", counted)
+    p = fx.ex35_product()
+    assert p._scans is None
+    for _ in range(2):
+        assert is_left_symmetric(p) and is_novikov(p)
+        assert is_complete(p).is_complete
+    assert walks == [_EQ1, _EQ2]
+    assert set(p._scans) == {(_EQ1, True, False), (_EQ2, False, True)}
 
 
 # Tables with non-integral constants where several triples (pairs, for eq-3)

@@ -49,7 +49,13 @@ from novikov.reduction import (
 )
 
 import dense_scans as dense
-from output_digest import construction_bytes, corpus_extensions, product_digest
+from output_digest import (
+    CONSTRUCTION_DIGEST,
+    PRODUCT_DIGEST,
+    construction_bytes,
+    corpus_extensions,
+    product_digest,
+)
 from dense_scans import (
     check_lift_lsa,
     check_lift_novikov,
@@ -650,18 +656,8 @@ def test_induced_extension_without_a0_matches_reference():
     assert without_a0 >= 10
 
 
-# sha256 of construction_bytes(), recorded on the word-image Fitting
-# splitting that the power-based one replaced
-CONSTRUCTION_DIGEST = "c4555fc876ba1b81f359173a7590bf71633f0d9cbfd38608a44bebc5bb72057a"
-
-
 def test_construction_bytes_match_the_recorded_digest():
     assert hashlib.sha256(construction_bytes()).hexdigest() == CONSTRUCTION_DIGEST
-
-
-# output_digest.product_digest(), recorded while each product was still
-# wrapped in a class of its own around its structure tensor
-PRODUCT_DIGEST = "60c4104ccc8d1ad736b8191f0c958e5675ae6f8889c549ec0104f35869dde04e"
 
 
 def test_every_product_constructor_keeps_its_laf_bytes():

@@ -324,3 +324,21 @@ def test_the_product_of_t_is_built_once_and_rmatrix_is_immutable(monkeypatch):
     for name in ("g", "t"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(r, name, getattr(r, name))
+
+
+def test_the_deformed_bracket_is_built_once(monkeypatch):
+    # check_cybe inside induced_product and then deformed_algebra share one
+    # deformed bracket, kept by the RMatrix
+    made = []
+
+    def spy(dim, entries=None):
+        made.append(StructureTensor(dim, entries))
+        return made[-1]
+
+    monkeypatch.setattr(rmatrix, "StructureTensor", spy)
+    r = basis_rmatrix(fx.ex35(), 0, 0)
+    induced_product(r)
+    gt = deformed_algebra(r)
+    bracket = deformed_bracket(r)
+    assert not bracket.is_zero() and gt.bracket is bracket
+    assert [m for m in made if m == bracket] == [bracket]
