@@ -14,11 +14,13 @@ builds only representation polynomials that can hold a monomial none of whose
 variables the linear block forces to zero, and substitutes only those live
 monomials of each; a commutation polynomial minus its representation
 polynomial is an operator row, so both have that residual (72 substitutions
-for 144 of 35,672 residuals on free-n3-c3). A NotExists verdict
-carries a rational combination of equations that evaluates to a nonzero
-constant on the whole affine solution set of the linear block; the witness
-re-verifies with nothing but rational arithmetic. No Groebner bases anywhere:
-linear algebra plus bounded cancellation of leading monomials.
+for 144 of 35,672 residuals on free-n3-c3). The linear block stays in
+ints from the bracket to the residuals; a reader gets Fractions (PolySystem).
+A NotExists verdict carries a rational combination of equations that
+evaluates to a nonzero constant on the whole affine solution set of the
+linear block; the witness re-verifies with nothing but rational
+arithmetic. No Groebner bases anywhere: linear algebra plus bounded
+cancellation of leading monomials.
 """
 
 import hashlib
@@ -61,8 +63,6 @@ EXISTS = "exists"
 NOT_EXISTS = "not-exists"
 UNDETERMINED = "undetermined"
 
-_ZERO, _ONE, _MINUS_ONE = Q(0), Q(1), Q(-1)
-
 
 class WitnessCheckFailed(RuntimeError):
     """A nonexistence witness found by decide_novikov failed re-verification."""
@@ -86,23 +86,64 @@ class PolySystem:
     monomials () (the constant), (v,) and (v1, v2) with v1 <= v2, each
     equated to zero. build_system gives a QuadraticBlock, which builds each
     polynomial when it is accessed.
+
+    The linear block is stored as build_system sums it, with each integral
+    coefficient an int (_rows, _rhs), and solve_sparse, the witness checks
+    and the residual step read it so. linear_rows and linear_rhs are views
+    of it that build each row or value as Fractions when it is accessed
+    (_Fractions), so len() builds nothing and every public value is a
+    Fraction.
     """
 
-    __slots__ = ("n", "nvars", "linear_rows", "linear_rhs", "quadratics")
+    __slots__ = ("n", "nvars", "_rows", "_rhs", "quadratics")
 
     def __init__(self, n, linear_rows, linear_rhs, quadratics):
         self.n = n
         self.nvars = n ** 3
-        self.linear_rows = linear_rows
-        self.linear_rhs = linear_rhs
+        self._rows = linear_rows
+        self._rhs = linear_rhs
         self.quadratics = quadratics
+
+    @property
+    def linear_rows(self):
+        return _Fractions(self._rows)
+
+    @property
+    def linear_rhs(self):
+        return _Fractions(self._rhs)
 
     def __repr__(self):
         return "PolySystem(n=%d, linear=%d, quadratic=%d)" % (
             self.n,
-            len(self.linear_rows),
+            len(self._rows),
             len(self.quadratics),
         )
+
+
+def _fractions(x):
+    """x with every int made a Fraction: a dict's values, or x itself."""
+    if type(x) is dict:
+        return {k: c if type(c) is Q else Q(c) for k, c in x.items()}
+    return x if type(x) is Q else Q(x)
+
+
+class _Fractions(Sequence):
+    """A read-only view of a list of values, or of sparse rows of them,
+    ints or Fractions, that reads each item as Fractions (_fractions) when
+    it is accessed; a slice is a list."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items):
+        self._items = items
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(_fractions, self._items[i]))
+        return _fractions(self._items[i])
 
 
 def _combine(witness, polys):
@@ -133,6 +174,12 @@ class QuadraticBlock(Sequence):
     O(n + nnz of the rows and columns it reads). ad_terms serves only the rr
     entries: build_system scatters the operator rows from the same indexes
     without calling it.
+
+    Each integral bracket constant is stored as an int and a constant that
+    is not integral as its Fraction, so the indexes, the sums built from
+    them and the entries as _entry builds them hold ints wherever they can;
+    the residual step substitutes those. An entry read by index is built
+    as Fractions (_fractions).
     """
 
     __slots__ = ("n", "pairs", "bracket", "ad_rows", "ad_cols", "ad_brackets")
@@ -145,6 +192,8 @@ class QuadraticBlock(Sequence):
         self.ad_rows = [[{} for _ in range(n)] for _ in range(n)]
         self.ad_cols = [[{} for _ in range(n)] for _ in range(n)]
         for (i, a, k), c in g.bracket.entries.items():
+            if c.denominator == 1:
+                c = c.numerator
             self.bracket.setdefault((i, a), {})[k] = c
             self.ad_rows[i][k][a] = c
             self.ad_cols[i][a][k] = c
@@ -180,6 +229,10 @@ class QuadraticBlock(Sequence):
     def __getitem__(self, qi):
         if not 0 <= qi < len(self):
             raise IndexError("quadratic index %r out of range" % (qi,))
+        return _fractions(self._entry(qi))
+
+    def _entry(self, qi):
+        """Entry qi with its coefficients as stored: ints where integral."""
         n = self.n
         nn = n * n
         q, kind = divmod(qi, 2)
@@ -194,8 +247,8 @@ class QuadraticBlock(Sequence):
         for k in range(n):
             if r == s == k:
                 continue
-            poly[(ir + k, j * nn + k * n + s)] = _ONE
-            poly[(i * nn + k * n + s, jr + k)] = _MINUS_ONE
+            poly[(ir + k, j * nn + k * n + s)] = 1
+            poly[(i * nn + k * n + s, jr + k)] = -1
         if kind == 0:
             for k, c in self.bracket.get((i, j), {}).items():
                 poly[(k * nn + r * n + s,)] = -c
@@ -259,7 +312,8 @@ def build_system(g):
     that summing the phases row by row gives. That is O(n^4 + nnz * n^2)
     over the whole linear block, with no zero term built and then dropped.
     No quadratic is built here: the block builds an entry, in O(n) plus its
-    nonzeros, when it is accessed.
+    nonzeros, when it is accessed. The rows hold the block's constants and
+    their sums, ints where integral.
     """
     block = QuadraticBlock(g)
     n = block.n
@@ -273,8 +327,8 @@ def build_system(g):
     for (i, j), adw in zip(block.pairs, block.ad_brackets):
         w = block.bracket.get((i, j), {})
         for k in range(n):
-            linear_rows.append({(i * n + k) * n + j: _ONE, (j * n + k) * n + i: _MINUS_ONE})
-            linear_rhs.append(w.get(k, _ZERO))
+            linear_rows.append({(i * n + k) * n + j: 1, (j * n + k) * n + i: -1})
+            linear_rhs.append(w.get(k, 0))
         # operator row (r, s) is rows[r*n + s]; in every phase a nonzero puts
         # its coefficient at variable t + offset of each cell t it reaches
         rows = [{} for _ in every_cell]
@@ -296,7 +350,7 @@ def build_system(g):
         for t, row in enumerate(rows):
             if row or t in negated:
                 operator_rows.append(row)
-                operator_rhs.append(negated.get(t, _ZERO))
+                operator_rhs.append(negated.get(t, 0))
     return PolySystem(n, linear_rows + operator_rows, linear_rhs + operator_rhs, block)
 
 
@@ -409,28 +463,6 @@ def _substitute(poly, forms):
     return out
 
 
-def _live_forms(sol):
-    """(live variables, int affine form of every variable) of a consistent
-    SparseSolution, read from its pivot rows. Variable v is (c + sum a *
-    x_f) / d over the free columns f, given as (d, c, {f: a}) with ints.
-    Every free column f is live, with form (1, 0, {f: 1}). A pivot column p
-    is live when its value c is nonzero or its row holds another column:
-    x_p = c - sum row[f] * x_f, scaled by d, the lcm of the denominators.
-    Every other variable is 0 and shares the form (1, 0, {})."""
-    zero = (1, 0, {})
-    forms = [zero] * sol.ncols
-    for f in sol.free_columns():
-        forms[f] = (1, 0, {f: 1})
-    for p, row in sol.pivot_rows.items():
-        c = sol.pivot_rhs[p]
-        if c or len(row) > 1:
-            d = lcm(c.denominator, *[x.denominator for x in row.values()])
-            forms[p] = (d, c.numerator * (d // c.denominator), {
-                f: -x.numerator * (d // x.denominator) for f, x in row.items() if f != p
-            })
-    return {v for v, form in enumerate(forms) if form is not zero}, forms
-
-
 def residual_polynomials(system):
     """Substitute the canonical solution of the linear block into the
     quadratics. Returns (sparse solution, {quadratic index: residual poly})
@@ -442,7 +474,8 @@ def residual_polynomials(system):
     same dict, at 2q + 1 too. A variable is live when its affine form is not
     0: every free column, and every pivot column whose value is nonzero or
     whose row holds another column. Only the live variables' forms are
-    built, straight from the pivot rows (_live_forms); every other variable
+    built, straight from the solution's int pivot rows
+    (SparseSolution._live_forms); every other variable
     shares the form 0, so a monomial with a variable that is not live
     substitutes to zero. Only the entries that system.quadratics.candidates
     names are built; each is cut to its live monomials, those whose
@@ -451,13 +484,14 @@ def residual_polynomials(system):
     added no key, so the residual is the one of the whole entry.
 
     As in solve_sparse, the substitution runs on ints: each live form is
-    (d, d * c, {param: d * a}), scaled to ints by its denominators once, and
-    each residual is divided once, at the end of _substitute; its
-    coefficients are Fractions."""
-    sol = solve_sparse(system.linear_rows, system.linear_rhs, system.nvars)
+    (d, d * c, {param: d * a}), with d the lead of the primitive pivot row,
+    the rep entries keep their int coefficients, and each residual is
+    divided once, at the end of _substitute; its coefficients are
+    Fractions."""
+    sol = solve_sparse(system._rows, system._rhs, system.nvars)
     if not sol.consistent:
         return sol, None
-    live, forms = _live_forms(sol)
+    live, forms = sol._live_forms()
     reps = {}
     for qi in system.quadratics.candidates(live):
         sub = _residual(system.quadratics, qi, live, forms)
@@ -469,7 +503,7 @@ def residual_polynomials(system):
 def _residual(quadratics, qi, live, forms):
     """The residual of entry qi: its rep entry 2q cut to the live monomials
     and substituted, {} when none is live or the sum vanishes."""
-    poly = {mono: c for mono, c in quadratics[qi - qi % 2].items() if live.issuperset(mono)}
+    poly = {mono: c for mono, c in quadratics._entry(qi - qi % 2).items() if live.issuperset(mono)}
     return _substitute(poly, forms) if poly else {}
 
 
@@ -583,10 +617,8 @@ def decide_novikov(g, effort=DEFAULT_EFFORT):
     sol, residuals = residual_polynomials(system)
     if residuals is None:
         witness = {i: c for i, c in sorted(sol.witness.items())}
-        constant = sum(
-            (c * system.linear_rhs[i] for i, c in witness.items()), Q(0)
-        )
-        if _combine(witness, system.linear_rows) or constant == 0:
+        constant = sum((c * system._rhs[i] for i, c in witness.items()), Q(0))
+        if _combine(witness, system._rows) or constant == 0:
             raise WitnessCheckFailed("linear witness failed re-verification")
         return Certificate(
             NOT_EXISTS, h, witness_kind="linear", witness=witness, constant=constant
@@ -645,15 +677,15 @@ def verify_certificate(g, cert):
         return False
     system = build_system(g)
     if cert.witness_kind == "linear":
-        if not all(0 <= i < len(system.linear_rows) for i in cert.witness):
+        if not all(0 <= i < len(system._rows) for i in cert.witness):
             return False
-        total = sum((c * system.linear_rhs[i] for i, c in cert.witness.items()), Q(0))
-        return not _combine(cert.witness, system.linear_rows) and total == cert.constant
+        total = sum((c * system._rhs[i] for i, c in cert.witness.items()), Q(0))
+        return not _combine(cert.witness, system._rows) and total == cert.constant
     if cert.witness_kind == "quadratic":
-        sol = solve_sparse(system.linear_rows, system.linear_rhs, system.nvars)
+        sol = solve_sparse(system._rows, system._rhs, system.nvars)
         if not sol.consistent or not all(0 <= qi < len(system.quadratics) for qi in cert.witness):
             return False
-        live, forms = _live_forms(sol)
+        live, forms = sol._live_forms()
         residuals = {qi: _residual(system.quadratics, qi, live, forms) for qi in cert.witness}
         return all(residuals.values()) and _combine(cert.witness, residuals) == {(): cert.constant}
     return False

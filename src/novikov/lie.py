@@ -336,7 +336,9 @@ def _walk(tensor, identity, j_after_i, k_after_j):
     nonzero constants: for each i in turn, every path through e_i of every
     term, found through the pairs' left and right factors and the
     coordinates of their products, is added into the int defect of its
-    (j, k), and the first (j, k) in order whose defect is not 0 is the witness.
+    (j, k) (_add_path), and the first (j, k) in order whose defect is not 0
+    is the witness. The flags' limits on (j, k) are tested on the path's
+    indices before anything is built for it, so only kept paths cost more.
     """
     left, right, image = tensor._int_form()[2:]
     # Where e_i sits in a term fixes its walk, with a and b the other factors:
@@ -357,26 +359,38 @@ def _walk(tensor, identity, j_after_i, k_after_j):
         groups = {}
         for sign, first, second, flip in walks:
             for a, row in first.get(i, {}).items():
-                if second is None:
-                    found = image.get(a, [])
-                    paths = ((u, w, c, row) for u, w, c in
-                             found[bisect_left(found, (least[flip],)):])
-                elif a < least[flip]:
+                if second is not None:
+                    if a < least[flip]:
+                        continue
+                    # (a, b) is (k, j) when flipped, else (j, k); a meets its limit
+                    for m, c in row.items():
+                        for b, vector in second.get(m, {}).items():
+                            if flip:
+                                if b < least_j or (k_after_j and a <= b):
+                                    continue
+                                key = b, a
+                            elif k_after_j and b <= a:
+                                continue
+                            else:
+                                key = a, b
+                            _add_path(groups, key, sign * c, vector)
                     continue
-                else:
-                    paths = ((a, b, c, row2) for m, c in row.items()
-                             for b, row2 in second.get(m, {}).items())
-                for u, w, c, vector in paths:
+                found = image.get(a, [])
+                for u, w, c in found[bisect_left(found, (least[flip],)):]:
                     j, k = (w, u) if flip else (u, w)
                     if j >= least_j and not (k_after_j and k <= j):
-                        defect = groups.setdefault((j, k), {})
-                        c *= sign
-                        for out, x in vector.items():
-                            defect[out] = defect.get(out, 0) + c * x
+                        _add_path(groups, (j, k), sign * c, row)
         for key in sorted(groups):
             if any(groups[key].values()):
                 return (i,) + key
     return None
+
+
+def _add_path(groups, key, c, vector):
+    """Add c * vector into the int defect of the (j, k) key."""
+    defect = groups.setdefault(key, {})
+    for out, x in vector.items():
+        defect[out] = defect.get(out, 0) + c * x
 
 
 # [[i, j], k] + [[j, k], i] + [[k, i], j], in the terms of _first_defect

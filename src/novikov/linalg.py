@@ -17,18 +17,25 @@ the row pattern, with no arithmetic, the columns that the homogeneous rows
 force to zero (_forced_zeros); it drops the rows that only restate zeros and
 strips the zero columns from the rest. Its elimination (_echelon) runs the
 row step on every row and clears each new pivot from the earlier pivot rows
-that hold it, found through a column index. It divides only once, at the
-end, so the pivot rows, values and witness come back as Fractions, exactly
-those of the elimination over Fractions. When the stripped rows are
+that hold it, found through a column index. It divides no row: SparseSolution
+keeps the int echelon state, the primitive int pivot rows, their int values
+and the zero columns, and its rank, free columns, particular point and the
+affine forms the certificate's residual step substitutes read that state.
+Every public value is still a Fraction: the reduced echelon form (pivot_rows,
+pivot_rhs), each row divided by its lead, is built on first read, exactly
+that of the elimination over Fractions. When the stripped rows are
 inconsistent, one more pass over the given rows tracks row provenance and
-stops at the first bad row, to build the witness. The pivot rows are keyed
-by pivot column, in no promised order. Subspace bases and inverses take
-their reduced echelon form from it, and so does the Fitting kernel in
-reduction.py, which reads its echelon basis straight off one pass with the
-columns reversed. Subspace membership reads a subspace's reduced echelon
-rows directly, its complement is one echelon pass over the basis with the
-columns reversed, and its int rows (each echelon row scaled by the lcm of
-its denominators) feed the bracket spans without a dense round trip. The
+stops at the first bad row, to build the witness, divided once into
+Fractions. The pivot rows are keyed by pivot column, in no promised order.
+Subspace bases take their reduced echelon form from it, and so does the
+Fitting kernel in reduction.py, which reads its echelon basis straight off
+one pass with the columns reversed. Matrix.inverse eliminates [d * A | I]
+from the int form and builds the inverse from the int pivot rows, so a
+kernel-built matrix and its inverse build no Fraction. Subspace membership
+reads a subspace's reduced echelon rows directly, its complement is one
+echelon pass over the basis with the columns reversed, and its int rows
+(each echelon row scaled by the lcm of its denominators) feed the bracket
+spans without a dense round trip. The
 certificate's residual elimination runs the same row step, and every sparse
 row or polynomial build in the package accumulates with the same helpers.
 The regular nilpotent basis reads one more, _krylov_chain: the nonzero
@@ -244,15 +251,23 @@ class Matrix:
         return not any(self._int_form()[2])
 
     def inverse(self):
+        """A^-1, kernel-built from the int form; ValueError when A is
+        singular."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of non-square matrix")
         n = self.rows
-        # [A | I] reduces to [I | A^-1] exactly when A is invertible
-        rows = _sparse(row + vunit(n, i) for i, row in enumerate(self.data))
-        echelon = solve_sparse(rows, None, 2 * n).pivot_rows
-        if sorted(echelon) != list(range(n)):
+        # [d A | I] reduces to [I | (d A)^-1] exactly when A is invertible;
+        # pivot row i is primitive with lead l_i, so row i of A^-1 is
+        # d * (its columns n..2n-1) / l_i, put over the lcm of the leads
+        d, _, terms = self._int_form()
+        sol = solve_sparse([dict([*row, (n + i, 1)]) for i, row in enumerate(terms)], None, 2 * n)
+        echelon = sol._rows
+        if sol._zeros or sorted(echelon) != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([[echelon[i].get(n + j, Q(0)) for j in range(n)] for i in range(n)], cols=n)
+        m = lcm(*(echelon[i][i] for i in range(n)))
+        rows = [[echelon[i].get(n + j, 0) * (d * m // echelon[i][i]) for j in range(n)]
+                for i in range(n)]
+        return Matrix._from_ints(rows, m, n)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -391,15 +406,39 @@ class SparseSolution:
     """Echelonized sparse system: pivot rows and their values, each keyed by
     pivot column, plus provenance. No iteration order is promised: readers
     sort the pivot columns or read by key. An inconsistent system has a
-    witness and no values: pivot_rhs is None, as is particular()."""
+    witness and no values: pivot_rhs is None, as is particular().
 
-    __slots__ = ("ncols", "pivot_rows", "pivot_rhs", "witness")
+    It keeps the engine's int state: the primitive int pivot rows of the
+    eliminated rows (each with a positive lead at its pivot column, the
+    least column it holds), their int values, and the set of columns the
+    homogeneous rows force to zero. rank, free_columns, particular and the
+    affine forms (_live_forms) read that state. pivot_rows and pivot_rhs,
+    the reduced echelon form as Fractions with a row {z: 1} of value 0 per
+    zero column, are built on first read (_fraction_echelon) and kept.
+    """
 
-    def __init__(self, ncols, pivot_rows, pivot_rhs, witness):
+    __slots__ = ("ncols", "witness", "_rows", "_values", "_zeros", "_fractions")
+
+    def __init__(self, ncols, rows, values, zeros, witness):
         self.ncols = ncols
-        self.pivot_rows = pivot_rows
-        self.pivot_rhs = pivot_rhs
         self.witness = witness
+        self._rows = rows
+        self._values = values
+        self._zeros = zeros
+        self._fractions = None
+
+    def _fraction_form(self):
+        if self._fractions is None:
+            self._fractions = _fraction_echelon(self._rows, self._values, self._zeros)
+        return self._fractions
+
+    @property
+    def pivot_rows(self):
+        return self._fraction_form()[0]
+
+    @property
+    def pivot_rhs(self):
+        return self._fraction_form()[1] if self.consistent else None
 
     @property
     def consistent(self):
@@ -407,18 +446,63 @@ class SparseSolution:
 
     @property
     def rank(self):
-        return len(self.pivot_rows)
+        return len(self._rows) + len(self._zeros)
 
     def free_columns(self):
-        return [c for c in range(self.ncols) if c not in self.pivot_rows]
+        rows, zeros = self._rows, self._zeros
+        return [c for c in range(self.ncols) if c not in rows and c not in zeros]
 
     def particular(self):
         if not self.consistent:
             return None
-        v = [Q(0)] * self.ncols
-        for p, val in self.pivot_rhs.items():
-            v[p] = val
+        v = [_ZERO] * self.ncols
+        for p, val in self._values.items():
+            if val:
+                v[p] = Q(val, self._rows[p][p])
         return tuple(v)
+
+    def _live_forms(self):
+        """(live variables, int affine form of every variable) of a
+        consistent solution. Variable v is (c + sum a * x_f) / d over the
+        free columns f, given as (d, c, {f: a}) with ints. Every free column
+        f is live, with form (1, 0, {f: 1}). A pivot column p is live when
+        its value c is nonzero or its row holds another column; its form is
+        read straight off its primitive int row w: (w[p], c, {f: -w[f]}).
+        The row and its value have content 1 and a positive lead, so w[p] is
+        the lcm of the denominators of the reduced row w / w[p] and its
+        value. Every other variable is 0 and shares the form (1, 0, {})."""
+        zero = (1, 0, {})
+        forms = [zero] * self.ncols
+        for f in self.free_columns():
+            forms[f] = (1, 0, {f: 1})
+        for p, row in self._rows.items():
+            c = self._values[p]
+            if c or len(row) > 1:
+                forms[p] = (row[p], c, {f: -x for f, x in row.items() if f != p})
+        return {v for v, form in enumerate(forms) if form is not zero}, forms
+
+
+def _fraction_echelon(rows, values, zeros=()):
+    """The reduced echelon form of primitive int pivot rows, as Fractions:
+    ({pivot column: row}, {pivot column: value}), each row and its value
+    divided by the row's lead, each dict in its order, plus a row {z: 1} of
+    value 0 for each column z in zeros. _to_fractions shares one Fraction
+    per integral value. SparseSolution builds its pivot_rows and pivot_rhs
+    with it, and so does a reader of _echelon's int result."""
+    pivot_rows, pivot_rhs = {}, {}
+    for p, row in rows.items():
+        lead = row[p]
+        if lead == 1:
+            pivot_rows[p], pivot_rhs[p] = dict(row), values[p]
+        else:
+            pivot_rows[p] = {k: _quotient(x, lead) for k, x in row.items()}
+            pivot_rhs[p] = _quotient(values[p], lead)
+    _to_fractions([*pivot_rows.values(), pivot_rhs])
+    one = Q(1)
+    for z in zeros:
+        pivot_rows[z] = {z: one}
+        pivot_rhs[z] = _ZERO
+    return pivot_rows, pivot_rhs
 
 
 def _add_term(acc, key, c):
@@ -492,11 +576,13 @@ def _row_step(row, val, key, pivot_rows, pivot_vals, pivot_combos):
 def _echelon(rows, rhs, track):
     """Run solve_sparse's elimination, carrying row combinations only when
     track is true. Returns (pivot rows, pivot values, index of the first row
-    that reduces to 0 = c != 0 or None, that row's combination). Tracked, it
-    stops at that row: the witness is then complete, and the pivot rows and
-    values are those of the rows before it.
+    that reduces to 0 = c != 0 or None, that row's combination). The pivot
+    rows are primitive int rows with a positive lead and the values ints;
+    _fraction_echelon divides each by its lead. Tracked, it stops at the bad
+    row: the witness is then complete, and the pivot rows and values are
+    those of the rows before it.
 
-    The elimination runs on Python ints and divides once, at the end:
+    The elimination runs on Python ints and divides no row:
     - every row goes through the row step (_row_step): it is scaled to ints,
       reduced by the pivot rows it holds, and made primitive with a positive
       lead; its combination starts as {index: scale};
@@ -509,12 +595,12 @@ def _echelon(rows, rhs, track):
       its order.
     Every reduced row is a nonzero multiple of the row that an elimination
     over Fractions holds at the same point, so the pivot columns and entry
-    order are the same. The final pass divides each pivot row and value by
-    its lead, and the witness by its coefficient at the bad row, and
-    _to_fractions shares one Fraction per integral value. A reduced echelon
-    basis with fixed pivot columns is unique, and so is the relation among
-    independent pivot rows with coefficient 1 at the bad row, so the result
-    is exactly what dividing at every step gives.
+    order are the same. Only the witness is divided, by its coefficient at
+    the bad row, into Fractions (_to_fractions shares one per integral
+    value). A reduced echelon basis with fixed pivot columns is unique, and
+    so is the relation among independent pivot rows with coefficient 1 at
+    the bad row, so dividing each pivot row by its lead, and that witness,
+    are exactly what dividing at every step gives.
     """
     pivot_rows, pivot_rhs, pivot_combo = {}, {}, {}
     holders = {}  # column -> the pivot columns whose rows have an entry there
@@ -563,14 +649,9 @@ def _echelon(rows, rhs, track):
             if c != p:
                 holders.setdefault(c, set()).add(p)
         pivot_rows[p], pivot_rhs[p], pivot_combo[p] = work, val, combo
-    for p, row in pivot_rows.items():
-        lead = row[p]
-        if lead != 1:
-            _divide(row, lead)
-            pivot_rhs[p] = _quotient(pivot_rhs[p], lead)
     if witness is not None:
         _divide(witness, witness[bad])
-    _to_fractions([*pivot_rows.values(), pivot_rhs, witness or {}])
+        _to_fractions([witness])
     return pivot_rows, pivot_rhs, bad, witness
 
 
@@ -691,7 +772,7 @@ def _forced_zeros(rows, rhs):
 
 def solve_sparse(rows, rhs, ncols):
     """Echelonize a sparse system given as a list of dicts {column: coefficient},
-    each holding nonzero entries only.
+    each holding nonzero entries only, ints or Fractions.
 
     rhs may be None for a homogeneous system. The result is a SparseSolution
     whose pivot rows form the reduced echelon basis (pivot entry 1, pivot
@@ -710,8 +791,11 @@ def solve_sparse(rows, rhs, ncols):
     row_i = 0 and sum_i witness_i rhs_i != 0. The pivot rows stay the
     stripped pass's plus the zero rows, the same reduced echelon basis, but
     pivot_rhs is None: the values of an inconsistent system depend on the
-    row order and mean nothing. The elimination runs on ints and divides
-    once, at the end (_echelon); every entry of the result is a Fraction.
+    row order and mean nothing. The elimination runs on ints and divides no
+    row (_echelon): the solution keeps its int pivot rows, values and zero
+    columns, and builds the Fraction pivot rows and values, the zero rows
+    among them, only when they are read; every value it hands out is a
+    Fraction.
     """
     nonzero = None if rhs is None else list(map(bool, rhs))  # each value read once
     zeros, kept = _forced_zeros(rows, nonzero)
@@ -725,13 +809,8 @@ def solve_sparse(rows, rhs, ncols):
         kept_rows.append(row)
     kept_rhs = None if rhs is None else [rhs[i] for i in kept]
     pivot_rows, pivot_rhs, bad, _ = _echelon(kept_rows, kept_rhs, False)
-    one = Q(1)
-    for z in zeros:
-        pivot_rows[z] = {z: one}
-        pivot_rhs[z] = _ZERO
-    if bad is None:
-        return SparseSolution(ncols, pivot_rows, pivot_rhs, None)
-    return SparseSolution(ncols, pivot_rows, None, _echelon(rows, rhs, True)[3])
+    witness = None if bad is None else _echelon(rows, rhs, True)[3]
+    return SparseSolution(ncols, pivot_rows, pivot_rhs, zeros, witness)
 
 
 def jordan_block(n):

@@ -22,7 +22,7 @@ left-symmetry, Novikov and compatibility checks are held to, with
 omega_value, the lift's cocycle on a basis pair, and lift_through, the
 reduction's pull-back of a lift worked out block by block.
 The library's dense exact kernels run on ints; their entry-by-entry Fraction
-forms are here too: the matrix product and matrix-vector product, the
+forms are here too: the matrix product, inverse and matrix-vector product, the
 substitution of affine forms into a quadratic, the compatibility check over
 Fraction sums, and the affine form of every variable of a sparse solution
 with its scaling to ints, which the live forms the library reads straight
@@ -98,6 +98,26 @@ def matmul(a, b):
                     acc[j] += x * y
         product.append(acc)
     return Matrix(product, cols=b.cols)
+
+
+def inverse(m):
+    """The inverse of the square Matrix m by Gauss-Jordan over Fractions on
+    [m | I], dividing every pivot row by its pivot; None when m is
+    singular."""
+    n = m.rows
+    rows = [list(row) + list(vunit(n, i)) for i, row in enumerate(m.data)]
+    for c in range(n):
+        r = next((r for r in range(c, n) if rows[r][c]), None)
+        if r is None:
+            return None
+        rows[c], rows[r] = rows[r], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return Matrix([row[n:] for row in rows], cols=n)
 
 
 def matrix_apply(m, v):

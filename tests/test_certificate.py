@@ -35,9 +35,16 @@ from novikov.extensions import (
     two_gen_lift,
     two_step_solvable_from,
 )
-from novikov.laf import parse_file
+from novikov.laf import emit, parse_file
 from novikov.lie import LieAlgebra, StructureTensor
-from novikov.linalg import NotRegularNilpotent, _add_scaled, _add_term, solve_sparse, vunit
+from novikov.linalg import (
+    NotRegularNilpotent,
+    SparseSolution,
+    _add_scaled,
+    _add_term,
+    solve_sparse,
+    vunit,
+)
 from novikov.products import half_bracket_product, is_compatible, is_novikov
 
 from dense_scans import (
@@ -200,8 +207,8 @@ def test_build_system_matches_dense_reference():
         assert g.dim <= 8, name
         system = build_system(g)
         rows, rhs, quadratics = dense_build_system(g)
-        assert system.linear_rows == rows, name
-        assert system.linear_rhs == rhs, name
+        assert list(system.linear_rows) == rows, name
+        assert list(system.linear_rhs) == rhs, name
         assert list(system.quadratics) == quadratics, name
         coefficients = list(system.linear_rhs)
         coefficients += [c for row in system.linear_rows for c in row.values()]
@@ -352,7 +359,7 @@ def test_live_forms_match_the_affine_form_reference():
         sol, residuals = residual_polynomials(system)
         if not sol.consistent:
             continue
-        live, forms = certificate._live_forms(sol)
+        live, forms = sol._live_forms()
         ref = affine_forms(sol)
         assert live == {v for v, (c, t) in enumerate(ref) if c or t}, name
         ref_forms = []
@@ -394,7 +401,7 @@ def test_live_monomials_substitute_to_the_whole_rep_entry():
         sol, residuals = residual_polynomials(system)
         if not sol.consistent:
             continue
-        live, forms = certificate._live_forms(sol)
+        live, forms = sol._live_forms()
         stored = 0
         for qi in system.quadratics.candidates(live):
             poly = system.quadratics[qi]
@@ -426,7 +433,7 @@ def test_residuals_substitute_only_live_monomials(monkeypatch):
         sol, _ = residual_polynomials(build_system(g))
         if not sol.consistent:
             continue
-        live, _ = certificate._live_forms(sol)
+        live, _ = sol._live_forms()
         for monos in handed:
             assert monos and all(map(live.issuperset, monos)), name
         calls += len(handed)
@@ -444,7 +451,7 @@ def test_solve_sparse_matches_the_echelon_of_every_linear_block():
     for name, g in _live_form_corpus():
         system = build_system(g)
         bad, zeros[name] = assert_solve_matches_echelon(
-            system.linear_rows, system.linear_rhs, system.nvars, name
+            list(system.linear_rows), list(system.linear_rhs), system.nvars, name
         )
         if bad is not None:
             inconsistent.append(name)
@@ -810,6 +817,54 @@ def test_decide_not_exists_sl2_linear():
     cert = decide_novikov(g)
     assert cert.verdict == NOT_EXISTS and cert.witness_kind == "linear"
     assert verify_certificate(g, cert)
+
+
+def _decide_and_verify(name):
+    """The LAF-C bytes of decide_novikov on the fixture, and the verdicts of
+    verify_certificate on that certificate and on a linear and a quadratic
+    witness that are wrong, which each read the linear block."""
+    g = fx.fixture(name)
+    cert = decide_novikov(g)
+    checks = [verify_certificate(g, cert)]
+    for kind in ("linear", "quadratic"):
+        wrong = Certificate(NOT_EXISTS, cert.algebra_hash, witness_kind=kind,
+                            witness={0: Q(1), 1: Q(1)}, constant=Q(1))
+        checks.append(verify_certificate(g, wrong))
+    return emit(cert), checks
+
+
+def test_decide_and_verify_build_no_fraction_view_of_the_linear_block(monkeypatch):
+    # the linear block goes from build_system through solve_sparse to the
+    # residual forms in ints: no row or value of the block, no quadratic
+    # entry read by index, and no pivot_rows or pivot_rhs of its solution
+    # is built as Fractions, on the two free fixtures and on sl2, whose
+    # linear witness is checked against the int rows; every certificate
+    # and verdict stays the same
+    names = ("free-n2-c4", "free-n3-c3", "sl2")
+    expected = {name: _decide_and_verify(name) for name in names}
+    assert all(checks == [True, False, False] for _, checks in expected.values())
+
+    def refuse(*args):
+        raise AssertionError("a Fraction view of the linear block was built")
+
+    solutions, solve = [], certificate.solve_sparse
+    fraction_form = SparseSolution._fraction_form
+    monkeypatch.setattr(certificate, "solve_sparse",
+                        lambda *args: solutions.append(solve(*args)) or solutions[-1])
+    monkeypatch.setattr(certificate, "_fractions", refuse)
+    monkeypatch.setattr(SparseSolution, "_fraction_form", lambda sol: (
+        refuse() if any(sol is seen for seen in solutions) else fraction_form(sol)))
+    for name in names:
+        solutions.clear()
+        assert _decide_and_verify(name) == expected[name], name
+        assert solutions, name
+    # the counts the benchmark's fingerprint reads build nothing either
+    for name, counts in (("free-n2-c4", (1326, 3584, 494, 512)),
+                         ("free-n3-c3", (8670, 35672, 2678, 2744))):
+        system = build_system(fx.fixture(name))
+        sol, _ = residual_polynomials(system)
+        got = (len(system.linear_rows), len(system.quadratics), sol.rank, sol.ncols)
+        assert got == counts and len(system.linear_rhs) == counts[0], name
 
 
 @pytest.mark.parametrize("name, kind", [("free-n2-c4", "quadratic"), ("sl2", "linear")])

@@ -12,6 +12,7 @@ import functools
 
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +129,63 @@ def test_matrix_ops_match_fraction_tuples(case):
         t = x.transpose()
         assert (t.rows, t.cols) == (c, r)
         assert _plain(t) == (tuple(zip(*a.data)) if r else ((),) * c)
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n matrices: random ones, often singular, or products of a lower
+    unitriangular and an upper triangular matrix with a nonzero diagonal,
+    which are invertible."""
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return draw(matrices(n, n))
+    lower = [[Q(1) if i == j else draw(ENTRIES) if j < i else Q(0) for j in range(n)]
+             for i in range(n)]
+    upper = [[draw(NONZERO) if i == j else draw(ENTRIES) if j > i else Q(0) for j in range(n)]
+             for i in range(n)]
+    return Matrix(dense.matmul(Matrix(lower, cols=n), Matrix(upper, cols=n)).data, cols=n)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(square_matrices())
+def test_inverse_matches_fraction_reference(m):
+    # [d A | I] is eliminated in ints, and the inverse is built from the
+    # echelon's int rows: a kernel-built input (times the identity) builds
+    # no Fractions, and neither does the inverse until its data is read
+    want = dense.inverse(m)
+    kernel_built = m * Matrix.identity(m.cols)
+    for x in (m, kernel_built):
+        if want is None:
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                x.inverse()
+        else:
+            got = x.inverse()
+            assert got._data is None
+            assert_fraction_data(got, want)
+    assert kernel_built._data is None
+
+
+@pytest.mark.parametrize("data, inverse", [
+    ([[1, 2], [2, 4]], None),
+    ([[0, 0], [1, 1]], None),
+    ([[1, 0], [3, 0]], None),
+    ([[2, 1], [1, 1]], [[1, -1], [-1, 2]]),
+    ([[0, Q(1, 2)], [3, 0]], [[0, Q(1, 3)], [2, 0]]),
+    ([[Q(1, 6), 0, 0], [0, 1, Q(2, 5)], [0, 0, 1]], [[6, 0, 0], [0, 1, Q(-2, 5)], [0, 0, 1]]),
+])
+def test_inverse_of_fixed_square_and_singular_matrices(data, inverse):
+    # the reference and the int kernel agree on singular matrices (a zero
+    # row, a repeated row, a zero column) and on invertible ones, built
+    # from Fractions or by the kernels
+    m = Matrix(data)
+    assert (dense.inverse(m) is None) == (inverse is None)
+    for x in (m, m * Matrix.identity(m.cols)):
+        if inverse is None:
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                x.inverse()
+        else:
+            assert_fraction_data(x.inverse(), Matrix(inverse))
+            assert_fraction_data(dense.inverse(m), Matrix(inverse))
 
 
 @st.composite

@@ -17,6 +17,7 @@ from novikov.linalg import (
     _add_scaled,
     _add_term,
     _echelon,
+    _fraction_echelon,
     _to_fractions,
     is_zero_vec,
     jordan_block,
@@ -466,7 +467,8 @@ def assert_solve_matches_echelon(rows, rhs, ncols, label):
     before = [list(row.items()) for row in rows]
     sol = solve_sparse(rows, rhs, ncols)
     assert [list(row.items()) for row in rows] == before, label
-    pivot_rows, pivot_rhs, bad, _ = _echelon(rows, rhs, False)
+    int_rows, int_rhs, bad, _ = _echelon(rows, rhs, False)
+    pivot_rows, pivot_rhs = _fraction_echelon(int_rows, int_rhs)
     witness = None if bad is None else _echelon(rows[: bad + 1], rhs, True)[3]
     assert sol.pivot_rows == pivot_rows, label
     assert sol.pivot_rhs == (pivot_rhs if bad is None else None), label
@@ -630,7 +632,8 @@ def _assert_echelon_matches_reference(rows, rhs, track, label):
     each dict in the same order, every value a Fraction. A tracked run
     stops at the bad row, so it is compared with the reference on the rows
     through that row. Returns whether the system is inconsistent."""
-    pivot_rows, pivot_rhs, bad, witness = _echelon(rows, rhs, track)
+    int_rows, int_rhs, bad, witness = _echelon(rows, rhs, track)
+    pivot_rows, pivot_rhs = _fraction_echelon(int_rows, int_rhs)
     ref_rows, ref_rhs, ref_bad, ref_witness = reference_echelon(rows, rhs, track)
     if track and ref_bad is not None:
         ref_rows, ref_rhs, ref_bad, ref_witness = reference_echelon(
@@ -781,7 +784,7 @@ def _inconsistent_blocks():
     yield "sl2", system.linear_rows, system.linear_rhs, system.nvars
     for name in ("free-n3-c3", "free-n2-c4"):
         system = build_system(fx.fixture(name))
-        rows, rhs = system.linear_rows, system.linear_rhs
+        rows, rhs = list(system.linear_rows), list(system.linear_rhs)
         z = min(linalg._forced_zeros(rows, rhs)[0])
         yield name + " x_z = 1 first", [{z: Q(1)}] + rows, [Q(1)] + rhs, system.nvars
         yield name + " x_z = 1 last", rows + [{z: Q(1)}], rhs + [Q(1)], system.nvars
@@ -792,7 +795,8 @@ def test_solve_sparse_eliminates_an_inconsistent_block_twice(monkeypatch):
     # at the bad row; the pivot rows are those of the given rows, and the
     # witness that of the rows through the bad row
     for label, rows, rhs, ncols in _inconsistent_blocks():
-        pivot_rows, _, bad, _ = _echelon(rows, rhs, False)
+        int_rows, int_rhs, bad, _ = _echelon(rows, rhs, False)
+        pivot_rows = _fraction_echelon(int_rows, int_rhs)[0]
         witness = _echelon(rows[: bad + 1], rhs, True)[3]
         eliminations, tracked = [], []
         with monkeypatch.context() as patch:
