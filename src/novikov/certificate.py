@@ -121,9 +121,12 @@ class PolySystem:
 
 
 def _fractions(x):
-    """x with every int made a Fraction: a dict's values, or x itself."""
+    """x with every int made a Fraction: a copy of a dict with its values
+    converted (_to_fractions), or x itself."""
     if type(x) is dict:
-        return {k: c if type(c) is Q else Q(c) for k, c in x.items()}
+        x = dict(x)
+        _to_fractions([x])
+        return x
     return x if type(x) is Q else Q(x)
 
 
