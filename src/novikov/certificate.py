@@ -520,11 +520,11 @@ def _eliminate_residuals(residuals, effort):
     Each residual goes through linalg._row_step alone, on ints: a new pivot
     is not cleared from the earlier pivot rows, so the row step is not exact
     here and a later pivot overwrites an earlier one (see ROADMAP item 1,
-    step 2). The witness is the combination of the residual that reduces to
+    Step B). The witness is the combination of the residual that reduces to
     a nonzero constant, divided by its coefficient at that residual, as
     Fractions.
     """
-    pivot_rows, pivot_consts, pivot_combos = {}, {}, {}
+    prows, pconsts, pcombos = {}, {}, {}
     pivots_used = 0
     for qi in sorted(residuals):
         poly = residuals[qi]
@@ -532,9 +532,9 @@ def _eliminate_residuals(residuals, effort):
             {mono: c for mono, c in poly.items() if mono != ()},
             poly.get((), 0),
             qi,
-            pivot_rows,
-            pivot_consts,
-            pivot_combos,
+            prows,
+            pconsts,
+            pcombos,
         )
         if m is None:
             if const != 0:
@@ -542,17 +542,18 @@ def _eliminate_residuals(residuals, effort):
                 return {i: Q(x, c) for i, x in combo.items()}, Q(const, c)
             continue
         if pivots_used < effort:
-            pivot_rows[m], pivot_consts[m], pivot_combos[m] = work, const, combo
+            prows[m], pconsts[m], pcombos[m] = work, const, combo
             pivots_used += 1
     return None
 
 
-def _product_from_solution(system, values):
+def _product_from_solution(system, sol):
     """The product with L(e_i)[k][j], variable (i*n + k)*n + j, as the
-    constant of e_i * e_j on e_k, read from the nonzero values."""
+    constant of e_i * e_j on e_k, read at the particular point of the
+    consistent solution: the nonzero int value of pivot p over its lead."""
     n = system.n
-    entries = {(index // (n * n), index % n, index // n % n): v
-               for index, v in enumerate(values) if v}
+    entries = {(p // (n * n), p % n, p // n % n): Q(c, sol._rows[p][p])
+               for p, c in sol._values.items() if c}
     return StructureTensor(n, {key: entries[key] for key in sorted(entries)})
 
 
@@ -638,7 +639,7 @@ def decide_novikov(g, effort=DEFAULT_EFFORT):
             )
     if not any(() in poly for poly in residuals.values()):
         # every residual vanishes at the particular point (all parameters 0)
-        product = _product_from_solution(system, sol.particular())
+        product = _product_from_solution(system, sol)
         cert = _verified(g, h, product, "linear-system")
         if cert is not None:
             return cert

@@ -241,19 +241,20 @@ class LieAlgebra:
     def bracket_space(self, u_space, v_space):
         """Span of [u, v] over basis vectors of the two subspaces. Each product
         is summed in ints, as a sparse dict over the nonzeros of the int form
-        of the bracket and of the subspaces' int echelon rows (_int_rows): a
-        positive multiple of [u, v], which spans the same. A subspace of
-        another ambient dimension raises DimensionMismatch."""
+        of the bracket and of the subspaces' primitive int echelon rows
+        (Subspace._rows): a positive multiple of [u, v], which spans the
+        same. A subspace of another ambient dimension raises
+        DimensionMismatch."""
         if u_space.ambient_dim != self.dim or v_space.ambient_dim != self.dim:
             raise DimensionMismatch("subspace does not match the algebra's dimension")
         left = self.bracket._int_form()[2]
-        vs = v_space._int_rows()
+        vs = v_space._rows.values()
         rows = []
-        for u in u_space._int_rows():
+        for u in u_space._rows.values():
             for v in vs:
                 out = {}
-                for i, a in u:
-                    for j, b in v:
+                for i, a in u.items():
+                    for j, b in v.items():
                         for k, c in left.get(i, {}).get(j, {}).items():
                             out[k] = out.get(k, 0) + a * b * c
                 rows.append({k: x for k, x in out.items() if x})

@@ -21,27 +21,25 @@ that hold it, found through a column index. It divides no row: SparseSolution
 keeps the int echelon state, the primitive int pivot rows, their int values
 and the zero columns, and its rank, free columns, particular point and the
 affine forms the certificate's residual step substitutes read that state.
-Every public value is still a Fraction: the reduced echelon form (pivot_rows,
-pivot_rhs), each row divided by its lead, is built on first read, exactly
-that of the elimination over Fractions. When the stripped rows are
-inconsistent, one more pass over the given rows tracks row provenance and
-stops at the first bad row, to build the witness, divided once into
-Fractions. The pivot rows are keyed by pivot column, in no promised order.
-Subspace bases take their reduced echelon form from it, and so does the
-Fitting kernel in reduction.py, which reads its echelon basis straight off
-one pass with the columns reversed. Matrix.inverse eliminates [d * A | I]
-from the int form and builds the inverse from the int pivot rows, so a
-kernel-built matrix and its inverse build no Fraction. Subspace membership
-reads a subspace's reduced echelon rows directly, its complement is one
-echelon pass over the basis with the columns reversed, and its int rows
-(each echelon row scaled by the lcm of its denominators) feed the bracket
-spans without a dense round trip. The
-certificate's residual elimination runs the same row step, and every sparse
-row or polynomial build in the package accumulates with the same helpers.
+It is the one echelon form in the package; Fractions are built only for
+the values handed out. When the stripped rows are inconsistent, one more
+pass over the given rows tracks row provenance and stops at the first bad
+row, to build the witness, divided once into Fractions. The pivot rows are
+keyed by pivot column, in no promised order. A Subspace keeps them too, with
+a row {z: 1} per zero column, and divides each by its lead only for its
+basis; membership reads them directly, its complement is one pass over them
+with the columns reversed, and the bracket spans sum their products in ints.
+The Fitting kernel in reduction.py reads its echelon rows straight off one
+pass with the columns reversed. Matrix.inverse eliminates [d * A | I] from
+the int form and builds the inverse from the int pivot rows, so a
+kernel-built matrix and its inverse build no Fraction. The certificate's
+residual elimination runs the same row step, and every sparse row or
+polynomial build in the package accumulates with the same helpers.
 The regular nilpotent basis reads one more, _krylov_chain: the nonzero
 images of a sparse vector under an operator given by its sparse columns, so
 it forms no matrix power. The Fraction forms of the dense kernels are the
-test suite's references (tests/dense_scans.py).
+test suite's references (tests/dense_scans.py), and so is the reduced
+echelon form of a solution over Fractions.
 """
 
 from fractions import Fraction
@@ -131,7 +129,7 @@ class Matrix:
         object.__setattr__(m, "_data", None)
         object.__setattr__(m, "rows", len(int_rows))
         object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_ints", _int_rows_form(denominator // g, int_rows))
+        object.__setattr__(m, "_ints", _matrix_int_form(denominator // g, int_rows))
         return m
 
     @property
@@ -153,7 +151,7 @@ class Matrix:
         form = self._ints
         if form is None:
             d = lcm(*(x.denominator for row in self.data for x in row))
-            form = _int_rows_form(d, [
+            form = _matrix_int_form(d, [
                 [x.numerator * (d // x.denominator) for x in row] for row in self.data
             ])
             object.__setattr__(self, "_ints", form)
@@ -274,7 +272,7 @@ class Matrix:
         return "Matrix[%s]" % body
 
 
-def _int_rows_form(d, int_rows):
+def _matrix_int_form(d, int_rows):
     """A Matrix int form: (d, the int rows as tuples, their nonzero
     (column, int) pairs)."""
     rows = tuple(tuple(row) for row in int_rows)
@@ -294,56 +292,60 @@ def scaled_sum(terms, rows, cols):
 
 
 def _sparse(rows):
-    """Dense rows as {column: entry} dicts over Q (so pivots divide exactly);
-    a Fraction entry is kept as it is."""
+    """Dense rows as {column: entry} dicts over Q, each nonzero entry
+    converted exactly, so that input of any rational type reaches the
+    engine as an exact number; a Fraction entry is kept as it is."""
     return [{j: x if type(x) is Q else Q(x) for j, x in enumerate(row) if x} for row in rows]
 
 
 class Subspace:
     """Subspace of Q^n with a canonical reduced-echelon basis.
 
-    Equality of subspaces is a syntactic comparison of the stored bases.
+    It keeps the engine's echelon state (_rows): {pivot column: primitive
+    int row}, each row with a positive lead at its pivot, the least column
+    it holds, and no entry at another row's pivot. The basis is each row
+    divided by its lead, so equality of subspaces is a syntactic
+    comparison of the stored bases.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivot_rows")
+    __slots__ = ("ambient_dim", "basis", "_rows")
 
     def __init__(self, ambient_dim, vectors=()):
         vectors = [tuple(v) for v in vectors]
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector does not match ambient dimension")
-        self._set(ambient_dim, solve_sparse(_sparse(vectors), None, ambient_dim).pivot_rows)
+        self._set(ambient_dim, _span_rows(_sparse(vectors), ambient_dim))
 
     @classmethod
     def _from_rows(cls, ambient_dim, rows):
         """The span of sparse rows {column: int or Fraction}, unchecked."""
-        return cls._from_echelon(ambient_dim, solve_sparse(rows, None, ambient_dim).pivot_rows)
+        return cls._from_echelon(ambient_dim, _span_rows(rows, ambient_dim))
 
     @classmethod
-    def _from_echelon(cls, ambient_dim, pivot_rows):
-        """The span of known reduced echelon rows {pivot column: {column:
-        Fraction}}, unchecked: each row has 1 at its pivot, its least column,
-        and no entry at another row's pivot."""
+    def _from_echelon(cls, ambient_dim, rows):
+        """The span of known echelon rows {pivot column: primitive int row},
+        unchecked: each row has a positive lead at its pivot, its least
+        column, and no entry at another row's pivot."""
         space = cls.__new__(cls)
-        space._set(ambient_dim, pivot_rows)
+        space._set(ambient_dim, rows)
         return space
 
-    def _set(self, ambient_dim, pivot_rows):
+    def _set(self, ambient_dim, rows):
         basis = tuple(
-            tuple(pivot_rows[p].get(j, _ZERO) for j in range(ambient_dim))
-            for p in sorted(pivot_rows)
+            tuple(Q(row[j], row[p]) if j in row else _ZERO for j in range(ambient_dim))
+            for p, row in sorted(rows.items())
         )
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_pivot_rows", pivot_rows)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def full(cls, n):
-        one = Q(1)
-        return cls._from_echelon(n, {j: {j: one} for j in range(n)})
+        return cls._from_echelon(n, {j: {j: 1} for j in range(n)})
 
     @property
     def dim(self):
@@ -353,27 +355,17 @@ class Subspace:
         return not self.basis
 
     def contains(self, v):
-        """Whether v lies in the subspace. The basis is reduced at the pivot
-        columns, so v is in it exactly when v = sum of v[p] * (basis row of
-        pivot p), compared as sparse dicts. A vector of another length raises
-        DimensionMismatch, as __init__ does."""
+        """Whether v lies in the subspace. The rows are reduced at the pivot
+        columns, so v is in it exactly when v = sum of (v[p] / lead) * (row
+        of pivot p), compared as sparse dicts. A vector of another length
+        raises DimensionMismatch, as __init__ does."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector does not match ambient dimension")
         span = {}
-        for p, row in self._pivot_rows.items():
+        for p, row in self._rows.items():
             if v[p]:
-                _add_scaled(span, row, v[p])
+                _add_scaled(span, row, Q(v[p], row[p]))
         return span == {j: x for j, x in enumerate(v) if x}
-
-    def _int_rows(self):
-        """The reduced echelon rows as lists of nonzero (column, int) pairs,
-        each row scaled by the lcm of its denominators: positive multiples of
-        the basis vectors, which span the same."""
-        out = []
-        for row in self._pivot_rows.values():
-            d = lcm(*(x.denominator for x in row.values()))
-            out.append([(j, x.numerator * (d // x.denominator)) for j, x in row.items()])
-        return out
 
     def complement(self):
         """The lexicographically earliest coordinate indices, in increasing
@@ -381,12 +373,12 @@ class Subspace:
 
         Index j is skipped exactly when some vector of the subspace has its
         last nonzero coordinate at j, that is, when n - 1 - j is a pivot of
-        the basis with its columns reversed.
+        the int rows with their columns reversed: the complement is the free
+        columns of that elimination, reversed.
         """
         n = self.ambient_dim
-        reversed_rows = [{n - 1 - j: x for j, x in enumerate(v) if x} for v in self.basis]
-        last = solve_sparse(reversed_rows, None, n).pivot_rows
-        return [j for j in range(n) if n - 1 - j not in last]
+        reversed_rows = [{n - 1 - j: x for j, x in row.items()} for row in self._rows.values()]
+        return [n - 1 - f for f in reversed(solve_sparse(reversed_rows, None, n).free_columns())]
 
     def __eq__(self, other):
         return (
@@ -402,22 +394,32 @@ class Subspace:
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient_dim)
 
 
+def _span_rows(rows, ncols):
+    """The echelon state of the span of sparse rows: solve_sparse's
+    primitive int pivot rows, plus a row {z: 1} for each zero column z."""
+    sol = solve_sparse(rows, None, ncols)
+    echelon = sol._rows
+    for z in sol._zeros:
+        echelon[z] = {z: 1}
+    return echelon
+
+
 class SparseSolution:
     """Echelonized sparse system: pivot rows and their values, each keyed by
     pivot column, plus provenance. No iteration order is promised: readers
     sort the pivot columns or read by key. An inconsistent system has a
-    witness and no values: pivot_rhs is None, as is particular().
+    witness, and particular() is None.
 
     It keeps the engine's int state: the primitive int pivot rows of the
     eliminated rows (each with a positive lead at its pivot column, the
     least column it holds), their int values, and the set of columns the
-    homogeneous rows force to zero. rank, free_columns, particular and the
-    affine forms (_live_forms) read that state. pivot_rows and pivot_rhs,
-    the reduced echelon form as Fractions with a row {z: 1} of value 0 per
-    zero column, are built on first read (_fraction_echelon) and kept.
+    homogeneous rows force to zero, each of which stands for a pivot row
+    {z: 1} of value 0. rank, free_columns, particular and the affine forms
+    (_live_forms) read that state, and so do Subspace and the Fitting
+    splitting; no Fraction echelon form is built.
     """
 
-    __slots__ = ("ncols", "witness", "_rows", "_values", "_zeros", "_fractions")
+    __slots__ = ("ncols", "witness", "_rows", "_values", "_zeros")
 
     def __init__(self, ncols, rows, values, zeros, witness):
         self.ncols = ncols
@@ -425,20 +427,6 @@ class SparseSolution:
         self._rows = rows
         self._values = values
         self._zeros = zeros
-        self._fractions = None
-
-    def _fraction_form(self):
-        if self._fractions is None:
-            self._fractions = _fraction_echelon(self._rows, self._values, self._zeros)
-        return self._fractions
-
-    @property
-    def pivot_rows(self):
-        return self._fraction_form()[0]
-
-    @property
-    def pivot_rhs(self):
-        return self._fraction_form()[1] if self.consistent else None
 
     @property
     def consistent(self):
@@ -482,29 +470,6 @@ class SparseSolution:
         return {v for v, form in enumerate(forms) if form is not zero}, forms
 
 
-def _fraction_echelon(rows, values, zeros=()):
-    """The reduced echelon form of primitive int pivot rows, as Fractions:
-    ({pivot column: row}, {pivot column: value}), each row and its value
-    divided by the row's lead, each dict in its order, plus a row {z: 1} of
-    value 0 for each column z in zeros. _to_fractions shares one Fraction
-    per integral value. SparseSolution builds its pivot_rows and pivot_rhs
-    with it, and so does a reader of _echelon's int result."""
-    pivot_rows, pivot_rhs = {}, {}
-    for p, row in rows.items():
-        lead = row[p]
-        if lead == 1:
-            pivot_rows[p], pivot_rhs[p] = dict(row), values[p]
-        else:
-            pivot_rows[p] = {k: _quotient(x, lead) for k, x in row.items()}
-            pivot_rhs[p] = _quotient(values[p], lead)
-    _to_fractions([*pivot_rows.values(), pivot_rhs])
-    one = Q(1)
-    for z in zeros:
-        pivot_rows[z] = {z: one}
-        pivot_rhs[z] = _ZERO
-    return pivot_rows, pivot_rhs
-
-
 def _add_term(acc, key, c):
     """acc[key] += c, dropping the entry when it cancels.
 
@@ -530,7 +495,7 @@ def _add_scaled(acc, row, c):
         _add_term(acc, key, c * x)
 
 
-def _row_step(row, val, key, pivot_rows, pivot_vals, pivot_combos):
+def _row_step(row, val, key, prows, pvals, pcombos):
     """Reduce one sparse row over Q by int pivot rows, then make it primitive.
 
     The row {column: entry} and its value (ints or Fractions) are scaled to
@@ -565,8 +530,8 @@ def _row_step(row, val, key, pivot_rows, pivot_vals, pivot_combos):
         work = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
         val = val.numerator * (scale // val.denominator)
     combo = None if key is None else {key: scale}
-    for p in sorted([c for c in work if c in pivot_rows]):
-        val = _cross_reduce(work, val, combo, pivot_rows[p], pivot_vals[p], pivot_combos[p], p)
+    for p in sorted([c for c in work if c in prows]):
+        val = _cross_reduce(work, val, combo, prows[p], pvals[p], pcombos[p], p)
     if not work:
         return None, work, val, combo
     p = min(work)
@@ -577,10 +542,9 @@ def _echelon(rows, rhs, track):
     """Run solve_sparse's elimination, carrying row combinations only when
     track is true. Returns (pivot rows, pivot values, index of the first row
     that reduces to 0 = c != 0 or None, that row's combination). The pivot
-    rows are primitive int rows with a positive lead and the values ints;
-    _fraction_echelon divides each by its lead. Tracked, it stops at the bad
-    row: the witness is then complete, and the pivot rows and values are
-    those of the rows before it.
+    rows are primitive int rows with a positive lead and the values ints.
+    Tracked, it stops at the bad row: the witness is then complete, and the
+    pivot rows and values are those of the rows before it.
 
     The elimination runs on Python ints and divides no row:
     - every row goes through the row step (_row_step): it is scaled to ints,
@@ -596,19 +560,19 @@ def _echelon(rows, rhs, track):
     Every reduced row is a nonzero multiple of the row that an elimination
     over Fractions holds at the same point, so the pivot columns and entry
     order are the same. Only the witness is divided, by its coefficient at
-    the bad row, into Fractions (_to_fractions shares one per integral
-    value). A reduced echelon basis with fixed pivot columns is unique, and
-    so is the relation among independent pivot rows with coefficient 1 at
-    the bad row, so dividing each pivot row by its lead, and that witness,
-    are exactly what dividing at every step gives.
+    the bad row, into Fractions (_to_fractions). A reduced echelon basis
+    with fixed pivot columns is unique, and so is the relation among
+    independent pivot rows with coefficient 1 at the bad row, so dividing
+    each pivot row by its lead, and that witness, are exactly what dividing
+    at every step gives.
     """
-    pivot_rows, pivot_rhs, pivot_combo = {}, {}, {}
+    prows, pvals, pcombos = {}, {}, {}
     holders = {}  # column -> the pivot columns whose rows have an entry there
     bad = witness = None
     for idx, row in enumerate(rows):
         val = 0 if rhs is None else rhs[idx]
         p, work, val, combo = _row_step(
-            row, val, idx if track else None, pivot_rows, pivot_rhs, pivot_combo
+            row, val, idx if track else None, prows, pvals, pcombos
         )
         if p is None:
             if val and bad is None:
@@ -618,8 +582,8 @@ def _echelon(rows, rhs, track):
             continue
         lead = work[p]
         for q in holders.pop(p, ()):
-            qrow = pivot_rows[q]
-            qval, qcombo = pivot_rhs[q], pivot_combo[q]
+            qrow = prows[q]
+            qval, qcombo = pvals[q], pcombos[q]
             b = qrow[p]
             g = gcd(b, lead)
             a, b = lead // g, b // g
@@ -644,15 +608,14 @@ def _echelon(rows, rhs, track):
             qval -= b * val
             if track:
                 _add_scaled(qcombo, combo, -b)
-            pivot_rhs[q] = _divide_content(qrow, qval, qcombo, qrow[q])
+            pvals[q] = _divide_content(qrow, qval, qcombo, qrow[q])
         for c in work:
             if c != p:
                 holders.setdefault(c, set()).add(p)
-        pivot_rows[p], pivot_rhs[p], pivot_combo[p] = work, val, combo
+        prows[p], pvals[p], pcombos[p] = work, val, combo
     if witness is not None:
-        _divide(witness, witness[bad])
-        _to_fractions([witness])
-    return pivot_rows, pivot_rhs, bad, witness
+        _to_fractions([witness], witness[bad])
+    return prows, pvals, bad, witness
 
 
 def _cross_reduce(row, val, combo, prow, pval, pcombo, p):
@@ -714,17 +677,6 @@ def _divide_content(row, val, combo, lead):
     return val
 
 
-def _quotient(x, d):
-    """x / d for ints: an int when d divides x, else a Fraction."""
-    return x // d if x % d == 0 else Q(x, d)
-
-
-def _divide(d, divisor):
-    """Divide every value of the int dict d by divisor, in place (_quotient)."""
-    for k, x in d.items():
-        d[k] = _quotient(x, divisor)
-
-
 def _to_fractions(dicts, denominator=1):
     """Replace every int value x of the dicts by the Fraction x / denominator,
     in place, which keeps each dict's order. A Fraction is immutable, so one
@@ -775,13 +727,14 @@ def solve_sparse(rows, rhs, ncols):
     each holding nonzero entries only, ints or Fractions.
 
     rhs may be None for a homogeneous system. The result is a SparseSolution
-    whose pivot rows form the reduced echelon basis (pivot entry 1, pivot
-    columns cleared from all other rows, each pivot the smallest column its
-    row keeps), keyed by pivot column in no promised order. The columns the
-    homogeneous rows force to zero (_forced_zeros) become pivot rows {z: 1}
-    of value 0; the rows that only restate zeros are dropped and the zero
-    columns stripped from the rest, which with the zero rows span the same
-    augmented row space, so only the stripped rows are eliminated (_echelon).
+    whose pivot rows, each divided by its lead, form the reduced echelon
+    basis (pivot columns cleared from all other rows, each pivot the
+    smallest column its row keeps), keyed by pivot column in no promised
+    order. The columns the homogeneous rows force to zero (_forced_zeros)
+    stand for pivot rows {z: 1} of value 0; the rows that only restate
+    zeros are dropped and the zero columns stripped from the rest, which
+    with the zero rows span the same augmented row space, so only the
+    stripped rows are eliminated (_echelon).
     There each row is reduced by the pivots it holds, in increasing order,
     and its new pivot cleared from the earlier pivot rows found through a
     column index. Provenance is tracked only if some stripped row reduces to
@@ -790,12 +743,11 @@ def solve_sparse(rows, rhs, ncols):
     combination {original row index: coefficient}, with sum_i witness_i
     row_i = 0 and sum_i witness_i rhs_i != 0. The pivot rows stay the
     stripped pass's plus the zero rows, the same reduced echelon basis, but
-    pivot_rhs is None: the values of an inconsistent system depend on the
-    row order and mean nothing. The elimination runs on ints and divides no
-    row (_echelon): the solution keeps its int pivot rows, values and zero
-    columns, and builds the Fraction pivot rows and values, the zero rows
-    among them, only when they are read; every value it hands out is a
-    Fraction.
+    there is no particular point: the values of an inconsistent system
+    depend on the row order and mean nothing. The elimination runs on ints
+    and divides no row (_echelon): the solution keeps its int pivot rows,
+    values and zero columns, and every value it hands out, the particular
+    point and the witness, is a Fraction.
     """
     nonzero = None if rhs is None else list(map(bool, rhs))  # each value read once
     zeros, kept = _forced_zeros(rows, nonzero)
@@ -808,9 +760,9 @@ def solve_sparse(rows, rhs, ncols):
             row = {c: x for c, x in row.items() if c not in zeros}
         kept_rows.append(row)
     kept_rhs = None if rhs is None else [rhs[i] for i in kept]
-    pivot_rows, pivot_rhs, bad, _ = _echelon(kept_rows, kept_rhs, False)
+    prows, pvals, bad, _ = _echelon(kept_rows, kept_rhs, False)
     witness = None if bad is None else _echelon(rows, rhs, True)[3]
-    return SparseSolution(ncols, pivot_rows, pivot_rhs, zeros, witness)
+    return SparseSolution(ncols, prows, pvals, zeros, witness)
 
 
 def jordan_block(n):

@@ -11,6 +11,8 @@ the extension by one change of basis, which takes a to its Fitting basis
 and moves each section vector f_p by lam_p.
 """
 
+from math import gcd, lcm
+
 from .extensions import (
     ExtensionData,
     HypothesisFailed,
@@ -96,14 +98,15 @@ def fitting_decompose(module):
     With d = dim V and A_p the action of the p-th basis element of b, V_n
     is the common kernel of the A_p^d and V_0 the span of their int columns.
     The kernel takes one elimination of the stacked int rows, with the
-    columns reversed: with P the pivot rows, each column f with d-1-f no
-    pivot gives v_f = e_f - sum_p P[p][d-1-f] e_(d-1-p). P is reduced, each
-    pivot the least column of its row, so v_f has its lead 1 at f and is 0
-    at every other lead: the v_f are the kernel's reduced echelon basis as
-    they stand, and no second elimination is needed. Requires the acting
-    algebra to be nilpotent; ModuleAction has checked that the A_p
-    form a representation, so they span a nilpotent Lie algebra of linear
-    maps. Over the algebraic closure V is then the direct sum of invariant
+    columns reversed: with W the primitive int pivot rows, each free column
+    r = d-1-f gives v_f = e_f - sum_p (W[p][r] / W[p][p]) e_(d-1-p). W is
+    reduced, each pivot the least column of its row, so v_f has its lead 1
+    at f and is 0 at every other lead: the v_f are the kernel's reduced
+    echelon basis as they stand, and no second elimination is needed. Each
+    is handed on as m * v_f, with m the lcm of its denominators, which is
+    its primitive int row. Requires the acting algebra to be nilpotent;
+    ModuleAction has checked that the A_p form a representation, so they
+    span a nilpotent Lie algebra of linear maps. Over the algebraic closure V is then the direct sum of invariant
     generalized weight spaces V^lam, with lam linear and A_p - lam(e_p)
     nilpotent on V^lam (Jacobson, Lie Algebras, ch. II). So A_p^d kills
     V^lam when lam(e_p) = 0 and is invertible on it otherwise: the common
@@ -124,14 +127,12 @@ def fitting_decompose(module):
         _, ints, nonzeros = power._int_form()
         rows += ({d - 1 - j: x for j, x in row} for row in nonzeros)
         columns += ({i: x for i, x in enumerate(col) if x} for col in zip(*ints))
-    pivot_rows, one = solve_sparse(rows, None, d).pivot_rows, Q(1)
+    sol = solve_sparse(rows, None, d)
     kernel = {}
-    for f in range(d):
-        if d - 1 - f not in pivot_rows:
-            v = kernel[f] = {f: one}
-            for p, row in pivot_rows.items():
-                if d - 1 - f in row:
-                    v[d - 1 - p] = -row[d - 1 - f]
+    for r in reversed(sol.free_columns()):
+        terms = [(d - 1 - p, row[r], row[p]) for p, row in sol._rows.items() if r in row]
+        m = lcm(*(lead // gcd(x, lead) for _, x, lead in terms))
+        kernel[d - 1 - r] = {d - 1 - r: m, **{k: -x * m // lead for k, x, lead in terms}}
     return Decomposition(Subspace._from_echelon(d, kernel), Subspace._from_rows(d, columns))
 
 

@@ -24,9 +24,11 @@ reduction's pull-back of a lift worked out block by block.
 The library's dense exact kernels run on ints; their entry-by-entry Fraction
 forms are here too: the matrix product, inverse and matrix-vector product, the
 substitution of affine forms into a quadratic, the compatibility check over
-Fraction sums, and the affine form of every variable of a sparse solution
-with its scaling to ints, which the live forms the library reads straight
-from the pivot rows are held to. The library builds every
+Fraction sums, the reduced echelon form of a sparse solution over Fractions
+(the library keeps only its primitive int rows), and the affine form of
+every variable of a sparse solution with its scaling to ints, which the live
+forms the library reads straight from the pivot rows are held to. The
+library builds every
 tensor from the nonzeros of its data; tabulate, one dense vector per basis
 pair, builds the references: the half-bracket product, the change of basis,
 the lifted product, the assembled bracket, the quotient tensor, the induced
@@ -265,18 +267,42 @@ def product_from_solution(n, values):
     return tabulate(n, lambda i, j: [values[var_index(n, i, k, j)] for k in range(n)])
 
 
+def fraction_echelon(sol):
+    """The reduced echelon form of a SparseSolution over Fractions:
+    ({pivot column: row}, {pivot column: value}, or None for the values of
+    an inconsistent solution). Each primitive int pivot row and its value
+    are divided by the row's lead, each dict in the row's order, and each
+    zero column z adds a row {z: 1} of value 0. The library keeps the int
+    rows alone; this is the form an elimination over Fractions gives."""
+    pivot_rows, pivot_rhs = {}, {}
+    for p, row in sol._rows.items():
+        lead = row[p]
+        pivot_rows[p] = {k: Q(x, lead) for k, x in row.items()}
+        pivot_rhs[p] = Q(sol._values[p], lead)
+    for z in sol._zeros:
+        pivot_rows[z], pivot_rhs[z] = {z: Q(1)}, Q(0)
+    return pivot_rows, (pivot_rhs if sol.consistent else None)
+
+
+def point_solution(values):
+    """The SparseSolution of the system x_j = values[j], one row per
+    variable, whose particular point is values."""
+    return solve_sparse([{j: 1} for j in range(len(values))], list(values), len(values))
+
+
 def affine_forms(sol):
     """Per-variable affine form (constant, {free column: coefficient}) of a
     consistent SparseSolution, over Fractions, for every variable: the
     general solution assigns arbitrary values to the free columns, and each
     pivot variable depends on them affinely."""
+    pivot_rows, pivot_rhs = fraction_echelon(sol)
     forms = []
     for c in range(sol.ncols):
-        row = sol.pivot_rows.get(c)
+        row = pivot_rows.get(c)
         if row is None:
             forms.append((Q(0), {c: Q(1)}))
         else:
-            forms.append((sol.pivot_rhs[c], {f: -x for f, x in row.items() if f != c}))
+            forms.append((pivot_rhs[c], {f: -x for f, x in row.items() if f != c}))
     return forms
 
 
@@ -330,6 +356,43 @@ def commutator_tensor(p):
     )
 
 
+def rref(rows, ncols):
+    """Textbook Gauss-Jordan over Fractions on dense rows of ints or
+    Fractions: (the nonzero reduced rows as tuples, their pivot columns)."""
+    rows = [[Q(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return [tuple(r) for r in rows[: len(pivots)]], pivots
+
+
+def span_contains(vectors, v, ncols):
+    """Whether v lies in the span of the dense vectors: adding it to them
+    leaves the rank (rref) unchanged."""
+    return len(rref(list(vectors) + [v], ncols)[1]) == len(rref(vectors, ncols)[1])
+
+
+def coordinate_complement(vectors, ncols):
+    """The indices j, increasing, whose unit vector e_j raises the rank of
+    the span of the dense vectors and the unit vectors chosen so far."""
+    chosen, span = [], list(vectors)
+    for j in range(ncols):
+        if not span_contains(span, vunit(ncols, j), ncols):
+            chosen.append(j)
+            span.append(vunit(ncols, j))
+    return chosen
+
+
 def subspace_sum(u, w):
     return Subspace(u.ambient_dim, u.basis + w.basis)
 
@@ -361,10 +424,10 @@ def row_module(module):
 def kernel(sol):
     """The nullspace of a solved system, one vector per free column f: e_f
     minus the entries at f of the reduced pivot rows, each at its pivot."""
-    basis = []
+    pivot_rows, basis = fraction_echelon(sol)[0], []
     for f in sol.free_columns():
         v = list(vunit(sol.ncols, f))
-        for p, row in sol.pivot_rows.items():
+        for p, row in pivot_rows.items():
             if f in row:
                 v[p] = -row[f]
         basis.append(v)

@@ -14,11 +14,13 @@ A second line prints product_digest(): one sha256 over the LAF documents
 of the products that the library's constructors build (see its docstring),
 pinned here as PRODUCT_DIGEST. A third prints the sha256 of
 construction_bytes(), what the reduction hands out over
-corpus_extensions(), pinned here as CONSTRUCTION_DIGEST; test_reduction.py
-imports both pins. With --expect HEX it exits 1, printing each digest that
-differs next to what was expected, when the certificate digest is not HEX
-or either of the other two lines is not its pin, so one command gates
-every output byte. pytest does not collect this file.
+corpus_extensions(), pinned here as CONSTRUCTION_DIGEST. A fourth prints the sha256 of
+subspace_bytes(), the subspaces the library computes (see its
+docstring), pinned here as SUBSPACE_DIGEST; test_reduction.py imports all
+three pins. With --expect HEX it exits 1, printing each digest that differs
+next to what was expected, when the certificate digest is not HEX or one of
+the other three lines is not its pin, so one command gates every output
+byte. pytest does not collect this file.
 """
 
 import argparse
@@ -44,12 +46,19 @@ from novikov.extensions import (
 from novikov.laf import emit
 from novikov.linalg import Matrix, Subspace, vunit
 from novikov.products import half_bracket_product
-from novikov.reduction import induced_nilpotent_extension, prop57_construct, reduction_lift
+from novikov.reduction import (
+    ModuleAction,
+    fitting_decompose,
+    induced_nilpotent_extension,
+    prop57_construct,
+    reduction_lift,
+)
 from novikov.rmatrix import basis_rmatrix, deformed_algebra, induced_product
 
 from randalg import (
     gelfand_dorfman,
     random_mixed_extension,
+    random_nilpotent_module,
     random_prop57_instance,
     random_regular_jordan_extension,
     random_three_step_extension,
@@ -62,6 +71,9 @@ PRODUCT_DIGEST = "60c4104ccc8d1ad736b8191f0c958e5675ae6f8889c549ec0104f35869dde0
 # sha256 of construction_bytes(), recorded on the word-image Fitting
 # splitting that the power-based one replaced
 CONSTRUCTION_DIGEST = "c4555fc876ba1b81f359173a7590bf71633f0d9cbfd38608a44bebc5bb72057a"
+# sha256 of subspace_bytes(), recorded while Subspace kept its echelon rows
+# as Fractions
+SUBSPACE_DIGEST = "fcd274115692fe7f1cba12c4a82ca2b47e081c5adea4c1d5db78d3c9a407b859"
 
 FIXTURES = ["n3", "r2", "r3", "sl2", "ex35", "free-n2-c4", "free-n3-c3", "abelian:3",
             "r3-lambda:-1", "r3-lambda:-1/2", "r3-lambda:2", "filiform:5", "filiform:8",
@@ -192,6 +204,33 @@ def construction_bytes():
     return "\n".join(out).encode()
 
 
+def module_corpus():
+    """Nilpotent modules from randalg, plus the module of every extension in
+    corpus_extensions()."""
+    rng = rng_for("reduction-fitting-reference")
+    modules = [random_nilpotent_module(rng, index) for index in range(12)]
+    modules += [ModuleAction(ext.b_algebra(), ext.dim_a, ext.phi) for ext in corpus_extensions()]
+    return modules
+
+
+def subspace_bytes():
+    """The subspaces the library computes: for each of algebras(), the bases
+    of the terms of its derived and lower central series, each followed by
+    its complement(); then the V_n and V_0 bases of fitting_decompose over
+    module_corpus()."""
+    def vectors(space):
+        return "; ".join(" ".join(map(str, v)) for v in space.basis)
+
+    out = []
+    for g in algebras():
+        for series in (g.derived_series(), g.lower_central_series()):
+            out += ["%s | %s" % (vectors(s), s.complement()) for s in series]
+    for module in module_corpus():
+        dec = fitting_decompose(module)
+        out += [vectors(dec.v_n), vectors(dec.v_0)]
+    return "\n".join(out).encode()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Digest the decide certificates.")
     parser.add_argument("--expect", metavar="HEX",
@@ -204,15 +243,18 @@ def main(argv=None):
         verdicts[cert.verdict] += 1
     products = product_digest()
     construction = hashlib.sha256(construction_bytes()).hexdigest()
+    subspaces = hashlib.sha256(subspace_bytes()).hexdigest()
     print(digest.hexdigest(), " ".join("%s=%d" % kv for kv in sorted(verdicts.items())))
     print(products, "products")
     print(construction, "construction")
+    print(subspaces, "subspaces")
     if args.expect is None:
         return 0
     bad = [(name, want, got) for name, want, got in (
         ("certificates", args.expect, digest.hexdigest()),
         ("products", PRODUCT_DIGEST, products),
-        ("construction", CONSTRUCTION_DIGEST, construction)) if want != got]
+        ("construction", CONSTRUCTION_DIGEST, construction),
+        ("subspaces", SUBSPACE_DIGEST, subspaces)) if want != got]
     for name, want, got in bad:
         print("%s: expected %s\n%s       got %s" % (name, want, " " * len(name), got))
     return 1 if bad else 0

@@ -39,7 +39,6 @@ from novikov.laf import emit, parse_file
 from novikov.lie import LieAlgebra, StructureTensor
 from novikov.linalg import (
     NotRegularNilpotent,
-    SparseSolution,
     _add_scaled,
     _add_term,
     solve_sparse,
@@ -52,6 +51,7 @@ from dense_scans import (
     check_lift_novikov,
     int_affine_form,
     left_matrix_of,
+    point_solution,
     substitute,
     var_index,
 )
@@ -605,7 +605,9 @@ def test_product_from_solution_round_trip():
             for r in range(p.dim):
                 for c in range(p.dim):
                     values[var_index(system.n, i, r, c)] = left[r, c]
-        assert certificate._product_from_solution(system, values) == p
+        sol = point_solution(values)
+        assert sol.particular() == tuple(values)
+        assert certificate._product_from_solution(system, sol) == p
 
 
 def test_decide_existence_cases():
@@ -835,11 +837,11 @@ def _decide_and_verify(name):
 
 def test_decide_and_verify_build_no_fraction_view_of_the_linear_block(monkeypatch):
     # the linear block goes from build_system through solve_sparse to the
-    # residual forms in ints: no row or value of the block, no quadratic
-    # entry read by index, and no pivot_rows or pivot_rhs of its solution
-    # is built as Fractions, on the two free fixtures and on sl2, whose
-    # linear witness is checked against the int rows; every certificate
-    # and verdict stays the same
+    # residual forms in ints: no row or value of the block and no quadratic
+    # entry read by index is built as Fractions, on the two free fixtures
+    # and on sl2, whose linear witness is checked against the int rows;
+    # every certificate and verdict stays the same. A solution has no
+    # Fraction echelon form to build
     names = ("free-n2-c4", "free-n3-c3", "sl2")
     expected = {name: _decide_and_verify(name) for name in names}
     assert all(checks == [True, False, False] for _, checks in expected.values())
@@ -848,12 +850,9 @@ def test_decide_and_verify_build_no_fraction_view_of_the_linear_block(monkeypatc
         raise AssertionError("a Fraction view of the linear block was built")
 
     solutions, solve = [], certificate.solve_sparse
-    fraction_form = SparseSolution._fraction_form
     monkeypatch.setattr(certificate, "solve_sparse",
                         lambda *args: solutions.append(solve(*args)) or solutions[-1])
     monkeypatch.setattr(certificate, "_fractions", refuse)
-    monkeypatch.setattr(SparseSolution, "_fraction_form", lambda sol: (
-        refuse() if any(sol is seen for seen in solutions) else fraction_form(sol)))
     for name in names:
         solutions.clear()
         assert _decide_and_verify(name) == expected[name], name
@@ -883,9 +882,8 @@ def test_decide_returns_only_fractions(name, kind):
         for const, terms in affine_forms(sol):
             values += [const] + list(terms.values())
     else:
-        # an inconsistent solution hands on pivot rows and a witness, no values
-        assert sol.pivot_rhs is None
-        values += [c for row in sol.pivot_rows.values() for c in row.values()]
+        # an inconsistent solution hands on a witness, no values
+        assert sol.particular() is None
         values += list(sol.witness.values())
     assert all(type(c) is Q for c in values)
 

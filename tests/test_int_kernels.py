@@ -328,5 +328,5 @@ def test_nonzero_builders_match_tabulate(case):
     assert_same_tensor(rmatrix._t_product(r), dense.t_product(r))
     assert_same_tensor(rmatrix.deformed_bracket(r), dense.deformed_bracket(r))
     system = certificate.PolySystem(k, [], [], [])
-    assert_same_tensor(certificate._product_from_solution(system, values),
+    assert_same_tensor(certificate._product_from_solution(system, dense.point_solution(values)),
                        dense.product_from_solution(k, values))

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,11 @@ from novikov.linalg import (
     Matrix,
     NotRegularNilpotent,
     Q,
+    SparseSolution,
     Subspace,
     _add_scaled,
     _add_term,
     _echelon,
-    _fraction_echelon,
     _to_fractions,
     is_zero_vec,
     jordan_block,
@@ -38,6 +39,12 @@ def solve(a, b):
     """solve_sparse on the dense system a x = b."""
     rows = [{j: x for j, x in enumerate(row) if x} for row in a.data]
     return solve_sparse(rows, [Q(x) for x in b], a.cols)
+
+
+def echelon_fractions(int_rows, int_rhs):
+    """_echelon's int pivot rows and values over Fractions, through
+    dense.fraction_echelon: ({pivot column: row}, {pivot column: value})."""
+    return dense.fraction_echelon(SparseSolution(0, int_rows, int_rhs, (), None))
 
 
 def dense_witness(sol, nrows):
@@ -126,20 +133,64 @@ def test_nullspace_examples():
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(subspaces())
-def test_int_rows_are_positive_int_multiples_of_the_basis(space):
-    # bracket_space reads these: one int row per basis vector, in
-    # no promised order, each a positive multiple of its vector
-    rows = space._int_rows()
-    assert len(rows) == space.dim
-    for row in rows:
-        assert all(type(x) is int and x for _, x in row)
-        dense_row = [Q(0)] * space.ambient_dim
-        for j, x in row:
-            dense_row[j] = Q(x)
-        pivot = min(j for j, _ in row)
-        v = space.basis[dense.pivots(space).index(pivot)]
-        scale = dense_row[pivot]
-        assert scale > 0 and vscale(scale, v) == tuple(dense_row)
+def test_rows_are_primitive_int_rows_that_divide_to_the_basis(space):
+    # Subspace keeps the engine's echelon rows, which bracket_space, contains
+    # and complement read: one per basis vector, keyed by its pivot, the
+    # least column it holds, where its lead is positive; each row is a
+    # primitive int row and divided by its lead is its basis vector
+    pivots = dense.pivots(space)
+    assert sorted(space._rows) == list(pivots)
+    for p, row in space._rows.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
+        v = space.basis[pivots.index(p)]
+        assert tuple(Q(row.get(j, 0), row[p]) for j in range(space.ambient_dim)) == v
+
+
+def test_contains_scales_int_rows_exactly():
+    # the row (3, 1) has lead 3; scaling it by v[0] / 3 must stay exact
+    space = Subspace(2, [(3, 1)])
+    assert space._rows == {0: {0: 3, 1: 1}}
+    assert space.contains((1, Q(1, 3))) and space.contains((3, 1))
+    assert not space.contains((1, 0)) and not space.contains((1, Q(1, 2)))
+
+
+MIXED_ENTRIES = st.one_of(st.just(0), st.integers(-3, 3),
+                          st.builds(Q, st.integers(-3, 3), st.sampled_from((1, 2, 3))))
+
+
+@st.composite
+def spans_with_probes(draw):
+    """(n, up to n + 1 vectors, probes) with int and Fraction entries, n up
+    to 6; the probes are a few vectors and combinations of the given ones
+    with int and Fraction coefficients, which lie in their span."""
+    n = draw(st.integers(0, 6))
+    vector = st.lists(MIXED_ENTRIES, min_size=n, max_size=n).map(tuple)
+    vectors = draw(st.lists(vector, max_size=n + 1))
+    probes = draw(st.lists(vector, max_size=3))
+    for _ in range(2):
+        combo = [0] * n
+        for v in vectors:
+            c = draw(MIXED_ENTRIES)
+            combo = [x + c * y for x, y in zip(combo, v)]
+        probes.append(tuple(combo))
+    return n, vectors, probes
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spans_with_probes())
+def test_subspace_matches_dense_references_on_int_and_fraction_vectors(case):
+    # basis and dim against Gauss-Jordan over Fractions, contains against
+    # the rank of the span with the probe added, complement against the
+    # greedy choice of unit vectors by rank
+    n, vectors, probes = case
+    space = Subspace(n, vectors)
+    basis, pivots = dense.rref(vectors, n)
+    assert space.basis == tuple(basis) and space.dim == len(pivots)
+    assert all(type(x) is Q for v in space.basis for x in v)
+    assert space.complement() == dense.coordinate_complement(vectors, n)
+    for v in probes:
+        assert space.contains(v) == dense.span_contains(vectors, v, n), v
 
 
 def test_subspace_canonical_idempotent():
@@ -272,25 +323,6 @@ def test_word_image_space_examples():
     assert dense.word_image_space([jordan_block(3)], full3, 2) == Subspace(3, [(1, 0, 0)])
 
 
-def dense_rref(rows):
-    """Textbook Gauss-Jordan on lists of Fractions: (nonzero rows, pivots)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return [tuple(r) for r in rows[: len(pivots)]], pivots
-
-
 def test_echelon_forms_match_dense_gauss_jordan():
     # every echelon form comes from the sparse engine; the reduced echelon
     # form is unique, so it must match a dense reference elimination
@@ -299,7 +331,7 @@ def test_echelon_forms_match_dense_gauss_jordan():
         rows, cols = rng.randint(0, 5), rng.randint(1, 5)
         data = [[Q(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.6 else Q(0)
                  for _ in range(cols)] for _ in range(rows)]
-        basis, pivots = dense_rref(data)
+        basis, pivots = dense.rref(data, cols)
         space = Subspace(cols, data)
         assert space.basis == tuple(basis) and dense.pivots(space) == tuple(pivots)
         if rows:
@@ -393,11 +425,12 @@ def _assert_matches_reference(rows, rhs, ncols, label):
     pivot_rows, pivot_rhs, witness = reference_solve_sparse(rows, rhs)
     # keyed by pivot column: solve_sparse promises no iteration order; an
     # inconsistent system has no values
-    assert sol.pivot_rows == pivot_rows and sol.witness == witness, label
-    assert sol.pivot_rhs == (pivot_rhs if witness is None else None), label
+    sol_rows, sol_rhs = dense.fraction_echelon(sol)
+    assert sol_rows == pivot_rows and sol.witness == witness, label
+    assert sol_rhs == (pivot_rhs if witness is None else None), label
     # the elimination runs on ints where it can, but hands back Fractions only
-    values = [x for row in sol.pivot_rows.values() for x in row.values()]
-    values += list((sol.pivot_rhs or {}).values()) + list((sol.witness or {}).values())
+    values = [x for row in sol_rows.values() for x in row.values()]
+    values += list((sol_rhs or {}).values()) + list((sol.witness or {}).values())
     assert all(type(x) is Q for x in values), label
     return witness is not None
 
@@ -468,16 +501,17 @@ def assert_solve_matches_echelon(rows, rhs, ncols, label):
     sol = solve_sparse(rows, rhs, ncols)
     assert [list(row.items()) for row in rows] == before, label
     int_rows, int_rhs, bad, _ = _echelon(rows, rhs, False)
-    pivot_rows, pivot_rhs = _fraction_echelon(int_rows, int_rhs)
+    pivot_rows, pivot_rhs = echelon_fractions(int_rows, int_rhs)
     witness = None if bad is None else _echelon(rows[: bad + 1], rhs, True)[3]
-    assert sol.pivot_rows == pivot_rows, label
-    assert sol.pivot_rhs == (pivot_rhs if bad is None else None), label
+    sol_rows, sol_rhs = dense.fraction_echelon(sol)
+    assert sol_rows == pivot_rows, label
+    assert sol_rhs == (pivot_rhs if bad is None else None), label
     assert (sol.witness is None) == (witness is None), label
     if witness is not None:
         assert list(sol.witness.items()) == list(witness.items()), label
         assert max(sol.witness) == bad and sol.witness[bad] == 1, label
-    values = [x for row in sol.pivot_rows.values() for x in row.values()]
-    values += list((sol.pivot_rhs or {}).values()) + list((sol.witness or {}).values())
+    values = [x for row in sol_rows.values() for x in row.values()]
+    values += list((sol_rhs or {}).values()) + list((sol.witness or {}).values())
     assert all(type(x) is Q for x in values), label
     zeros, kept = linalg._forced_zeros(rows, rhs)
     assert (zeros, kept) == reference_forced_zeros(rows, rhs)[:2], label
@@ -633,7 +667,7 @@ def _assert_echelon_matches_reference(rows, rhs, track, label):
     stops at the bad row, so it is compared with the reference on the rows
     through that row. Returns whether the system is inconsistent."""
     int_rows, int_rhs, bad, witness = _echelon(rows, rhs, track)
-    pivot_rows, pivot_rhs = _fraction_echelon(int_rows, int_rhs)
+    pivot_rows, pivot_rhs = echelon_fractions(int_rows, int_rhs)
     ref_rows, ref_rhs, ref_bad, ref_witness = reference_echelon(rows, rhs, track)
     if track and ref_bad is not None:
         ref_rows, ref_rhs, ref_bad, ref_witness = reference_echelon(
@@ -796,7 +830,7 @@ def test_solve_sparse_eliminates_an_inconsistent_block_twice(monkeypatch):
     # witness that of the rows through the bad row
     for label, rows, rhs, ncols in _inconsistent_blocks():
         int_rows, int_rhs, bad, _ = _echelon(rows, rhs, False)
-        pivot_rows = _fraction_echelon(int_rows, int_rhs)[0]
+        pivot_rows = echelon_fractions(int_rows, int_rhs)[0]
         witness = _echelon(rows[: bad + 1], rhs, True)[3]
         eliminations, tracked = [], []
         with monkeypatch.context() as patch:
@@ -809,7 +843,7 @@ def test_solve_sparse_eliminates_an_inconsistent_block_twice(monkeypatch):
         assert eliminations == [False, True], label
         # the tracked pass steps each given row through the bad row once
         assert [key for key in tracked if key is not None] == list(range(bad + 1)), label
-        assert sol.pivot_rows == pivot_rows and sol.pivot_rhs is None, label
+        assert dense.fraction_echelon(sol) == (pivot_rows, None), label
         assert list(sol.witness.items()) == list(witness.items()), label
         assert max(sol.witness) == bad and sol.witness[bad] == 1, label
 

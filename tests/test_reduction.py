@@ -52,9 +52,12 @@ import dense_scans as dense
 from output_digest import (
     CONSTRUCTION_DIGEST,
     PRODUCT_DIGEST,
+    SUBSPACE_DIGEST,
     construction_bytes,
     corpus_extensions,
+    module_corpus,
     product_digest,
+    subspace_bytes,
 )
 from dense_scans import (
     check_lift_lsa,
@@ -512,9 +515,7 @@ def reference_induced_without_a0(ext, dec):
 
 
 def _module_corpus():
-    rng = rng_for("reduction-fitting-reference")
-    modules = [random_nilpotent_module(rng, index) for index in range(12)]
-    modules += [ModuleAction(ext.b_algebra(), ext.dim_a, ext.phi) for ext in corpus_extensions()]
+    modules = module_corpus()
     assert {mod.dim_v for mod in modules} >= {0, 3} and {mod.b.dim for mod in modules} >= {0, 2}
     return modules
 
@@ -570,7 +571,7 @@ def test_fitting_splits_the_reduction_item_shape(monkeypatch):
 def test_fitting_eliminates_the_powers_twice(monkeypatch):
     # after the nilpotency check the powers are eliminated twice: their
     # stacked rows by solve_sparse, whose pivot rows with the columns
-    # reversed give V_n's echelon basis as they are, and their columns by
+    # reversed give V_n's echelon rows as they are, and their columns by
     # Subspace._from_rows, which builds V_0's with linalg's solve_sparse.
     # V_n is the canonical span of its own basis, pivot rows included
     modules = _module_corpus()
@@ -595,7 +596,7 @@ def test_fitting_eliminates_the_powers_twice(monkeypatch):
         v_n = fitting_decompose(module).v_n
         assert Counter(events) == {"rows": 1, "columns": 1, "solve": 1}, module
         span = Subspace(v_n.ambient_dim, v_n.basis)
-        assert (span, span._pivot_rows) == (v_n, v_n._pivot_rows), module
+        assert (span, span._rows) == (v_n, v_n._rows), module
 
 
 @st.composite
@@ -658,6 +659,10 @@ def test_induced_extension_without_a0_matches_reference():
 
 def test_construction_bytes_match_the_recorded_digest():
     assert hashlib.sha256(construction_bytes()).hexdigest() == CONSTRUCTION_DIGEST
+
+
+def test_series_complements_and_fitting_parts_match_the_recorded_digest():
+    assert hashlib.sha256(subspace_bytes()).hexdigest() == SUBSPACE_DIGEST
 
 
 def test_every_product_constructor_keeps_its_laf_bytes():
